@@ -16,11 +16,14 @@ Two layers of machinery live here:
     descendant region.
 
 ``analyze``
-    Builds one linear program over input, pre-activation, post-activation,
-    and output variables; minimizes the property margin c^T y + d over the
-    chosen per-neuron relaxation (triangle by default); and classifies the
-    region as Verified, Unknown, or Counterexample.  An infeasible region
-    (crossed bounds or an infeasible LP) verifies vacuously.
+    Bounds the region once, with the property's objective so the bounds carry
+    the branching heuristics' ``kappa``; builds one linear program over input,
+    pre-activation, post-activation, and output variables; minimizes the
+    property margin c^T y + d over the triangle relaxation of each ambiguous
+    ReLU; and classifies the region as Verified, Unknown, or Counterexample.
+    An infeasible region (crossed bounds or an infeasible LP) verifies
+    vacuously.  The verdict hands its bounds on, so the verifier picks a
+    split from the same bounding instead of recomputing it.
 """
 
 from __future__ import annotations
@@ -50,8 +53,6 @@ STABLE_TOL = 1e-9
 # bounds that cross by more than this mark the region infeasible
 CROSS_TOL = 1e-9
 
-RELAXATIONS = ("triangle", "quadrilateral", "box")
-
 
 class AnalyzerError(RuntimeError):
     """The analyzer could not produce a trustworthy verdict."""
@@ -70,12 +71,16 @@ class AnalyzerVerdict:
     ``lb_value`` is the proved lower bound on c^T N(x) + d over the region
     (``+inf`` for a vacuously verified empty region, flagged ``infeasible``).
     ``candidate`` is the concrete violating input for Counterexample.
+    ``bounds`` are the region's bounds from this call, computed with the
+    property's objective so their ``kappa`` is set; the verifier ranks split
+    candidates from them.
     """
 
     status: Verdict
     lb_value: float
     candidate: Optional[np.ndarray] = None
     infeasible: bool = False
+    bounds: Optional[PreactBounds] = None
 
 
 @dataclass
@@ -275,15 +280,14 @@ def compute_bounds(
     box: InputBox,
     splits: dict,
     objective=None,
-    refine: bool = True,
 ) -> PreactBounds:
     """Sound per-neuron bounds for the region (box restricted by splits).
 
     ``splits`` maps ReluId to "+" or "-" and is treated as ordered: one
     propagation pass runs per prefix and each pass is intersected with the
     previous, so bounds shrink monotonically along a branching path.  With
-    ``refine=False`` only the root pass runs and split clamps are applied
-    directly (cheaper, looser; kept for experimentation).
+    an ``objective`` (a vector over the network's outputs) the result also
+    carries ``kappa``.
 
     If a split empties the region (bounds cross), the result is flagged
     ``infeasible``; callers verify such regions vacuously.
@@ -296,13 +300,9 @@ def compute_bounds(
     _validate_splits(splits, widths)
 
     items = list(splits.items())
-    if refine:
-        prefixes = range(0, len(items) + 1)
-    else:
-        prefixes = (0, len(items)) if items else (0,)
     bounds = None
     relax = None
-    for k in prefixes:
+    for k in range(len(items) + 1):
         sign_by_layer = {}
         for rid, sign in items[:k]:
             arr = sign_by_layer.setdefault(rid.layer, np.zeros(widths[rid.layer]))
@@ -320,7 +320,7 @@ def compute_bounds(
     return bounds
 
 
-def _build_program(net, prop, splits, bounds, relaxation):
+def _build_program(net, prop, splits, bounds):
     """Assemble the bounding LP over input/pre/post/output variables."""
     blocks = _blocks(net)
     n_relu = len(blocks) - 1
@@ -393,18 +393,16 @@ def _build_program(net, prop, splits, bounds, relaxation):
                 row[pre_v] = -1.0
                 cons.append(Constraint(row, "=", 0.0))
                 continue
-            # ambiguous neuron: relational rows per the chosen relaxation
-            if relaxation in ("triangle", "quadrilateral"):
-                row = np.zeros(total)
-                row[post_v] = 1.0
-                row[pre_v] = -1.0
-                cons.append(Constraint(row, ">=", 0.0))
-            if relaxation == "triangle":
-                slope = u / (u - l)
-                row = np.zeros(total)
-                row[post_v] = 1.0
-                row[pre_v] = -slope
-                cons.append(Constraint(row, "<=", -slope * l))
+            # ambiguous neuron: triangle relaxation (post >= pre, under the chord)
+            row = np.zeros(total)
+            row[post_v] = 1.0
+            row[pre_v] = -1.0
+            cons.append(Constraint(row, ">=", 0.0))
+            slope = u / (u - l)
+            row = np.zeros(total)
+            row[post_v] = 1.0
+            row[pre_v] = -slope
+            cons.append(Constraint(row, "<=", -slope * l))
         src_off, src_n = offsets_post[i], widths[i]
     W, b, _ = blocks[n_relu]
     affine_rows(W, b, src_off, src_n, off_out)
@@ -414,13 +412,7 @@ def _build_program(net, prop, splits, bounds, relaxation):
     return LinearProgram(objective, np.column_stack([lo, hi]), cons)
 
 
-def analyze(
-    net: Network,
-    prop: Property,
-    splits: dict,
-    relaxation: str = "triangle",
-    refine: bool = True,
-) -> AnalyzerVerdict:
+def analyze(net: Network, prop: Property, splits: dict) -> AnalyzerVerdict:
     """One bounding call: lower-bound the property margin over the region.
 
     Returns Verified when the proved lower bound is nonnegative (or the
@@ -431,29 +423,27 @@ def analyze(
     Raises :class:`AnalyzerError` on solver failure; a verdict is never
     fabricated from a broken solve.
     """
-    if relaxation not in RELAXATIONS:
-        raise ValueError(f"unknown relaxation {relaxation!r}; choose from {RELAXATIONS}")
     if prop.output.c.shape != (net.output_dim,):
         raise ValueError(
             f"property constrains {prop.output.c.shape[0]} outputs, "
             f"network has {net.output_dim}"
         )
-    bounds = compute_bounds(net, prop.input, splits, refine=refine)
+    bounds = compute_bounds(net, prop.input, splits, objective=prop.output.c)
     if bounds.infeasible:
-        return AnalyzerVerdict(Verdict.VERIFIED, math.inf, None, infeasible=True)
-    program = _build_program(net, prop, splits, bounds, relaxation)
+        return AnalyzerVerdict(Verdict.VERIFIED, math.inf, infeasible=True, bounds=bounds)
+    program = _build_program(net, prop, splits, bounds)
     try:
         out = solve(program)
     except Exception as exc:
         raise AnalyzerError(f"bounding LP failed: {exc}") from exc
     if out.status is LpStatus.INFEASIBLE:
-        return AnalyzerVerdict(Verdict.VERIFIED, math.inf, None, infeasible=True)
+        return AnalyzerVerdict(Verdict.VERIFIED, math.inf, infeasible=True, bounds=bounds)
     if out.status is not LpStatus.OPTIMAL:
         raise AnalyzerError(f"bounding LP reported {out.status}; region bounds missing")
     lb = float(out.value + prop.output.d)
     if lb >= 0.0:
-        return AnalyzerVerdict(Verdict.VERIFIED, lb, None)
+        return AnalyzerVerdict(Verdict.VERIFIED, lb, bounds=bounds)
     candidate = prop.input.clip(out.point[: net.input_dim])
     if not holds_concretely(prop, net, candidate):
-        return AnalyzerVerdict(Verdict.COUNTEREXAMPLE, lb, candidate)
-    return AnalyzerVerdict(Verdict.UNKNOWN, lb, None)
+        return AnalyzerVerdict(Verdict.COUNTEREXAMPLE, lb, candidate, bounds=bounds)
+    return AnalyzerVerdict(Verdict.UNKNOWN, lb, bounds=bounds)

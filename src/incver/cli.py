@@ -98,6 +98,9 @@ SCATTER_COLUMNS = (
 
 log = logging.getLogger("incver.cli")
 
+# Defaults for the run settings a flag or plan entry leaves out.
+_DEFAULT = VerifierConfig()
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad flags, which would collide with Timeout."""
@@ -110,28 +113,36 @@ class _Parser(argparse.ArgumentParser):
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--network", required=True, help="network JSON path")
     p.add_argument("--property", required=True, dest="prop", help="property JSON path")
-    p.add_argument("--alpha", type=float, default=0.25, help="base/observed mixing weight")
-    p.add_argument("--theta", type=float, default=0.01, help="bad-split threshold")
-    p.add_argument("--timeout", type=float, default=60.0, help="wall-clock budget in seconds")
-    p.add_argument("--branching", choices=["relu", "input"], default="relu")
-    p.add_argument("--heuristic", choices=["coefwidth", "random"], default="coefwidth")
-    p.add_argument("--seed", type=int, default=0, help="seed for the random base ranking")
+    h = _DEFAULT.heuristic
+    p.add_argument("--alpha", type=float, default=h.alpha, help="base/observed mixing weight")
+    p.add_argument("--theta", type=float, default=h.theta, help="bad-split threshold")
+    p.add_argument(
+        "--timeout", type=float, default=_DEFAULT.timeout, help="wall-clock budget in seconds"
+    )
+    p.add_argument("--branching", choices=["relu", "input"], default=_DEFAULT.branching)
+    p.add_argument("--heuristic", choices=["coefwidth", "random"], default=h.base.value)
+    p.add_argument("--seed", type=int, default=h.seed, help="seed for the random base ranking")
     p.add_argument("--tree-out", help="save the final proof tree here")
     p.add_argument("--out", help="also write the result JSON to this path")
 
 
-def _config(args, mode: Mode) -> VerifierConfig:
+def _config(settings: dict, timeout: float) -> VerifierConfig:
+    """The verifier configuration for one run's settings.
+
+    ``settings`` holds ``mode``, ``heuristic``, ``alpha``, ``theta``,
+    ``seed`` and ``branching``, from command-line flags or a plan's mode entry.
+    """
     heur = HeuristicConfig(
-        base=BaseHeuristic(args.heuristic),
-        alpha=args.alpha,
-        theta=args.theta,
-        seed=args.seed,
+        base=BaseHeuristic(settings["heuristic"]),
+        alpha=settings["alpha"],
+        theta=settings["theta"],
+        seed=settings["seed"],
     )
     return VerifierConfig(
-        mode=mode,
+        mode=Mode(settings["mode"]),
         heuristic=heur,
-        timeout=args.timeout,
-        branching=args.branching,
+        timeout=timeout,
+        branching=settings["branching"],
     )
 
 
@@ -156,7 +167,7 @@ def cmd_verify(args) -> int:
     net = load_network(args.network)
     prop = load_property(args.prop)
     initial = load_tree(args.tree_in) if args.tree_in else None
-    cfg = _config(args, Mode.BASELINE)
+    cfg = _config({**vars(args), "mode": Mode.BASELINE}, args.timeout)
     res = verify(net, prop, cfg, initial_tree=initial)
     if args.tree_out:
         save_tree(res.tree, args.tree_out)
@@ -178,7 +189,7 @@ def cmd_verify_incremental(args) -> int:
     if not same_architecture(net, updated):
         print(f"error: {args.network} and {args.updated_network} have different architectures", file=sys.stderr)
         return EXIT_ARCH_MISMATCH
-    cfg = _config(args, Mode(args.mode))
+    cfg = _config(vars(args), args.timeout)
     first, second = verify_incremental(net, updated, prop, cfg)
     if args.tree_out:
         save_tree(second.tree, args.tree_out)
@@ -230,13 +241,14 @@ def _mode_from_json(obj: dict, where: str) -> dict:
         Mode(mode)
     except ValueError:
         raise ParseError(f"{where}: unknown mode {mode!r}") from None
+    h = _DEFAULT.heuristic
     return {
         "mode": mode,
-        "heuristic": obj.get("heuristic", "coefwidth"),
-        "alpha": float(obj.get("alpha", 0.25)),
-        "theta": float(obj.get("theta", 0.01)),
-        "seed": int(obj.get("seed", 0)),
-        "branching": obj.get("branching", "relu"),
+        "heuristic": obj.get("heuristic", h.base.value),
+        "alpha": float(obj.get("alpha", h.alpha)),
+        "theta": float(obj.get("theta", h.theta)),
+        "seed": int(obj.get("seed", h.seed)),
+        "branching": obj.get("branching", _DEFAULT.branching),
     }
 
 
@@ -271,7 +283,7 @@ def load_plan(path) -> ExperimentPlan:
         perturbations=tuple(perturbations),
         properties=tuple(obj["properties"]),
         modes=modes,
-        timeout=float(obj.get("timeout", 60.0)),
+        timeout=float(obj.get("timeout", _DEFAULT.timeout)),
         output_dir=obj["output_dir"],
     )
 
@@ -301,19 +313,7 @@ def _run_instance(task: dict) -> dict:
         prop = load_property(task["property"])
         _, spec = _perturbation_from_json(task["perturbation_json"], "plan")
         updated = perturb(net, spec)
-        heur = HeuristicConfig(
-            base=BaseHeuristic(ms["heuristic"]),
-            alpha=ms["alpha"],
-            theta=ms["theta"],
-            seed=ms["seed"],
-        )
-        cfg = VerifierConfig(
-            mode=Mode(ms["mode"]),
-            heuristic=heur,
-            timeout=task["timeout"],
-            branching=ms["branching"],
-        )
-        first, second = verify_incremental(net, updated, prop, cfg)
+        first, second = verify_incremental(net, updated, prop, _config(ms, task["timeout"]))
     except Exception as exc:  # recorded, sweep continues
         row["error"] = f"{type(exc).__name__}: {exc}"
         for col in RESULTS_COLUMNS:

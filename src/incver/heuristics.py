@@ -38,22 +38,16 @@ class HeuristicConfig:
     Units never seen in the recorded tree contribute a zero correction.
     theta doubles as the effectiveness threshold used when pruning a
     recorded tree, so the two stages agree on what "worked" means.
-    scale multiplies base scores before mixing; base scores and observed
-    improvements live on unrelated scales, and scale lets a caller bring
-    them into the same range without touching alpha's [0, 1] reading.
     """
 
     base: BaseHeuristic = BaseHeuristic.COEFWIDTH
     alpha: float = 0.25
     theta: float = 0.01
     seed: int = 0
-    scale: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.scale <= 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
 
 
 @dataclass(frozen=True)
@@ -75,9 +69,9 @@ def base_score(cfg: HeuristicConfig, bounds: PreactBounds, rid: ReluId) -> float
     """
     if cfg.base is BaseHeuristic.RANDOM:
         draw = np.random.default_rng((cfg.seed, rid.layer, rid.neuron)).random()
-        return cfg.scale * float(draw)
+        return float(draw)
     lb, ub = bounds.pre(rid)
-    return cfg.scale * abs(bounds.kappa_of(rid)) * min(-lb, ub)
+    return abs(bounds.kappa_of(rid)) * min(-lb, ub)
 
 
 def updated_score(

@@ -134,22 +134,12 @@ class Network:
         )
 
 
-def relu_layer_sizes(net: Network) -> list[int]:
-    """Width of each ReLU layer, in network order."""
-    return [
-        net.layers[i - 1].out_dim
-        for i, layer in enumerate(net.layers)
-        if isinstance(layer, Relu)
-    ]
-
-
 def relu_ids(net: Network) -> list[ReluId]:
     """All ReLU units of the network, in tie-breaking order."""
-    return [
-        ReluId(layer, j)
-        for layer, size in enumerate(relu_layer_sizes(net))
-        for j in range(size)
+    sizes = [
+        net.layers[i - 1].out_dim for i, layer in enumerate(net.layers) if isinstance(layer, Relu)
     ]
+    return [ReluId(layer, j) for layer, size in enumerate(sizes) for j in range(size)]
 
 
 def evaluate(net: Network, x) -> np.ndarray:
@@ -288,52 +278,6 @@ def perturb(net: Network, spec: PerturbSpec) -> Network:
         layers.append(Affine(last.weights + spec.matrix, last.bias))
         return Network(tuple(layers), name=net.name)
     raise ValueError(f"unknown perturbation spec {spec!r}")
-
-
-def affine_from_conv(
-    weights: np.ndarray,
-    bias: np.ndarray,
-    input_shape: tuple,
-    stride: int = 1,
-    padding: int = 0,
-) -> Affine:
-    """Lower a 2-d convolution to a dense affine layer.
-
-    ``weights`` has shape (out_channels, in_channels, kh, kw); ``input_shape``
-    is (in_channels, height, width).  Inputs and outputs are flattened in
-    C-order (channel, row, column).  The verifier core only sees affine and
-    ReLU layers, so convolutional models are lowered at ingestion.
-    """
-    w = np.asarray(weights, dtype=float)
-    b = np.asarray(bias, dtype=float)
-    if w.ndim != 4:
-        raise ValueError(f"conv weights must be 4-d, got shape {w.shape}")
-    out_ch, in_ch, kh, kw = w.shape
-    if b.shape != (out_ch,):
-        raise ValueError(f"conv bias must have shape ({out_ch},), got {b.shape}")
-    c, h, wd = input_shape
-    if c != in_ch:
-        raise ValueError(f"input has {c} channels, kernel expects {in_ch}")
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (wd + 2 * padding - kw) // stride + 1
-    if oh <= 0 or ow <= 0:
-        raise ValueError("kernel does not fit in the padded input")
-    dense = np.zeros((out_ch * oh * ow, c * h * wd))
-    full_bias = np.zeros(out_ch * oh * ow)
-    for oc in range(out_ch):
-        for oy in range(oh):
-            for ox in range(ow):
-                row = (oc * oh + oy) * ow + ox
-                full_bias[row] = b[oc]
-                for ic in range(in_ch):
-                    for ky in range(kh):
-                        for kx in range(kw):
-                            iy = oy * stride + ky - padding
-                            ix = ox * stride + kx - padding
-                            if 0 <= iy < h and 0 <= ix < wd:
-                                col = (ic * h + iy) * wd + ix
-                                dense[row, col] = w[oc, ic, ky, kx]
-    return Affine(dense, full_bias)
 
 
 def _layer_to_json(layer: Layer) -> dict:

@@ -1,8 +1,9 @@
-"""Input boxes, linear output constraints, and robustness property generation.
+"""Input boxes, linear output constraints, and the properties built from them.
 
 A property asks: for every x in the input box, does c^T N(x) + d >= 0 hold?
-Conjunctions of output constraints are represented as several single-constraint
-properties verified independently.
+It carries exactly one output constraint; a local robustness property (true
+label's score at least an adversary's) is one with c = e_true - e_adversary
+and d = 0, written in property JSON like any other.
 """
 
 from __future__ import annotations
@@ -101,68 +102,12 @@ class Property:
     name: str = ""
 
 
-def robustness_property(
-    x0,
-    eps: float,
-    true_label: int,
-    adversary_label: int,
-    data_range: tuple = (0.0, 1.0),
-    clamp: bool = True,
-    name: str = "",
-) -> Property:
-    """L-infinity local robustness: inside the eps-box around x0, the score of
-    the true label stays at least the adversary's score.
-
-    The box is clamped to ``data_range`` by default; pass ``clamp=False`` for
-    an unclamped box.  Callers that record run metadata should note the
-    clamping choice there.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
-    if true_label == adversary_label:
-        raise ValueError(f"labels must differ, both are {true_label}")
-    if true_label < 0 or adversary_label < 0:
-        raise ValueError("labels must be non-negative output indices")
-    lo = x0 - eps
-    hi = x0 + eps
-    if clamp:
-        lo = np.maximum(lo, data_range[0])
-        hi = np.minimum(hi, data_range[1])
-    n_out = max(true_label, adversary_label) + 1
-    c = np.zeros(n_out)
-    c[true_label] = 1.0
-    c[adversary_label] = -1.0
-    if not name:
-        name = f"robust_t{true_label}_a{adversary_label}_eps{eps:g}"
-    return Property(InputBox(lo, hi), OutputConstraint(c, 0.0), name=name)
-
-
 def holds_concretely(p: Property, net: Network, x) -> bool:
     """Evaluate the output constraint at the concrete point N(x)."""
     v = np.asarray(x, dtype=float)
     if not p.input.contains(v, tol=0.0):
         raise ValueError("point lies outside the property's input box")
     return p.output.margin(evaluate(net, v)) >= 0.0
-
-
-def conjunction_verdict(verdicts) -> str:
-    """Combine verdicts of independently verified conjuncts.
-
-    Any counterexample falsifies the conjunction; all conjuncts verified
-    proves it; otherwise the result is inconclusive (Timeout if any conjunct
-    timed out, Unknown otherwise).
-    """
-    verdicts = list(verdicts)
-    if not verdicts:
-        raise ValueError("no verdicts to combine")
-    if any(v == "Counterexample" for v in verdicts):
-        return "Counterexample"
-    if all(v == "Verified" for v in verdicts):
-        return "Verified"
-    if any(v == "Timeout" for v in verdicts):
-        return "Timeout"
-    return "Unknown"
 
 
 def property_to_json(p: Property) -> dict:

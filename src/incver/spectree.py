@@ -228,7 +228,9 @@ def observed_scores(tree: SpecTree) -> dict:
 
     Keys are ReluIds for ReLU trees and input dimensions for input trees.
     Internal nodes lacking recorded bounds (hand-off trees from interrupted
-    runs) are skipped; keys never split in this tree are absent.
+    runs) are skipped, and so are splits whose improvement is not finite
+    (both children infeasible, so +inf); keys never split in this tree, or
+    split only in such ways, are absent.
     """
     sums: dict = {}
     counts: dict = {}
@@ -238,6 +240,8 @@ def observed_scores(tree: SpecTree) -> dict:
         try:
             imp = improvement(tree, node.node_id)
         except ValueError:
+            continue
+        if not np.isfinite(imp):
             continue
         key = _split_key(tree, node)
         sums[key] = sums.get(key, 0.0) + imp

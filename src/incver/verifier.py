@@ -127,17 +127,6 @@ class DeltaBound:
     c_norm: float
 
 
-def _metrics(boundings, branchings, start, tree, nodes_initial) -> RunMetrics:
-    return RunMetrics(
-        boundings=boundings,
-        branchings=branchings,
-        wall_time=time.perf_counter() - start,
-        nodes_initial=nodes_initial,
-        nodes_final=tree.num_nodes(),
-        leaves_final=tree.num_leaves(),
-    )
-
-
 def _node_property(tree: SpecTree, nid: int, prop: Property):
     box, assignment = spec_of(tree, nid, box=prop.input)
     return Property(box, prop.output, name=prop.name), assignment
@@ -182,51 +171,50 @@ def verify(
 
     boundings = 0
     branchings = 0
-    c = prop.output.c
+
+    def finish(verdict: RunVerdict, **extra) -> RunResult:
+        metrics = RunMetrics(
+            boundings=boundings,
+            branchings=branchings,
+            wall_time=time.perf_counter() - start,
+            nodes_initial=nodes_initial,
+            nodes_final=tree.num_nodes(),
+            leaves_final=tree.num_leaves(),
+        )
+        return RunResult(verdict, tree, metrics, **extra)
+
     active = leaves(tree)
     while active:
         # Bounding phase: analyze the whole frontier.
         outcomes = []
         for nid in active:
             if time.perf_counter() - start > cfg.timeout:
-                return RunResult(
-                    RunVerdict.TIMEOUT,
-                    tree,
-                    _metrics(boundings, branchings, start, tree, nodes_initial),
-                    note="wall-clock timeout",
-                )
+                return finish(RunVerdict.TIMEOUT, note="wall-clock timeout")
             node_prop, assignment = _node_property(tree, nid, prop)
             res = analyze(net, node_prop, assignment)
             boundings += 1
             node = tree.node(nid)
             node.lb = res.lb_value
             node.status = NodeStatus(res.status.value)
-            outcomes.append((nid, res))
+            outcomes.append((nid, node_prop, assignment, res))
 
-        violations = [(nid, r) for nid, r in outcomes if r.status is Verdict.COUNTEREXAMPLE]
+        violations = [(nid, r) for nid, _, _, r in outcomes if r.status is Verdict.COUNTEREXAMPLE]
         if violations:
             nid, res = min(violations, key=lambda pair: pair[0])
-            return RunResult(
-                RunVerdict.COUNTEREXAMPLE,
-                tree,
-                _metrics(boundings, branchings, start, tree, nodes_initial),
-                counterexample=res.candidate,
-            )
+            return finish(RunVerdict.COUNTEREXAMPLE, counterexample=res.candidate)
 
-        # Branching phase: split every node the analyzer could not settle.
+        # Branching phase: split every node the analyzer could not settle,
+        # ranking candidates from the bounds its bounding call computed.
         next_active = []
-        for nid in (n for n, r in outcomes if r.status is Verdict.UNKNOWN):
+        for nid, node_prop, assignment, res in outcomes:
+            if res.status is not Verdict.UNKNOWN:
+                continue
             if tree.num_nodes() + 2 > cfg.max_nodes:
-                return RunResult(
-                    RunVerdict.TIMEOUT,
-                    tree,
-                    _metrics(boundings, branchings, start, tree, nodes_initial),
-                    note=f"node budget of {cfg.max_nodes} exhausted",
-                )
-            node_prop, assignment = _node_property(tree, nid, prop)
+                return finish(RunVerdict.TIMEOUT, note=f"node budget of {cfg.max_nodes} exhausted")
             if tree.branching == "relu":
-                bounds = compute_bounds(net, node_prop.input, assignment, objective=c)
-                pick = choose_split(ranking_cfg, bounds, forbidden=set(assignment), observed=hobs)
+                pick = choose_split(
+                    ranking_cfg, res.bounds, forbidden=set(assignment), observed=hobs
+                )
                 if pick is None:
                     raise RuntimeError(
                         f"node {nid} is inconclusive but every ReLU is stable or "
@@ -235,10 +223,8 @@ def verify(
             else:
                 widths = node_prop.input.upper - node_prop.input.lower
                 if float(widths.max()) <= cfg.min_width:
-                    return RunResult(
+                    return finish(
                         RunVerdict.TIMEOUT,
-                        tree,
-                        _metrics(boundings, branchings, start, tree, nodes_initial),
                         note=f"minimum box width {cfg.min_width} reached at node {nid}",
                     )
                 pick = choose_input_split(node_prop.input)
@@ -247,11 +233,7 @@ def verify(
             next_active.extend((left, right))
         active = next_active
 
-    return RunResult(
-        RunVerdict.VERIFIED,
-        tree,
-        _metrics(boundings, branchings, start, tree, nodes_initial),
-    )
+    return finish(RunVerdict.VERIFIED)
 
 
 def verify_incremental(
@@ -311,22 +293,6 @@ def predicted_cost(t_a: float, t_h: float, tree0: SpecTree, tree_f: SpecTree) ->
     return (t_a + t_h) * (tree_f.num_nodes() + (1 - tree0.num_nodes()) / 2) - (
         t_h * tree_f.num_leaves()
     )
-
-
-def theoretical_speedup(tree: SpecTree) -> float:
-    """Best-case bounding-count ratio of a fresh run to a full reuse run."""
-    return tree.num_nodes() / tree.num_leaves()
-
-
-def speedup(baseline_times, incremental_times) -> float:
-    """Ratio of summed baseline time to summed incremental time."""
-    base = list(baseline_times)
-    inc = list(incremental_times)
-    if len(base) != len(inc):
-        raise ValueError(f"mismatched lengths: {len(base)} baseline vs {len(inc)} incremental")
-    if not base:
-        raise ValueError("speedup is undefined on an empty instance set")
-    return float(sum(base)) / float(sum(inc))
 
 
 def delta_bound(net: Network, prop: Property, tree: SpecTree) -> DeltaBound:

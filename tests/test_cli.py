@@ -23,6 +23,7 @@ from incver.props import InputBox, OutputConstraint, Property, save_property
 from incver.spectree import load_tree, leaves
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 DEMO_FLAGS = ["--heuristic", "random", "--seed", "27", "--alpha", "0.25", "--theta", "1.0"]
 
@@ -327,13 +328,14 @@ def test_log_env_controls_verbosity():
         sys.executable, "-m", "incver.cli",
         *demo_incremental_args("reuse"),
     ]
-    quiet = subprocess.run(cmd, capture_output=True, text=True, env={"PATH": "/usr/bin:/bin"})
+    base_env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC)}
+    quiet = subprocess.run(cmd, capture_output=True, text=True, env=base_env)
     assert quiet.returncode == EXIT_VERIFIED
     noisy = subprocess.run(
         cmd,
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "INCVER_LOG": "DEBUG"},
+        env={**base_env, "INCVER_LOG": "DEBUG"},
     )
     assert noisy.returncode == EXIT_VERIFIED
     assert len(noisy.stderr) >= len(quiet.stderr)
@@ -341,6 +343,6 @@ def test_log_env_controls_verbosity():
         cmd,
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "INCVER_LOG": "not-a-level"},
+        env={**base_env, "INCVER_LOG": "not-a-level"},
     )
     assert junk.returncode == EXIT_VERIFIED

@@ -14,7 +14,8 @@ from incver.heuristics import (
     updated_score,
 )
 from incver.model import Affine, Network, Relu, ReluId
-from incver.props import InputBox
+from incver.props import InputBox, OutputConstraint, Property
+from incver.spectree import ReluDecision, observed_scores, singleton, split
 
 
 def make_bounds(pre, kappa):
@@ -165,16 +166,22 @@ def test_never_chooses_path_unit_on_real_bounds():
 def test_config_validation():
     with pytest.raises(ValueError, match="alpha"):
         HeuristicConfig(alpha=1.5)
-    with pytest.raises(ValueError, match="scale"):
-        HeuristicConfig(scale=0.0)
 
 
-def test_scale_preserves_base_argmax():
-    b = make_bounds([(-2.0, 1.0), (-1.0, 3.0)], kappa=[1.0, 5.0])
-    a = rank_candidates(HeuristicConfig(alpha=1.0, scale=1.0), b)
-    s = rank_candidates(HeuristicConfig(alpha=1.0, scale=100.0), b)
-    assert [c.key for c in a] == [c.key for c in s]
-    assert s[0].score == pytest.approx(100.0 * a[0].score)
+def test_split_with_both_children_infeasible_is_not_observed():
+    # Both children of the recorded split are empty regions (lb +inf), so
+    # its improvement is +inf; ranking against the recorded tree must still work.
+    rid = ReluId(0, 0)
+    tree = singleton(Property(InputBox(np.zeros(2), np.ones(2)), OutputConstraint(np.array([1.0]))))
+    tree.node(0).lb = -1.0
+    d = ReluDecision(rid, "+")
+    for child in split(tree, 0, (d, d.complement())):
+        tree.node(child).lb = float("inf")
+    observed = observed_scores(tree)
+    assert rid not in observed
+    b = make_bounds([(-2.0, 1.0), (-1.0, 1.0)], kappa=[3.0, 10.0])
+    ranked = rank_candidates(HeuristicConfig(), b, observed=observed)
+    assert [c.key for c in ranked] == [ReluId(0, 1), rid]
 
 
 def test_input_split_widest_dim():

@@ -16,7 +16,6 @@ from incver.model import (
     Relu,
     ReluId,
     UniformRandom,
-    affine_from_conv,
     evaluate,
     load_network,
     perturb,
@@ -288,52 +287,6 @@ def test_quantize_specs_dispatch():
     net = small_net()
     assert perturb(net, QuantizeInt8()) == quantize(net, 8)
     assert perturb(net, QuantizeInt16()) == quantize(net, 16)
-
-
-# ------------------------------------------------------------------- conv
-
-
-def conv_oracle(w, b, x, stride, padding):
-    """Direct nested-loop convolution for cross-checking the lowering."""
-    out_ch, in_ch, kh, kw = w.shape
-    c, h, wd = x.shape
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (wd + 2 * padding - kw) // stride + 1
-    out = np.zeros((out_ch, oh, ow))
-    for oc in range(out_ch):
-        for oy in range(oh):
-            for ox in range(ow):
-                acc = b[oc]
-                for ic in range(in_ch):
-                    for ky in range(kh):
-                        for kx in range(kw):
-                            iy = oy * stride + ky - padding
-                            ix = ox * stride + kx - padding
-                            if 0 <= iy < h and 0 <= ix < wd:
-                                acc += w[oc, ic, ky, kx] * x[ic, iy, ix]
-                out[oc, oy, ox] = acc
-    return out
-
-
-def test_conv_lowering_matches_direct_convolution():
-    rng = np.random.default_rng(9)
-    for stride, padding in [(1, 0), (1, 1), (2, 0), (2, 1)]:
-        w = rng.normal(size=(2, 3, 2, 2))
-        b = rng.normal(size=2)
-        shape = (3, 4, 5)
-        layer = affine_from_conv(w, b, shape, stride=stride, padding=padding)
-        for _ in range(5):
-            x = rng.normal(size=shape)
-            want = conv_oracle(w, b, x, stride, padding).ravel()
-            got = layer.weights @ x.ravel() + layer.bias
-            assert np.allclose(got, want, atol=1e-12)
-
-
-def test_conv_bad_shapes():
-    with pytest.raises(ValueError):
-        affine_from_conv(np.zeros((1, 2, 2, 2)), np.zeros(1), (3, 4, 4))
-    with pytest.raises(ValueError):
-        affine_from_conv(np.zeros((1, 1, 5, 5)), np.zeros(1), (1, 3, 3))
 
 
 # ------------------------------------------------------------------ round trip

@@ -1,4 +1,4 @@
-"""Tests for input boxes, output constraints, and property generation."""
+"""Tests for input boxes, output constraints, and property files."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,9 @@ from incver.props import (
     InputBox,
     OutputConstraint,
     Property,
-    conjunction_verdict,
     holds_concretely,
     load_property,
     property_from_json,
-    robustness_property,
     save_property,
 )
 
@@ -44,35 +42,6 @@ def test_box_helpers():
     assert any(np.array_equal(c, [1.0, 1.0]) for c in corners)
 
 
-def test_robustness_property_shape():
-    p = robustness_property(np.array([0.5, 0.5]), 0.1, true_label=1, adversary_label=0)
-    assert np.allclose(p.input.lower, [0.4, 0.4])
-    assert np.allclose(p.input.upper, [0.6, 0.6])
-    assert np.array_equal(p.output.c, [-1.0, 1.0])
-    assert p.output.d == 0.0
-
-
-def test_robustness_property_zero_eps():
-    p = robustness_property(np.array([0.3, 0.7]), 0.0, 0, 1)
-    assert np.array_equal(p.input.lower, p.input.upper)
-    assert np.array_equal(p.input.lower, [0.3, 0.7])
-
-
-def test_robustness_property_clamps_to_data_range():
-    x0 = np.array([0.01, 0.99])
-    p = robustness_property(x0, 0.02, 0, 1)
-    assert np.allclose(p.input.lower, [0.0, 0.97])
-    assert np.allclose(p.input.upper, [0.03, 1.0])
-    unclamped = robustness_property(x0, 0.02, 0, 1, clamp=False)
-    assert np.allclose(unclamped.input.lower, [-0.01, 0.97])
-    assert np.allclose(unclamped.input.upper, [0.03, 1.01])
-
-
-def test_robustness_property_equal_labels_error():
-    with pytest.raises(ValueError):
-        robustness_property(np.zeros(2), 0.1, 1, 1)
-
-
 def test_holds_concretely():
     box = InputBox(np.zeros(2), np.ones(2))
     p = Property(box, OutputConstraint(np.array([1.0]), 0.0))
@@ -83,17 +52,9 @@ def test_holds_concretely():
         holds_concretely(p, constant_net(3), [2.0, 0.5])
 
 
-def test_conjunction_verdicts():
-    assert conjunction_verdict(["Verified", "Verified"]) == "Verified"
-    assert conjunction_verdict(["Verified", "Counterexample"]) == "Counterexample"
-    assert conjunction_verdict(["Timeout", "Counterexample"]) == "Counterexample"
-    assert conjunction_verdict(["Verified", "Timeout"]) == "Timeout"
-    with pytest.raises(ValueError):
-        conjunction_verdict([])
-
-
 def test_property_round_trip(tmp_path):
-    p = robustness_property(np.array([0.25, 0.75, 0.5]), 0.05, 2, 0, name="rt")
+    box = InputBox(np.array([0.2, 0.7, 0.45]), np.array([0.3, 0.8, 0.55]))
+    p = Property(box, OutputConstraint(np.array([-1.0, 0.0, 1.0]), 0.0), name="rt")
     path = tmp_path / "prop.json"
     save_property(p, path)
     q = load_property(path)

@@ -16,8 +16,6 @@ from incver.verifier import (
     VerifierConfig,
     delta_bound,
     predicted_cost,
-    speedup,
-    theoretical_speedup,
     verify,
     verify_incremental,
 )
@@ -269,29 +267,6 @@ def test_predicted_cost_examples():
     assert predicted_cost(1, 1, s, t) == pytest.approx(13.0)
     assert predicted_cost(1, 0, t, t) == pytest.approx(5.0)
     assert predicted_cost(0, 1, t, t) == pytest.approx(0.0)
-
-
-def test_theoretical_speedup():
-    t = nine_node_tree()
-    assert theoretical_speedup(t) == pytest.approx(1.8)
-    s = singleton(unit_prop(2, [1.0], 0.0))
-    assert theoretical_speedup(s) == pytest.approx(1.0)
-    p = singleton(unit_prop(2, [1.0], 0.0))
-    d0 = ReluDecision(ReluId(0, 0), "+")
-    a, b = split(p, 0, (d0, d0.complement()))
-    d1 = ReluDecision(ReluId(1, 0), "+")
-    split(p, a, (d1, d1.complement()))
-    split(p, b, (d1, d1.complement()))
-    assert theoretical_speedup(p) == pytest.approx(1.75)
-
-
-def test_speedup_ratio():
-    assert speedup([10.0, 10.0], [5.0, 5.0]) == pytest.approx(2.0)
-    assert speedup([3.0], [3.0]) == pytest.approx(1.0)
-    with pytest.raises(ValueError, match="empty"):
-        speedup([], [])
-    with pytest.raises(ValueError, match="lengths"):
-        speedup([1.0], [1.0, 2.0])
 
 
 # ----------------------------------------------------------- perturbation bound
