@@ -8,16 +8,27 @@ determinism over asymptotic cleverness.
 
 The solver handles general variable bounds ``lo <= x <= hi`` with either side
 possibly infinite, and rows with relations ``<=``, ``=``, ``>=``.  It runs the
-classic two phases:
+classic two phases from a crash start basis:
 
-1. Rows that the initial slack basis cannot satisfy receive an artificial
-   variable whose column is ``sign(residual) * e_i`` with bounds ``[0, inf)``;
-   phase 1 minimizes the sum of artificials.  A positive phase-1 optimum means
-   the program is infeasible.  Artificials that linger in the basis at zero
-   are pivoted out where possible and otherwise pinned to ``[0, 0]`` (their
-   row is linearly dependent).
+1. Each ``=`` row takes as basic its last nonzero structural column, unless
+   that coefficient is below the pivot tolerance or an earlier row took the
+   column.  These columns form a triangular basis, so their values follow by
+   forward substitution from the nonbasic start values; a column whose value
+   leaves its bounds is parked at the nearer bound instead.  An inequality
+   row starts on its slack when the residual allows it.  Only the rows left
+   without a basic column receive an artificial variable, whose column is
+   ``sign(residual) * e_i`` with bounds ``[0, inf)``; when there are none,
+   phase 1 is skipped.  Otherwise phase 1 minimizes the sum of artificials,
+   and a positive optimum means the program is infeasible.  Artificials that
+   linger in the basis at zero are pivoted out where possible and otherwise
+   pinned to ``[0, 0]`` (their row is linearly dependent).
 2. Phase 2 minimizes the real objective with artificial columns barred from
    entering.
+
+The analyzer orders its variables input, pre, post, output and writes each
+``=`` row with its own variable last, so on its programs the crash basis
+evaluates the affine layers forward from the start values, and phase 1 only
+repairs the rows whose value leaves its bounds.
 
 Entering variables are chosen by the Dantzig rule (most negative reduced
 cost); after a run of degenerate pivots the rule switches to Bland's rule
@@ -120,12 +131,16 @@ class LpOutcome:
     """Result of :func:`solve`.
 
     ``value`` and ``point`` are populated only for ``OPTIMAL``; ``point`` is
-    the argmin restricted to the program's own variables.
+    the argmin restricted to the program's own variables.  ``iterations``
+    counts the pivots applied in phases 1 and 2, bound flips included; it is
+    0 when the program is solved without the simplex (no rows, or crossed
+    variable bounds).
     """
 
     status: LpStatus
     value: Optional[float] = None
     point: Optional[np.ndarray] = None
+    iterations: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +210,6 @@ class _Tableau:
         bland = False
         degenerate_run = 0
         while True:
-            self.iterations += 1
-            if self.iterations > self.max_iter:
-                raise LpError(
-                    f"iteration limit {self.max_iter} exceeded; possible cycling"
-                )
             reduced = cost - cost[self.basis] @ self.T
             enter = self._entering(reduced, bland)
             if enter is None:
@@ -208,6 +218,10 @@ class _Tableau:
             t, row = self._ratio_test(j, sigma)
             if t is None:
                 return "unbounded"
+            if self.iterations >= self.max_iter:
+                raise LpError(
+                    f"iteration limit {self.max_iter} exceeded; possible cycling"
+                )
             if t <= _DEGENERATE_STEP:
                 degenerate_run += 1
                 if degenerate_run >= _BLAND_TRIGGER:
@@ -216,6 +230,7 @@ class _Tableau:
                 degenerate_run = 0
                 bland = False
             self._apply_pivot(j, sigma, t, row)
+            self.iterations += 1
 
     def _entering(self, reduced, bland):
         tol = self.opt_tol
@@ -316,6 +331,37 @@ def _box_only_solve(lp: LinearProgram, n: int) -> LpOutcome:
     return LpOutcome(LpStatus.OPTIMAL, float(c @ x), x)
 
 
+def _crash(tab: _Tableau, A_rows: np.ndarray, is_eq: np.ndarray) -> np.ndarray:
+    """Triangular crash start for the equality rows.
+
+    Each "=" row claims its last nonzero structural column when that
+    coefficient exceeds ``pivot_tol`` and no earlier row has claimed the
+    column.  Every other nonzero of a claimed row lies in a lower column, so
+    taking the claimed columns in increasing order is a forward substitution
+    of a triangular basis from the nonbasic start values.  A column whose
+    substituted value leaves its bounds is parked, nonbasic, at the nearer
+    bound, and its row stays without a basic column.  Returns the start
+    point over the structural columns.
+    """
+    n = A_rows.shape[1]
+    nonzero = A_rows != 0
+    rows = np.flatnonzero(is_eq & nonzero.any(axis=1))
+    last = n - 1 - np.argmax(nonzero[rows, ::-1], axis=1)
+    keep = np.abs(A_rows[rows, last]) > tab.pivot_tol
+    rows, last = rows[keep], last[keep]
+    heads, first = np.unique(last, return_index=True)  # first claim wins
+    x = tab.val[:n].copy()
+    for j, i in zip(heads, rows[first]):
+        v = (tab.b[i] - A_rows[i, :j] @ x[:j]) / A_rows[i, j]
+        if tab.lo[j] <= v <= tab.hi[j]:
+            tab.basis[i], tab.state[j], tab.xb[i] = j, _BASIC, v
+        else:
+            tab.state[j] = _AT_LOWER if v < tab.lo[j] else _AT_UPPER
+            v = tab.val[j] = min(max(v, tab.lo[j]), tab.hi[j])
+        x[j] = v
+    return x
+
+
 def solve(
     lp: LinearProgram,
     *,
@@ -325,6 +371,11 @@ def solve(
     max_iter: Optional[int] = None,
 ) -> LpOutcome:
     """Solve a bounded-variable linear program.
+
+    Structural variables start at a finite bound (the lower when there is
+    one) or at 0 when free.  The start basis is the crash basis described in
+    the module docstring, and phase 1 runs only for the rows it leaves
+    without a feasible basic column.
 
     Parameters
     ----------
@@ -387,24 +438,19 @@ def solve(
     tab = _Tableau(A, b, lo, hi, pivot_tol, feas_tol, opt_tol, max_iter)
     for j in range(n):
         tab.set_nonbasic_start(j)
-    slack_of_row = {int(i): n + s for s, i in enumerate(ineq_rows)}
+    residual = b - A_rows @ _crash(tab, A_rows, is_eq)
 
-    # initial basis: the row's slack when that is feasible, else an artificial
-    residual = b - A[:, :n] @ tab.val[:n]
-    art_cols = []
-    art_rows = []
-    for i in range(m):
-        r = residual[i]
-        if not is_eq[i] and r >= 0.0:
-            s = slack_of_row[i]
-            tab.basis[i] = s
-            tab.state[s] = _BASIC
-            tab.xb[i] = r
-        else:
-            art_rows.append(i)
-            art_cols.append(np.sign(r) if r != 0 else 1.0)
+    # an inequality row starts on its slack when that is feasible; every
+    # row still without a basic column gets an artificial
+    for s, i in enumerate(ineq_rows):
+        if residual[i] >= 0.0:
+            tab.basis[i] = n + s
+            tab.state[n + s] = _BASIC
+            tab.xb[i] = residual[i]
+    art_rows = np.flatnonzero(tab.basis < 0)
+    art_cols = [np.sign(residual[i]) if residual[i] != 0 else 1.0 for i in art_rows]
 
-    if art_rows:
+    if art_rows.size:
         n_art = len(art_rows)
         A_ext = np.zeros((m, K + n_art))
         A_ext[:, :K] = tab.A
@@ -431,7 +477,7 @@ def solve(
         if outcome == "unbounded":
             raise LpError("phase 1 reported unbounded; numerical breakdown")
         if phase1_value > feas_tol:
-            return LpOutcome(LpStatus.INFEASIBLE)
+            return LpOutcome(LpStatus.INFEASIBLE, iterations=tab.iterations)
 
         # evict basic artificials where a real pivot column exists; rows with
         # none are linearly dependent and keep a pinned artificial
@@ -450,13 +496,13 @@ def solve(
         tab.hi[K:] = 0.0
         tab.enterable[K:] = False
         tab.val[K:] = 0.0
-        tab.refresh()
+    tab.refresh()
 
     full_cost = np.zeros(tab.K)
     full_cost[:n] = lp.objective
     outcome = tab.run(full_cost)
     if outcome == "unbounded":
-        return LpOutcome(LpStatus.UNBOUNDED)
+        return LpOutcome(LpStatus.UNBOUNDED, iterations=tab.iterations)
 
     tab.refresh()
     x_all = tab.val.copy()
@@ -474,4 +520,4 @@ def solve(
             raise LpError(f"final point violates row {i} by {rhs - lhs:.3e}")
         if rel == "=" and abs(lhs - rhs) > feas_tol:
             raise LpError(f"final point violates row {i} by {abs(lhs - rhs):.3e}")
-    return LpOutcome(LpStatus.OPTIMAL, float(lp.objective @ x), x)
+    return LpOutcome(LpStatus.OPTIMAL, float(lp.objective @ x), x, tab.iterations)

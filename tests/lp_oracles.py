@@ -72,12 +72,18 @@ def random_lp(rng, n_max=5, m_max=8, family="feasible") -> LinearProgram:
 
     Families: "feasible" keeps a sampled interior point feasible for every
     row, "loose" draws right-hand sides freely (either status can result),
-    "infeasible" adds a contradictory pair of rows.
+    "infeasible" adds a contradictory pair of rows, "chain" builds the
+    staircase of "=" rows that the solver's crash basis starts from (see
+    :func:`_chain_rows`).
     """
-    n = int(rng.integers(1, n_max + 1))
+    n = int(rng.integers(3 if family == "chain" else 1, n_max + 1))
     lo = rng.uniform(-3.0, 0.0, n)
     hi = lo + rng.uniform(0.2, 4.0, n)
     c = rng.normal(size=n)
+    if family == "chain":
+        x0 = rng.uniform(lo, hi)
+        cons = [Constraint(a, "=", float(a @ x0)) for a in _chain_rows(rng, n, m_max)]
+        return LinearProgram(c, np.column_stack([lo, hi]), cons)
     m = int(rng.integers(0, m_max + 1))
     x0 = rng.uniform(lo, hi)
     cons = []
@@ -101,3 +107,28 @@ def random_lp(rng, n_max=5, m_max=8, family="feasible") -> LinearProgram:
         cons.append(Constraint(a, "<=", t))
         cons.append(Constraint(a, ">=", t + 1.0 + float(rng.uniform(0, 1))))
     return LinearProgram(c, np.column_stack([lo, hi]), cons)
+
+
+def _chain_rows(rng, n, m_max):
+    """Sparse "=" rows ending in distinct last columns, plus two odd rows.
+
+    Each chain row's last nonzero (its head) is a small coefficient, so the
+    head's value substituted from the other columns often leaves its box.
+    One extra row ends in the first chain row's head (a shared head), and
+    one ends in a coefficient below the solver's pivot tolerance.  Every row
+    passes through one sampled point of the box, so the program is feasible.
+    """
+    k = int(rng.integers(1, min(n - 1, max(m_max - 2, 1)) + 1))
+    heads = np.sort(rng.choice(np.arange(1, n), size=k, replace=False))
+
+    def row(last, coef):
+        a = np.zeros(n)
+        a[:last] = rng.normal(size=last) * (rng.random(last) < 0.7)
+        a[last] = coef
+        return a
+
+    rows = [row(h, rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.0)) for h in heads]
+    rows.append(row(heads[0], rng.normal()))
+    rows.append(row(int(rng.integers(1, n)), 1e-12))
+    order = rng.permutation(len(rows))
+    return [rows[i] for i in order]

@@ -265,6 +265,9 @@ def test_unknown_verdict_carries_the_objective_bounds():
         d = -(analyze(net, probe, {}).lb_value + brute_force_minimum(net, probe)) / 2.0
         prop = margin_prop([1.0], d, unit_box(2))
         splits = {}
+        # split choices come from a per-trial stream: a verdict that flips on
+        # rounding in one trial must not change the networks of later trials
+        pick = np.random.default_rng([67, trial])
         for _ in range(4):
             v = analyze(net, prop, splits)
             if v.status is not Verdict.UNKNOWN:
@@ -287,7 +290,7 @@ def test_unknown_verdict_carries_the_objective_bounds():
             ]
             if not amb:
                 break
-            splits[amb[int(rng.integers(len(amb)))]] = "+" if rng.random() < 0.5 else "-"
+            splits[amb[int(pick.integers(len(amb)))]] = "+" if pick.random() < 0.5 else "-"
     assert checked >= 20
 
 

@@ -1,10 +1,20 @@
 """Tests for the bounded-variable simplex solver."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from incver import analyzer
+from incver.heuristics import BaseHeuristic, HeuristicConfig
 from incver.lp import Constraint, LinearProgram, LpError, LpStatus, solve
+from incver.model import load_network
+from incver.props import load_property
+from incver.verifier import Mode, VerifierConfig, verify
 from lp_oracles import random_lp, vertex_minimum
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def box(*pairs):
@@ -17,6 +27,7 @@ def test_minimize_over_unit_interval():
     assert out.status is LpStatus.OPTIMAL
     assert out.value == 0.0
     assert np.array_equal(out.point, [0.0])
+    assert out.iterations == 0
 
 
 def test_contradictory_rows_infeasible():
@@ -30,7 +41,9 @@ def test_contradictory_rows_infeasible():
 
 def test_crossed_bounds_infeasible():
     lp = LinearProgram([1.0], box([2.0, 1.0]))
-    assert solve(lp).status is LpStatus.INFEASIBLE
+    out = solve(lp)
+    assert out.status is LpStatus.INFEASIBLE
+    assert out.iterations == 0
 
 
 def test_unbounded_detection():
@@ -101,6 +114,34 @@ def test_random_lps_match_vertex_oracle():
         _agree(random_lp(rng, n_max=4, m_max=4, family="infeasible"))
     for _ in range(10):
         _agree(random_lp(rng, n_max=8, m_max=3, family="feasible"))
+    for _ in range(60):
+        _agree(random_lp(rng, n_max=6, m_max=6, family="chain"))
+
+
+def test_crash_basis_pivot_count_on_demo(monkeypatch):
+    # Pivots are the deterministic work counter of the simplex.  The demo's
+    # baseline first run solves 9 LPs in 53 pivots from the crash basis; the
+    # all-artificial start it replaced needed 93.
+    net = load_network(FIXTURES / "demo_network.json")
+    prop = load_property(FIXTURES / "demo_property.json")
+    knobs = json.loads((FIXTURES / "demo_config.json").read_text(encoding="utf-8"))
+    heur = HeuristicConfig(
+        base=BaseHeuristic(knobs["heuristic"]),
+        alpha=knobs["alpha"],
+        theta=knobs["theta"],
+        seed=knobs["seed"],
+    )
+    outcomes = []
+
+    def recording_solve(lp, **kwargs):
+        outcomes.append(solve(lp, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(analyzer, "solve", recording_solve)
+    run = verify(net, prop, VerifierConfig(mode=Mode.BASELINE, heuristic=heur, timeout=30.0))
+    assert (run.metrics.boundings, run.metrics.branchings) == (9, 4)
+    assert len(outcomes) == 9
+    assert sum(out.iterations for out in outcomes) == 53
 
 
 def test_weak_duality_by_sampling():
