@@ -9,21 +9,23 @@ Two layers of machinery live here:
     to the input box).  Split decisions restrict ReLUs to one sign.  The split
     assignment is treated as *ordered* (path order): bounds are computed by
     folding one propagation pass per prefix, each pass intersected with the
-    previous one.  The fold makes every per-neuron interval at a child node a
-    subset of the parent's interval, which in turn gives the verifier its
-    monotonicity guarantee (child lower bounds never fall below the parent's
-    beyond solver tolerance) and makes root-derived norms sound for every
-    descendant region.
+    previous one.  A child node's splits are its parent's plus one, so given
+    the parent's bounds the fold resumes there and runs one pass.  The fold
+    makes every per-neuron interval at a child node a subset of the parent's
+    interval, which in turn gives the verifier its monotonicity guarantee
+    (child lower bounds never fall below the parent's beyond solver
+    tolerance) and makes root-derived norms sound for every descendant region.
 
 ``analyze``
     Bounds the region once, with the property's objective so the bounds carry
     the branching heuristics' ``kappa``; builds one linear program over input,
-    pre-activation, post-activation, and output variables; minimizes the
-    property margin c^T y + d over the triangle relaxation of each ambiguous
-    ReLU; and classifies the region as Verified, Unknown, or Counterexample.
-    An infeasible region (crossed bounds or an infeasible LP) verifies
-    vacuously.  The verdict hands its bounds on, so the verifier picks a
-    split from the same bounding instead of recomputing it.
+    pre-activation, post-activation, and output variables, bounded by those
+    bounds as they are; minimizes the property margin c^T y + d over the
+    triangle relaxation of each ambiguous ReLU; and classifies the region as
+    Verified, Unknown, or Counterexample.  An infeasible region (crossed
+    bounds or an infeasible LP) verifies vacuously.  The verdict hands its
+    bounds on: the verifier picks a split from them and bounds the two
+    children from them, instead of recomputing either.
 """
 
 from __future__ import annotations
@@ -31,12 +33,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from incver.lp import Constraint, LinearProgram, LpStatus, solve
-from incver.model import Affine, Network, ReluId
+from incver.model import Network, ReluId
 from incver.props import InputBox, Property, holds_concretely
 
 __all__ = [
@@ -104,9 +106,6 @@ class PreactBounds:
     def pre(self, rid: ReluId) -> tuple:
         return float(self.pre_lb[rid.layer][rid.neuron]), float(self.pre_ub[rid.layer][rid.neuron])
 
-    def post(self, rid: ReluId) -> tuple:
-        return float(self.post_lb[rid.layer][rid.neuron]), float(self.post_ub[rid.layer][rid.neuron])
-
     def kappa_of(self, rid: ReluId) -> float:
         if self.kappa is None:
             raise ValueError("bounds were computed without an objective")
@@ -120,30 +119,6 @@ class PreactBounds:
         return len(self.pre_lb)
 
 
-def _blocks(net: Network) -> list:
-    """Collapse the layer list into (weights, bias, feeds_relu) blocks.
-
-    Consecutive affine layers compose into one block; every block except the
-    last feeds a ReLU layer iff a ReLU follows it in the original network.
-    """
-    out = []
-    cur_w = None
-    cur_b = None
-    for layer in net.layers:
-        if isinstance(layer, Affine):
-            if cur_w is None:
-                cur_w, cur_b = layer.weights, layer.bias
-            else:
-                cur_w = layer.weights @ cur_w
-                cur_b = layer.weights @ cur_b + layer.bias
-        else:  # Relu; network validation guarantees it follows an affine
-            out.append((cur_w, cur_b, True))
-            cur_w = None
-            cur_b = None
-    out.append((cur_w, cur_b, False))
-    return out
-
-
 def _validate_splits(splits, widths) -> None:
     for rid, sign in splits.items():
         if sign not in ("+", "-"):
@@ -152,16 +127,13 @@ def _validate_splits(splits, widths) -> None:
             raise ValueError(f"{rid} is outside the network's ReLU layers")
 
 
-class _Relaxation:
+class _Relaxation(NamedTuple):
     """Per-layer linear ReLU relaxation: lower x >= lam_low * xhat, upper
     x <= lam_up * xhat + mu_up."""
 
-    __slots__ = ("lam_low", "lam_up", "mu_up")
-
-    def __init__(self, lam_low, lam_up, mu_up):
-        self.lam_low = lam_low
-        self.lam_up = lam_up
-        self.mu_up = mu_up
+    lam_low: np.ndarray
+    lam_up: np.ndarray
+    mu_up: np.ndarray
 
 
 def _back_substitute(blocks, relax, upto, box, want_upper):
@@ -171,8 +143,7 @@ def _back_substitute(blocks, relax, upto, box, want_upper):
     replacing each post-activation with its linear relaxation (choosing the
     side that preserves the bound's direction for each coefficient sign).
     """
-    W, b, _ = blocks[upto]
-    A = W
+    A, b = blocks[upto]
     c = b.copy()
     for j in range(upto - 1, -1, -1):
         pos = np.clip(A, 0.0, None)
@@ -184,7 +155,7 @@ def _back_substitute(blocks, relax, upto, box, want_upper):
         else:
             c = c + neg @ r.mu_up
             A = pos * r.lam_low + neg * r.lam_up
-        Wj, bj, _ = blocks[j]
+        Wj, bj = blocks[j]
         c = c + A @ bj
         A = A @ Wj
     pos = np.clip(A, 0.0, None)
@@ -241,6 +212,9 @@ def _one_pass(blocks, box, sign_by_layer, prior):
             if np.any(p_lo > p_hi + CROSS_TOL):
                 infeasible = True
             p_hi = np.maximum(p_hi, p_lo)
+        if signs is not None:  # a "-" unit outputs 0, even where l is up to CROSS_TOL above 0
+            p_lo = np.where(signs < 0, 0.0, p_lo)
+            p_hi = np.where(signs < 0, 0.0, p_hi)
         pre_lb.append(l)
         pre_ub.append(u)
         post_lb.append(p_lo)
@@ -261,8 +235,7 @@ def _one_pass(blocks, box, sign_by_layer, prior):
 def _objective_kappa(blocks, relax, objective):
     """Absolute pre-activation coefficients in the objective's lower bound."""
     n_relu = len(blocks) - 1
-    W, b, _ = blocks[n_relu]
-    A = objective @ W
+    A = objective @ blocks[n_relu][0]
     kappa = [None] * n_relu
     for j in range(n_relu - 1, -1, -1):
         r = relax[j]
@@ -270,8 +243,7 @@ def _objective_kappa(blocks, relax, objective):
         neg = np.clip(A, None, 0.0)
         A = pos * r.lam_low + neg * r.lam_up
         kappa[j] = np.abs(A)
-        Wj, _, _ = blocks[j]
-        A = A @ Wj
+        A = A @ blocks[j][0]
     return kappa
 
 
@@ -280,6 +252,7 @@ def compute_bounds(
     box: InputBox,
     splits: dict,
     objective=None,
+    parent: Optional[PreactBounds] = None,
 ) -> PreactBounds:
     """Sound per-neuron bounds for the region (box restricted by splits).
 
@@ -289,20 +262,25 @@ def compute_bounds(
     an ``objective`` (a vector over the network's outputs) the result also
     carries ``kappa``.
 
+    ``parent`` is the result for the same box under all of ``splits`` but
+    the last; the fold then resumes from it and runs one pass, equal bit for
+    bit to the fold from the root.  It is never ``infeasible``: the verifier
+    splits only Unknown nodes.
+
     If a split empties the region (bounds cross), the result is flagged
     ``infeasible``; callers verify such regions vacuously.
     """
     if box.dim != net.input_dim:
         raise ValueError(f"box has dim {box.dim}, network expects {net.input_dim}")
-    blocks = _blocks(net)
+    blocks = net.blocks
     n_relu = len(blocks) - 1
     widths = [blocks[i][0].shape[0] for i in range(n_relu)]
     _validate_splits(splits, widths)
 
     items = list(splits.items())
-    bounds = None
+    bounds = parent
     relax = None
-    for k in range(len(items) + 1):
+    for k in range(0 if parent is None else len(items), len(items) + 1):
         sign_by_layer = {}
         for rid, sign in items[:k]:
             arr = sign_by_layer.setdefault(rid.layer, np.zeros(widths[rid.layer]))
@@ -321,8 +299,8 @@ def compute_bounds(
 
 
 def _build_program(net, prop, splits, bounds):
-    """Assemble the bounding LP over input/pre/post/output variables."""
-    blocks = _blocks(net)
+    """Assemble the bounding LP over input/pre/post/output variables, bounded by ``bounds``."""
+    blocks = net.blocks
     n_relu = len(blocks) - 1
     n_in = net.input_dim
     n_out = net.output_dim
@@ -346,23 +324,10 @@ def _build_program(net, prop, splits, bounds):
     lo[:n_in] = prop.input.lower
     hi[:n_in] = prop.input.upper
     for i, w in enumerate(widths):
-        pl, pu = bounds.pre_lb[i].copy(), bounds.pre_ub[i].copy()
-        ql, qu = bounds.post_lb[i].copy(), bounds.post_ub[i].copy()
-        for rid, sign in splits.items():
-            if rid.layer != i:
-                continue
-            if sign == "+":
-                pl[rid.neuron] = max(pl[rid.neuron], 0.0)
-            else:
-                pu[rid.neuron] = min(pu[rid.neuron], 0.0)
-                ql[rid.neuron] = 0.0
-                qu[rid.neuron] = 0.0
-        pu = np.maximum(pu, pl)
-        qu = np.maximum(qu, ql)
-        lo[offsets_pre[i] : offsets_pre[i] + w] = pl
-        hi[offsets_pre[i] : offsets_pre[i] + w] = pu
-        lo[offsets_post[i] : offsets_post[i] + w] = np.maximum(ql, 0.0)
-        hi[offsets_post[i] : offsets_post[i] + w] = np.maximum(qu, 0.0)
+        lo[offsets_pre[i] : offsets_pre[i] + w] = bounds.pre_lb[i]
+        hi[offsets_pre[i] : offsets_pre[i] + w] = bounds.pre_ub[i]
+        lo[offsets_post[i] : offsets_post[i] + w] = bounds.post_lb[i]
+        hi[offsets_post[i] : offsets_post[i] + w] = bounds.post_ub[i]
     lo[off_out:] = bounds.out_lb
     hi[off_out:] = bounds.out_ub
 
@@ -377,7 +342,7 @@ def _build_program(net, prop, splits, bounds):
 
     src_off, src_n = 0, n_in
     for i in range(n_relu):
-        W, b, _ = blocks[i]
+        W, b = blocks[i]
         affine_rows(W, b, src_off, src_n, offsets_pre[i])
         sign_of = {rid.neuron: s for rid, s in splits.items() if rid.layer == i}
         for j in range(widths[i]):
@@ -404,7 +369,7 @@ def _build_program(net, prop, splits, bounds):
             row[pre_v] = -slope
             cons.append(Constraint(row, "<=", -slope * l))
         src_off, src_n = offsets_post[i], widths[i]
-    W, b, _ = blocks[n_relu]
+    W, b = blocks[n_relu]
     affine_rows(W, b, src_off, src_n, off_out)
 
     objective = np.zeros(total)
@@ -412,8 +377,10 @@ def _build_program(net, prop, splits, bounds):
     return LinearProgram(objective, np.column_stack([lo, hi]), cons)
 
 
-def analyze(net: Network, prop: Property, splits: dict) -> AnalyzerVerdict:
+def analyze(net: Network, prop: Property, splits: dict, parent=None) -> AnalyzerVerdict:
     """One bounding call: lower-bound the property margin over the region.
+
+    ``parent`` is passed on to :func:`compute_bounds`.
 
     Returns Verified when the proved lower bound is nonnegative (or the
     region is empty, flagged ``infeasible``), Counterexample when the LP
@@ -423,12 +390,7 @@ def analyze(net: Network, prop: Property, splits: dict) -> AnalyzerVerdict:
     Raises :class:`AnalyzerError` on solver failure; a verdict is never
     fabricated from a broken solve.
     """
-    if prop.output.c.shape != (net.output_dim,):
-        raise ValueError(
-            f"property constrains {prop.output.c.shape[0]} outputs, "
-            f"network has {net.output_dim}"
-        )
-    bounds = compute_bounds(net, prop.input, splits, objective=prop.output.c)
+    bounds = compute_bounds(net, prop.input, splits, objective=prop.output.c, parent=parent)
     if bounds.infeasible:
         return AnalyzerVerdict(Verdict.VERIFIED, math.inf, infeasible=True, bounds=bounds)
     program = _build_program(net, prop, splits, bounds)

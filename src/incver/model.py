@@ -8,7 +8,8 @@ read-only) so networks can be shared freely across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -123,6 +124,24 @@ class Network:
     @property
     def output_dim(self) -> int:
         return self.layers[-1].out_dim
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """The layers as (weights, bias) blocks, one per ReLU layer plus the output.
+
+        Consecutive affine layers compose into one block; every block but the
+        last feeds a ReLU layer.  Computed once per network, read-only.
+        """
+        out, w, b = [], None, None
+        for layer in self.layers:
+            if isinstance(layer, Relu):  # validation guarantees it follows an affine
+                out.append((w, b))
+                w = None
+            elif w is None:
+                w, b = layer.weights, layer.bias
+            else:
+                w, b = _as_readonly(layer.weights @ w), _as_readonly(layer.weights @ b + layer.bias)
+        return tuple(out) + ((w, b),)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Network):

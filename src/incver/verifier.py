@@ -21,10 +21,11 @@ import numpy as np
 
 from incver.analyzer import Verdict, analyze, compute_bounds
 from incver.heuristics import HeuristicConfig, choose_input_split, choose_split
-from incver.model import Affine, Network, same_architecture
+from incver.model import Affine, Network, relu_ids, same_architecture
 from incver.props import Property
 from incver.spectree import (
     NodeStatus,
+    ReluDecision,
     SpecTree,
     leaves,
     observed_scores,
@@ -127,9 +128,17 @@ class DeltaBound:
     c_norm: float
 
 
-def _node_property(tree: SpecTree, nid: int, prop: Property):
-    box, assignment = spec_of(tree, nid, box=prop.input)
-    return Property(box, prop.output, name=prop.name), assignment
+def _check_fits(tree: SpecTree, net: Network) -> None:
+    """Reject a tree whose decisions name ReLUs or input axes the network lacks."""
+    units = set(relu_ids(net))
+    for nid in sorted(tree.nodes):
+        d = tree.nodes[nid].decision
+        if isinstance(d, ReluDecision):
+            fits = d.rid in units
+        else:
+            fits = d is None or (0 <= d.dim < net.input_dim and math.isfinite(d.cut))
+        if not fits:
+            raise ValueError(f"initial tree node {nid}: {d} does not fit the network")
 
 
 def verify(
@@ -152,7 +161,10 @@ def verify(
     base heuristic (the mixed score's correction term has nothing to say).
     The caller's ``initial_tree`` is never mutated: its structure is copied
     and re-annotated from scratch, since bounds proved on one network mean
-    nothing on another.
+    nothing on another; a tree that does not fit ``net`` raises ValueError.
+    A ReLU-branching child is bounded from its parent's bounds (one
+    propagation pass); an input-branching child's box is smaller, so its
+    bounding starts at the root.
     """
     start = time.perf_counter()
     if initial_tree is None:
@@ -163,6 +175,7 @@ def verify(
                 f"initial tree branches on {initial_tree.branching!r} "
                 f"but the configuration says {cfg.branching!r}"
             )
+        _check_fits(initial_tree, net)
         tree = reset_copy(initial_tree)
     nodes_initial = tree.num_nodes()
     ranking_cfg = cfg.heuristic
@@ -183,15 +196,16 @@ def verify(
         )
         return RunResult(verdict, tree, metrics, **extra)
 
-    active = leaves(tree)
+    active = [(nid, None) for nid in leaves(tree)]
     while active:
         # Bounding phase: analyze the whole frontier.
         outcomes = []
-        for nid in active:
+        for nid, parent_bounds in active:
             if time.perf_counter() - start > cfg.timeout:
                 return finish(RunVerdict.TIMEOUT, note="wall-clock timeout")
-            node_prop, assignment = _node_property(tree, nid, prop)
-            res = analyze(net, node_prop, assignment)
+            box, assignment = spec_of(tree, nid, box=prop.input)
+            node_prop = Property(box, prop.output, name=prop.name)
+            res = analyze(net, node_prop, assignment, parent=parent_bounds)
             boundings += 1
             node = tree.node(nid)
             node.lb = res.lb_value
@@ -220,6 +234,7 @@ def verify(
                         f"node {nid} is inconclusive but every ReLU is stable or "
                         "already split; an exactly-encoded subproblem must resolve"
                     )
+                handoff = res.bounds
             else:
                 widths = node_prop.input.upper - node_prop.input.lower
                 if float(widths.max()) <= cfg.min_width:
@@ -228,9 +243,10 @@ def verify(
                         note=f"minimum box width {cfg.min_width} reached at node {nid}",
                     )
                 pick = choose_input_split(node_prop.input)
+                handoff = None
             left, right = split(tree, nid, pick)
             branchings += 1
-            next_active.extend((left, right))
+            next_active.extend(((left, handoff), (right, handoff)))
         active = next_active
 
     return finish(RunVerdict.VERIFIED)

@@ -101,11 +101,25 @@ def test_split_clamps_pre_bounds():
     assert neg.post_ub[0][0] == 0.0
 
 
+def assert_same_bounds(got, want):
+    for name in ("pre_lb", "pre_ub", "post_lb", "post_ub", "kappa"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert len(g) == len(w)
+        assert all(np.array_equal(a, b) for a, b in zip(g, w))
+    assert np.array_equal(got.out_lb, want.out_lb)
+    assert np.array_equal(got.out_ub, want.out_ub)
+    assert got.infeasible == want.infeasible
+
+
 def test_bounds_nest_along_split_paths():
+    # Also checks the parent-to-child hand-off: resuming the fold from the
+    # parent's bounds must give the from-root result bit for bit.
     rng = np.random.default_rng(23)
+    c = np.array([1.0, -1.0])
     for trial in range(20):
         net = make_net([3, 4, 3, 2], rng)
         box = unit_box(3)
+        prop = margin_prop(c, 0.0, box)
         parent_splits = {}
         parent = compute_bounds(net, box, parent_splits)
         # walk three levels, always splitting the first ambiguous unit
@@ -128,6 +142,16 @@ def test_bounds_nest_along_split_paths():
                 assert np.all(child.pre_ub[k] <= parent.pre_ub[k] + 1e-12)
             assert np.all(child.out_lb >= parent.out_lb - 1e-12)
             assert np.all(child.out_ub <= parent.out_ub + 1e-12)
+            if not parent.infeasible:  # the verifier splits only Unknown nodes
+                assert_same_bounds(
+                    compute_bounds(net, box, child_splits, objective=c, parent=parent),
+                    compute_bounds(net, box, child_splits, objective=c),
+                )
+                got = analyze(net, prop, child_splits, parent=parent)
+                want = analyze(net, prop, child_splits)
+                assert_same_bounds(got.bounds, want.bounds)
+                assert (got.status, got.infeasible) == (want.status, want.infeasible)
+                assert got.lb_value == want.lb_value
             parent, parent_splits = child, child_splits
 
 
@@ -272,15 +296,9 @@ def test_unknown_verdict_carries_the_objective_bounds():
             v = analyze(net, prop, splits)
             if v.status is not Verdict.UNKNOWN:
                 break
-            want = compute_bounds(net, prop.input, splits, objective=prop.output.c)
             got = v.bounds
-            for name in ("pre_lb", "pre_ub", "post_lb", "post_ub", "kappa"):
-                g, w = getattr(got, name), getattr(want, name)
-                assert len(g) == len(w)
-                assert all(np.array_equal(a, b) for a, b in zip(g, w))
-            assert np.array_equal(got.out_lb, want.out_lb)
-            assert np.array_equal(got.out_ub, want.out_ub)
-            assert got.infeasible == want.infeasible
+            want = compute_bounds(net, prop.input, splits, objective=prop.output.c)
+            assert_same_bounds(got, want)
             checked += 1
             amb = [
                 ReluId(i, j)

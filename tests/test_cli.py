@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 from incver.cli import (
     EXIT_ARCH_MISMATCH,
     EXIT_COUNTEREXAMPLE,
+    EXIT_ERROR,
     EXIT_TIMEOUT,
     EXIT_USAGE,
     EXIT_VERIFIED,
@@ -130,6 +132,25 @@ def test_verify_tree_roundtrip(tmp_path, capsys):
     # Starting from the finished proof just re-bounds its leaves.
     assert doc["metrics"]["boundings"] == len(leaves(saved))
     assert doc["metrics"]["branchings"] == 0
+
+
+@pytest.mark.parametrize("dim, cut", [(5, 0.5), (-1, 0.5), (0, math.nan)])
+def test_verify_rejects_tree_with_input_split_outside_the_box(tmp_path, capsys, dim, cut):
+    # The demo network has 2 inputs: a saved split on axis 5, on -1 (which
+    # indexing would read as the last axis) or at a NaN cut does not fit it.
+    def child(nid, half):
+        decision = {"kind": "input", "dim": dim, "half": half, "cut": cut}
+        return {"id": nid, "parent": 0, "decision": decision}
+
+    root = {"id": 0, "parent": None, "decision": None, "split": {"left": 1, "right": 2}}
+    tree = {"branching": "input", "nodes": [root, child(1, "low"), child(2, "high")]}
+    tree_path = tmp_path / "tree.json"
+    tree_path.write_text(json.dumps(tree), encoding="utf-8")
+    code = main(demo_args("--branching", "input", "--tree-in", str(tree_path)))
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "node 1" in err
+    assert "Traceback" not in err
 
 
 def test_verify_out_file_matches_stdout(tmp_path, capsys):

@@ -2,13 +2,24 @@
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from incver.heuristics import HeuristicConfig
-from incver.model import Affine, LastLayer, Network, QuantizeInt8, Relu, evaluate, perturb
-from incver.props import InputBox, OutputConstraint, Property, holds_concretely
+from incver import analyzer
+from incver.heuristics import BaseHeuristic, HeuristicConfig
+from incver.model import (
+    Affine,
+    LastLayer,
+    Network,
+    QuantizeInt8,
+    Relu,
+    evaluate,
+    load_network,
+    perturb,
+)
+from incver.props import InputBox, OutputConstraint, Property, holds_concretely, load_property
 from incver.spectree import NodeStatus, ReluDecision, leaves, path_decisions, singleton, split
 from incver.verifier import (
     Mode,
@@ -148,6 +159,27 @@ def test_call_accounting_baseline():
         # with unit costs the closed form equals the measured total
         s = singleton(prop)
         assert m.boundings + m.branchings == pytest.approx(predicted_cost(1, 1, s, res.tree))
+
+
+def test_each_bounding_runs_one_propagation_pass(monkeypatch):
+    # Propagation passes are the deterministic work counter of the bounds.
+    # A child resumes from its parent's bounds, so the demo's baseline first
+    # run takes one pass per bounding; folding each node from the root took 25.
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    net = load_network(fixtures / "demo_network.json")
+    prop = load_property(fixtures / "demo_property.json")
+    heur = HeuristicConfig(base=BaseHeuristic.RANDOM, alpha=0.25, theta=1.0, seed=27)
+    one_pass = analyzer._one_pass
+    passes = []
+
+    def counting_pass(*args):
+        passes.append(args)
+        return one_pass(*args)
+
+    monkeypatch.setattr(analyzer, "_one_pass", counting_pass)
+    run = verify(net, prop, VerifierConfig(mode=Mode.BASELINE, heuristic=heur, timeout=30.0))
+    assert (run.metrics.boundings, run.metrics.branchings) == (9, 4)
+    assert len(passes) == 9
 
 
 def test_depth_never_exceeds_relu_count():

@@ -1,0 +1,120 @@
+"""Print the work and a bit-level digest of one benchmark pass.
+
+Builds the instances of a benchmark workload with ``perfbench/workloads.py``
+and runs ``verify_incremental`` on each of them in all four modes, with the
+configurations ``perfbench/run.py`` uses.  It prints, per mode and in total:
+
+* boundings and branchings (from the runs' metrics);
+* propagation passes, counted by wrapping the analyzer's per-pass function
+  from outside the package;
+* a SHA-256 over every run's verdict, counts, counterexample bytes and each
+  tree node's ``(id, lb.hex())``.
+
+Two commits that print the same digests did the same search and proved the
+same bounds, bit for bit.  Run from the repository root:
+
+    python3 tools/work_signature.py --workload quant-8x6 --seed 1
+
+The last line of standard output is one JSON object with the totals.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # perfbench/workloads.py
+from incver import analyzer
+from incver.heuristics import HeuristicConfig
+from incver.verifier import Mode, VerifierConfig, verify_incremental
+
+RUN_TIMEOUT = 60.0  # as perfbench/run.py
+
+
+def _lb_hex(lb) -> str:
+    return "none" if lb is None else float(lb).hex()
+
+
+def run_digest(res) -> bytes:
+    """The bits one run is judged by: verdict, counts, counterexample, node bounds."""
+    m = res.metrics
+    parts = [res.verdict.value, str(m.boundings), str(m.branchings), str(m.nodes_final)]
+    parts.append("none" if res.counterexample is None else res.counterexample.tobytes().hex())
+    parts += [f"{nid}:{_lb_hex(res.tree.nodes[nid].lb)}" for nid in sorted(res.tree.nodes)]
+    return "|".join(parts).encode()
+
+
+def signature(workload: str, seed: int) -> dict:
+    fam = workloads.FAMILIES[workload]
+    heuristic = HeuristicConfig(theta=fam.theta)
+    configs = {
+        mode: VerifierConfig(mode=mode, heuristic=heuristic, timeout=RUN_TIMEOUT, branching=fam.branching)
+        for mode in Mode
+    }
+    instances = workloads.make_instances(workload, seed)
+    per_mode = {
+        mode.value: {"boundings": 0, "branchings": 0, "passes": 0, "sha": hashlib.sha256()}
+        for mode in Mode
+    }
+    total = hashlib.sha256()
+    # count propagation passes by wrapping the analyzer's per-pass function
+    one_pass = analyzer._one_pass
+    passes = [0]
+
+    def counted_pass(*args):
+        passes[0] += 1
+        return one_pass(*args)
+
+    analyzer._one_pass = counted_pass
+    try:
+        for inst in instances:
+            for mode, cfg in configs.items():
+                row = per_mode[mode.value]
+                before = passes[0]
+                pair = verify_incremental(inst.original, inst.updated, inst.prop, cfg)
+                row["passes"] += passes[0] - before
+                for res in pair:
+                    row["boundings"] += res.metrics.boundings
+                    row["branchings"] += res.metrics.branchings
+                    bits = run_digest(res)
+                    row["sha"].update(bits)
+                    total.update(bits)
+    finally:
+        analyzer._one_pass = one_pass
+    modes = {name: {**row, "sha": row["sha"].hexdigest()} for name, row in per_mode.items()}
+    return {
+        "workload": workload,
+        "seed": seed,
+        "instances_digest": workloads.digest(instances),
+        "boundings": sum(r["boundings"] for r in modes.values()),
+        "branchings": sum(r["branchings"] for r in modes.values()),
+        "passes": sum(r["passes"] for r in modes.values()),
+        "sha256": total.hexdigest(),
+        "modes": modes,
+    }
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--workload", required=True, choices=sorted(workloads.FAMILIES))
+    p.add_argument("--seed", type=int, required=True)
+    args = p.parse_args(argv)
+    sig = signature(args.workload, args.seed)
+    for name, row in sig["modes"].items():
+        print(
+            f"{name:9s} boundings {row['boundings']:5d}  branchings {row['branchings']:4d}  "
+            f"passes {row['passes']:5d}  sha256 {row['sha'][:16]}"
+        )
+    print(json.dumps(sig))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
