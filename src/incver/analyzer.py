@@ -6,15 +6,13 @@ Two layers of machinery live here:
     Interval bounds for every pre- and post-activation, tightened by symbolic
     back-substitution through the network (each ReLU gets per-neuron linear
     lower/upper relaxations, and concrete bounds come from pushing those back
-    to the input box).  Split decisions restrict ReLUs to one sign.  The split
-    assignment is treated as *ordered* (path order): bounds are computed by
-    folding one propagation pass per prefix, each pass intersected with the
-    previous one.  A child node's splits are its parent's plus one, so given
-    the parent's bounds the fold resumes there and runs one pass.  The fold
-    makes every per-neuron interval at a child node a subset of the parent's
-    interval, which in turn gives the verifier its monotonicity guarantee
-    (child lower bounds never fall below the parent's beyond solver
-    tolerance) and makes root-derived norms sound for every descendant region.
+    to the input box).  Split decisions restrict ReLUs to one sign.  One
+    propagation pass bounds a region; given the bounds of the region's parent
+    (the same box under all splits but one) the pass is intersected with
+    them, so every per-neuron interval at a child node is a subset of its
+    parent's.  That gives the verifier its monotonicity guarantee (child
+    lower bounds never fall below the parent's beyond solver tolerance) and
+    makes root-derived norms sound for every descendant region.
 
 ``analyze``
     Bounds the region once, with the property's objective so the bounds carry
@@ -256,44 +254,37 @@ def compute_bounds(
 ) -> PreactBounds:
     """Sound per-neuron bounds for the region (box restricted by splits).
 
-    ``splits`` maps ReluId to "+" or "-" and is treated as ordered: one
-    propagation pass runs per prefix and each pass is intersected with the
-    previous, so bounds shrink monotonically along a branching path.  With
-    an ``objective`` (a vector over the network's outputs) the result also
-    carries ``kappa``.
+    ``splits`` maps ReluId to "+" or "-"; one propagation pass applies them
+    all.  With an ``objective`` (a vector over the network's outputs) the
+    result also carries ``kappa``.
 
     ``parent`` is the result for the same box under all of ``splits`` but
-    the last; the fold then resumes from it and runs one pass, equal bit for
-    bit to the fold from the root.  It is never ``infeasible``: the verifier
-    splits only Unknown nodes.
+    one; the pass is intersected with it, so bounds shrink monotonically
+    along a branching path.  A parent that is already ``infeasible`` is
+    returned unchanged: every region under an empty one is empty.
 
     If a split empties the region (bounds cross), the result is flagged
     ``infeasible``; callers verify such regions vacuously.
     """
     if box.dim != net.input_dim:
         raise ValueError(f"box has dim {box.dim}, network expects {net.input_dim}")
-    blocks = net.blocks
-    n_relu = len(blocks) - 1
-    widths = [blocks[i][0].shape[0] for i in range(n_relu)]
-    _validate_splits(splits, widths)
-
-    items = list(splits.items())
-    bounds = parent
-    relax = None
-    for k in range(0 if parent is None else len(items), len(items) + 1):
-        sign_by_layer = {}
-        for rid, sign in items[:k]:
-            arr = sign_by_layer.setdefault(rid.layer, np.zeros(widths[rid.layer]))
-            arr[rid.neuron] = 1.0 if sign == "+" else -1.0
-        bounds, relax = _one_pass(blocks, box, sign_by_layer, bounds)
-        if bounds.infeasible:
-            break
     if objective is not None:
         objective = np.asarray(objective, dtype=float)
         if objective.shape != (net.output_dim,):
             raise ValueError(
                 f"objective has shape {objective.shape}, network output dim is {net.output_dim}"
             )
+    blocks = net.blocks
+    widths = [W.shape[0] for W, _ in blocks[:-1]]
+    _validate_splits(splits, widths)
+    if parent is not None and parent.infeasible:
+        return parent
+    sign_by_layer = {}
+    for rid, sign in splits.items():
+        arr = sign_by_layer.setdefault(rid.layer, np.zeros(widths[rid.layer]))
+        arr[rid.neuron] = 1.0 if sign == "+" else -1.0
+    bounds, relax = _one_pass(blocks, box, sign_by_layer, parent)
+    if objective is not None:
         bounds.kappa = _objective_kappa(blocks, relax, objective)
     return bounds
 
@@ -380,7 +371,7 @@ def _build_program(net, prop, splits, bounds):
 def analyze(net: Network, prop: Property, splits: dict, parent=None) -> AnalyzerVerdict:
     """One bounding call: lower-bound the property margin over the region.
 
-    ``parent`` is passed on to :func:`compute_bounds`.
+    ``parent``, the bounds of the region's parent, goes to :func:`compute_bounds`.
 
     Returns Verified when the proved lower bound is nonnegative (or the
     region is empty, flagged ``infeasible``), Counterexample when the LP

@@ -21,7 +21,7 @@ from typing import Optional, Union
 import numpy as np
 
 from incver.model import ParseError, ReluId
-from incver.props import InputBox, Property
+from incver.props import InputBox
 
 __all__ = [
     "InputDecision",
@@ -110,7 +110,6 @@ class SpecTree:
     nodes: dict = field(default_factory=dict)
     root: int = 0
     next_id: int = 1
-    root_box: Optional[InputBox] = None
 
     def node(self, node_id: int) -> SpecNode:
         try:
@@ -128,11 +127,11 @@ class SpecTree:
         return self.num_nodes() - self.num_leaves()
 
 
-def singleton(prop: Property, branching: str = "relu") -> SpecTree:
-    """A one-node tree rooted at the full property."""
+def singleton(branching: str = "relu") -> SpecTree:
+    """A one-node tree, its root the full property."""
     if branching not in ("relu", "input"):
         raise ValueError(f"branching must be 'relu' or 'input', got {branching!r}")
-    tree = SpecTree(branching=branching, root_box=prop.input)
+    tree = SpecTree(branching=branching)
     tree.nodes[0] = SpecNode(node_id=0)
     return tree
 
@@ -179,16 +178,11 @@ def split(tree: SpecTree, node_id: int, decision_pair: tuple) -> tuple:
     return left.node_id, right.node_id
 
 
-def spec_of(tree: SpecTree, node_id: int, box: Optional[InputBox] = None) -> tuple:
-    """Reconstruct a node's subproblem: (input box, ordered split assignment).
+def spec_of(tree: SpecTree, node_id: int, box: InputBox) -> tuple:
+    """Reconstruct a node's subproblem: (input box, split assignment).
 
-    The root box comes from the tree when it was built in this process, or
-    from ``box`` for loaded trees (serialized trees do not carry the box).
+    ``box`` is the root property's input box; trees do not carry it.
     """
-    if box is None:
-        box = tree.root_box
-    if box is None:
-        raise ValueError("tree has no root box; pass the property's box explicitly")
     lower = np.array(box.lower, dtype=float)
     upper = np.array(box.upper, dtype=float)
     assignment: dict = {}
@@ -272,7 +266,7 @@ def prune(tree: SpecTree, theta: float) -> SpecTree:
     computed (missing bounds on interrupted runs) are kept.  The copy's nodes
     are all reset to Unanalyzed with no recorded bounds.
     """
-    out = SpecTree(branching=tree.branching, root_box=tree.root_box)
+    out = SpecTree(branching=tree.branching)
     out.nodes[0] = SpecNode(node_id=0)
     work = [(tree.root, 0)]
     while work:
@@ -302,7 +296,7 @@ def prune(tree: SpecTree, theta: float) -> SpecTree:
 
 def reset_copy(tree: SpecTree) -> SpecTree:
     """Structural copy with statuses and bounds cleared (for re-running)."""
-    out = SpecTree(branching=tree.branching, root=tree.root, next_id=tree.next_id, root_box=tree.root_box)
+    out = SpecTree(branching=tree.branching, root=tree.root, next_id=tree.next_id)
     for nid, n in tree.nodes.items():
         out.nodes[nid] = SpecNode(
             node_id=n.node_id,

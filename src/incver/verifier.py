@@ -162,13 +162,13 @@ def verify(
     The caller's ``initial_tree`` is never mutated: its structure is copied
     and re-annotated from scratch, since bounds proved on one network mean
     nothing on another; a tree that does not fit ``net`` raises ValueError.
-    A ReLU-branching child is bounded from its parent's bounds (one
-    propagation pass); an input-branching child's box is smaller, so its
-    bounding starts at the root.
+    Under ReLU branching each node is bounded in one pass from its parent's
+    bounds, an initial tree's internal nodes included (once each, no LP); an
+    input-branching node's box is smaller, so it is bounded on its own.
     """
     start = time.perf_counter()
     if initial_tree is None:
-        tree = singleton(prop, branching=cfg.branching)
+        tree = singleton(cfg.branching)
     else:
         if initial_tree.branching != cfg.branching:
             raise ValueError(
@@ -196,16 +196,30 @@ def verify(
         )
         return RunResult(verdict, tree, metrics, **extra)
 
-    active = [(nid, None) for nid in leaves(tree)]
+    bounds_of = {}  # split node id -> its region's bounds, which its children start from
+
+    def parent_bounds(nid):
+        """Bounds of the node's parent, first bounding top-down the ancestors that lack them."""
+        chain = [tree.node(nid).parent]
+        while chain[-1] is not None and chain[-1] not in bounds_of:
+            chain.append(tree.node(chain[-1]).parent)
+        for aid in reversed(chain[:-1]):
+            _, assignment = spec_of(tree, aid, prop.input)
+            above = bounds_of.get(tree.node(aid).parent)
+            bounds_of[aid] = compute_bounds(net, prop.input, assignment, parent=above)
+        return bounds_of.get(chain[0])
+
+    active = leaves(tree)
     while active:
         # Bounding phase: analyze the whole frontier.
         outcomes = []
-        for nid, parent_bounds in active:
+        for nid in active:
             if time.perf_counter() - start > cfg.timeout:
                 return finish(RunVerdict.TIMEOUT, note="wall-clock timeout")
-            box, assignment = spec_of(tree, nid, box=prop.input)
+            box, assignment = spec_of(tree, nid, prop.input)
             node_prop = Property(box, prop.output, name=prop.name)
-            res = analyze(net, node_prop, assignment, parent=parent_bounds)
+            parent = parent_bounds(nid) if tree.branching == "relu" else None
+            res = analyze(net, node_prop, assignment, parent=parent)
             boundings += 1
             node = tree.node(nid)
             node.lb = res.lb_value
@@ -219,7 +233,8 @@ def verify(
 
         # Branching phase: split every node the analyzer could not settle,
         # ranking candidates from the bounds its bounding call computed.
-        next_active = []
+        bounds_of.clear()  # the children of the nodes split before are bounded
+        active = []
         for nid, node_prop, assignment, res in outcomes:
             if res.status is not Verdict.UNKNOWN:
                 continue
@@ -234,7 +249,7 @@ def verify(
                         f"node {nid} is inconclusive but every ReLU is stable or "
                         "already split; an exactly-encoded subproblem must resolve"
                     )
-                handoff = res.bounds
+                bounds_of[nid] = res.bounds
             else:
                 widths = node_prop.input.upper - node_prop.input.lower
                 if float(widths.max()) <= cfg.min_width:
@@ -243,11 +258,8 @@ def verify(
                         note=f"minimum box width {cfg.min_width} reached at node {nid}",
                     )
                 pick = choose_input_split(node_prop.input)
-                handoff = None
-            left, right = split(tree, nid, pick)
+            active.extend(split(tree, nid, pick))
             branchings += 1
-            next_active.extend(((left, handoff), (right, handoff)))
-        active = next_active
 
     return finish(RunVerdict.VERIFIED)
 
@@ -314,9 +326,10 @@ def predicted_cost(t_a: float, t_h: float, tree0: SpecTree, tree_f: SpecTree) ->
 def delta_bound(net: Network, prop: Property, tree: SpecTree) -> DeltaBound:
     """How much the last layer's weights may move before the proof breaks.
 
-    Requires a tree whose every leaf carries a recorded lower bound (a
-    finished run on ``net``).  eta is computed from this network's bounds
-    over the unsplit root region, so it dominates every leaf subregion.
+    Requires a Verified run's tree: every leaf carries a recorded lower
+    bound and none is negative (else ValueError: such a tree proves
+    nothing).  eta is computed from this network's bounds over the unsplit
+    root region, so it dominates every leaf subregion.
     """
     leaf_lbs = []
     for nid in leaves(tree):
@@ -325,6 +338,8 @@ def delta_bound(net: Network, prop: Property, tree: SpecTree) -> DeltaBound:
             raise ValueError(f"leaf {nid} has no recorded lower bound; run was not completed")
         leaf_lbs.append(lb)
     lb_min = min(leaf_lbs)
+    if lb_min < 0.0:
+        raise ValueError(f"weakest leaf bound {lb_min} is negative; the tree proves nothing")
 
     # Bound the vector feeding the final affine layer by swapping that layer
     # for an identity map and reading the probe network's output bounds; this
@@ -341,5 +356,5 @@ def delta_bound(net: Network, prop: Property, tree: SpecTree) -> DeltaBound:
     elif c_norm * eta == 0.0:
         delta = math.inf
     else:
-        delta = abs(lb_min) / (c_norm * eta)
+        delta = lb_min / (c_norm * eta)
     return DeltaBound(delta=delta, lb_min=lb_min, eta=eta, c_norm=c_norm)

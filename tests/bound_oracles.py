@@ -1,14 +1,17 @@
 """Independent oracles for bound and verdict checking.
 
-Everything here works directly on the layer arithmetic (or on exact
-per-sign-pattern affine algebra plus vertex enumeration) and never calls the
-package's analyzer or simplex, so tests can use these as ground truth.
+Everything here except ``path_bounds`` works directly on the layer
+arithmetic (or on exact per-sign-pattern affine algebra plus vertex
+enumeration) and never calls the package's analyzer or simplex, so tests can
+use these as ground truth.  ``path_bounds`` is a helper: it bounds a region
+the way the verifier reaches it, down its branching path.
 """
 
 import itertools
 
 import numpy as np
 
+from incver.analyzer import compute_bounds
 from incver.lp import Constraint, LinearProgram
 from incver.model import Affine, Network
 from lp_oracles import vertex_minimum
@@ -25,6 +28,21 @@ def forward_with_preacts(net: Network, x):
             pre.append(v.copy())
             v = np.maximum(v, 0.0)
     return pre, v
+
+
+def path_bounds(net: Network, box, splits, objective=None):
+    """Bounds of the region under ``splits``, taken in path order.
+
+    Each prefix of the path is bounded from the one before, one propagation
+    pass at a time, as the verifier bounds a child from its parent.  The
+    ``objective`` applies to the last step.
+    """
+    items = list(splits.items())
+    bounds = None
+    for k in range(len(items) + 1):
+        last = objective if k == len(items) else None
+        bounds = compute_bounds(net, box, dict(items[:k]), objective=last, parent=bounds)
+    return bounds
 
 
 def grid_points(box, total=10_000):

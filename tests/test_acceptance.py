@@ -256,12 +256,12 @@ def test_criterion_2_mode_agreement_and_oracles(batch):
 def test_criterion_4_cost_accounting(batch):
     checked = 0
     for rec in batch["records"]:
-        prop, theta = rec["prop"], rec["heur"].theta
+        theta = rec["heur"].theta
         for mode in MODES:
             first, second = rec["runs"][mode]
             for run, tree0 in (
-                (first, singleton(prop)),
-                (second, second_initial_tree(mode, first.tree, prop, theta)),
+                (first, singleton()),
+                (second, second_initial_tree(mode, first.tree, theta)),
             ):
                 predicted = predicted_cost(1.0, 1.0, tree0, run.tree)
                 measured = run.metrics.boundings + run.metrics.branchings
@@ -270,12 +270,12 @@ def test_criterion_4_cost_accounting(batch):
     report(4, True, f"{checked} runs match predicted_cost(1, 1) exactly")
 
 
-def second_initial_tree(mode, first_tree, prop, theta):
+def second_initial_tree(mode, first_tree, theta):
     if mode is Mode.REUSE:
         return first_tree
     if mode is Mode.IVAN:
         return prune(first_tree, theta)
-    return singleton(prop)
+    return singleton()
 
 
 def assert_valid_tree(tree):

@@ -18,6 +18,7 @@ from bound_oracles import (
     brute_force_minimum,
     forward_with_preacts,
     grid_points,
+    path_bounds,
     region_minimum,
 )
 
@@ -112,8 +113,9 @@ def assert_same_bounds(got, want):
 
 
 def test_bounds_nest_along_split_paths():
-    # Also checks the parent-to-child hand-off: resuming the fold from the
-    # parent's bounds must give the from-root result bit for bit.
+    # Each child is bounded from its parent: its intervals nest inside the
+    # parent's, analyze hands on exactly the bounds compute_bounds gives, and
+    # a child of an empty region is that region, unchanged.
     rng = np.random.default_rng(23)
     c = np.array([1.0, -1.0])
     for trial in range(20):
@@ -121,7 +123,7 @@ def test_bounds_nest_along_split_paths():
         box = unit_box(3)
         prop = margin_prop(c, 0.0, box)
         parent_splits = {}
-        parent = compute_bounds(net, box, parent_splits)
+        parent = path_bounds(net, box, parent_splits)
         # walk three levels, always splitting the first ambiguous unit
         for _ in range(3):
             amb = [
@@ -136,22 +138,18 @@ def test_bounds_nest_along_split_paths():
             sign = "+" if rng.random() < 0.5 else "-"
             child_splits = dict(parent_splits)
             child_splits[rid] = sign
-            child = compute_bounds(net, box, child_splits)
+            child = path_bounds(net, box, child_splits)
             for k in range(child.num_relu_layers()):
                 assert np.all(child.pre_lb[k] >= parent.pre_lb[k] - 1e-12)
                 assert np.all(child.pre_ub[k] <= parent.pre_ub[k] + 1e-12)
             assert np.all(child.out_lb >= parent.out_lb - 1e-12)
             assert np.all(child.out_ub <= parent.out_ub + 1e-12)
-            if not parent.infeasible:  # the verifier splits only Unknown nodes
-                assert_same_bounds(
-                    compute_bounds(net, box, child_splits, objective=c, parent=parent),
-                    compute_bounds(net, box, child_splits, objective=c),
-                )
-                got = analyze(net, prop, child_splits, parent=parent)
-                want = analyze(net, prop, child_splits)
-                assert_same_bounds(got.bounds, want.bounds)
-                assert (got.status, got.infeasible) == (want.status, want.infeasible)
-                assert got.lb_value == want.lb_value
+            with_c = compute_bounds(net, box, child_splits, objective=c, parent=parent)
+            if parent.infeasible:
+                assert with_c is parent
+            else:
+                assert_same_bounds(with_c, path_bounds(net, box, child_splits, objective=c))
+                assert_same_bounds(analyze(net, prop, child_splits, parent=parent).bounds, with_c)
             parent, parent_splits = child, child_splits
 
 
@@ -252,7 +250,7 @@ def test_monotone_under_splitting():
         splits = {}
         parent = analyze(net, prop, splits)
         for _ in range(4):
-            b = compute_bounds(net, prop.input, splits)
+            b = path_bounds(net, prop.input, splits)
             amb = [
                 ReluId(i, j)
                 for i in range(b.num_relu_layers())
@@ -266,8 +264,8 @@ def test_monotone_under_splitting():
             lefts[rid] = "+"
             rights = dict(splits)
             rights[rid] = "-"
-            left = analyze(net, prop, lefts)
-            right = analyze(net, prop, rights)
+            left = analyze(net, prop, lefts, parent=b)
+            right = analyze(net, prop, rights, parent=b)
             child_min = min(left.lb_value, right.lb_value)
             assert child_min >= parent.lb_value - 1e-6
             checked += 1

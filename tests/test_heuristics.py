@@ -14,7 +14,7 @@ from incver.heuristics import (
     updated_score,
 )
 from incver.model import Affine, Network, Relu, ReluId
-from incver.props import InputBox, OutputConstraint, Property
+from incver.props import InputBox
 from incver.spectree import ReluDecision, observed_scores, singleton, split
 
 
@@ -172,7 +172,7 @@ def test_split_with_both_children_infeasible_is_not_observed():
     # Both children of the recorded split are empty regions (lb +inf), so
     # its improvement is +inf; ranking against the recorded tree must still work.
     rid = ReluId(0, 0)
-    tree = singleton(Property(InputBox(np.zeros(2), np.ones(2)), OutputConstraint(np.array([1.0]))))
+    tree = singleton()
     tree.node(0).lb = -1.0
     d = ReluDecision(rid, "+")
     for child in split(tree, 0, (d, d.complement())):

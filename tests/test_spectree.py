@@ -45,7 +45,7 @@ def set_lb(tree, nid, lb, status=NodeStatus.UNKNOWN):
 def running_example_tree():
     """The 9-node shape used throughout: root splits a decoy ReLU whose
     improvement is zero, one grandchild chain splits two useful ReLUs."""
-    t = singleton(unit_prop())
+    t = singleton()
     n1, n2 = split(t, 0, relu_pair(0, 0))  # decoy r1
     n3, n4 = split(t, n1, relu_pair(1, 0))  # r3 under the + side
     n5, n6 = split(t, n2, relu_pair(1, 0))  # r3 under the - side
@@ -66,19 +66,19 @@ def running_example_tree():
 
 
 def test_singleton_shape():
-    t = singleton(unit_prop())
+    t = singleton()
     assert t.num_nodes() == 1
     assert t.num_leaves() == 1
     assert t.num_internal() == 0
     assert leaves(t) == [0]
-    box, assignment = spec_of(t, 0)
+    box, assignment = spec_of(t, 0, unit_prop().input)
     assert assignment == {}
     assert np.array_equal(box.lower, [0.0, 0.0])
     assert np.array_equal(box.upper, [1.0, 1.0])
 
 
 def test_split_counts():
-    t = singleton(unit_prop())
+    t = singleton()
     l, r = split(t, 0, relu_pair(0, 0))
     assert t.num_nodes() == 3
     assert t.num_leaves() == 2
@@ -92,7 +92,7 @@ def test_split_counts():
 
 
 def test_split_usage_errors():
-    t = singleton(unit_prop())
+    t = singleton()
     l, r = split(t, 0, relu_pair(0, 0))
     with pytest.raises(ValueError, match="internal"):
         split(t, 0, relu_pair(0, 1))
@@ -103,32 +103,32 @@ def test_split_usage_errors():
 
 
 def test_spec_of_relu_paths():
-    t = singleton(unit_prop())
+    t = singleton()
     n1, n2 = split(t, 0, relu_pair(0, 0))
     n3, n4 = split(t, n2, relu_pair(1, 1))
-    box, assignment = spec_of(t, n4)
+    box, assignment = spec_of(t, n4, unit_prop().input)
     assert list(assignment.items()) == [(ReluId(0, 0), "-"), (ReluId(1, 1), "-")]
     assert np.array_equal(box.lower, [0.0, 0.0])
-    box, assignment = spec_of(t, n3)
+    box, assignment = spec_of(t, n3, unit_prop().input)
     assert list(assignment.items()) == [(ReluId(0, 0), "-"), (ReluId(1, 1), "+")]
 
 
 def test_spec_of_input_paths():
     prop = unit_prop()
-    t = singleton(prop, branching="input")
+    t = singleton("input")
     d = InputDecision(0, "low", 0.5)
     n1, n2 = split(t, 0, (d, d.complement()))
-    box_low, a = spec_of(t, n1)
+    box_low, a = spec_of(t, n1, prop.input)
     assert a == {}
     assert np.array_equal(box_low.lower, [0.0, 0.0])
     assert np.array_equal(box_low.upper, [0.5, 1.0])
-    box_high, _ = spec_of(t, n2)
+    box_high, _ = spec_of(t, n2, prop.input)
     assert np.array_equal(box_high.lower, [0.5, 0.0])
     assert np.array_equal(box_high.upper, [1.0, 1.0])
 
 
 def test_branching_kind_enforced():
-    t = singleton(unit_prop())
+    t = singleton()
     with pytest.raises(ValueError, match="input decision"):
         split(t, 0, (InputDecision(0, "low", 0.5), InputDecision(0, "high", 0.5)))
 
@@ -137,7 +137,7 @@ def test_branching_kind_enforced():
 
 
 def test_improvement_values():
-    t = singleton(unit_prop())
+    t = singleton()
     l, r = split(t, 0, relu_pair(0, 0))
     set_lb(t, 0, -7.0)
     set_lb(t, l, -2.0)
@@ -154,7 +154,7 @@ def test_improvement_values():
 
 
 def test_improvement_errors():
-    t = singleton(unit_prop())
+    t = singleton()
     with pytest.raises(ValueError, match="leaf"):
         improvement(t, 0)
     l, r = split(t, 0, relu_pair(0, 0))
@@ -176,7 +176,7 @@ def test_observed_scores_mean():
 
 
 def test_observed_scores_skips_unevaluated():
-    t = singleton(unit_prop())
+    t = singleton()
     l, r = split(t, 0, relu_pair(0, 0))
     set_lb(t, 0, -1.0)
     set_lb(t, l, -0.5)
@@ -213,7 +213,7 @@ def test_prune_no_bad_splits_isomorphic():
 
 
 def test_prune_threshold_is_strict():
-    t = singleton(unit_prop())
+    t = singleton()
     l, r = split(t, 0, relu_pair(0, 0))
     set_lb(t, 0, -1.0)
     set_lb(t, l, -0.5)
@@ -233,7 +233,7 @@ def test_prune_all_bad_gives_singleton():
 
 
 def test_prune_keeps_unevaluated_splits():
-    t = singleton(unit_prop())
+    t = singleton()
     l, r = split(t, 0, relu_pair(0, 0))
     set_lb(t, 0, -1.0)
     set_lb(t, l, -0.99)  # right child has no lb: improvement unevaluable
@@ -244,7 +244,7 @@ def test_prune_keeps_unevaluated_splits():
 def test_prune_never_copies_bad_split():
     rng = np.random.default_rng(7)
     for trial in range(20):
-        t = singleton(unit_prop())
+        t = singleton()
         frontier = [0]
         set_lb(t, 0, float(-rng.uniform(1, 10)))
         for step in range(6):
@@ -267,13 +267,13 @@ def test_prune_never_copies_bad_split():
         src_by_assignment = {}
         for nid in t.nodes:
             if not t.node(nid).is_leaf:
-                _, a = spec_of(t, nid)
+                _, a = spec_of(t, nid, unit_prop().input)
                 src_by_assignment[tuple(a.items())] = nid
         for nid in out.nodes:
             node = out.node(nid)
             if node.is_leaf:
                 continue
-            _, a = spec_of(out, nid)
+            _, a = spec_of(out, nid, unit_prop().input)
             src = src_by_assignment.get(tuple(a.items()))
             if src is not None and not t.node(src).is_leaf:
                 key_out = out.node(node.left).decision.key()
@@ -284,7 +284,7 @@ def test_prune_never_copies_bad_split():
 
 def test_full_binary_leaf_count_invariant():
     rng = np.random.default_rng(11)
-    t = singleton(unit_prop())
+    t = singleton()
     frontier = [0]
     for step in range(10):
         nid = frontier[int(rng.integers(len(frontier)))]
@@ -318,7 +318,7 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_round_trip_singleton(tmp_path):
-    t = singleton(unit_prop())
+    t = singleton()
     path = tmp_path / "s.json"
     save_tree(t, path)
     back = load_tree(path)

@@ -20,7 +20,16 @@ from incver.model import (
     perturb,
 )
 from incver.props import InputBox, OutputConstraint, Property, holds_concretely, load_property
-from incver.spectree import NodeStatus, ReluDecision, leaves, path_decisions, singleton, split
+from incver.spectree import (
+    NodeStatus,
+    ReluDecision,
+    leaves,
+    observed_scores,
+    path_decisions,
+    prune,
+    singleton,
+    split,
+)
 from incver.verifier import (
     Mode,
     RunVerdict,
@@ -157,29 +166,76 @@ def test_call_accounting_baseline():
         assert m.boundings == n_f - n_0 + leaves_0
         assert m.branchings == internal_f - internal_0
         # with unit costs the closed form equals the measured total
-        s = singleton(prop)
+        s = singleton()
         assert m.boundings + m.branchings == pytest.approx(predicted_cost(1, 1, s, res.tree))
 
 
-def test_each_bounding_runs_one_propagation_pass(monkeypatch):
-    # Propagation passes are the deterministic work counter of the bounds.
-    # A child resumes from its parent's bounds, so the demo's baseline first
-    # run takes one pass per bounding; folding each node from the root took 25.
-    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
-    net = load_network(fixtures / "demo_network.json")
-    prop = load_property(fixtures / "demo_property.json")
-    heur = HeuristicConfig(base=BaseHeuristic.RANDOM, alpha=0.25, theta=1.0, seed=27)
+@pytest.fixture
+def passes(monkeypatch):
+    """Record every propagation pass the analyzer runs."""
     one_pass = analyzer._one_pass
-    passes = []
+    seen = []
 
     def counting_pass(*args):
-        passes.append(args)
+        seen.append(args)
         return one_pass(*args)
 
     monkeypatch.setattr(analyzer, "_one_pass", counting_pass)
-    run = verify(net, prop, VerifierConfig(mode=Mode.BASELINE, heuristic=heur, timeout=30.0))
-    assert (run.metrics.boundings, run.metrics.branchings) == (9, 4)
+    return seen
+
+
+def test_each_bounding_runs_one_propagation_pass(passes):
+    # Propagation passes are the deterministic work counter of the bounds.
+    # Every node is bounded once, from its parent's bounds: the demo's
+    # baseline first run takes one pass per bounding, and a reused or pruned
+    # tree one pass per node, its internal nodes included.
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    net = load_network(fixtures / "demo_network.json")
+    updated = load_network(fixtures / "demo_updated.json")
+    prop = load_property(fixtures / "demo_property.json")
+    heur = HeuristicConfig(base=BaseHeuristic.RANDOM, alpha=0.25, theta=1.0, seed=27)
+    cfg = VerifierConfig(mode=Mode.BASELINE, heuristic=heur, timeout=30.0)
+    first = verify(net, prop, cfg)
+    assert (first.metrics.boundings, first.metrics.branchings) == (9, 4)
     assert len(passes) == 9
+
+    passes.clear()
+    reuse = verify(updated, prop, cfg, initial_tree=first.tree)
+    assert (reuse.metrics.boundings, reuse.metrics.branchings) == (5, 0)
+    assert len(passes) == first.tree.num_nodes() == 9
+
+    passes.clear()
+    pruned = prune(first.tree, heur.theta)
+    ivan = verify(updated, prop, cfg, initial_tree=pruned, hobs=observed_scores(first.tree))
+    assert (ivan.metrics.boundings, ivan.metrics.branchings) == (3, 0)
+    assert len(passes) == pruned.num_nodes() == 5
+
+
+def test_reused_tree_under_an_empty_region_verifies_vacuously(passes):
+    # Unit 0's pre-activation is identically 1, so the region under its "-"
+    # split is empty.  The leaves below that internal node verify with
+    # lb = inf and cost no pass: only the root, the "+" leaf and the empty
+    # node itself are propagated.
+    net = Network(
+        (
+            Affine(np.array([[0.0], [1.0]]), np.array([1.0, -0.5])),
+            Relu(),
+            Affine(np.array([[0.0, 1.0]]), np.array([0.0])),
+        )
+    )
+    prop = unit_prop(1, [1.0], 1.0)
+    tree = singleton()
+    d0 = ReluDecision(ReluId(0, 0), "+")
+    _, empty = split(tree, 0, (d0, d0.complement()))
+    d1 = ReluDecision(ReluId(0, 1), "+")
+    under = split(tree, empty, (d1, d1.complement()))
+    res = verify(net, prop, CFG, initial_tree=tree)
+    assert res.verdict is RunVerdict.VERIFIED
+    assert (res.metrics.boundings, res.metrics.branchings) == (3, 0)
+    for nid in under:
+        assert res.tree.node(nid).status is NodeStatus.VERIFIED
+        assert res.tree.node(nid).lb == math.inf
+    assert len(passes) == 3
 
 
 def test_depth_never_exceeds_relu_count():
@@ -281,7 +337,7 @@ def test_partial_tree_handoff_is_flagged():
 
 
 def nine_node_tree():
-    t = singleton(unit_prop(2, [1.0], 0.0))
+    t = singleton()
     d0 = ReluDecision(ReluId(0, 0), "+")
     n1, n2 = split(t, 0, (d0, d0.complement()))
     d1 = ReluDecision(ReluId(1, 0), "+")
@@ -294,7 +350,7 @@ def nine_node_tree():
 
 def test_predicted_cost_examples():
     t = nine_node_tree()
-    s = singleton(unit_prop(2, [1.0], 0.0))
+    s = singleton()
     assert t.num_nodes() == 9 and t.num_leaves() == 5
     assert predicted_cost(1, 1, s, t) == pytest.approx(13.0)
     assert predicted_cost(1, 0, t, t) == pytest.approx(5.0)
@@ -307,20 +363,36 @@ def test_predicted_cost_examples():
 def test_delta_bound_direct_formula():
     net = Network((Affine(np.array([[1.0]]), np.array([0.0])),))
     prop = Property(InputBox(np.zeros(1), np.ones(1)), OutputConstraint(np.array([1.0]), 0.0))
-    t = singleton(prop)
-    t.node(0).lb = -7.0
+    t = singleton()
+    t.node(0).lb = 7.0
     db = delta_bound(net, prop, t)
     assert db.eta == pytest.approx(1.0)
     assert db.c_norm == pytest.approx(1.0)
     assert db.delta == pytest.approx(7.0)
     t.node(0).lb = 0.0
     assert delta_bound(net, prop, t).delta == 0.0
+    t.node(0).lb = -7.0
+    with pytest.raises(ValueError, match="negative"):
+        delta_bound(net, prop, t)
+
+
+def test_delta_bound_rejects_a_refuted_run():
+    # A Counterexample run's tree has a negative leaf bound and proves nothing.
+    for net, prop, _ in random_instances(seed=6, count=10, dims=(2, 4, 1)):
+        res = verify(net, prop, CFG)
+        if res.verdict is RunVerdict.COUNTEREXAMPLE:
+            break
+    else:
+        pytest.fail("no refuted instance found")
+    assert min(res.tree.node(nid).lb for nid in leaves(res.tree)) < 0.0
+    with pytest.raises(ValueError, match="negative"):
+        delta_bound(net, prop, res.tree)
 
 
 def test_delta_bound_requires_finished_run():
     prop = unit_prop(1, [1.0], 0.0)
     net = Network((Affine(np.array([[1.0]]), np.array([0.0])),))
-    t = singleton(prop)
+    t = singleton()
     with pytest.raises(ValueError, match="no recorded"):
         delta_bound(net, prop, t)
 
@@ -404,7 +476,7 @@ def test_input_branching_min_width_diagnosis():
 
 def test_branching_kind_mismatch_rejected():
     prop = unit_prop(2, [1.0], 0.0)
-    t = singleton(prop, branching="input")
+    t = singleton("input")
     net = make_net([2, 2, 1], np.random.default_rng(0))
     with pytest.raises(ValueError, match="branches on"):
         verify(net, prop, CFG, initial_tree=t)

@@ -140,6 +140,19 @@ def grid_min(net: Network, n: int = 701) -> float:
     return float(np.min(h[:, 0] + 14.0))
 
 
+def parent_bounds(net: Network, box: InputBox, splits: dict):
+    """Bounds of the parent of the node under ``splits`` (in path order).
+
+    Each ancestor is bounded from its own parent, one propagation pass at a
+    time, as ``verify`` bounds the nodes of a tree; None at the root.
+    """
+    items = list(splits.items())
+    bounds = None
+    for k in range(len(items)):
+        bounds = compute_bounds(net, box, dict(items[:k]), parent=bounds)
+    return bounds
+
+
 def cascade_windows(raw: Network, prop: Property):
     """Measure raw gaps along the priority cascade and solve for k-windows.
 
@@ -155,15 +168,18 @@ def cascade_windows(raw: Network, prop: Property):
         return None, "vacuous"
 
     def gap(splits: dict) -> float:
-        return analyze(raw, prop, splits).lb_value - root_lb
+        return analyze(raw, prop, splits, parent=parent_bounds(raw, box, splits)).lb_value - root_lb
+
+    def bounds_at(splits: dict):
+        return compute_bounds(raw, box, splits, parent=parent_bounds(raw, box, splits))
 
     g1 = gap({R1: "+"})
     g2 = gap({R1: "-"})
     if not g2 < g1 - 1e-7:
         return None, "decoy-order"
     if not (
-        compute_bounds(raw, box, {R1: "+"}).is_ambiguous(R3)
-        and compute_bounds(raw, box, {R1: "-"}).is_ambiguous(R3)
+        bounds_at({R1: "+"}).is_ambiguous(R3)
+        and bounds_at({R1: "-"}).is_ambiguous(R3)
     ):
         return None, "r3-not-ambiguous"
 
@@ -179,7 +195,7 @@ def cascade_windows(raw: Network, prop: Property):
         ("n5", g5, g6, {R1: "-", R3: "+"}, ({R3: "-"}, {R3: "+", R4: "+"}, {R3: "+", R4: "-"})),
     )
     for tag, deep_g, shallow_g, deep_splits, pruned_leaves in cases:
-        if not compute_bounds(raw, box, deep_splits).is_ambiguous(R4):
+        if not bounds_at(deep_splits).is_ambiguous(R4):
             continue
         dp = gap({**deep_splits, R4: "+"})
         dm = gap({**deep_splits, R4: "-"})
