@@ -28,6 +28,7 @@ Two layers of machinery live here:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -35,7 +36,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from incver.lp import Constraint, LinearProgram, LpStatus, solve
+from incver.lp import LinearProgram, LpStatus, solve
 from incver.model import Network, ReluId
 from incver.props import InputBox, Property, holds_concretely
 
@@ -289,83 +290,81 @@ def compute_bounds(
     return bounds
 
 
+@functools.lru_cache(maxsize=64)
+def _layout(n_in: int, widths: tuple):
+    """Offsets of the bounding LP for the affine blocks' output ``widths``:
+    each block's first unit (and first row among the affine rows); each ReLU
+    unit's pre and post column and the affine rows up to its layer's; each
+    affine row's index among them, its own (pre or output) column and the
+    ReLU units above its block."""
+    relu_w = np.array(widths[:-1], dtype=int)  # an int array even with no ReLU layer
+    layer_start = np.cumsum([0, *relu_w])
+    pre = np.arange(layer_start[-1]) + np.repeat(n_in + layer_start[:-1], relu_w)
+    post = pre + np.repeat(relu_w, relu_w)
+    aff_rows = np.arange(sum(widths))
+    aff_cols = aff_rows + np.repeat(n_in + layer_start, widths)
+    units_above = np.repeat(layer_start, widths)
+    out = (layer_start, pre, post, np.repeat(layer_start[1:], relu_w), aff_rows, aff_cols, units_above)
+    for a in out:
+        a.setflags(write=False)  # cached, so shared by every call
+    return out
+
+
 def _build_program(net, prop, splits, bounds):
-    """Assemble the bounding LP over input/pre/post/output variables, bounded by ``bounds``."""
+    """The bounding LP as arrays over input, (pre, post) per ReLU layer and output columns.
+
+    Rows go layer by layer: the affine rows ``W @ src - pre = -b``, then per
+    unit none if inactive (its bounds pin post to [0, 0]), ``post - pre = 0``
+    if active, or ``post - pre >= 0`` and its chord ``post - slope * pre <=
+    -slope * l`` if ambiguous; the output's affine rows come last.  Every
+    ``=`` row ends with -1 or 1 on its own column, the layout the solver's
+    crash basis starts from.  ``splits`` only picks a split unit's rows.
+    """
     blocks = net.blocks
-    n_relu = len(blocks) - 1
-    n_in = net.input_dim
-    n_out = net.output_dim
-    widths = [blocks[i][0].shape[0] for i in range(n_relu)]
+    widths = tuple(W.shape[0] for W, _ in blocks)
+    layer_start, pre, post, row_base, aff_rows, aff_cols, units_above = _layout(net.input_dim, widths)
+    cols = [(prop.input.lower, prop.input.upper)]
+    for i in range(len(blocks) - 1):
+        cols += [(bounds.pre_lb[i], bounds.pre_ub[i]), (bounds.post_lb[i], bounds.post_ub[i])]
+    cols.append((bounds.out_lb, bounds.out_ub))
+    lo, hi = (np.concatenate(side) for side in zip(*cols))
 
-    # variable layout: input, then (pre, post) per relu layer, then output
-    offsets_pre = []
-    offsets_post = []
-    k = n_in
-    for w in widths:
-        offsets_pre.append(k)
-        k += w
-        offsets_post.append(k)
-        k += w
-    off_out = k
-    k += n_out
-    total = k
+    # rows per ReLU unit: 0 inactive, 1 active, 2 ambiguous (triangle
+    # relaxation); a split unit is active ("+") or inactive ("-") as split
+    l, u = lo[pre], hi[pre]
+    k = (u > STABLE_TOL) * (1 + (l < -STABLE_TOL))
+    for rid, sign in splits.items():
+        k[layer_start[rid.layer] + rid.neuron] = 1 if sign == "+" else 0
+    above = np.zeros(k.size + 1, dtype=int)  # ReLU rows above each unit, then in all
+    np.cumsum(k, out=above[1:])
+    first = row_base + above[:-1]  # each unit's first row
+    aff_rows = aff_rows + above[units_above]  # shifted down by the ReLU rows above
 
-    lo = np.full(total, -np.inf)
-    hi = np.full(total, np.inf)
-    lo[:n_in] = prop.input.lower
-    hi[:n_in] = prop.input.upper
-    for i, w in enumerate(widths):
-        lo[offsets_pre[i] : offsets_pre[i] + w] = bounds.pre_lb[i]
-        hi[offsets_pre[i] : offsets_pre[i] + w] = bounds.pre_ub[i]
-        lo[offsets_post[i] : offsets_post[i] + w] = bounds.post_lb[i]
-        hi[offsets_post[i] : offsets_post[i] + w] = bounds.post_ub[i]
-    lo[off_out:] = bounds.out_lb
-    hi[off_out:] = bounds.out_ub
+    m = sum(widths) + int(above[-1])
+    A = np.zeros((m, lo.size))
+    rel = np.full(m, "=", dtype="<U2")
+    rhs = np.zeros(m)
+    src = slice(0, net.input_dim)
+    for (W, _), r, w in zip(blocks, aff_rows[layer_start], widths):
+        A[r : r + w, src] = W
+        src = slice(src.stop + w, src.stop + 2 * w)
+    A[aff_rows, aff_cols] = -1.0
+    rhs[aff_rows] = -np.concatenate([b for _, b in blocks])
+    on = np.flatnonzero(k)
+    A[first[on], post[on]] = 1.0
+    A[first[on], pre[on]] = -1.0
+    amb = np.flatnonzero(k == 2)
+    l, u, chord = l[amb], u[amb], first[amb] + 1
+    slope = u / (u - l)
+    rel[chord - 1] = ">="
+    A[chord, post[amb]] = 1.0
+    A[chord, pre[amb]] = -slope
+    rel[chord] = "<="
+    rhs[chord] = -slope * l
 
-    cons = []
-
-    def affine_rows(W, b, src_off, src_n, dst_off):
-        for r in range(W.shape[0]):
-            row = np.zeros(total)
-            row[src_off : src_off + src_n] = W[r]
-            row[dst_off + r] = -1.0
-            cons.append(Constraint(row, "=", -float(b[r])))
-
-    src_off, src_n = 0, n_in
-    for i in range(n_relu):
-        W, b = blocks[i]
-        affine_rows(W, b, src_off, src_n, offsets_pre[i])
-        sign_of = {rid.neuron: s for rid, s in splits.items() if rid.layer == i}
-        for j in range(widths[i]):
-            pre_v = offsets_pre[i] + j
-            post_v = offsets_post[i] + j
-            sign = sign_of.get(j)
-            l, u = lo[pre_v], hi[pre_v]
-            if sign == "-" or (sign is None and u <= STABLE_TOL):
-                continue  # post variable pinned to [0, 0] via bounds
-            if sign == "+" or l >= -STABLE_TOL:
-                row = np.zeros(total)
-                row[post_v] = 1.0
-                row[pre_v] = -1.0
-                cons.append(Constraint(row, "=", 0.0))
-                continue
-            # ambiguous neuron: triangle relaxation (post >= pre, under the chord)
-            row = np.zeros(total)
-            row[post_v] = 1.0
-            row[pre_v] = -1.0
-            cons.append(Constraint(row, ">=", 0.0))
-            slope = u / (u - l)
-            row = np.zeros(total)
-            row[post_v] = 1.0
-            row[pre_v] = -slope
-            cons.append(Constraint(row, "<=", -slope * l))
-        src_off, src_n = offsets_post[i], widths[i]
-    W, b = blocks[n_relu]
-    affine_rows(W, b, src_off, src_n, off_out)
-
-    objective = np.zeros(total)
-    objective[off_out:] = prop.output.c
-    return LinearProgram(objective, np.column_stack([lo, hi]), cons)
+    objective = np.zeros(lo.size)
+    objective[-net.output_dim :] = prop.output.c
+    return LinearProgram(objective, np.column_stack([lo, hi]), A, rel, rhs)
 
 
 def analyze(net: Network, prop: Property, splits: dict, parent=None) -> AnalyzerVerdict:

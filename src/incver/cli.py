@@ -8,8 +8,10 @@ name (DEBUG, INFO, ...) to turn on logging.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import csv
 import dataclasses
+import itertools
 import json
 import logging
 import os
@@ -288,13 +290,10 @@ def load_plan(path) -> ExperimentPlan:
     )
 
 
-def _run_instance(task: dict) -> dict:
-    """One experiment cell; returns a results.csv row plus timing fields.
-
-    Module-level (not a closure) so a process pool can pickle it.
-    """
+def _task_row(task: dict) -> dict:
+    """The results.csv columns that describe the task, with an empty error."""
     ms = task["mode_settings"]
-    row = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "network": task["network"],
         "perturbation": task["perturbation_label"],
@@ -307,7 +306,22 @@ def _run_instance(task: dict) -> dict:
         "branching": ms["branching"],
         "error": "",
     }
-    timing = {"first_seconds": None, "second_seconds": None}
+
+
+def _failed(task: dict, exc: BaseException) -> dict:
+    """The outcome of a task that raised: a row whose error names the exception."""
+    row = {**_task_row(task), "error": f"{type(exc).__name__}: {exc}"}
+    row = {col: row.get(col, "") for col in RESULTS_COLUMNS}
+    return {"row": row, "first_seconds": None, "second_seconds": None}
+
+
+def _run_instance(task: dict) -> dict:
+    """One experiment cell; returns a results.csv row plus timing fields.
+
+    Module-level (not a closure) so a process pool can pickle it.
+    """
+    row = _task_row(task)
+    ms = task["mode_settings"]
     try:
         net = load_network(task["network"])
         prop = load_property(task["property"])
@@ -315,10 +329,7 @@ def _run_instance(task: dict) -> dict:
         updated = perturb(net, spec)
         first, second = verify_incremental(net, updated, prop, _config(ms, task["timeout"]))
     except Exception as exc:  # recorded, sweep continues
-        row["error"] = f"{type(exc).__name__}: {exc}"
-        for col in RESULTS_COLUMNS:
-            row.setdefault(col, "")
-        return {"row": row, **timing}
+        return _failed(task, exc)
     row.update(
         {
             "first_verdict": first.verdict.value,
@@ -336,9 +347,31 @@ def _run_instance(task: dict) -> dict:
             "second_cost_units": second.metrics.boundings + second.metrics.branchings,
         }
     )
-    timing["first_seconds"] = first.metrics.wall_time
-    timing["second_seconds"] = second.metrics.wall_time
-    return {"row": row, **timing}
+    return {
+        "row": row,
+        "first_seconds": first.metrics.wall_time,
+        "second_seconds": second.metrics.wall_time,
+    }
+
+
+def _run_tasks(tasks: list, jobs: int) -> list:
+    """Run the tasks; with ``jobs > 1`` in a pool of at most one worker per task.
+
+    A task whose worker raised or died (a dead worker breaks the pool, and the
+    tasks still pending fail with it) becomes a row whose error names the
+    exception; the tasks that finished keep their rows.
+    """
+    if jobs == 1 or not tasks:
+        return [_run_instance(t) for t in tasks]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        futures = [pool.submit(_run_instance, t) for t in tasks]
+    outcomes = []
+    for task, future in zip(tasks, futures):
+        try:
+            outcomes.append(future.result())
+        except Exception as exc:
+            outcomes.append(_failed(task, exc))
+    return outcomes
 
 
 def _solved(verdict) -> bool:
@@ -414,29 +447,19 @@ def cmd_experiment(args) -> int:
     out_dir = Path(plan.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    tasks = []
-    for net_path in plan.networks:
-        for label, pert_json in plan.perturbations:
-            for prop_path in plan.properties:
-                for ms in plan.modes:
-                    tasks.append(
-                        {
-                            "network": net_path,
-                            "perturbation_label": label,
-                            "perturbation_json": pert_json,
-                            "property": prop_path,
-                            "mode_settings": ms,
-                            "timeout": plan.timeout,
-                        }
-                    )
-
-    if args.jobs > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(_run_instance, tasks))
-    else:
-        outcomes = [_run_instance(t) for t in tasks]
+    cells = itertools.product(plan.networks, plan.perturbations, plan.properties, plan.modes)
+    tasks = [
+        {
+            "network": net_path,
+            "perturbation_label": label,
+            "perturbation_json": pert_json,
+            "property": prop_path,
+            "mode_settings": ms,
+            "timeout": plan.timeout,
+        }
+        for net_path, (label, pert_json), prop_path, ms in cells
+    ]
+    outcomes = _run_tasks(tasks, args.jobs)
 
     with open(out_dir / "results.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(RESULTS_COLUMNS))
@@ -466,6 +489,12 @@ def cmd_experiment(args) -> int:
     return EXIT_VERIFIED
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="incver", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -488,7 +517,9 @@ def build_parser() -> _Parser:
 
     p_exp = sub.add_parser("experiment", help="run a cross-product sweep from a plan JSON")
     p_exp.add_argument("--plan", required=True, help="ExperimentPlan JSON path")
-    p_exp.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p_exp.add_argument(
+        "--jobs", type=_positive_int, default=1, help="worker processes (at most one per task)"
+    )
     p_exp.set_defaults(func=cmd_experiment)
 
     return parser

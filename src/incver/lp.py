@@ -6,6 +6,13 @@ builds one :class:`LinearProgram` per bounding call and hands it to
 and rows), so the implementation favors a dense tableau, explicit state, and
 determinism over asymptotic cleverness.
 
+A program is held as arrays: the objective, the variable bounds, an
+``(m, n)`` row matrix ``A``, the row relations ``rel`` and the right-hand
+sides ``rhs``.  :func:`solve` reads them as they are; ``constraints`` is a
+derived ``(row, rel, rhs)`` view for readers that want rows one at a time.
+The constructor rejects NaN and infinite coefficients and NaN or inverted
+infinite bounds, so the solver never sees a program it would misread.
+
 The solver handles general variable bounds ``lo <= x <= hi`` with either side
 possibly infinite, and rows with relations ``<=``, ``=``, ``>=``.  It runs the
 classic two phases from a crash start basis:
@@ -45,12 +52,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 __all__ = [
-    "Constraint",
     "LinearProgram",
     "LpError",
     "LpOutcome",
@@ -69,36 +75,34 @@ class LpStatus(Enum):
     UNBOUNDED = "unbounded"
 
 
-class Constraint(NamedTuple):
-    """One linear row: ``row @ x  rel  rhs`` with rel in {"<=", "=", ">="}."""
-
-    row: np.ndarray
-    rel: str
-    rhs: float
-
-
-_RELATIONS = ("<=", "=", ">=")
-
-
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """Minimize ``objective @ x`` subject to rows and variable bounds.
+    """Minimize ``objective @ x`` subject to ``A @ x  rel  rhs`` and variable bounds.
 
     Parameters
     ----------
     objective : (n,) array
         Cost vector; the solver minimizes.
     var_bounds : (n, 2) array
-        Per-variable ``[lo, hi]``; ``-inf`` and ``+inf`` are allowed.
-    constraints : sequence of Constraint
-        Linear rows.  May be empty (pure box problem).
+        Per-variable ``[lo, hi]``; ``lo`` may be ``-inf`` and ``hi`` ``+inf``.
+    A : (m, n) array, optional
+        Row coefficients.  Omitted for a pure box problem (``m = 0``).
+    rel : (m,) sequence of str
+        Each row's relation, one of ``"<="``, ``"="``, ``">="``.
+    rhs : (m,) array
+        Each row's right-hand side.
+
+    Raises ValueError on a shape mismatch, an unknown relation, a NaN or
+    infinite coefficient, or a NaN, ``+inf`` lower or ``-inf`` upper bound.
     """
 
     objective: np.ndarray
     var_bounds: np.ndarray
-    constraints: tuple
+    A: np.ndarray
+    rel: np.ndarray
+    rhs: np.ndarray
 
-    def __init__(self, objective, var_bounds, constraints=()):
+    def __init__(self, objective, var_bounds, A=None, rel=(), rhs=()):
         c = np.asarray(objective, dtype=float)
         vb = np.asarray(var_bounds, dtype=float)
         if c.ndim != 1 or c.size == 0:
@@ -107,23 +111,37 @@ class LinearProgram:
             raise ValueError(
                 f"var_bounds must have shape ({c.size}, 2), got {vb.shape}"
             )
-        rows = []
-        for k, con in enumerate(constraints):
-            row = np.asarray(con.row, dtype=float)
-            if row.shape != (c.size,):
-                raise ValueError(
-                    f"constraints[{k}]: row length {row.shape} != variable count {c.size}"
-                )
-            if con.rel not in _RELATIONS:
-                raise ValueError(f"constraints[{k}]: unknown relation {con.rel!r}")
-            rows.append(Constraint(row, con.rel, float(con.rhs)))
+        rhs = np.asarray(rhs, dtype=float)
+        rel = np.asarray(rel, dtype=str)
+        A = np.zeros((0, c.size)) if A is None else np.asarray(A, dtype=float)
+        if rhs.ndim != 1 or rel.shape != rhs.shape or A.shape != (rhs.size, c.size):
+            raise ValueError(
+                f"A, rel and rhs must have shapes (m, {c.size}), (m,) and (m,); "
+                f"got {A.shape}, {rel.shape} and {rhs.shape}"
+            )
+        unknown = sorted(set(rel.tolist()) - {"<=", "=", ">="})
+        if unknown:
+            raise ValueError(f"unknown relation {unknown[0]!r}")
+        for name, arr in (("objective", c), ("A", A), ("rhs", rhs)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} has a NaN or infinite entry")
+        # each comparison is False for NaN as well
+        if not ((vb[:, 0] < np.inf).all() and (vb[:, 1] > -np.inf).all()):
+            raise ValueError("var_bounds has a NaN, a lower bound of +inf or an upper bound of -inf")
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "var_bounds", vb)
-        object.__setattr__(self, "constraints", tuple(rows))
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "rel", rel)
+        object.__setattr__(self, "rhs", rhs)
 
     @property
     def num_vars(self) -> int:
         return self.objective.size
+
+    @property
+    def constraints(self) -> tuple:
+        """The rows as ``(row, rel, rhs)`` triples, read from the arrays on each access."""
+        return tuple(zip(self.A, self.rel.tolist(), self.rhs.tolist()))
 
 
 @dataclass(frozen=True)
@@ -160,13 +178,12 @@ class _Tableau:
     of every nonbasic column.
     """
 
-    def __init__(self, A, b, lo, hi, pivot_tol, feas_tol, opt_tol, max_iter):
+    def __init__(self, A, b, lo, hi, pivot_tol, opt_tol, max_iter):
         self.A = A
         self.b = b
         self.lo = lo
         self.hi = hi
         self.pivot_tol = pivot_tol
-        self.feas_tol = feas_tol
         self.opt_tol = opt_tol
         self.max_iter = max_iter
         self.m, self.K = A.shape
@@ -175,20 +192,7 @@ class _Tableau:
         self.basis = np.full(self.m, -1, dtype=int)
         self.state = np.full(self.K, _AT_LOWER, dtype=int)
         self.val = np.zeros(self.K)
-        self.enterable = np.ones(self.K, dtype=bool)
         self.iterations = 0
-
-    def set_nonbasic_start(self, j: int) -> None:
-        """Park column j at a finite bound (preferring the lower) or free at 0."""
-        if np.isfinite(self.lo[j]):
-            self.state[j] = _AT_LOWER
-            self.val[j] = self.lo[j]
-        elif np.isfinite(self.hi[j]):
-            self.state[j] = _AT_UPPER
-            self.val[j] = self.hi[j]
-        else:
-            self.state[j] = _FREE
-            self.val[j] = 0.0
 
     def refresh(self) -> None:
         """Refactorize: recompute T = Binv A and basic values from the basis.
@@ -222,19 +226,15 @@ class _Tableau:
                 raise LpError(
                     f"iteration limit {self.max_iter} exceeded; possible cycling"
                 )
-            if t <= _DEGENERATE_STEP:
-                degenerate_run += 1
-                if degenerate_run >= _BLAND_TRIGGER:
-                    bland = True
-            else:
-                degenerate_run = 0
-                bland = False
+            # Bland's rule from the _BLAND_TRIGGER-th degenerate pivot in a row
+            degenerate_run = degenerate_run + 1 if t <= _DEGENERATE_STEP else 0
+            bland = degenerate_run >= _BLAND_TRIGGER
             self._apply_pivot(j, sigma, t, row)
             self.iterations += 1
 
     def _entering(self, reduced, bland):
         tol = self.opt_tol
-        movable = self.enterable & (self.state != _BASIC) & (self.hi - self.lo > 0)
+        movable = (self.state != _BASIC) & (self.hi - self.lo > 0)
         down = movable & (self.state == _AT_LOWER) & (reduced < -tol)
         up = movable & (self.state == _AT_UPPER) & (reduced > tol)
         free = movable & (self.state == _FREE) & (np.abs(reduced) > tol)
@@ -270,17 +270,12 @@ class _Tableau:
         ratios[~np.isfinite(ratios)] = np.inf
         span = self.hi[j] - self.lo[j]
         t_rows = float(np.min(ratios)) if self.m else np.inf
-        if span <= t_rows:
-            if not np.isfinite(span):
-                return (None, None) if not np.isfinite(t_rows) else (t_rows, self._blocking_row(ratios, t_rows))
-            return span, None
+        if span <= t_rows:  # an infinite span here means an infinite t_rows too
+            return (span, None) if np.isfinite(span) else (None, None)
         if not np.isfinite(t_rows):
             return None, None
-        return t_rows, self._blocking_row(ratios, t_rows)
-
-    def _blocking_row(self, ratios, t):
-        candidates = np.flatnonzero(ratios <= t + 1e-12)
-        return int(candidates[np.argmin(self.basis[candidates])])
+        candidates = np.flatnonzero(ratios <= t_rows + 1e-12)
+        return t_rows, int(candidates[np.argmin(self.basis[candidates])])
 
     def _apply_pivot(self, j, sigma, t, row):
         delta = sigma * self.T[:, j]
@@ -310,24 +305,15 @@ class _Tableau:
         self.xb[row] = new_val
 
 
-def _box_only_solve(lp: LinearProgram, n: int) -> LpOutcome:
+def _box_only_solve(lp: LinearProgram) -> LpOutcome:
     """Closed-form optimum when there are no rows: each variable sits at the
-    bound its cost prefers."""
+    bound its cost prefers (a cost-free one at a finite bound, else 0)."""
     c = lp.objective
-    lo = lp.var_bounds[:, 0]
-    hi = lp.var_bounds[:, 1]
-    x = np.zeros(n)
-    for j in range(n):
-        if c[j] > 0:
-            if not np.isfinite(lo[j]):
-                return LpOutcome(LpStatus.UNBOUNDED)
-            x[j] = lo[j]
-        elif c[j] < 0:
-            if not np.isfinite(hi[j]):
-                return LpOutcome(LpStatus.UNBOUNDED)
-            x[j] = hi[j]
-        else:
-            x[j] = lo[j] if np.isfinite(lo[j]) else (hi[j] if np.isfinite(hi[j]) else 0.0)
+    lo, hi = lp.var_bounds.T
+    idle = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
+    x = np.where(c > 0, lo, np.where(c < 0, hi, idle))
+    if not np.all(np.isfinite(x)):
+        return LpOutcome(LpStatus.UNBOUNDED)
     return LpOutcome(LpStatus.OPTIMAL, float(c @ x), x)
 
 
@@ -372,6 +358,8 @@ def solve(
 ) -> LpOutcome:
     """Solve a bounded-variable linear program.
 
+    ``>=`` rows are negated into ``<=`` rows and every inequality row gets a
+    slack column, in row order, all as array operations on ``lp.A``.
     Structural variables start at a finite bound (the lower when there is
     one) or at 0 when free.  The start basis is the crash basis described in
     the module docstring, and phase 1 runs only for the rows it leaves
@@ -392,7 +380,9 @@ def solve(
     LpOutcome
         ``OPTIMAL`` carries the minimum value and an argmin point that has
         been re-solved against the final basis and verified feasible within
-        ``feas_tol``; ``INFEASIBLE`` and ``UNBOUNDED`` carry no point.
+        ``feas_tol`` by one residual ``A @ x - rhs`` over all rows, where a
+        NaN counts as a violation; ``INFEASIBLE`` and ``UNBOUNDED`` carry no
+        point.
 
     Raises
     ------
@@ -401,107 +391,86 @@ def solve(
         the feasibility check.  A wrong answer is never returned silently.
     """
     n = lp.num_vars
-    lo_s = lp.var_bounds[:, 0].copy()
-    hi_s = lp.var_bounds[:, 1].copy()
+    m = lp.rhs.size
+    lo_s, hi_s = lp.var_bounds.T
     if np.any(lo_s > hi_s):
         return LpOutcome(LpStatus.INFEASIBLE)
-    if not lp.constraints:
-        return _box_only_solve(lp, n)
+    if m == 0:
+        return _box_only_solve(lp)
 
     # normalize rows: ">=" becomes "<=" by negation; remember equality rows
-    m = len(lp.constraints)
-    A_rows = np.zeros((m, n))
-    b = np.zeros(m)
-    is_eq = np.zeros(m, dtype=bool)
-    for i, (row, rel, rhs) in enumerate(lp.constraints):
-        if rel == ">=":
-            A_rows[i] = -row
-            b[i] = -rhs
-        else:
-            A_rows[i] = row
-            b[i] = rhs
-            is_eq[i] = rel == "="
+    is_ge = lp.rel == ">="
+    is_eq = lp.rel == "="
+    A_rows = np.where(is_ge[:, None], -lp.A, lp.A)
+    b = np.where(is_ge, -lp.rhs, lp.rhs)
 
+    # one slack column per inequality row, in row order
     ineq_rows = np.flatnonzero(~is_eq)
     n_slack = ineq_rows.size
     K = n + n_slack
+    slack_cols = n + np.arange(n_slack)
     A = np.zeros((m, K))
     A[:, :n] = A_rows
+    A[ineq_rows, slack_cols] = 1.0
     lo = np.concatenate([lo_s, np.zeros(n_slack)])
     hi = np.concatenate([hi_s, np.full(n_slack, np.inf)])
-    for s, i in enumerate(ineq_rows):
-        A[i, n + s] = 1.0
 
     if max_iter is None:
         max_iter = 200 * (m + K) + 1000
 
-    tab = _Tableau(A, b, lo, hi, pivot_tol, feas_tol, opt_tol, max_iter)
-    for j in range(n):
-        tab.set_nonbasic_start(j)
+    tab = _Tableau(A, b, lo, hi, pivot_tol, opt_tol, max_iter)
+    # structural columns start at a finite bound (the lower first) or free at 0
+    lo_fin, hi_fin = np.isfinite(lo_s), np.isfinite(hi_s)
+    tab.state[:n] = np.where(lo_fin, _AT_LOWER, np.where(hi_fin, _AT_UPPER, _FREE))
+    tab.val[:n] = np.where(lo_fin, lo_s, np.where(hi_fin, hi_s, 0.0))
     residual = b - A_rows @ _crash(tab, A_rows, is_eq)
 
     # an inequality row starts on its slack when that is feasible; every
     # row still without a basic column gets an artificial
-    for s, i in enumerate(ineq_rows):
-        if residual[i] >= 0.0:
-            tab.basis[i] = n + s
-            tab.state[n + s] = _BASIC
-            tab.xb[i] = residual[i]
+    on_slack = residual[ineq_rows] >= 0.0
+    rows, cols = ineq_rows[on_slack], slack_cols[on_slack]
+    tab.basis[rows], tab.state[cols] = cols, _BASIC
     art_rows = np.flatnonzero(tab.basis < 0)
-    art_cols = [np.sign(residual[i]) if residual[i] != 0 else 1.0 for i in art_rows]
 
     if art_rows.size:
-        n_art = len(art_rows)
+        n_art = art_rows.size
+        art_cols = K + np.arange(n_art)
         A_ext = np.zeros((m, K + n_art))
         A_ext[:, :K] = tab.A
-        for k, (i, sgn) in enumerate(zip(art_rows, art_cols)):
-            A_ext[i, K + k] = sgn
+        A_ext[art_rows, art_cols] = np.where(residual[art_rows] < 0.0, -1.0, 1.0)
         tab.A = A_ext
-        tab.T = A_ext.copy()
         tab.K = K + n_art
         tab.lo = np.concatenate([lo, np.zeros(n_art)])
         tab.hi = np.concatenate([hi, np.full(n_art, np.inf)])
         tab.val = np.concatenate([tab.val, np.zeros(n_art)])
         tab.state = np.concatenate([tab.state, np.full(n_art, _AT_LOWER, dtype=int)])
-        tab.enterable = np.ones(tab.K, dtype=bool)
-        for k, i in enumerate(art_rows):
-            tab.basis[i] = K + k
-            tab.state[K + k] = _BASIC
-            tab.xb[i] = abs(residual[i])
+        tab.basis[art_rows], tab.state[art_cols] = art_cols, _BASIC
         tab.refresh()
 
         phase1_cost = np.zeros(tab.K)
         phase1_cost[K:] = 1.0
-        outcome = tab.run(phase1_cost)
-        phase1_value = float(phase1_cost[tab.basis] @ tab.xb)
-        if outcome == "unbounded":
+        if tab.run(phase1_cost) == "unbounded":
             raise LpError("phase 1 reported unbounded; numerical breakdown")
-        if phase1_value > feas_tol:
+        if float(phase1_cost[tab.basis] @ tab.xb) > feas_tol:
             return LpOutcome(LpStatus.INFEASIBLE, iterations=tab.iterations)
 
         # evict basic artificials where a real pivot column exists; rows with
         # none are linearly dependent and keep a pinned artificial
-        for i in range(m):
-            col = tab.basis[i]
-            if col < K:
-                continue
-            candidates = [
-                j
-                for j in range(K)
-                if tab.state[j] != _BASIC and abs(tab.T[i, j]) > pivot_tol
-            ]
-            if candidates:
-                tab._apply_pivot(candidates[0], 1.0, 0.0, i)
+        for i in np.flatnonzero(tab.basis >= K):
+            candidates = np.flatnonzero(
+                (tab.state[:K] != _BASIC) & (np.abs(tab.T[i, :K]) > pivot_tol)
+            )
+            if candidates.size:
+                tab._apply_pivot(int(candidates[0]), 1.0, 0.0, i)
+        # pinned to [0, 0], an artificial never enters again
         tab.lo[K:] = 0.0
         tab.hi[K:] = 0.0
-        tab.enterable[K:] = False
         tab.val[K:] = 0.0
     tab.refresh()
 
     full_cost = np.zeros(tab.K)
     full_cost[:n] = lp.objective
-    outcome = tab.run(full_cost)
-    if outcome == "unbounded":
+    if tab.run(full_cost) == "unbounded":
         return LpOutcome(LpStatus.UNBOUNDED, iterations=tab.iterations)
 
     tab.refresh()
@@ -509,15 +478,14 @@ def solve(
     x_all[tab.basis] = tab.xb
     x = x_all[:n]
 
-    # final guard: never return an OPTIMAL point that is not actually feasible
-    if np.any(x < lo_s - feas_tol) or np.any(x > hi_s + feas_tol):
+    # final guard: never return an OPTIMAL point that is not actually feasible;
+    # the comparisons are written so that a NaN counts as a violation
+    if not np.all((x >= lo_s - feas_tol) & (x <= hi_s + feas_tol)):
         raise LpError("final point violates variable bounds")
-    for i, (row, rel, rhs) in enumerate(lp.constraints):
-        lhs = float(row @ x)
-        if rel == "<=" and lhs > rhs + feas_tol:
-            raise LpError(f"final point violates row {i} by {lhs - rhs:.3e}")
-        if rel == ">=" and lhs < rhs - feas_tol:
-            raise LpError(f"final point violates row {i} by {rhs - lhs:.3e}")
-        if rel == "=" and abs(lhs - rhs) > feas_tol:
-            raise LpError(f"final point violates row {i} by {abs(lhs - rhs):.3e}")
+    residual = A_rows @ x - b
+    violation = np.where(is_eq, np.abs(residual), residual)
+    bad = ~(violation <= feas_tol)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise LpError(f"final point violates row {i} by {violation[i]:.3e}")
     return LpOutcome(LpStatus.OPTIMAL, float(lp.objective @ x), x, tab.iterations)

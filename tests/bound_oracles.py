@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 
 from incver.analyzer import compute_bounds
-from incver.lp import Constraint, LinearProgram
+from incver.lp import LinearProgram
 from incver.model import Affine, Network
 from lp_oracles import vertex_minimum
 
@@ -90,13 +90,11 @@ def region_minimum(net: Network, prop, pattern):
     A, c, pre_forms = sign_pattern_affine(net, pattern)
     obj = prop.output.c @ A
     const = float(prop.output.c @ c + prop.output.d)
-    cons = []
-    for (Ap, cp), signs in zip(pre_forms, pattern):
-        for j, s in enumerate(np.asarray(signs)):
-            rel = ">=" if s > 0 else "<="
-            cons.append(Constraint(Ap[j], rel, -float(cp[j])))
+    rows = np.vstack([Ap for Ap, _ in pre_forms])
+    rhs = -np.concatenate([cp for _, cp in pre_forms])
+    rels = np.where(np.concatenate(pattern) > 0, ">=", "<=")
     lp = LinearProgram(
-        obj, np.column_stack([prop.input.lower, prop.input.upper]), cons
+        obj, np.column_stack([prop.input.lower, prop.input.upper]), rows, rels, rhs
     )
     status, value = vertex_minimum(lp)
     if status == "infeasible":

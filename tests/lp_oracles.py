@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 
-from incver.lp import Constraint, LinearProgram
+from incver.lp import LinearProgram
 
 
 def vertex_minimum(lp: LinearProgram, feas_tol: float = 1e-8):
@@ -22,10 +22,8 @@ def vertex_minimum(lp: LinearProgram, feas_tol: float = 1e-8):
     lo = lp.var_bounds[:, 0]
     hi = lp.var_bounds[:, 1]
     assert np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)), "oracle needs a bounded box"
-    rows = np.array([con.row for con in lp.constraints]).reshape(len(lp.constraints), n)
-    rhs = np.array([con.rhs for con in lp.constraints])
-    rels = [con.rel for con in lp.constraints]
-    m = len(rels)
+    rows, rels, rhs = lp.A, lp.rel, lp.rhs
+    m = rhs.size
 
     mats = []
     vecs = []
@@ -80,13 +78,14 @@ def random_lp(rng, n_max=5, m_max=8, family="feasible") -> LinearProgram:
     lo = rng.uniform(-3.0, 0.0, n)
     hi = lo + rng.uniform(0.2, 4.0, n)
     c = rng.normal(size=n)
+    bounds = np.column_stack([lo, hi])
     if family == "chain":
         x0 = rng.uniform(lo, hi)
-        cons = [Constraint(a, "=", float(a @ x0)) for a in _chain_rows(rng, n, m_max)]
-        return LinearProgram(c, np.column_stack([lo, hi]), cons)
+        A = np.array(_chain_rows(rng, n, m_max))
+        return LinearProgram(c, bounds, A, ["="] * len(A), [float(a @ x0) for a in A])
     m = int(rng.integers(0, m_max + 1))
     x0 = rng.uniform(lo, hi)
-    cons = []
+    rows, rels, rhs = [], [], []
     for _ in range(m):
         a = rng.normal(size=n)
         rel = rng.choice(["<=", ">=", "="]) if family == "feasible" else rng.choice(["<=", ">="])
@@ -94,19 +93,21 @@ def random_lp(rng, n_max=5, m_max=8, family="feasible") -> LinearProgram:
         if family == "feasible":
             margin = float(rng.uniform(0.0, 1.0))
             if rel == "<=":
-                cons.append(Constraint(a, "<=", at + margin))
+                at += margin
             elif rel == ">=":
-                cons.append(Constraint(a, ">=", at - margin))
-            else:
-                cons.append(Constraint(a, "=", at))
+                at -= margin
         else:
-            cons.append(Constraint(a, rel, float(rng.uniform(-2.0, 2.0))))
+            at = float(rng.uniform(-2.0, 2.0))
+        rows.append(a)
+        rels.append(str(rel))
+        rhs.append(at)
     if family == "infeasible":
         a = rng.normal(size=n)
         t = float(a @ x0)
-        cons.append(Constraint(a, "<=", t))
-        cons.append(Constraint(a, ">=", t + 1.0 + float(rng.uniform(0, 1))))
-    return LinearProgram(c, np.column_stack([lo, hi]), cons)
+        rows += [a, a]
+        rels += ["<=", ">="]
+        rhs += [t, t + 1.0 + float(rng.uniform(0, 1))]
+    return LinearProgram(c, bounds, np.reshape(rows, (len(rows), n)), rels, rhs)
 
 
 def _chain_rows(rng, n, m_max):

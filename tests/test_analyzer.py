@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from incver.analyzer import (
+    STABLE_TOL,
     AnalyzerVerdict,
     PreactBounds,
     Verdict,
+    _build_program,
     analyze,
     compute_bounds,
 )
-from incver.model import Affine, Network, Relu, ReluId
+from incver.model import Affine, Network, Relu, ReluId, relu_ids
 from incver.props import InputBox, OutputConstraint, Property
 from bound_oracles import (
     brute_force_minimum,
@@ -381,3 +383,143 @@ def test_dimension_errors():
         analyze(net, margin_prop([1.0, 1.0], 0.0, unit_box(2)), {})
     with pytest.raises(ValueError):
         compute_bounds(net, unit_box(3), {})
+
+
+# --------------------------------------------------------------- bounding LP
+
+
+def random_programs(seed, trials):
+    """Random nets, properties and split sets, with the bounds the verifier
+    would hand the LP builder; infeasible regions (no LP) are skipped."""
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
+        hidden = [int(w) for w in rng.integers(1, 6, size=int(rng.integers(1, 4)))]
+        dims = [int(rng.integers(1, 4)), *hidden, int(rng.integers(1, 3))]
+        net = make_net(dims, rng)
+        box = unit_box(dims[0])
+        prop = margin_prop(rng.normal(size=dims[-1]), 0.0, box)
+        rids = relu_ids(net)
+        picked = rng.choice(len(rids), size=int(rng.integers(0, len(rids) // 2 + 1)), replace=False)
+        splits = {rids[k]: ("+" if rng.random() < 0.5 else "-") for k in picked}
+        bounds = path_bounds(net, box, splits, objective=prop.output.c)
+        if not bounds.infeasible:
+            yield net, prop, splits, bounds
+
+
+def reference_program(net, prop, splits, bounds):
+    """The bounding LP written one row at a time, in the builder's order:
+    each layer's affine rows, then unit by unit nothing (inactive), the "="
+    row (active) or the ">=" row and its chord (ambiguous); output rows last."""
+    blocks = net.blocks
+    widths = [W.shape[0] for W, _ in blocks]
+    lo = [prop.input.lower]
+    hi = [prop.input.upper]
+    for i in range(len(widths) - 1):
+        lo += [bounds.pre_lb[i], bounds.post_lb[i]]
+        hi += [bounds.pre_ub[i], bounds.post_ub[i]]
+    lo = np.concatenate(lo + [bounds.out_lb])
+    hi = np.concatenate(hi + [bounds.out_ub])
+    rows, rels, rhs = [], [], []
+
+    def add(entries, rel, value):
+        row = np.zeros(lo.size)
+        for col, coef in entries:
+            row[col] = coef
+        rows.append(row)
+        rels.append(rel)
+        rhs.append(value)
+
+    src_off, src_n = 0, net.input_dim
+    for i, (W, b) in enumerate(blocks):
+        dst = src_off + src_n
+        for r in range(W.shape[0]):
+            add([*zip(range(src_off, src_off + src_n), W[r]), (dst + r, -1.0)], "=", -float(b[r]))
+        if i == len(blocks) - 1:
+            break
+        sign_of = {rid.neuron: s for rid, s in splits.items() if rid.layer == i}
+        for j in range(widths[i]):
+            pre_v, post_v = dst + j, dst + widths[i] + j
+            sign, l, u = sign_of.get(j), lo[pre_v], hi[pre_v]
+            if sign == "-" or (sign is None and u <= STABLE_TOL):
+                continue
+            if sign == "+" or l >= -STABLE_TOL:
+                add([(post_v, 1.0), (pre_v, -1.0)], "=", 0.0)
+                continue
+            add([(post_v, 1.0), (pre_v, -1.0)], ">=", 0.0)
+            slope = u / (u - l)
+            add([(post_v, 1.0), (pre_v, -slope)], "<=", -slope * l)
+        src_off, src_n = dst + widths[i], widths[i]
+    objective = np.zeros(lo.size)
+    objective[lo.size - net.output_dim :] = prop.output.c
+    return objective, np.column_stack([lo, hi]), np.array(rows), rels, np.array(rhs)
+
+
+def test_program_matches_the_row_by_row_reference():
+    # The builder writes A, rel and rhs in blocks of array operations; they
+    # must hold the reference's rows in the reference's order, bit for bit.
+    affine = Network((Affine(np.array([[2.0, -1.0]]), np.array([1.0])),))
+    affine_prop = margin_prop([1.0], 0.5, unit_box(2))
+    no_relu = (affine, affine_prop, {}, compute_bounds(affine, affine_prop.input, {}))
+    built = 0
+    for net, prop, splits, bounds in [no_relu, *random_programs(612, 60)]:
+        lp = _build_program(net, prop, splits, bounds)
+        objective, var_bounds, A, rels, rhs = reference_program(net, prop, splits, bounds)
+        assert lp.objective.tobytes() == objective.tobytes()
+        assert lp.var_bounds.tobytes() == var_bounds.tobytes()
+        assert lp.A.tobytes() == A.tobytes()
+        assert lp.rel.tolist() == rels
+        assert lp.rhs.tobytes() == rhs.tobytes()
+        built += 1
+    assert built >= 30
+
+
+def test_program_layout_feeds_the_crash_basis():
+    # The solver's crash basis takes each "=" row's last nonzero column as
+    # basic (lp module docstring).  The bounding LP must end every "=" row
+    # with -1 or 1 on its own pre, post or output column, never two rows on
+    # one column, and give each ambiguous unit exactly one ">=" and one "<="
+    # row over its own pre and post columns.
+    checked = ambiguous_seen = 0
+    for net, prop, splits, bounds in random_programs(611, 80):
+        lp = _build_program(net, prop, splits, bounds)
+        dims = [net.input_dim] + [W.shape[0] for W, _ in net.blocks]
+        hidden = dims[1:-1]
+        rids = relu_ids(net)
+
+        # columns: input, (pre, post) per ReLU layer, output
+        offset = [dims[0] + 2 * sum(hidden[:i]) for i in range(len(hidden))]
+        pre = {rid: offset[rid.layer] + rid.neuron for rid in rids}
+        post = {rid: pre[rid] + hidden[rid.layer] for rid in rids}
+        n_out_start = lp.num_vars - dims[-1]
+        assert n_out_start == dims[0] + 2 * sum(hidden)
+        stable_on = {
+            rid for rid in rids if bounds.pre(rid)[0] >= -STABLE_TOL and bounds.pre(rid)[1] > STABLE_TOL
+        }
+        active = {rid for rid in rids if splits.get(rid, "+" if rid in stable_on else None) == "+"}
+        ambiguous = {rid for rid in rids if rid not in splits and bounds.is_ambiguous(rid)}
+
+        eq_rows = np.flatnonzero(lp.rel == "=")
+        heads = [int(np.flatnonzero(lp.A[i])[-1]) for i in eq_rows]
+        assert len(set(heads)) == len(heads), "two = rows end on one column"
+        assert set(heads) == (
+            set(pre.values())
+            | {post[rid] for rid in active}
+            | set(range(n_out_start, lp.num_vars))
+        )
+        for i, head in zip(eq_rows, heads):
+            assert abs(lp.A[i, head]) == 1.0
+            if head in post.values():
+                rid = next(r for r in rids if post[r] == head)
+                assert np.flatnonzero(lp.A[i]).tolist() == [pre[rid], post[rid]]
+
+        per_unit = {}
+        for i in np.flatnonzero(lp.rel != "="):
+            cols = np.flatnonzero(lp.A[i]).tolist()
+            rid = next(r for r in rids if post[r] == cols[-1])
+            assert set(cols) <= {pre[rid], post[rid]} and lp.A[i, post[rid]] == 1.0
+            per_unit.setdefault(rid, []).append(str(lp.rel[i]))
+        assert set(per_unit) == ambiguous
+        assert all(sorted(rels) == ["<=", ">="] for rels in per_unit.values())
+        checked += 1
+        ambiguous_seen += len(ambiguous)
+    assert checked >= 40 and ambiguous_seen >= 60

@@ -1,8 +1,12 @@
 """Tests for the command-line interface: exit codes, JSON output, sweeps."""
 
+import concurrent.futures
 import csv
 import json
 import math
+import multiprocessing
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from incver import cli
 from incver.cli import (
     EXIT_ARCH_MISMATCH,
     EXIT_COUNTEREXAMPLE,
@@ -334,6 +339,122 @@ def test_experiment_jobs_matches_serial(tmp_path, capsys):
     assert main(["experiment", "--plan", parallel_plan, "--jobs", "2"]) == EXIT_VERIFIED
     capsys.readouterr()
     assert (serial_dir / "results.csv").read_bytes() == (parallel_dir / "results.csv").read_bytes()
+
+
+# The experiment pool runs whatever cli._run_instance is at submit time;
+# this stand-in kills its worker process on the network named doomed.json.
+_REAL_RUN_INSTANCE = cli._run_instance
+
+
+def _run_instance_or_die(task):
+    if task["network"].endswith("doomed.json"):
+        os._exit(1)
+    return _REAL_RUN_INSTANCE(task)
+
+
+def doomed_plan(tmp_path):
+    doomed = tmp_path / "doomed.json"
+    shutil.copy(FIXTURES / "demo_network.json", doomed)
+    return make_plan(
+        tmp_path,
+        [demo_mode("ivan")],
+        networks=[str(FIXTURES / "demo_network.json"), str(doomed)],
+    )
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the stand-in reaches the workers only when they are forked",
+)
+def test_experiment_survives_a_worker_that_dies(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_run_instance", _run_instance_or_die)
+    plan_path, out_dir = doomed_plan(tmp_path)
+    assert main(["experiment", "--plan", plan_path, "--jobs", "2"]) == EXIT_VERIFIED
+    capsys.readouterr()
+    rows = read_rows(out_dir)
+    assert [r["network"].endswith("doomed.json") for r in rows] == [False, True]
+    assert rows[1]["error"].startswith("BrokenProcessPool")
+    assert rows[1]["second_verdict"] == ""
+    # the healthy task either finished first or was lost with the pool
+    assert rows[0]["error"] == "" or rows[0]["error"].startswith("BrokenProcessPool")
+    summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+    assert summary["instances"] == 2
+    assert summary["errors"] == sum(1 for r in rows if r["error"])
+    assert (out_dir / "scatter.csv").exists()
+
+
+class InlineExecutor:
+    """Stands in for ProcessPoolExecutor: runs each task at submit, starts no process.
+
+    A task on doomed.json fails as if its worker had died.
+    """
+
+    max_workers = []
+
+    def __init__(self, max_workers):
+        InlineExecutor.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, task):
+        future = concurrent.futures.Future()
+        if task["network"].endswith("doomed.json"):
+            future.set_exception(concurrent.futures.process.BrokenProcessPool("worker died"))
+        else:
+            future.set_result(fn(task))
+        return future
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    InlineExecutor.max_workers = []
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    return InlineExecutor
+
+
+def test_experiment_starts_at_most_one_worker_per_task(tmp_path, capsys, inline_pool):
+    plan_path, out_dir = make_plan(tmp_path, [demo_mode("baseline"), demo_mode("ivan")])
+    for jobs, workers in (("2", 2), ("3", 2), ("8", 2)):
+        assert main(["experiment", "--plan", plan_path, "--jobs", jobs]) == EXIT_VERIFIED
+        assert inline_pool.max_workers.pop() == workers
+    assert main(["experiment", "--plan", plan_path, "--jobs", "1"]) == EXIT_VERIFIED
+    assert inline_pool.max_workers == []  # one job runs in process, without a pool
+    capsys.readouterr()
+
+
+def test_experiment_keeps_finished_rows_when_a_task_fails_in_its_worker(
+    tmp_path, capsys, inline_pool
+):
+    plan_path, out_dir = doomed_plan(tmp_path)
+    assert main(["experiment", "--plan", plan_path, "--jobs", "4"]) == EXIT_VERIFIED
+    capsys.readouterr()
+    assert inline_pool.max_workers == [2]
+    rows = read_rows(out_dir)
+    assert rows[0]["error"] == ""
+    assert rows[0]["second_verdict"] == "Verified"
+    assert rows[1]["error"] == "BrokenProcessPool: worker died"
+    assert rows[1]["first_verdict"] == ""
+    assert [rows[1][col] for col in ("network", "mode", "seed")] == [
+        str(tmp_path / "doomed.json"),
+        "ivan",
+        "27",
+    ]
+    summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+    assert (summary["instances"], summary["errors"]) == (2, 1)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_experiment_jobs_below_one_exits_64(tmp_path, capsys, jobs):
+    plan_path, out_dir = make_plan(tmp_path, [demo_mode("ivan")])
+    with pytest.raises(SystemExit) as err:
+        main(["experiment", "--plan", plan_path, "--jobs", jobs])
+    assert err.value.code == EXIT_USAGE
+    assert "--jobs" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_unreadable_network_exits_70(tmp_path, capsys):

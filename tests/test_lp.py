@@ -8,7 +8,7 @@ import pytest
 
 from incver import analyzer
 from incver.heuristics import BaseHeuristic, HeuristicConfig
-from incver.lp import Constraint, LinearProgram, LpError, LpStatus, solve
+from incver.lp import LinearProgram, LpError, LpStatus, solve
 from incver.model import load_network
 from incver.props import load_property
 from incver.verifier import Mode, VerifierConfig, verify
@@ -34,7 +34,9 @@ def test_contradictory_rows_infeasible():
     lp = LinearProgram(
         [1.0],
         box([-10.0, 10.0]),
-        [Constraint(np.array([1.0]), ">=", 1.0), Constraint(np.array([1.0]), "<=", 0.0)],
+        [[1.0], [1.0]],
+        [">=", "<="],
+        [1.0, 0.0],
     )
     assert solve(lp).status is LpStatus.INFEASIBLE
 
@@ -50,7 +52,9 @@ def test_unbounded_detection():
     lp = LinearProgram(
         [1.0],
         np.array([[-np.inf, 5.0]]),
-        [Constraint(np.array([1.0]), "<=", 0.0)],
+        [[1.0]],
+        ["<="],
+        [0.0],
     )
     assert solve(lp).status is LpStatus.UNBOUNDED
 
@@ -59,7 +63,9 @@ def test_equality_row():
     lp = LinearProgram(
         [1.0, 1.0],
         box([0.0, 1.0], [0.0, 1.0]),
-        [Constraint(np.array([1.0, 1.0]), "=", 1.0)],
+        [[1.0, 1.0]],
+        ["="],
+        [1.0],
     )
     out = solve(lp)
     assert out.status is LpStatus.OPTIMAL
@@ -70,7 +76,9 @@ def test_free_variable():
     lp = LinearProgram(
         [1.0, 1.0],
         np.array([[-np.inf, np.inf], [0.0, 1.0]]),
-        [Constraint(np.array([1.0, 1.0]), ">=", 2.0)],
+        [[1.0, 1.0]],
+        [">="],
+        [2.0],
     )
     out = solve(lp)
     assert out.status is LpStatus.OPTIMAL
@@ -81,7 +89,9 @@ def test_fixed_variable_respected():
     lp = LinearProgram(
         [-1.0, 1.0],
         box([0.5, 0.5], [0.0, 2.0]),
-        [Constraint(np.array([1.0, 1.0]), ">=", 1.0)],
+        [[1.0, 1.0]],
+        [">="],
+        [1.0],
     )
     out = solve(lp)
     assert out.status is LpStatus.OPTIMAL
@@ -176,7 +186,7 @@ def test_objective_scaling():
         if out.status is not LpStatus.OPTIMAL:
             continue
         lam = float(rng.uniform(0.5, 4.0))
-        scaled = LinearProgram(lam * lp.objective, lp.var_bounds, lp.constraints)
+        scaled = LinearProgram(lam * lp.objective, lp.var_bounds, lp.A, lp.rel, lp.rhs)
         out2 = solve(scaled)
         assert out2.status is LpStatus.OPTIMAL
         assert abs(out2.value - lam * out.value) <= 1e-6 * max(1.0, abs(lam * out.value))
@@ -191,8 +201,16 @@ def test_redundant_constraint_no_effect():
             continue
         # sum of x is at most the sum of upper bounds: implied by the box
         n = lp.num_vars
-        red = Constraint(np.ones(n), "<=", float(np.sum(lp.var_bounds[:, 1])) + 1.0)
-        out2 = solve(LinearProgram(lp.objective, lp.var_bounds, list(lp.constraints) + [red]))
+        red = float(np.sum(lp.var_bounds[:, 1])) + 1.0
+        out2 = solve(
+            LinearProgram(
+                lp.objective,
+                lp.var_bounds,
+                np.vstack([lp.A, np.ones(n)]),
+                [*lp.rel, "<="],
+                [*lp.rhs, red],
+            )
+        )
         assert out2.status is LpStatus.OPTIMAL
         assert abs(out2.value - out.value) <= 1e-6 * max(1.0, abs(out.value))
 
@@ -212,14 +230,17 @@ def test_determinism():
 def test_degenerate_problem_terminates():
     # many coincident constraints through the origin force degenerate pivots
     n = 4
-    cons = [Constraint(np.ones(n), ">=", 0.0)]
+    rows = [np.ones(n)]
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
-        cons.append(Constraint(e, ">=", 0.0))
-        cons.append(Constraint(e + 0.5, ">=", 0.5 * 0.0))
+        rows += [e, e + 0.5]
     lp = LinearProgram(
-        -np.ones(n), np.column_stack([np.zeros(n), np.ones(n)]), cons
+        -np.ones(n),
+        np.column_stack([np.zeros(n), np.ones(n)]),
+        rows,
+        [">="] * len(rows),
+        np.zeros(len(rows)),
     )
     out = solve(lp)
     assert out.status is LpStatus.OPTIMAL
@@ -234,9 +255,40 @@ def test_iteration_cap_raises():
 
 
 def test_validation_errors():
-    with pytest.raises(ValueError):
-        LinearProgram([], np.zeros((0, 2)))
-    with pytest.raises(ValueError):
-        LinearProgram([1.0], np.array([[0.0, 1.0]]), [Constraint(np.array([1.0, 2.0]), "<=", 0.0)])
-    with pytest.raises(ValueError):
-        LinearProgram([1.0], np.array([[0.0, 1.0]]), [Constraint(np.array([1.0]), "<", 0.0)])
+    unit = [[0.0, 1.0]]
+    cases = [
+        ([], np.zeros((0, 2))),
+        ([1.0], unit, [[1.0, 2.0]], ["<="], [0.0]),
+        ([1.0], unit, [[1.0]], ["<"], [0.0]),
+        # the solver would misread each of these and could return a wrong
+        # OPTIMAL: a NaN row or rhs is never violated, a NaN lower bound
+        # reads as -inf, and crossed infinite bounds read as unbounded
+        ([np.nan], unit),
+        ([np.inf], unit),
+        ([1.0], unit, [[np.nan]], [">="], [0.5]),
+        ([1.0], unit, [[-np.inf]], [">="], [0.5]),
+        ([1.0], unit, [[1.0]], [">="], [np.nan]),
+        ([1.0], unit, [[1.0]], [">="], [np.inf]),
+        ([-1.0], [[np.nan, 1.0]]),
+        ([1.0], [[0.0, np.nan]]),
+        ([1.0], [[np.inf, np.inf]]),
+        ([1.0], [[-np.inf, -np.inf]]),
+    ]
+    for args in cases:
+        with pytest.raises(ValueError):
+            LinearProgram(*args)
+    # infinite bounds on their own side stay legal
+    assert solve(LinearProgram([1.0], [[-np.inf, np.inf]], [[1.0]], [">="], [0.5])).value == 0.5
+
+
+def test_constraints_view_reads_the_arrays():
+    lp = LinearProgram(
+        [1.0, 0.0], box([0.0, 1.0], [0.0, 1.0]), [[1.0, 2.0], [3.0, 4.0]], ["<=", ">="], [5.0, 6.0]
+    )
+    rows = lp.constraints
+    assert [(r.tolist(), rel, rhs) for r, rel, rhs in rows] == [
+        ([1.0, 2.0], "<=", 5.0),
+        ([3.0, 4.0], ">=", 6.0),
+    ]
+    assert all(type(rel) is str and type(rhs) is float for _, rel, rhs in rows)
+    assert LinearProgram([1.0], box([0.0, 1.0])).constraints == ()
