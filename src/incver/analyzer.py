@@ -16,14 +16,18 @@ Two layers of machinery live here:
 
 ``analyze``
     Bounds the region once, with the property's objective so the bounds carry
-    the branching heuristics' ``kappa``; builds one linear program over input,
-    pre-activation, post-activation, and output variables, bounded by those
-    bounds as they are; minimizes the property margin c^T y + d over the
-    triangle relaxation of each ambiguous ReLU; and classifies the region as
-    Verified, Unknown, or Counterexample.  An infeasible region (crossed
-    bounds or an infeasible LP) verifies vacuously.  The verdict hands its
-    bounds on: the verifier picks a split from them and bounds the two
-    children from them, instead of recomputing either.
+    the branching heuristics' ``kappa`` and the objective's propagation lower
+    bound.  When that bound already proves the property and some ReLU is
+    still ambiguous, the region is Verified with no LP.  Otherwise it builds
+    one linear program over input, pre-activation, post-activation, and
+    output variables, bounded by those bounds as they are; minimizes the
+    property margin c^T y + d over the triangle relaxation of each ambiguous
+    ReLU; and classifies the region as Verified, Unknown, or Counterexample.
+    A region with no ambiguous ReLU always gets its LP, which is exact there
+    while propagation is not.  An infeasible region (crossed bounds or an
+    infeasible LP) verifies vacuously.  The verdict hands its bounds on: the
+    verifier picks a split from them and bounds the two children from them,
+    instead of recomputing either.
 """
 
 from __future__ import annotations
@@ -71,10 +75,14 @@ class AnalyzerVerdict:
 
     ``lb_value`` is the proved lower bound on c^T N(x) + d over the region
     (``+inf`` for a vacuously verified empty region, flagged ``infeasible``).
+    It is the LP optimum plus d when an LP ran, and the bounds'
+    ``objective_lb`` plus d when propagation verified the region without
+    one; that bound is at most the LP optimum, so it can be the weaker.
     ``candidate`` is the concrete violating input for Counterexample.
     ``bounds`` are the region's bounds from this call, computed with the
     property's objective so their ``kappa`` is set; the verifier ranks split
-    candidates from them.
+    candidates from them.  ``pivots`` is the LP's simplex pivot count, or
+    None when no LP ran.
     """
 
     status: Verdict
@@ -82,6 +90,7 @@ class AnalyzerVerdict:
     candidate: Optional[np.ndarray] = None
     infeasible: bool = False
     bounds: Optional[PreactBounds] = None
+    pivots: Optional[int] = None
 
 
 @dataclass
@@ -91,6 +100,9 @@ class PreactBounds:
     ``kappa`` (present when an objective was supplied) holds, per ReLU layer,
     the absolute coefficient each pre-activation carries in the objective's
     back-substituted lower bound; the branching heuristics consume it.
+    ``objective_lb`` (present with ``kappa``) is a lower bound on the
+    objective over the region: that back-substituted bound, at least the
+    parent's, and raised to the LP optimum once :func:`analyze` solves one.
     """
 
     pre_lb: list
@@ -101,6 +113,7 @@ class PreactBounds:
     out_ub: np.ndarray
     kappa: Optional[list] = None
     infeasible: bool = False
+    objective_lb: Optional[float] = None
 
     def pre(self, rid: ReluId) -> tuple:
         return float(self.pre_lb[rid.layer][rid.neuron]), float(self.pre_ub[rid.layer][rid.neuron])
@@ -113,6 +126,11 @@ class PreactBounds:
     def is_ambiguous(self, rid: ReluId) -> bool:
         l, u = self.pre(rid)
         return l < -STABLE_TOL and u > STABLE_TOL
+
+    def any_ambiguous(self) -> bool:
+        return any(
+            np.any((l < -STABLE_TOL) & (u > STABLE_TOL)) for l, u in zip(self.pre_lb, self.pre_ub)
+        )
 
     def num_relu_layers(self) -> int:
         return len(self.pre_lb)
@@ -231,19 +249,30 @@ def _one_pass(blocks, box, sign_by_layer, prior):
     return bounds, relax
 
 
-def _objective_kappa(blocks, relax, objective):
-    """Absolute pre-activation coefficients in the objective's lower bound."""
+def _objective_bound(blocks, relax, objective, box):
+    """The objective's back-substituted lower bound over the box, and ``kappa``.
+
+    Walks ``objective @ y`` back through the final relaxations as
+    :func:`_back_substitute` walks a lower bound; ``kappa`` holds the
+    absolute pre-activation coefficients met on the way.
+    """
     n_relu = len(blocks) - 1
-    A = objective @ blocks[n_relu][0]
+    W, b = blocks[n_relu]
+    A = objective @ W
+    c = objective @ b
     kappa = [None] * n_relu
     for j in range(n_relu - 1, -1, -1):
         r = relax[j]
         pos = np.clip(A, 0.0, None)
         neg = np.clip(A, None, 0.0)
+        c = c + neg @ r.mu_up
         A = pos * r.lam_low + neg * r.lam_up
         kappa[j] = np.abs(A)
-        A = A @ blocks[j][0]
-    return kappa
+        W, b = blocks[j]
+        c = c + A @ b
+        A = A @ W
+    lb = np.clip(A, 0.0, None) @ box.lower + np.clip(A, None, 0.0) @ box.upper + c
+    return kappa, float(lb)
 
 
 def compute_bounds(
@@ -257,12 +286,14 @@ def compute_bounds(
 
     ``splits`` maps ReluId to "+" or "-"; one propagation pass applies them
     all.  With an ``objective`` (a vector over the network's outputs) the
-    result also carries ``kappa``.
+    result also carries ``kappa`` and ``objective_lb``.
 
     ``parent`` is the result for the same box under all of ``splits`` but
-    one; the pass is intersected with it, so bounds shrink monotonically
-    along a branching path.  A parent that is already ``infeasible`` is
-    returned unchanged: every region under an empty one is empty.
+    one, computed with the same objective or none; the pass is intersected
+    with it, so bounds shrink monotonically along a branching path, and
+    ``objective_lb`` never falls below the parent's.  A parent that is
+    already ``infeasible`` is returned unchanged: every region under an
+    empty one is empty.
 
     If a split empties the region (bounds cross), the result is flagged
     ``infeasible``; callers verify such regions vacuously.
@@ -286,7 +317,10 @@ def compute_bounds(
         arr[rid.neuron] = 1.0 if sign == "+" else -1.0
     bounds, relax = _one_pass(blocks, box, sign_by_layer, parent)
     if objective is not None:
-        bounds.kappa = _objective_kappa(blocks, relax, objective)
+        bounds.kappa, lb = _objective_bound(blocks, relax, objective, box)
+        if parent is not None and parent.objective_lb is not None:
+            lb = max(lb, parent.objective_lb)
+        bounds.objective_lb = lb
     return bounds
 
 
@@ -375,7 +409,11 @@ def analyze(net: Network, prop: Property, splits: dict, parent=None) -> Analyzer
     Returns Verified when the proved lower bound is nonnegative (or the
     region is empty, flagged ``infeasible``), Counterexample when the LP
     minimizer's input block concretely violates the property, and Unknown
-    when the relaxation's minimum is negative but spurious.
+    when the relaxation's minimum is negative but spurious.  The LP is
+    skipped, and the verdict's ``pivots`` left None, only where the bounds'
+    ``objective_lb`` plus d is already nonnegative and some ReLU is still
+    ambiguous; after an LP, ``objective_lb`` is raised to its optimum so the
+    region's children start from it.
 
     Raises :class:`AnalyzerError` on solver failure; a verdict is never
     fabricated from a broken solve.
@@ -383,19 +421,26 @@ def analyze(net: Network, prop: Property, splits: dict, parent=None) -> Analyzer
     bounds = compute_bounds(net, prop.input, splits, objective=prop.output.c, parent=parent)
     if bounds.infeasible:
         return AnalyzerVerdict(Verdict.VERIFIED, math.inf, infeasible=True, bounds=bounds)
+    lb = bounds.objective_lb + prop.output.d
+    if lb >= 0.0 and bounds.any_ambiguous():
+        return AnalyzerVerdict(Verdict.VERIFIED, float(lb), bounds=bounds)
     program = _build_program(net, prop, splits, bounds)
     try:
         out = solve(program)
     except Exception as exc:
         raise AnalyzerError(f"bounding LP failed: {exc}") from exc
+    pivots = out.iterations
     if out.status is LpStatus.INFEASIBLE:
-        return AnalyzerVerdict(Verdict.VERIFIED, math.inf, infeasible=True, bounds=bounds)
+        return AnalyzerVerdict(
+            Verdict.VERIFIED, math.inf, infeasible=True, bounds=bounds, pivots=pivots
+        )
     if out.status is not LpStatus.OPTIMAL:
         raise AnalyzerError(f"bounding LP reported {out.status}; region bounds missing")
+    bounds.objective_lb = max(bounds.objective_lb, float(out.value))
     lb = float(out.value + prop.output.d)
     if lb >= 0.0:
-        return AnalyzerVerdict(Verdict.VERIFIED, lb, bounds=bounds)
+        return AnalyzerVerdict(Verdict.VERIFIED, lb, bounds=bounds, pivots=pivots)
     candidate = prop.input.clip(out.point[: net.input_dim])
     if not holds_concretely(prop, net, candidate):
-        return AnalyzerVerdict(Verdict.COUNTEREXAMPLE, lb, candidate, bounds=bounds)
-    return AnalyzerVerdict(Verdict.UNKNOWN, lb, bounds=bounds)
+        return AnalyzerVerdict(Verdict.COUNTEREXAMPLE, lb, candidate, bounds=bounds, pivots=pivots)
+    return AnalyzerVerdict(Verdict.UNKNOWN, lb, bounds=bounds, pivots=pivots)

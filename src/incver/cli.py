@@ -14,8 +14,11 @@ import dataclasses
 import itertools
 import json
 import logging
+import multiprocessing
 import os
+import signal
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -354,23 +357,74 @@ def _run_instance(task: dict) -> dict:
     }
 
 
-def _run_tasks(tasks: list, jobs: int) -> list:
-    """Run the tasks; with ``jobs > 1`` in a pool of at most one worker per task.
+# Set in each pool worker: the pool's shared marks, 1 once a task has started,
+# and the index of the task this worker last started.
+_running = None
+_task = None
 
-    A task whose worker raised or died (a dead worker breaks the pool, and the
-    tasks still pending fail with it) becomes a row whose error names the
-    exception; the tasks that finished keep their rows.
+
+def _start_worker(running) -> None:
+    """Pool initializer: a worker the pool stops clears its task's running mark."""
+    global _running
+    _running = running
+    signal.signal(signal.SIGTERM, _stopped_by_pool)
+
+
+def _stopped_by_pool(signum, frame) -> None:
+    """SIGTERM handler: the pool is stopping this worker, so its task did not break it."""
+    if _task is not None:
+        _running[_task] = 0
+    signal.signal(signum, signal.SIG_DFL)
+    os.kill(os.getpid(), signum)
+
+
+def _run_marked(index: int, task: dict) -> dict:
+    """Run one task in a pool worker, marked as running."""
+    global _task
+    _task = index
+    _running[index] = 1
+    return _run_instance(task)
+
+
+def _run_pool(tasks: list, jobs: int) -> tuple:
+    """Run the tasks in one pool of at most one worker per task.
+
+    Returns their outcomes, a failed task's being a row whose error names the
+    exception, and the indices of the tasks a broken pool took down: those
+    not running in a worker that died on its own (a dead worker breaks the
+    pool, which fails every unfinished task and stops the other workers).
     """
-    if jobs == 1 or not tasks:
-        return [_run_instance(t) for t in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        futures = [pool.submit(_run_instance, t) for t in tasks]
-    outcomes = []
-    for task, future in zip(tasks, futures):
+    running = multiprocessing.RawArray("b", len(tasks))
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=min(jobs, len(tasks)), initializer=_start_worker, initargs=(running,)
+    ) as pool:
+        futures = [pool.submit(_run_marked, i, t) for i, t in enumerate(tasks)]
+    outcomes, lost = [], []
+    for i, (task, future) in enumerate(zip(tasks, futures)):
         try:
             outcomes.append(future.result())
         except Exception as exc:
             outcomes.append(_failed(task, exc))
+            if isinstance(exc, BrokenProcessPool) and not running[i]:
+                lost.append(i)
+    return outcomes, lost
+
+
+def _run_tasks(tasks: list, jobs: int) -> list:
+    """Run the tasks; with ``jobs > 1`` in a pool of at most one worker per task.
+
+    A task whose worker raised or died becomes a row whose error names the
+    exception; the tasks that finished keep their rows.  The tasks a dead
+    worker's broken pool took down with it are run again, once, in one
+    fresh pool.
+    """
+    if jobs == 1 or not tasks:
+        return [_run_instance(t) for t in tasks]
+    outcomes, lost = _run_pool(tasks, jobs)
+    if lost:
+        again, _ = _run_pool([tasks[i] for i in lost], jobs)
+        for i, outcome in zip(lost, again):
+            outcomes[i] = outcome
     return outcomes
 
 

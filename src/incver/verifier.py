@@ -85,7 +85,9 @@ class RunMetrics:
         branchings == internal_final - internal_initial
 
     because every starting leaf and every created node is bounded exactly
-    once, and every split adds one internal node.
+    once, and every split adds one internal node.  lps counts the boundings
+    that solved an LP (the others were settled by bound propagation alone)
+    and pivots sums those LPs' simplex pivots.
     """
 
     boundings: int
@@ -94,6 +96,8 @@ class RunMetrics:
     nodes_initial: int
     nodes_final: int
     leaves_final: int
+    lps: int
+    pivots: int
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
@@ -118,6 +122,9 @@ class DeltaBound:
     unchanged and its objective shifts by at most |c|_2 * |E|_F * eta.
     ``eta`` upper-bounds the 2-norm of the activations feeding the final
     layer over the whole input box; ``lb_min`` is the weakest leaf bound.
+    A leaf that bound propagation verified without an LP records that
+    bound, which is at most the leaf's LP optimum: the radius stays sound,
+    but it can be smaller than the LP optima alone would give.
     A degenerate eta of zero makes every perturbation harmless, reported
     as delta = inf.
     """
@@ -184,6 +191,8 @@ def verify(
 
     boundings = 0
     branchings = 0
+    lps = 0
+    pivots = 0
 
     def finish(verdict: RunVerdict, **extra) -> RunResult:
         metrics = RunMetrics(
@@ -193,6 +202,8 @@ def verify(
             nodes_initial=nodes_initial,
             nodes_final=tree.num_nodes(),
             leaves_final=tree.num_leaves(),
+            lps=lps,
+            pivots=pivots,
         )
         return RunResult(verdict, tree, metrics, **extra)
 
@@ -221,6 +232,9 @@ def verify(
             parent = parent_bounds(nid) if tree.branching == "relu" else None
             res = analyze(net, node_prop, assignment, parent=parent)
             boundings += 1
+            if res.pivots is not None:
+                lps += 1
+                pivots += res.pivots
             node = tree.node(nid)
             node.lb = res.lb_value
             node.status = NodeStatus(res.status.value)
@@ -328,8 +342,10 @@ def delta_bound(net: Network, prop: Property, tree: SpecTree) -> DeltaBound:
 
     Requires a Verified run's tree: every leaf carries a recorded lower
     bound and none is negative (else ValueError: such a tree proves
-    nothing).  eta is computed from this network's bounds over the unsplit
-    root region, so it dominates every leaf subregion.
+    nothing).  A leaf's bound is its LP optimum or, where propagation
+    verified the leaf without an LP, the weaker propagation bound (see
+    :class:`DeltaBound`).  eta is computed from this network's bounds over
+    the unsplit root region, so it dominates every leaf subregion.
     """
     leaf_lbs = []
     for nid in leaves(tree):

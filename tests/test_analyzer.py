@@ -14,6 +14,7 @@ from incver.analyzer import (
     analyze,
     compute_bounds,
 )
+from incver.lp import LpStatus, solve
 from incver.model import Affine, Network, Relu, ReluId, relu_ids
 from incver.props import InputBox, OutputConstraint, Property
 from bound_oracles import (
@@ -252,7 +253,16 @@ def test_monotone_under_splitting():
         splits = {}
         parent = analyze(net, prop, splits)
         for _ in range(4):
-            b = path_bounds(net, prop.input, splits)
+            # children start from the parent verdict's bounds, as in the
+            # verifier; their intervals are path_bounds', bit for bit
+            b = parent.bounds
+            want = path_bounds(net, prop.input, splits)
+            for name in ("pre_lb", "pre_ub", "post_lb", "post_ub"):
+                got_layers, want_layers = getattr(b, name), getattr(want, name)
+                assert [a.tobytes() for a in got_layers] == [a.tobytes() for a in want_layers]
+            assert b.out_lb.tobytes() == want.out_lb.tobytes()
+            assert b.out_ub.tobytes() == want.out_ub.tobytes()
+            assert b.infeasible == want.infeasible
             amb = [
                 ReluId(i, j)
                 for i in range(b.num_relu_layers())
@@ -350,6 +360,91 @@ def test_fully_split_matches_region_oracle():
             assert got.lb_value == pytest.approx(want, abs=1e-6)
             compared += 1
     assert compared >= 20
+
+
+def region_grid_minimum(net, prop, splits):
+    """Minimum of c^T N(x) + d over the grid points inside the split region,
+    or None when no grid point lies in it."""
+    best = None
+    for x in grid_points(prop.input, total=2_500):
+        pre, out = forward_with_preacts(net, x)
+        if all((pre[r.layer][r.neuron] >= 0) == (s == "+") for r, s in splits.items()):
+            m = prop.output.margin(out)
+            best = m if best is None else min(best, m)
+    return best
+
+
+def test_propagation_verdicts_are_sound():
+    # A region verified without an LP (pivots None) records the propagation
+    # bound, at least its parent's: nonnegative, below every grid point's
+    # margin in the region, and no tighter than the region's own LP.
+    rng = np.random.default_rng(59)
+    skipped = 0
+
+    def check(net, prop, splits, v):
+        nonlocal skipped
+        if v.status is not Verdict.VERIFIED or v.pivots is not None or v.infeasible:
+            return
+        skipped += 1
+        assert v.lb_value >= 0.0
+        grid_min = region_grid_minimum(net, prop, splits)
+        if grid_min is not None:
+            assert v.lb_value <= grid_min + 1e-9
+        out = solve(_build_program(net, prop, splits, v.bounds))
+        assert out.status is LpStatus.OPTIMAL
+        assert v.lb_value <= out.value + prop.output.d + 1e-9
+
+    for trial in range(40):
+        net = make_net([2, 3, 3, 1], rng)
+        c = np.array([1.0])
+        box = unit_box(2)
+        p0 = compute_bounds(net, box, {}, objective=c).objective_lb
+        g0 = region_grid_minimum(net, margin_prop(c, 0.0, box), {})
+        # from "propagation proves the root" (t < 0) to "the root is Unknown"
+        t = float(rng.uniform(-1.0, 1.0))
+        prop = margin_prop(c, -(p0 + t * (g0 - p0)), box)
+        splits, v = {}, analyze(net, prop, {})
+        check(net, prop, splits, v)
+        for _ in range(5):
+            amb = [rid for rid in relu_ids(net) if v.bounds.is_ambiguous(rid)]
+            if v.status is not Verdict.UNKNOWN or not amb:
+                break
+            rid = amb[int(rng.integers(len(amb)))]
+            children = []
+            for sign in "+-":
+                child_splits = {**splits, rid: sign}
+                child = analyze(net, prop, child_splits, parent=v.bounds)
+                check(net, prop, child_splits, child)
+                children.append((child_splits, child))
+            unknown = [pair for pair in children if pair[1].status is Verdict.UNKNOWN]
+            if not unknown:
+                break
+            splits, v = unknown[int(rng.integers(len(unknown)))]
+    assert skipped >= 20
+
+
+def test_fully_split_region_solves_its_lp():
+    # With no ambiguous unit left the LP is exact and propagation is not, so
+    # the LP runs even where the propagation bound alone would verify.
+    rng = np.random.default_rng(61)
+    tighter = 0
+    for trial in range(18):
+        net = make_net([2, 2, 1], rng)
+        c = np.array([1.0])
+        for pat_bits in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
+            splits = {ReluId(0, j): ("+" if pat_bits[j] > 0 else "-") for j in range(2)}
+            bounds = compute_bounds(net, unit_box(2), splits, objective=c)
+            if bounds.infeasible:
+                continue
+            prop = margin_prop(c, -bounds.objective_lb, unit_box(2))  # propagation lb + d == 0
+            v = analyze(net, prop, splits)
+            if v.infeasible:
+                continue
+            assert v.pivots is not None
+            want = region_minimum(net, prop, [np.array(pat_bits, dtype=float)])
+            assert v.lb_value == pytest.approx(want, abs=1e-6)
+            tighter += v.lb_value > 1e-6
+    assert tighter >= 10
 
 
 def test_root_lb_never_above_brute_force_minimum():

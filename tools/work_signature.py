@@ -4,20 +4,21 @@ Builds the instances of a benchmark workload with ``perfbench/workloads.py``
 and runs ``verify_incremental`` on each of them in all four modes, with the
 configurations ``perfbench/run.py`` uses.  It prints, per mode and in total:
 
-* boundings and branchings (from the runs' metrics);
+* boundings, branchings, LPs solved and their summed pivots (from the
+  runs' metrics);
 * propagation passes, counted by wrapping the analyzer's per-pass function
   from outside the package;
-* LPs solved and their summed pivots (``LpOutcome.iterations``), counted by
-  wrapping the analyzer's ``solve`` the same way;
 * a SHA-256 over every run's verdict, counts, counterexample bytes and each
   tree node's ``(id, lb.hex())``;
-* an LP digest: a SHA-256 over every program handed to ``solve``, its
-  ``objective`` and ``var_bounds`` bytes and, row by row of its
-  ``constraints``, ``(row.tobytes(), rel, rhs.hex())``.
+* a verdict digest: a SHA-256 over every run's verdict alone;
+* an LP digest: a SHA-256 over every program handed to ``solve`` (wrapped
+  the same way), its ``objective`` and ``var_bounds`` bytes and, row by row
+  of its ``constraints``, ``(row.tobytes(), rel, rhs.hex())``.
 
 Two commits that print the same digests did the same search and proved the
 same bounds, bit for bit; the same LP digests mean they solved the same
-programs, row for row.  Run from the repository root:
+programs, row for row.  A change that only records different lower bounds
+keeps the verdict digest.  Run from the repository root:
 
     python3 tools/work_signature.py --workload quant-8x6 --seed 1
 
@@ -81,11 +82,13 @@ def signature(workload: str, seed: int) -> dict:
             "lps": 0,
             "pivots": 0,
             "sha": hashlib.sha256(),
+            "verdict_sha": hashlib.sha256(),
             "lp_sha": hashlib.sha256(),
         }
         for mode in Mode
     }
     total = hashlib.sha256()
+    verdict_total = hashlib.sha256()
     lp_total = hashlib.sha256()
     # count propagation passes by wrapping the analyzer's per-pass function
     one_pass = analyzer._one_pass
@@ -95,22 +98,19 @@ def signature(workload: str, seed: int) -> dict:
         passes[0] += 1
         return one_pass(*args)
 
-    # count and digest the LPs by wrapping the analyzer's solver the same way;
-    # ``row`` is the current mode's counters, rebound by the loop below
+    # digest the LPs by wrapping the analyzer's solver the same way; ``row``
+    # is the current mode's counters, rebound by the loop below
     lp_solve = analyzer.solve
     row = None
 
-    def counted_solve(lp, **kwargs):
-        out = lp_solve(lp, **kwargs)
+    def digested_solve(lp, **kwargs):
         bits = lp_digest(lp)
-        row["lps"] += 1
-        row["pivots"] += out.iterations
         row["lp_sha"].update(bits)
         lp_total.update(bits)
-        return out
+        return lp_solve(lp, **kwargs)
 
     analyzer._one_pass = counted_pass
-    analyzer.solve = counted_solve
+    analyzer.solve = digested_solve
     try:
         for inst in instances:
             for mode, cfg in configs.items():
@@ -119,16 +119,19 @@ def signature(workload: str, seed: int) -> dict:
                 pair = verify_incremental(inst.original, inst.updated, inst.prop, cfg)
                 row["passes"] += passes[0] - before
                 for res in pair:
-                    row["boundings"] += res.metrics.boundings
-                    row["branchings"] += res.metrics.branchings
+                    for key in ("boundings", "branchings", "lps", "pivots"):
+                        row[key] += getattr(res.metrics, key)
                     bits = run_digest(res)
                     row["sha"].update(bits)
                     total.update(bits)
+                    row["verdict_sha"].update(res.verdict.value.encode())
+                    verdict_total.update(res.verdict.value.encode())
     finally:
         analyzer._one_pass = one_pass
         analyzer.solve = lp_solve
+    digests = ("sha", "verdict_sha", "lp_sha")
     modes = {
-        name: {**row, "sha": row["sha"].hexdigest(), "lp_sha": row["lp_sha"].hexdigest()}
+        name: {**row, **{key: row[key].hexdigest() for key in digests}}
         for name, row in per_mode.items()
     }
     return {
@@ -141,6 +144,7 @@ def signature(workload: str, seed: int) -> dict:
         "lps": sum(r["lps"] for r in modes.values()),
         "pivots": sum(r["pivots"] for r in modes.values()),
         "sha256": total.hexdigest(),
+        "verdict_sha256": verdict_total.hexdigest(),
         "lp_sha256": lp_total.hexdigest(),
         "modes": modes,
     }
@@ -152,12 +156,17 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, required=True)
     args = p.parse_args(argv)
     sig = signature(args.workload, args.seed)
-    total = {**sig, "sha": sig["sha256"], "lp_sha": sig["lp_sha256"]}
+    total = {
+        **sig,
+        "sha": sig["sha256"],
+        "verdict_sha": sig["verdict_sha256"],
+        "lp_sha": sig["lp_sha256"],
+    }
     for name, row in [*sig["modes"].items(), ("total", total)]:
         print(
             f"{name:9s} boundings {row['boundings']:5d}  branchings {row['branchings']:4d}  "
             f"passes {row['passes']:5d}  lps {row['lps']:5d}  pivots {row['pivots']:6d}  "
-            f"sha256 {row['sha'][:16]}  lp {row['lp_sha'][:16]}"
+            f"sha256 {row['sha'][:16]}  verdicts {row['verdict_sha'][:16]}  lp {row['lp_sha'][:16]}"
         )
     print(json.dumps(sig))
     return 0
