@@ -6,13 +6,16 @@ Two layers of machinery live here:
     Interval bounds for every pre- and post-activation, tightened by symbolic
     back-substitution through the network (each ReLU gets per-neuron linear
     lower/upper relaxations, and concrete bounds come from pushing those back
-    to the input box).  Split decisions restrict ReLUs to one sign.  One
-    propagation pass bounds a region; given the bounds of the region's parent
-    (the same box under all splits but one) the pass is intersected with
-    them, so every per-neuron interval at a child node is a subset of its
-    parent's.  That gives the verifier its monotonicity guarantee (child
-    lower bounds never fall below the parent's beyond solver tolerance) and
-    makes root-derived norms sound for every descendant region.
+    to the input box).  One walk, ``_lower_bound``, does every
+    back-substitution: each upper bound is the negated lower bound of the
+    negated rows, and the objective's bound and ``kappa`` come from the same
+    walk.  Split decisions restrict ReLUs to one sign.  One propagation pass
+    bounds a region; given the bounds of the region's parent (the same box
+    under all splits but one) the pass is intersected with them, so every
+    per-neuron interval at a child node is a subset of its parent's.  That
+    gives the verifier its monotonicity guarantee (child lower bounds never
+    fall below the parent's beyond solver tolerance) and makes root-derived
+    norms sound for every descendant region.
 
 ``analyze``
     Bounds the region once, with the property's objective so the bounds carry
@@ -153,48 +156,52 @@ class _Relaxation(NamedTuple):
     mu_up: np.ndarray
 
 
-def _back_substitute(blocks, relax, upto, box, want_upper):
-    """Concrete bound for block ``upto``'s affine output via back-substitution.
+def _lower_bound(blocks, relax, A, c, upto, box):
+    """Lower bound of ``A @ z + c`` over the region, where z is block ``upto``'s input.
 
-    Walks the expression A x + c from block ``upto`` back to the input box,
-    replacing each post-activation with its linear relaxation (choosing the
-    side that preserves the bound's direction for each coefficient sign).
+    Walks the expression back to the input box, replacing each
+    post-activation with the side of its linear relaxation that keeps the
+    bound's direction for each coefficient's sign.  Returns the bound and,
+    per ReLU layer, the pre-activation coefficients met on the way.  An upper
+    bound is the negated lower bound of the negated rows.
     """
-    A, b = blocks[upto]
-    c = b.copy()
+    coefs = [None] * upto
     for j in range(upto - 1, -1, -1):
         pos = np.clip(A, 0.0, None)
         neg = np.clip(A, None, 0.0)
         r = relax[j]
-        if want_upper:
-            c = c + pos @ r.mu_up
-            A = pos * r.lam_up + neg * r.lam_low
-        else:
-            c = c + neg @ r.mu_up
-            A = pos * r.lam_low + neg * r.lam_up
+        c = c + neg @ r.mu_up
+        A = pos * r.lam_low + neg * r.lam_up
+        coefs[j] = A
         Wj, bj = blocks[j]
         c = c + A @ bj
         A = A @ Wj
-    pos = np.clip(A, 0.0, None)
-    neg = np.clip(A, None, 0.0)
-    if want_upper:
-        return pos @ box.upper + neg @ box.lower + c
-    return pos @ box.lower + neg @ box.upper + c
+    return np.clip(A, 0.0, None) @ box.lower + np.clip(A, None, 0.0) @ box.upper + c, coefs
+
+
+def _interval(blocks, relax, upto, box):
+    """Block ``upto``'s affine output bounds: two walks, one per side."""
+    W, b = blocks[upto]
+    lower = _lower_bound(blocks, relax, W, b, upto, box)[0]
+    return lower, -_lower_bound(blocks, relax, -W, -b, upto, box)[0]
 
 
 def _one_pass(blocks, box, sign_by_layer, prior):
     """One full propagation pass, intersected with ``prior`` layer by layer.
 
+    Each interval comes from :func:`_lower_bound`, once on the block's rows
+    and once on their negation for the upper side.  Only the pre-activation
+    and output intervals are intersected: with nested pre-activation
+    intervals, post = max(pre, 0) (a "-" unit pinned to [0, 0]) nests too.
     Returns (PreactBounds-without-kappa, relaxations) so the caller can run
-    an objective walk against the final relaxations.
+    the objective's walk against the final relaxations.
     """
     n_relu = len(blocks) - 1
     relax = []
     pre_lb, pre_ub, post_lb, post_ub = [], [], [], []
     infeasible = False
     for i in range(n_relu):
-        l = _back_substitute(blocks, relax, i, box, want_upper=False)
-        u = _back_substitute(blocks, relax, i, box, want_upper=True)
+        l, u = _interval(blocks, relax, i, box)
         if prior is not None:
             l = np.maximum(l, prior.pre_lb[i])
             u = np.minimum(u, prior.pre_ub[i])
@@ -223,12 +230,6 @@ def _one_pass(blocks, box, sign_by_layer, prior):
 
         p_lo = np.maximum(l, 0.0)
         p_hi = np.maximum(u, 0.0)
-        if prior is not None:
-            p_lo = np.maximum(p_lo, prior.post_lb[i])
-            p_hi = np.minimum(p_hi, prior.post_ub[i])
-            if np.any(p_lo > p_hi + CROSS_TOL):
-                infeasible = True
-            p_hi = np.maximum(p_hi, p_lo)
         if signs is not None:  # a "-" unit outputs 0, even where l is up to CROSS_TOL above 0
             p_lo = np.where(signs < 0, 0.0, p_lo)
             p_hi = np.where(signs < 0, 0.0, p_hi)
@@ -237,8 +238,7 @@ def _one_pass(blocks, box, sign_by_layer, prior):
         post_lb.append(p_lo)
         post_ub.append(p_hi)
 
-    out_l = _back_substitute(blocks, relax, n_relu, box, want_upper=False)
-    out_u = _back_substitute(blocks, relax, n_relu, box, want_upper=True)
+    out_l, out_u = _interval(blocks, relax, n_relu, box)
     if prior is not None:
         out_l = np.maximum(out_l, prior.out_lb)
         out_u = np.minimum(out_u, prior.out_ub)
@@ -247,32 +247,6 @@ def _one_pass(blocks, box, sign_by_layer, prior):
         out_u = np.maximum(out_u, out_l)
     bounds = PreactBounds(pre_lb, pre_ub, post_lb, post_ub, out_l, out_u, None, infeasible)
     return bounds, relax
-
-
-def _objective_bound(blocks, relax, objective, box):
-    """The objective's back-substituted lower bound over the box, and ``kappa``.
-
-    Walks ``objective @ y`` back through the final relaxations as
-    :func:`_back_substitute` walks a lower bound; ``kappa`` holds the
-    absolute pre-activation coefficients met on the way.
-    """
-    n_relu = len(blocks) - 1
-    W, b = blocks[n_relu]
-    A = objective @ W
-    c = objective @ b
-    kappa = [None] * n_relu
-    for j in range(n_relu - 1, -1, -1):
-        r = relax[j]
-        pos = np.clip(A, 0.0, None)
-        neg = np.clip(A, None, 0.0)
-        c = c + neg @ r.mu_up
-        A = pos * r.lam_low + neg * r.lam_up
-        kappa[j] = np.abs(A)
-        W, b = blocks[j]
-        c = c + A @ b
-        A = A @ W
-    lb = np.clip(A, 0.0, None) @ box.lower + np.clip(A, None, 0.0) @ box.upper + c
-    return kappa, float(lb)
 
 
 def compute_bounds(
@@ -317,10 +291,12 @@ def compute_bounds(
         arr[rid.neuron] = 1.0 if sign == "+" else -1.0
     bounds, relax = _one_pass(blocks, box, sign_by_layer, parent)
     if objective is not None:
-        bounds.kappa, lb = _objective_bound(blocks, relax, objective, box)
+        W, b = blocks[-1]
+        lb, coefs = _lower_bound(blocks, relax, objective @ W, objective @ b, len(blocks) - 1, box)
+        bounds.kappa = [np.abs(a) for a in coefs]
         if parent is not None and parent.objective_lb is not None:
             lb = max(lb, parent.objective_lb)
-        bounds.objective_lb = lb
+        bounds.objective_lb = float(lb)
     return bounds
 
 
@@ -434,8 +410,6 @@ def analyze(net: Network, prop: Property, splits: dict, parent=None) -> Analyzer
         return AnalyzerVerdict(
             Verdict.VERIFIED, math.inf, infeasible=True, bounds=bounds, pivots=pivots
         )
-    if out.status is not LpStatus.OPTIMAL:
-        raise AnalyzerError(f"bounding LP reported {out.status}; region bounds missing")
     bounds.objective_lb = max(bounds.objective_lb, float(out.value))
     lb = float(out.value + prop.output.d)
     if lb >= 0.0:

@@ -10,12 +10,16 @@ A program is held as arrays: the objective, the variable bounds, an
 ``(m, n)`` row matrix ``A``, the row relations ``rel`` and the right-hand
 sides ``rhs``.  :func:`solve` reads them as they are; ``constraints`` is a
 derived ``(row, rel, rhs)`` view for readers that want rows one at a time.
-The constructor rejects NaN and infinite coefficients and NaN or inverted
-infinite bounds, so the solver never sees a program it would misread.
+The constructor rejects NaN and infinite entries, bounds included, so the
+solver never sees a program it would misread.
 
-The solver handles general variable bounds ``lo <= x <= hi`` with either side
-possibly infinite, and rows with relations ``<=``, ``=``, ``>=``.  It runs the
-classic two phases from a crash start basis:
+The solver handles finite variable bounds ``lo <= x <= hi`` and rows with
+relations ``<=``, ``=``, ``>=``.  Every structural column sits at a finite
+bound while nonbasic, and the feasible region is a polytope, so there is no
+unbounded outcome: a program is optimal or infeasible.  A program with no
+rows has no basis, and phase 2 below moves each column to the bound its
+cost prefers by bound flips.  It runs the classic two phases from a crash
+start basis:
 
 1. Each ``=`` row takes as basic its last nonzero structural column, unless
    that coefficient is below the pivot tolerance or an earlier row took the
@@ -43,9 +47,9 @@ cost); after a run of degenerate pivots the rule switches to Bland's rule
 tie-breaks are by lowest index, so identical inputs produce identical pivot
 sequences, outcomes, and points.
 
-Numerical failure (iteration cap, singular basis, a final solution that does
-not verify feasible) raises :class:`LpError`; the solver never returns a
-wrong ``OPTIMAL`` silently.
+Numerical failure (iteration cap, singular basis, an entering column that
+no row blocks, a final solution that does not verify feasible) raises
+:class:`LpError`; the solver never returns a wrong ``OPTIMAL`` silently.
 """
 
 from __future__ import annotations
@@ -72,7 +76,6 @@ class LpError(RuntimeError):
 class LpStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +87,7 @@ class LinearProgram:
     objective : (n,) array
         Cost vector; the solver minimizes.
     var_bounds : (n, 2) array
-        Per-variable ``[lo, hi]``; ``lo`` may be ``-inf`` and ``hi`` ``+inf``.
+        Per-variable ``[lo, hi]``, both finite.
     A : (m, n) array, optional
         Row coefficients.  Omitted for a pure box problem (``m = 0``).
     rel : (m,) sequence of str
@@ -92,8 +95,8 @@ class LinearProgram:
     rhs : (m,) array
         Each row's right-hand side.
 
-    Raises ValueError on a shape mismatch, an unknown relation, a NaN or
-    infinite coefficient, or a NaN, ``+inf`` lower or ``-inf`` upper bound.
+    Raises ValueError on a shape mismatch, an unknown relation, or a NaN or
+    infinite coefficient or bound.
     """
 
     objective: np.ndarray
@@ -122,12 +125,9 @@ class LinearProgram:
         unknown = sorted(set(rel.tolist()) - {"<=", "=", ">="})
         if unknown:
             raise ValueError(f"unknown relation {unknown[0]!r}")
-        for name, arr in (("objective", c), ("A", A), ("rhs", rhs)):
+        for name, arr in (("objective", c), ("var_bounds", vb), ("A", A), ("rhs", rhs)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} has a NaN or infinite entry")
-        # each comparison is False for NaN as well
-        if not ((vb[:, 0] < np.inf).all() and (vb[:, 1] > -np.inf).all()):
-            raise ValueError("var_bounds has a NaN, a lower bound of +inf or an upper bound of -inf")
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "var_bounds", vb)
         object.__setattr__(self, "A", A)
@@ -150,9 +150,9 @@ class LpOutcome:
 
     ``value`` and ``point`` are populated only for ``OPTIMAL``; ``point`` is
     the argmin restricted to the program's own variables.  ``iterations``
-    counts the pivots applied in phases 1 and 2, bound flips included; it is
-    0 when the program is solved without the simplex (no rows, or crossed
-    variable bounds).
+    counts the pivots applied in phases 1 and 2, bound flips included, so on
+    a program with no rows it counts the bound flips; it is 0 when crossed
+    variable bounds make the program infeasible before the simplex starts.
     """
 
     status: LpStatus
@@ -163,8 +163,10 @@ class LpOutcome:
 
 # ---------------------------------------------------------------------------
 # internal state codes for each column
-_AT_LOWER, _AT_UPPER, _BASIC, _FREE = 0, 1, 2, 3
+_AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
 
+# pivot-element, feasibility and reduced-cost tolerances
+_PIVOT_TOL, _FEAS_TOL, _OPT_TOL = 1e-9, 1e-7, 1e-9
 _DEGENERATE_STEP = 1e-11
 _BLAND_TRIGGER = 50
 
@@ -178,13 +180,11 @@ class _Tableau:
     of every nonbasic column.
     """
 
-    def __init__(self, A, b, lo, hi, pivot_tol, opt_tol, max_iter):
+    def __init__(self, A, b, lo, hi, max_iter):
         self.A = A
         self.b = b
         self.lo = lo
         self.hi = hi
-        self.pivot_tol = pivot_tol
-        self.opt_tol = opt_tol
         self.max_iter = max_iter
         self.m, self.K = A.shape
         self.T = A.copy()
@@ -209,19 +209,17 @@ class _Tableau:
         except np.linalg.LinAlgError as exc:
             raise LpError("singular basis during refactorization") from exc
 
-    def run(self, cost: np.ndarray) -> str:
-        """Pivot until optimal or unbounded for the given cost vector."""
+    def run(self, cost: np.ndarray) -> None:
+        """Pivot until optimal for the given cost vector."""
         bland = False
         degenerate_run = 0
         while True:
             reduced = cost - cost[self.basis] @ self.T
             enter = self._entering(reduced, bland)
             if enter is None:
-                return "optimal"
+                return
             j, sigma = enter
             t, row = self._ratio_test(j, sigma)
-            if t is None:
-                return "unbounded"
             if self.iterations >= self.max_iter:
                 raise LpError(
                     f"iteration limit {self.max_iter} exceeded; possible cycling"
@@ -233,12 +231,10 @@ class _Tableau:
             self.iterations += 1
 
     def _entering(self, reduced, bland):
-        tol = self.opt_tol
         movable = (self.state != _BASIC) & (self.hi - self.lo > 0)
-        down = movable & (self.state == _AT_LOWER) & (reduced < -tol)
-        up = movable & (self.state == _AT_UPPER) & (reduced > tol)
-        free = movable & (self.state == _FREE) & (np.abs(reduced) > tol)
-        eligible = down | up | free
+        down = movable & (self.state == _AT_LOWER) & (reduced < -_OPT_TOL)
+        up = movable & (self.state == _AT_UPPER) & (reduced > _OPT_TOL)
+        eligible = down | up
         if not eligible.any():
             return None
         if bland:
@@ -246,34 +242,35 @@ class _Tableau:
         else:
             score = np.where(eligible, np.abs(reduced), -1.0)
             j = int(np.argmax(score))
-        sigma = 1.0 if (self.state[j] == _AT_LOWER or reduced[j] < 0) else -1.0
+        sigma = 1.0 if self.state[j] == _AT_LOWER else -1.0
         return j, sigma
 
     def _ratio_test(self, j, sigma):
         """Largest step t >= 0 keeping every basic variable inside its bounds.
 
         Returns (t, blocking_row) where blocking_row is None for a bound
-        flip of the entering variable itself, or (None, None) if unbounded.
-        Ratios are clamped at zero so a basic variable already resting on a
-        bound blocks immediately instead of producing a negative step.
+        flip of the entering variable itself.  Ratios are clamped at zero so
+        a basic variable already resting on a bound blocks immediately
+        instead of producing a negative step.  A step that nothing limits is
+        numerical breakdown on a bounded program, and raises :class:`LpError`.
         """
         delta = sigma * self.T[:, j]
         blo = self.lo[self.basis]
         bhi = self.hi[self.basis]
         ratios = np.full(self.m, np.inf)
-        dec = delta > self.pivot_tol
-        inc = delta < -self.pivot_tol
+        dec = delta > _PIVOT_TOL
+        inc = delta < -_PIVOT_TOL
         with np.errstate(invalid="ignore"):
             ratios[dec] = (self.xb[dec] - blo[dec]) / delta[dec]
             ratios[inc] = (bhi[inc] - self.xb[inc]) / (-delta[inc])
         ratios = np.maximum(ratios, 0.0)
         ratios[~np.isfinite(ratios)] = np.inf
         span = self.hi[j] - self.lo[j]
-        t_rows = float(np.min(ratios)) if self.m else np.inf
-        if span <= t_rows:  # an infinite span here means an infinite t_rows too
-            return (span, None) if np.isfinite(span) else (None, None)
-        if not np.isfinite(t_rows):
-            return None, None
+        t_rows = float(np.min(ratios, initial=np.inf))
+        if span <= t_rows:
+            if not np.isfinite(span):  # a slack or artificial column that no row blocks
+                raise LpError("no row blocks the entering column; numerical breakdown")
+            return span, None
         candidates = np.flatnonzero(ratios <= t_rows + 1e-12)
         return t_rows, int(candidates[np.argmin(self.basis[candidates])])
 
@@ -294,7 +291,7 @@ class _Tableau:
             self.state[leaving] = _AT_UPPER
             self.val[leaving] = self.hi[leaving]
         piv = self.T[row, j]
-        if abs(piv) <= self.pivot_tol:
+        if abs(piv) <= _PIVOT_TOL:
             raise LpError("pivot element vanished; numerical breakdown")
         self.T[row, :] /= piv
         factors = self.T[:, j].copy()
@@ -305,23 +302,11 @@ class _Tableau:
         self.xb[row] = new_val
 
 
-def _box_only_solve(lp: LinearProgram) -> LpOutcome:
-    """Closed-form optimum when there are no rows: each variable sits at the
-    bound its cost prefers (a cost-free one at a finite bound, else 0)."""
-    c = lp.objective
-    lo, hi = lp.var_bounds.T
-    idle = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
-    x = np.where(c > 0, lo, np.where(c < 0, hi, idle))
-    if not np.all(np.isfinite(x)):
-        return LpOutcome(LpStatus.UNBOUNDED)
-    return LpOutcome(LpStatus.OPTIMAL, float(c @ x), x)
-
-
 def _crash(tab: _Tableau, A_rows: np.ndarray, is_eq: np.ndarray) -> np.ndarray:
     """Triangular crash start for the equality rows.
 
     Each "=" row claims its last nonzero structural column when that
-    coefficient exceeds ``pivot_tol`` and no earlier row has claimed the
+    coefficient exceeds the pivot tolerance and no earlier row has claimed the
     column.  Every other nonzero of a claimed row lies in a lower column, so
     taking the claimed columns in increasing order is a forward substitution
     of a triangular basis from the nonbasic start values.  A column whose
@@ -333,7 +318,7 @@ def _crash(tab: _Tableau, A_rows: np.ndarray, is_eq: np.ndarray) -> np.ndarray:
     nonzero = A_rows != 0
     rows = np.flatnonzero(is_eq & nonzero.any(axis=1))
     last = n - 1 - np.argmax(nonzero[rows, ::-1], axis=1)
-    keep = np.abs(A_rows[rows, last]) > tab.pivot_tol
+    keep = np.abs(A_rows[rows, last]) > _PIVOT_TOL
     rows, last = rows[keep], last[keep]
     heads, first = np.unique(last, return_index=True)  # first claim wins
     x = tab.val[:n].copy()
@@ -348,29 +333,20 @@ def _crash(tab: _Tableau, A_rows: np.ndarray, is_eq: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve(
-    lp: LinearProgram,
-    *,
-    pivot_tol: float = 1e-9,
-    feas_tol: float = 1e-7,
-    opt_tol: float = 1e-9,
-    max_iter: Optional[int] = None,
-) -> LpOutcome:
-    """Solve a bounded-variable linear program.
+def solve(lp: LinearProgram, *, max_iter: Optional[int] = None) -> LpOutcome:
+    """Solve a linear program whose variable bounds are all finite.
 
     ``>=`` rows are negated into ``<=`` rows and every inequality row gets a
     slack column, in row order, all as array operations on ``lp.A``.
-    Structural variables start at a finite bound (the lower when there is
-    one) or at 0 when free.  The start basis is the crash basis described in
-    the module docstring, and phase 1 runs only for the rows it leaves
-    without a feasible basic column.
+    Structural variables start at their lower bounds.  The start basis is the
+    crash basis described in the module docstring, and phase 1 runs only for
+    the rows it leaves without a feasible basic column.  A program with no
+    rows goes the same way; its ``iterations`` count the bound flips.
 
     Parameters
     ----------
     lp : LinearProgram
         The program to minimize.
-    pivot_tol, feas_tol, opt_tol : float
-        Pivot-element, feasibility, and reduced-cost tolerances.
     max_iter : int, optional
         Pivot budget across both phases; defaults to ``200 * (rows + cols) +
         1000``.  Exceeding it raises :class:`LpError`.
@@ -380,23 +356,22 @@ def solve(
     LpOutcome
         ``OPTIMAL`` carries the minimum value and an argmin point that has
         been re-solved against the final basis and verified feasible within
-        ``feas_tol`` by one residual ``A @ x - rhs`` over all rows, where a
-        NaN counts as a violation; ``INFEASIBLE`` and ``UNBOUNDED`` carry no
-        point.
+        the feasibility tolerance by one residual ``A @ x - rhs`` over all
+        rows, where a NaN counts as a violation; ``INFEASIBLE`` carries no
+        point.  There is no unbounded outcome.
 
     Raises
     ------
     LpError
-        On iteration exhaustion, singular bases, or a final point that fails
-        the feasibility check.  A wrong answer is never returned silently.
+        On iteration exhaustion, singular bases, an entering column that no
+        row blocks, or a final point that fails the feasibility check.  A
+        wrong answer is never returned silently.
     """
     n = lp.num_vars
     m = lp.rhs.size
     lo_s, hi_s = lp.var_bounds.T
     if np.any(lo_s > hi_s):
         return LpOutcome(LpStatus.INFEASIBLE)
-    if m == 0:
-        return _box_only_solve(lp)
 
     # normalize rows: ">=" becomes "<=" by negation; remember equality rows
     is_ge = lp.rel == ">="
@@ -418,11 +393,8 @@ def solve(
     if max_iter is None:
         max_iter = 200 * (m + K) + 1000
 
-    tab = _Tableau(A, b, lo, hi, pivot_tol, opt_tol, max_iter)
-    # structural columns start at a finite bound (the lower first) or free at 0
-    lo_fin, hi_fin = np.isfinite(lo_s), np.isfinite(hi_s)
-    tab.state[:n] = np.where(lo_fin, _AT_LOWER, np.where(hi_fin, _AT_UPPER, _FREE))
-    tab.val[:n] = np.where(lo_fin, lo_s, np.where(hi_fin, hi_s, 0.0))
+    tab = _Tableau(A, b, lo, hi, max_iter)
+    tab.val[:n] = lo_s  # structural columns start at their lower bounds
     residual = b - A_rows @ _crash(tab, A_rows, is_eq)
 
     # an inequality row starts on its slack when that is feasible; every
@@ -449,16 +421,15 @@ def solve(
 
         phase1_cost = np.zeros(tab.K)
         phase1_cost[K:] = 1.0
-        if tab.run(phase1_cost) == "unbounded":
-            raise LpError("phase 1 reported unbounded; numerical breakdown")
-        if float(phase1_cost[tab.basis] @ tab.xb) > feas_tol:
+        tab.run(phase1_cost)
+        if float(phase1_cost[tab.basis] @ tab.xb) > _FEAS_TOL:
             return LpOutcome(LpStatus.INFEASIBLE, iterations=tab.iterations)
 
         # evict basic artificials where a real pivot column exists; rows with
         # none are linearly dependent and keep a pinned artificial
         for i in np.flatnonzero(tab.basis >= K):
             candidates = np.flatnonzero(
-                (tab.state[:K] != _BASIC) & (np.abs(tab.T[i, :K]) > pivot_tol)
+                (tab.state[:K] != _BASIC) & (np.abs(tab.T[i, :K]) > _PIVOT_TOL)
             )
             if candidates.size:
                 tab._apply_pivot(int(candidates[0]), 1.0, 0.0, i)
@@ -470,8 +441,7 @@ def solve(
 
     full_cost = np.zeros(tab.K)
     full_cost[:n] = lp.objective
-    if tab.run(full_cost) == "unbounded":
-        return LpOutcome(LpStatus.UNBOUNDED, iterations=tab.iterations)
+    tab.run(full_cost)
 
     tab.refresh()
     x_all = tab.val.copy()
@@ -480,11 +450,11 @@ def solve(
 
     # final guard: never return an OPTIMAL point that is not actually feasible;
     # the comparisons are written so that a NaN counts as a violation
-    if not np.all((x >= lo_s - feas_tol) & (x <= hi_s + feas_tol)):
+    if not np.all((x >= lo_s - _FEAS_TOL) & (x <= hi_s + _FEAS_TOL)):
         raise LpError("final point violates variable bounds")
     residual = A_rows @ x - b
     violation = np.where(is_eq, np.abs(residual), residual)
-    bad = ~(violation <= feas_tol)
+    bad = ~(violation <= _FEAS_TOL)
     if bad.any():
         i = int(np.argmax(bad))
         raise LpError(f"final point violates row {i} by {violation[i]:.3e}")

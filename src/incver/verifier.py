@@ -64,13 +64,13 @@ class VerifierConfig:
     min_width: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0:
+        if not self.timeout > 0:  # NaN too: no elapsed time exceeds a NaN deadline
             raise ValueError(f"timeout must be positive, got {self.timeout}")
         if self.max_nodes < 1:
             raise ValueError(f"max_nodes must be at least 1, got {self.max_nodes}")
         if self.branching not in BRANCHINGS:
             raise ValueError(f"branching must be one of {BRANCHINGS}, got {self.branching!r}")
-        if self.min_width <= 0:
+        if not self.min_width > 0:  # a NaN width would never stop input splitting
             raise ValueError(f"min_width must be positive, got {self.min_width}")
 
 

@@ -115,10 +115,20 @@ def assert_same_bounds(got, want):
     assert got.infeasible == want.infeasible
 
 
+def assert_post_is_clipped_pre(bounds, splits):
+    # post = max(pre, 0) bit for bit, with a "-" unit's post pinned to [0, 0]
+    for k in range(bounds.num_relu_layers()):
+        off = np.array([splits.get(ReluId(k, j)) == "-" for j in range(len(bounds.pre_lb[k]))])
+        for post, pre in ((bounds.post_lb[k], bounds.pre_lb[k]), (bounds.post_ub[k], bounds.pre_ub[k])):
+            assert post.tobytes() == np.where(off, 0.0, np.maximum(pre, 0.0)).tobytes()
+
+
 def test_bounds_nest_along_split_paths():
     # Each child is bounded from its parent: its intervals nest inside the
-    # parent's, analyze hands on exactly the bounds compute_bounds gives, and
-    # a child of an empty region is that region, unchanged.
+    # parent's, its post-activation intervals are its clipped pre-activation
+    # ones (so they nest too, with no intersection of their own), analyze
+    # hands on exactly the bounds compute_bounds gives, and a child of an
+    # empty region is that region, unchanged.
     rng = np.random.default_rng(23)
     c = np.array([1.0, -1.0])
     for trial in range(20):
@@ -127,6 +137,7 @@ def test_bounds_nest_along_split_paths():
         prop = margin_prop(c, 0.0, box)
         parent_splits = {}
         parent = path_bounds(net, box, parent_splits)
+        assert_post_is_clipped_pre(parent, parent_splits)
         # walk three levels, always splitting the first ambiguous unit
         for _ in range(3):
             amb = [
@@ -142,6 +153,7 @@ def test_bounds_nest_along_split_paths():
             child_splits = dict(parent_splits)
             child_splits[rid] = sign
             child = path_bounds(net, box, child_splits)
+            assert_post_is_clipped_pre(child, child_splits)
             for k in range(child.num_relu_layers()):
                 assert np.all(child.pre_lb[k] >= parent.pre_lb[k] - 1e-12)
                 assert np.all(child.pre_ub[k] <= parent.pre_ub[k] + 1e-12)

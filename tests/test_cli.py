@@ -487,6 +487,13 @@ def test_unreadable_network_exits_70(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_nan_timeout_exits_70(capsys):
+    # a NaN budget would never run out, so the configuration refuses it
+    assert main(demo_args("--timeout", "nan")) == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "timeout" in err[0]
+
+
 def test_log_env_controls_verbosity():
     cmd = [
         sys.executable, "-m", "incver.cli",

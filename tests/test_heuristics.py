@@ -166,6 +166,11 @@ def test_never_chooses_path_unit_on_real_bounds():
 def test_config_validation():
     with pytest.raises(ValueError, match="alpha"):
         HeuristicConfig(alpha=1.5)
+    for theta in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="theta"):
+            HeuristicConfig(theta=theta)
+    with pytest.raises(ValueError, match="seed"):
+        HeuristicConfig(seed=-1)
 
 
 def test_split_with_both_children_infeasible_is_not_observed():

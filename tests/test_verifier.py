@@ -491,3 +491,7 @@ def test_config_validation():
         VerifierConfig(branching="widest")
     with pytest.raises(ValueError, match="min_width"):
         VerifierConfig(min_width=0.0)
+    with pytest.raises(ValueError, match="timeout"):
+        VerifierConfig(timeout=float("nan"))
+    with pytest.raises(ValueError, match="min_width"):
+        VerifierConfig(min_width=float("nan"))

@@ -22,7 +22,14 @@ keeps the verdict digest.  Run from the repository root:
 
     python3 tools/work_signature.py --workload quant-8x6 --seed 1
 
-The last line of standard output is one JSON object with the totals.
+The last line of standard output is one JSON object with the totals.  With
+``--expect FILE`` (a saved output, whose last line is that JSON object) the
+script also compares the two objects, the per-mode rows included, and exits
+1 after naming each field that differs:
+
+    python3 tools/work_signature.py --workload quant-8x6 --seed 1 > before.txt
+    # ... change the code ...
+    python3 tools/work_signature.py --workload quant-8x6 --seed 1 --expect before.txt
 """
 
 from __future__ import annotations
@@ -150,11 +157,33 @@ def signature(workload: str, seed: int) -> dict:
     }
 
 
+def _fields(sig: dict) -> dict:
+    """The signature flattened to one level; per-mode fields read ``mode.field``."""
+    flat = {key: value for key, value in sig.items() if key != "modes"}
+    for mode, row in sig.get("modes", {}).items():
+        flat.update({f"{mode}.{key}": value for key, value in row.items()})
+    return flat
+
+
+def differences(got: dict, want: dict) -> list:
+    """One line per field whose value differs between two signatures."""
+    g, w = _fields(got), _fields(want)
+    return [
+        f"{key}: expected {w.get(key)!r}, got {g.get(key)!r}"
+        for key in sorted(g.keys() | w.keys())
+        if g.get(key) != w.get(key)
+    ]
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--workload", required=True, choices=sorted(workloads.FAMILIES))
     p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--expect", metavar="FILE", help="a saved output to compare the totals JSON with")
     args = p.parse_args(argv)
+    want = None
+    if args.expect:
+        want = json.loads(Path(args.expect).read_text(encoding="utf-8").strip().splitlines()[-1])
     sig = signature(args.workload, args.seed)
     total = {
         **sig,
@@ -169,7 +198,12 @@ def main(argv=None) -> int:
             f"sha256 {row['sha'][:16]}  verdicts {row['verdict_sha'][:16]}  lp {row['lp_sha'][:16]}"
         )
     print(json.dumps(sig))
-    return 0
+    if want is None:
+        return 0
+    diff = differences(sig, want)
+    for line in diff:
+        print(f"differs: {line}", file=sys.stderr)
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
