@@ -32,6 +32,7 @@ from .model import (
     QuantizeInt8,
     QuantizeInt16,
     UniformRandom,
+    is_number,
     load_network,
     perturb,
     same_architecture,
@@ -224,37 +225,46 @@ def cmd_verify_incremental(args) -> int:
     return _VERDICT_EXITS[second.verdict]
 
 
-def _perturbation_from_json(obj: dict, where: str) -> tuple[str, PerturbSpec]:
+def _perturbation_from_json(obj, where: str) -> tuple[str, PerturbSpec]:
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: expected an object")
     kind = obj.get("kind")
     if kind == "quantize_int8":
         return "quantize_int8", QuantizeInt8()
     if kind == "quantize_int16":
         return "quantize_int16", QuantizeInt16()
-    if kind == "uniform_random":
-        frac = float(obj.get("fraction", 0.0))
-        seed = int(obj.get("seed", 0))
-        return f"uniform_random:{frac}:{seed}", UniformRandom(fraction=frac, seed=seed)
-    if kind == "last_layer":
-        matrix = np.asarray(obj.get("matrix"), dtype=float)
-        return "last_layer", LastLayer(matrix)
+    try:
+        if kind == "uniform_random":
+            spec = UniformRandom(float(obj.get("fraction", 0.0)), int(obj.get("seed", 0)))
+            return f"uniform_random:{spec.fraction}:{spec.seed}", spec
+        if kind == "last_layer":
+            return "last_layer", LastLayer(np.asarray(obj.get("matrix"), dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: {exc}") from exc
     raise ParseError(f"{where}: unknown perturbation kind {kind!r}")
 
 
-def _mode_from_json(obj: dict, where: str) -> dict:
-    mode = obj.get("mode")
-    try:
-        Mode(mode)
-    except ValueError:
-        raise ParseError(f"{where}: unknown mode {mode!r}") from None
+def _mode_from_json(obj, where: str, timeout: float) -> tuple:
+    """A plan's mode entry as (settings, the VerifierConfig built from them).
+
+    Settings the entry leaves out take their defaults; a setting the
+    configuration rejects raises ParseError naming the entry.
+    """
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: expected an object")
     h = _DEFAULT.heuristic
-    return {
-        "mode": mode,
-        "heuristic": obj.get("heuristic", h.base.value),
-        "alpha": float(obj.get("alpha", h.alpha)),
-        "theta": float(obj.get("theta", h.theta)),
-        "seed": int(obj.get("seed", h.seed)),
-        "branching": obj.get("branching", _DEFAULT.branching),
-    }
+    try:
+        settings = {
+            "mode": obj.get("mode"),
+            "heuristic": obj.get("heuristic", h.base.value),
+            "alpha": float(obj.get("alpha", h.alpha)),
+            "theta": float(obj.get("theta", h.theta)),
+            "seed": int(obj.get("seed", h.seed)),
+            "branching": obj.get("branching", _DEFAULT.branching),
+        }
+        return settings, _config(settings, timeout)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 @dataclasses.dataclass(frozen=True)
@@ -262,12 +272,12 @@ class ExperimentPlan:
     networks: tuple
     perturbations: tuple  # (label, raw json dict) pairs
     properties: tuple
-    modes: tuple  # dicts of verifier settings
-    timeout: float
+    modes: tuple  # (settings dict, VerifierConfig) pairs
     output_dir: str
 
 
 def load_plan(path) -> ExperimentPlan:
+    """Read and check a plan: a bad entry raises ParseError before anything runs."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
@@ -278,17 +288,21 @@ def load_plan(path) -> ExperimentPlan:
     for key in ("networks", "perturbations", "properties", "modes", "output_dir"):
         if not obj.get(key):
             raise ParseError(f"{path}: '{key}' must be present and nonempty")
+    timeout = obj.get("timeout", _DEFAULT.timeout)
+    if not is_number(timeout) or not timeout > 0:  # NaN too: no run would ever time out
+        raise ParseError(f"{path}.timeout: expected a positive number, got {timeout!r}")
     perturbations = []
     for i, raw in enumerate(obj["perturbations"]):
         label, _spec = _perturbation_from_json(raw, f"{path}.perturbations[{i}]")
         perturbations.append((label, raw))
-    modes = tuple(_mode_from_json(m, f"{path}.modes[{i}]") for i, m in enumerate(obj["modes"]))
+    modes = tuple(
+        _mode_from_json(m, f"{path}.modes[{i}]", float(timeout)) for i, m in enumerate(obj["modes"])
+    )
     return ExperimentPlan(
         networks=tuple(obj["networks"]),
         perturbations=tuple(perturbations),
         properties=tuple(obj["properties"]),
         modes=modes,
-        timeout=float(obj.get("timeout", _DEFAULT.timeout)),
         output_dir=obj["output_dir"],
     )
 
@@ -324,13 +338,12 @@ def _run_instance(task: dict) -> dict:
     Module-level (not a closure) so a process pool can pickle it.
     """
     row = _task_row(task)
-    ms = task["mode_settings"]
     try:
         net = load_network(task["network"])
         prop = load_property(task["property"])
         _, spec = _perturbation_from_json(task["perturbation_json"], "plan")
         updated = perturb(net, spec)
-        first, second = verify_incremental(net, updated, prop, _config(ms, task["timeout"]))
+        first, second = verify_incremental(net, updated, prop, task["config"])
     except Exception as exc:  # recorded, sweep continues
         return _failed(task, exc)
     row.update(
@@ -509,9 +522,9 @@ def cmd_experiment(args) -> int:
             "perturbation_json": pert_json,
             "property": prop_path,
             "mode_settings": ms,
-            "timeout": plan.timeout,
+            "config": cfg,
         }
-        for net_path, (label, pert_json), prop_path, ms in cells
+        for net_path, (label, pert_json), prop_path, (ms, cfg) in cells
     ]
     outcomes = _run_tasks(tasks, args.jobs)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -93,22 +93,20 @@ def updated_score(
 def rank_candidates(
     cfg: HeuristicConfig,
     bounds: PreactBounds,
-    forbidden: Iterable[ReluId] = (),
     observed: Optional[Mapping] = None,
 ) -> list:
     """All splittable ReLUs as ScoredChoices, best first.
 
-    Candidates are the ambiguous units not in ``forbidden`` (the ReLUs
-    already split on the node's path).  Ties are broken toward the lowest
-    ReluId, so the ordering is deterministic.
+    Candidates are the units ambiguous in ``bounds``, the node's own: its
+    splits pin each unit split on its path to one side of zero.  Ties are
+    broken toward the lowest ReluId, so the ordering is deterministic.
     """
     observed = observed or {}
-    banned = set(forbidden)
     choices = []
     for layer in range(bounds.num_relu_layers()):
         for neuron in range(len(bounds.pre_lb[layer])):
             rid = ReluId(layer, neuron)
-            if rid in banned or not bounds.is_ambiguous(rid):
+            if not bounds.is_ambiguous(rid):
                 continue
             score = updated_score(cfg, base_score(cfg, bounds, rid), rid, observed)
             if not math.isfinite(score):
@@ -121,15 +119,14 @@ def rank_candidates(
 def choose_split(
     cfg: HeuristicConfig,
     bounds: PreactBounds,
-    forbidden: Iterable[ReluId] = (),
     observed: Optional[Mapping] = None,
 ) -> Optional[Tuple[ReluDecision, ReluDecision]]:
     """The decision pair for the best-ranked candidate, or None if exhausted.
 
-    None means every ReLU is either stable at this node or already split
-    on the path; the caller decides what exhaustion means for its search.
+    None means every ReLU is stable in the node's own ``bounds``, split ones
+    included; the caller decides what exhaustion means for its search.
     """
-    ranked = rank_candidates(cfg, bounds, forbidden, observed)
+    ranked = rank_candidates(cfg, bounds, observed)
     if not ranked:
         return None
     d = ReluDecision(ranked[0].key, "+")
@@ -142,7 +139,7 @@ def choose_input_split(box: InputBox) -> Tuple[InputDecision, InputDecision]:
     Ties go to the lowest dimension index.  A box with no positive-width
     dimension cannot be split and raises ValueError.
     """
-    widths = box.upper - box.lower
+    widths = box.widths()
     dim = int(np.argmax(widths))
     if widths[dim] <= 0.0:
         raise ValueError("cannot split a zero-width box")

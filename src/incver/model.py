@@ -19,6 +19,15 @@ class ParseError(ValueError):
     """A file or JSON document does not match the expected schema."""
 
 
+def is_number(value, integral: bool = False) -> bool:
+    """Whether a parsed JSON value is a number (an integer if ``integral``).
+
+    JSON's true and false parse to bool, which Python counts as an int.
+    """
+    kinds = int if integral else (int, float)
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _as_readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
@@ -243,8 +252,10 @@ class UniformRandom:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.fraction < 0:
+        if not self.fraction >= 0:  # NaN too: rng.uniform overflows on it
             raise ValueError(f"fraction must be >= 0, got {self.fraction}")
+        if self.seed < 0:  # numpy's SeedSequence rejects negative entropy
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,7 +265,10 @@ class LastLayer:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", _as_readonly(self.matrix))
+        m = _as_readonly(self.matrix)
+        if m.ndim != 2 or not np.isfinite(m).all():
+            raise ValueError(f"matrix must be a finite 2-d array, got shape {m.shape}")
+        object.__setattr__(self, "matrix", m)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LastLayer):
@@ -323,9 +337,7 @@ def _layer_from_json(obj: object, where: str) -> Layer:
         raise ParseError(f"{where}.weights: expected a non-empty list of rows")
     row_len = None
     for r, row in enumerate(weights):
-        if not isinstance(row, list) or not all(
-            isinstance(v, (int, float)) for v in row
-        ):
+        if not isinstance(row, list) or not all(is_number(v) for v in row):
             raise ParseError(f"{where}.weights[{r}]: expected a list of numbers")
         if row_len is None:
             row_len = len(row)
@@ -333,7 +345,7 @@ def _layer_from_json(obj: object, where: str) -> Layer:
             raise ParseError(
                 f"{where}.weights[{r}]: row length {len(row)} != {row_len}"
             )
-    if not isinstance(bias, list) or not all(isinstance(v, (int, float)) for v in bias):
+    if not isinstance(bias, list) or not all(is_number(v) for v in bias):
         raise ParseError(f"{where}.bias: expected a list of numbers")
     if len(bias) != len(weights):
         raise ParseError(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from incver.model import Network, ParseError, _as_readonly, evaluate
+from incver.model import Network, ParseError, _as_readonly, evaluate, is_number
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +133,7 @@ def property_from_json(obj: object, where: str = "property") -> Property:
 
     def _vector(parent, key, owner):
         v = parent.get(key)
-        if not isinstance(v, list) or not all(isinstance(t, (int, float)) for t in v):
+        if not isinstance(v, list) or not all(is_number(t) for t in v):
             raise ParseError(f"{owner}.{key}: expected a list of numbers")
         return np.array(v, dtype=float)
 
@@ -141,7 +141,7 @@ def property_from_json(obj: object, where: str = "property") -> Property:
     upper = _vector(box, "upper", f"{where}.input")
     c = _vector(out, "c", f"{where}.output")
     d = out.get("d", 0.0)
-    if not isinstance(d, (int, float)):
+    if not is_number(d):
         raise ParseError(f"{where}.output.d: expected a number")
     try:
         return Property(InputBox(lower, upper), OutputConstraint(c, float(d)), name=name)

@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from incver.model import ParseError, ReluId
+from incver.model import ParseError, ReluId, is_number
 from incver.props import InputBox
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "improvement",
     "leaves",
     "load_tree",
+    "narrow",
     "observed_scores",
     "prune",
     "reset_copy",
@@ -178,23 +179,27 @@ def split(tree: SpecTree, node_id: int, decision_pair: tuple) -> tuple:
     return left.node_id, right.node_id
 
 
+def narrow(box: InputBox, splits: dict, decision: Decision) -> tuple:
+    """A child's (box, splits): its parent's narrowed by the edge decision, left unmutated."""
+    if isinstance(decision, ReluDecision):
+        return box, {**splits, decision.rid: decision.sign}
+    lower, upper = np.array(box.lower), np.array(box.upper)
+    if decision.half == "low":
+        upper[decision.dim] = min(upper[decision.dim], decision.cut)
+    else:
+        lower[decision.dim] = max(lower[decision.dim], decision.cut)
+    return InputBox(lower, upper), splits
+
+
 def spec_of(tree: SpecTree, node_id: int, box: InputBox) -> tuple:
-    """Reconstruct a node's subproblem: (input box, split assignment).
+    """A node's subproblem (input box, split assignment): :func:`narrow` folded down its path.
 
     ``box`` is the root property's input box; trees do not carry it.
     """
-    lower = np.array(box.lower, dtype=float)
-    upper = np.array(box.upper, dtype=float)
-    assignment: dict = {}
+    spec = (box, {})
     for d in path_decisions(tree, node_id):
-        if isinstance(d, ReluDecision):
-            assignment[d.rid] = d.sign
-        else:
-            if d.half == "low":
-                upper[d.dim] = min(upper[d.dim], d.cut)
-            else:
-                lower[d.dim] = max(lower[d.dim], d.cut)
-    return InputBox(lower, upper), assignment
+        spec = narrow(*spec, d)
+    return spec
 
 
 def improvement(tree: SpecTree, node_id: int) -> float:
@@ -326,12 +331,12 @@ def _decision_from_json(obj, where: str) -> Decision:
     try:
         if kind == "relu":
             layer, neuron, sign = obj["layer"], obj["neuron"], obj["sign"]
-            if not isinstance(layer, int) or not isinstance(neuron, int):
+            if not is_number(layer, integral=True) or not is_number(neuron, integral=True):
                 raise ParseError(f"{where}: layer and neuron must be integers")
             return ReluDecision(ReluId(layer, neuron), sign)
         if kind == "input":
             dim, half, cut = obj["dim"], obj["half"], obj["cut"]
-            if not isinstance(dim, int) or not isinstance(cut, (int, float)):
+            if not is_number(dim, integral=True) or not is_number(cut):
                 raise ParseError(f"{where}: dim must be int and cut a number")
             return InputDecision(dim, half, float(cut))
     except KeyError as exc:
@@ -376,12 +381,12 @@ def tree_from_json(obj, where: str = "tree") -> SpecTree:
         if not isinstance(item, dict):
             raise ParseError(f"{w}: expected an object")
         nid = item.get("id")
-        if not isinstance(nid, int):
+        if not is_number(nid, integral=True):
             raise ParseError(f"{w}.id: expected an integer")
         if nid in tree.nodes:
             raise ParseError(f"{w}.id: duplicate id {nid}")
         parent = item.get("parent")
-        if parent is not None and not isinstance(parent, int):
+        if parent is not None and not is_number(parent, integral=True):
             raise ParseError(f"{w}.parent: expected an integer or null")
         dec = item.get("decision")
         decision = None if dec is None else _decision_from_json(dec, f"{w}.decision")
@@ -392,11 +397,11 @@ def tree_from_json(obj, where: str = "tree") -> SpecTree:
         sp = item.get("split")
         left = right = None
         if sp is not None:
-            if not isinstance(sp, dict) or not isinstance(sp.get("left"), int) or not isinstance(sp.get("right"), int):
+            if not isinstance(sp, dict) or not all(is_number(sp.get(k), integral=True) for k in ("left", "right")):
                 raise ParseError(f"{w}.split: expected an object with integer 'left' and 'right'")
             left, right = sp["left"], sp["right"]
         lb = item.get("lb")
-        if lb is not None and not isinstance(lb, (int, float)):
+        if lb is not None and not is_number(lb):
             raise ParseError(f"{w}.lb: expected a number or null")
         status_s = item.get("status", "Unanalyzed")
         try:

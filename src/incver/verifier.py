@@ -28,11 +28,11 @@ from incver.spectree import (
     ReluDecision,
     SpecTree,
     leaves,
+    narrow,
     observed_scores,
     prune,
     reset_copy,
     singleton,
-    spec_of,
     split,
 )
 
@@ -169,9 +169,10 @@ def verify(
     The caller's ``initial_tree`` is never mutated: its structure is copied
     and re-annotated from scratch, since bounds proved on one network mean
     nothing on another; a tree that does not fit ``net`` raises ValueError.
-    Under ReLU branching each node is bounded in one pass from its parent's
-    bounds, an initial tree's internal nodes included (once each, no LP); an
-    input-branching node's box is smaller, so it is bounded on its own.
+    Each frontier entry carries its node's subproblem (box, splits, parent's
+    bounds), built from its parent's with ``spectree.narrow``.  Under ReLU
+    branching every node is bounded in one pass from its parent's bounds, an
+    initial tree's internal nodes too (once each, no LP, on one top-down walk).
     """
     start = time.perf_counter()
     if initial_tree is None:
@@ -207,30 +208,29 @@ def verify(
         )
         return RunResult(verdict, tree, metrics, **extra)
 
-    bounds_of = {}  # split node id -> its region's bounds, which its children start from
+    # The first frontier: the initial tree's leaves, (nid, box, splits, parent bounds).
+    active, walk = [], [(tree.root, prop.input, {}, None)]
+    while walk:
+        nid, box, splits, parent = entry = walk.pop()
+        node = tree.node(nid)
+        if node.is_leaf:
+            active.append(entry)
+            continue
+        if tree.branching == "relu":
+            if time.perf_counter() - start > cfg.timeout:
+                return finish(RunVerdict.TIMEOUT, note="wall-clock timeout")
+            parent = compute_bounds(net, box, splits, parent=parent)
+        for cid in (node.left, node.right):
+            walk.append((cid, *narrow(box, splits, tree.node(cid).decision), parent))
+    active.sort(key=lambda entry: entry[0])
 
-    def parent_bounds(nid):
-        """Bounds of the node's parent, first bounding top-down the ancestors that lack them."""
-        chain = [tree.node(nid).parent]
-        while chain[-1] is not None and chain[-1] not in bounds_of:
-            chain.append(tree.node(chain[-1]).parent)
-        for aid in reversed(chain[:-1]):
-            _, assignment = spec_of(tree, aid, prop.input)
-            above = bounds_of.get(tree.node(aid).parent)
-            bounds_of[aid] = compute_bounds(net, prop.input, assignment, parent=above)
-        return bounds_of.get(chain[0])
-
-    active = leaves(tree)
     while active:
         # Bounding phase: analyze the whole frontier.
         outcomes = []
-        for nid in active:
+        for nid, box, splits, parent in active:
             if time.perf_counter() - start > cfg.timeout:
                 return finish(RunVerdict.TIMEOUT, note="wall-clock timeout")
-            box, assignment = spec_of(tree, nid, prop.input)
-            node_prop = Property(box, prop.output, name=prop.name)
-            parent = parent_bounds(nid) if tree.branching == "relu" else None
-            res = analyze(net, node_prop, assignment, parent=parent)
+            res = analyze(net, Property(box, prop.output, name=prop.name), splits, parent=parent)
             boundings += 1
             if res.pivots is not None:
                 lps += 1
@@ -238,7 +238,7 @@ def verify(
             node = tree.node(nid)
             node.lb = res.lb_value
             node.status = NodeStatus(res.status.value)
-            outcomes.append((nid, node_prop, assignment, res))
+            outcomes.append((nid, box, splits, res))
 
         violations = [(nid, r) for nid, _, _, r in outcomes if r.status is Verdict.COUNTEREXAMPLE]
         if violations:
@@ -247,32 +247,30 @@ def verify(
 
         # Branching phase: split every node the analyzer could not settle,
         # ranking candidates from the bounds its bounding call computed.
-        bounds_of.clear()  # the children of the nodes split before are bounded
         active = []
-        for nid, node_prop, assignment, res in outcomes:
+        for nid, box, splits, res in outcomes:
             if res.status is not Verdict.UNKNOWN:
                 continue
             if tree.num_nodes() + 2 > cfg.max_nodes:
                 return finish(RunVerdict.TIMEOUT, note=f"node budget of {cfg.max_nodes} exhausted")
+            parent = None
             if tree.branching == "relu":
-                pick = choose_split(
-                    ranking_cfg, res.bounds, forbidden=set(assignment), observed=hobs
-                )
+                pick = choose_split(ranking_cfg, res.bounds, observed=hobs)
                 if pick is None:
                     raise RuntimeError(
                         f"node {nid} is inconclusive but every ReLU is stable or "
                         "already split; an exactly-encoded subproblem must resolve"
                     )
-                bounds_of[nid] = res.bounds
+                parent = res.bounds
             else:
-                widths = node_prop.input.upper - node_prop.input.lower
-                if float(widths.max()) <= cfg.min_width:
+                if float(box.widths().max()) <= cfg.min_width:
                     return finish(
                         RunVerdict.TIMEOUT,
                         note=f"minimum box width {cfg.min_width} reached at node {nid}",
                     )
-                pick = choose_input_split(node_prop.input)
-            active.extend(split(tree, nid, pick))
+                pick = choose_input_split(box)
+            for cid, d in zip(split(tree, nid, pick), pick):
+                active.append((cid, *narrow(box, splits, d), parent))
             branchings += 1
 
     return finish(RunVerdict.VERIFIED)

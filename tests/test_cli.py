@@ -329,6 +329,36 @@ def test_experiment_rejects_empty_plan_sections(tmp_path, capsys):
     assert "networks" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        ({"modes": [{**demo_mode("ivan"), "heuristic": "bogus"}]}, "modes[0]"),
+        ({"modes": [demo_mode("ivan"), {**demo_mode("ivan"), "alpha": 2}]}, "modes[1]"),
+        ({"modes": [{**demo_mode("ivan"), "branching": "x"}]}, "modes[0]"),
+        ({"modes": [{**demo_mode("ivan"), "seed": -1}]}, "modes[0]"),
+        ({"timeout": 0}, "timeout"),
+        ({"timeout": True}, "timeout"),
+        ({"perturbations": [{"kind": "uniform_random", "fraction": math.nan}]}, "perturbations[0]"),
+        ({"perturbations": [{"kind": "uniform_random", "fraction": 0.1, "seed": -2}]}, "perturbations[0]"),
+        ({"perturbations": [{"kind": "last_layer"}]}, "perturbations[0]"),
+        ({"perturbations": [["quantize_int8"]]}, "perturbations[0]"),
+        ({"modes": ["ivan"]}, "modes[0]"),
+        ({"modes": [{**demo_mode("ivan"), "mode": "nope"}]}, "modes[0]"),
+    ],
+    ids=[
+        "heuristic", "alpha", "branching", "seed", "timeout", "timeout-bool", "fraction",
+        "rng-seed", "no-matrix", "perturbation-not-object", "mode-not-object", "mode",
+    ],
+)
+def test_experiment_rejects_a_bad_plan_before_running(tmp_path, capsys, edit, where):
+    plan_path, out_dir = make_plan(tmp_path, [demo_mode("ivan")])
+    plan = json.loads(Path(plan_path).read_text(encoding="utf-8"))
+    Path(plan_path).write_text(json.dumps({**plan, **edit}), encoding="utf-8")
+    assert main(["experiment", "--plan", plan_path]) == EXIT_ERROR
+    assert f"{plan_path}.{where}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_experiment_jobs_matches_serial(tmp_path, capsys):
     serial_plan, serial_dir = make_plan(
         tmp_path, [demo_mode("baseline"), demo_mode("ivan")], out_name="serial"

@@ -79,10 +79,12 @@ def test_stable_units_excluded():
 
 
 def test_forbidden_units_excluded_and_exhaustion():
-    b = make_bounds([(-1.0, 1.0), (-1.0, 2.0)], kappa=[1.0, 1.0])
-    d, _ = choose_split(CFG, b, forbidden={ReluId(0, 1)})
+    # A split unit's own bounds pin it to one side of zero, so it is stable
+    # and never a candidate; with no ambiguous unit left the choice is None.
+    b = make_bounds([(-1.0, 1.0), (0.0, 2.0)], kappa=[1.0, 1.0])
+    d, _ = choose_split(CFG, b)
     assert d.rid == ReluId(0, 0)
-    assert choose_split(CFG, b, forbidden={ReluId(0, 0), ReluId(0, 1)}) is None
+    assert choose_split(CFG, make_bounds([(0.0, 1.0), (-1.0, 0.0)], kappa=[1.0, 1.0])) is None
 
 
 def test_updated_score_alpha_extremes():
@@ -156,7 +158,7 @@ def test_never_chooses_path_unit_on_real_bounds():
         path = {}
         for _ in range(4):
             bounds = compute_bounds(net, box, path, objective=c)
-            pick = choose_split(CFG, bounds, forbidden=set(path))
+            pick = choose_split(CFG, bounds)
             if pick is None:
                 break
             assert pick[0].rid not in path

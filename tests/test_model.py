@@ -255,6 +255,14 @@ def test_perturb_deterministic():
     assert a != perturb(net, UniformRandom(0.02, 8))
 
 
+@pytest.mark.parametrize(
+    "fraction, seed, field", [(float("nan"), 0, "fraction"), (-0.1, 0, "fraction"), (0.1, -1, "seed")]
+)
+def test_uniform_random_rejects_bad_settings(fraction, seed, field):
+    with pytest.raises(ValueError, match=field):
+        UniformRandom(fraction, seed)
+
+
 def test_perturb_bounded_multiplier():
     rng = np.random.default_rng(2)
     net = random_net(rng, [3, 4, 2])
@@ -276,6 +284,12 @@ def test_last_layer_changes_only_last_matrix():
         assert got == orig
     assert np.array_equal(out.layers[-1].weights, net.layers[-1].weights + e)
     assert np.array_equal(out.layers[-1].bias, net.layers[-1].bias)
+
+
+@pytest.mark.parametrize("matrix", [np.float64("nan"), np.zeros(2), np.array([[0.0, np.inf]])])
+def test_last_layer_rejects_a_matrix_that_is_not_finite_and_2d(matrix):
+    with pytest.raises(ValueError, match="matrix"):
+        LastLayer(matrix)
 
 
 def test_last_layer_dimension_error():
@@ -326,4 +340,18 @@ def test_load_ragged_weights(tmp_path):
     }
     path.write_text(json.dumps(doc))
     with pytest.raises(ParseError, match=r"weights\[1\]"):
+        load_network(path)
+
+
+@pytest.mark.parametrize(
+    "layer, field",
+    [
+        ({"type": "affine", "weights": [[True, 1.0]], "bias": [0.0]}, r"weights\[0\]"),
+        ({"type": "affine", "weights": [[1.0, 1.0]], "bias": [False]}, "bias"),
+    ],
+)
+def test_load_rejects_booleans_as_numbers(tmp_path, layer, field):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"name": "b", "layers": [layer]}))
+    with pytest.raises(ParseError, match=field):
         load_network(path)

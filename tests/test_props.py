@@ -70,3 +70,16 @@ def test_property_parse_errors(tmp_path):
     path.write_text('{"name":"b","input":{"lower":[1.0],"upper":[0.0]},"output":{"c":[1.0],"d":0}}')
     with pytest.raises(ParseError, match="dimension 0"):
         load_property(path)
+
+
+@pytest.mark.parametrize(
+    "box, out, field",
+    [
+        ({"lower": [True], "upper": [1.0]}, {"c": [1.0]}, "lower"),
+        ({"lower": [0.0], "upper": [1.0]}, {"c": [False]}, "c"),
+        ({"lower": [0.0], "upper": [1.0]}, {"c": [1.0], "d": True}, "d"),
+    ],
+)
+def test_property_rejects_booleans_as_numbers(box, out, field):
+    with pytest.raises(ParseError, match=rf"\.{field}: expected"):
+        property_from_json({"name": "b", "input": box, "output": out})

@@ -15,6 +15,7 @@ from incver.spectree import (
     improvement,
     leaves,
     load_tree,
+    narrow,
     observed_scores,
     path_decisions,
     prune,
@@ -125,6 +126,22 @@ def test_spec_of_input_paths():
     box_high, _ = spec_of(t, n2, prop.input)
     assert np.array_equal(box_high.lower, [0.5, 0.0])
     assert np.array_equal(box_high.upper, [1.0, 1.0])
+
+
+def test_narrow_builds_a_child_without_touching_its_parent():
+    box = unit_prop().input
+    splits = {ReluId(0, 0): "+"}
+    child_box, child_splits = narrow(box, splits, ReluDecision(ReluId(1, 0), "-"))
+    assert child_box is box
+    assert child_splits == {ReluId(0, 0): "+", ReluId(1, 0): "-"}
+    assert splits == {ReluId(0, 0): "+"}
+    low_box, low_splits = narrow(box, splits, InputDecision(1, "low", 0.25))
+    assert low_splits is splits
+    assert np.array_equal(low_box.upper, [1.0, 0.25]) and np.array_equal(low_box.lower, [0.0, 0.0])
+    assert np.array_equal(box.upper, [1.0, 1.0])
+    # a cut outside the box leaves that side as it was, as spec_of always did
+    high_box, _ = narrow(box, splits, InputDecision(0, "high", -1.0))
+    assert high_box == box
 
 
 def test_branching_kind_enforced():
@@ -366,6 +383,39 @@ def test_load_rejects_repeated_relu_on_path():
         ],
     }
     with pytest.raises(ParseError, match="repeats"):
+        tree_from_json(doc)
+
+
+def _two_leaf_doc():
+    d = {"kind": "relu", "layer": 0, "neuron": 0, "sign": "+"}
+    dm = {"kind": "relu", "layer": 0, "neuron": 0, "sign": "-"}
+    return {
+        "branching": "relu",
+        "nodes": [
+            {"id": 0, "parent": None, "decision": None, "split": {"left": 1, "right": 2}, "lb": None, "status": "Unanalyzed"},
+            {"id": 1, "parent": 0, "decision": d, "split": None, "lb": None, "status": "Unanalyzed"},
+            {"id": 2, "parent": 0, "decision": dm, "split": None, "lb": None, "status": "Unanalyzed"},
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "node, key, value, field",
+    [
+        (1, "id", True, r"nodes\[1\]\.id"),
+        (1, "parent", True, r"nodes\[1\]\.parent"),
+        (0, "lb", True, r"nodes\[0\]\.lb"),
+        (0, "split", {"left": True, "right": 2}, r"nodes\[0\]\.split"),
+        (1, "decision", {"kind": "relu", "layer": 0, "neuron": False, "sign": "+"}, r"nodes\[1\]\.decision"),
+        (1, "decision", {"kind": "input", "dim": True, "half": "low", "cut": 0.5}, r"nodes\[1\]\.decision"),
+        (1, "decision", {"kind": "input", "dim": 0, "half": "low", "cut": True}, r"nodes\[1\]\.decision"),
+    ],
+    ids=["id", "parent", "lb", "split", "neuron", "dim", "cut"],
+)
+def test_load_rejects_booleans_as_numbers(node, key, value, field):
+    doc = _two_leaf_doc()
+    doc["nodes"][node][key] = value
+    with pytest.raises(ParseError, match=field):
         tree_from_json(doc)
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from incver import analyzer
+from incver import analyzer, verifier
 from incver.heuristics import BaseHeuristic, HeuristicConfig
 from incver.model import (
     Affine,
@@ -28,6 +28,7 @@ from incver.spectree import (
     path_decisions,
     prune,
     singleton,
+    spec_of,
     split,
 )
 from incver.verifier import (
@@ -236,6 +237,50 @@ def test_reused_tree_under_an_empty_region_verifies_vacuously(passes):
         assert res.tree.node(nid).status is NodeStatus.VERIFIED
         assert res.tree.node(nid).lb == math.inf
     assert len(passes) == 3
+
+
+def test_each_bounding_gets_the_subproblem_of_its_root_path(monkeypatch):
+    # verify carries each node's (box, splits) down from its parent; the
+    # analyzer must see exactly what spec_of rebuilds from the root, for the
+    # bounded nodes in ascending id, on fresh, reused, pruned and
+    # input-branching runs alike.
+    seen = []
+    analyze = verifier.analyze
+
+    def recording_analyze(net, prop, splits, parent=None):
+        seen.append((prop.input, splits))
+        return analyze(net, prop, splits, parent=parent)
+
+    monkeypatch.setattr(verifier, "analyze", recording_analyze)
+
+    def check(res, prop):
+        nodes = res.tree.nodes
+        bounded = [n for n in sorted(nodes) if nodes[n].status is not NodeStatus.UNANALYZED]
+        assert len(seen) == len(bounded) == res.metrics.boundings
+        for (box, splits), nid in zip(seen, bounded):
+            want_box, want_splits = spec_of(res.tree, nid, prop.input)
+            assert box == want_box and splits == want_splits
+        seen.clear()
+
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    net = load_network(fixtures / "demo_network.json")
+    updated = load_network(fixtures / "demo_updated.json")
+    prop = load_property(fixtures / "demo_property.json")
+    heur = HeuristicConfig(base=BaseHeuristic.RANDOM, alpha=0.25, theta=1.0, seed=27)
+    cfg = VerifierConfig(heuristic=heur, timeout=30.0)
+    first = verify(net, prop, cfg)
+    assert first.metrics.branchings == 4
+    check(first, prop)
+    check(verify(updated, prop, cfg, initial_tree=first.tree), prop)
+    pruned = prune(first.tree, heur.theta)
+    assert 1 < pruned.num_nodes() < first.tree.num_nodes()
+    check(verify(updated, prop, cfg, initial_tree=pruned, hobs=observed_scores(first.tree)), prop)
+
+    net, prop = find_branching_instance()
+    seen.clear()
+    res = verify(net, prop, VerifierConfig(timeout=120.0, branching="input", max_nodes=4000))
+    assert res.metrics.branchings > 0
+    check(res, prop)
 
 
 def test_depth_never_exceeds_relu_count():
