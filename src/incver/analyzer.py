@@ -3,19 +3,21 @@
 Two layers of machinery live here:
 
 ``compute_bounds``
-    Interval bounds for every pre- and post-activation, tightened by symbolic
-    back-substitution through the network (each ReLU gets per-neuron linear
-    lower/upper relaxations, and concrete bounds come from pushing those back
-    to the input box).  One walk, ``_lower_bound``, does every
-    back-substitution: each upper bound is the negated lower bound of the
-    negated rows, and the objective's bound and ``kappa`` come from the same
-    walk.  Split decisions restrict ReLUs to one sign.  One propagation pass
-    bounds a region; given the bounds of the region's parent (the same box
-    under all splits but one) the pass is intersected with them, so every
-    per-neuron interval at a child node is a subset of its parent's.  That
-    gives the verifier its monotonicity guarantee (child lower bounds never
-    fall below the parent's beyond solver tolerance) and makes root-derived
-    norms sound for every descendant region.
+    Interval bounds for every pre-activation and output, tightened by
+    symbolic back-substitution through the network (each ReLU gets
+    per-neuron linear lower/upper relaxations, and concrete bounds come from
+    pushing those back to the input box).  One walk, ``_lower_bound``, does
+    every back-substitution: each upper bound is the negated lower bound of
+    the negated rows, and the objective's bound and ``kappa`` come from the
+    same walk.  Split decisions restrict ReLUs to one sign.  The pass decides
+    each ReLU's phase (inactive, active or ambiguous) once, and the
+    relaxation, the LP's rows and the split candidates all follow it.  One
+    propagation pass bounds a region; given the bounds of the region's parent
+    (the same box under all splits but one) the pass is intersected with
+    them, so every per-neuron interval at a child node is a subset of its
+    parent's.  That gives the verifier its monotonicity guarantee (child
+    lower bounds never fall below the parent's beyond solver tolerance) and
+    makes root-derived norms sound for every descendant region.
 
 ``analyze``
     Bounds the region once, with the property's objective so the bounds carry
@@ -58,6 +60,8 @@ __all__ = [
 
 # a ReLU whose bound magnitude is below this is treated as stable on that side
 STABLE_TOL = 1e-9
+# a ReLU's phase, which is also the number of LP rows it gets
+INACTIVE, ACTIVE, AMBIGUOUS = 0, 1, 2
 # bounds that cross by more than this mark the region infeasible
 CROSS_TOL = 1e-9
 
@@ -100,6 +104,8 @@ class AnalyzerVerdict:
 class PreactBounds:
     """Per-neuron interval bounds, one entry per ReLU layer, plus output.
 
+    ``phase`` holds, per ReLU layer, each unit's INACTIVE, ACTIVE or
+    AMBIGUOUS; its post-activation is 0 if inactive and max(pre, 0) if not.
     ``kappa`` (present when an objective was supplied) holds, per ReLU layer,
     the absolute coefficient each pre-activation carries in the objective's
     back-substituted lower bound; the branching heuristics consume it.
@@ -110,8 +116,7 @@ class PreactBounds:
 
     pre_lb: list
     pre_ub: list
-    post_lb: list
-    post_ub: list
+    phase: list
     out_lb: np.ndarray
     out_ub: np.ndarray
     kappa: Optional[list] = None
@@ -127,13 +132,10 @@ class PreactBounds:
         return float(self.kappa[rid.layer][rid.neuron])
 
     def is_ambiguous(self, rid: ReluId) -> bool:
-        l, u = self.pre(rid)
-        return l < -STABLE_TOL and u > STABLE_TOL
+        return bool(self.phase[rid.layer][rid.neuron] == AMBIGUOUS)
 
     def any_ambiguous(self) -> bool:
-        return any(
-            np.any((l < -STABLE_TOL) & (u > STABLE_TOL)) for l, u in zip(self.pre_lb, self.pre_ub)
-        )
+        return any(np.any(p == AMBIGUOUS) for p in self.phase)
 
     def num_relu_layers(self) -> int:
         return len(self.pre_lb)
@@ -190,15 +192,17 @@ def _one_pass(blocks, box, sign_by_layer, prior):
     """One full propagation pass, intersected with ``prior`` layer by layer.
 
     Each interval comes from :func:`_lower_bound`, once on the block's rows
-    and once on their negation for the upper side.  Only the pre-activation
-    and output intervals are intersected: with nested pre-activation
-    intervals, post = max(pre, 0) (a "-" unit pinned to [0, 0]) nests too.
-    Returns (PreactBounds-without-kappa, relaxations) so the caller can run
-    the objective's walk against the final relaxations.
+    and once on their negation for the upper side.  Each unit's phase is
+    decided here, once: a split unit takes its sign's; otherwise it is
+    inactive if u <= STABLE_TOL, else active if l >= -STABLE_TOL, else
+    ambiguous.  Its relaxation follows the phase: 0, the identity, or the
+    triangle's chord above and a line through the origin below.  Returns
+    (PreactBounds-without-kappa, relaxations) so the caller can run the
+    objective's walk against the final relaxations.
     """
     n_relu = len(blocks) - 1
     relax = []
-    pre_lb, pre_ub, post_lb, post_ub = [], [], [], []
+    pre_lb, pre_ub, phases = [], [], []
     infeasible = False
     for i in range(n_relu):
         l, u = _interval(blocks, relax, i, box)
@@ -213,30 +217,21 @@ def _one_pass(blocks, box, sign_by_layer, prior):
             infeasible = True
         u = np.maximum(u, l)  # keep arrays ordered even for flagged regions
 
-        width = l.shape[0]
-        lam_low = np.zeros(width)
-        lam_up = np.zeros(width)
-        mu_up = np.zeros(width)
-        stable_pos = l >= -STABLE_TOL
-        stable_neg = ~stable_pos & (u <= STABLE_TOL)
-        ambiguous = ~stable_pos & ~stable_neg
-        lam_low[stable_pos] = 1.0
-        lam_up[stable_pos] = 1.0
-        la, ua = l[ambiguous], u[ambiguous]
-        lam_up[ambiguous] = ua / (ua - la)
-        mu_up[ambiguous] = -ua * la / (ua - la)
-        lam_low[ambiguous] = (ua >= -la).astype(float)
+        phase = (u > STABLE_TOL) * (1 + (l < -STABLE_TOL))
+        if signs is not None:  # a "-" unit is inactive even where l is up to CROSS_TOL above 0
+            phase = np.where(signs > 0, ACTIVE, np.where(signs < 0, INACTIVE, phase))
+        lam_low = (phase == ACTIVE).astype(float)
+        lam_up = lam_low.copy()
+        mu_up = np.zeros(l.shape[0])
+        amb = phase == AMBIGUOUS
+        la, ua = l[amb], u[amb]
+        lam_up[amb] = ua / (ua - la)
+        mu_up[amb] = -ua * la / (ua - la)
+        lam_low[amb] = (ua >= -la).astype(float)
         relax.append(_Relaxation(lam_low, lam_up, mu_up))
-
-        p_lo = np.maximum(l, 0.0)
-        p_hi = np.maximum(u, 0.0)
-        if signs is not None:  # a "-" unit outputs 0, even where l is up to CROSS_TOL above 0
-            p_lo = np.where(signs < 0, 0.0, p_lo)
-            p_hi = np.where(signs < 0, 0.0, p_hi)
         pre_lb.append(l)
         pre_ub.append(u)
-        post_lb.append(p_lo)
-        post_ub.append(p_hi)
+        phases.append(phase)
 
     out_l, out_u = _interval(blocks, relax, n_relu, box)
     if prior is not None:
@@ -245,7 +240,7 @@ def _one_pass(blocks, box, sign_by_layer, prior):
         if np.any(out_l > out_u + CROSS_TOL):
             infeasible = True
         out_u = np.maximum(out_u, out_l)
-    bounds = PreactBounds(pre_lb, pre_ub, post_lb, post_ub, out_l, out_u, None, infeasible)
+    bounds = PreactBounds(pre_lb, pre_ub, phases, out_l, out_u, None, infeasible)
     return bounds, relax
 
 
@@ -320,31 +315,28 @@ def _layout(n_in: int, widths: tuple):
     return out
 
 
-def _build_program(net, prop, splits, bounds):
+def _build_program(net, prop, bounds):
     """The bounding LP as arrays over input, (pre, post) per ReLU layer and output columns.
 
     Rows go layer by layer: the affine rows ``W @ src - pre = -b``, then per
-    unit none if inactive (its bounds pin post to [0, 0]), ``post - pre = 0``
-    if active, or ``post - pre >= 0`` and its chord ``post - slope * pre <=
-    -slope * l`` if ambiguous; the output's affine rows come last.  Every
-    ``=`` row ends with -1 or 1 on its own column, the layout the solver's
-    crash basis starts from.  ``splits`` only picks a split unit's rows.
+    unit, by its phase, none if inactive (its post column is [0, 0]),
+    ``post - pre = 0`` if active, or ``post - pre >= 0`` and its chord
+    ``post - slope * pre <= -slope * l`` if ambiguous; the output's affine
+    rows come last.  Other post columns are max(pre, 0).  Every ``=`` row
+    ends with -1 or 1 on its own column, the layout the solver's crash basis
+    starts from.
     """
     blocks = net.blocks
     widths = tuple(W.shape[0] for W, _ in blocks)
     layer_start, pre, post, row_base, aff_rows, aff_cols, units_above = _layout(net.input_dim, widths)
     cols = [(prop.input.lower, prop.input.upper)]
-    for i in range(len(blocks) - 1):
-        cols += [(bounds.pre_lb[i], bounds.pre_ub[i]), (bounds.post_lb[i], bounds.post_ub[i])]
+    for l, u, on in zip(bounds.pre_lb, bounds.pre_ub, bounds.phase):
+        cols += [(l, u), (np.where(on, np.maximum(l, 0.0), 0.0), np.where(on, np.maximum(u, 0.0), 0.0))]
     cols.append((bounds.out_lb, bounds.out_ub))
     lo, hi = (np.concatenate(side) for side in zip(*cols))
 
-    # rows per ReLU unit: 0 inactive, 1 active, 2 ambiguous (triangle
-    # relaxation); a split unit is active ("+") or inactive ("-") as split
     l, u = lo[pre], hi[pre]
-    k = (u > STABLE_TOL) * (1 + (l < -STABLE_TOL))
-    for rid, sign in splits.items():
-        k[layer_start[rid.layer] + rid.neuron] = 1 if sign == "+" else 0
+    k = np.concatenate([np.zeros(0, dtype=int), *bounds.phase])  # rows per unit: its phase
     above = np.zeros(k.size + 1, dtype=int)  # ReLU rows above each unit, then in all
     np.cumsum(k, out=above[1:])
     first = row_base + above[:-1]  # each unit's first row
@@ -400,7 +392,7 @@ def analyze(net: Network, prop: Property, splits: dict, parent=None) -> Analyzer
     lb = bounds.objective_lb + prop.output.d
     if lb >= 0.0 and bounds.any_ambiguous():
         return AnalyzerVerdict(Verdict.VERIFIED, float(lb), bounds=bounds)
-    program = _build_program(net, prop, splits, bounds)
+    program = _build_program(net, prop, bounds)
     try:
         out = solve(program)
     except Exception as exc:

@@ -225,6 +225,16 @@ def cmd_verify_incremental(args) -> int:
     return _VERDICT_EXITS[second.verdict]
 
 
+def _plan_number(obj: dict, key: str, default, where: str, integral: bool = False):
+    """``obj[key]``, or ``default`` if absent: a JSON number (an integer if
+    ``integral``), else ParseError naming the field."""
+    value = obj.get(key, default)
+    if not is_number(value, integral):
+        kind = "an integer" if integral else "a number"
+        raise ParseError(f"{where}.{key}: expected {kind}, got {value!r}")
+    return value
+
+
 def _perturbation_from_json(obj, where: str) -> tuple[str, PerturbSpec]:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object")
@@ -233,35 +243,46 @@ def _perturbation_from_json(obj, where: str) -> tuple[str, PerturbSpec]:
         return "quantize_int8", QuantizeInt8()
     if kind == "quantize_int16":
         return "quantize_int16", QuantizeInt16()
-    try:
-        if kind == "uniform_random":
-            spec = UniformRandom(float(obj.get("fraction", 0.0)), int(obj.get("seed", 0)))
-            return f"uniform_random:{spec.fraction}:{spec.seed}", spec
-        if kind == "last_layer":
-            return "last_layer", LastLayer(np.asarray(obj.get("matrix"), dtype=float))
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    if kind == "uniform_random":
+        fraction = float(_plan_number(obj, "fraction", 0.0, where))
+        seed = _plan_number(obj, "seed", 0, where, integral=True)
+        try:
+            spec = UniformRandom(fraction, seed)
+        except ValueError as exc:
+            raise ParseError(f"{where}: {exc}") from exc
+        return f"uniform_random:{spec.fraction}:{spec.seed}", spec
+    if kind == "last_layer":
+        matrix = obj.get("matrix")
+        if not isinstance(matrix, list) or not all(
+            isinstance(row, list) and all(is_number(v) for v in row) for row in matrix
+        ):
+            raise ParseError(f"{where}.matrix: expected a list of rows of numbers, got {matrix!r}")
+        try:
+            return "last_layer", LastLayer(np.asarray(matrix, dtype=float))
+        except ValueError as exc:  # ragged rows, or a matrix LastLayer rejects
+            raise ParseError(f"{where}: {exc}") from exc
     raise ParseError(f"{where}: unknown perturbation kind {kind!r}")
 
 
 def _mode_from_json(obj, where: str, timeout: float) -> tuple:
     """A plan's mode entry as (settings, the VerifierConfig built from them).
 
-    Settings the entry leaves out take their defaults; a setting the
-    configuration rejects raises ParseError naming the entry.
+    Settings the entry leaves out take their defaults.  A setting that is
+    not a JSON number where one is expected (an integer for ``seed``), or
+    that the configuration rejects, raises ParseError naming the entry.
     """
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object")
     h = _DEFAULT.heuristic
+    settings = {
+        "mode": obj.get("mode"),
+        "heuristic": obj.get("heuristic", h.base.value),
+        "alpha": float(_plan_number(obj, "alpha", h.alpha, where)),
+        "theta": float(_plan_number(obj, "theta", h.theta, where)),
+        "seed": _plan_number(obj, "seed", h.seed, where, integral=True),
+        "branching": obj.get("branching", _DEFAULT.branching),
+    }
     try:
-        settings = {
-            "mode": obj.get("mode"),
-            "heuristic": obj.get("heuristic", h.base.value),
-            "alpha": float(obj.get("alpha", h.alpha)),
-            "theta": float(obj.get("theta", h.theta)),
-            "seed": int(obj.get("seed", h.seed)),
-            "branching": obj.get("branching", _DEFAULT.branching),
-        }
         return settings, _config(settings, timeout)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
@@ -285,9 +306,14 @@ def load_plan(path) -> ExperimentPlan:
             raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: expected a JSON object")
-    for key in ("networks", "perturbations", "properties", "modes", "output_dir"):
-        if not obj.get(key):
-            raise ParseError(f"{path}: '{key}' must be present and nonempty")
+    for key in ("networks", "perturbations", "properties", "modes"):
+        if not isinstance(obj.get(key), list) or not obj[key]:
+            raise ParseError(f"{path}.{key}: expected a nonempty list, got {obj.get(key)!r}")
+    for key in ("networks", "properties"):  # open() takes an int as a descriptor: 0 reads stdin
+        if not all(isinstance(entry, str) and entry for entry in obj[key]):
+            raise ParseError(f"{path}.{key}: expected a list of paths, got {obj[key]!r}")
+    if not isinstance(obj.get("output_dir"), str) or not obj["output_dir"]:
+        raise ParseError(f"{path}.output_dir: expected a nonempty path, got {obj.get('output_dir')!r}")
     timeout = obj.get("timeout", _DEFAULT.timeout)
     if not is_number(timeout) or not timeout > 0:  # NaN too: no run would ever time out
         raise ParseError(f"{path}.timeout: expected a positive number, got {timeout!r}")

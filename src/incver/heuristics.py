@@ -16,7 +16,7 @@ from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
-from incver.analyzer import PreactBounds
+from incver.analyzer import AMBIGUOUS, PreactBounds
 from incver.model import ReluId
 from incver.props import InputBox
 from incver.spectree import InputDecision, ReluDecision
@@ -97,17 +97,15 @@ def rank_candidates(
 ) -> list:
     """All splittable ReLUs as ScoredChoices, best first.
 
-    Candidates are the units ambiguous in ``bounds``, the node's own: its
-    splits pin each unit split on its path to one side of zero.  Ties are
-    broken toward the lowest ReluId, so the ordering is deterministic.
+    Candidates are the units whose phase in ``bounds``, the node's own, is
+    AMBIGUOUS: a unit split on the node's path has its sign's phase.  Ties
+    are broken toward the lowest ReluId, so the ordering is deterministic.
     """
     observed = observed or {}
     choices = []
-    for layer in range(bounds.num_relu_layers()):
-        for neuron in range(len(bounds.pre_lb[layer])):
-            rid = ReluId(layer, neuron)
-            if not bounds.is_ambiguous(rid):
-                continue
+    for layer, phase in enumerate(bounds.phase):
+        for neuron in np.flatnonzero(phase == AMBIGUOUS):
+            rid = ReluId(layer, int(neuron))
             score = updated_score(cfg, base_score(cfg, bounds, rid), rid, observed)
             if not math.isfinite(score):
                 raise ValueError(f"non-finite score {score} for {rid}")

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from incver.analyzer import (
+    ACTIVE,
+    AMBIGUOUS,
+    INACTIVE,
     STABLE_TOL,
     AnalyzerVerdict,
     PreactBounds,
@@ -102,11 +105,34 @@ def test_split_clamps_pre_bounds():
     neg = compute_bounds(net, box, {rid: "-"})
     assert pos.pre_lb[0][0] >= 0.0
     assert neg.pre_ub[0][0] <= 0.0
-    assert neg.post_ub[0][0] == 0.0
+    assert pos.phase[0][0] == ACTIVE
+    assert neg.phase[0][0] == INACTIVE
+
+
+def test_minus_split_at_the_tolerance_corner_is_inactive():
+    # The pre-activation is x + 5e-10 on [0, 1].  Split "-", its bounds cross
+    # by 5e-10, less than CROSS_TOL, so the region is not flagged empty; the
+    # unit is still inactive: it outputs exactly 0, and the LP pins its post
+    # column to [0, 0] with no row for it.
+    net = Network(
+        (
+            Affine(np.array([[1.0]]), np.array([5e-10])),
+            Relu(),
+            Affine(np.array([[1.0]]), np.array([0.0])),
+        )
+    )
+    prop = margin_prop([1.0], 0.0, unit_box(1))
+    bounds = compute_bounds(net, prop.input, {ReluId(0, 0): "-"}, objective=prop.output.c)
+    assert not bounds.infeasible
+    assert bounds.phase[0][0] == INACTIVE
+    assert (bounds.out_lb[0], bounds.out_ub[0]) == (0.0, 0.0)
+    lp = _build_program(net, prop, bounds)
+    assert lp.rel.tolist() == ["=", "="]  # the two affine rows only
+    assert lp.var_bounds[2].tolist() == [0.0, 0.0]  # columns: input, pre, post, output
 
 
 def assert_same_bounds(got, want):
-    for name in ("pre_lb", "pre_ub", "post_lb", "post_ub", "kappa"):
+    for name in ("pre_lb", "pre_ub", "phase", "kappa"):
         g, w = getattr(got, name), getattr(want, name)
         assert len(g) == len(w)
         assert all(np.array_equal(a, b) for a, b in zip(g, w))
@@ -115,20 +141,24 @@ def assert_same_bounds(got, want):
     assert got.infeasible == want.infeasible
 
 
-def assert_post_is_clipped_pre(bounds, splits):
-    # post = max(pre, 0) bit for bit, with a "-" unit's post pinned to [0, 0]
+def assert_phase_follows_splits_and_bounds(bounds, splits):
+    # a split unit takes its sign's phase; an unsplit one is inactive if
+    # u <= STABLE_TOL, else active if l >= -STABLE_TOL, else ambiguous
     for k in range(bounds.num_relu_layers()):
-        off = np.array([splits.get(ReluId(k, j)) == "-" for j in range(len(bounds.pre_lb[k]))])
-        for post, pre in ((bounds.post_lb[k], bounds.pre_lb[k]), (bounds.post_ub[k], bounds.pre_ub[k])):
-            assert post.tobytes() == np.where(off, 0.0, np.maximum(pre, 0.0)).tobytes()
+        for j, (l, u) in enumerate(zip(bounds.pre_lb[k], bounds.pre_ub[k])):
+            sign = splits.get(ReluId(k, j))
+            if sign is not None:
+                want = ACTIVE if sign == "+" else INACTIVE
+            else:
+                want = INACTIVE if u <= STABLE_TOL else ACTIVE if l >= -STABLE_TOL else AMBIGUOUS
+            assert bounds.phase[k][j] == want
 
 
 def test_bounds_nest_along_split_paths():
     # Each child is bounded from its parent: its intervals nest inside the
-    # parent's, its post-activation intervals are its clipped pre-activation
-    # ones (so they nest too, with no intersection of their own), analyze
-    # hands on exactly the bounds compute_bounds gives, and a child of an
-    # empty region is that region, unchanged.
+    # parent's, each unit's phase follows its split or its own bounds,
+    # analyze hands on exactly the bounds compute_bounds gives, and a child
+    # of an empty region is that region, unchanged.
     rng = np.random.default_rng(23)
     c = np.array([1.0, -1.0])
     for trial in range(20):
@@ -137,7 +167,7 @@ def test_bounds_nest_along_split_paths():
         prop = margin_prop(c, 0.0, box)
         parent_splits = {}
         parent = path_bounds(net, box, parent_splits)
-        assert_post_is_clipped_pre(parent, parent_splits)
+        assert_phase_follows_splits_and_bounds(parent, parent_splits)
         # walk three levels, always splitting the first ambiguous unit
         for _ in range(3):
             amb = [
@@ -153,7 +183,7 @@ def test_bounds_nest_along_split_paths():
             child_splits = dict(parent_splits)
             child_splits[rid] = sign
             child = path_bounds(net, box, child_splits)
-            assert_post_is_clipped_pre(child, child_splits)
+            assert_phase_follows_splits_and_bounds(child, child_splits)
             for k in range(child.num_relu_layers()):
                 assert np.all(child.pre_lb[k] >= parent.pre_lb[k] - 1e-12)
                 assert np.all(child.pre_ub[k] <= parent.pre_ub[k] + 1e-12)
@@ -269,7 +299,7 @@ def test_monotone_under_splitting():
             # verifier; their intervals are path_bounds', bit for bit
             b = parent.bounds
             want = path_bounds(net, prop.input, splits)
-            for name in ("pre_lb", "pre_ub", "post_lb", "post_ub"):
+            for name in ("pre_lb", "pre_ub", "phase"):
                 got_layers, want_layers = getattr(b, name), getattr(want, name)
                 assert [a.tobytes() for a in got_layers] == [a.tobytes() for a in want_layers]
             assert b.out_lb.tobytes() == want.out_lb.tobytes()
@@ -402,7 +432,7 @@ def test_propagation_verdicts_are_sound():
         grid_min = region_grid_minimum(net, prop, splits)
         if grid_min is not None:
             assert v.lb_value <= grid_min + 1e-9
-        out = solve(_build_program(net, prop, splits, v.bounds))
+        out = solve(_build_program(net, prop, v.bounds))
         assert out.status is LpStatus.OPTIMAL
         assert v.lb_value <= out.value + prop.output.d + 1e-9
 
@@ -516,14 +546,30 @@ def random_programs(seed, trials):
 def reference_program(net, prop, splits, bounds):
     """The bounding LP written one row at a time, in the builder's order:
     each layer's affine rows, then unit by unit nothing (inactive), the "="
-    row (active) or the ">=" row and its chord (ambiguous); output rows last."""
+    row (active) or the ">=" row and its chord (ambiguous); output rows last.
+
+    A unit is inactive if split "-" or, unsplit, if u <= STABLE_TOL; else
+    active if split "+" or l >= -STABLE_TOL; else ambiguous.  Its post
+    column is [0, 0] if inactive and max(pre, 0) otherwise."""
     blocks = net.blocks
     widths = [W.shape[0] for W, _ in blocks]
     lo = [prop.input.lower]
     hi = [prop.input.upper]
+    kinds = []
     for i in range(len(widths) - 1):
-        lo += [bounds.pre_lb[i], bounds.post_lb[i]]
-        hi += [bounds.pre_ub[i], bounds.post_ub[i]]
+        kind = []
+        for j in range(widths[i]):
+            sign, l, u = splits.get(ReluId(i, j)), bounds.pre_lb[i][j], bounds.pre_ub[i][j]
+            if sign == "-" or (sign is None and u <= STABLE_TOL):
+                kind.append("inactive")
+            elif sign == "+" or l >= -STABLE_TOL:
+                kind.append("active")
+            else:
+                kind.append("ambiguous")
+        on = np.array([k != "inactive" for k in kind])
+        lo += [bounds.pre_lb[i], np.where(on, np.maximum(bounds.pre_lb[i], 0.0), 0.0)]
+        hi += [bounds.pre_ub[i], np.where(on, np.maximum(bounds.pre_ub[i], 0.0), 0.0)]
+        kinds.append(kind)
     lo = np.concatenate(lo + [bounds.out_lb])
     hi = np.concatenate(hi + [bounds.out_ub])
     rows, rels, rhs = [], [], []
@@ -543,13 +589,12 @@ def reference_program(net, prop, splits, bounds):
             add([*zip(range(src_off, src_off + src_n), W[r]), (dst + r, -1.0)], "=", -float(b[r]))
         if i == len(blocks) - 1:
             break
-        sign_of = {rid.neuron: s for rid, s in splits.items() if rid.layer == i}
         for j in range(widths[i]):
             pre_v, post_v = dst + j, dst + widths[i] + j
-            sign, l, u = sign_of.get(j), lo[pre_v], hi[pre_v]
-            if sign == "-" or (sign is None and u <= STABLE_TOL):
+            l, u = lo[pre_v], hi[pre_v]
+            if kinds[i][j] == "inactive":
                 continue
-            if sign == "+" or l >= -STABLE_TOL:
+            if kinds[i][j] == "active":
                 add([(post_v, 1.0), (pre_v, -1.0)], "=", 0.0)
                 continue
             add([(post_v, 1.0), (pre_v, -1.0)], ">=", 0.0)
@@ -569,7 +614,7 @@ def test_program_matches_the_row_by_row_reference():
     no_relu = (affine, affine_prop, {}, compute_bounds(affine, affine_prop.input, {}))
     built = 0
     for net, prop, splits, bounds in [no_relu, *random_programs(612, 60)]:
-        lp = _build_program(net, prop, splits, bounds)
+        lp = _build_program(net, prop, bounds)
         objective, var_bounds, A, rels, rhs = reference_program(net, prop, splits, bounds)
         assert lp.objective.tobytes() == objective.tobytes()
         assert lp.var_bounds.tobytes() == var_bounds.tobytes()
@@ -588,7 +633,7 @@ def test_program_layout_feeds_the_crash_basis():
     # row over its own pre and post columns.
     checked = ambiguous_seen = 0
     for net, prop, splits, bounds in random_programs(611, 80):
-        lp = _build_program(net, prop, splits, bounds)
+        lp = _build_program(net, prop, bounds)
         dims = [net.input_dim] + [W.shape[0] for W, _ in net.blocks]
         hidden = dims[1:-1]
         rids = relu_ids(net)

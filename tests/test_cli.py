@@ -344,10 +344,25 @@ def test_experiment_rejects_empty_plan_sections(tmp_path, capsys):
         ({"perturbations": [["quantize_int8"]]}, "perturbations[0]"),
         ({"modes": ["ivan"]}, "modes[0]"),
         ({"modes": [{**demo_mode("ivan"), "mode": "nope"}]}, "modes[0]"),
+        ({"modes": [{**demo_mode("ivan"), "alpha": True}]}, "modes[0]"),
+        ({"modes": [{**demo_mode("ivan"), "theta": False}]}, "modes[0]"),
+        ({"modes": [{**demo_mode("ivan"), "seed": 2.7}]}, "modes[0]"),
+        ({"perturbations": [{"kind": "uniform_random", "fraction": True}]}, "perturbations[0]"),
+        ({"perturbations": [{"kind": "uniform_random", "fraction": 0.1, "seed": 1.9}]}, "perturbations[0]"),
+        ({"perturbations": [{"kind": "last_layer", "matrix": [[True]]}]}, "perturbations[0]"),
+        ({"perturbations": [{"kind": "last_layer", "matrix": [[1.0], [1.0, 2.0]]}]}, "perturbations[0]"),
+        ({"networks": [0]}, "networks"),
+        ({"networks": str(FIXTURES / "demo_network.json")}, "networks"),
+        ({"properties": [str(FIXTURES / "demo_property.json"), None]}, "properties"),
+        ({"output_dir": 7}, "output_dir"),
+        ({"modes": demo_mode("ivan")}, "modes"),
     ],
     ids=[
         "heuristic", "alpha", "branching", "seed", "timeout", "timeout-bool", "fraction",
         "rng-seed", "no-matrix", "perturbation-not-object", "mode-not-object", "mode",
+        "alpha-bool", "theta-bool", "seed-fraction", "fraction-bool", "rng-seed-fraction",
+        "matrix-bool", "matrix-ragged", "network-not-path", "networks-not-list",
+        "property-not-path", "output-dir-not-path", "modes-not-list",
     ],
 )
 def test_experiment_rejects_a_bad_plan_before_running(tmp_path, capsys, edit, where):

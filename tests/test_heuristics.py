@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from incver.analyzer import PreactBounds, compute_bounds
+from incver.analyzer import (
+    ACTIVE,
+    AMBIGUOUS,
+    INACTIVE,
+    STABLE_TOL,
+    PreactBounds,
+    compute_bounds,
+)
 from incver.heuristics import (
     BaseHeuristic,
     HeuristicConfig,
@@ -19,14 +26,13 @@ from incver.spectree import ReluDecision, observed_scores, singleton, split
 
 
 def make_bounds(pre, kappa):
-    """Hand-built one-layer bounds: pre is a list of (lb, ub) pairs."""
+    """Hand-built one-layer bounds of unsplit units: pre is a list of (lb, ub) pairs."""
     lbs = np.array([p[0] for p in pre], dtype=float)
     ubs = np.array([p[1] for p in pre], dtype=float)
     return PreactBounds(
         pre_lb=[lbs],
         pre_ub=[ubs],
-        post_lb=[np.maximum(lbs, 0.0)],
-        post_ub=[np.maximum(ubs, 0.0)],
+        phase=[np.where(ubs <= STABLE_TOL, INACTIVE, np.where(lbs >= -STABLE_TOL, ACTIVE, AMBIGUOUS))],
         out_lb=np.array([0.0]),
         out_ub=np.array([1.0]),
         kappa=[np.asarray(kappa, dtype=float)],
