@@ -6,12 +6,14 @@ Two layers of machinery live here:
     Interval bounds for every pre-activation and output, tightened by
     symbolic back-substitution through the network (each ReLU gets
     per-neuron linear lower/upper relaxations, and concrete bounds come from
-    pushing those back to the input box).  One walk, ``_lower_bound``, does
-    every back-substitution: each upper bound is the negated lower bound of
-    the negated rows, and the objective's bound and ``kappa`` come from the
-    same walk.  Split decisions restrict ReLUs to one sign.  The pass decides
-    each ReLU's phase (inactive, active or ambiguous) once, and the
-    relaxation, the LP's rows and the split candidates all follow it.  One
+    pushing those back to the input box).  One function, ``_lower_bound``,
+    does every back-substitution, and each layer takes one walk of it: an
+    upper bound is the negated lower bound of the negated rows, so the rows
+    ``[W; -W]`` go down together, and on the output block the objective's row
+    rides along, giving its bound and ``kappa``.  Split decisions restrict
+    ReLUs to one sign.  The pass decides each ReLU's phase (inactive, active
+    or ambiguous) once, and the relaxation, the LP's rows and the split
+    candidates all follow it.  One
     propagation pass bounds a region; given the bounds of the region's parent
     (the same box under all splits but one) the pass is intersected with
     them, so every per-neuron interval at a child node is a subset of its
@@ -181,31 +183,42 @@ def _lower_bound(blocks, relax, A, c, upto, box):
     return np.clip(A, 0.0, None) @ box.lower + np.clip(A, None, 0.0) @ box.upper + c, coefs
 
 
-def _interval(blocks, relax, upto, box):
-    """Block ``upto``'s affine output bounds: two walks, one per side."""
+def _interval(blocks, relax, upto, box, extra=None):
+    """Block ``upto``'s affine output bounds, from one walk of ``[W; -W]``.
+
+    ``extra``, an optional ``(row, constant)`` pair over the block's input,
+    is stacked under those rows in the same walk.  Returns the lower and
+    upper bounds, and the extra row's bound and its per-ReLU-layer
+    pre-activation coefficients (None without ``extra``).
+    """
     W, b = blocks[upto]
-    lower = _lower_bound(blocks, relax, W, b, upto, box)[0]
-    return lower, -_lower_bound(blocks, relax, -W, -b, upto, box)[0]
+    n = b.size
+    A, c = np.vstack([W, -W]), np.concatenate([b, -b])
+    if extra is not None:
+        A, c = np.vstack([A, extra[0]]), np.append(c, extra[1])
+    lb, coefs = _lower_bound(blocks, relax, A, c, upto, box)
+    if extra is None:
+        return lb[:n], -lb[n:], None, None
+    return lb[:n], -lb[n : 2 * n], lb[-1], [a[-1] for a in coefs]
 
 
-def _one_pass(blocks, box, sign_by_layer, prior):
+def _one_pass(blocks, box, sign_by_layer, prior, objective):
     """One full propagation pass, intersected with ``prior`` layer by layer.
 
-    Each interval comes from :func:`_lower_bound`, once on the block's rows
-    and once on their negation for the upper side.  Each unit's phase is
-    decided here, once: a split unit takes its sign's; otherwise it is
-    inactive if u <= STABLE_TOL, else active if l >= -STABLE_TOL, else
+    Each layer's interval comes from one :func:`_interval` walk.  Each unit's
+    phase is decided here, once: a split unit takes its sign's; otherwise it
+    is inactive if u <= STABLE_TOL, else active if l >= -STABLE_TOL, else
     ambiguous.  Its relaxation follows the phase: 0, the identity, or the
-    triangle's chord above and a line through the origin below.  Returns
-    (PreactBounds-without-kappa, relaxations) so the caller can run the
-    objective's walk against the final relaxations.
+    triangle's chord above and a line through the origin below.  With an
+    ``objective``, its row ``(c @ W, c @ b)`` rides in the output block's
+    walk, which sets ``kappa`` and ``objective_lb`` (at least ``prior``'s).
     """
     n_relu = len(blocks) - 1
     relax = []
     pre_lb, pre_ub, phases = [], [], []
     infeasible = False
     for i in range(n_relu):
-        l, u = _interval(blocks, relax, i, box)
+        l, u, _, _ = _interval(blocks, relax, i, box)
         if prior is not None:
             l = np.maximum(l, prior.pre_lb[i])
             u = np.minimum(u, prior.pre_ub[i])
@@ -233,7 +246,11 @@ def _one_pass(blocks, box, sign_by_layer, prior):
         pre_ub.append(u)
         phases.append(phase)
 
-    out_l, out_u = _interval(blocks, relax, n_relu, box)
+    extra = None
+    if objective is not None:
+        W, b = blocks[-1]
+        extra = (objective @ W, objective @ b)
+    out_l, out_u, lb, coefs = _interval(blocks, relax, n_relu, box, extra)
     if prior is not None:
         out_l = np.maximum(out_l, prior.out_lb)
         out_u = np.minimum(out_u, prior.out_ub)
@@ -241,7 +258,12 @@ def _one_pass(blocks, box, sign_by_layer, prior):
             infeasible = True
         out_u = np.maximum(out_u, out_l)
     bounds = PreactBounds(pre_lb, pre_ub, phases, out_l, out_u, None, infeasible)
-    return bounds, relax
+    if objective is not None:
+        bounds.kappa = [np.abs(a) for a in coefs]
+        if prior is not None and prior.objective_lb is not None:
+            lb = max(lb, prior.objective_lb)
+        bounds.objective_lb = float(lb)
+    return bounds
 
 
 def compute_bounds(
@@ -255,7 +277,8 @@ def compute_bounds(
 
     ``splits`` maps ReluId to "+" or "-"; one propagation pass applies them
     all.  With an ``objective`` (a vector over the network's outputs) the
-    result also carries ``kappa`` and ``objective_lb``.
+    result also carries ``kappa`` and ``objective_lb``, from the output
+    block's walk of that same pass.
 
     ``parent`` is the result for the same box under all of ``splits`` but
     one, computed with the same objective or none; the pass is intersected
@@ -284,15 +307,7 @@ def compute_bounds(
     for rid, sign in splits.items():
         arr = sign_by_layer.setdefault(rid.layer, np.zeros(widths[rid.layer]))
         arr[rid.neuron] = 1.0 if sign == "+" else -1.0
-    bounds, relax = _one_pass(blocks, box, sign_by_layer, parent)
-    if objective is not None:
-        W, b = blocks[-1]
-        lb, coefs = _lower_bound(blocks, relax, objective @ W, objective @ b, len(blocks) - 1, box)
-        bounds.kappa = [np.abs(a) for a in coefs]
-        if parent is not None and parent.objective_lb is not None:
-            lb = max(lb, parent.objective_lb)
-        bounds.objective_lb = float(lb)
-    return bounds
+    return _one_pass(blocks, box, sign_by_layer, parent, objective)
 
 
 @functools.lru_cache(maxsize=64)

@@ -604,7 +604,8 @@ def build_parser() -> _Parser:
         "--mode",
         choices=[m.value for m in Mode],
         default=Mode.IVAN.value,
-        help="how the second run reuses the first run's tree",
+        help="how the second run reuses the first run's tree "
+        "(under --branching input, reorder does the same search as baseline)",
     )
     p_inc.set_defaults(func=cmd_verify_incremental)
 

@@ -41,6 +41,12 @@ The analyzer orders its variables input, pre, post, output and writes each
 evaluates the affine layers forward from the start values, and phase 1 only
 repairs the rows whose value leaves its bounds.
 
+The tableau ``T = Binv A`` is kept dense and updated by row operations at
+each pivot.  It is refactorized before each phase: B is factorized once, only
+the nonbasic columns are solved, and the basic columns are set to the exact
+unit vectors.  After phase 2 only the basic values are re-solved, for the
+final point, since the tableau is not read again.
+
 Entering variables are chosen by the Dantzig rule (most negative reduced
 cost); after a run of degenerate pivots the rule switches to Bland's rule
 (lowest eligible index) until progress resumes, which prevents cycling.  All
@@ -175,9 +181,10 @@ class _Tableau:
     """Mutable simplex state over the extended column set.
 
     Columns are ordered: structural variables, slacks for inequality rows,
-    then any artificials.  ``T`` always equals ``Binv @ A`` for the current
-    basis; ``xb`` holds basic variable values; ``val`` holds the fixed value
-    of every nonbasic column.
+    then any artificials.  While a phase runs, ``T`` equals ``Binv @ A``
+    for the current basis, with its basic columns the unit vectors; ``xb``
+    holds basic variable values; ``val`` holds the fixed value of every
+    nonbasic column.
     """
 
     def __init__(self, A, b, lo, hi, max_iter):
@@ -194,28 +201,39 @@ class _Tableau:
         self.val = np.zeros(self.K)
         self.iterations = 0
 
-    def refresh(self) -> None:
-        """Refactorize: recompute T = Binv A and basic values from the basis.
+    def refresh(self, tableau: bool = True) -> None:
+        """Refactorize: recompute the basic values, and T = Binv A, from the basis.
 
-        Used between phases and before the final feasibility check to shed
-        accumulated row-operation drift.
+        B is factorized once, and the basic values and the nonbasic columns
+        of T are solved as one right-hand side; the basic columns of T are
+        the unit vectors, written exactly.  With ``tableau=False`` only the
+        basic values are solved and T is left as it is.  Used between phases
+        to shed accumulated row-operation drift, and for the final point.
         """
         B = self.A[:, self.basis]
-        nonbasic = self.state != _BASIC
-        rhs = self.b - self.A[:, nonbasic] @ self.val[nonbasic]
+        nonbasic = np.flatnonzero(self.state != _BASIC)
+        N = self.A[:, nonbasic]
+        rhs = self.b - N @ self.val[nonbasic]
         try:
-            self.xb = np.linalg.solve(B, rhs)
-            self.T = np.linalg.solve(B, self.A)
+            if not tableau:
+                self.xb = np.linalg.solve(B, rhs)
+                return
+            sol = np.linalg.solve(B, np.column_stack([rhs, N]))
         except np.linalg.LinAlgError as exc:
             raise LpError("singular basis during refactorization") from exc
+        self.xb = sol[:, 0]
+        self.T = np.zeros((self.m, self.K))
+        self.T[:, nonbasic] = sol[:, 1:]
+        self.T[np.arange(self.m), self.basis] = 1.0
 
     def run(self, cost: np.ndarray) -> None:
         """Pivot until optimal for the given cost vector."""
         bland = False
         degenerate_run = 0
+        movable = self.hi - self.lo > 0  # bounds stay fixed within a phase
         while True:
             reduced = cost - cost[self.basis] @ self.T
-            enter = self._entering(reduced, bland)
+            enter = self._entering(reduced, movable, bland)
             if enter is None:
                 return
             j, sigma = enter
@@ -230,11 +248,11 @@ class _Tableau:
             self._apply_pivot(j, sigma, t, row)
             self.iterations += 1
 
-    def _entering(self, reduced, bland):
-        movable = (self.state != _BASIC) & (self.hi - self.lo > 0)
-        down = movable & (self.state == _AT_LOWER) & (reduced < -_OPT_TOL)
-        up = movable & (self.state == _AT_UPPER) & (reduced > _OPT_TOL)
-        eligible = down | up
+    def _entering(self, reduced, movable, bland):
+        # a basic column is neither at its lower nor at its upper bound
+        eligible = movable & np.where(
+            self.state == _AT_LOWER, reduced < -_OPT_TOL, (self.state == _AT_UPPER) & (reduced > _OPT_TOL)
+        )
         if not eligible.any():
             return None
         if bland:
@@ -296,7 +314,7 @@ class _Tableau:
         self.T[row, :] /= piv
         factors = self.T[:, j].copy()
         factors[row] = 0.0
-        self.T -= np.outer(factors, self.T[row, :])
+        self.T -= factors[:, None] * self.T[row]
         self.basis[row] = j
         self.state[j] = _BASIC
         self.xb[row] = new_val
@@ -443,12 +461,13 @@ def solve(lp: LinearProgram, *, max_iter: Optional[int] = None) -> LpOutcome:
     full_cost[:n] = lp.objective
     tab.run(full_cost)
 
-    tab.refresh()
+    tab.refresh(tableau=False)  # T is not read again
     x_all = tab.val.copy()
     x_all[tab.basis] = tab.xb
     x = x_all[:n]
 
     # final guard: never return an OPTIMAL point that is not actually feasible;
+    # the point's basic values were just re-solved from the final basis, and
     # the comparisons are written so that a NaN counts as a violation
     if not np.all((x >= lo_s - _FEAS_TOL) & (x <= hi_s + _FEAS_TOL)):
         raise LpError("final point violates variable bounds")

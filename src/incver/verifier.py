@@ -87,7 +87,10 @@ class RunMetrics:
     because every starting leaf and every created node is bounded exactly
     once, and every split adds one internal node.  lps counts the boundings
     that solved an LP (the others were settled by bound propagation alone)
-    and pivots sums those LPs' simplex pivots.
+    and pivots sums those LPs' simplex pivots.  passes counts propagation
+    passes: one per bounding and one per internal node of an initial tree
+    under ReLU branching, except where the parent region is already empty
+    and its bounds are handed on without a pass.
     """
 
     boundings: int
@@ -98,6 +101,7 @@ class RunMetrics:
     leaves_final: int
     lps: int
     pivots: int
+    passes: int
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
@@ -194,6 +198,7 @@ def verify(
     branchings = 0
     lps = 0
     pivots = 0
+    passes = 0
 
     def finish(verdict: RunVerdict, **extra) -> RunResult:
         metrics = RunMetrics(
@@ -205,6 +210,7 @@ def verify(
             leaves_final=tree.num_leaves(),
             lps=lps,
             pivots=pivots,
+            passes=passes,
         )
         return RunResult(verdict, tree, metrics, **extra)
 
@@ -219,6 +225,7 @@ def verify(
         if tree.branching == "relu":
             if time.perf_counter() - start > cfg.timeout:
                 return finish(RunVerdict.TIMEOUT, note="wall-clock timeout")
+            passes += parent is None or not parent.infeasible
             parent = compute_bounds(net, box, splits, parent=parent)
         for cid in (node.left, node.right):
             walk.append((cid, *narrow(box, splits, tree.node(cid).decision), parent))
@@ -232,6 +239,7 @@ def verify(
                 return finish(RunVerdict.TIMEOUT, note="wall-clock timeout")
             res = analyze(net, Property(box, prop.output, name=prop.name), splits, parent=parent)
             boundings += 1
+            passes += parent is None or not parent.infeasible
             if res.pivots is not None:
                 lps += 1
                 pivots += res.pivots

@@ -1,19 +1,32 @@
 """Independent oracles for bound and verdict checking.
 
-Everything here except ``path_bounds`` works directly on the layer
-arithmetic (or on exact per-sign-pattern affine algebra plus vertex
-enumeration) and never calls the package's analyzer or simplex, so tests can
-use these as ground truth.  ``path_bounds`` is a helper: it bounds a region
-the way the verifier reaches it, down its branching path.
+Everything here except ``path_bounds`` and ``separate_walk_bounds`` works
+directly on the layer arithmetic (or on exact per-sign-pattern affine algebra
+plus vertex enumeration) and never calls the package's analyzer or simplex,
+so tests can use these as ground truth.  ``path_bounds`` is a helper: it
+bounds a region the way the verifier reaches it, down its branching path.
+``separate_walk_bounds`` is a reference for the propagation pass's layout:
+it reuses the analyzer's back-substitution walk, but runs it once per bound
+side and once more for the objective.
 """
 
 import itertools
 
 import numpy as np
 
-from incver.analyzer import compute_bounds
+from incver.analyzer import (
+    ACTIVE,
+    AMBIGUOUS,
+    CROSS_TOL,
+    INACTIVE,
+    STABLE_TOL,
+    PreactBounds,
+    _lower_bound,
+    _Relaxation,
+    compute_bounds,
+)
 from incver.lp import LinearProgram
-from incver.model import Affine, Network
+from incver.model import Affine, Network, ReluId
 from lp_oracles import vertex_minimum
 
 
@@ -42,6 +55,76 @@ def path_bounds(net: Network, box, splits, objective=None):
     for k in range(len(items) + 1):
         last = objective if k == len(items) else None
         bounds = compute_bounds(net, box, dict(items[:k]), objective=last, parent=bounds)
+    return bounds
+
+
+def separate_walk_bounds(net: Network, box, splits, objective=None, parent=None):
+    """``compute_bounds`` with separate walks: one ``_lower_bound`` walk per
+    side of every layer's interval, then one for the objective.
+
+    Phases and relaxations are decided unit by unit from the same rules: a
+    split unit takes its sign's phase and clamps its bound; an unsplit one is
+    inactive if u <= STABLE_TOL, else active if l >= -STABLE_TOL, else
+    ambiguous, relaxed by the triangle's chord above and, below, by the
+    identity if u >= -l and by 0 otherwise.
+    """
+    if parent is not None and parent.infeasible:
+        return parent
+    blocks = net.blocks
+    relax, pre_lb, pre_ub, phases = [], [], [], []
+    infeasible = False
+
+    def interval(upto):
+        W, b = blocks[upto]
+        lower = _lower_bound(blocks, relax, W, b, upto, box)[0]
+        return lower, -_lower_bound(blocks, relax, -W, -b, upto, box)[0]
+
+    for i in range(len(blocks) - 1):
+        l, u = interval(i)
+        if parent is not None:
+            l, u = np.maximum(l, parent.pre_lb[i]), np.minimum(u, parent.pre_ub[i])
+        n = l.size
+        phase = np.zeros(n, dtype=int)
+        lam_low, lam_up, mu_up = np.zeros(n), np.zeros(n), np.zeros(n)
+        for j in range(n):
+            sign = splits.get(ReluId(i, j))
+            if sign == "+":
+                l[j] = max(l[j], 0.0)
+            elif sign == "-":
+                u[j] = min(u[j], 0.0)
+            if l[j] > u[j] + CROSS_TOL:
+                infeasible = True
+            u[j] = max(u[j], l[j])
+            if sign is not None:
+                phase[j] = ACTIVE if sign == "+" else INACTIVE
+            else:
+                phase[j] = INACTIVE if u[j] <= STABLE_TOL else ACTIVE if l[j] >= -STABLE_TOL else AMBIGUOUS
+            if phase[j] == ACTIVE:
+                lam_low[j] = lam_up[j] = 1.0
+            elif phase[j] == AMBIGUOUS:
+                lam_up[j] = u[j] / (u[j] - l[j])
+                mu_up[j] = -u[j] * l[j] / (u[j] - l[j])
+                lam_low[j] = 1.0 if u[j] >= -l[j] else 0.0
+        relax.append(_Relaxation(lam_low, lam_up, mu_up))
+        pre_lb.append(l)
+        pre_ub.append(u)
+        phases.append(phase)
+
+    out_l, out_u = interval(len(blocks) - 1)
+    if parent is not None:
+        out_l, out_u = np.maximum(out_l, parent.out_lb), np.minimum(out_u, parent.out_ub)
+        if np.any(out_l > out_u + CROSS_TOL):
+            infeasible = True
+        out_u = np.maximum(out_u, out_l)
+    bounds = PreactBounds(pre_lb, pre_ub, phases, out_l, out_u, None, infeasible)
+    if objective is not None:
+        W, b = blocks[-1]
+        c = np.asarray(objective, dtype=float)
+        lb, coefs = _lower_bound(blocks, relax, c @ W, c @ b, len(blocks) - 1, box)
+        bounds.kappa = [np.abs(a) for a in coefs]
+        if parent is not None and parent.objective_lb is not None:
+            lb = max(lb, parent.objective_lb)
+        bounds.objective_lb = float(lb)
     return bounds
 
 

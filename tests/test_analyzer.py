@@ -1,5 +1,6 @@
 """Tests for bound computation and the LP-based analyzer."""
 
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from bound_oracles import (
     grid_points,
     path_bounds,
     region_minimum,
+    separate_walk_bounds,
 )
 
 
@@ -196,6 +198,50 @@ def test_bounds_nest_along_split_paths():
                 assert_same_bounds(with_c, path_bounds(net, box, child_splits, objective=c))
                 assert_same_bounds(analyze(net, prop, child_splits, parent=parent).bounds, with_c)
             parent, parent_splits = child, child_splits
+
+
+def test_stacked_walks_match_the_separate_walks():
+    # One pass walks each layer's [W; -W] together and rides the objective's
+    # row in the output block's walk; the reference walks each side and the
+    # objective on its own.  Phases must agree exactly, every bound to 1e-12.
+    rng = np.random.default_rng(77)
+    affine = Network((Affine(np.array([[2.0, -1.0], [0.5, 3.0]]), np.array([1.0, -2.0])),))
+    cases = [(affine, {}, None)]
+    for trial in range(80):
+        hidden = [int(w) for w in rng.integers(1, 6, size=int(rng.integers(1, 4)))]
+        dims = [int(rng.integers(1, 4)), *hidden, int(rng.integers(1, 3))]
+        net = make_net(dims, rng)
+        rids = relu_ids(net)
+        picked = rng.choice(len(rids), size=int(rng.integers(0, len(rids) // 2 + 2)), replace=False)
+        items = [(rids[k], "+" if rng.random() < 0.5 else "-") for k in picked]
+        cases.append((net, dict(items), items))
+    compared = 0
+    for net, splits, items in cases:
+        box = unit_box(net.input_dim)
+        c = rng.normal(size=net.output_dim)
+        parents = [None]
+        if items:
+            above = dict(items[:-1])
+            parents += [path_bounds(net, box, above), path_bounds(net, box, above, objective=c)]
+        for parent, objective in itertools.product(parents, (None, c)):
+            got = compute_bounds(net, box, splits, objective=objective, parent=parent)
+            want = separate_walk_bounds(net, box, splits, objective=objective, parent=parent)
+            if parent is not None and parent.infeasible:
+                assert got is parent and want is parent
+                continue
+            assert got.infeasible == want.infeasible
+            assert all(np.array_equal(g, w) for g, w in zip(got.phase, want.phase, strict=True))
+            pairs = [*zip(got.pre_lb, want.pre_lb), *zip(got.pre_ub, want.pre_ub)]
+            pairs += [(got.out_lb, want.out_lb), (got.out_ub, want.out_ub)]
+            if objective is None:
+                assert got.kappa is None and got.objective_lb is None
+            else:
+                pairs += list(zip(got.kappa, want.kappa, strict=True))
+                pairs.append((got.objective_lb, want.objective_lb))
+            for g, w in pairs:
+                assert np.allclose(g, w, rtol=0.0, atol=1e-12)
+            compared += 1
+    assert compared >= 300
 
 
 def test_crossing_split_flags_infeasible():

@@ -86,6 +86,7 @@ def test_verify_demo_fixture_metrics(capsys):
     assert doc["metrics"]["boundings"] == 9
     assert doc["metrics"]["branchings"] == 4
     assert (doc["metrics"]["lps"], doc["metrics"]["pivots"]) == (6, 33)
+    assert doc["metrics"]["passes"] == 9
     assert doc["counterexample"] is None
     assert doc["schema_version"] == 1
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from incver.heuristics import BaseHeuristic, HeuristicConfig
-from incver.lp import LinearProgram, LpError, LpStatus, solve
+from incver.lp import _BASIC, LinearProgram, LpError, LpStatus, _Tableau, solve
 from incver.model import load_network
 from incver.props import load_property
 from incver.verifier import Mode, VerifierConfig, verify
@@ -267,3 +267,32 @@ def test_constraints_view_reads_the_arrays():
     ]
     assert all(type(rel) is str and type(rhs) is float for _, rel, rhs in rows)
     assert LinearProgram([1.0], box([0.0, 1.0])).constraints == ()
+
+
+def test_refresh_solves_only_the_nonbasic_columns():
+    # A refresh writes the basic columns of T = Binv A as exact unit vectors
+    # and solves the rest; without the tableau it re-solves the basic values
+    # alone and leaves T as it was.
+    rng = np.random.default_rng(11)
+    for m, K in [(1, 3), (4, 9), (7, 12)]:
+        A = rng.normal(size=(m, K))
+        b = rng.normal(size=m)
+        tab = _Tableau(A, b, np.zeros(K), np.ones(K), max_iter=100)
+        tab.basis = rng.permutation(K)[:m]
+        tab.state[tab.basis] = _BASIC
+        tab.val = np.where(tab.state == _BASIC, 0.0, rng.uniform(size=K))
+        tab.refresh()
+        B = A[:, tab.basis]
+        nonbasic = tab.state != _BASIC
+        assert np.array_equal(tab.T[:, tab.basis], np.eye(m))
+        assert np.allclose(tab.T[:, nonbasic], np.linalg.solve(B, A)[:, nonbasic], rtol=0, atol=1e-12)
+        rhs = b - A[:, nonbasic] @ tab.val[nonbasic]
+        assert np.allclose(tab.xb, np.linalg.solve(B, rhs), rtol=0, atol=1e-12)
+
+        T = tab.T
+        before = T.copy()
+        tab.val[nonbasic] = rng.uniform(size=K - m)
+        tab.refresh(tableau=False)
+        assert tab.T is T and np.array_equal(T, before)
+        rhs = b - A[:, nonbasic] @ tab.val[nonbasic]
+        assert np.allclose(tab.xb, np.linalg.solve(B, rhs), rtol=0, atol=1e-12)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from incver import analyzer, verifier
+from incver import verifier
 from incver.heuristics import BaseHeuristic, HeuristicConfig
 from incver.model import (
     Affine,
@@ -171,21 +171,7 @@ def test_call_accounting_baseline():
         assert m.boundings + m.branchings == pytest.approx(predicted_cost(1, 1, s, res.tree))
 
 
-@pytest.fixture
-def passes(monkeypatch):
-    """Record every propagation pass the analyzer runs."""
-    one_pass = analyzer._one_pass
-    seen = []
-
-    def counting_pass(*args):
-        seen.append(args)
-        return one_pass(*args)
-
-    monkeypatch.setattr(analyzer, "_one_pass", counting_pass)
-    return seen
-
-
-def test_each_bounding_runs_one_propagation_pass(passes):
+def test_each_bounding_runs_one_propagation_pass():
     # Propagation passes are the deterministic work counter of the bounds.
     # Every node is bounded once, from its parent's bounds: the demo's
     # baseline first run takes one pass per bounding, and a reused or pruned
@@ -198,21 +184,19 @@ def test_each_bounding_runs_one_propagation_pass(passes):
     cfg = VerifierConfig(mode=Mode.BASELINE, heuristic=heur, timeout=30.0)
     first = verify(net, prop, cfg)
     assert (first.metrics.boundings, first.metrics.branchings) == (9, 4)
-    assert len(passes) == 9
+    assert first.metrics.passes == 9
 
-    passes.clear()
     reuse = verify(updated, prop, cfg, initial_tree=first.tree)
     assert (reuse.metrics.boundings, reuse.metrics.branchings) == (5, 0)
-    assert len(passes) == first.tree.num_nodes() == 9
+    assert reuse.metrics.passes == first.tree.num_nodes() == 9
 
-    passes.clear()
     pruned = prune(first.tree, heur.theta)
     ivan = verify(updated, prop, cfg, initial_tree=pruned, hobs=observed_scores(first.tree))
     assert (ivan.metrics.boundings, ivan.metrics.branchings) == (3, 0)
-    assert len(passes) == pruned.num_nodes() == 5
+    assert ivan.metrics.passes == pruned.num_nodes() == 5
 
 
-def test_reused_tree_under_an_empty_region_verifies_vacuously(passes):
+def test_reused_tree_under_an_empty_region_verifies_vacuously():
     # Unit 0's pre-activation is identically 1, so the region under its "-"
     # split is empty.  The leaves below that internal node verify with
     # lb = inf and cost no pass: only the root, the "+" leaf and the empty
@@ -236,7 +220,7 @@ def test_reused_tree_under_an_empty_region_verifies_vacuously(passes):
     for nid in under:
         assert res.tree.node(nid).status is NodeStatus.VERIFIED
         assert res.tree.node(nid).lb == math.inf
-    assert len(passes) == 3
+    assert res.metrics.passes == 3
 
 
 def test_each_bounding_gets_the_subproblem_of_its_root_path(monkeypatch):

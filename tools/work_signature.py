@@ -4,10 +4,8 @@ Builds the instances of a benchmark workload with ``perfbench/workloads.py``
 and runs ``verify_incremental`` on each of them in all four modes, with the
 configurations ``perfbench/run.py`` uses.  It prints, per mode and in total:
 
-* boundings, branchings, LPs solved and their summed pivots (from the
-  runs' metrics);
-* propagation passes, counted by wrapping the analyzer's per-pass function
-  from outside the package;
+* boundings, branchings, propagation passes, LPs solved and their summed
+  pivots (from the runs' metrics);
 * a SHA-256 over every run's verdict, counts, counterexample bytes and each
   tree node's ``(id, lb.hex())``;
 * a verdict digest: a SHA-256 over every run's verdict alone;
@@ -24,12 +22,24 @@ keeps the verdict digest.  Run from the repository root:
 
 The last line of standard output is one JSON object with the totals.  With
 ``--expect FILE`` (a saved output, whose last line is that JSON object) the
-script also compares the two objects, the per-mode rows included, and exits
-1 after naming each field that differs:
+script also compares the two objects, the per-mode rows included, and names
+each field that differs.  It exits 1 when a count, the instance digest or a
+verdict digest differs: the search changed.  It exits 2 when only the
+bit-level digests differ (the run and LP SHA-256s): the same search, whose
+bounds and programs differ in the last bits, as after a change in the order
+of floating-point operations.
 
     python3 tools/work_signature.py --workload quant-8x6 --seed 1 > before.txt
     # ... change the code ...
     python3 tools/work_signature.py --workload quant-8x6 --seed 1 --expect before.txt
+
+With ``--bench FILE`` (and no ``--workload``/``--seed``) it writes one point
+of the benchmark trajectory as JSON: the signature totals of every workload
+at seeds 1-3, the medians and spreads of the end-to-end metrics of
+``BENCH_RUNS`` runs of ``perfbench/run.py --trace 0`` per workload, and the
+environment.  That takes about ten minutes on a 2-core x86 machine:
+
+    python3 tools/work_signature.py --bench BENCH_11.json
 """
 
 from __future__ import annotations
@@ -37,6 +47,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import platform
+import statistics
+import subprocess
 import sys
 from pathlib import Path
 
@@ -44,12 +58,19 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import numpy as np
 import workloads  # perfbench/workloads.py
 from incver import analyzer
 from incver.heuristics import HeuristicConfig
 from incver.verifier import Mode, VerifierConfig, verify_incremental
 
 RUN_TIMEOUT = 60.0  # as perfbench/run.py
+BENCH_SEEDS = (1, 2, 3)
+BENCH_RUNS = 5  # perfbench runs per workload
+BENCH_PERF_SEED = 1
+BENCH_SECONDS = 30  # perfbench's run length, as BENCHMARK.json sets it
+# fields whose difference is only in the last bits of the same search
+BIT_DIGESTS = ("sha256", "lp_sha256", "sha", "lp_sha")
 
 
 def _lb_hex(lb) -> str:
@@ -97,16 +118,8 @@ def signature(workload: str, seed: int) -> dict:
     total = hashlib.sha256()
     verdict_total = hashlib.sha256()
     lp_total = hashlib.sha256()
-    # count propagation passes by wrapping the analyzer's per-pass function
-    one_pass = analyzer._one_pass
-    passes = [0]
-
-    def counted_pass(*args):
-        passes[0] += 1
-        return one_pass(*args)
-
-    # digest the LPs by wrapping the analyzer's solver the same way; ``row``
-    # is the current mode's counters, rebound by the loop below
+    # digest the LPs by wrapping the analyzer's solver; ``row`` is the
+    # current mode's counters, rebound by the loop below
     lp_solve = analyzer.solve
     row = None
 
@@ -116,17 +129,14 @@ def signature(workload: str, seed: int) -> dict:
         lp_total.update(bits)
         return lp_solve(lp, **kwargs)
 
-    analyzer._one_pass = counted_pass
     analyzer.solve = digested_solve
     try:
         for inst in instances:
             for mode, cfg in configs.items():
                 row = per_mode[mode.value]
-                before = passes[0]
                 pair = verify_incremental(inst.original, inst.updated, inst.prop, cfg)
-                row["passes"] += passes[0] - before
                 for res in pair:
-                    for key in ("boundings", "branchings", "lps", "pivots"):
+                    for key in ("boundings", "branchings", "passes", "lps", "pivots"):
                         row[key] += getattr(res.metrics, key)
                     bits = run_digest(res)
                     row["sha"].update(bits)
@@ -134,7 +144,6 @@ def signature(workload: str, seed: int) -> dict:
                     row["verdict_sha"].update(res.verdict.value.encode())
                     verdict_total.update(res.verdict.value.encode())
     finally:
-        analyzer._one_pass = one_pass
         analyzer.solve = lp_solve
     digests = ("sha", "verdict_sha", "lp_sha")
     modes = {
@@ -165,22 +174,82 @@ def _fields(sig: dict) -> dict:
     return flat
 
 
-def differences(got: dict, want: dict) -> list:
-    """One line per field whose value differs between two signatures."""
+def differences(got: dict, want: dict) -> dict:
+    """Each field whose value differs between two signatures: (expected, got)."""
     g, w = _fields(got), _fields(want)
-    return [
-        f"{key}: expected {w.get(key)!r}, got {g.get(key)!r}"
+    return {
+        key: (w.get(key), g.get(key))
         for key in sorted(g.keys() | w.keys())
         if g.get(key) != w.get(key)
-    ]
+    }
+
+
+def perfbench_runs(workload: str) -> dict:
+    """Median, spread and values of each end-to-end metric over BENCH_RUNS runs.
+
+    The spread is (max - min) / median; ``correct`` is True only when every
+    run reported correct outputs, and ``failed`` sums the failed operations.
+    """
+    cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+           "--seed", str(BENCH_PERF_SEED), "--seconds", str(BENCH_SECONDS), "--trace", "0"]
+    runs = []
+    for _ in range(BENCH_RUNS):
+        out = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=True)
+        runs.append(json.loads(out.stdout.strip().splitlines()[-1]))
+    metrics = {}
+    for name, entry in runs[0]["metrics"].items():
+        values = [r["metrics"][name]["value"] for r in runs]
+        mid = statistics.median(values)
+        metrics[name] = {
+            "median": mid,
+            "spread": (max(values) - min(values)) / mid,
+            "unit": entry["unit"],
+            "values": values,
+        }
+    return {
+        "seed": BENCH_PERF_SEED,
+        "seconds": BENCH_SECONDS,
+        "runs": BENCH_RUNS,
+        "correct": all(r["correct"] for r in runs),
+        "failed": sum(r["failed"] for r in runs),
+        "metrics": metrics,
+    }
+
+
+def bench(path: Path) -> None:
+    """Write one trajectory point: work signatures, perfbench medians, environment."""
+    doc = {
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cores": os.cpu_count(),
+        },
+        "work": {},
+        "perfbench": {},
+    }
+    for workload in sorted(workloads.FAMILIES):
+        doc["work"][workload] = {}
+        for seed in BENCH_SEEDS:
+            sig = signature(workload, seed)
+            doc["work"][workload][str(seed)] = {key: v for key, v in sig.items() if key != "modes"}
+        doc["perfbench"][workload] = perfbench_runs(workload)
+    path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--workload", required=True, choices=sorted(workloads.FAMILIES))
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--workload", choices=sorted(workloads.FAMILIES))
+    p.add_argument("--seed", type=int)
     p.add_argument("--expect", metavar="FILE", help="a saved output to compare the totals JSON with")
+    p.add_argument("--bench", metavar="FILE", help="write a benchmark trajectory point to FILE")
     args = p.parse_args(argv)
+    if args.bench:
+        if args.workload or args.seed is not None or args.expect:
+            p.error("--bench takes no --workload, --seed or --expect")
+        bench(Path(args.bench))
+        return 0
+    if args.workload is None or args.seed is None:
+        p.error("--workload and --seed are required without --bench")
     want = None
     if args.expect:
         want = json.loads(Path(args.expect).read_text(encoding="utf-8").strip().splitlines()[-1])
@@ -201,9 +270,11 @@ def main(argv=None) -> int:
     if want is None:
         return 0
     diff = differences(sig, want)
-    for line in diff:
-        print(f"differs: {line}", file=sys.stderr)
-    return 1 if diff else 0
+    for key, (expected, got) in diff.items():
+        print(f"differs: {key}: expected {expected!r}, got {got!r}", file=sys.stderr)
+    if not diff:
+        return 0
+    return 2 if all(key.rsplit(".", 1)[-1] in BIT_DIGESTS for key in diff) else 1
 
 
 if __name__ == "__main__":
