@@ -13,13 +13,14 @@ Two layers of machinery live here:
     rides along, giving its bound and ``kappa``.  Split decisions restrict
     ReLUs to one sign.  The pass decides each ReLU's phase (inactive, active
     or ambiguous) once, and the relaxation, the LP's rows and the split
-    candidates all follow it.  One
-    propagation pass bounds a region; given the bounds of the region's parent
-    (the same box under all splits but one) the pass is intersected with
-    them, so every per-neuron interval at a child node is a subset of its
-    parent's.  That gives the verifier its monotonicity guarantee (child
-    lower bounds never fall below the parent's beyond solver tolerance) and
-    makes root-derived norms sound for every descendant region.
+    candidates all follow it.  One propagation pass bounds a region; given
+    the bounds of the region's parent (any region that contains it: a child
+    adds one ReLU split or halves one input axis) the pass is intersected
+    with them, so every per-neuron interval at a child node is a subset of
+    its parent's.  That gives the verifier its monotonicity guarantee (child
+    lower bounds never fall below the parent's beyond solver tolerance,
+    whichever the branching) and makes root-derived norms sound for every
+    descendant region.
 
 ``analyze``
     Bounds the region once, with the property's objective so the bounds carry
@@ -280,12 +281,13 @@ def compute_bounds(
     result also carries ``kappa`` and ``objective_lb``, from the output
     block's walk of that same pass.
 
-    ``parent`` is the result for the same box under all of ``splits`` but
-    one, computed with the same objective or none; the pass is intersected
-    with it, so bounds shrink monotonically along a branching path, and
-    ``objective_lb`` never falls below the parent's.  A parent that is
-    already ``infeasible`` is returned unchanged: every region under an
-    empty one is empty.
+    ``parent`` is the result for a region that contains this one (the
+    verifier passes a node's parent: the same box under one split fewer, or
+    a larger box under the same splits), computed with the same objective or
+    none; the pass is intersected with it, so bounds shrink monotonically
+    along a branching path, and ``objective_lb`` never falls below the
+    parent's.  A parent that is already ``infeasible`` is returned
+    unchanged: every region under an empty one is empty.
 
     If a split empties the region (bounds cross), the result is flagged
     ``infeasible``; callers verify such regions vacuously.

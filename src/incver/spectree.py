@@ -205,9 +205,10 @@ def spec_of(tree: SpecTree, node_id: int, box: InputBox) -> tuple:
 def improvement(tree: SpecTree, node_id: int) -> float:
     """How much the node's split tightened the bound: the worse child's gain.
 
-    Defined as min over the two children of (child lb - node lb).  Negative
-    values are possible only through solver tolerance; they are returned
-    unclamped so callers can see them.
+    Defined as min over the two children of (child lb - node lb).  Every
+    child, under ReLU and input splits alike, is bounded from its parent's
+    bounds, so negative values are possible only through solver tolerance;
+    they are returned unclamped so callers can see them.
     """
     node = tree.node(node_id)
     if node.is_leaf:

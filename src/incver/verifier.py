@@ -24,6 +24,7 @@ from incver.heuristics import HeuristicConfig, choose_input_split, choose_split
 from incver.model import Affine, Network, relu_ids, same_architecture
 from incver.props import Property
 from incver.spectree import (
+    InputDecision,
     NodeStatus,
     ReluDecision,
     SpecTree,
@@ -88,9 +89,9 @@ class RunMetrics:
     once, and every split adds one internal node.  lps counts the boundings
     that solved an LP (the others were settled by bound propagation alone)
     and pivots sums those LPs' simplex pivots.  passes counts propagation
-    passes: one per bounding and one per internal node of an initial tree
-    under ReLU branching, except where the parent region is already empty
-    and its bounds are handed on without a pass.
+    passes: one per bounding and one per internal node of an initial tree,
+    except where the parent region is already empty and its bounds are
+    handed on without a pass.
     """
 
     boundings: int
@@ -172,11 +173,14 @@ def verify(
     base heuristic (the mixed score's correction term has nothing to say).
     The caller's ``initial_tree`` is never mutated: its structure is copied
     and re-annotated from scratch, since bounds proved on one network mean
-    nothing on another; a tree that does not fit ``net`` raises ValueError.
-    Each frontier entry carries its node's subproblem (box, splits, parent's
-    bounds), built from its parent's with ``spectree.narrow``.  Under ReLU
-    branching every node is bounded in one pass from its parent's bounds, an
-    initial tree's internal nodes too (once each, no LP, on one top-down walk).
+    nothing on another; a tree that does not fit ``net`` (a decision naming
+    a ReLU or input axis it lacks, or an input cut outside its parent's box)
+    raises ValueError.  Each frontier entry carries its node's subproblem
+    (box, splits, parent's bounds), built from its parent's with
+    ``spectree.narrow``.  Every node is bounded in one pass from its parent's
+    bounds, whichever the branching, an initial tree's internal nodes too
+    (once each, no LP, on one top-down walk); the branching only decides how
+    an inconclusive node is split.
     """
     start = time.perf_counter()
     if initial_tree is None:
@@ -222,13 +226,18 @@ def verify(
         if node.is_leaf:
             active.append(entry)
             continue
-        if tree.branching == "relu":
-            if time.perf_counter() - start > cfg.timeout:
-                return finish(RunVerdict.TIMEOUT, note="wall-clock timeout")
-            passes += parent is None or not parent.infeasible
-            parent = compute_bounds(net, box, splits, parent=parent)
+        if time.perf_counter() - start > cfg.timeout:
+            return finish(RunVerdict.TIMEOUT, note="wall-clock timeout")
+        passes += parent is None or not parent.infeasible
+        parent = compute_bounds(net, box, splits, parent=parent)
         for cid in (node.left, node.right):
-            walk.append((cid, *narrow(box, splits, tree.node(cid).decision), parent))
+            d = tree.node(cid).decision
+            if isinstance(d, InputDecision) and not box.lower[d.dim] <= d.cut <= box.upper[d.dim]:
+                raise ValueError(
+                    f"initial tree node {cid}: cut {d.cut} on input {d.dim} lies outside "
+                    f"its parent's [{box.lower[d.dim]}, {box.upper[d.dim]}]"
+                )
+            walk.append((cid, *narrow(box, splits, d), parent))
     active.sort(key=lambda entry: entry[0])
 
     while active:
@@ -261,7 +270,6 @@ def verify(
                 continue
             if tree.num_nodes() + 2 > cfg.max_nodes:
                 return finish(RunVerdict.TIMEOUT, note=f"node budget of {cfg.max_nodes} exhausted")
-            parent = None
             if tree.branching == "relu":
                 pick = choose_split(ranking_cfg, res.bounds, observed=hobs)
                 if pick is None:
@@ -269,7 +277,6 @@ def verify(
                         f"node {nid} is inconclusive but every ReLU is stable or "
                         "already split; an exactly-encoded subproblem must resolve"
                     )
-                parent = res.bounds
             else:
                 if float(box.widths().max()) <= cfg.min_width:
                     return finish(
@@ -278,7 +285,7 @@ def verify(
                     )
                 pick = choose_input_split(box)
             for cid, d in zip(split(tree, nid, pick), pick):
-                active.append((cid, *narrow(box, splits, d), parent))
+                active.append((cid, *narrow(box, splits, d), res.bounds))
             branchings += 1
 
     return finish(RunVerdict.VERIFIED)
@@ -315,17 +322,19 @@ def verify_incremental(
     if first.verdict is not RunVerdict.VERIFIED:
         note = f"reused tree comes from a first run that ended {first.verdict.value}"
 
+    # choose_input_split ranks nothing, so an input tree's scores would go unread
+    hobs = None
+    if cfg.mode in (Mode.REORDER, Mode.IVAN) and cfg.branching == "relu":
+        hobs = observed_scores(first.tree)
     if cfg.mode is Mode.BASELINE:
         second = verify(net_updated, prop, cfg)
     elif cfg.mode is Mode.REUSE:
         second = verify(net_updated, prop, cfg, initial_tree=first.tree)
     elif cfg.mode is Mode.REORDER:
-        second = verify(net_updated, prop, cfg, hobs=observed_scores(first.tree))
+        second = verify(net_updated, prop, cfg, hobs=hobs)
     else:
         pruned = prune(first.tree, cfg.heuristic.theta)
-        second = verify(
-            net_updated, prop, cfg, initial_tree=pruned, hobs=observed_scores(first.tree)
-        )
+        second = verify(net_updated, prop, cfg, initial_tree=pruned, hobs=hobs)
     if note:
         joined = f"{second.note}; {note}" if second.note else note
         second = dataclasses.replace(second, note=joined)

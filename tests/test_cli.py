@@ -141,10 +141,13 @@ def test_verify_tree_roundtrip(tmp_path, capsys):
     assert doc["metrics"]["branchings"] == 0
 
 
-@pytest.mark.parametrize("dim, cut", [(5, 0.5), (-1, 0.5), (0, math.nan)])
+@pytest.mark.parametrize(
+    "dim, cut", [(5, 0.5), (-1, 0.5), (0, math.nan), (0, 5.0), (1, -5.0)]
+)
 def test_verify_rejects_tree_with_input_split_outside_the_box(tmp_path, capsys, dim, cut):
     # The demo network has 2 inputs: a saved split on axis 5, on -1 (which
-    # indexing would read as the last axis) or at a NaN cut does not fit it.
+    # indexing would read as the last axis) or at a NaN cut does not fit it,
+    # nor does a cut outside the [0, 1] box, above it or below it.
     def child(nid, half):
         decision = {"kind": "input", "dim": dim, "half": half, "cut": cut}
         return {"id": nid, "parent": 0, "decision": decision}

@@ -32,6 +32,7 @@ from incver.spectree import (
     split,
 )
 from incver.verifier import (
+    BRANCHINGS,
     Mode,
     RunVerdict,
     VerifierConfig,
@@ -195,6 +196,18 @@ def test_each_bounding_runs_one_propagation_pass():
     assert (ivan.metrics.boundings, ivan.metrics.branchings) == (3, 0)
     assert ivan.metrics.passes == pruned.num_nodes() == 5
 
+    # The same holds under input branching: a reused input tree's internal
+    # nodes are bounded too, so its run takes one pass per node.
+    net, prop = find_branching_instance()
+    cfg = VerifierConfig(timeout=120.0, branching="input", max_nodes=4000)
+    first = verify(net, prop, cfg)
+    assert first.metrics.branchings > 0
+    assert first.metrics.passes == first.metrics.boundings
+    reuse = verify(net, prop, cfg, initial_tree=first.tree)
+    assert reuse.metrics.branchings == 0
+    assert reuse.metrics.boundings == first.tree.num_leaves()
+    assert reuse.metrics.passes == first.tree.num_nodes()
+
 
 def test_reused_tree_under_an_empty_region_verifies_vacuously():
     # Unit 0's pre-activation is identically 1, so the region under its "-"
@@ -227,12 +240,13 @@ def test_each_bounding_gets_the_subproblem_of_its_root_path(monkeypatch):
     # verify carries each node's (box, splits) down from its parent; the
     # analyzer must see exactly what spec_of rebuilds from the root, for the
     # bounded nodes in ascending id, on fresh, reused, pruned and
-    # input-branching runs alike.
+    # input-branching runs alike.  Every node but the root is bounded from
+    # its parent's bounds, whichever the branching.
     seen = []
     analyze = verifier.analyze
 
     def recording_analyze(net, prop, splits, parent=None):
-        seen.append((prop.input, splits))
+        seen.append((prop.input, splits, parent))
         return analyze(net, prop, splits, parent=parent)
 
     monkeypatch.setattr(verifier, "analyze", recording_analyze)
@@ -241,9 +255,10 @@ def test_each_bounding_gets_the_subproblem_of_its_root_path(monkeypatch):
         nodes = res.tree.nodes
         bounded = [n for n in sorted(nodes) if nodes[n].status is not NodeStatus.UNANALYZED]
         assert len(seen) == len(bounded) == res.metrics.boundings
-        for (box, splits), nid in zip(seen, bounded):
+        for (box, splits, parent), nid in zip(seen, bounded):
             want_box, want_splits = spec_of(res.tree, nid, prop.input)
             assert box == want_box and splits == want_splits
+            assert (parent is None) == (nid == res.tree.root)
         seen.clear()
 
     fixtures = Path(__file__).resolve().parent.parent / "fixtures"
@@ -262,9 +277,32 @@ def test_each_bounding_gets_the_subproblem_of_its_root_path(monkeypatch):
 
     net, prop = find_branching_instance()
     seen.clear()
-    res = verify(net, prop, VerifierConfig(timeout=120.0, branching="input", max_nodes=4000))
+    cfg = VerifierConfig(timeout=120.0, branching="input", max_nodes=4000)
+    res = verify(net, prop, cfg)
     assert res.metrics.branchings > 0
     check(res, prop)
+    check(verify(net, prop, cfg, initial_tree=res.tree), prop)
+
+
+def test_children_never_record_a_bound_below_their_parent():
+    # Every child starts from its parent's bounds, under input splits as
+    # under ReLU splits, so its recorded lb is at least its parent's up to
+    # solver tolerance; improvement and prune rely on that.  Seed 6 holds an
+    # input split whose child fell 0.34 below its parent when input children
+    # were bounded from scratch, seed 7 one that fell 8e-4.
+    edges = {"relu": 0, "input": 0}
+    for seed in (6, 7):
+        for net, prop, _ in random_instances(seed=seed, count=12):
+            for branching in BRANCHINGS:
+                cfg = VerifierConfig(timeout=120.0, branching=branching, max_nodes=4000)
+                tree = verify(net, prop, cfg).tree
+                for nid, node in tree.nodes.items():
+                    if node.is_leaf:
+                        continue
+                    for cid in (node.left, node.right):
+                        assert tree.node(cid).lb >= node.lb - 1e-9, (seed, branching, nid, cid)
+                        edges[branching] += 1
+    assert edges["relu"] >= 2 and edges["input"] >= 6
 
 
 def test_depth_never_exceeds_relu_count():
@@ -309,6 +347,28 @@ def test_call_accounting_incremental():
             assert m.branchings == (m.nodes_final - second.tree.num_leaves()) - (
                 m.nodes_initial - leaves_0
             )
+
+
+def test_input_branching_computes_no_observed_scores(monkeypatch):
+    # choose_input_split ranks nothing, so reorder and ivan hand an input
+    # tree's run no scores; under ReLU branching they do.
+    calls = []
+    scores = verifier.observed_scores
+
+    def recording_scores(tree):
+        calls.append(tree.branching)
+        return scores(tree)
+
+    monkeypatch.setattr(verifier, "observed_scores", recording_scores)
+    net, prop = find_branching_instance()
+    updated = perturb(net, QuantizeInt8())
+    for branching in BRANCHINGS:
+        for mode in (Mode.REORDER, Mode.IVAN):
+            cfg = VerifierConfig(mode=mode, timeout=120.0, branching=branching, max_nodes=4000)
+            first, second = verify_incremental(net, updated, prop, cfg)
+            assert first.metrics.branchings > 0
+            assert second.verdict is first.verdict is RunVerdict.VERIFIED
+    assert calls == ["relu", "relu"]
 
 
 def test_reuse_on_identical_network():
