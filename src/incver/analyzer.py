@@ -126,22 +126,11 @@ class PreactBounds:
     infeasible: bool = False
     objective_lb: Optional[float] = None
 
-    def pre(self, rid: ReluId) -> tuple:
-        return float(self.pre_lb[rid.layer][rid.neuron]), float(self.pre_ub[rid.layer][rid.neuron])
-
-    def kappa_of(self, rid: ReluId) -> float:
-        if self.kappa is None:
-            raise ValueError("bounds were computed without an objective")
-        return float(self.kappa[rid.layer][rid.neuron])
-
     def is_ambiguous(self, rid: ReluId) -> bool:
         return bool(self.phase[rid.layer][rid.neuron] == AMBIGUOUS)
 
     def any_ambiguous(self) -> bool:
         return any(np.any(p == AMBIGUOUS) for p in self.phase)
-
-    def num_relu_layers(self) -> int:
-        return len(self.pre_lb)
 
 
 def _validate_splits(splits, widths) -> None:

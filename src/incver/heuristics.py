@@ -4,11 +4,13 @@ A base heuristic estimates, from the current node's bounds, how much
 certified lower bound a split would recover.  The mixed score folds in
 per-unit effectiveness statistics recorded on an earlier proof tree (see
 ``spectree.observed_scores``) so that splits that paid off before are
-preferred when re-verifying a perturbed network.
+preferred when re-verifying a perturbed network.  Scores are computed a
+ReLU layer at a time, as arrays, and only their argmax is kept.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -35,7 +37,8 @@ class HeuristicConfig:
 
     alpha weighs the base score against the observed-effectiveness
     correction: mixed = alpha * base + (1 - alpha) * (observed - theta).
-    Units never seen in the recorded tree contribute a zero correction.
+    Units absent from the observations count as observed at theta, a zero
+    correction; without observations at all the score is the base score.
     theta doubles as the effectiveness threshold used when pruning a
     recorded tree, so the two stages agree on what "worked" means.
     """
@@ -54,64 +57,47 @@ class HeuristicConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
-@dataclass(frozen=True)
-class ScoredChoice:
-    """A candidate split key with its mixed score."""
+# A memo of a pure function: it spares seeding a Generator per unit per
+# call, and never changes a draw.
+@functools.lru_cache(maxsize=1 << 16)
+def _random_draw(seed: int, layer: int, neuron: int) -> float:
+    return float(np.random.default_rng((seed, layer, neuron)).random())
 
-    key: ReluId
-    score: float
 
+def split_scores(
+    cfg: HeuristicConfig,
+    bounds: Optional[PreactBounds],
+    layer: int,
+    units,
+    observed: Optional[Mapping] = None,
+) -> np.ndarray:
+    """The scores of the given units of one ReLU layer.
 
-def base_score(cfg: HeuristicConfig, bounds: PreactBounds, rid: ReluId) -> float:
-    """Score one ambiguous ReLU under the configured base rule.
-
-    COEFWIDTH scores |kappa| * min(-lb, ub): the unit's back-substituted
+    COEFWIDTH scores kappa * min(-lb, ub): the unit's back-substituted
     coefficient in the objective bound times the smaller side of its
     ambiguity interval, an estimate of the relaxation slack a split on it
-    removes.  RANDOM draws a per-unit uniform score from (cfg.seed, rid),
-    stable across calls and candidate orderings.
+    removes.  RANDOM draws a per-unit uniform score from (cfg.seed, layer,
+    neuron), stable across calls and candidate sets; it reads no bounds.
+    With ``observed`` the base score is mixed as :class:`HeuristicConfig`
+    describes; without it the base score is returned.
     """
+    units = np.asarray(units, dtype=int)
     if cfg.base is BaseHeuristic.RANDOM:
-        draw = np.random.default_rng((cfg.seed, rid.layer, rid.neuron)).random()
-        return float(draw)
-    lb, ub = bounds.pre(rid)
-    return abs(bounds.kappa_of(rid)) * min(-lb, ub)
+        base = np.array([_random_draw(cfg.seed, layer, int(j)) for j in units])
+    elif bounds.kappa is None:
+        raise ValueError("bounds were computed without an objective")
+    else:
+        width = np.minimum(-bounds.pre_lb[layer][units], bounds.pre_ub[layer][units])
+        base = bounds.kappa[layer][units] * width
+    if observed is None:
+        return base
+    seen = np.array([observed.get(ReluId(layer, int(j)), cfg.theta) for j in units], dtype=float)
+    return cfg.alpha * base + (1.0 - cfg.alpha) * (seen - cfg.theta)
 
 
-def updated_score(
-    cfg: HeuristicConfig, base: float, key, observed: Mapping
-) -> float:
-    """Mix a base score with the recorded effectiveness of this key.
-
-    Keys absent from ``observed`` default to cfg.theta, which zeroes the
-    correction term: unseen units are ranked purely by their base score.
-    """
-    correction = observed.get(key, cfg.theta) - cfg.theta
-    return cfg.alpha * base + (1.0 - cfg.alpha) * correction
-
-
-def rank_candidates(
-    cfg: HeuristicConfig,
-    bounds: PreactBounds,
-    observed: Optional[Mapping] = None,
-) -> list:
-    """All splittable ReLUs as ScoredChoices, best first.
-
-    Candidates are the units whose phase in ``bounds``, the node's own, is
-    AMBIGUOUS: a unit split on the node's path has its sign's phase.  Ties
-    are broken toward the lowest ReluId, so the ordering is deterministic.
-    """
-    observed = observed or {}
-    choices = []
-    for layer, phase in enumerate(bounds.phase):
-        for neuron in np.flatnonzero(phase == AMBIGUOUS):
-            rid = ReluId(layer, int(neuron))
-            score = updated_score(cfg, base_score(cfg, bounds, rid), rid, observed)
-            if not math.isfinite(score):
-                raise ValueError(f"non-finite score {score} for {rid}")
-            choices.append(ScoredChoice(rid, score))
-    choices.sort(key=lambda c: (-c.score, c.key))
-    return choices
+def base_score(cfg: HeuristicConfig, bounds: Optional[PreactBounds], rid: ReluId) -> float:
+    """One unit's base score: :func:`split_scores` of that unit alone."""
+    return float(split_scores(cfg, bounds, rid.layer, [rid.neuron])[0])
 
 
 def choose_split(
@@ -119,15 +105,29 @@ def choose_split(
     bounds: PreactBounds,
     observed: Optional[Mapping] = None,
 ) -> Optional[Tuple[ReluDecision, ReluDecision]]:
-    """The decision pair for the best-ranked candidate, or None if exhausted.
+    """The decision pair for the best-scored candidate, or None if exhausted.
 
-    None means every ReLU is stable in the node's own ``bounds``, split ones
+    Candidates are the units whose phase in ``bounds``, the node's own, is
+    AMBIGUOUS: a unit split on the node's path has its sign's phase.  Ties
+    go to the lowest ReluId.  None means every ReLU is stable, split ones
     included; the caller decides what exhaustion means for its search.
     """
-    ranked = rank_candidates(cfg, bounds, observed)
-    if not ranked:
+    best_score, best = -math.inf, None  # every score is finite, so any beats -inf
+    for layer, phase in enumerate(bounds.phase):
+        units = np.flatnonzero(phase == AMBIGUOUS)
+        if not units.size:
+            continue
+        scores = split_scores(cfg, bounds, layer, units, observed)
+        finite = np.isfinite(scores)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ValueError(f"non-finite score {scores[k]} for {ReluId(layer, int(units[k]))}")
+        k = int(np.argmax(scores))  # the first maximum: the lowest neuron
+        if scores[k] > best_score:  # strictly: a tie keeps the lower layer
+            best_score, best = scores[k], ReluId(layer, int(units[k]))
+    if best is None:
         return None
-    d = ReluDecision(ranked[0].key, "+")
+    d = ReluDecision(best, "+")
     return d, d.complement()
 
 

@@ -181,7 +181,8 @@ class _Tableau:
     """Mutable simplex state over the extended column set.
 
     Columns are ordered: structural variables, slacks for inequality rows,
-    then any artificials.  While a phase runs, ``T`` equals ``Binv @ A``
+    then any artificials.  ``T`` is first set by :meth:`refresh`, which
+    runs before each phase; while a phase runs, ``T`` equals ``Binv @ A``
     for the current basis, with its basic columns the unit vectors; ``xb``
     holds basic variable values; ``val`` holds the fixed value of every
     nonbasic column.
@@ -194,7 +195,6 @@ class _Tableau:
         self.hi = hi
         self.max_iter = max_iter
         self.m, self.K = A.shape
-        self.T = A.copy()
         self.xb = np.zeros(self.m)
         self.basis = np.full(self.m, -1, dtype=int)
         self.state = np.full(self.K, _AT_LOWER, dtype=int)

@@ -393,6 +393,11 @@ def tree_from_json(obj, where: str = "tree") -> SpecTree:
         decision = None if dec is None else _decision_from_json(dec, f"{w}.decision")
         if (parent is None) != (decision is None):
             raise ParseError(f"{w}: parent and decision must both be present or both null")
+        if decision is not None and dec["kind"] != branching:
+            raise ParseError(
+                f"{w}.decision: node {nid} splits on {dec['kind']!r} "
+                f"but the tree branches on {branching!r}"
+            )
         if parent is None:
             roots.append(nid)
         sp = item.get("split")

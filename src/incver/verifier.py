@@ -169,8 +169,8 @@ def verify(
     depend on evaluation order within a phase.
 
     ``hobs`` carries per-split effectiveness statistics recorded on an
-    earlier proof tree; when absent, candidates are ranked purely by the
-    base heuristic (the mixed score's correction term has nothing to say).
+    earlier proof tree and goes to ``choose_split`` as its ``observed``;
+    when None, candidates are scored by the base heuristic alone.
     The caller's ``initial_tree`` is never mutated: its structure is copied
     and re-annotated from scratch, since bounds proved on one network mean
     nothing on another; a tree that does not fit ``net`` (a decision naming
@@ -194,9 +194,6 @@ def verify(
         _check_fits(initial_tree, net)
         tree = reset_copy(initial_tree)
     nodes_initial = tree.num_nodes()
-    ranking_cfg = cfg.heuristic
-    if hobs is None:
-        ranking_cfg = dataclasses.replace(cfg.heuristic, alpha=1.0)
 
     boundings = 0
     branchings = 0
@@ -271,7 +268,7 @@ def verify(
             if tree.num_nodes() + 2 > cfg.max_nodes:
                 return finish(RunVerdict.TIMEOUT, note=f"node budget of {cfg.max_nodes} exhausted")
             if tree.branching == "relu":
-                pick = choose_split(ranking_cfg, res.bounds, observed=hobs)
+                pick = choose_split(cfg.heuristic, res.bounds, observed=hobs)
                 if pick is None:
                     raise RuntimeError(
                         f"node {nid} is inconclusive but every ReLU is stable or "

@@ -146,7 +146,7 @@ def assert_same_bounds(got, want):
 def assert_phase_follows_splits_and_bounds(bounds, splits):
     # a split unit takes its sign's phase; an unsplit one is inactive if
     # u <= STABLE_TOL, else active if l >= -STABLE_TOL, else ambiguous
-    for k in range(bounds.num_relu_layers()):
+    for k in range(len(bounds.pre_lb)):
         for j, (l, u) in enumerate(zip(bounds.pre_lb[k], bounds.pre_ub[k])):
             sign = splits.get(ReluId(k, j))
             if sign is not None:
@@ -174,7 +174,7 @@ def test_bounds_nest_along_split_paths():
         for _ in range(3):
             amb = [
                 ReluId(i, j)
-                for i in range(parent.num_relu_layers())
+                for i in range(len(parent.pre_lb))
                 for j in range(len(parent.pre_lb[i]))
                 if parent.is_ambiguous(ReluId(i, j)) and ReluId(i, j) not in parent_splits
             ]
@@ -186,7 +186,7 @@ def test_bounds_nest_along_split_paths():
             child_splits[rid] = sign
             child = path_bounds(net, box, child_splits)
             assert_phase_follows_splits_and_bounds(child, child_splits)
-            for k in range(child.num_relu_layers()):
+            for k in range(len(child.pre_lb)):
                 assert np.all(child.pre_lb[k] >= parent.pre_lb[k] - 1e-12)
                 assert np.all(child.pre_ub[k] <= parent.pre_ub[k] + 1e-12)
             assert np.all(child.out_lb >= parent.out_lb - 1e-12)
@@ -271,7 +271,7 @@ def test_kappa_hand_computed():
     box = InputBox(np.array([-1.0]), np.array([2.0]))
     b = compute_bounds(net, box, {}, objective=np.array([1.0]))
     assert b.kappa is not None
-    assert b.kappa_of(ReluId(0, 0)) == pytest.approx(3.0)
+    assert b.kappa[0][0] == pytest.approx(3.0)
 
 
 def test_bad_split_ids_rejected():
@@ -353,7 +353,7 @@ def test_monotone_under_splitting():
             assert b.infeasible == want.infeasible
             amb = [
                 ReluId(i, j)
-                for i in range(b.num_relu_layers())
+                for i in range(len(b.pre_lb))
                 for j in range(len(b.pre_lb[i]))
                 if b.is_ambiguous(ReluId(i, j)) and ReluId(i, j) not in splits
             ]
@@ -400,7 +400,7 @@ def test_unknown_verdict_carries_the_objective_bounds():
             checked += 1
             amb = [
                 ReluId(i, j)
-                for i in range(got.num_relu_layers())
+                for i in range(len(got.pre_lb))
                 for j in range(len(got.pre_lb[i]))
                 if got.is_ambiguous(ReluId(i, j)) and ReluId(i, j) not in splits
             ]
@@ -691,7 +691,10 @@ def test_program_layout_feeds_the_crash_basis():
         n_out_start = lp.num_vars - dims[-1]
         assert n_out_start == dims[0] + 2 * sum(hidden)
         stable_on = {
-            rid for rid in rids if bounds.pre(rid)[0] >= -STABLE_TOL and bounds.pre(rid)[1] > STABLE_TOL
+            rid
+            for rid in rids
+            if bounds.pre_lb[rid.layer][rid.neuron] >= -STABLE_TOL
+            and bounds.pre_ub[rid.layer][rid.neuron] > STABLE_TOL
         }
         active = {rid for rid in rids if splits.get(rid, "+" if rid in stable_on else None) == "+"}
         ambiguous = {rid for rid in rids if rid not in splits and bounds.is_ambiguous(rid)}

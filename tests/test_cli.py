@@ -163,6 +163,30 @@ def test_verify_rejects_tree_with_input_split_outside_the_box(tmp_path, capsys, 
     assert "Traceback" not in err
 
 
+
+@pytest.mark.parametrize(
+    "branching, decision",
+    [
+        ("relu", lambda side: {"kind": "input", "dim": 0, "half": ("low", "high")[side], "cut": 0.5}),
+        ("input", lambda side: {"kind": "relu", "layer": 0, "neuron": 0, "sign": "+-"[side]}),
+    ],
+    ids=["relu-tree-with-input-splits", "input-tree-with-relu-splits"],
+)
+def test_verify_rejects_tree_whose_decisions_do_not_match_its_branching(
+    tmp_path, capsys, branching, decision
+):
+    # A ReLU tree split on an input, or an input tree split on a ReLU, is a
+    # parse error naming the node, under the tree's own branching.
+    root = {"id": 0, "parent": None, "decision": None, "split": {"left": 1, "right": 2}}
+    children = [{"id": side + 1, "parent": 0, "decision": decision(side)} for side in (0, 1)]
+    tree_path = tmp_path / "tree.json"
+    tree_path.write_text(json.dumps({"branching": branching, "nodes": [root, *children]}), encoding="utf-8")
+    code = main(demo_args("--branching", branching, "--tree-in", str(tree_path)))
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "node 1" in err and repr(branching) in err
+    assert "Traceback" not in err
+
 def test_verify_out_file_matches_stdout(tmp_path, capsys):
     out_path = tmp_path / "result.json"
     assert main(demo_args("--out", str(out_path))) == EXIT_VERIFIED

@@ -41,7 +41,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from incver.analyzer import analyze, compute_bounds
-from incver.heuristics import BaseHeuristic, HeuristicConfig, base_score, updated_score
+from incver.heuristics import BaseHeuristic, HeuristicConfig, base_score, split_scores
 from incver.model import Affine, Network, Relu, quantize, save_network
 from incver.props import InputBox, OutputConstraint, Property, save_property
 from incver.spectree import (
@@ -243,11 +243,8 @@ def base_order_ok(seed: int) -> bool:
 def chain_ok(seed: int, theta: float, hobs: dict) -> bool:
     """Updated scores must invert the base order into r4 > r3 > r2 > r1."""
     cfg = HeuristicConfig(base=BaseHeuristic.RANDOM, seed=seed, alpha=0.25, theta=theta)
-    u = {
-        rid: updated_score(cfg, base_score(cfg, None, rid), rid, hobs)
-        for rid in (R1, R2, R3, R4)
-    }
-    return u[R4] > u[R3] > u[R2] > u[R1]
+    (u1, u2), (u3, u4) = (split_scores(cfg, None, layer, [0, 1], hobs) for layer in (0, 1))
+    return u4 > u3 > u2 > u1
 
 
 @dataclasses.dataclass
