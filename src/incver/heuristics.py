@@ -5,12 +5,13 @@ certified lower bound a split would recover.  The mixed score folds in
 per-unit effectiveness statistics recorded on an earlier proof tree (see
 ``spectree.observed_scores``) so that splits that paid off before are
 preferred when re-verifying a perturbed network.  Scores are computed a
-ReLU layer at a time, as arrays, and only their argmax is kept.
+ReLU layer at a time, as arrays, and only their argmax is kept; the
+random base's draws and the observation lookups are still made unit by
+unit, since each is keyed by its ReluId.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -57,13 +58,6 @@ class HeuristicConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
-# A memo of a pure function: it spares seeding a Generator per unit per
-# call, and never changes a draw.
-@functools.lru_cache(maxsize=1 << 16)
-def _random_draw(seed: int, layer: int, neuron: int) -> float:
-    return float(np.random.default_rng((seed, layer, neuron)).random())
-
-
 def split_scores(
     cfg: HeuristicConfig,
     bounds: Optional[PreactBounds],
@@ -83,7 +77,7 @@ def split_scores(
     """
     units = np.asarray(units, dtype=int)
     if cfg.base is BaseHeuristic.RANDOM:
-        base = np.array([_random_draw(cfg.seed, layer, int(j)) for j in units])
+        base = np.array([np.random.default_rng((cfg.seed, layer, int(j))).random() for j in units])
     elif bounds.kappa is None:
         raise ValueError("bounds were computed without an objective")
     else:
