@@ -20,7 +20,11 @@ Two layers of machinery live here:
     its parent's.  That gives the verifier its monotonicity guarantee (child
     lower bounds never fall below the parent's beyond solver tolerance,
     whichever the branching) and makes root-derived norms sound for every
-    descendant region.
+    descendant region.  A ReLU split at layer k leaves its parent's layers
+    above k, and the walk of layer k itself, as they were: a child on the
+    same network and box takes them from the parent's bounds, which carry
+    them read-only, and walks only the layers after k and the output.
+    An input split changes the box, so its children walk every layer.
 
 ``analyze``
     Bounds the region once, with the property's objective so the bounds carry
@@ -42,7 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -115,6 +119,11 @@ class PreactBounds:
     ``objective_lb`` (present with ``kappa``) is a lower bound on the
     objective over the region: that back-substituted bound, at least the
     parent's, and raised to the LP optimum once :func:`analyze` solves one.
+    ``walks`` counts the back-substitution walks of the pass that computed
+    these bounds.  ``carry`` is what a child bounded from them on the same
+    network and box takes instead of walking (see :func:`compute_bounds`);
+    None makes every child walk every layer.  The per-layer arrays are
+    read-only, because children share them.
     """
 
     pre_lb: list
@@ -125,6 +134,8 @@ class PreactBounds:
     kappa: Optional[list] = None
     infeasible: bool = False
     objective_lb: Optional[float] = None
+    walks: int = 0
+    carry: Optional[_Carry] = field(default=None, repr=False)
 
     def is_ambiguous(self, rid: ReluId) -> bool:
         return bool(self.phase[rid.layer][rid.neuron] == AMBIGUOUS)
@@ -150,6 +161,23 @@ class _Relaxation(NamedTuple):
     mu_up: np.ndarray
 
 
+class _Carry(NamedTuple):
+    """What a pass hands its children: the network, box and split items it
+    ran on and, per ReLU layer, the walk's interval before any intersection
+    and the relaxation."""
+
+    net: Network
+    box: InputBox
+    splits: frozenset
+    walked: tuple
+    relax: tuple
+
+
+def _read_only(*arrays) -> None:
+    for a in arrays:
+        a.setflags(write=False)
+
+
 def _lower_bound(blocks, relax, A, c, upto, box):
     """Lower bound of ``A @ z + c`` over the region, where z is block ``upto``'s input.
 
@@ -161,8 +189,8 @@ def _lower_bound(blocks, relax, A, c, upto, box):
     """
     coefs = [None] * upto
     for j in range(upto - 1, -1, -1):
-        pos = np.clip(A, 0.0, None)
-        neg = np.clip(A, None, 0.0)
+        pos = np.maximum(A, 0.0)
+        neg = np.minimum(A, 0.0)
         r = relax[j]
         c = c + neg @ r.mu_up
         A = pos * r.lam_low + neg * r.lam_up
@@ -170,10 +198,10 @@ def _lower_bound(blocks, relax, A, c, upto, box):
         Wj, bj = blocks[j]
         c = c + A @ bj
         A = A @ Wj
-    return np.clip(A, 0.0, None) @ box.lower + np.clip(A, None, 0.0) @ box.upper + c, coefs
+    return np.maximum(A, 0.0) @ box.lower + np.minimum(A, 0.0) @ box.upper + c, coefs
 
 
-def _interval(blocks, relax, upto, box, extra=None):
+def _interval(net, relax, upto, box, extra=None):
     """Block ``upto``'s affine output bounds, from one walk of ``[W; -W]``.
 
     ``extra``, an optional ``(row, constant)`` pair over the block's input,
@@ -181,56 +209,81 @@ def _interval(blocks, relax, upto, box, extra=None):
     upper bounds, and the extra row's bound and its per-ReLU-layer
     pre-activation coefficients (None without ``extra``).
     """
-    W, b = blocks[upto]
-    n = b.size
-    A, c = np.vstack([W, -W]), np.concatenate([b, -b])
+    A, c = net.signed_blocks[upto]
+    n = c.size // 2
     if extra is not None:
         A, c = np.vstack([A, extra[0]]), np.append(c, extra[1])
-    lb, coefs = _lower_bound(blocks, relax, A, c, upto, box)
+    lb, coefs = _lower_bound(net.blocks, relax, A, c, upto, box)
     if extra is None:
         return lb[:n], -lb[n:], None, None
     return lb[:n], -lb[n : 2 * n], lb[-1], [a[-1] for a in coefs]
 
 
-def _one_pass(blocks, box, sign_by_layer, prior, objective):
-    """One full propagation pass, intersected with ``prior`` layer by layer.
+def _one_pass(net, box, splits, prior, objective):
+    """One propagation pass, intersected with ``prior`` layer by layer.
 
     Each layer's interval comes from one :func:`_interval` walk.  Each unit's
-    phase is decided here, once: a split unit takes its sign's; otherwise it
-    is inactive if u <= STABLE_TOL, else active if l >= -STABLE_TOL, else
-    ambiguous.  Its relaxation follows the phase: 0, the identity, or the
-    triangle's chord above and a line through the origin below.  With an
-    ``objective``, its row ``(c @ W, c @ b)`` rides in the output block's
-    walk, which sets ``kappa`` and ``objective_lb`` (at least ``prior``'s).
+    phase is decided here, once: a split unit takes its sign's phase;
+    otherwise it is inactive if u <= STABLE_TOL, else active if
+    l >= -STABLE_TOL, else ambiguous.  Its relaxation follows the phase: 0,
+    the identity, or the triangle's chord above and a line through the
+    origin below.  With an ``objective``, its row ``(c @ W, c @ b)`` rides in
+    the output block's walk, which sets ``kappa`` and ``objective_lb`` (at
+    least ``prior``'s).
+
+    When ``prior`` carries a pass on the same network and box, the layers
+    above the first one whose splits differ from its splits would walk
+    through the same relaxations to the same intervals and meet the same
+    prior bounds, so they are taken from it as they are; that first layer
+    takes the prior's walked interval and is decided anew.  Every value is
+    the one a full pass computes, bit for bit.
     """
+    blocks = net.blocks
     n_relu = len(blocks) - 1
-    relax = []
-    pre_lb, pre_ub, phases = [], [], []
+    items = frozenset(splits.items())
+    sign_by_layer = {}
+    for rid, sign in items:
+        arr = sign_by_layer.setdefault(rid.layer, np.zeros(blocks[rid.layer][1].size))
+        arr[rid.neuron] = 1.0 if sign == "+" else -1.0
+    carry = None if prior is None else prior.carry
+    if carry is None or carry.net is not net or carry.box is not box:
+        carry, first = None, 0
+        pre_lb, pre_ub, phases, relax, walked = [], [], [], [], []
+    else:
+        first = min((rid.layer for rid, _ in items ^ carry.splits), default=n_relu)
+        pre_lb, pre_ub, phases = prior.pre_lb[:first], prior.pre_ub[:first], prior.phase[:first]
+        relax, walked = list(carry.relax[:first]), list(carry.walked[:first])
+    walks = 0
     infeasible = False
-    for i in range(n_relu):
-        l, u, _, _ = _interval(blocks, relax, i, box)
+    for i in range(first, n_relu):
+        if carry is not None and i == first:
+            l, u = carry.walked[i]
+        else:
+            l, u, _, _ = _interval(net, relax, i, box)
+            walks += 1
+            _read_only(l, u)
+        walked.append((l, u))
         if prior is not None:
             l = np.maximum(l, prior.pre_lb[i])
             u = np.minimum(u, prior.pre_ub[i])
         signs = sign_by_layer.get(i)
         if signs is not None:
-            l = np.where(signs > 0, np.maximum(l, 0.0), l)
-            u = np.where(signs < 0, np.minimum(u, 0.0), u)
-        if np.any(l > u + CROSS_TOL):
+            plus, minus = signs > 0, signs < 0
+            l = np.where(plus, np.maximum(l, 0.0), l)
+            u = np.where(minus, np.minimum(u, 0.0), u)
+        if (l > u + CROSS_TOL).any():
             infeasible = True
         u = np.maximum(u, l)  # keep arrays ordered even for flagged regions
 
         phase = (u > STABLE_TOL) * (1 + (l < -STABLE_TOL))
         if signs is not None:  # a "-" unit is inactive even where l is up to CROSS_TOL above 0
-            phase = np.where(signs > 0, ACTIVE, np.where(signs < 0, INACTIVE, phase))
-        lam_low = (phase == ACTIVE).astype(float)
-        lam_up = lam_low.copy()
-        mu_up = np.zeros(l.shape[0])
-        amb = phase == AMBIGUOUS
-        la, ua = l[amb], u[amb]
-        lam_up[amb] = ua / (ua - la)
-        mu_up[amb] = -ua * la / (ua - la)
-        lam_low[amb] = (ua >= -la).astype(float)
+            phase = np.where(plus, ACTIVE, np.where(minus, INACTIVE, phase))
+        active, amb = phase == ACTIVE, phase == AMBIGUOUS
+        width = u - l
+        lam_low = (active | amb & (u >= -l)).astype(float)
+        lam_up = np.divide(u, width, out=active.astype(float), where=amb)
+        mu_up = np.divide(-u * l, width, out=np.zeros(l.size), where=amb)
+        _read_only(l, u, phase, lam_low, lam_up, mu_up)
         relax.append(_Relaxation(lam_low, lam_up, mu_up))
         pre_lb.append(l)
         pre_ub.append(u)
@@ -240,14 +293,16 @@ def _one_pass(blocks, box, sign_by_layer, prior, objective):
     if objective is not None:
         W, b = blocks[-1]
         extra = (objective @ W, objective @ b)
-    out_l, out_u, lb, coefs = _interval(blocks, relax, n_relu, box, extra)
+    out_l, out_u, lb, coefs = _interval(net, relax, n_relu, box, extra)
+    walks += 1
     if prior is not None:
         out_l = np.maximum(out_l, prior.out_lb)
         out_u = np.minimum(out_u, prior.out_ub)
         if np.any(out_l > out_u + CROSS_TOL):
             infeasible = True
         out_u = np.maximum(out_u, out_l)
-    bounds = PreactBounds(pre_lb, pre_ub, phases, out_l, out_u, None, infeasible)
+    bounds = PreactBounds(pre_lb, pre_ub, phases, out_l, out_u, infeasible=infeasible, walks=walks)
+    bounds.carry = _Carry(net, box, items, tuple(walked), tuple(relax))
     if objective is not None:
         bounds.kappa = [np.abs(a) for a in coefs]
         if prior is not None and prior.objective_lb is not None:
@@ -278,6 +333,14 @@ def compute_bounds(
     parent's.  A parent that is already ``infeasible`` is returned
     unchanged: every region under an empty one is empty.
 
+    A parent computed on this same network object and box object (a ReLU
+    split's child; not an input split's, whose box is new) hands the pass
+    its ReLU layers above the first layer whose split signs differ: their
+    bounds, phases and relaxations, unchanged and shared.  That first
+    layer's interval is the parent's walk, not walked again, intersected
+    and decided anew under the child's signs; only the later layers and the
+    output are walked.  The result is the full pass's, bit for bit.
+
     If a split empties the region (bounds cross), the result is flagged
     ``infeasible``; callers verify such regions vacuously.
     """
@@ -289,16 +352,10 @@ def compute_bounds(
             raise ValueError(
                 f"objective has shape {objective.shape}, network output dim is {net.output_dim}"
             )
-    blocks = net.blocks
-    widths = [W.shape[0] for W, _ in blocks[:-1]]
-    _validate_splits(splits, widths)
+    _validate_splits(splits, [b.size for _, b in net.blocks[:-1]])
     if parent is not None and parent.infeasible:
         return parent
-    sign_by_layer = {}
-    for rid, sign in splits.items():
-        arr = sign_by_layer.setdefault(rid.layer, np.zeros(widths[rid.layer]))
-        arr[rid.neuron] = 1.0 if sign == "+" else -1.0
-    return _one_pass(blocks, box, sign_by_layer, parent, objective)
+    return _one_pass(net, box, splits, parent, objective)
 
 
 @functools.lru_cache(maxsize=64)

@@ -152,6 +152,19 @@ class Network:
                 w, b = _as_readonly(layer.weights @ w), _as_readonly(layer.weights @ b + layer.bias)
         return tuple(out) + ((w, b),)
 
+    @cached_property
+    def signed_blocks(self) -> tuple:
+        """Each block's rows over their negations, ``([W; -W], [b; -b])``.
+
+        A lower bound of these rows is the block's lower bound on top and its
+        negated upper bound below, so one back-substitution walk gives both.
+        Computed once per network, read-only.
+        """
+        return tuple(
+            (_as_readonly(np.vstack([w, -w])), _as_readonly(np.concatenate([b, -b])))
+            for w, b in self.blocks
+        )
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Network):
             return NotImplemented

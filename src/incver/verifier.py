@@ -91,7 +91,9 @@ class RunMetrics:
     and pivots sums those LPs' simplex pivots.  passes counts propagation
     passes: one per bounding and one per internal node of an initial tree,
     except where the parent region is already empty and its bounds are
-    handed on without a pass.
+    handed on without a pass.  walks counts those passes' back-substitution
+    walks: one per ReLU layer whose walk a pass did not take from its
+    parent's bounds, and one for the output.
     """
 
     boundings: int
@@ -103,6 +105,7 @@ class RunMetrics:
     lps: int
     pivots: int
     passes: int
+    walks: int
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
@@ -200,6 +203,7 @@ def verify(
     lps = 0
     pivots = 0
     passes = 0
+    walks = 0
 
     def finish(verdict: RunVerdict, **extra) -> RunResult:
         metrics = RunMetrics(
@@ -212,8 +216,15 @@ def verify(
             lps=lps,
             pivots=pivots,
             passes=passes,
+            walks=walks,
         )
         return RunResult(verdict, tree, metrics, **extra)
+
+    def count_pass(parent, bounds) -> None:
+        nonlocal passes, walks
+        if bounds is not parent:  # an empty parent's bounds are handed on without a pass
+            passes += 1
+            walks += bounds.walks
 
     # The first frontier: the initial tree's leaves, (nid, box, splits, parent bounds).
     active, walk = [], [(tree.root, prop.input, {}, None)]
@@ -225,8 +236,9 @@ def verify(
             continue
         if time.perf_counter() - start > cfg.timeout:
             return finish(RunVerdict.TIMEOUT, note="wall-clock timeout")
-        passes += parent is None or not parent.infeasible
-        parent = compute_bounds(net, box, splits, parent=parent)
+        bounds = compute_bounds(net, box, splits, parent=parent)
+        count_pass(parent, bounds)
+        parent = bounds
         for cid in (node.left, node.right):
             d = tree.node(cid).decision
             if isinstance(d, InputDecision) and not box.lower[d.dim] <= d.cut <= box.upper[d.dim]:
@@ -245,7 +257,7 @@ def verify(
                 return finish(RunVerdict.TIMEOUT, note="wall-clock timeout")
             res = analyze(net, Property(box, prop.output, name=prop.name), splits, parent=parent)
             boundings += 1
-            passes += parent is None or not parent.infeasible
+            count_pass(parent, res.bounds)
             if res.pivots is not None:
                 lps += 1
                 pivots += res.pivots

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from incver.analyzer import (
     compute_bounds,
 )
 from incver.lp import LpStatus, solve
-from incver.model import Affine, Network, Relu, ReluId, relu_ids
+from incver.model import Affine, Network, Relu, ReluId, quantize, relu_ids
 from incver.props import InputBox, OutputConstraint, Property
 from bound_oracles import (
     brute_force_minimum,
@@ -242,6 +243,101 @@ def test_stacked_walks_match_the_separate_walks():
                 assert np.allclose(g, w, rtol=0.0, atol=1e-12)
             compared += 1
     assert compared >= 300
+
+
+def assert_identical(got, want):
+    # the same bits in every field a pass computes
+    def same(a, b):
+        return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    for name in ("pre_lb", "pre_ub", "phase"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert len(g) == len(w) and all(same(a, b) for a, b in zip(g, w)), name
+    assert same(got.out_lb, want.out_lb) and same(got.out_ub, want.out_ub)
+    assert (got.kappa is None) == (want.kappa is None)
+    if got.kappa is not None:
+        assert len(got.kappa) == len(want.kappa)
+        assert all(same(a, b) for a, b in zip(got.kappa, want.kappa))
+    lbs = (got.objective_lb, want.objective_lb)
+    assert lbs == (None, None) or float(lbs[0]).hex() == float(lbs[1]).hex()
+    assert got.infeasible == want.infeasible
+
+
+def test_child_takes_the_parents_layers_bit_for_bit():
+    # A child on its parent's network and box takes the parent's layers
+    # above its first split layer and that layer's walk; it must give what
+    # the full pass gives from a parent stripped of what it carries.  The
+    # paths split at the first, a middle and the last ReLU layer.
+    rng = np.random.default_rng(91)
+    steps = {"first": 0, "middle": 0, "last": 0}  # by the split's layer
+    for trial in range(60):
+        depth = 1 + trial % 3
+        dims = [int(rng.integers(1, 4)), *rng.integers(2, 6, size=depth).tolist(), 2]
+        net = make_net(dims, rng)
+        box = unit_box(net.input_dim)
+        c = rng.normal(size=2)
+        layers = sorted({0, depth // 2, depth - 1})
+        for objective in (None, c):
+            splits = {}
+            parent = compute_bounds(net, box, splits, objective=objective)
+            assert parent.walks == depth + 1
+            for step in range(6):
+                layer = layers[step % len(layers)] if step < 3 else int(rng.choice(layers))
+                free = [ReluId(layer, j) for j in range(dims[layer + 1])]
+                free = [rid for rid in free if rid not in splits]
+                if not free:
+                    continue
+                amb = [rid for rid in free if parent.is_ambiguous(rid)]
+                rid = amb[0] if amb else free[int(rng.integers(len(free)))]
+                splits = {**splits, rid: "+" if rng.random() < 0.5 else "-"}
+                child = compute_bounds(net, box, splits, objective=objective, parent=parent)
+                if parent.infeasible:
+                    assert child is parent
+                    break
+                full = compute_bounds(
+                    net, box, splits, objective=objective, parent=replace(parent, carry=None)
+                )
+                assert_identical(child, full)
+                assert full.walks == depth + 1
+                assert child.walks == depth - layer
+                steps["first" if layer == 0 else "last" if layer == depth - 1 else "middle"] += 1
+                parent = child
+    assert min(steps.values()) >= 50, steps
+
+
+def test_no_reuse_across_networks_or_boxes():
+    # A parent computed on another network (even its quantized copy) or
+    # for another box hands nothing on: the child walks every layer and
+    # gets the full pass's bits.  What a parent carries is read-only.
+    rng = np.random.default_rng(93)
+    for trial in range(20):
+        net = make_net([2, 4, 3, 2], rng)
+        box = InputBox(np.array([0.2, 0.3]), np.array([0.7, 0.6]))
+        wide = unit_box(2)
+        same_values = InputBox(box.lower.copy(), box.upper.copy())
+        c = rng.normal(size=2)
+        cases = [
+            (quantize(net, 8), box, compute_bounds(net, box, {})),
+            (net, box, compute_bounds(net, wide, {})),
+            (net, same_values, compute_bounds(net, box, {})),
+        ]
+        for other, child_box, parent in cases:
+            rid = ReluId(int(rng.integers(2)), 0)
+            for objective in (None, c):
+                splits = {rid: "+" if rng.random() < 0.5 else "-"}
+                child = compute_bounds(other, child_box, splits, objective=objective, parent=parent)
+                stripped = replace(parent, carry=None)
+                full = compute_bounds(other, child_box, splits, objective=objective, parent=stripped)
+                assert_identical(child, full)
+                assert child.walks == full.walks == 3
+
+    bounds = compute_bounds(net, box, {ReluId(0, 0): "+"}, objective=c)
+    carried = [*bounds.pre_lb, *bounds.pre_ub, *bounds.phase]
+    carried += [a for r in bounds.carry.relax for a in r]
+    carried += [a for pair in bounds.carry.walked for a in pair]
+    for a in carried:
+        with pytest.raises(ValueError):
+            a[0] = 1.0
 
 
 def test_crossing_split_flags_infeasible():

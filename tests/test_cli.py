@@ -6,6 +6,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -86,7 +87,7 @@ def test_verify_demo_fixture_metrics(capsys):
     assert doc["metrics"]["boundings"] == 9
     assert doc["metrics"]["branchings"] == 4
     assert (doc["metrics"]["lps"], doc["metrics"]["pivots"]) == (6, 33)
-    assert doc["metrics"]["passes"] == 9
+    assert (doc["metrics"]["passes"], doc["metrics"]["walks"]) == (9, 13)
     assert doc["counterexample"] is None
     assert doc["schema_version"] == 1
 
@@ -582,7 +583,11 @@ def test_log_env_controls_verbosity():
         env={**base_env, "INCVER_LOG": "DEBUG"},
     )
     assert noisy.returncode == EXIT_VERIFIED
-    assert len(noisy.stderr) >= len(quiet.stderr)
+    # the speedup line's wall-time ratio varies from run to run (9.87x, 10.12x)
+    def logged(run):
+        return re.sub(r"wall [0-9.]+x", "wall x", run.stderr)
+
+    assert len(logged(noisy)) >= len(logged(quiet))
     junk = subprocess.run(
         cmd,
         capture_output=True,

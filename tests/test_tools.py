@@ -51,3 +51,15 @@ def test_fixture_tool_scores_the_demo_chain(monkeypatch):
     assert tool.base_order_ok(heur.seed)
     assert tool.chain_ok(heur.seed, heur.theta, hobs)
     assert not tool.chain_ok(heur.seed, heur.theta, {})
+
+
+def test_signature_compares_only_the_expected_fields(monkeypatch):
+    # A saved signature from before a counter existed still compares: the
+    # field it lacks is skipped, while a field it has and the new one lacks,
+    # or a differing value, is named.
+    tool = load_tool("work_signature", monkeypatch)
+    old = {"boundings": 9, "sha256": "ab", "modes": {"ivan": {"passes": 5}}}
+    new = {**old, "walks": 13, "modes": {"ivan": {"passes": 5, "walks": 7}}}
+    assert tool.differences(new, old) == {}
+    assert tool.differences(old, new) == {"walks": (13, None), "ivan.walks": (7, None)}
+    assert tool.differences({**new, "boundings": 8}, old) == {"boundings": (9, 8)}

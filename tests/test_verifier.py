@@ -176,7 +176,10 @@ def test_each_bounding_runs_one_propagation_pass():
     # Propagation passes are the deterministic work counter of the bounds.
     # Every node is bounded once, from its parent's bounds: the demo's
     # baseline first run takes one pass per bounding, and a reused or pruned
-    # tree one pass per node, its internal nodes included.
+    # tree one pass per node, its internal nodes included.  A pass walks only
+    # the layers below its node's split: on the demo's two ReLU layers, 3
+    # walks at the root, 2 under a layer-0 split and 1 under a layer-1 split
+    # (27 walks, not 13, if every pass walked every layer).
     fixtures = Path(__file__).resolve().parent.parent / "fixtures"
     net = load_network(fixtures / "demo_network.json")
     updated = load_network(fixtures / "demo_updated.json")
@@ -185,28 +188,33 @@ def test_each_bounding_runs_one_propagation_pass():
     cfg = VerifierConfig(mode=Mode.BASELINE, heuristic=heur, timeout=30.0)
     first = verify(net, prop, cfg)
     assert (first.metrics.boundings, first.metrics.branchings) == (9, 4)
-    assert first.metrics.passes == 9
+    assert (first.metrics.passes, first.metrics.walks) == (9, 13)
 
     reuse = verify(updated, prop, cfg, initial_tree=first.tree)
     assert (reuse.metrics.boundings, reuse.metrics.branchings) == (5, 0)
     assert reuse.metrics.passes == first.tree.num_nodes() == 9
+    assert reuse.metrics.walks == 13
 
     pruned = prune(first.tree, heur.theta)
     ivan = verify(updated, prop, cfg, initial_tree=pruned, hobs=observed_scores(first.tree))
     assert (ivan.metrics.boundings, ivan.metrics.branchings) == (3, 0)
     assert ivan.metrics.passes == pruned.num_nodes() == 5
+    assert ivan.metrics.walks == 7
 
     # The same holds under input branching: a reused input tree's internal
-    # nodes are bounded too, so its run takes one pass per node.
+    # nodes are bounded too, so its run takes one pass per node.  Each input
+    # split changes the box, so every pass walks every layer.
     net, prop = find_branching_instance()
     cfg = VerifierConfig(timeout=120.0, branching="input", max_nodes=4000)
     first = verify(net, prop, cfg)
     assert first.metrics.branchings > 0
     assert first.metrics.passes == first.metrics.boundings
+    assert first.metrics.walks == first.metrics.passes * len(net.blocks)
     reuse = verify(net, prop, cfg, initial_tree=first.tree)
     assert reuse.metrics.branchings == 0
     assert reuse.metrics.boundings == first.tree.num_leaves()
     assert reuse.metrics.passes == first.tree.num_nodes()
+    assert reuse.metrics.walks == reuse.metrics.passes * len(net.blocks)
 
 
 def test_reused_tree_under_an_empty_region_verifies_vacuously():
@@ -233,7 +241,8 @@ def test_reused_tree_under_an_empty_region_verifies_vacuously():
     for nid in under:
         assert res.tree.node(nid).status is NodeStatus.VERIFIED
         assert res.tree.node(nid).lb == math.inf
-    assert res.metrics.passes == 3
+    # 2 walks at the root, 1 at each child of its layer-0 split, none below
+    assert (res.metrics.passes, res.metrics.walks) == (3, 4)
 
 
 def test_each_bounding_gets_the_subproblem_of_its_root_path(monkeypatch):

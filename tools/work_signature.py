@@ -4,8 +4,8 @@ Builds the instances of a benchmark workload with ``perfbench/workloads.py``
 and runs ``verify_incremental`` on each of them in all four modes, with the
 configurations ``perfbench/run.py`` uses.  It prints, per mode and in total:
 
-* boundings, branchings, propagation passes, LPs solved and their summed
-  pivots (from the runs' metrics);
+* boundings, branchings, propagation passes, their back-substitution
+  walks, LPs solved and their summed pivots (from the runs' metrics);
 * a SHA-256 over every run's verdict, counts, counterexample bytes and each
   tree node's ``(id, lb.hex())``;
 * a verdict digest: a SHA-256 over every run's verdict alone;
@@ -20,10 +20,15 @@ keeps the verdict digest.  Run from the repository root:
 
     python3 tools/work_signature.py --workload quant-8x6 --seed 1
 
+BLAS runs on one thread, pinned before numpy loads as ``perfbench/run.py``
+pins it, so the digests are the bits the benchmark computes whatever the
+caller's environment says.
+
 The last line of standard output is one JSON object with the totals.  With
 ``--expect FILE`` (a saved output, whose last line is that JSON object) the
 script also compares the two objects, the per-mode rows included, and names
-each field that differs.  It exits 1 when a count, the instance digest or a
+each field that differs; a field the saved object lacks (a counter added
+since) is not compared.  It exits 1 when a count, the instance digest or a
 verdict digest differs: the search changed.  It exits 2 when only the
 bit-level digests differ (the run and LP SHA-256s): the same search, whose
 bounds and programs differ in the last bits, as after a change in the order
@@ -57,6 +62,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
+if __name__ == "__main__":  # pin BLAS to one thread before numpy is imported
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
 
 import numpy as np
 import workloads  # perfbench/workloads.py
@@ -71,6 +79,8 @@ BENCH_PERF_SEED = 1
 BENCH_SECONDS = 30  # perfbench's run length, as BENCHMARK.json sets it
 # fields whose difference is only in the last bits of the same search
 BIT_DIGESTS = ("sha256", "lp_sha256", "sha", "lp_sha")
+# the work counters read from each run's metrics
+COUNTERS = ("boundings", "branchings", "passes", "walks", "lps", "pivots")
 
 
 def _lb_hex(lb) -> str:
@@ -104,11 +114,7 @@ def signature(workload: str, seed: int) -> dict:
     instances = workloads.make_instances(workload, seed)
     per_mode = {
         mode.value: {
-            "boundings": 0,
-            "branchings": 0,
-            "passes": 0,
-            "lps": 0,
-            "pivots": 0,
+            **dict.fromkeys(COUNTERS, 0),
             "sha": hashlib.sha256(),
             "verdict_sha": hashlib.sha256(),
             "lp_sha": hashlib.sha256(),
@@ -136,7 +142,7 @@ def signature(workload: str, seed: int) -> dict:
                 row = per_mode[mode.value]
                 pair = verify_incremental(inst.original, inst.updated, inst.prop, cfg)
                 for res in pair:
-                    for key in ("boundings", "branchings", "passes", "lps", "pivots"):
+                    for key in COUNTERS:
                         row[key] += getattr(res.metrics, key)
                     bits = run_digest(res)
                     row["sha"].update(bits)
@@ -154,11 +160,7 @@ def signature(workload: str, seed: int) -> dict:
         "workload": workload,
         "seed": seed,
         "instances_digest": workloads.digest(instances),
-        "boundings": sum(r["boundings"] for r in modes.values()),
-        "branchings": sum(r["branchings"] for r in modes.values()),
-        "passes": sum(r["passes"] for r in modes.values()),
-        "lps": sum(r["lps"] for r in modes.values()),
-        "pivots": sum(r["pivots"] for r in modes.values()),
+        **{key: sum(r[key] for r in modes.values()) for key in COUNTERS},
         "sha256": total.hexdigest(),
         "verdict_sha256": verdict_total.hexdigest(),
         "lp_sha256": lp_total.hexdigest(),
@@ -175,13 +177,9 @@ def _fields(sig: dict) -> dict:
 
 
 def differences(got: dict, want: dict) -> dict:
-    """Each field whose value differs between two signatures: (expected, got)."""
+    """Each field of the expected signature whose value differs: (expected, got)."""
     g, w = _fields(got), _fields(want)
-    return {
-        key: (w.get(key), g.get(key))
-        for key in sorted(g.keys() | w.keys())
-        if g.get(key) != w.get(key)
-    }
+    return {key: (w[key], g.get(key)) for key in sorted(w) if g.get(key) != w[key]}
 
 
 def perfbench_runs(workload: str) -> dict:
@@ -223,6 +221,7 @@ def bench(path: Path) -> None:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "cores": os.cpu_count(),
+            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         },
         "work": {},
         "perfbench": {},
@@ -263,7 +262,8 @@ def main(argv=None) -> int:
     for name, row in [*sig["modes"].items(), ("total", total)]:
         print(
             f"{name:9s} boundings {row['boundings']:5d}  branchings {row['branchings']:4d}  "
-            f"passes {row['passes']:5d}  lps {row['lps']:5d}  pivots {row['pivots']:6d}  "
+            f"passes {row['passes']:5d}  walks {row['walks']:5d}  lps {row['lps']:5d}  "
+            f"pivots {row['pivots']:6d}  "
             f"sha256 {row['sha'][:16]}  verdicts {row['verdict_sha'][:16]}  lp {row['lp_sha'][:16]}"
         )
     print(json.dumps(sig))
