@@ -39,7 +39,9 @@ Two layers of machinery live here:
     while propagation is not.  An infeasible region (crossed bounds or an
     infeasible LP) verifies vacuously.  The verdict hands its bounds on: the
     verifier picks a split from them and bounds the two children from them,
-    instead of recomputing either.
+    instead of recomputing either.  It also hands on the LP's final basis,
+    which the verifier gives back as the ``start`` of the same region's LP
+    on an updated network.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from incver.lp import LinearProgram, LpStatus, solve
+from incver.lp import LinearProgram, LpBasis, LpStatus, solve
 from incver.model import Network, ReluId
 from incver.props import InputBox, Property, holds_concretely
 
@@ -96,7 +98,9 @@ class AnalyzerVerdict:
     ``bounds`` are the region's bounds from this call, computed with the
     property's objective so their ``kappa`` is set; the verifier ranks split
     candidates from them.  ``pivots`` is the LP's simplex pivot count, or
-    None when no LP ran.
+    None when no LP ran.  ``basis`` is the LP's final basis (see
+    ``LpOutcome.basis``), None when no LP ran or it left none; ``warm`` says
+    whether the LP started from the ``start`` it was given.
     """
 
     status: Verdict
@@ -105,6 +109,8 @@ class AnalyzerVerdict:
     infeasible: bool = False
     bounds: Optional[PreactBounds] = None
     pivots: Optional[int] = None
+    basis: Optional[LpBasis] = None
+    warm: bool = False
 
 
 @dataclass
@@ -432,10 +438,16 @@ def _build_program(net, prop, bounds):
     return LinearProgram(objective, np.column_stack([lo, hi]), A, rel, rhs)
 
 
-def analyze(net: Network, prop: Property, splits: dict, parent=None) -> AnalyzerVerdict:
+def analyze(
+    net: Network, prop: Property, splits: dict, parent=None, start: Optional[LpBasis] = None
+) -> AnalyzerVerdict:
     """One bounding call: lower-bound the property margin over the region.
 
     ``parent``, the bounds of the region's parent, goes to :func:`compute_bounds`.
+    ``start``, a basis of an earlier LP of the same region, goes to
+    :func:`~incver.lp.solve`.  It saves pivots and keeps the LP's status,
+    but can move the optimum within the solver's tolerance and return
+    another optimal vertex, from which the candidate input is clipped.
 
     Returns Verified when the proved lower bound is nonnegative (or the
     region is empty, flagged ``infeasible``), Counterexample when the LP
@@ -457,19 +469,17 @@ def analyze(net: Network, prop: Property, splits: dict, parent=None) -> Analyzer
         return AnalyzerVerdict(Verdict.VERIFIED, float(lb), bounds=bounds)
     program = _build_program(net, prop, bounds)
     try:
-        out = solve(program)
+        out = solve(program, start=start)
     except Exception as exc:
         raise AnalyzerError(f"bounding LP failed: {exc}") from exc
-    pivots = out.iterations
+    solved = dict(bounds=bounds, pivots=out.iterations, basis=out.basis, warm=out.warm)
     if out.status is LpStatus.INFEASIBLE:
-        return AnalyzerVerdict(
-            Verdict.VERIFIED, math.inf, infeasible=True, bounds=bounds, pivots=pivots
-        )
+        return AnalyzerVerdict(Verdict.VERIFIED, math.inf, infeasible=True, **solved)
     bounds.objective_lb = max(bounds.objective_lb, float(out.value))
     lb = float(out.value + prop.output.d)
     if lb >= 0.0:
-        return AnalyzerVerdict(Verdict.VERIFIED, lb, bounds=bounds, pivots=pivots)
+        return AnalyzerVerdict(Verdict.VERIFIED, lb, **solved)
     candidate = prop.input.clip(out.point[: net.input_dim])
     if not holds_concretely(prop, net, candidate):
-        return AnalyzerVerdict(Verdict.COUNTEREXAMPLE, lb, candidate, bounds=bounds, pivots=pivots)
-    return AnalyzerVerdict(Verdict.UNKNOWN, lb, bounds=bounds, pivots=pivots)
+        return AnalyzerVerdict(Verdict.COUNTEREXAMPLE, lb, candidate, **solved)
+    return AnalyzerVerdict(Verdict.UNKNOWN, lb, **solved)

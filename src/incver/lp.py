@@ -36,6 +36,18 @@ start basis:
 2. Phase 2 minimizes the real objective with artificial columns barred from
    entering.
 
+``solve`` also takes a ``start``: the final basis of an earlier optimal
+solve (``LpOutcome.basis``), typically of the same bounding program on a
+slightly changed network.  It is accepted when it has the program's shape,
+names no artificial column, keeps every nonbasic column at a finite bound,
+its B factorizes, and its basic values lie within the feasibility tolerance
+of their bounds.  Phase 2 then runs from it, with no crash and no phase 1;
+when the old basis is still optimal that takes no pivot at all.  Any other
+start is dropped, and the solve takes the crash path on a fresh tableau,
+bit for bit as without a start.  A stale start can cost pivots, never the
+answer: phase 2 from a primal-feasible basis ends at an optimum, and the
+final point passes the same feasibility guard.
+
 The analyzer orders its variables input, pre, post, output and writes each
 ``=`` row with its own variable last, so on its programs the crash basis
 evaluates the affine layers forward from the start values, and phase 1 only
@@ -62,12 +74,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 __all__ = [
     "LinearProgram",
+    "LpBasis",
     "LpError",
     "LpOutcome",
     "LpStatus",
@@ -150,6 +163,20 @@ class LinearProgram:
         return tuple(zip(self.A, self.rel.tolist(), self.rhs.tolist()))
 
 
+class LpBasis(NamedTuple):
+    """A simplex basis over the structural and slack columns of a program.
+
+    ``basic`` holds the basic column of each row; ``state`` holds each
+    column's state (at its lower bound, at its upper bound, or basic).  The
+    columns are the program's variables, then one slack per inequality row
+    in row order.  :func:`solve` returns the final basis on an optimal
+    outcome and accepts one as ``start``.
+    """
+
+    basic: np.ndarray
+    state: np.ndarray
+
+
 @dataclass(frozen=True)
 class LpOutcome:
     """Result of :func:`solve`.
@@ -159,12 +186,18 @@ class LpOutcome:
     counts the pivots applied in phases 1 and 2, bound flips included, so on
     a program with no rows it counts the bound flips; it is 0 when crossed
     variable bounds make the program infeasible before the simplex starts.
+    ``basis`` is the final basis of an ``OPTIMAL`` outcome, or None when an
+    artificial column is still basic (a linearly dependent row) and for
+    ``INFEASIBLE``.  ``warm`` says whether the solve started from the given
+    ``start`` instead of the crash basis.
     """
 
     status: LpStatus
     value: Optional[float] = None
     point: Optional[np.ndarray] = None
     iterations: int = 0
+    basis: Optional[LpBasis] = None
+    warm: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -351,15 +384,107 @@ def _crash(tab: _Tableau, A_rows: np.ndarray, is_eq: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve(lp: LinearProgram, *, max_iter: Optional[int] = None) -> LpOutcome:
+def _warm_start(tab: _Tableau, start: LpBasis) -> bool:
+    """Set ``tab`` up on a carried basis; False when the start does not fit.
+
+    The start fits when it has the tableau's shape, its basic columns are
+    distinct structural or slack columns and exactly the columns its states
+    mark basic, every nonbasic column sits at a finite bound, B factorizes,
+    and the basic values lie within the feasibility tolerance of their
+    bounds.  A start that does not fit may leave ``tab`` half set up.
+    """
+    basic, state = start
+    if basic.shape != (tab.m,) or state.shape != (tab.K,):
+        return False
+    if not ((state >= _AT_LOWER) & (state <= _BASIC)).all():
+        return False
+    # distinct, in range, and marked basic: an artificial has no column here
+    if not np.array_equal(np.flatnonzero(state == _BASIC), np.sort(basic)):
+        return False
+    at_upper = state == _AT_UPPER
+    if not np.isfinite(tab.hi[at_upper]).all():  # a slack has no finite upper bound
+        return False
+    tab.basis = basic.copy()
+    tab.state = state.copy()
+    tab.val = np.where(at_upper, tab.hi, tab.lo)
+    try:
+        tab.refresh()
+    except LpError:
+        return False
+    blo, bhi = tab.lo[tab.basis], tab.hi[tab.basis]
+    return bool(np.all((tab.xb >= blo - _FEAS_TOL) & (tab.xb <= bhi + _FEAS_TOL)))
+
+
+def _cold_start(tab: _Tableau, A_rows: np.ndarray, is_eq: np.ndarray) -> bool:
+    """Crash basis, then phase 1 for the rows it leaves uncovered.
+
+    Leaves ``tab`` refreshed on a feasible basis of the structural and slack
+    columns, apart from artificials pinned to zero on dependent rows, and
+    returns True; returns False when phase 1 proves the program infeasible.
+    """
+    n = A_rows.shape[1]
+    K, m = tab.K, tab.m
+    ineq_rows = np.flatnonzero(~is_eq)
+    slack_cols = n + np.arange(ineq_rows.size)
+    tab.val[:n] = tab.lo[:n]  # structural columns start at their lower bounds
+    residual = tab.b - A_rows @ _crash(tab, A_rows, is_eq)
+
+    # an inequality row starts on its slack when that is feasible; every
+    # row still without a basic column gets an artificial
+    on_slack = residual[ineq_rows] >= 0.0
+    rows, cols = ineq_rows[on_slack], slack_cols[on_slack]
+    tab.basis[rows], tab.state[cols] = cols, _BASIC
+    art_rows = np.flatnonzero(tab.basis < 0)
+
+    if art_rows.size:
+        n_art = art_rows.size
+        art_cols = K + np.arange(n_art)
+        A_ext = np.zeros((m, K + n_art))
+        A_ext[:, :K] = tab.A
+        A_ext[art_rows, art_cols] = np.where(residual[art_rows] < 0.0, -1.0, 1.0)
+        tab.A = A_ext
+        tab.K = K + n_art
+        tab.lo = np.concatenate([tab.lo, np.zeros(n_art)])
+        tab.hi = np.concatenate([tab.hi, np.full(n_art, np.inf)])
+        tab.val = np.concatenate([tab.val, np.zeros(n_art)])
+        tab.state = np.concatenate([tab.state, np.full(n_art, _AT_LOWER, dtype=int)])
+        tab.basis[art_rows], tab.state[art_cols] = art_cols, _BASIC
+        tab.refresh()
+
+        phase1_cost = np.zeros(tab.K)
+        phase1_cost[K:] = 1.0
+        tab.run(phase1_cost)
+        if float(phase1_cost[tab.basis] @ tab.xb) > _FEAS_TOL:
+            return False
+
+        # evict basic artificials where a real pivot column exists; rows with
+        # none are linearly dependent and keep a pinned artificial
+        for i in np.flatnonzero(tab.basis >= K):
+            candidates = np.flatnonzero(
+                (tab.state[:K] != _BASIC) & (np.abs(tab.T[i, :K]) > _PIVOT_TOL)
+            )
+            if candidates.size:
+                tab._apply_pivot(int(candidates[0]), 1.0, 0.0, i)
+        # pinned to [0, 0], an artificial never enters again
+        tab.lo[K:] = 0.0
+        tab.hi[K:] = 0.0
+        tab.val[K:] = 0.0
+    tab.refresh()
+    return True
+
+
+def solve(
+    lp: LinearProgram, *, max_iter: Optional[int] = None, start: Optional[LpBasis] = None
+) -> LpOutcome:
     """Solve a linear program whose variable bounds are all finite.
 
     ``>=`` rows are negated into ``<=`` rows and every inequality row gets a
     slack column, in row order, all as array operations on ``lp.A``.
-    Structural variables start at their lower bounds.  The start basis is the
-    crash basis described in the module docstring, and phase 1 runs only for
-    the rows it leaves without a feasible basic column.  A program with no
-    rows goes the same way; its ``iterations`` count the bound flips.
+    Without a usable ``start``, structural variables start at their lower
+    bounds, the start basis is the crash basis described in the module
+    docstring, and phase 1 runs only for the rows it leaves without a
+    feasible basic column.  A program with no rows goes the same way; its
+    ``iterations`` count the bound flips.
 
     Parameters
     ----------
@@ -368,15 +493,22 @@ def solve(lp: LinearProgram, *, max_iter: Optional[int] = None) -> LpOutcome:
     max_iter : int, optional
         Pivot budget across both phases; defaults to ``200 * (rows + cols) +
         1000``.  Exceeding it raises :class:`LpError`.
+    start : LpBasis, optional
+        A basis to run phase 2 from, usually ``basis`` of an earlier outcome
+        on a program with the same rows and columns.  It is used only when it
+        fits (see the module docstring; the outcome's ``warm`` says so) and
+        is otherwise ignored: the solve is then the one without a start, bit
+        for bit.
 
     Returns
     -------
     LpOutcome
-        ``OPTIMAL`` carries the minimum value and an argmin point that has
-        been re-solved against the final basis and verified feasible within
-        the feasibility tolerance by one residual ``A @ x - rhs`` over all
-        rows, where a NaN counts as a violation; ``INFEASIBLE`` carries no
-        point.  There is no unbounded outcome.
+        ``OPTIMAL`` carries the minimum value, an argmin point that has been
+        re-solved against the final basis and verified feasible within the
+        feasibility tolerance by one residual ``A @ x - rhs`` over all rows,
+        where a NaN counts as a violation, and that final basis;
+        ``INFEASIBLE`` carries no point and no basis.  There is no unbounded
+        outcome.
 
     Raises
     ------
@@ -401,10 +533,9 @@ def solve(lp: LinearProgram, *, max_iter: Optional[int] = None) -> LpOutcome:
     ineq_rows = np.flatnonzero(~is_eq)
     n_slack = ineq_rows.size
     K = n + n_slack
-    slack_cols = n + np.arange(n_slack)
     A = np.zeros((m, K))
     A[:, :n] = A_rows
-    A[ineq_rows, slack_cols] = 1.0
+    A[ineq_rows, n + np.arange(n_slack)] = 1.0
     lo = np.concatenate([lo_s, np.zeros(n_slack)])
     hi = np.concatenate([hi_s, np.full(n_slack, np.inf)])
 
@@ -412,50 +543,12 @@ def solve(lp: LinearProgram, *, max_iter: Optional[int] = None) -> LpOutcome:
         max_iter = 200 * (m + K) + 1000
 
     tab = _Tableau(A, b, lo, hi, max_iter)
-    tab.val[:n] = lo_s  # structural columns start at their lower bounds
-    residual = b - A_rows @ _crash(tab, A_rows, is_eq)
-
-    # an inequality row starts on its slack when that is feasible; every
-    # row still without a basic column gets an artificial
-    on_slack = residual[ineq_rows] >= 0.0
-    rows, cols = ineq_rows[on_slack], slack_cols[on_slack]
-    tab.basis[rows], tab.state[cols] = cols, _BASIC
-    art_rows = np.flatnonzero(tab.basis < 0)
-
-    if art_rows.size:
-        n_art = art_rows.size
-        art_cols = K + np.arange(n_art)
-        A_ext = np.zeros((m, K + n_art))
-        A_ext[:, :K] = tab.A
-        A_ext[art_rows, art_cols] = np.where(residual[art_rows] < 0.0, -1.0, 1.0)
-        tab.A = A_ext
-        tab.K = K + n_art
-        tab.lo = np.concatenate([lo, np.zeros(n_art)])
-        tab.hi = np.concatenate([hi, np.full(n_art, np.inf)])
-        tab.val = np.concatenate([tab.val, np.zeros(n_art)])
-        tab.state = np.concatenate([tab.state, np.full(n_art, _AT_LOWER, dtype=int)])
-        tab.basis[art_rows], tab.state[art_cols] = art_cols, _BASIC
-        tab.refresh()
-
-        phase1_cost = np.zeros(tab.K)
-        phase1_cost[K:] = 1.0
-        tab.run(phase1_cost)
-        if float(phase1_cost[tab.basis] @ tab.xb) > _FEAS_TOL:
+    warm = start is not None and _warm_start(tab, start)
+    if not warm:
+        if start is not None:
+            tab = _Tableau(A, b, lo, hi, max_iter)  # the rejected start's marks go
+        if not _cold_start(tab, A_rows, is_eq):
             return LpOutcome(LpStatus.INFEASIBLE, iterations=tab.iterations)
-
-        # evict basic artificials where a real pivot column exists; rows with
-        # none are linearly dependent and keep a pinned artificial
-        for i in np.flatnonzero(tab.basis >= K):
-            candidates = np.flatnonzero(
-                (tab.state[:K] != _BASIC) & (np.abs(tab.T[i, :K]) > _PIVOT_TOL)
-            )
-            if candidates.size:
-                tab._apply_pivot(int(candidates[0]), 1.0, 0.0, i)
-        # pinned to [0, 0], an artificial never enters again
-        tab.lo[K:] = 0.0
-        tab.hi[K:] = 0.0
-        tab.val[K:] = 0.0
-    tab.refresh()
 
     full_cost = np.zeros(tab.K)
     full_cost[:n] = lp.objective
@@ -477,4 +570,7 @@ def solve(lp: LinearProgram, *, max_iter: Optional[int] = None) -> LpOutcome:
     if bad.any():
         i = int(np.argmax(bad))
         raise LpError(f"final point violates row {i} by {violation[i]:.3e}")
-    return LpOutcome(LpStatus.OPTIMAL, float(lp.objective @ x), x, tab.iterations)
+    basis = None
+    if not (tab.basis >= K).any():  # an artificial left basic has no column in a start
+        basis = LpBasis(tab.basis.copy(), tab.state[:K].copy())
+    return LpOutcome(LpStatus.OPTIMAL, float(lp.objective @ x), x, tab.iterations, basis, warm)

@@ -5,12 +5,18 @@ whose leaves partition the property into subproblems the analyzer can
 settle.  ``verify_incremental`` verifies an original network, then replays
 its proof tree (reused, reordered, or pruned, depending on the mode)
 against an updated network so the second run starts from the structure
-that worked the first time instead of from scratch.
+that worked the first time instead of from scratch.  Modes reuse and ivan
+also carry each LP's final simplex basis from the first run to the same
+subproblem's LP in the second.
+
+Each ``verify`` run writes one DEBUG line to the ``incver.verifier`` logger
+when it ends: its verdict and work counts.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import logging
 import math
 import time
 from dataclasses import dataclass
@@ -38,6 +44,8 @@ from incver.spectree import (
 )
 
 BRANCHINGS = ("relu", "input")
+
+log = logging.getLogger("incver.verifier")
 
 
 class Mode(Enum):
@@ -88,12 +96,14 @@ class RunMetrics:
     because every starting leaf and every created node is bounded exactly
     once, and every split adds one internal node.  lps counts the boundings
     that solved an LP (the others were settled by bound propagation alone)
-    and pivots sums those LPs' simplex pivots.  passes counts propagation
-    passes: one per bounding and one per internal node of an initial tree,
-    except where the parent region is already empty and its bounds are
-    handed on without a pass.  walks counts those passes' back-substitution
-    walks: one per ReLU layer whose walk a pass did not take from its
-    parent's bounds, and one for the output.
+    and pivots sums those LPs' simplex pivots.  warm counts the LPs that
+    started from a basis carried from an earlier run (``verify``'s
+    ``bases``): only the second runs of modes reuse and ivan have any.
+    passes counts propagation passes: one per bounding and one per internal
+    node of an initial tree, except where the parent region is already
+    empty and its bounds are handed on without a pass.  walks counts those
+    passes' back-substitution walks: one per ReLU layer whose walk a pass
+    did not take from its parent's bounds, and one for the output.
     """
 
     boundings: int
@@ -106,6 +116,7 @@ class RunMetrics:
     pivots: int
     passes: int
     walks: int
+    warm: int
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
@@ -162,6 +173,7 @@ def verify(
     cfg: VerifierConfig,
     initial_tree: Optional[SpecTree] = None,
     hobs: Optional[dict] = None,
+    bases: Optional[dict] = None,
 ) -> RunResult:
     """Branch-and-bound from the given tree's leaves (singleton if omitted).
 
@@ -184,6 +196,15 @@ def verify(
     bounds, whichever the branching, an initial tree's internal nodes too
     (once each, no LP, on one top-down walk); the branching only decides how
     an inconclusive node is split.
+
+    ``bases`` is a map the caller owns from a node's subproblem,
+    ``(frozenset(splits.items()), box.lower.tobytes(), box.upper.tobytes())``,
+    to an LP's final basis.  Before each bounding the node's entry, if any,
+    goes to ``analyze`` as the LP's ``start``, and after an LP that left a
+    basis the entry is set to it.  With ``bases=None`` nothing is looked up
+    or stored.  A start saves pivots; the LP's status stays, but its optimum
+    can move within the solver's tolerance and its argmin to another
+    optimal vertex, so a recorded lb can differ in its last bits.
     """
     start = time.perf_counter()
     if initial_tree is None:
@@ -204,6 +225,7 @@ def verify(
     pivots = 0
     passes = 0
     walks = 0
+    warm = 0
 
     def finish(verdict: RunVerdict, **extra) -> RunResult:
         metrics = RunMetrics(
@@ -217,6 +239,11 @@ def verify(
             pivots=pivots,
             passes=passes,
             walks=walks,
+            warm=warm,
+        )
+        log.debug(
+            "verify %s: %d boundings, %d branchings, %d LPs (%d warm), %d pivots",
+            verdict.value, boundings, branchings, lps, warm, pivots,
         )
         return RunResult(verdict, tree, metrics, **extra)
 
@@ -255,12 +282,20 @@ def verify(
         for nid, box, splits, parent in active:
             if time.perf_counter() - start > cfg.timeout:
                 return finish(RunVerdict.TIMEOUT, note="wall-clock timeout")
-            res = analyze(net, Property(box, prop.output, name=prop.name), splits, parent=parent)
+            key = carried = None
+            if bases is not None:
+                key = (frozenset(splits.items()), box.lower.tobytes(), box.upper.tobytes())
+                carried = bases.get(key)
+            node_prop = Property(box, prop.output, name=prop.name)
+            res = analyze(net, node_prop, splits, parent=parent, start=carried)
             boundings += 1
             count_pass(parent, res.bounds)
             if res.pivots is not None:
                 lps += 1
                 pivots += res.pivots
+                warm += res.warm
+                if bases is not None and res.basis is not None:
+                    bases[key] = res.basis
             node = tree.node(nid)
             node.lb = res.lb_value
             node.status = NodeStatus(res.status.value)
@@ -318,6 +353,12 @@ def verify_incremental(
     * ivan: both, after cutting splits that improved bounds by less than
       theta out of the reused tree.
 
+    Reuse and ivan also hand both runs one ``bases`` map (see
+    :func:`verify`), so each LP of the second run starts from the final
+    basis of the same subproblem's LP in the first, where there was one.
+    The map is dropped on return.  Baseline and reorder, and every first
+    run, solve each LP from the crash basis.
+
     A first run that ended in a counterexample or timeout still hands its
     partial tree over (noted on the second result); the structure it did
     build remains a valid, if unfinished, decomposition.
@@ -325,7 +366,8 @@ def verify_incremental(
     if not same_architecture(net_original, net_updated):
         raise ValueError("networks have different architectures; nothing to carry over")
     base_cfg = dataclasses.replace(cfg, mode=Mode.BASELINE)
-    first = verify(net_original, prop, base_cfg)
+    bases = {} if cfg.mode in (Mode.REUSE, Mode.IVAN) else None
+    first = verify(net_original, prop, base_cfg, bases=bases)
 
     note = ""
     if first.verdict is not RunVerdict.VERIFIED:
@@ -338,12 +380,12 @@ def verify_incremental(
     if cfg.mode is Mode.BASELINE:
         second = verify(net_updated, prop, cfg)
     elif cfg.mode is Mode.REUSE:
-        second = verify(net_updated, prop, cfg, initial_tree=first.tree)
+        second = verify(net_updated, prop, cfg, initial_tree=first.tree, bases=bases)
     elif cfg.mode is Mode.REORDER:
         second = verify(net_updated, prop, cfg, hobs=hobs)
     else:
         pruned = prune(first.tree, cfg.heuristic.theta)
-        second = verify(net_updated, prop, cfg, initial_tree=pruned, hobs=hobs)
+        second = verify(net_updated, prop, cfg, initial_tree=pruned, hobs=hobs, bases=bases)
     if note:
         joined = f"{second.note}; {note}" if second.note else note
         second = dataclasses.replace(second, note=joined)

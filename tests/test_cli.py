@@ -588,6 +588,14 @@ def test_log_env_controls_verbosity():
         return re.sub(r"wall [0-9.]+x", "wall x", run.stderr)
 
     assert len(logged(noisy)) >= len(logged(quiet))
+    # at DEBUG each verify run ends with one line of its work: the first run,
+    # then reuse's second run, whose two LPs start from the first run's bases
+    runs = [line for line in noisy.stderr.splitlines() if line.startswith("DEBUG:incver.verifier:")]
+    assert runs == [
+        "DEBUG:incver.verifier:verify Verified: 9 boundings, 4 branchings, 6 LPs (0 warm), 33 pivots",
+        "DEBUG:incver.verifier:verify Verified: 5 boundings, 0 branchings, 2 LPs (2 warm), 0 pivots",
+    ]
+    assert "incver.verifier" not in quiet.stderr
     junk = subprocess.run(
         cmd,
         capture_output=True,

@@ -7,7 +7,18 @@ import numpy as np
 import pytest
 
 from incver.heuristics import BaseHeuristic, HeuristicConfig
-from incver.lp import _BASIC, LinearProgram, LpError, LpStatus, _Tableau, solve
+from incver.lp import (
+    _AT_LOWER,
+    _AT_UPPER,
+    _BASIC,
+    _FEAS_TOL,
+    LinearProgram,
+    LpBasis,
+    LpError,
+    LpStatus,
+    _Tableau,
+    solve,
+)
 from incver.model import load_network
 from incver.props import load_property
 from incver.verifier import Mode, VerifierConfig, verify
@@ -296,3 +307,132 @@ def test_refresh_solves_only_the_nonbasic_columns():
         assert tab.T is T and np.array_equal(T, before)
         rhs = b - A[:, nonbasic] @ tab.val[nonbasic]
         assert np.allclose(tab.xb, np.linalg.solve(B, rhs), rtol=0, atol=1e-12)
+
+
+def oracle_lps():
+    """The random programs of test_random_lps_match_vertex_oracle, in order."""
+    rng = np.random.default_rng(2024)
+    for n_max, m_max, family, count in [
+        (5, 8, "feasible", 120),
+        (4, 6, "loose", 60),
+        (4, 4, "infeasible", 20),
+        (8, 3, "feasible", 10),
+        (6, 6, "chain", 60),
+    ]:
+        for _ in range(count):
+            yield random_lp(rng, n_max=n_max, m_max=m_max, family=family)
+
+
+def assert_same_outcome(got, want):
+    """Two outcomes agree bit for bit, final basis included."""
+    assert (got.status, got.iterations, got.warm) == (want.status, want.iterations, want.warm)
+    assert (got.value is None) == (want.value is None)
+    if want.value is not None:
+        assert got.value.hex() == want.value.hex()
+        assert got.point.tobytes() == want.point.tobytes()
+    assert (got.basis is None) == (want.basis is None)
+    if want.basis is not None:
+        assert np.array_equal(got.basis.basic, want.basis.basic)
+        assert np.array_equal(got.basis.state, want.basis.state)
+
+
+def test_own_final_basis_restarts_without_a_pivot():
+    # An optimal basis is optimal for its own program: phase 2 from it
+    # applies no pivot and lands on the same optimum.
+    optimal = 0
+    for lp in oracle_lps():
+        cold = solve(lp)
+        assert not cold.warm
+        if cold.status is LpStatus.INFEASIBLE:
+            assert cold.basis is None
+            continue
+        if cold.basis is None:  # an artificial stayed basic on a dependent row
+            continue
+        optimal += 1
+        m, K = lp.rhs.size, lp.num_vars + int(np.sum(lp.rel != "="))
+        assert cold.basis.basic.shape == (m,) and cold.basis.state.shape == (K,)
+        again = solve(lp, start=cold.basis)
+        assert again.warm and again.iterations == 0
+        assert again.status is LpStatus.OPTIMAL
+        assert abs(again.value - cold.value) <= _FEAS_TOL
+        assert np.array_equal(again.basis.basic, cold.basis.basic)
+    assert optimal >= 150
+
+
+def perturbed(lp, rng, scale=1e-3):
+    """The same rows and columns with every coefficient and bound moved a little."""
+    lo, hi = lp.var_bounds.T
+    shift = rng.uniform(-scale, scale, size=(2, lo.size))
+    lo, hi = lo + shift[0], np.maximum(hi + shift[1], lo + shift[0])
+    return LinearProgram(
+        lp.objective + rng.uniform(-scale, scale, lp.objective.size),
+        np.column_stack([lo, hi]),
+        lp.A + rng.uniform(-scale, scale, lp.A.shape) * (lp.A != 0),
+        lp.rel,
+        lp.rhs + rng.uniform(-scale, scale, lp.rhs.size),
+    )
+
+
+def test_warm_start_on_a_perturbed_program_matches_the_cold_solve():
+    # The case the verifier carries a basis for: the same program on an
+    # updated network.  Whether the old basis is taken or dropped, status
+    # and optimum equal the cold solve's, and the point achieves the value.
+    rng = np.random.default_rng(99)
+    taken = 0
+    for lp in oracle_lps():
+        old = solve(lp)
+        if old.basis is None:
+            continue
+        new = perturbed(lp, rng)
+        cold, warm = solve(new), solve(new, start=old.basis)
+        assert warm.status is cold.status
+        taken += warm.warm
+        if cold.status is LpStatus.OPTIMAL:
+            assert abs(warm.value - cold.value) <= 1e-6 * max(1.0, abs(cold.value))
+            assert abs(float(new.objective @ warm.point) - warm.value) < 1e-9
+            assert warm.iterations <= cold.iterations or warm.warm
+        if not warm.warm:
+            assert_same_outcome(warm, cold)
+    assert taken >= 150
+
+
+def test_a_start_that_does_not_fit_falls_back_to_the_cold_solve():
+    # x + y <= 1 and 2x + 2y <= 3 over [0, 2]^2: columns x, y, s0, s1.
+    lp = LinearProgram(
+        [-1.0, -2.0], box([0.0, 2.0], [0.0, 2.0]), [[1.0, 1.0], [2.0, 2.0]], ["<=", "<="], [1.0, 3.0]
+    )
+    cold = solve(lp)
+    assert cold.status is LpStatus.OPTIMAL and cold.basis is not None
+    L, U, B = _AT_LOWER, _AT_UPPER, _BASIC
+    other = solve(LinearProgram([1.0], box([0.0, 1.0]), [[1.0]], ["<="], [0.5]))
+    starts = {
+        "wrong shape": other.basis,
+        "repeated basic column": LpBasis(np.array([0, 0]), np.array([B, L, L, L])),
+        "singular B": LpBasis(np.array([0, 1]), np.array([B, B, L, L])),
+        "primal infeasible": LpBasis(np.array([0, 3]), np.array([B, U, L, B])),
+        "artificial": LpBasis(np.array([4, 3]), np.array([L, L, L, B])),
+        "slack at an infinite bound": LpBasis(np.array([0, 3]), np.array([B, L, U, B])),
+        "unknown state": LpBasis(np.array([2, 3]), np.array([L, 7, B, B])),
+    }
+    for name, start in starts.items():
+        got = solve(lp, start=start)
+        assert not got.warm, name
+        assert_same_outcome(got, cold)
+    # the same basis, states in order, is taken
+    fits = solve(lp, start=LpBasis(np.array([1, 3]), np.array([L, B, L, B])))
+    assert fits.warm and abs(fits.value - cold.value) <= _FEAS_TOL
+
+
+def test_infeasible_and_dependent_programs_leave_no_basis():
+    # An infeasible program has no basis; a start cannot make it feasible.
+    lp = LinearProgram([1.0], box([-10.0, 10.0]), [[1.0], [1.0]], [">=", "<="], [1.0, 0.0])
+    feasible = solve(LinearProgram([1.0], box([-10.0, 10.0]), [[1.0], [1.0]], [">=", "<="], [0.0, 1.0]))
+    cold = solve(lp)
+    assert cold.status is LpStatus.INFEASIBLE and cold.basis is None
+    assert_same_outcome(solve(lp, start=feasible.basis), cold)
+    # A linearly dependent "=" row keeps an artificial basic, pinned at 0;
+    # that basis has no columns to name in a start.
+    lp = LinearProgram([1.0, 2.0], box([0.0, 1.0], [0.0, 1.0]), [[1.0, 1.0], [2.0, 2.0]], ["=", "="], [1.0, 2.0])
+    out = solve(lp)
+    assert out.status is LpStatus.OPTIMAL and out.basis is None
+    assert abs(out.value - 1.0) < 1e-9

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -63,3 +64,35 @@ def test_signature_compares_only_the_expected_fields(monkeypatch):
     assert tool.differences(new, old) == {}
     assert tool.differences(old, new) == {"walks": (13, None), "ivan.walks": (7, None)}
     assert tool.differences({**new, "boundings": 8}, old) == {"boundings": (9, 8)}
+
+
+def test_signature_pins_blas_or_refuses():
+    # Imported before numpy, the tool pins BLAS to one thread; imported
+    # after numpy loaded without the pin, it refuses to compute a signature,
+    # whose digests could then differ from the benchmark's bits.
+    load = (
+        "import importlib.util, os, sys\n"
+        "spec = importlib.util.spec_from_file_location('ws', sys.argv[1])\n"
+        "tool = importlib.util.module_from_spec(spec)\n"
+        "sys.modules['ws'] = tool\n"
+        "spec.loader.exec_module(tool)\n"
+    )
+    report = (
+        "print(tool.BLAS_PINNED, os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "try:\n"
+        "    tool.signature('no-such-workload', 1)\n"
+        "except RuntimeError as exc:\n"
+        "    print('refused', 'pinned' in str(exc))\n"
+        "except KeyError:\n"
+        "    print('ran')\n"
+    )
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(TOOLS.parent / "src")}
+    tool = str(TOOLS / "work_signature.py")
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", first + load + report, tool],
+            capture_output=True, text=True, env=env, check=True,
+        ).stdout.split()
+        for first in ("", "import numpy\n")
+    ]
+    assert outs == [["True", "1", "ran"], ["False", "None", "refused", "True"]]

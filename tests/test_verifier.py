@@ -1,5 +1,6 @@
 """Tests for branch-and-bound verification, reuse modes, and the cost model."""
 
+import dataclasses
 import itertools
 import math
 from pathlib import Path
@@ -250,13 +251,14 @@ def test_each_bounding_gets_the_subproblem_of_its_root_path(monkeypatch):
     # analyzer must see exactly what spec_of rebuilds from the root, for the
     # bounded nodes in ascending id, on fresh, reused, pruned and
     # input-branching runs alike.  Every node but the root is bounded from
-    # its parent's bounds, whichever the branching.
+    # its parent's bounds, whichever the branching.  No LP of a run without
+    # a carried basis map, nor of an incremental first run, gets a start.
     seen = []
     analyze = verifier.analyze
 
-    def recording_analyze(net, prop, splits, parent=None):
-        seen.append((prop.input, splits, parent))
-        return analyze(net, prop, splits, parent=parent)
+    def recording_analyze(net, prop, splits, parent=None, start=None):
+        seen.append((prop.input, splits, parent, start))
+        return analyze(net, prop, splits, parent=parent, start=start)
 
     monkeypatch.setattr(verifier, "analyze", recording_analyze)
 
@@ -264,10 +266,11 @@ def test_each_bounding_gets_the_subproblem_of_its_root_path(monkeypatch):
         nodes = res.tree.nodes
         bounded = [n for n in sorted(nodes) if nodes[n].status is not NodeStatus.UNANALYZED]
         assert len(seen) == len(bounded) == res.metrics.boundings
-        for (box, splits, parent), nid in zip(seen, bounded):
+        for (box, splits, parent, start), nid in zip(seen, bounded):
             want_box, want_splits = spec_of(res.tree, nid, prop.input)
             assert box == want_box and splits == want_splits
             assert (parent is None) == (nid == res.tree.root)
+            assert start is None
         seen.clear()
 
     fixtures = Path(__file__).resolve().parent.parent / "fixtures"
@@ -284,6 +287,14 @@ def test_each_bounding_gets_the_subproblem_of_its_root_path(monkeypatch):
     assert 1 < pruned.num_nodes() < first.tree.num_nodes()
     check(verify(updated, prop, cfg, initial_tree=pruned, hobs=observed_scores(first.tree)), prop)
 
+    # reuse's first run bounds its nodes as a fresh run does; its second run
+    # starts some LPs from the first run's bases
+    first, second = verify_incremental(net, updated, prop, dataclasses.replace(cfg, mode=Mode.REUSE))
+    carried = [start for *_, start in seen[first.metrics.boundings :]]
+    del seen[first.metrics.boundings :]
+    check(first, prop)
+    assert any(start is not None for start in carried)
+
     net, prop = find_branching_instance()
     seen.clear()
     cfg = VerifierConfig(timeout=120.0, branching="input", max_nodes=4000)
@@ -291,6 +302,84 @@ def test_each_bounding_gets_the_subproblem_of_its_root_path(monkeypatch):
     assert res.metrics.branchings > 0
     check(res, prop)
     check(verify(net, prop, cfg, initial_tree=res.tree), prop)
+
+
+def node_lbs(res):
+    """Every node's recorded lb, as exact bits."""
+    lbs = {nid: node.lb for nid, node in res.tree.nodes.items()}
+    return [(nid, None if lbs[nid] is None else float(lbs[nid]).hex()) for nid in sorted(lbs)]
+
+
+def second_run_without_bases(first, updated, prop, cfg):
+    """verify_incremental's second run for cfg.mode, with no basis carried."""
+    hobs = observed_scores(first.tree) if cfg.mode in (Mode.REORDER, Mode.IVAN) else None
+    if cfg.mode is Mode.BASELINE:
+        return verify(updated, prop, cfg)
+    if cfg.mode is Mode.REUSE:
+        return verify(updated, prop, cfg, initial_tree=first.tree)
+    if cfg.mode is Mode.REORDER:
+        return verify(updated, prop, cfg, hobs=hobs)
+    return verify(updated, prop, cfg, initial_tree=prune(first.tree, cfg.heuristic.theta), hobs=hobs)
+
+
+def test_carried_bases_change_only_the_pivots():
+    # Reuse and ivan start their second run's LPs from the first run's final
+    # bases: same verdicts, boundings, branchings and LPs as without them,
+    # fewer pivots.  Baseline and reorder carry nothing, and every first run
+    # is a plain run: their node lbs are the same bits.
+    warm = 0
+    for net, prop, _ in random_instances(seed=10, count=8):
+        updated = perturb(net, QuantizeInt8())
+        plain = verify(net, prop, CFG)
+        for mode in Mode:
+            cfg = VerifierConfig(mode=mode, timeout=120.0)
+            first, second = verify_incremental(net, updated, prop, cfg)
+            assert node_lbs(first) == node_lbs(plain) and first.metrics.warm == 0
+            cold = second_run_without_bases(first, updated, prop, cfg)
+            got, want = second.metrics, cold.metrics
+            assert second.verdict is cold.verdict
+            assert (got.boundings, got.branchings, got.lps) == (want.boundings, want.branchings, want.lps)
+            assert got.pivots <= want.pivots
+            if mode in (Mode.BASELINE, Mode.REORDER):
+                assert node_lbs(second) == node_lbs(cold)
+                assert got.warm == 0 and got.pivots == want.pivots
+            assert got.warm <= got.lps
+            warm += got.warm
+    assert warm > 0
+
+
+def test_a_basis_is_stored_only_after_its_lp(monkeypatch):
+    # verify looks each node's subproblem up before bounding it and stores
+    # the LP's final basis after it; a node settled without an LP, or whose
+    # LP left no basis, stores nothing.
+    expected = {}
+    bases = {}
+    analyze = verifier.analyze
+
+    def checking_analyze(net, prop, splits, parent=None, start=None):
+        assert bases.keys() == expected.keys()
+        assert all(bases[key] is basis for key, basis in expected.items())
+        key = (frozenset(splits.items()), prop.input.lower.tobytes(), prop.input.upper.tobytes())
+        assert start is expected.get(key)
+        res = analyze(net, prop, splits, parent=parent, start=start)
+        if res.pivots is None:
+            assert res.basis is None and not res.warm
+        elif res.basis is not None:
+            expected[key] = res.basis
+        return res
+
+    monkeypatch.setattr(verifier, "analyze", checking_analyze)
+    stored = 0
+    for net, prop, _ in random_instances(seed=11, count=6):
+        expected.clear()
+        bases.clear()
+        first = verify(net, prop, CFG, bases=bases)
+        assert len(bases) <= first.metrics.lps and first.metrics.warm == 0
+        stored += len(bases)
+        second = verify(perturb(net, QuantizeInt8()), prop, CFG, initial_tree=first.tree, bases=bases)
+        assert bases.keys() == expected.keys()
+        assert second.metrics.warm <= second.metrics.lps
+    assert stored > 0
 
 
 def test_children_never_record_a_bound_below_their_parent():

@@ -5,7 +5,8 @@ and runs ``verify_incremental`` on each of them in all four modes, with the
 configurations ``perfbench/run.py`` uses.  It prints, per mode and in total:
 
 * boundings, branchings, propagation passes, their back-substitution
-  walks, LPs solved and their summed pivots (from the runs' metrics);
+  walks, LPs solved, their summed pivots and the LPs that started from a
+  carried basis (from the runs' metrics);
 * a SHA-256 over every run's verdict, counts, counterexample bytes and each
   tree node's ``(id, lb.hex())``;
 * a verdict digest: a SHA-256 over every run's verdict alone;
@@ -22,7 +23,10 @@ keeps the verdict digest.  Run from the repository root:
 
 BLAS runs on one thread, pinned before numpy loads as ``perfbench/run.py``
 pins it, so the digests are the bits the benchmark computes whatever the
-caller's environment says.
+caller's environment says.  The pin is set when this module is imported
+before numpy, as a script or from a harness.  A process that loaded numpy
+first without the pin may compute other bits (multi-threaded BLAS sums in
+another order), so :func:`signature` raises RuntimeError there.
 
 The last line of standard output is one JSON object with the totals.  With
 ``--expect FILE`` (a saved output, whose last line is that JSON object) the
@@ -62,9 +66,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
-if __name__ == "__main__":  # pin BLAS to one thread before numpy is imported
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules:  # pin BLAS to one thread before numpy is imported
+    for var in BLAS_THREAD_VARS:
         os.environ[var] = "1"
+# numpy reads the pin when it loads; a process that loaded it unpinned keeps its threads
+BLAS_PINNED = all(os.environ.get(var) == "1" for var in BLAS_THREAD_VARS)
 
 import numpy as np
 import workloads  # perfbench/workloads.py
@@ -80,7 +87,7 @@ BENCH_SECONDS = 30  # perfbench's run length, as BENCHMARK.json sets it
 # fields whose difference is only in the last bits of the same search
 BIT_DIGESTS = ("sha256", "lp_sha256", "sha", "lp_sha")
 # the work counters read from each run's metrics
-COUNTERS = ("boundings", "branchings", "passes", "walks", "lps", "pivots")
+COUNTERS = ("boundings", "branchings", "passes", "walks", "lps", "pivots", "warm")
 
 
 def _lb_hex(lb) -> str:
@@ -105,6 +112,12 @@ def lp_digest(lp) -> bytes:
 
 
 def signature(workload: str, seed: int) -> dict:
+    if not BLAS_PINNED:
+        raise RuntimeError(
+            "numpy was loaded before BLAS was pinned to one thread, so the digests would "
+            "not be the benchmark's bits; import tools/work_signature.py before numpy, or "
+            "set " + ", ".join(f"{var}=1" for var in BLAS_THREAD_VARS) + " before starting Python"
+        )
     fam = workloads.FAMILIES[workload]
     heuristic = HeuristicConfig(theta=fam.theta)
     configs = {
@@ -263,7 +276,7 @@ def main(argv=None) -> int:
         print(
             f"{name:9s} boundings {row['boundings']:5d}  branchings {row['branchings']:4d}  "
             f"passes {row['passes']:5d}  walks {row['walks']:5d}  lps {row['lps']:5d}  "
-            f"pivots {row['pivots']:6d}  "
+            f"pivots {row['pivots']:6d}  warm {row['warm']:4d}  "
             f"sha256 {row['sha'][:16]}  verdicts {row['verdict_sha'][:16]}  lp {row['lp_sha'][:16]}"
         )
     print(json.dumps(sig))
