@@ -89,11 +89,6 @@ def split_scores(
     return cfg.alpha * base + (1.0 - cfg.alpha) * (seen - cfg.theta)
 
 
-def base_score(cfg: HeuristicConfig, bounds: Optional[PreactBounds], rid: ReluId) -> float:
-    """One unit's base score: :func:`split_scores` of that unit alone."""
-    return float(split_scores(cfg, bounds, rid.layer, [rid.neuron])[0])
-
-
 def choose_split(
     cfg: HeuristicConfig,
     bounds: PreactBounds,

@@ -8,6 +8,7 @@ read-only) so networks can be shared freely across threads.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Union
@@ -23,9 +24,14 @@ def is_number(value, integral: bool = False) -> bool:
     """Whether a parsed JSON value is a number (an integer if ``integral``).
 
     JSON's true and false parse to bool, which Python counts as an int.
+    The readers convert numbers to float, so an integer beyond the float
+    range is not a number; an integer (an id, a seed) may be any integer.
     """
-    kinds = int if integral else (int, float)
-    return isinstance(value, kinds) and not isinstance(value, bool)
+    if integral:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, float)
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:

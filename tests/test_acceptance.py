@@ -10,6 +10,7 @@ the criteria, leaves the file as it is.  Criteria 2, 4, and 6 audit one
 shared batch of verification runs, built once per session.
 """
 
+import dataclasses
 import itertools
 import json
 import time
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from incver.analyzer import analyze
-from incver.heuristics import BaseHeuristic, HeuristicConfig, base_score
+from incver.heuristics import BaseHeuristic, HeuristicConfig, split_scores
 from incver.lp import LpStatus, solve
 from incver.model import (
     Affine,
@@ -37,7 +38,15 @@ from incver.model import (
     relu_ids,
 )
 from incver.props import InputBox, OutputConstraint, Property, holds_concretely, load_property
-from incver.spectree import improvement, leaves, path_decisions, prune, singleton
+from incver.spectree import (
+    NodeStatus,
+    improvement,
+    leaves,
+    observed_scores,
+    path_decisions,
+    prune,
+    singleton,
+)
 from incver.verifier import (
     Mode,
     RunVerdict,
@@ -147,11 +156,8 @@ def violation_point(net, prop, seed=0, samples=SAMPLES):
 # ---------------------------------------------- criterion 1: running example
 
 
-def test_criterion_1_running_example():
-    start = time.perf_counter()
-    net = load_network(FIXTURES / "demo_network.json")
-    updated = load_network(FIXTURES / "demo_updated.json")
-    prop = load_property(FIXTURES / "demo_property.json")
+def demo_fixture():
+    """The shipped running example: network, its int8 copy, property, heuristic."""
     knobs = json.loads((FIXTURES / "demo_config.json").read_text(encoding="utf-8"))
     heur = HeuristicConfig(
         base=BaseHeuristic(knobs["heuristic"]),
@@ -159,9 +165,20 @@ def test_criterion_1_running_example():
         theta=knobs["theta"],
         seed=knobs["seed"],
     )
+    return (
+        load_network(FIXTURES / "demo_network.json"),
+        load_network(FIXTURES / "demo_updated.json"),
+        load_property(FIXTURES / "demo_property.json"),
+        heur,
+    )
+
+
+def test_criterion_1_running_example():
+    start = time.perf_counter()
+    net, updated, prop, heur = demo_fixture()
     # The fixture's recorded seed realizes the scripted ranking r1 > r3 > r4 > r2.
     r = [ReluId(0, 0), ReluId(1, 0), ReluId(1, 1), ReluId(0, 1)]
-    scores = [base_score(heur, None, rid) for rid in r]
+    scores = [split_scores(heur, None, rid.layer, [rid.neuron])[0] for rid in r]
     assert scores == sorted(scores, reverse=True), scores
     assert network_to_json(updated)["layers"] == network_to_json(quantize(net, 8))["layers"]
 
@@ -192,6 +209,78 @@ def test_criterion_1_running_example():
         f"ivan {second.metrics.boundings}/{second.metrics.branchings}, "
         f"root lb {root_lb:.9f}, {elapsed:.2f}s",
     )
+
+
+R1, R2, R3, R4 = ReluId(0, 0), ReluId(0, 1), ReluId(1, 0), ReluId(1, 1)
+U, V = NodeStatus.UNKNOWN, NodeStatus.VERIFIED
+DEMO_TREE = {  # id: (parent, decision as (layer, neuron, sign), status)
+    0: (None, None, U),
+    1: (0, (0, 0, "+"), U),
+    2: (0, (0, 0, "-"), U),
+    3: (1, (1, 0, "+"), V),
+    4: (1, (1, 0, "-"), V),
+    5: (2, (1, 0, "+"), V),
+    6: (2, (1, 0, "-"), U),
+    7: (6, (1, 1, "+"), V),
+    8: (6, (1, 1, "-"), V),
+}
+DEMO_PRUNED = {  # id: (parent, decision): the root splits r3, its "-" child r4
+    0: (None, None),
+    1: (0, (1, 0, "+")),
+    2: (0, (1, 0, "-")),
+    3: (2, (1, 1, "+")),
+    4: (2, (1, 1, "-")),
+}
+SEPARATION = 1.3  # theta clears each side of the improvement gap by this factor
+
+
+def shape(tree):
+    """Each node as id: (parent, decision as (layer, neuron, sign))."""
+    return {
+        nid: (n.parent, None if n.decision is None else (*n.decision.rid, n.decision.sign))
+        for nid, n in tree.nodes.items()
+    }
+
+
+def test_demo_fixture_proof_trees():
+    # The running example's trees, whole: the baseline proof, what pruning
+    # at theta keeps of it, the trees the second runs re-verify on the int8
+    # copy, the split ranking the observations invert, and a true margin.
+    net, updated, prop, heur = demo_fixture()
+    cfg = VerifierConfig(mode=Mode.BASELINE, heuristic=heur, timeout=30.0)
+    tree = verify(net, prop, cfg).tree
+    assert {nid: (*edge, tree.node(nid).status) for nid, edge in shape(tree).items()} == DEMO_TREE
+    assert tree.node(tree.root).lb == pytest.approx(-7.0, abs=1e-6)
+
+    # theta is not on a knife's edge: the root's split misses it and the
+    # splits under node 2 clear it, each by the separation factor
+    assert improvement(tree, 0) * SEPARATION < heur.theta
+    assert min(improvement(tree, 2), improvement(tree, 6)) / SEPARATION > heur.theta
+    assert shape(prune(tree, heur.theta)) == DEMO_PRUNED
+
+    for mode, want in ((Mode.REUSE, shape(tree)), (Mode.IVAN, DEMO_PRUNED)):
+        _, second = verify_incremental(net, updated, prop, dataclasses.replace(cfg, mode=mode))
+        assert shape(second.tree) == want, mode
+        assert all(n.status is V for n in second.tree.nodes.values() if n.is_leaf), mode
+
+    def ranking(observed):
+        score = {
+            rid: split_scores(heur, None, rid.layer, [rid.neuron], observed)[0]
+            for rid in (R1, R2, R3, R4)
+        }
+        return sorted(score, key=score.get, reverse=True)
+
+    # the seed's base order, which the baseline tree's observations invert;
+    # observing nothing only scales the base scores by alpha
+    assert ranking(None) == [R1, R3, R4, R2]
+    assert ranking(observed_scores(tree)) == [R4, R3, R2, R1]
+    assert ranking({}) == [R1, R3, R4, R2]
+
+    # the property holds with room to spare on both networks: a grid minimum
+    axes = [np.linspace(lo, hi, 201) for lo, hi in zip(prop.input.lower, prop.input.upper)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    for model, floor in ((net, 0.25), (updated, 0.15)):
+        assert (batch_outputs(model, grid) @ prop.output.c + prop.output.d).min() >= floor
 
 
 # ------------------------------------- criteria 2, 4, 6: shared run batch

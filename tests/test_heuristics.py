@@ -14,7 +14,6 @@ from incver.analyzer import (
 from incver.heuristics import (
     BaseHeuristic,
     HeuristicConfig,
-    base_score,
     choose_input_split,
     choose_split,
     split_scores,
@@ -101,14 +100,14 @@ CFG = HeuristicConfig(alpha=1.0)
 
 def test_coefwidth_formula():
     b = make_bounds([(-2.0, 1.0), (-1.0, 1.0)], kappa=[3.0, 10.0])
-    assert base_score(CFG, b, ReluId(0, 0)) == pytest.approx(3.0 * 1.0)
-    assert base_score(CFG, b, ReluId(0, 1)) == pytest.approx(10.0 * 1.0)
+    assert split_scores(CFG, b, 0, [0])[0] == pytest.approx(3.0 * 1.0)
+    assert split_scores(CFG, b, 0, [1])[0] == pytest.approx(10.0 * 1.0)
 
 
 def test_coefwidth_monotone_in_width():
     b = make_bounds([(-2.0, 2.0), (-1.0, 1.0)], kappa=[1.0, 1.0])
-    s0 = base_score(CFG, b, ReluId(0, 0))
-    s1 = base_score(CFG, b, ReluId(0, 1))
+    s0 = split_scores(CFG, b, 0, [0])[0]
+    s1 = split_scores(CFG, b, 0, [1])[0]
     assert s0 > s1
 
 
@@ -220,7 +219,7 @@ def test_random_base_ignores_candidate_set():
     s5 = split_scores(cfg, b5, 0, range(5))
     assert split_scores(cfg, b2, 0, range(2)).tolist() == s5[:2].tolist()
     assert split_scores(cfg, b5, 0, [3, 1]).tolist() == s5[[3, 1]].tolist()
-    assert [base_score(cfg, None, ReluId(0, j)) for j in range(5)] == s5.tolist()
+    assert [split_scores(cfg, None, 0, [j])[0] for j in range(5)] == s5.tolist()
 
 
 def test_choose_split_picks_the_reference_rankings_first():

@@ -1,21 +1,13 @@
 """The scripts under tools/ still import against the package's current API."""
 
 import importlib.util
-import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from incver.heuristics import BaseHeuristic, HeuristicConfig
-from incver.model import load_network
-from incver.props import load_property
-from incver.spectree import observed_scores
-from incver.verifier import VerifierConfig, verify
-
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
-FIXTURES = TOOLS.parent / "fixtures"
 
 
 def load_tool(name, monkeypatch):
@@ -29,29 +21,9 @@ def load_tool(name, monkeypatch):
     return module
 
 
-@pytest.mark.parametrize("name", ["make_demo_fixture", "work_signature"])
+@pytest.mark.parametrize("name", ["work_signature"])
 def test_tool_imports(name, monkeypatch):
     assert callable(load_tool(name, monkeypatch).main)
-
-
-def test_fixture_tool_scores_the_demo_chain(monkeypatch):
-    # The shipped demo's seed orders the base scores r1 > r3 > r4 > r2, and
-    # its baseline tree's observations invert that into r4 > r3 > r2 > r1.
-    tool = load_tool("make_demo_fixture", monkeypatch)
-    knobs = json.loads((FIXTURES / "demo_config.json").read_text(encoding="utf-8"))
-    heur = HeuristicConfig(
-        base=BaseHeuristic(knobs["heuristic"]),
-        alpha=knobs["alpha"],
-        theta=knobs["theta"],
-        seed=knobs["seed"],
-    )
-    net = load_network(FIXTURES / "demo_network.json")
-    prop = load_property(FIXTURES / "demo_property.json")
-    first = verify(net, prop, VerifierConfig(heuristic=heur, timeout=30.0))
-    hobs = observed_scores(first.tree)
-    assert tool.base_order_ok(heur.seed)
-    assert tool.chain_ok(heur.seed, heur.theta, hobs)
-    assert not tool.chain_ok(heur.seed, heur.theta, {})
 
 
 def test_signature_compares_only_the_expected_fields(monkeypatch):
