@@ -2,7 +2,7 @@
 
 Two layers of machinery live here:
 
-``compute_bounds``
+``bound_regions`` and ``compute_bounds``
     Interval bounds for every pre-activation and output, tightened by
     symbolic back-substitution through the network (each ReLU gets
     per-neuron linear lower/upper relaxations, and concrete bounds come from
@@ -26,17 +26,24 @@ Two layers of machinery live here:
     them read-only, and walks only the layers after k and the output.
     An input split changes the box, so its children walk every layer.
 
+    ``bound_regions`` runs the passes of many regions as one batch: the
+    arrays of a layer gain a leading region axis, and each layer is walked
+    once for every region that walks it, so numpy's per-call cost is paid
+    once per batch instead of once per region.  Each region's values are
+    the bits its own pass computes.  ``compute_bounds`` is the batch of one.
+
 ``analyze``
-    Bounds the region once, with the property's objective so the bounds carry
-    the branching heuristics' ``kappa`` and the objective's propagation lower
-    bound.  When that bound already proves the property and some ReLU is
-    still ambiguous, the region is Verified with no LP.  Otherwise it builds
-    one linear program over input, pre-activation, post-activation, and
-    output variables, bounded by those bounds as they are; minimizes the
-    property margin c^T y + d over the triangle relaxation of each ambiguous
-    ReLU; and classifies the region as Verified, Unknown, or Counterexample.
-    A region with no ambiguous ReLU always gets its LP, which is exact there
-    while propagation is not.  An infeasible region (crossed bounds or an
+    Settles a region from its bounds, computed with the property's objective
+    so they carry the branching heuristics' ``kappa`` and the objective's
+    propagation lower bound; it runs no pass of its own.  When that bound
+    already proves the property and some ReLU is still ambiguous, the region
+    is Verified with no LP.  Otherwise it builds one linear program over
+    input, pre-activation, post-activation, and output variables, bounded by
+    those bounds as they are; minimizes the property margin c^T y + d over
+    the triangle relaxation of each ambiguous ReLU; and classifies the
+    region as Verified, Unknown, or Counterexample.  A region with no
+    ambiguous ReLU always gets its LP, which is exact there while
+    propagation is not.  An infeasible region (crossed bounds or an
     infeasible LP) verifies vacuously.  The verdict hands its bounds on: the
     verifier picks a split from them and bounds the two children from them,
     instead of recomputing either.  It also hands on the LP's final basis,
@@ -46,8 +53,10 @@ Two layers of machinery live here:
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
+import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -64,6 +73,7 @@ __all__ = [
     "PreactBounds",
     "Verdict",
     "analyze",
+    "bound_regions",
     "compute_bounds",
 ]
 
@@ -100,7 +110,9 @@ class AnalyzerVerdict:
     candidates from them.  ``pivots`` is the LP's simplex pivot count, or
     None when no LP ran.  ``basis`` is the LP's final basis (see
     ``LpOutcome.basis``), None when no LP ran or it left none; ``warm`` says
-    whether the LP started from the ``start`` it was given.
+    whether the LP started from the ``start`` it was given.  ``build_s`` and
+    ``solve_s`` are the seconds spent building the LP and solving it, 0.0
+    when no LP ran.
     """
 
     status: Verdict
@@ -111,6 +123,8 @@ class AnalyzerVerdict:
     pivots: Optional[int] = None
     basis: Optional[LpBasis] = None
     warm: bool = False
+    build_s: float = 0.0
+    solve_s: float = 0.0
 
 
 @dataclass
@@ -150,8 +164,8 @@ class PreactBounds:
         return any(np.any(p == AMBIGUOUS) for p in self.phase)
 
 
-def _validate_splits(splits, widths) -> None:
-    for rid, sign in splits.items():
+def _validate_splits(items, widths) -> None:
+    for rid, sign in items:
         if sign not in ("+", "-"):
             raise ValueError(f"split sign must be '+' or '-', got {sign!r} for {rid}")
         if not (0 <= rid.layer < len(widths)) or not (0 <= rid.neuron < widths[rid.layer]):
@@ -160,7 +174,8 @@ def _validate_splits(splits, widths) -> None:
 
 class _Relaxation(NamedTuple):
     """Per-layer linear ReLU relaxation: lower x >= lam_low * xhat, upper
-    x <= lam_up * xhat + mu_up."""
+    x <= lam_up * xhat + mu_up.  Held in the shapes a walk reads, over a
+    leading region axis: (k, 1, w) slopes and (k, w, 1) intercepts."""
 
     lam_low: np.ndarray
     lam_up: np.ndarray
@@ -169,8 +184,9 @@ class _Relaxation(NamedTuple):
 
 class _Carry(NamedTuple):
     """What a pass hands its children: the network, box and split items it
-    ran on and, per ReLU layer, the walk's interval before any intersection
-    and the relaxation."""
+    ran on and, per ReLU layer, the walk's interval before any intersection,
+    as (1, w) rows, and the relaxation of the one region, so that a batch
+    joins its regions' layers along their first axis."""
 
     net: Network
     box: InputBox
@@ -179,142 +195,248 @@ class _Carry(NamedTuple):
     relax: tuple
 
 
-def _read_only(*arrays) -> None:
-    for a in arrays:
-        a.setflags(write=False)
+def _rows(arrays) -> np.ndarray:
+    """Equal-length 1-d arrays as the rows of one 2-d array (one array is viewed, not copied)."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-def _lower_bound(blocks, relax, A, c, upto, box):
-    """Lower bound of ``A @ z + c`` over the region, where z is block ``upto``'s input.
+def _cat(arrays) -> np.ndarray:
+    """Arrays joined along their first axis; one array is returned as it is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _lower_bound(blocks, relax, start, upto, lower, upper):
+    """Lower bound of ``A @ z + c`` over each region of a batch, z being block ``upto``'s input.
 
     Walks the expression back to the input box, replacing each
     post-activation with the side of its linear relaxation that keeps the
-    bound's direction for each coefficient's sign.  Returns the bound and,
-    per ReLU layer, the pre-activation coefficients met on the way.  An upper
-    bound is the negated lower bound of the negated rows.
+    bound's direction for each coefficient's sign.  ``start`` holds the
+    shared (r, m) rows ``A``, their (r, 1) constants ``c`` and the rows'
+    positive and negative parts.  ``relax`` holds, per ReLU layer, the k
+    regions' slopes as (k, 1, w) arrays and intercepts as a (k, w, 1)
+    array; ``lower`` and ``upper`` are their boxes as (k, n, 1) arrays.
+    Returns the (k, r, 1) bounds and, per ReLU layer, the (k, r, w)
+    pre-activation coefficients met on the way.  Every product runs region
+    by region, so each region's values are the bits of a walk of its own.
+    An upper bound is the negated lower bound of the negated rows.
     """
+    A, c, pos, neg = start
     coefs = [None] * upto
     for j in range(upto - 1, -1, -1):
-        pos = np.maximum(A, 0.0)
-        neg = np.minimum(A, 0.0)
-        r = relax[j]
-        c = c + neg @ r.mu_up
-        A = pos * r.lam_low + neg * r.lam_up
+        lam_low, lam_up, mu_up = relax[j]
+        c = c + neg @ mu_up
+        A = pos * lam_low + neg * lam_up
         coefs[j] = A
         Wj, bj = blocks[j]
-        c = c + A @ bj
+        c = c + (A @ bj)[..., None]
         A = A @ Wj
-    return np.maximum(A, 0.0) @ box.lower + np.minimum(A, 0.0) @ box.upper + c, coefs
+        pos = np.maximum(A, 0.0)
+        neg = np.minimum(A, 0.0)
+    return pos @ lower + neg @ upper + c, coefs
 
 
-def _interval(net, relax, upto, box, extra=None):
-    """Block ``upto``'s affine output bounds, from one walk of ``[W; -W]``.
+def _interval(net, relax, upto, lower, upper, objective=None):
+    """Block ``upto``'s affine output bounds for each region, from one walk of ``[W; -W]``.
 
-    ``extra``, an optional ``(row, constant)`` pair over the block's input,
-    is stacked under those rows in the same walk.  Returns the lower and
-    upper bounds, and the extra row's bound and its per-ReLU-layer
-    pre-activation coefficients (None without ``extra``).
+    With an ``objective`` (the output block only) its row rides under those
+    rows in the same walk.  Returns the (k, n) lower and upper bounds, and
+    the objective's (k,) bounds and its per-ReLU-layer (k, w) pre-activation
+    coefficients (None without an objective).
     """
-    A, c = net.signed_blocks[upto]
-    n = c.size // 2
-    if extra is not None:
-        A, c = np.vstack([A, extra[0]]), np.append(c, extra[1])
-    lb, coefs = _lower_bound(net.blocks, relax, A, c, upto, box)
-    if extra is None:
-        return lb[:n], -lb[n:], None, None
-    return lb[:n], -lb[n : 2 * n], lb[-1], [a[-1] for a in coefs]
+    start = net.signed_blocks[upto] if objective is None else net.signed_output(objective)
+    n = net.blocks[upto][1].size
+    lb, coefs = _lower_bound(net.blocks, relax, start, upto, lower, upper)
+    lb = lb[..., 0]
+    if objective is None:
+        return lb[:, :n], -lb[:, n:], None, None
+    return lb[:, :n], -lb[:, n : 2 * n], lb[:, -1], [a[:, -1] for a in coefs]
 
 
-def _one_pass(net, box, splits, prior, objective):
-    """One propagation pass, intersected with ``prior`` layer by layer.
+def bound_regions(net: Network, regions, objective=None) -> list:
+    """Sound per-neuron bounds for each region, in one batched propagation pass.
 
-    Each layer's interval comes from one :func:`_interval` walk.  Each unit's
-    phase is decided here, once: a split unit takes its sign's phase;
-    otherwise it is inactive if u <= STABLE_TOL, else active if
-    l >= -STABLE_TOL, else ambiguous.  Its relaxation follows the phase: 0,
-    the identity, or the triangle's chord above and a line through the
-    origin below.  With an ``objective``, its row ``(c @ W, c @ b)`` rides in
-    the output block's walk, which sets ``kappa`` and ``objective_lb`` (at
-    least ``prior``'s).
+    ``regions`` is a sequence of ``(box, splits, parent)`` triples, one per
+    region, with the meanings :func:`compute_bounds` gives them; the
+    ``objective``, if any, is shared by all.  Returns one
+    :class:`PreactBounds` per region, in order, each the bits that
+    :func:`compute_bounds` returns for that region alone, ``walks`` and the
+    carried layers included.  A region whose parent is already
+    ``infeasible`` gets that parent; every other region gets one pass.
 
-    When ``prior`` carries a pass on the same network and box, the layers
-    above the first one whose splits differ from its splits would walk
-    through the same relaxations to the same intervals and meet the same
-    prior bounds, so they are taken from it as they are; that first layer
-    takes the prior's walked interval and is decided anew.  Every value is
-    the one a full pass computes, bit for bit.
+    The passes run together: each layer's interval comes from one
+    :func:`_interval` walk of every region that walks it, its products run
+    region by region inside one call each, which saves numpy's per-call
+    cost for all but one region.  Each unit's phase is decided here, once:
+    a split unit takes its sign's phase; otherwise it is inactive if
+    u <= STABLE_TOL, else active if l >= -STABLE_TOL, else ambiguous.  Its
+    relaxation follows the phase: 0, the identity, or the triangle's chord
+    above and a line through the origin below.  With an ``objective``, its
+    row ``(c @ W, c @ b)`` rides in the output block's walk, which sets
+    ``kappa`` and ``objective_lb`` (at least the parent's).
+
+    When a region's parent carries a pass on the same network and box, the
+    layers above the first one whose splits differ from its splits would
+    walk through the same relaxations to the same intervals and meet the
+    same parent bounds, so they are taken from it as they are; that first
+    layer takes the parent's walked interval and is decided anew.  Regions
+    are taken in the order of that first layer, those with no such parent
+    leading, so the regions that walk a layer, and those that decide it, are
+    a prefix of the batch.
     """
+    if objective is not None:
+        objective = np.asarray(objective, dtype=float)
+        if objective.shape != (net.output_dim,):
+            raise ValueError(
+                f"objective has shape {objective.shape}, network output dim is {net.output_dim}"
+            )
     blocks = net.blocks
     n_relu = len(blocks) - 1
-    items = frozenset(splits.items())
-    sign_by_layer = {}
-    for rid, sign in items:
-        arr = sign_by_layer.setdefault(rid.layer, np.zeros(blocks[rid.layer][1].size))
-        arr[rid.neuron] = 1.0 if sign == "+" else -1.0
-    carry = None if prior is None else prior.carry
-    if carry is None or carry.net is not net or carry.box is not box:
-        carry, first = None, 0
-        pre_lb, pre_ub, phases, relax, walked = [], [], [], [], []
-    else:
-        first = min((rid.layer for rid, _ in items ^ carry.splits), default=n_relu)
-        pre_lb, pre_ub, phases = prior.pre_lb[:first], prior.pre_ub[:first], prior.phase[:first]
-        relax, walked = list(carry.relax[:first]), list(carry.walked[:first])
-    walks = 0
-    infeasible = False
-    for i in range(first, n_relu):
-        if carry is not None and i == first:
-            l, u = carry.walked[i]
+    widths = [b.size for _, b in blocks[:-1]]
+    out = [None] * len(regions)
+    plan = []
+    for k, (box, splits, prior) in enumerate(regions):
+        if box.dim != net.input_dim:
+            raise ValueError(f"box has dim {box.dim}, network expects {net.input_dim}")
+        items = frozenset(splits.items())
+        carry = None if prior is None else prior.carry
+        if prior is not None and prior.infeasible:  # every region under an empty one is empty
+            _validate_splits(items, widths)
+            out[k] = prior
+        elif carry is None or carry.net is not net or carry.box is not box:
+            _validate_splits(items, widths)
+            plan.append((0, 0, k, box, items, prior, None))
         else:
-            l, u, _, _ = _interval(net, relax, i, box)
-            walks += 1
-            _read_only(l, u)
-        walked.append((l, u))
-        if prior is not None:
-            l = np.maximum(l, prior.pre_lb[i])
-            u = np.minimum(u, prior.pre_ub[i])
-        signs = sign_by_layer.get(i)
-        if signs is not None:
-            plus, minus = signs > 0, signs < 0
-            l = np.where(plus, np.maximum(l, 0.0), l)
-            u = np.where(minus, np.minimum(u, 0.0), u)
-        if (l > u + CROSS_TOL).any():
-            infeasible = True
-        u = np.maximum(u, l)  # keep arrays ordered even for flagged regions
+            changed = items ^ carry.splits  # the carried items were checked on this network
+            _validate_splits(changed, widths)
+            first = min((rid.layer for rid, _ in changed), default=n_relu)
+            plan.append((first, 1, k, box, items, prior, carry))
+    if not plan:
+        return out
+    if len(plan) > 1:
+        plan.sort(key=lambda p: p[:3])
+    firsts, carried, order, boxes, items, priors, carries = zip(*plan)
+    n = len(plan)
+    cold = n - sum(carried)  # the regions that walk every layer
+    gaps = priors.count(None)
+    if boxes.count(boxes[0]) == n:  # one box, as under ReLU branching: every region reads it
+        lower, upper = boxes[0].lower[None, :, None], boxes[0].upper[None, :, None]
+    else:
+        lower = np.stack([box.lower for box in boxes])[:, :, None]
+        upper = np.stack([box.upper for box in boxes])[:, :, None]
+    signs_at = {}  # per layer: (region, unit, sign) where decided
+    kept = []  # per region: pre_lb, pre_ub, phase, walked and relaxation by layer
+    for r, first in enumerate(firsts):
+        for rid, sign in items[r]:
+            if rid.layer >= first:
+                entry = (r, rid.neuron, 1.0 if sign == "+" else -1.0)
+                signs_at.setdefault(rid.layer, []).append(entry)
+        if carried[r]:
+            prior, carry = priors[r], carries[r]
+            kept.append((prior.pre_lb[:first], prior.pre_ub[:first], prior.phase[:first],
+                         list(carry.walked[:first]), list(carry.relax[:first])))
+        else:
+            kept.append(([], [], [], [], []))
 
-        phase = (u > STABLE_TOL) * (1 + (l < -STABLE_TOL))
-        if signs is not None:  # a "-" unit is inactive even where l is up to CROSS_TOL above 0
-            phase = np.where(plus, ACTIVE, np.where(minus, INACTIVE, phase))
-        active, amb = phase == ACTIVE, phase == AMBIGUOUS
-        width = u - l
-        lam_low = (active | amb & (u >= -l)).astype(float)
-        lam_up = np.divide(u, width, out=active.astype(float), where=amb)
-        mu_up = np.divide(-u * l, width, out=np.zeros(l.size), where=amb)
-        _read_only(l, u, phase, lam_low, lam_up, mu_up)
-        relax.append(_Relaxation(lam_low, lam_up, mu_up))
-        pre_lb.append(l)
-        pre_ub.append(u)
-        phases.append(phase)
+    def prior_rows(get, fill, upto=n):
+        """The first ``upto`` priors' arrays ``get(prior)`` as rows; a missing
+        prior's row is ``fill``, which leaves its bound as it is."""
+        arrays = [None if p is None else get(p) for p in priors[:upto]]
+        if gaps:
+            gap = np.full(next(a for a in arrays if a is not None).size, fill)
+            arrays = [gap if a is None else a for a in arrays]
+        return _rows(arrays)
 
-    extra = None
+    infeasible = [False] * n
+    relax = []  # per layer, every region's relaxation in the shapes _lower_bound takes
+    for i in range(n_relu):
+        walking = cold if i == 0 else bisect.bisect_left(firsts, i)
+        deciding = bisect.bisect_right(firsts, i)
+        if deciding:
+            if walking == n:
+                l, u, _, _ = _interval(net, relax, i, lower, upper)
+            elif walking:
+                above = [tuple(a[:walking] for a in r) for r in relax]
+                l, u, _, _ = _interval(net, above, i, lower[:walking], upper[:walking])
+            if deciding > walking:  # these regions decide this layer from their prior's walk
+                sides = zip(*(carry.walked[i] for carry in carries[walking:deciding]))
+                taken = [_cat(side) for side in sides]
+                l, u = (np.concatenate(pair) for pair in zip((l, u), taken)) if walking else taken
+            walked_l, walked_u = l, u
+            if gaps < n:
+                l = np.maximum(l, prior_rows(lambda p: p.pre_lb[i], -np.inf, deciding))
+                u = np.minimum(u, prior_rows(lambda p: p.pre_ub[i], np.inf, deciding))
+            signed = signs_at.get(i)
+            if signed:
+                signs = np.zeros(l.shape)
+                for r, j, sign in signed:
+                    signs[r, j] = sign
+                plus, minus = signs > 0, signs < 0
+                l = np.where(plus, np.maximum(l, 0.0), l)
+                u = np.where(minus, np.minimum(u, 0.0), u)
+            crossed = l > u + CROSS_TOL
+            if crossed.any():
+                for r in np.flatnonzero(crossed.any(axis=1)):
+                    infeasible[r] = True
+            u = np.maximum(u, l)  # keep arrays ordered even for flagged regions
+
+            phase = (u > STABLE_TOL) * (1 + (l < -STABLE_TOL))
+            if signed:  # a "-" unit is inactive even where l is up to CROSS_TOL above 0
+                phase = np.where(plus, ACTIVE, np.where(minus, INACTIVE, phase))
+            active, amb = phase == ACTIVE, phase == AMBIGUOUS
+            width = u - l
+            lam_low = (active | amb & (u >= -l)).astype(float)
+            lam_up = np.divide(u, width, out=active.astype(float), where=amb)
+            mu_up = np.divide(-u * l, width, out=np.zeros(l.shape), where=amb)
+            for a in (walked_l, walked_u, l, u, phase, lam_low, lam_up, mu_up):
+                a.setflags(write=False)
+            lam_low, lam_up, mu_up = mine = (lam_low[:, None, :], lam_up[:, None, :], mu_up[:, :, None])
+            for r in range(deciding):
+                pre_lb, pre_ub, phases, walked, relaxed = kept[r]
+                pre_lb.append(l[r])
+                pre_ub.append(u[r])
+                phases.append(phase[r])
+                walked.append((walked_l[r : r + 1], walked_u[r : r + 1]))
+                relaxed.append(_Relaxation(lam_low[r : r + 1], lam_up[r : r + 1], mu_up[r : r + 1]))
+        if deciding < n:  # the later regions keep their prior's relaxation of this layer
+            sides = zip(*(kr[4][i] for kr in kept[deciding:]))
+            if deciding:
+                sides = [(own, *side) for own, side in zip(mine, sides)]
+            mine = [_cat(side) for side in sides]
+        relax.append(mine)
+
+    out_l, out_u, lb, coefs = _interval(net, relax, n_relu, lower, upper, objective)
+    if gaps < n:
+        out_l = np.maximum(out_l, prior_rows(lambda p: p.out_lb, -np.inf))
+        out_u = np.minimum(out_u, prior_rows(lambda p: p.out_ub, np.inf))
+        crossed = out_l > out_u + CROSS_TOL
+        if gaps:  # a region without a prior is neither checked nor reordered
+            has = np.array([p is not None for p in priors])[:, None]
+            crossed &= has
+            out_u = np.where(has, np.maximum(out_u, out_l), out_u)
+        else:
+            out_u = np.maximum(out_u, out_l)
+        if crossed.any():
+            for r in np.flatnonzero(crossed.any(axis=1)):
+                infeasible[r] = True
     if objective is not None:
-        W, b = blocks[-1]
-        extra = (objective @ W, objective @ b)
-    out_l, out_u, lb, coefs = _interval(net, relax, n_relu, box, extra)
-    walks += 1
-    if prior is not None:
-        out_l = np.maximum(out_l, prior.out_lb)
-        out_u = np.minimum(out_u, prior.out_ub)
-        if np.any(out_l > out_u + CROSS_TOL):
-            infeasible = True
-        out_u = np.maximum(out_u, out_l)
-    bounds = PreactBounds(pre_lb, pre_ub, phases, out_l, out_u, infeasible=infeasible, walks=walks)
-    bounds.carry = _Carry(net, box, items, tuple(walked), tuple(relax))
-    if objective is not None:
-        bounds.kappa = [np.abs(a) for a in coefs]
-        if prior is not None and prior.objective_lb is not None:
-            lb = max(lb, prior.objective_lb)
-        bounds.objective_lb = float(lb)
-    return bounds
+        kappa = [np.abs(a) for a in coefs]
+    for r, (pre_lb, pre_ub, phases, walked, relaxed) in enumerate(kept):
+        # the ReLU layers from the first it decides on, less that one when its
+        # walk came from the parent, and the output
+        walks = max(n_relu - firsts[r] - carried[r], 0) + 1
+        carry = _Carry(net, boxes[r], items[r], tuple(walked), tuple(relaxed))
+        bounds = PreactBounds(
+            pre_lb, pre_ub, phases, out_l[r], out_u[r], None, infeasible[r], None, walks, carry
+        )
+        if objective is not None:
+            bounds.kappa = [a[r] for a in kappa]
+            prior = priors[r]
+            obj = lb[r]
+            if prior is not None and prior.objective_lb is not None:
+                obj = max(obj, prior.objective_lb)
+            bounds.objective_lb = float(obj)
+        out[order[r]] = bounds
+    return out
 
 
 def compute_bounds(
@@ -348,20 +470,10 @@ def compute_bounds(
     output are walked.  The result is the full pass's, bit for bit.
 
     If a split empties the region (bounds cross), the result is flagged
-    ``infeasible``; callers verify such regions vacuously.
+    ``infeasible``; callers verify such regions vacuously.  This is
+    :func:`bound_regions` for one region.
     """
-    if box.dim != net.input_dim:
-        raise ValueError(f"box has dim {box.dim}, network expects {net.input_dim}")
-    if objective is not None:
-        objective = np.asarray(objective, dtype=float)
-        if objective.shape != (net.output_dim,):
-            raise ValueError(
-                f"objective has shape {objective.shape}, network output dim is {net.output_dim}"
-            )
-    _validate_splits(splits, [b.size for _, b in net.blocks[:-1]])
-    if parent is not None and parent.infeasible:
-        return parent
-    return _one_pass(net, box, splits, parent, objective)
+    return bound_regions(net, [(box, splits, parent)], objective)[0]
 
 
 @functools.lru_cache(maxsize=64)
@@ -439,12 +551,14 @@ def _build_program(net, prop, bounds):
 
 
 def analyze(
-    net: Network, prop: Property, splits: dict, parent=None, start: Optional[LpBasis] = None
+    net: Network, prop: Property, bounds: PreactBounds, start: Optional[LpBasis] = None
 ) -> AnalyzerVerdict:
-    """One bounding call: lower-bound the property margin over the region.
+    """One bounding call: lower-bound the property margin over the region from its bounds.
 
-    ``parent``, the bounds of the region's parent, goes to :func:`compute_bounds`.
-    ``start``, a basis of an earlier LP of the same region, goes to
+    ``bounds`` are the region's bounds, computed with the property's
+    objective (see :func:`bound_regions`); the verifier propagates a whole
+    frontier's at once and hands each region its own, so this call runs no
+    pass.  ``start``, a basis of an earlier LP of the same region, goes to
     :func:`~incver.lp.solve`.  It saves pivots and keeps the LP's status,
     but can move the optimum within the solver's tolerance and return
     another optimal vertex, from which the candidate input is clipped.
@@ -458,21 +572,28 @@ def analyze(
     ambiguous; after an LP, ``objective_lb`` is raised to its optimum so the
     region's children start from it.
 
-    Raises :class:`AnalyzerError` on solver failure; a verdict is never
-    fabricated from a broken solve.
+    Raises ValueError when feasible bounds carry no ``objective_lb`` (they
+    were computed without an objective), and :class:`AnalyzerError` on
+    solver failure; a verdict is never fabricated from a broken solve.
     """
-    bounds = compute_bounds(net, prop.input, splits, objective=prop.output.c, parent=parent)
     if bounds.infeasible:
         return AnalyzerVerdict(Verdict.VERIFIED, math.inf, infeasible=True, bounds=bounds)
+    if bounds.objective_lb is None:
+        raise ValueError("bounds were computed without the property's objective")
     lb = bounds.objective_lb + prop.output.d
     if lb >= 0.0 and bounds.any_ambiguous():
         return AnalyzerVerdict(Verdict.VERIFIED, float(lb), bounds=bounds)
+    t0 = time.perf_counter()
     program = _build_program(net, prop, bounds)
+    t1 = time.perf_counter()
     try:
         out = solve(program, start=start)
     except Exception as exc:
         raise AnalyzerError(f"bounding LP failed: {exc}") from exc
-    solved = dict(bounds=bounds, pivots=out.iterations, basis=out.basis, warm=out.warm)
+    solved = dict(
+        bounds=bounds, pivots=out.iterations, basis=out.basis, warm=out.warm,
+        build_s=t1 - t0, solve_s=time.perf_counter() - t1,
+    )
     if out.status is LpStatus.INFEASIBLE:
         return AnalyzerVerdict(Verdict.VERIFIED, math.inf, infeasible=True, **solved)
     bounds.objective_lb = max(bounds.objective_lb, float(out.value))

@@ -41,8 +41,11 @@ solve (``LpOutcome.basis``), typically of the same bounding program on a
 slightly changed network.  It is accepted when it has the program's shape,
 names no artificial column, keeps every nonbasic column at a finite bound,
 its B factorizes, and its basic values lie within the feasibility tolerance
-of their bounds.  Phase 2 then runs from it, with no crash and no phase 1;
-when the old basis is still optimal that takes no pivot at all.  Any other
+of their bounds; only the basic values are solved for that.  The start is
+then priced from its duals (one solve of ``B^T y = c_B``): when no column
+can enter, the old basis is still optimal, and its basic values are the
+final point, with no tableau built and no pivot.  Otherwise T is built and
+phase 2 runs from the start, with no crash and no phase 1.  Any other
 start is dropped, and the solve takes the crash path on a fresh tableau,
 bit for bit as without a start.  A stale start can cost pivots, never the
 answer: phase 2 from a primal-feasible basis ends at an optimum, and the
@@ -391,7 +394,8 @@ def _warm_start(tab: _Tableau, start: LpBasis) -> bool:
     distinct structural or slack columns and exactly the columns its states
     mark basic, every nonbasic column sits at a finite bound, B factorizes,
     and the basic values lie within the feasibility tolerance of their
-    bounds.  A start that does not fit may leave ``tab`` half set up.
+    bounds.  A fitting start leaves ``tab`` with its basic values solved
+    and T not built; one that does not fit may leave ``tab`` half set up.
     """
     basic, state = start
     if basic.shape != (tab.m,) or state.shape != (tab.K,):
@@ -408,11 +412,26 @@ def _warm_start(tab: _Tableau, start: LpBasis) -> bool:
     tab.state = state.copy()
     tab.val = np.where(at_upper, tab.hi, tab.lo)
     try:
-        tab.refresh()
+        tab.refresh(tableau=False)
     except LpError:
         return False
     blo, bhi = tab.lo[tab.basis], tab.hi[tab.basis]
     return bool(np.all((tab.xb >= blo - _FEAS_TOL) & (tab.xb <= bhi + _FEAS_TOL)))
+
+
+def _priced_optimal(tab: _Tableau, cost: np.ndarray) -> bool:
+    """Whether no column can enter the tableau's basis, priced from the duals.
+
+    One solve of ``B^T y = c_B`` gives the reduced costs ``c - y^T A`` of
+    every column, read by the same entering test as phase 2; T is not
+    needed.  A basis whose transpose does not factorize is not known to be
+    optimal.
+    """
+    try:
+        y = np.linalg.solve(tab.A[:, tab.basis].T, cost[tab.basis])
+    except np.linalg.LinAlgError:
+        return False
+    return tab._entering(cost - y @ tab.A, tab.hi - tab.lo > 0, False) is None
 
 
 def _cold_start(tab: _Tableau, A_rows: np.ndarray, is_eq: np.ndarray) -> bool:
@@ -552,9 +571,11 @@ def solve(
 
     full_cost = np.zeros(tab.K)
     full_cost[:n] = lp.objective
-    tab.run(full_cost)
-
-    tab.refresh(tableau=False)  # T is not read again
+    if not (warm and _priced_optimal(tab, full_cost)):
+        if warm:
+            tab.refresh()  # the start's basic values are known; phase 2 needs T
+        tab.run(full_cost)
+        tab.refresh(tableau=False)  # T is not read again
     x_all = tab.val.copy()
     x_all[tab.basis] = tab.xb
     x = x_all[:n]

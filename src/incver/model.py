@@ -160,16 +160,44 @@ class Network:
 
     @cached_property
     def signed_blocks(self) -> tuple:
-        """Each block's rows over their negations, ``([W; -W], [b; -b])``.
+        """Each block's rows over their negations, as a back-substitution walk starts from them.
 
-        A lower bound of these rows is the block's lower bound on top and its
-        negated upper bound below, so one back-substitution walk gives both.
-        Computed once per network, read-only.
+        Per block: the rows ``[W; -W]``, their constants ``[b; -b]`` as a
+        column, and the rows' positive and negative parts.  A lower bound of
+        these rows is the block's lower bound on top and its negated upper
+        bound below, so one walk gives both.  Computed once per network,
+        read-only.
         """
-        return tuple(
-            (_as_readonly(np.vstack([w, -w])), _as_readonly(np.concatenate([b, -b])))
-            for w, b in self.blocks
-        )
+        out = []
+        for w, b in self.blocks:
+            rows = np.vstack([w, -w])
+            consts = np.concatenate([b, -b])[:, None]
+            parts = (rows, consts, np.maximum(rows, 0.0), np.minimum(rows, 0.0))
+            out.append(tuple(_as_readonly(a) for a in parts))
+        return tuple(out)
+
+    def signed_output(self, objective: np.ndarray) -> tuple:
+        """The output block's ``signed_blocks`` entry with the objective's row under its rows.
+
+        The row is ``(objective @ W, objective @ b)`` over the output block's
+        input, so the walk that bounds the outputs also bounds the objective.
+        Computed once per network and objective, read-only.
+        """
+        memo = self.__dict__.setdefault("_signed_output", {})
+        key = objective.tobytes()
+        start = memo.get(key)
+        if start is None:
+            w, b = self.blocks[-1]
+            row, const = objective @ w, objective @ b
+            rows, consts, pos, neg = self.signed_blocks[-1]
+            parts = (
+                np.vstack([rows, row]),
+                np.vstack([consts, [[const]]]),
+                np.vstack([pos, np.maximum(row, 0.0)]),
+                np.vstack([neg, np.minimum(row, 0.0)]),
+            )
+            start = memo[key] = tuple(_as_readonly(a) for a in parts)
+        return start
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Network):

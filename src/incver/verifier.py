@@ -9,8 +9,9 @@ that worked the first time instead of from scratch.  Modes reuse and ivan
 also carry each LP's final simplex basis from the first run to the same
 subproblem's LP in the second.
 
-Each ``verify`` run writes one DEBUG line to the ``incver.verifier`` logger
-when it ends: its verdict and work counts.
+Each ``verify`` run writes DEBUG lines to the ``incver.verifier`` logger:
+one per bounding phase (frontier size, LPs and how many started warm, nodes
+settled, splits chosen) and one when it ends (its verdict and work counts).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from incver.analyzer import Verdict, analyze, compute_bounds
+from incver.analyzer import Verdict, analyze, bound_regions, compute_bounds
 from incver.heuristics import HeuristicConfig, choose_input_split, choose_split
 from incver.model import Affine, Network, relu_ids, same_architecture
 from incver.props import Property
@@ -99,11 +100,19 @@ class RunMetrics:
     and pivots sums those LPs' simplex pivots.  warm counts the LPs that
     started from a basis carried from an earlier run (``verify``'s
     ``bases``): only the second runs of modes reuse and ivan have any.
-    passes counts propagation passes: one per bounding and one per internal
-    node of an initial tree, except where the parent region is already
-    empty and its bounds are handed on without a pass.  walks counts those
-    passes' back-substitution walks: one per ReLU layer whose walk a pass
-    did not take from its parent's bounds, and one for the output.
+    passes counts propagation passes: one per node of a frontier and one per
+    internal node of an initial tree, except where the parent region is
+    already empty and its bounds are handed on without a pass (a run that
+    times out within a phase has made the passes of the whole phase, so it
+    can count more passes than boundings).  walks counts those passes'
+    back-substitution walks: one per ReLU layer whose walk a pass did not
+    take from its parent's bounds, and one for the output.  batches counts
+    the batched propagation calls that made them: one per bounding phase
+    and one per level of an initial tree with an internal node.
+
+    propagate_s, build_s and solve_s are the seconds spent in those batched
+    passes, in building the bounding LPs and in solving them; the rest of
+    wall_time is the search itself (split choice, tree bookkeeping).
     """
 
     boundings: int
@@ -117,6 +126,10 @@ class RunMetrics:
     passes: int
     walks: int
     warm: int
+    batches: int
+    propagate_s: float
+    build_s: float
+    solve_s: float
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
@@ -179,7 +192,10 @@ def verify(
 
     The run works phase by phase: bound every active node, then split the
     inconclusive ones and make their children the next phase's frontier.
-    A whole phase is bounded before any counterexample is acted on, and the
+    A phase's bounds are propagated in one batched pass
+    (``analyzer.bound_regions``), and each node is then settled from its own
+    by ``analyze``: by the propagation bound alone, or by its LP.  A whole
+    phase is bounded before any counterexample is acted on, and the
     lowest-numbered violating node wins, so results and call counts do not
     depend on evaluation order within a phase.
 
@@ -190,12 +206,13 @@ def verify(
     and re-annotated from scratch, since bounds proved on one network mean
     nothing on another; a tree that does not fit ``net`` (a decision naming
     a ReLU or input axis it lacks, or an input cut outside its parent's box)
-    raises ValueError.  Each frontier entry carries its node's subproblem
-    (box, splits, parent's bounds), built from its parent's with
+    raises ValueError, naming the lowest-numbered such node (a misfit
+    decision before a misfit cut).  Each frontier entry carries its node's
+    subproblem (box, splits, parent's bounds), built from its parent's with
     ``spectree.narrow``.  Every node is bounded in one pass from its parent's
     bounds, whichever the branching, an initial tree's internal nodes too
-    (once each, no LP, on one top-down walk); the branching only decides how
-    an inconclusive node is split.
+    (once each, no LP, walked level by level, one batched pass per level);
+    the branching only decides how an inconclusive node is split.
 
     ``bases`` is a map the caller owns from a node's subproblem,
     ``(frozenset(splits.items()), box.lower.tobytes(), box.upper.tobytes())``,
@@ -226,6 +243,10 @@ def verify(
     passes = 0
     walks = 0
     warm = 0
+    batches = 0
+    propagate_s = 0.0
+    build_s = 0.0
+    solve_s = 0.0
 
     def finish(verdict: RunVerdict, **extra) -> RunResult:
         metrics = RunMetrics(
@@ -240,6 +261,10 @@ def verify(
             passes=passes,
             walks=walks,
             warm=warm,
+            batches=batches,
+            propagate_s=propagate_s,
+            build_s=build_s,
+            solve_s=solve_s,
         )
         log.debug(
             "verify %s: %d boundings, %d branchings, %d LPs (%d warm), %d pivots",
@@ -247,39 +272,68 @@ def verify(
         )
         return RunResult(verdict, tree, metrics, **extra)
 
-    def count_pass(parent, bounds) -> None:
-        nonlocal passes, walks
-        if bounds is not parent:  # an empty parent's bounds are handed on without a pass
-            passes += 1
-            walks += bounds.walks
+    def propagate(entries, objective=None) -> list:
+        """Bound the entries' regions in one batched pass, counting its passes and walks."""
+        nonlocal passes, walks, batches, propagate_s
+        t = time.perf_counter()
+        out = bound_regions(net, [entry[1:] for entry in entries], objective)
+        propagate_s += time.perf_counter() - t
+        batches += 1
+        for (*_, parent), bounds in zip(entries, out):
+            if bounds is not parent:  # an empty parent's bounds are handed on without a pass
+                passes += 1
+                walks += bounds.walks
+        return out
 
-    # The first frontier: the initial tree's leaves, (nid, box, splits, parent bounds).
-    active, walk = [], [(tree.root, prop.input, {}, None)]
-    while walk:
-        nid, box, splits, parent = entry = walk.pop()
-        node = tree.node(nid)
-        if node.is_leaf:
-            active.append(entry)
-            continue
+    # The first frontier: the initial tree's leaves, (nid, box, splits, parent
+    # bounds).  The tree is walked level by level, each level's internal nodes
+    # bounded in one batch; a cut outside its parent's box ends its branch of
+    # the walk, and the lowest such node is reported once the walk is done.
+    active, level, misfits = [], [(tree.root, prop.input, {}, None)], {}
+    while level:
+        inner = []
+        for entry in level:
+            (active if tree.node(entry[0]).is_leaf else inner).append(entry)
+        if not inner:
+            break
         if time.perf_counter() - start > cfg.timeout:
             return finish(RunVerdict.TIMEOUT, note="wall-clock timeout")
-        bounds = compute_bounds(net, box, splits, parent=parent)
-        count_pass(parent, bounds)
-        parent = bounds
-        for cid in (node.left, node.right):
-            d = tree.node(cid).decision
-            if isinstance(d, InputDecision) and not box.lower[d.dim] <= d.cut <= box.upper[d.dim]:
-                raise ValueError(
-                    f"initial tree node {cid}: cut {d.cut} on input {d.dim} lies outside "
-                    f"its parent's [{box.lower[d.dim]}, {box.upper[d.dim]}]"
-                )
-            walk.append((cid, *narrow(box, splits, d), parent))
+        level = []
+        for (nid, box, splits, _), bounds in zip(inner, propagate(inner)):
+            node = tree.node(nid)
+            for cid in (node.left, node.right):
+                d = tree.node(cid).decision
+                if isinstance(d, InputDecision) and not box.lower[d.dim] <= d.cut <= box.upper[d.dim]:
+                    misfits[cid] = (
+                        f"initial tree node {cid}: cut {d.cut} on input {d.dim} lies outside "
+                        f"its parent's [{box.lower[d.dim]}, {box.upper[d.dim]}]"
+                    )
+                else:
+                    level.append((cid, *narrow(box, splits, d), bounds))
+    if misfits:
+        raise ValueError(misfits[min(misfits)])
     active.sort(key=lambda entry: entry[0])
 
+    phase, outcomes, lps_before, warm_before = 0, [], 0, 0
+
+    def log_phase(chosen) -> None:
+        if log.isEnabledFor(logging.DEBUG):
+            settled = sum(res.status is not Verdict.UNKNOWN for *_, res in outcomes)
+            log.debug(
+                "phase %d: %d nodes, %d LPs (%d warm), %d settled, %d splits [%s]",
+                phase, len(outcomes), lps - lps_before, warm - warm_before, settled,
+                len(chosen), " ".join(_label(d) for d in chosen),
+            )
+
     while active:
-        # Bounding phase: analyze the whole frontier.
+        # Bounding phase: propagate the whole frontier in one batch, then
+        # settle each node from its bounds, by propagation or by its LP.
+        if time.perf_counter() - start > cfg.timeout:
+            return finish(RunVerdict.TIMEOUT, note="wall-clock timeout")
+        phase += 1
+        lps_before, warm_before = lps, warm
         outcomes = []
-        for nid, box, splits, parent in active:
+        for (nid, box, splits, _), bounds in zip(active, propagate(active, prop.output.c)):
             if time.perf_counter() - start > cfg.timeout:
                 return finish(RunVerdict.TIMEOUT, note="wall-clock timeout")
             key = carried = None
@@ -287,13 +341,14 @@ def verify(
                 key = (frozenset(splits.items()), box.lower.tobytes(), box.upper.tobytes())
                 carried = bases.get(key)
             node_prop = Property(box, prop.output, name=prop.name)
-            res = analyze(net, node_prop, splits, parent=parent, start=carried)
+            res = analyze(net, node_prop, bounds, start=carried)
             boundings += 1
-            count_pass(parent, res.bounds)
             if res.pivots is not None:
                 lps += 1
                 pivots += res.pivots
                 warm += res.warm
+                build_s += res.build_s
+                solve_s += res.solve_s
                 if bases is not None and res.basis is not None:
                     bases[key] = res.basis
             node = tree.node(nid)
@@ -303,12 +358,13 @@ def verify(
 
         violations = [(nid, r) for nid, _, _, r in outcomes if r.status is Verdict.COUNTEREXAMPLE]
         if violations:
+            log_phase([])
             nid, res = min(violations, key=lambda pair: pair[0])
             return finish(RunVerdict.COUNTEREXAMPLE, counterexample=res.candidate)
 
         # Branching phase: split every node the analyzer could not settle,
         # ranking candidates from the bounds its bounding call computed.
-        active = []
+        active, chosen = [], []
         for nid, box, splits, res in outcomes:
             if res.status is not Verdict.UNKNOWN:
                 continue
@@ -331,8 +387,17 @@ def verify(
             for cid, d in zip(split(tree, nid, pick), pick):
                 active.append((cid, *narrow(box, splits, d), res.bounds))
             branchings += 1
+            chosen.append(pick[0])
+        log_phase(chosen)
 
     return finish(RunVerdict.VERIFIED)
+
+
+def _label(decision) -> str:
+    """A split for the log: ``relu(layer, neuron)``, or ``x<dim>@<cut>`` for an input split."""
+    if isinstance(decision, ReluDecision):
+        return f"relu({decision.rid.layer}, {decision.rid.neuron})"
+    return f"x{decision.dim}@{decision.cut:.6g}"
 
 
 def verify_incremental(

@@ -23,6 +23,7 @@ from incver.analyzer import (
     PreactBounds,
     _lower_bound,
     _Relaxation,
+    analyze,
     compute_bounds,
 )
 from incver.lp import LinearProgram
@@ -58,6 +59,13 @@ def path_bounds(net: Network, box, splits, objective=None):
     return bounds
 
 
+def analyze_region(net: Network, prop, splits, parent=None, start=None):
+    """``analyze`` on the region's bounds, propagated with the property's
+    objective from ``parent`` as the verifier propagates them."""
+    bounds = compute_bounds(net, prop.input, splits, objective=prop.output.c, parent=parent)
+    return analyze(net, prop, bounds, start=start)
+
+
 def separate_walk_bounds(net: Network, box, splits, objective=None, parent=None):
     """``compute_bounds`` with separate walks: one ``_lower_bound`` walk per
     side of every layer's interval, then one for the objective.
@@ -74,10 +82,18 @@ def separate_walk_bounds(net: Network, box, splits, objective=None, parent=None)
     relax, pre_lb, pre_ub, phases = [], [], [], []
     infeasible = False
 
+    def walk(A, c, upto):
+        """The analyzer's walk of the rows ``A z + c`` for this one region."""
+        A, c = np.atleast_2d(A), np.atleast_1d(c)
+        start = (A, c[:, None], np.maximum(A, 0.0), np.minimum(A, 0.0))
+        shaped = [(r.lam_low[None, None], r.lam_up[None, None], r.mu_up[None, :, None]) for r in relax]
+        lower, upper = box.lower[None, :, None], box.upper[None, :, None]
+        lb, coefs = _lower_bound(blocks, shaped, start, upto, lower, upper)
+        return lb[0, :, 0], [a[0] for a in coefs]
+
     def interval(upto):
         W, b = blocks[upto]
-        lower = _lower_bound(blocks, relax, W, b, upto, box)[0]
-        return lower, -_lower_bound(blocks, relax, -W, -b, upto, box)[0]
+        return walk(W, b, upto)[0], -walk(-W, -b, upto)[0]
 
     for i in range(len(blocks) - 1):
         l, u = interval(i)
@@ -120,8 +136,9 @@ def separate_walk_bounds(net: Network, box, splits, objective=None, parent=None)
     if objective is not None:
         W, b = blocks[-1]
         c = np.asarray(objective, dtype=float)
-        lb, coefs = _lower_bound(blocks, relax, c @ W, c @ b, len(blocks) - 1, box)
-        bounds.kappa = [np.abs(a) for a in coefs]
+        lb, coefs = walk(c @ W, c @ b, len(blocks) - 1)
+        lb = lb[0]
+        bounds.kappa = [np.abs(a[0]) for a in coefs]
         if parent is not None and parent.objective_lb is not None:
             lb = max(lb, parent.objective_lb)
         bounds.objective_lb = float(lb)

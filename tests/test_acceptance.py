@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from incver.analyzer import analyze
 from incver.heuristics import BaseHeuristic, HeuristicConfig, split_scores
 from incver.lp import LpStatus, solve
 from incver.model import (
@@ -56,7 +55,7 @@ from incver.verifier import (
     verify,
     verify_incremental,
 )
-from bound_oracles import brute_force_minimum
+from bound_oracles import analyze_region, brute_force_minimum
 from lp_oracles import random_lp, vertex_minimum
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -456,7 +455,7 @@ def test_criterion_3_fully_split_exactness():
         rids = relu_ids(net)
         best = np.inf
         for signs in itertools.product("+-", repeat=len(rids)):
-            res = analyze(net, prop, dict(zip(rids, signs)))
+            res = analyze_region(net, prop, dict(zip(rids, signs)))
             if not res.infeasible:
                 best = min(best, res.lb_value)
         exact = brute_force_minimum(net, prop)
@@ -520,7 +519,7 @@ def test_criterion_7_quantized_speedup_table():
         # Place the threshold between the root relaxation's bound and the
         # sampled minimum: verified, but only after some splitting.
         probe_min = float((batch_outputs(net, probe_points(box, rng, samples=4096)) @ c).min())
-        relaxed_min = analyze(net, Property(box, OutputConstraint(c, 0.0)), {}).lb_value
+        relaxed_min = analyze_region(net, Property(box, OutputConstraint(c, 0.0)), {}).lb_value
         frac = float(rng.uniform(0.3, 0.5))
         prop = Property(box, OutputConstraint(c, -relaxed_min - frac * (probe_min - relaxed_min)))
         for label, pert in (("int8", QuantizeInt8()), ("int16", QuantizeInt16())):

@@ -16,13 +16,14 @@ from incver.analyzer import (
     PreactBounds,
     Verdict,
     _build_program,
-    analyze,
+    bound_regions,
     compute_bounds,
 )
 from incver.lp import LpStatus, solve
 from incver.model import Affine, Network, Relu, ReluId, quantize, relu_ids
 from incver.props import InputBox, OutputConstraint, Property
 from bound_oracles import (
+    analyze_region,
     brute_force_minimum,
     forward_with_preacts,
     grid_points,
@@ -197,7 +198,7 @@ def test_bounds_nest_along_split_paths():
                 assert with_c is parent
             else:
                 assert_same_bounds(with_c, path_bounds(net, box, child_splits, objective=c))
-                assert_same_bounds(analyze(net, prop, child_splits, parent=parent).bounds, with_c)
+                assert_same_bounds(analyze_region(net, prop, child_splits, parent=parent).bounds, with_c)
             parent, parent_splits = child, child_splits
 
 
@@ -340,6 +341,65 @@ def test_no_reuse_across_networks_or_boxes():
             a[0] = 1.0
 
 
+def assert_same_carry(got, want):
+    # a child bounded from either takes the same layers, bit for bit
+    assert got.carry.splits == want.carry.splits and got.carry.box is want.carry.box
+    g = [*got.carry.walked, *got.carry.relax]
+    w = [*want.carry.walked, *want.carry.relax]
+    assert len(g) == len(w)
+    for gs, ws in zip(g, w):
+        assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(gs, ws))
+
+
+def test_a_batch_is_each_regions_own_pass_bit_for_bit():
+    # bound_regions propagates a whole frontier in one batched pass; every
+    # region must get the bits, walks and carried layers that compute_bounds
+    # gives it alone.  The frontiers mix sibling ReLU splits at the first, a
+    # middle and the last layer, grandchildren that split above their
+    # parent's split, input halves (a new box, so nothing carried), a region
+    # with no parent and one under an empty parent, in shuffled order.
+    rng = np.random.default_rng(97)
+    layers = {"first": 0, "middle": 0, "last": 0}
+    for trial in range(40):
+        depth = 1 + trial % 3
+        dims = [int(rng.integers(1, 4)), *rng.integers(2, 6, size=depth).tolist(), 2]
+        net = make_net(dims, rng)
+        box = unit_box(net.input_dim)
+        for objective in (None, rng.normal(size=2)):
+            root = compute_bounds(net, box, {}, objective=objective)
+            frontier = [(box, {}, None)]
+            for layer in sorted({0, depth // 2, depth - 1}):
+                rid = ReluId(layer, int(rng.integers(dims[layer + 1])))
+                for sign in "+-":
+                    frontier.append((box, {rid: sign}, root))
+                child = compute_bounds(net, box, {rid: "+"}, objective=objective, parent=root)
+                above = ReluId(0, int(rng.integers(dims[1])))
+                if above != rid:
+                    frontier.append((box, {rid: "+", above: "-"}, child))
+                layers["first" if layer == 0 else "last" if layer == depth - 1 else "middle"] += 1
+            dim = int(rng.integers(net.input_dim))
+            for half in ("low", "high"):
+                lower, upper = box.lower.copy(), box.upper.copy()
+                (upper if half == "low" else lower)[dim] = 0.5
+                frontier.append((InputBox(lower, upper), {}, root))
+            empty = replace(root, infeasible=True)
+            frontier.append((box, {ReluId(depth - 1, 0): "-"}, empty))
+            order = rng.permutation(len(frontier))
+            frontier = [frontier[k] for k in order]
+
+            batch = bound_regions(net, frontier, objective)
+            assert len(batch) == len(frontier)
+            for (region_box, splits, parent), got in zip(frontier, batch):
+                want = compute_bounds(net, region_box, splits, objective=objective, parent=parent)
+                if parent is empty:
+                    assert got is want is empty
+                    continue
+                assert_identical(got, want)
+                assert got.walks == want.walks
+                assert_same_carry(got, want)
+    assert min(layers.values()) >= 20, layers
+
+
 def test_crossing_split_flags_infeasible():
     # pre-activation is identically 1, so the negative branch is empty
     net = Network(
@@ -385,7 +445,7 @@ def test_constant_objective_verified():
     rng = np.random.default_rng(2)
     net = make_net([2, 3, 2], rng)
     prop = margin_prop([0.0, 0.0], 5.0, unit_box(2))
-    v = analyze(net, prop, {})
+    v = analyze_region(net, prop, {})
     assert v.status is Verdict.VERIFIED
     assert v.lb_value == pytest.approx(5.0, abs=1e-9)
 
@@ -395,7 +455,7 @@ def test_soundness_on_sampled_points():
     for trial in range(15):
         net = make_net([2, 3, 2, 1], rng)
         prop = margin_prop([1.0], float(rng.normal()), unit_box(2))
-        v = analyze(net, prop, {})
+        v = analyze_region(net, prop, {})
         if not math.isfinite(v.lb_value):
             continue
         pts = rng.uniform(0.0, 1.0, size=(300, 2))
@@ -419,7 +479,7 @@ def test_soundness_under_splits():
             continue
         rid = amb[0]
         for sign, keep in (("+", lambda p: p >= 0), ("-", lambda p: p < 0)):
-            v = analyze(net, prop, {rid: sign})
+            v = analyze_region(net, prop, {rid: sign})
             if not math.isfinite(v.lb_value):
                 continue
             for x in rng.uniform(0.0, 1.0, size=(400, 2)):
@@ -435,7 +495,7 @@ def test_monotone_under_splitting():
         net = make_net([2, 3, 2, 1], rng)
         prop = margin_prop([1.0], float(rng.normal()), unit_box(2))
         splits = {}
-        parent = analyze(net, prop, splits)
+        parent = analyze_region(net, prop, splits)
         for _ in range(4):
             # children start from the parent verdict's bounds, as in the
             # verifier; their intervals are path_bounds', bit for bit
@@ -460,8 +520,8 @@ def test_monotone_under_splitting():
             lefts[rid] = "+"
             rights = dict(splits)
             rights[rid] = "-"
-            left = analyze(net, prop, lefts, parent=b)
-            right = analyze(net, prop, rights, parent=b)
+            left = analyze_region(net, prop, lefts, parent=b)
+            right = analyze_region(net, prop, rights, parent=b)
             child_min = min(left.lb_value, right.lb_value)
             assert child_min >= parent.lb_value - 1e-6
             checked += 1
@@ -480,14 +540,14 @@ def test_unknown_verdict_carries_the_objective_bounds():
         # threshold halfway between the root relaxation's bound and the true
         # minimum, so the root (and often its descendants) is Unknown
         probe = margin_prop([1.0], 0.0, unit_box(2))
-        d = -(analyze(net, probe, {}).lb_value + brute_force_minimum(net, probe)) / 2.0
+        d = -(analyze_region(net, probe, {}).lb_value + brute_force_minimum(net, probe)) / 2.0
         prop = margin_prop([1.0], d, unit_box(2))
         splits = {}
         # split choices come from a per-trial stream: a verdict that flips on
         # rounding in one trial must not change the networks of later trials
         pick = np.random.default_rng([67, trial])
         for _ in range(4):
-            v = analyze(net, prop, splits)
+            v = analyze_region(net, prop, splits)
             if v.status is not Verdict.UNKNOWN:
                 break
             got = v.bounds
@@ -512,7 +572,7 @@ def test_counterexamples_are_genuine():
     for trial in range(40):
         net = make_net([2, 3, 1], rng)
         prop = margin_prop([1.0], float(rng.normal() - 2.0), unit_box(2))
-        v = analyze(net, prop, {})
+        v = analyze_region(net, prop, {})
         if v.status is Verdict.COUNTEREXAMPLE:
             seen += 1
             assert v.candidate is not None
@@ -534,7 +594,7 @@ def test_fully_split_matches_region_oracle():
                 ReluId(0, j): ("+" if pat_bits[j] > 0 else "-") for j in range(2)
             }
             want = region_minimum(net, prop, pattern)
-            got = analyze(net, prop, splits)
+            got = analyze_region(net, prop, splits)
             if want is None:
                 # empty region: the analyzer must verify vacuously, not guess
                 assert got.status is Verdict.VERIFIED
@@ -587,7 +647,7 @@ def test_propagation_verdicts_are_sound():
         # from "propagation proves the root" (t < 0) to "the root is Unknown"
         t = float(rng.uniform(-1.0, 1.0))
         prop = margin_prop(c, -(p0 + t * (g0 - p0)), box)
-        splits, v = {}, analyze(net, prop, {})
+        splits, v = {}, analyze_region(net, prop, {})
         check(net, prop, splits, v)
         for _ in range(5):
             amb = [rid for rid in relu_ids(net) if v.bounds.is_ambiguous(rid)]
@@ -597,7 +657,7 @@ def test_propagation_verdicts_are_sound():
             children = []
             for sign in "+-":
                 child_splits = {**splits, rid: sign}
-                child = analyze(net, prop, child_splits, parent=v.bounds)
+                child = analyze_region(net, prop, child_splits, parent=v.bounds)
                 check(net, prop, child_splits, child)
                 children.append((child_splits, child))
             unknown = [pair for pair in children if pair[1].status is Verdict.UNKNOWN]
@@ -621,7 +681,7 @@ def test_fully_split_region_solves_its_lp():
             if bounds.infeasible:
                 continue
             prop = margin_prop(c, -bounds.objective_lb, unit_box(2))  # propagation lb + d == 0
-            v = analyze(net, prop, splits)
+            v = analyze_region(net, prop, splits)
             if v.infeasible:
                 continue
             assert v.pivots is not None
@@ -637,7 +697,7 @@ def test_root_lb_never_above_brute_force_minimum():
         net = make_net([2, 3, 1], rng)
         prop = margin_prop([1.0], float(rng.normal()), unit_box(2))
         true_min = brute_force_minimum(net, prop)
-        v = analyze(net, prop, {})
+        v = analyze_region(net, prop, {})
         assert v.lb_value <= true_min + 1e-6
 
 
@@ -650,7 +710,7 @@ def test_infeasible_region_verifies_vacuously():
         )
     )
     prop = margin_prop([1.0], 0.0, unit_box(1))
-    v = analyze(net, prop, {ReluId(0, 0): "-"})
+    v = analyze_region(net, prop, {ReluId(0, 0): "-"})
     assert v.status is Verdict.VERIFIED
     assert v.infeasible
     assert v.lb_value == math.inf
@@ -659,7 +719,7 @@ def test_infeasible_region_verifies_vacuously():
 def test_dimension_errors():
     net = make_net([2, 2, 1])
     with pytest.raises(ValueError):
-        analyze(net, margin_prop([1.0, 1.0], 0.0, unit_box(2)), {})
+        analyze_region(net, margin_prop([1.0, 1.0], 0.0, unit_box(2)), {})
     with pytest.raises(ValueError):
         compute_bounds(net, unit_box(3), {})
 

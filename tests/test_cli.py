@@ -588,11 +588,17 @@ def test_log_env_controls_verbosity():
         return re.sub(r"wall [0-9.]+x", "wall x", run.stderr)
 
     assert len(logged(noisy)) >= len(logged(quiet))
-    # at DEBUG each verify run ends with one line of its work: the first run,
-    # then reuse's second run, whose two LPs start from the first run's bases
+    # at DEBUG each verify run writes a line per bounding phase and ends with
+    # one line of its work: the first run, then reuse's second run, whose two
+    # LPs start from the first run's bases
     runs = [line for line in noisy.stderr.splitlines() if line.startswith("DEBUG:incver.verifier:")]
     assert runs == [
+        "DEBUG:incver.verifier:phase 1: 1 nodes, 1 LPs (0 warm), 0 settled, 1 splits [relu(0, 0)]",
+        "DEBUG:incver.verifier:phase 2: 2 nodes, 2 LPs (0 warm), 0 settled, 2 splits [relu(1, 0) relu(1, 0)]",
+        "DEBUG:incver.verifier:phase 3: 4 nodes, 2 LPs (0 warm), 3 settled, 1 splits [relu(1, 1)]",
+        "DEBUG:incver.verifier:phase 4: 2 nodes, 1 LPs (0 warm), 2 settled, 0 splits []",
         "DEBUG:incver.verifier:verify Verified: 9 boundings, 4 branchings, 6 LPs (0 warm), 33 pivots",
+        "DEBUG:incver.verifier:phase 1: 5 nodes, 2 LPs (2 warm), 5 settled, 0 splits []",
         "DEBUG:incver.verifier:verify Verified: 5 boundings, 0 branchings, 2 LPs (2 warm), 0 pivots",
     ]
     assert "incver.verifier" not in quiet.stderr

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from incver.heuristics import BaseHeuristic, HeuristicConfig
+from incver import lp as lp_module
 from incver.lp import (
     _AT_LOWER,
     _AT_UPPER,
@@ -357,6 +358,36 @@ def test_own_final_basis_restarts_without_a_pivot():
         assert abs(again.value - cold.value) <= _FEAS_TOL
         assert np.array_equal(again.basis.basic, cold.basis.basic)
     assert optimal >= 150
+
+
+def test_an_optimal_start_is_priced_without_building_the_tableau(monkeypatch):
+    # A warm start is priced from its duals first; a solve from its own final
+    # basis finds no entering column, so it never builds T, and its outcome
+    # is the bits of the solve that builds T and runs phase 2 from the start.
+    built = []
+    refresh = _Tableau.refresh
+
+    def recording_refresh(self, tableau=True):
+        built.append(tableau)
+        return refresh(self, tableau=tableau)
+
+    monkeypatch.setattr(_Tableau, "refresh", recording_refresh)
+    priced = 0
+    for lp in oracle_lps():
+        cold = solve(lp)
+        if cold.basis is None:
+            continue
+        built.clear()
+        again = solve(lp, start=cold.basis)
+        assert again.warm and not any(built)
+        with monkeypatch.context() as patch:
+            patch.setattr(lp_module, "_priced_optimal", lambda tab, cost: False)
+            built.clear()
+            through_t = solve(lp, start=cold.basis)
+            assert any(built)
+        assert_same_outcome(again, through_t)
+        priced += 1
+    assert priced >= 150
 
 
 def perturbed(lp, rng, scale=1e-3):

@@ -22,6 +22,7 @@ from incver.model import (
 )
 from incver.props import InputBox, OutputConstraint, Property, holds_concretely, load_property
 from incver.spectree import (
+    InputDecision,
     NodeStatus,
     ReluDecision,
     leaves,
@@ -246,6 +247,47 @@ def test_reused_tree_under_an_empty_region_verifies_vacuously():
     assert (res.metrics.passes, res.metrics.walks) == (3, 4)
 
 
+def test_a_run_reports_its_batches_and_where_its_time_went():
+    # One batched propagation call per bounding phase and per level of an
+    # initial tree with an internal node: the demo's first run has 4 phases
+    # (frontiers of 1, 2, 4 and 2 nodes), reuse walks 3 internal levels of
+    # its 9-node tree and settles its 5 leaves in 1 phase, ivan 2 levels and
+    # 1 phase.  The stage timers are parts of the run's wall time.
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    net = load_network(fixtures / "demo_network.json")
+    updated = load_network(fixtures / "demo_updated.json")
+    prop = load_property(fixtures / "demo_property.json")
+    heur = HeuristicConfig(base=BaseHeuristic.RANDOM, alpha=0.25, theta=1.0, seed=27)
+    cfg = VerifierConfig(heuristic=heur, timeout=30.0)
+    first = verify(net, prop, cfg)
+    reuse = verify(updated, prop, cfg, initial_tree=first.tree)
+    ivan = verify(updated, prop, cfg, initial_tree=prune(first.tree, heur.theta))
+    assert [r.metrics.batches for r in (first, reuse, ivan)] == [4, 4, 3]
+    for res in (first, reuse, ivan):
+        m = res.metrics
+        assert m.propagate_s > 0.0 and m.build_s > 0.0 and m.solve_s > 0.0
+        assert m.propagate_s + m.build_s + m.solve_s < m.wall_time
+    settled = verify(net, Property(prop.input, OutputConstraint(prop.output.c, 100.0)), cfg)
+    assert (settled.metrics.lps, settled.metrics.build_s, settled.metrics.solve_s) == (0, 0.0, 0.0)
+
+
+def record_frontier_regions(monkeypatch) -> list:
+    """Record each frontier batch's ``(region, bounds)`` pairs, in the order
+    verify analyzes them; the caller pops one per bounding."""
+    pending = []
+    bound_regions = verifier.bound_regions
+
+    def recording(net, regions, objective=None):
+        out = bound_regions(net, regions, objective)
+        if objective is not None:  # a frontier, not a level of an initial tree
+            assert not pending
+            pending.extend(zip(regions, out))
+        return out
+
+    monkeypatch.setattr(verifier, "bound_regions", recording)
+    return pending
+
+
 def test_each_bounding_gets_the_subproblem_of_its_root_path(monkeypatch):
     # verify carries each node's (box, splits) down from its parent; the
     # analyzer must see exactly what spec_of rebuilds from the root, for the
@@ -255,10 +297,13 @@ def test_each_bounding_gets_the_subproblem_of_its_root_path(monkeypatch):
     # a carried basis map, nor of an incremental first run, gets a start.
     seen = []
     analyze = verifier.analyze
+    pending = record_frontier_regions(monkeypatch)
 
-    def recording_analyze(net, prop, splits, parent=None, start=None):
-        seen.append((prop.input, splits, parent, start))
-        return analyze(net, prop, splits, parent=parent, start=start)
+    def recording_analyze(net, prop, bounds, start=None):
+        (box, splits, parent), given = pending.pop(0)
+        assert bounds is given and prop.input is box
+        seen.append((box, splits, parent, start))
+        return analyze(net, prop, bounds, start=start)
 
     monkeypatch.setattr(verifier, "analyze", recording_analyze)
 
@@ -355,13 +400,16 @@ def test_a_basis_is_stored_only_after_its_lp(monkeypatch):
     expected = {}
     bases = {}
     analyze = verifier.analyze
+    pending = record_frontier_regions(monkeypatch)
 
-    def checking_analyze(net, prop, splits, parent=None, start=None):
+    def checking_analyze(net, prop, bounds, start=None):
         assert bases.keys() == expected.keys()
         assert all(bases[key] is basis for key, basis in expected.items())
+        (_, splits, _), given = pending.pop(0)
+        assert bounds is given
         key = (frozenset(splits.items()), prop.input.lower.tobytes(), prop.input.upper.tobytes())
         assert start is expected.get(key)
-        res = analyze(net, prop, splits, parent=parent, start=start)
+        res = analyze(net, prop, bounds, start=start)
         if res.pivots is None:
             assert res.basis is None and not res.warm
         elif res.basis is not None:
@@ -687,3 +735,23 @@ def test_config_validation():
         VerifierConfig(timeout=float("nan"))
     with pytest.raises(ValueError, match="min_width"):
         VerifierConfig(min_width=float("nan"))
+
+
+def test_initial_tree_cuts_outside_their_parents_box_name_the_lowest_node():
+    # An initial input tree is walked level by level; of the cuts that lie
+    # outside their parent's box, the one at the lowest node id is reported,
+    # even when a shallower node with a higher id has one too.
+    net = Network((Affine(np.eye(2), np.zeros(2)), Relu(), Affine(np.ones((1, 2)), np.zeros(1))))
+    prop = Property(InputBox(np.zeros(2), np.ones(2)), OutputConstraint(np.ones(1), 1.0))
+
+    def cut(tree, nid, dim, at):
+        return split(tree, nid, (InputDecision(dim, "low", at), InputDecision(dim, "high", at)))
+
+    tree = singleton("input")
+    low, high = cut(tree, tree.root, 0, 0.5)  # nodes 1 [0, 0.5] and 2 [0.5, 1] on axis 0
+    deep, _ = cut(tree, low, 0, 0.25)  # nodes 3 [0, 0.25] and 4
+    cut(tree, deep, 0, 0.9)  # nodes 5 and 6: outside [0, 0.25], at depth 3
+    cut(tree, high, 0, 0.2)  # nodes 7 and 8: outside [0.5, 1], at depth 2
+    cfg = VerifierConfig(branching="input", timeout=30.0)
+    with pytest.raises(ValueError, match=r"node 5: cut 0.9 on input 0 lies outside its parent's \[0.0, 0.25\]"):
+        verify(net, prop, cfg, initial_tree=tree)

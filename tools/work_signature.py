@@ -5,8 +5,8 @@ and runs ``verify_incremental`` on each of them in all four modes, with the
 configurations ``perfbench/run.py`` uses.  It prints, per mode and in total:
 
 * boundings, branchings, propagation passes, their back-substitution
-  walks, LPs solved, their summed pivots and the LPs that started from a
-  carried basis (from the runs' metrics);
+  walks, LPs solved, their summed pivots, the LPs that started from a
+  carried basis and the batched propagation calls (from the runs' metrics);
 * a SHA-256 over every run's verdict, counts, counterexample bytes and each
   tree node's ``(id, lb.hex())``;
 * a verdict digest: a SHA-256 over every run's verdict alone;
@@ -87,7 +87,7 @@ BENCH_SECONDS = 30  # perfbench's run length, as BENCHMARK.json sets it
 # fields whose difference is only in the last bits of the same search
 BIT_DIGESTS = ("sha256", "lp_sha256", "sha", "lp_sha")
 # the work counters read from each run's metrics
-COUNTERS = ("boundings", "branchings", "passes", "walks", "lps", "pivots", "warm")
+COUNTERS = ("boundings", "branchings", "passes", "walks", "lps", "pivots", "warm", "batches")
 
 
 def _lb_hex(lb) -> str:
@@ -276,7 +276,7 @@ def main(argv=None) -> int:
         print(
             f"{name:9s} boundings {row['boundings']:5d}  branchings {row['branchings']:4d}  "
             f"passes {row['passes']:5d}  walks {row['walks']:5d}  lps {row['lps']:5d}  "
-            f"pivots {row['pivots']:6d}  warm {row['warm']:4d}  "
+            f"pivots {row['pivots']:6d}  warm {row['warm']:4d}  batches {row['batches']:4d}  "
             f"sha256 {row['sha'][:16]}  verdicts {row['verdict_sha'][:16]}  lp {row['lp_sha'][:16]}"
         )
     print(json.dumps(sig))
