@@ -63,7 +63,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from incver.lp import LinearProgram, LpBasis, LpStatus, solve
+from incver.lp import LinearProgram, LpBasis, LpStatus, LpTimeout, solve
 from incver.model import Network, ReluId
 from incver.props import InputBox, Property, holds_concretely
 
@@ -108,11 +108,11 @@ class AnalyzerVerdict:
     ``bounds`` are the region's bounds from this call, computed with the
     property's objective so their ``kappa`` is set; the verifier ranks split
     candidates from them.  ``pivots`` is the LP's simplex pivot count, or
-    None when no LP ran.  ``basis`` is the LP's final basis (see
-    ``LpOutcome.basis``), None when no LP ran or it left none; ``warm`` says
-    whether the LP started from the ``start`` it was given.  ``build_s`` and
-    ``solve_s`` are the seconds spent building the LP and solving it, 0.0
-    when no LP ran.
+    None when no LP ran, and ``phase1`` how many of them phase 1 applied.
+    ``basis`` is the LP's final basis (see ``LpOutcome.basis``), None when
+    no LP ran or it left none; ``warm`` says whether the LP started from
+    the ``start`` it was given.  ``build_s`` and ``solve_s`` are the
+    seconds spent building the LP and solving it, 0.0 when no LP ran.
     """
 
     status: Verdict
@@ -121,6 +121,7 @@ class AnalyzerVerdict:
     infeasible: bool = False
     bounds: Optional[PreactBounds] = None
     pivots: Optional[int] = None
+    phase1: int = 0
     basis: Optional[LpBasis] = None
     warm: bool = False
     build_s: float = 0.0
@@ -551,7 +552,11 @@ def _build_program(net, prop, bounds):
 
 
 def analyze(
-    net: Network, prop: Property, bounds: PreactBounds, start: Optional[LpBasis] = None
+    net: Network,
+    prop: Property,
+    bounds: PreactBounds,
+    start: Optional[LpBasis] = None,
+    deadline: Optional[float] = None,
 ) -> AnalyzerVerdict:
     """One bounding call: lower-bound the property margin over the region from its bounds.
 
@@ -562,6 +567,8 @@ def analyze(
     :func:`~incver.lp.solve`.  It saves pivots and keeps the LP's status,
     but can move the optimum within the solver's tolerance and return
     another optimal vertex, from which the candidate input is clipped.
+    ``deadline``, a ``time.perf_counter()`` reading, goes to the solver,
+    which checks it before each pivot.
 
     Returns Verified when the proved lower bound is nonnegative (or the
     region is empty, flagged ``infeasible``), Counterexample when the LP
@@ -573,8 +580,10 @@ def analyze(
     region's children start from it.
 
     Raises ValueError when feasible bounds carry no ``objective_lb`` (they
-    were computed without an objective), and :class:`AnalyzerError` on
-    solver failure; a verdict is never fabricated from a broken solve.
+    were computed without an objective), :class:`~incver.lp.LpTimeout`
+    when the LP is still pivoting at ``deadline``, and
+    :class:`AnalyzerError` on any other solver failure; a verdict is never
+    fabricated from a broken or unfinished solve.
     """
     if bounds.infeasible:
         return AnalyzerVerdict(Verdict.VERIFIED, math.inf, infeasible=True, bounds=bounds)
@@ -587,11 +596,13 @@ def analyze(
     program = _build_program(net, prop, bounds)
     t1 = time.perf_counter()
     try:
-        out = solve(program, start=start)
+        out = solve(program, start=start, deadline=deadline)
+    except LpTimeout:
+        raise
     except Exception as exc:
         raise AnalyzerError(f"bounding LP failed: {exc}") from exc
     solved = dict(
-        bounds=bounds, pivots=out.iterations, basis=out.basis, warm=out.warm,
+        bounds=bounds, pivots=out.iterations, phase1=out.phase1, basis=out.basis, warm=out.warm,
         build_s=t1 - t0, solve_s=time.perf_counter() - t1,
     )
     if out.status is LpStatus.INFEASIBLE:

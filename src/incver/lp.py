@@ -62,21 +62,34 @@ the nonbasic columns are solved, and the basic columns are set to the exact
 unit vectors.  After phase 2 only the basic values are re-solved, for the
 final point, since the tableau is not read again.
 
-Entering variables are chosen by the Dantzig rule (most negative reduced
-cost); after a run of degenerate pivots the rule switches to Bland's rule
-(lowest eligible index) until progress resumes, which prevents cycling.  All
-tie-breaks are by lowest index, so identical inputs produce identical pivot
-sequences, outcomes, and points.
+At these sizes a pivot costs numpy calls, not flops, so the pivot loop keeps
+what it would otherwise rebuild from the column states each time: every
+column's move direction (-1 may rise from its lower bound, +1 may fall from
+its upper bound, 0 basic or fixed), the bounds of each row's basic column,
+and the basic columns' costs.  A pivot updates the entries of the entering
+and leaving columns in place.  Pricing is then one product and one argmax,
+and the ratio test one ``np.where`` and one masked division; both read the
+same numbers as a test built from the states would, so the pivots and the
+bits are the same.
 
-Numerical failure (iteration cap, singular basis, an entering column that
-no row blocks, a final solution that does not verify feasible) raises
-:class:`LpError`; the solver never returns a wrong ``OPTIMAL`` silently.
+Entering variables are chosen by the Dantzig rule (largest reduced cost in
+the direction a column may move); after a run of degenerate pivots the rule
+switches to Bland's rule (lowest eligible index) until progress resumes,
+which prevents cycling.  All tie-breaks are by lowest index, so identical
+inputs produce identical pivot sequences, outcomes, and points.
+
+Numerical failure (iteration cap, singular basis, a NaN reduced cost or
+basic value, an entering column that no row blocks, a final solution that
+does not verify feasible) raises :class:`LpError`; the solver never returns
+a wrong ``OPTIMAL`` silently.  A solve given a ``deadline`` that is still
+pivoting past it raises :class:`LpTimeout`, an :class:`LpError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from time import perf_counter
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -87,12 +100,17 @@ __all__ = [
     "LpError",
     "LpOutcome",
     "LpStatus",
+    "LpTimeout",
     "solve",
 ]
 
 
 class LpError(RuntimeError):
     """Numerical breakdown or iteration exhaustion inside the solver."""
+
+
+class LpTimeout(LpError):
+    """The solve ran past its deadline before it reached an optimum."""
 
 
 class LpStatus(Enum):
@@ -192,7 +210,9 @@ class LpOutcome:
     ``basis`` is the final basis of an ``OPTIMAL`` outcome, or None when an
     artificial column is still basic (a linearly dependent row) and for
     ``INFEASIBLE``.  ``warm`` says whether the solve started from the given
-    ``start`` instead of the crash basis.
+    ``start`` instead of the crash basis.  ``phase1`` counts the pivots of
+    ``iterations`` that phase 1 applied: 0 when the crash basis covers
+    every row, and for a warm start.
     """
 
     status: LpStatus
@@ -201,11 +221,14 @@ class LpOutcome:
     iterations: int = 0
     basis: Optional[LpBasis] = None
     warm: bool = False
+    phase1: int = 0
 
 
 # ---------------------------------------------------------------------------
 # internal state codes for each column
 _AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
+# the move of a nonbasic column in each state, as _Tableau.direction holds it
+_DIRECTION = np.array([-1.0, 1.0, 0.0])
 
 # pivot-element, feasibility and reduced-cost tolerances
 _PIVOT_TOL, _FEAS_TOL, _OPT_TOL = 1e-9, 1e-7, 1e-9
@@ -222,20 +245,34 @@ class _Tableau:
     for the current basis, with its basic columns the unit vectors; ``xb``
     holds basic variable values; ``val`` holds the fixed value of every
     nonbasic column.
+
+    Three derived arrays are set by :meth:`set_directions` when a phase
+    starts and kept by each pivot, so a pivot reads them instead of
+    rebuilding them from ``state`` and the bounds.  ``direction`` holds
+    each column's move: -1 for a column at its lower bound that may rise,
+    +1 for one at its upper bound that may fall, 0 for a basic or fixed
+    column; a column can enter when ``direction * reduced`` exceeds the
+    optimality tolerance.  ``blo`` and ``bhi`` hold the bounds of each
+    row's basic column.  A pivot writes the entering column's direction 0
+    and its bounds into its row, and the leaving column's direction for the
+    bound it leaves at; a bound flip reverses the flipped column's
+    direction.  :meth:`run` keeps the basic columns' costs the same way.
     """
 
-    def __init__(self, A, b, lo, hi, max_iter):
+    def __init__(self, A, b, lo, hi, max_iter, deadline=None):
         self.A = A
         self.b = b
         self.lo = lo
         self.hi = hi
         self.max_iter = max_iter
+        self.deadline = deadline
         self.m, self.K = A.shape
         self.xb = np.zeros(self.m)
         self.basis = np.full(self.m, -1, dtype=int)
         self.state = np.full(self.K, _AT_LOWER, dtype=int)
         self.val = np.zeros(self.K)
         self.iterations = 0
+        self.phase1 = 0
 
     def refresh(self, tableau: bool = True) -> None:
         """Refactorize: recompute the basic values, and T = Binv A, from the basis.
@@ -247,7 +284,7 @@ class _Tableau:
         to shed accumulated row-operation drift, and for the final point.
         """
         B = self.A[:, self.basis]
-        nonbasic = np.flatnonzero(self.state != _BASIC)
+        nonbasic = (self.state != _BASIC).nonzero()[0]
         N = self.A[:, nonbasic]
         rhs = self.b - N @ self.val[nonbasic]
         try:
@@ -262,97 +299,124 @@ class _Tableau:
         self.T[:, nonbasic] = sol[:, 1:]
         self.T[np.arange(self.m), self.basis] = 1.0
 
+    def set_directions(self) -> None:
+        """Set ``direction``, ``blo`` and ``bhi`` from the states, basis and bounds."""
+        self.direction = _DIRECTION[self.state]
+        self.direction *= self.hi - self.lo > 0  # bounds stay fixed within a phase
+        self.blo = self.lo[self.basis]
+        self.bhi = self.hi[self.basis]
+
     def run(self, cost: np.ndarray) -> None:
         """Pivot until optimal for the given cost vector."""
+        self.set_directions()
+        cost_b = cost[self.basis]  # the basic columns' costs, kept by each pivot
         bland = False
         degenerate_run = 0
-        movable = self.hi - self.lo > 0  # bounds stay fixed within a phase
         while True:
-            reduced = cost - cost[self.basis] @ self.T
-            enter = self._entering(reduced, movable, bland)
-            if enter is None:
+            j = self._entering(cost - cost_b @ self.T, bland)
+            if j is None:
                 return
-            j, sigma = enter
-            t, row = self._ratio_test(j, sigma)
+            sigma = -float(self.direction[j])
+            delta = sigma * self.T[:, j]
+            t, row = self._ratio_test(j, delta)
             if self.iterations >= self.max_iter:
                 raise LpError(
                     f"iteration limit {self.max_iter} exceeded; possible cycling"
                 )
+            if self.deadline is not None and perf_counter() > self.deadline:
+                raise LpTimeout(f"deadline passed after {self.iterations} pivots")
             # Bland's rule from the _BLAND_TRIGGER-th degenerate pivot in a row
             degenerate_run = degenerate_run + 1 if t <= _DEGENERATE_STEP else 0
             bland = degenerate_run >= _BLAND_TRIGGER
-            self._apply_pivot(j, sigma, t, row)
+            self._apply_pivot(j, sigma, t, row, delta)
+            if row is not None:
+                cost_b[row] = cost[j]
             self.iterations += 1
 
-    def _entering(self, reduced, movable, bland):
-        # a basic column is neither at its lower nor at its upper bound
-        eligible = movable & np.where(
-            self.state == _AT_LOWER, reduced < -_OPT_TOL, (self.state == _AT_UPPER) & (reduced > _OPT_TOL)
-        )
-        if not eligible.any():
+    def _entering(self, reduced, bland):
+        """The entering column for these reduced costs, or None when none can enter.
+
+        Dantzig's rule takes the largest ``direction * reduced``, which is
+        the largest ``|reduced|`` over the columns that can enter; Bland's
+        takes the lowest-indexed column that can enter.  Ties go to the
+        lowest index.  A NaN reduced cost is numerical breakdown and raises
+        :class:`LpError` instead of reading as "cannot enter".
+        """
+        score = self.direction * reduced
+        j = int(score.argmax())  # the first NaN, if there is one
+        best = score[j]
+        if best != best:
+            raise LpError(f"reduced cost of column {j} is NaN; numerical breakdown")
+        if not best > _OPT_TOL:
             return None
         if bland:
-            j = int(np.argmax(eligible))
-        else:
-            score = np.where(eligible, np.abs(reduced), -1.0)
-            j = int(np.argmax(score))
-        sigma = 1.0 if self.state[j] == _AT_LOWER else -1.0
-        return j, sigma
+            j = int((score > _OPT_TOL).argmax())
+        return j
 
-    def _ratio_test(self, j, sigma):
+    def _ratio_test(self, j, delta):
         """Largest step t >= 0 keeping every basic variable inside its bounds.
 
-        Returns (t, blocking_row) where blocking_row is None for a bound
-        flip of the entering variable itself.  Ratios are clamped at zero so
-        a basic variable already resting on a bound blocks immediately
-        instead of producing a negative step.  A step that nothing limits is
-        numerical breakdown on a bounded program, and raises :class:`LpError`.
+        ``delta`` is the rate at which each basic value falls as the
+        entering column ``j`` moves.  Returns (t, blocking_row) where
+        blocking_row is None for a bound flip of the entering variable
+        itself.  A row whose basic value falls toward its lower bound
+        divides ``xb - blo`` by ``delta``, one that rises toward its upper
+        bound divides ``bhi - xb`` by ``-delta``; both are ``|delta|``.
+        Ratios are clamped at zero so a basic variable already resting on a
+        bound blocks immediately instead of producing a negative step.  Ties
+        within 1e-12 of the minimum go to the lowest basic column.  A step
+        that nothing limits, or a NaN ratio, is numerical breakdown on a
+        bounded program, and raises :class:`LpError`.
         """
-        delta = sigma * self.T[:, j]
-        blo = self.lo[self.basis]
-        bhi = self.hi[self.basis]
-        ratios = np.full(self.m, np.inf)
-        dec = delta > _PIVOT_TOL
-        inc = delta < -_PIVOT_TOL
-        with np.errstate(invalid="ignore"):
-            ratios[dec] = (self.xb[dec] - blo[dec]) / delta[dec]
-            ratios[inc] = (bhi[inc] - self.xb[inc]) / (-delta[inc])
-        ratios = np.maximum(ratios, 0.0)
-        ratios[~np.isfinite(ratios)] = np.inf
+        room = np.where(delta > 0.0, self.xb - self.blo, self.bhi - self.xb)
+        size = np.abs(delta)
+        ratios = np.divide(room, size, out=np.full(self.m, np.inf), where=size > _PIVOT_TOL)
+        np.maximum(ratios, 0.0, out=ratios)
+        t_rows = ratios.min(initial=np.inf)
+        if t_rows != t_rows:
+            raise LpError("a basic value is NaN; numerical breakdown")
         span = self.hi[j] - self.lo[j]
-        t_rows = float(np.min(ratios, initial=np.inf))
         if span <= t_rows:
             if not np.isfinite(span):  # a slack or artificial column that no row blocks
                 raise LpError("no row blocks the entering column; numerical breakdown")
             return span, None
-        candidates = np.flatnonzero(ratios <= t_rows + 1e-12)
-        return t_rows, int(candidates[np.argmin(self.basis[candidates])])
+        return t_rows, int(np.where(ratios <= t_rows + 1e-12, self.basis, self.K).argmin())
 
-    def _apply_pivot(self, j, sigma, t, row):
-        delta = sigma * self.T[:, j]
+    def _apply_pivot(self, j, sigma, t, row, delta):
+        """Move column ``j`` by ``sigma * t``: a bound flip, or a basis change at ``row``.
+
+        ``delta`` is ``sigma * T[:, j]``, as :meth:`_ratio_test` read it.
+        """
         self.xb -= t * delta
         if row is None:
             # bound flip: j moves to its opposite bound, basis unchanged
             self.val[j] = self.hi[j] if sigma > 0 else self.lo[j]
             self.state[j] = _AT_UPPER if sigma > 0 else _AT_LOWER
+            self.direction[j] = sigma
             return
         new_val = self.val[j] + sigma * t
         leaving = self.basis[row]
+        lo, hi = self.lo[leaving], self.hi[leaving]
         if delta[row] > 0:
             self.state[leaving] = _AT_LOWER
-            self.val[leaving] = self.lo[leaving]
+            self.val[leaving] = lo
+            self.direction[leaving] = -1.0 if hi - lo > 0 else 0.0
         else:
             self.state[leaving] = _AT_UPPER
-            self.val[leaving] = self.hi[leaving]
+            self.val[leaving] = hi
+            self.direction[leaving] = 1.0 if hi - lo > 0 else 0.0
         piv = self.T[row, j]
         if abs(piv) <= _PIVOT_TOL:
             raise LpError("pivot element vanished; numerical breakdown")
-        self.T[row, :] /= piv
+        self.T[row] /= piv
         factors = self.T[:, j].copy()
         factors[row] = 0.0
-        self.T -= factors[:, None] * self.T[row]
+        self.T -= np.multiply.outer(factors, self.T[row])
         self.basis[row] = j
         self.state[j] = _BASIC
+        self.direction[j] = 0.0
+        self.blo[row] = self.lo[j]
+        self.bhi[row] = self.hi[j]
         self.xb[row] = new_val
 
 
@@ -376,14 +440,25 @@ def _crash(tab: _Tableau, A_rows: np.ndarray, is_eq: np.ndarray) -> np.ndarray:
     rows, last = rows[keep], last[keep]
     heads, first = np.unique(last, return_index=True)  # first claim wins
     x = tab.val[:n].copy()
-    for j, i in zip(heads, rows[first]):
-        v = (tab.b[i] - A_rows[i, :j] @ x[:j]) / A_rows[i, j]
-        if tab.lo[j] <= v <= tab.hi[j]:
-            tab.basis[i], tab.state[j], tab.xb[i] = j, _BASIC, v
+    b, lo, hi = tab.b.tolist(), tab.lo.tolist(), tab.hi.tolist()
+    basic, parked = [], []  # (row, column, value) and (column, state, value)
+    for j, i in zip(heads.tolist(), rows[first].tolist()):
+        row = A_rows[i]
+        v = (b[i] - row[:j] @ x[:j]) / row[j]
+        if lo[j] <= v <= hi[j]:
+            basic.append((i, j, v))
         else:
-            tab.state[j] = _AT_LOWER if v < tab.lo[j] else _AT_UPPER
-            v = tab.val[j] = min(max(v, tab.lo[j]), tab.hi[j])
+            state = _AT_LOWER if v < lo[j] else _AT_UPPER
+            v = min(max(v, lo[j]), hi[j])
+            parked.append((j, state, v))
         x[j] = v
+    # the marks are written at once; the loop reads only x and the bounds
+    if basic:
+        i, j, v = map(list, zip(*basic))
+        tab.basis[i], tab.state[j], tab.xb[i] = j, _BASIC, v
+    if parked:
+        j, state, v = map(list, zip(*parked))
+        tab.state[j], tab.val[j] = state, v
     return x
 
 
@@ -394,16 +469,18 @@ def _warm_start(tab: _Tableau, start: LpBasis) -> bool:
     distinct structural or slack columns and exactly the columns its states
     mark basic, every nonbasic column sits at a finite bound, B factorizes,
     and the basic values lie within the feasibility tolerance of their
-    bounds.  A fitting start leaves ``tab`` with its basic values solved
-    and T not built; one that does not fit may leave ``tab`` half set up.
+    bounds.  A fitting start leaves ``tab`` with its basic values solved,
+    its directions set and T not built; one that does not fit may leave
+    ``tab`` half set up.
     """
     basic, state = start
     if basic.shape != (tab.m,) or state.shape != (tab.K,):
         return False
-    if not ((state >= _AT_LOWER) & (state <= _BASIC)).all():
+    if not (state.min() >= _AT_LOWER and state.max() <= _BASIC):
         return False
     # distinct, in range, and marked basic: an artificial has no column here
-    if not np.array_equal(np.flatnonzero(state == _BASIC), np.sort(basic)):
+    marked = (state == _BASIC).nonzero()[0]
+    if marked.size != tab.m or not (marked == np.sort(basic)).all():
         return False
     at_upper = state == _AT_UPPER
     if not np.isfinite(tab.hi[at_upper]).all():  # a slack has no finite upper bound
@@ -415,23 +492,27 @@ def _warm_start(tab: _Tableau, start: LpBasis) -> bool:
         tab.refresh(tableau=False)
     except LpError:
         return False
-    blo, bhi = tab.lo[tab.basis], tab.hi[tab.basis]
-    return bool(np.all((tab.xb >= blo - _FEAS_TOL) & (tab.xb <= bhi + _FEAS_TOL)))
+    tab.set_directions()
+    return bool(((tab.xb >= tab.blo - _FEAS_TOL) & (tab.xb <= tab.bhi + _FEAS_TOL)).all())
 
 
 def _priced_optimal(tab: _Tableau, cost: np.ndarray) -> bool:
     """Whether no column can enter the tableau's basis, priced from the duals.
 
     One solve of ``B^T y = c_B`` gives the reduced costs ``c - y^T A`` of
-    every column, read by the same entering test as phase 2; T is not
-    needed.  A basis whose transpose does not factorize is not known to be
-    optimal.
+    every column, read by the same entering test as phase 2, with the
+    directions :func:`_warm_start` set; T is not needed.  A basis whose
+    transpose does not factorize, or whose prices have a NaN, is not known
+    to be optimal.
     """
     try:
         y = np.linalg.solve(tab.A[:, tab.basis].T, cost[tab.basis])
     except np.linalg.LinAlgError:
         return False
-    return tab._entering(cost - y @ tab.A, tab.hi - tab.lo > 0, False) is None
+    try:
+        return tab._entering(cost - y @ tab.A, False) is None
+    except LpError:
+        return False
 
 
 def _cold_start(tab: _Tableau, A_rows: np.ndarray, is_eq: np.ndarray) -> bool:
@@ -473,6 +554,7 @@ def _cold_start(tab: _Tableau, A_rows: np.ndarray, is_eq: np.ndarray) -> bool:
         phase1_cost = np.zeros(tab.K)
         phase1_cost[K:] = 1.0
         tab.run(phase1_cost)
+        tab.phase1 = tab.iterations
         if float(phase1_cost[tab.basis] @ tab.xb) > _FEAS_TOL:
             return False
 
@@ -483,7 +565,8 @@ def _cold_start(tab: _Tableau, A_rows: np.ndarray, is_eq: np.ndarray) -> bool:
                 (tab.state[:K] != _BASIC) & (np.abs(tab.T[i, :K]) > _PIVOT_TOL)
             )
             if candidates.size:
-                tab._apply_pivot(int(candidates[0]), 1.0, 0.0, i)
+                j = int(candidates[0])
+                tab._apply_pivot(j, 1.0, 0.0, i, tab.T[:, j])
         # pinned to [0, 0], an artificial never enters again
         tab.lo[K:] = 0.0
         tab.hi[K:] = 0.0
@@ -493,7 +576,11 @@ def _cold_start(tab: _Tableau, A_rows: np.ndarray, is_eq: np.ndarray) -> bool:
 
 
 def solve(
-    lp: LinearProgram, *, max_iter: Optional[int] = None, start: Optional[LpBasis] = None
+    lp: LinearProgram,
+    *,
+    max_iter: Optional[int] = None,
+    start: Optional[LpBasis] = None,
+    deadline: Optional[float] = None,
 ) -> LpOutcome:
     """Solve a linear program whose variable bounds are all finite.
 
@@ -518,6 +605,10 @@ def solve(
         fits (see the module docstring; the outcome's ``warm`` says so) and
         is otherwise ignored: the solve is then the one without a start, bit
         for bit.
+    deadline : float, optional
+        A ``time.perf_counter()`` reading; each pivot checks it first, and a
+        solve still pivoting past it raises :class:`LpTimeout`.  A solve
+        that needs no pivot never reads it.
 
     Returns
     -------
@@ -532,14 +623,17 @@ def solve(
     Raises
     ------
     LpError
-        On iteration exhaustion, singular bases, an entering column that no
-        row blocks, or a final point that fails the feasibility check.  A
-        wrong answer is never returned silently.
+        On iteration exhaustion, singular bases, a NaN reduced cost or basic
+        value, an entering column that no row blocks, or a final point that
+        fails the feasibility check.  A wrong answer is never returned
+        silently.
+    LpTimeout
+        (an :class:`LpError`) when a pivot finds the ``deadline`` passed.
     """
     n = lp.num_vars
     m = lp.rhs.size
     lo_s, hi_s = lp.var_bounds.T
-    if np.any(lo_s > hi_s):
+    if (lo_s > hi_s).any():
         return LpOutcome(LpStatus.INFEASIBLE)
 
     # normalize rows: ">=" becomes "<=" by negation; remember equality rows
@@ -561,13 +655,13 @@ def solve(
     if max_iter is None:
         max_iter = 200 * (m + K) + 1000
 
-    tab = _Tableau(A, b, lo, hi, max_iter)
+    tab = _Tableau(A, b, lo, hi, max_iter, deadline)
     warm = start is not None and _warm_start(tab, start)
     if not warm:
         if start is not None:
-            tab = _Tableau(A, b, lo, hi, max_iter)  # the rejected start's marks go
+            tab = _Tableau(A, b, lo, hi, max_iter, deadline)  # the rejected start's marks go
         if not _cold_start(tab, A_rows, is_eq):
-            return LpOutcome(LpStatus.INFEASIBLE, iterations=tab.iterations)
+            return LpOutcome(LpStatus.INFEASIBLE, iterations=tab.iterations, phase1=tab.phase1)
 
     full_cost = np.zeros(tab.K)
     full_cost[:n] = lp.objective
@@ -576,22 +670,23 @@ def solve(
             tab.refresh()  # the start's basic values are known; phase 2 needs T
         tab.run(full_cost)
         tab.refresh(tableau=False)  # T is not read again
-    x_all = tab.val.copy()
-    x_all[tab.basis] = tab.xb
-    x = x_all[:n]
+    # tab is not read again: its arrays become the outcome's
+    tab.val[tab.basis] = tab.xb
+    x = tab.val[:n]
 
     # final guard: never return an OPTIMAL point that is not actually feasible;
     # the point's basic values were just re-solved from the final basis, and
     # the comparisons are written so that a NaN counts as a violation
-    if not np.all((x >= lo_s - _FEAS_TOL) & (x <= hi_s + _FEAS_TOL)):
+    if not ((x >= lo_s - _FEAS_TOL) & (x <= hi_s + _FEAS_TOL)).all():
         raise LpError("final point violates variable bounds")
     residual = A_rows @ x - b
     violation = np.where(is_eq, np.abs(residual), residual)
-    bad = ~(violation <= _FEAS_TOL)
-    if bad.any():
-        i = int(np.argmax(bad))
+    if not violation.max(initial=-np.inf) <= _FEAS_TOL:
+        i = int(np.argmax(~(violation <= _FEAS_TOL)))
         raise LpError(f"final point violates row {i} by {violation[i]:.3e}")
     basis = None
     if not (tab.basis >= K).any():  # an artificial left basic has no column in a start
-        basis = LpBasis(tab.basis.copy(), tab.state[:K].copy())
-    return LpOutcome(LpStatus.OPTIMAL, float(lp.objective @ x), x, tab.iterations, basis, warm)
+        basis = LpBasis(tab.basis, tab.state[:K])
+    return LpOutcome(
+        LpStatus.OPTIMAL, float(lp.objective @ x), x, tab.iterations, basis, warm, tab.phase1
+    )

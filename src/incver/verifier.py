@@ -28,6 +28,7 @@ import numpy as np
 
 from incver.analyzer import Verdict, analyze, bound_regions, compute_bounds
 from incver.heuristics import HeuristicConfig, choose_input_split, choose_split
+from incver.lp import LpTimeout
 from incver.model import Affine, Network, relu_ids, same_architecture
 from incver.props import Property
 from incver.spectree import (
@@ -97,8 +98,9 @@ class RunMetrics:
     because every starting leaf and every created node is bounded exactly
     once, and every split adds one internal node.  lps counts the boundings
     that solved an LP (the others were settled by bound propagation alone)
-    and pivots sums those LPs' simplex pivots.  warm counts the LPs that
-    started from a basis carried from an earlier run (``verify``'s
+    and pivots sums those LPs' simplex pivots, phase1_pivots the share of
+    them that phase 1 applied to reach a feasible basis.  warm counts the
+    LPs that started from a basis carried from an earlier run (``verify``'s
     ``bases``): only the second runs of modes reuse and ivan have any.
     passes counts propagation passes: one per node of a frontier and one per
     internal node of an initial tree, except where the parent region is
@@ -123,6 +125,7 @@ class RunMetrics:
     leaves_final: int
     lps: int
     pivots: int
+    phase1_pivots: int
     passes: int
     walks: int
     warm: int
@@ -214,6 +217,11 @@ def verify(
     (once each, no LP, walked level by level, one batched pass per level);
     the branching only decides how an inconclusive node is split.
 
+    The run's deadline, ``cfg.timeout`` seconds after it starts, is checked
+    before each level, phase and bounding, and goes through ``analyze`` to
+    the simplex, which checks it before each pivot; a run that reaches it
+    ends as Timeout ("wall-clock timeout"), an LP cut off mid-solve included.
+
     ``bases`` is a map the caller owns from a node's subproblem,
     ``(frozenset(splits.items()), box.lower.tobytes(), box.upper.tobytes())``,
     to an LP's final basis.  Before each bounding the node's entry, if any,
@@ -224,6 +232,7 @@ def verify(
     optimal vertex, so a recorded lb can differ in its last bits.
     """
     start = time.perf_counter()
+    deadline = start + cfg.timeout
     if initial_tree is None:
         tree = singleton(cfg.branching)
     else:
@@ -240,6 +249,7 @@ def verify(
     branchings = 0
     lps = 0
     pivots = 0
+    phase1_pivots = 0
     passes = 0
     walks = 0
     warm = 0
@@ -258,6 +268,7 @@ def verify(
             leaves_final=tree.num_leaves(),
             lps=lps,
             pivots=pivots,
+            phase1_pivots=phase1_pivots,
             passes=passes,
             walks=walks,
             warm=warm,
@@ -296,7 +307,7 @@ def verify(
             (active if tree.node(entry[0]).is_leaf else inner).append(entry)
         if not inner:
             break
-        if time.perf_counter() - start > cfg.timeout:
+        if time.perf_counter() > deadline:
             return finish(RunVerdict.TIMEOUT, note="wall-clock timeout")
         level = []
         for (nid, box, splits, _), bounds in zip(inner, propagate(inner)):
@@ -328,24 +339,28 @@ def verify(
     while active:
         # Bounding phase: propagate the whole frontier in one batch, then
         # settle each node from its bounds, by propagation or by its LP.
-        if time.perf_counter() - start > cfg.timeout:
+        if time.perf_counter() > deadline:
             return finish(RunVerdict.TIMEOUT, note="wall-clock timeout")
         phase += 1
         lps_before, warm_before = lps, warm
         outcomes = []
         for (nid, box, splits, _), bounds in zip(active, propagate(active, prop.output.c)):
-            if time.perf_counter() - start > cfg.timeout:
+            if time.perf_counter() > deadline:
                 return finish(RunVerdict.TIMEOUT, note="wall-clock timeout")
             key = carried = None
             if bases is not None:
                 key = (frozenset(splits.items()), box.lower.tobytes(), box.upper.tobytes())
                 carried = bases.get(key)
             node_prop = Property(box, prop.output, name=prop.name)
-            res = analyze(net, node_prop, bounds, start=carried)
+            try:
+                res = analyze(net, node_prop, bounds, start=carried, deadline=deadline)
+            except LpTimeout:
+                return finish(RunVerdict.TIMEOUT, note="wall-clock timeout")
             boundings += 1
             if res.pivots is not None:
                 lps += 1
                 pivots += res.pivots
+                phase1_pivots += res.phase1
                 warm += res.warm
                 build_s += res.build_s
                 solve_s += res.solve_s

@@ -87,6 +87,7 @@ def test_verify_demo_fixture_metrics(capsys):
     assert doc["metrics"]["boundings"] == 9
     assert doc["metrics"]["branchings"] == 4
     assert (doc["metrics"]["lps"], doc["metrics"]["pivots"]) == (6, 33)
+    assert doc["metrics"]["phase1_pivots"] == 19  # of the 33, before a feasible basis
     assert (doc["metrics"]["passes"], doc["metrics"]["walks"]) == (9, 13)
     assert doc["counterexample"] is None
     assert doc["schema_version"] == 1

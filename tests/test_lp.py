@@ -1,6 +1,8 @@
 """Tests for the bounded-variable simplex solver."""
 
+import hashlib
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +14,15 @@ from incver.lp import (
     _AT_LOWER,
     _AT_UPPER,
     _BASIC,
+    _BLAND_TRIGGER,
     _FEAS_TOL,
+    _OPT_TOL,
+    _PIVOT_TOL,
     LinearProgram,
     LpBasis,
     LpError,
     LpStatus,
+    LpTimeout,
     _Tableau,
     solve,
 )
@@ -467,3 +473,189 @@ def test_infeasible_and_dependent_programs_leave_no_basis():
     out = solve(lp)
     assert out.status is LpStatus.OPTIMAL and out.basis is None
     assert abs(out.value - 1.0) < 1e-9
+
+
+def test_a_nan_reduced_cost_raises_instead_of_reading_as_optimal():
+    # x0 + x1 = 1 over [0, 1]^2, x0 basic and x1 at its lower bound: the
+    # tableau is optimal for cost (0, 1).  A NaN reduced cost, in a nonbasic
+    # column or through a basic column's cost, must not read as "cannot
+    # enter" and end the phase as optimal.
+    def tableau():
+        tab = _Tableau(np.array([[1.0, 1.0]]), np.array([1.0]), np.zeros(2), np.ones(2), max_iter=10)
+        tab.basis[0], tab.state[0] = 0, _BASIC
+        tab.refresh()
+        return tab
+
+    tab = tableau()
+    tab.run(np.array([0.0, 1.0]))
+    assert (tab.iterations, tab.xb.tolist()) == (0, [1.0])
+    for cost in ([0.0, np.nan], [np.nan, 1.0]):
+        with pytest.raises(LpError, match="NaN"):
+            tableau().run(np.array(cost))
+    # a warm start priced at NaN is not known to be optimal: phase 2 decides
+    tab = tableau()
+    tab.set_directions()  # as a fitting warm start leaves them
+    assert not lp_module._priced_optimal(tab, np.array([0.0, np.nan]))
+
+
+def degenerate_lps():
+    """Rows through the origin, a vertex of the box: long runs of zero steps.
+
+    The second program reaches Bland's rule.
+    """
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        n, m = 25, 75
+        A = rng.integers(-3, 4, size=(m, n)).astype(float)
+        cost = -rng.integers(1, 5, size=n).astype(float)
+        yield LinearProgram(cost, np.column_stack([np.zeros(n), np.ones(n)]), A, ["<="] * m, np.zeros(m))
+
+
+def outcome_bits(out):
+    parts = [out.status.value, str(out.iterations), str(out.warm)]
+    if out.value is not None:
+        parts += [out.value.hex(), out.point.tobytes().hex()]
+    if out.basis is not None:
+        parts += [side.astype(np.int64).tobytes().hex() for side in out.basis]
+    return "|".join(parts).encode()
+
+
+# SHA-256 of outcome_bits over the programs of test_outcomes_are_pinned_bit_for_bit
+PINNED_OUTCOMES = "4ceaa215ca421d91f3bd20860b6bf9396dcb919af3071bc4dfbf2fe1bd97c38d"
+
+
+def test_outcomes_are_pinned_bit_for_bit(monkeypatch):
+    # Every pivot, tie-break and refresh shows in these bits: status, pivot
+    # count, optimum, point, final basis.  The programs are the oracle
+    # family solved cold, each optimal one's perturbation solved warm from
+    # its basis, and the degenerate family, which runs Bland's rule.  A
+    # change to the solver that keeps this hash takes the same pivots.
+    bland = []
+    entering = _Tableau._entering
+
+    def recording_entering(self, reduced, use_bland):
+        bland.append(use_bland)
+        return entering(self, reduced, use_bland)
+
+    monkeypatch.setattr(_Tableau, "_entering", recording_entering)
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(99)
+    for lp in oracle_lps():
+        cold = solve(lp)
+        digest.update(outcome_bits(cold))
+        if cold.basis is not None:
+            digest.update(outcome_bits(solve(perturbed(lp, rng), start=cold.basis)))
+    for lp in degenerate_lps():
+        digest.update(outcome_bits(solve(lp)))
+    assert sum(bland) > _BLAND_TRIGGER
+    assert digest.hexdigest() == PINNED_OUTCOMES
+
+
+def reference_entering(tab, reduced, bland):
+    """The entering rule rebuilt from the column states and bounds."""
+    movable = tab.hi - tab.lo > 0
+    eligible = movable & np.where(
+        tab.state == _AT_LOWER, reduced < -_OPT_TOL, (tab.state == _AT_UPPER) & (reduced > _OPT_TOL)
+    )
+    if not eligible.any():
+        return None
+    if bland:
+        return int(np.argmax(eligible))
+    return int(np.argmax(np.where(eligible, np.abs(reduced), -1.0)))
+
+
+def reference_ratio_test(tab, j):
+    """The ratio test rebuilt from the basis, the bounds and column j's state."""
+    sigma = 1.0 if tab.state[j] == _AT_LOWER else -1.0
+    delta = sigma * tab.T[:, j]
+    blo, bhi = tab.lo[tab.basis], tab.hi[tab.basis]
+    ratios = np.full(tab.m, np.inf)
+    dec, inc = delta > _PIVOT_TOL, delta < -_PIVOT_TOL
+    ratios[dec] = (tab.xb[dec] - blo[dec]) / delta[dec]
+    ratios[inc] = (bhi[inc] - tab.xb[inc]) / (-delta[inc])
+    ratios = np.maximum(ratios, 0.0)
+    ratios[~np.isfinite(ratios)] = np.inf
+    span = tab.hi[j] - tab.lo[j]
+    t_rows = float(np.min(ratios, initial=np.inf))
+    if span <= t_rows:
+        return delta, span, None
+    candidates = np.flatnonzero(ratios <= t_rows + 1e-12)
+    return delta, t_rows, int(candidates[np.argmin(tab.basis[candidates])])
+
+
+def test_each_pivot_matches_the_rules_built_from_the_states(monkeypatch):
+    # The pivot loop keeps directions and basic bounds instead of rebuilding
+    # them.  At every pricing and ratio test of the oracle and degenerate
+    # families, warm starts included, the kept arrays equal the ones built
+    # from the states, and the entering column, step and leaving row equal
+    # the rules that build them, bit for bit.
+    entering, ratio_test = _Tableau._entering, _Tableau._ratio_test
+    calls = {"entering": 0, "ratio": 0, "bland": 0}
+
+    def checked_entering(self, reduced, bland):
+        movable = self.hi - self.lo > 0
+        assert np.array_equal(self.direction, np.select(
+            [movable & (self.state == _AT_LOWER), movable & (self.state == _AT_UPPER)], [-1.0, 1.0]
+        ))
+        assert np.array_equal(self.blo, self.lo[self.basis]) and np.array_equal(self.bhi, self.hi[self.basis])
+        got = entering(self, reduced, bland)
+        assert got == reference_entering(self, reduced, bland)
+        calls["entering"] += 1
+        calls["bland"] += bland
+        return got
+
+    def checked_ratio_test(self, j, delta):
+        want_delta, *want = reference_ratio_test(self, j)
+        assert delta.tobytes() == want_delta.tobytes()
+        got = ratio_test(self, j, delta)
+        assert float(got[0]).hex() == float(want[0]).hex() and got[1] == want[1]
+        calls["ratio"] += 1
+        return got
+
+    monkeypatch.setattr(_Tableau, "_entering", checked_entering)
+    monkeypatch.setattr(_Tableau, "_ratio_test", checked_ratio_test)
+    rng = np.random.default_rng(7)
+    for lp in [*oracle_lps(), *degenerate_lps()]:
+        out = solve(lp)
+        if out.basis is not None:
+            solve(perturbed(lp, rng, scale=1e-1), start=out.basis)
+    assert calls["ratio"] > 1000 and calls["bland"] > _BLAND_TRIGGER
+
+
+def test_a_past_deadline_stops_the_simplex_at_its_first_pivot():
+    # The deadline is read before each pivot: a solve that needs none ends
+    # as without it, one that needs any raises LpTimeout, an LpError.
+    past, later = time.perf_counter() - 1.0, time.perf_counter() + 3600.0
+    stopped = 0
+    for lp in oracle_lps():
+        want = solve(lp)
+        assert_same_outcome(solve(lp, deadline=later), want)
+        if want.iterations == 0:
+            assert_same_outcome(solve(lp, deadline=past), want)
+            continue
+        with pytest.raises(LpTimeout, match="deadline"):
+            solve(lp, deadline=past)
+        stopped += 1
+    assert stopped >= 100
+    assert issubclass(LpTimeout, LpError)
+
+
+def test_phase1_counts_the_pivots_before_the_first_feasible_basis():
+    # Phase 1 runs only for the rows the crash basis leaves uncovered, and
+    # a warm start skips it: its pivots are a share of the solve's.
+    counted = 0
+    for lp in oracle_lps():
+        out = solve(lp)
+        assert 0 <= out.phase1 <= out.iterations
+        counted += out.phase1
+        if out.basis is not None:
+            assert solve(lp, start=out.basis).phase1 == 0
+    assert counted > 0
+    # 0 <= x + y <= 1 holds at the lower bounds: every row starts on its slack
+    rows = [[1.0, 1.0], [1.0, 1.0]]
+    lp = LinearProgram([-1.0, -2.0], box([0.0, 2.0], [0.0, 2.0]), rows, ["<=", ">="], [1.0, 0.0])
+    out = solve(lp)
+    assert (out.phase1, out.iterations) == (0, 1)
+    # x + y >= 1 does not: its artificial leaves the basis in one phase-1 pivot
+    out = solve(LinearProgram([1.0, 2.0], box([0.0, 2.0], [0.0, 2.0]), [[1.0, 1.0]], [">="], [1.0]))
+    assert (out.phase1, out.iterations, out.value) == (1, 1, 1.0)

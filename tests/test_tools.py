@@ -68,3 +68,24 @@ def test_signature_pins_blas_or_refuses():
         for first in ("", "import numpy\n")
     ]
     assert outs == [["True", "1", "ran"], ["False", "None", "refused", "True"]]
+
+
+def test_stage_table_lists_every_mode_and_run(monkeypatch):
+    # One row per mode and run, time columns that add up to the total, and
+    # the same work columns as the runs' metrics report.
+    tool = load_tool("work_signature", monkeypatch)
+    lines = tool.stage_table("deep-16x3", 1, 1).splitlines()
+    assert lines[0] == "stages of deep-16x3 seed 1: ms, best of 1 passes"
+    assert lines[1].split() == [
+        "mode", "run", "total", "propagate", "build", "solve", "other", "lps", "warm", "pivots", "phase1"
+    ]
+    rows = [line.split() for line in lines[2:]]
+    assert [row[:2] for row in rows] == [
+        [mode, run] for mode in ("baseline", "reuse", "reorder", "ivan") for run in ("first", "second")
+    ]
+    for row in rows:
+        total, *stages = map(float, row[2:7])
+        assert abs(sum(stages) - total) < 0.5  # each column is rounded to 0.1 ms
+        lps, warm, pivots, phase1 = map(int, row[7:])
+        assert warm <= lps and phase1 <= pivots
+    assert sum(int(row[9]) for row in rows) > 0

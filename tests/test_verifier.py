@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from incver import lp as lp_module
 from incver import verifier
 from incver.heuristics import BaseHeuristic, HeuristicConfig
 from incver.model import (
@@ -271,6 +272,24 @@ def test_a_run_reports_its_batches_and_where_its_time_went():
     assert (settled.metrics.lps, settled.metrics.build_s, settled.metrics.solve_s) == (0, 0.0, 0.0)
 
 
+def test_an_lp_past_the_deadline_ends_the_run_as_a_timeout(monkeypatch):
+    # The run's deadline reaches the simplex, which reads it before each
+    # pivot.  With the solver's clock past every deadline, the demo's root
+    # LP stops at its first pivot, and the run ends as Timeout, the same
+    # verdict and note as a deadline the search loop sees, not as an
+    # AnalyzerError.  The search loop's own clock is not moved.
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    net = load_network(fixtures / "demo_network.json")
+    prop = load_property(fixtures / "demo_property.json")
+    cfg = VerifierConfig(timeout=30.0)
+    monkeypatch.setattr(lp_module, "perf_counter", lambda: math.inf)
+    res = verify(net, prop, cfg)
+    assert (res.verdict, res.note) == (RunVerdict.TIMEOUT, "wall-clock timeout")
+    assert (res.metrics.boundings, res.metrics.lps) == (0, 0)
+    monkeypatch.undo()
+    assert verify(net, prop, cfg).verdict is RunVerdict.VERIFIED
+
+
 def record_frontier_regions(monkeypatch) -> list:
     """Record each frontier batch's ``(region, bounds)`` pairs, in the order
     verify analyzes them; the caller pops one per bounding."""
@@ -299,11 +318,11 @@ def test_each_bounding_gets_the_subproblem_of_its_root_path(monkeypatch):
     analyze = verifier.analyze
     pending = record_frontier_regions(monkeypatch)
 
-    def recording_analyze(net, prop, bounds, start=None):
+    def recording_analyze(net, prop, bounds, start=None, deadline=None):
         (box, splits, parent), given = pending.pop(0)
         assert bounds is given and prop.input is box
         seen.append((box, splits, parent, start))
-        return analyze(net, prop, bounds, start=start)
+        return analyze(net, prop, bounds, start=start, deadline=deadline)
 
     monkeypatch.setattr(verifier, "analyze", recording_analyze)
 
@@ -402,14 +421,14 @@ def test_a_basis_is_stored_only_after_its_lp(monkeypatch):
     analyze = verifier.analyze
     pending = record_frontier_regions(monkeypatch)
 
-    def checking_analyze(net, prop, bounds, start=None):
+    def checking_analyze(net, prop, bounds, start=None, deadline=None):
         assert bases.keys() == expected.keys()
         assert all(bases[key] is basis for key, basis in expected.items())
         (_, splits, _), given = pending.pop(0)
         assert bounds is given
         key = (frozenset(splits.items()), prop.input.lower.tobytes(), prop.input.upper.tobytes())
         assert start is expected.get(key)
-        res = analyze(net, prop, bounds, start=start)
+        res = analyze(net, prop, bounds, start=start, deadline=deadline)
         if res.pivots is None:
             assert res.basis is None and not res.warm
         elif res.basis is not None:

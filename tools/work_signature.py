@@ -5,8 +5,9 @@ and runs ``verify_incremental`` on each of them in all four modes, with the
 configurations ``perfbench/run.py`` uses.  It prints, per mode and in total:
 
 * boundings, branchings, propagation passes, their back-substitution
-  walks, LPs solved, their summed pivots, the LPs that started from a
-  carried basis and the batched propagation calls (from the runs' metrics);
+  walks, LPs solved, their summed pivots and the share of those that
+  phase 1 applied, the LPs that started from a carried basis and the
+  batched propagation calls (from the runs' metrics);
 * a SHA-256 over every run's verdict, counts, counterexample bytes and each
   tree node's ``(id, lb.hex())``;
 * a verdict digest: a SHA-256 over every run's verdict alone;
@@ -41,6 +42,16 @@ of floating-point operations.
     python3 tools/work_signature.py --workload quant-8x6 --seed 1 > before.txt
     # ... change the code ...
     python3 tools/work_signature.py --workload quant-8x6 --seed 1 --expect before.txt
+
+With ``--stages N`` the script then runs the pass N more times, with the
+plain solver (no LP digest), and prints to standard error, after the
+JSON line, where each mode's first and second runs spent their time: the
+best of the N passes, in milliseconds summed over the instances, of
+propagation, LP building, LP solving and the rest of the runs' wall time,
+next to their LPs, warm starts, pivots and phase-1 pivots.  The table is
+not part of the JSON that ``--expect`` compares.
+
+    python3 tools/work_signature.py --workload deep-16x3 --seed 1 --stages 5
 
 With ``--bench FILE`` (and no ``--workload``/``--seed``) it writes one point
 of the benchmark trajectory as JSON: the signature totals of every workload
@@ -87,7 +98,12 @@ BENCH_SECONDS = 30  # perfbench's run length, as BENCHMARK.json sets it
 # fields whose difference is only in the last bits of the same search
 BIT_DIGESTS = ("sha256", "lp_sha256", "sha", "lp_sha")
 # the work counters read from each run's metrics
-COUNTERS = ("boundings", "branchings", "passes", "walks", "lps", "pivots", "warm", "batches")
+COUNTERS = (
+    "boundings", "branchings", "passes", "walks", "lps", "pivots", "phase1_pivots", "warm", "batches"
+)
+# the stage timers and work counters of each run's metrics, as the stage table's columns
+STAGES = ("propagate_s", "build_s", "solve_s")
+WORK = ("lps", "warm", "pivots", "phase1_pivots")
 
 
 def _lb_hex(lb) -> str:
@@ -111,6 +127,16 @@ def lp_digest(lp) -> bytes:
     return b"|".join(parts)
 
 
+def _configs(workload: str) -> dict:
+    """Each mode's configuration, as perfbench/run.py sets it for the workload."""
+    fam = workloads.FAMILIES[workload]
+    heuristic = HeuristicConfig(theta=fam.theta)
+    return {
+        mode: VerifierConfig(mode=mode, heuristic=heuristic, timeout=RUN_TIMEOUT, branching=fam.branching)
+        for mode in Mode
+    }
+
+
 def signature(workload: str, seed: int) -> dict:
     if not BLAS_PINNED:
         raise RuntimeError(
@@ -118,12 +144,7 @@ def signature(workload: str, seed: int) -> dict:
             "not be the benchmark's bits; import tools/work_signature.py before numpy, or "
             "set " + ", ".join(f"{var}=1" for var in BLAS_THREAD_VARS) + " before starting Python"
         )
-    fam = workloads.FAMILIES[workload]
-    heuristic = HeuristicConfig(theta=fam.theta)
-    configs = {
-        mode: VerifierConfig(mode=mode, heuristic=heuristic, timeout=RUN_TIMEOUT, branching=fam.branching)
-        for mode in Mode
-    }
+    configs = _configs(workload)
     instances = workloads.make_instances(workload, seed)
     per_mode = {
         mode.value: {
@@ -179,6 +200,48 @@ def signature(workload: str, seed: int) -> dict:
         "lp_sha256": lp_total.hexdigest(),
         "modes": modes,
     }
+
+
+def stage_table(workload: str, seed: int, repeats: int) -> str:
+    """Best-of-``repeats`` stage times of each mode's first and second runs, as text.
+
+    Each pass runs every instance in every mode, as :func:`signature` does
+    but with the plain solver.  A row sums one mode's first (or second)
+    runs over the instances; each time column is the smallest such sum over
+    the passes, ``other`` being the wall time the three stages leave.  The
+    work columns are the same in every pass.
+    """
+    configs = _configs(workload)
+    instances = workloads.make_instances(workload, seed)
+    best = {}
+    for _ in range(repeats):
+        sums = {}
+        for inst in instances:
+            for mode, cfg in configs.items():
+                pair = verify_incremental(inst.original, inst.updated, inst.prop, cfg)
+                for run, res in zip(("first", "second"), pair):
+                    m = res.metrics
+                    row = sums.setdefault(
+                        (mode.value, run), dict.fromkeys(("wall", "other", *STAGES, *WORK), 0)
+                    )
+                    row["wall"] += m.wall_time
+                    row["other"] += m.wall_time - sum(getattr(m, key) for key in STAGES)
+                    for key in (*STAGES, *WORK):
+                        row[key] += getattr(m, key)
+        for key, row in sums.items():
+            best[key] = {k: min(v, best.get(key, row)[k]) for k, v in row.items()}
+    lines = [
+        f"stages of {workload} seed {seed}: ms, best of {repeats} passes",
+        f"{'mode':9s} {'run':6s} {'total':>8s} {'propagate':>9s} {'build':>7s} {'solve':>8s} "
+        f"{'other':>7s} {'lps':>5s} {'warm':>5s} {'pivots':>7s} {'phase1':>6s}",
+    ]
+    for (mode, run), row in best.items():
+        lines.append(
+            f"{mode:9s} {run:6s} {row['wall'] * 1e3:8.1f} {row['propagate_s'] * 1e3:9.1f} "
+            f"{row['build_s'] * 1e3:7.1f} {row['solve_s'] * 1e3:8.1f} {row['other'] * 1e3:7.1f} "
+            f"{row['lps']:5d} {row['warm']:5d} {row['pivots']:7d} {row['phase1_pivots']:6d}"
+        )
+    return "\n".join(lines)
 
 
 def _fields(sig: dict) -> dict:
@@ -254,10 +317,15 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int)
     p.add_argument("--expect", metavar="FILE", help="a saved output to compare the totals JSON with")
     p.add_argument("--bench", metavar="FILE", help="write a benchmark trajectory point to FILE")
+    p.add_argument(
+        "--stages", type=int, metavar="N", help="also print a best-of-N stage table to standard error"
+    )
     args = p.parse_args(argv)
+    if args.stages is not None and args.stages < 1:
+        p.error("--stages takes a positive number of passes")
     if args.bench:
-        if args.workload or args.seed is not None or args.expect:
-            p.error("--bench takes no --workload, --seed or --expect")
+        if args.workload or args.seed is not None or args.expect or args.stages:
+            p.error("--bench takes no --workload, --seed, --expect or --stages")
         bench(Path(args.bench))
         return 0
     if args.workload is None or args.seed is None:
@@ -276,10 +344,13 @@ def main(argv=None) -> int:
         print(
             f"{name:9s} boundings {row['boundings']:5d}  branchings {row['branchings']:4d}  "
             f"passes {row['passes']:5d}  walks {row['walks']:5d}  lps {row['lps']:5d}  "
-            f"pivots {row['pivots']:6d}  warm {row['warm']:4d}  batches {row['batches']:4d}  "
+            f"pivots {row['pivots']:6d}  phase1 {row['phase1_pivots']:5d}  warm {row['warm']:4d}  "
+            f"batches {row['batches']:4d}  "
             f"sha256 {row['sha'][:16]}  verdicts {row['verdict_sha'][:16]}  lp {row['lp_sha'][:16]}"
         )
     print(json.dumps(sig))
+    if args.stages:
+        print(stage_table(args.workload, args.seed, args.stages), file=sys.stderr)
     if want is None:
         return 0
     diff = differences(sig, want)
