@@ -20,17 +20,18 @@ Two layers of machinery live here:
     its parent's.  That gives the verifier its monotonicity guarantee (child
     lower bounds never fall below the parent's beyond solver tolerance,
     whichever the branching) and makes root-derived norms sound for every
-    descendant region.  A ReLU split at layer k leaves its parent's layers
-    above k, and the walk of layer k itself, as they were: a child on the
-    same network and box takes them from the parent's bounds, which carry
-    them read-only, and walks only the layers after k and the output.
+    descendant region.  A ReLU split at layer k leaves the walks of its
+    parent's layers up to k as they were: a child on the same network and
+    box takes the parent's bounds of those layers, which are read-only, in
+    place of their walks, and walks only the layers after k and the output.
     An input split changes the box, so its children walk every layer.
 
     ``bound_regions`` runs the passes of many regions as one batch: the
-    arrays of a layer gain a leading region axis, and each layer is walked
-    once for every region that walks it, so numpy's per-call cost is paid
-    once per batch instead of once per region.  Each region's values are
-    the bits its own pass computes.  ``compute_bounds`` is the batch of one.
+    arrays of a layer gain a leading region axis, each layer is walked once
+    for every region that walks it, and one step intersects, signs and
+    decides it for the whole batch, so numpy's per-call cost is paid once
+    per batch instead of once per region.  Each region's values are the
+    bits its own pass computes.  ``compute_bounds`` is the batch of one.
 
 ``analyze``
     Settles a region from its bounds, computed with the property's objective
@@ -141,10 +142,11 @@ class PreactBounds:
     objective over the region: that back-substituted bound, at least the
     parent's, and raised to the LP optimum once :func:`analyze` solves one.
     ``walks`` counts the back-substitution walks of the pass that computed
-    these bounds.  ``carry`` is what a child bounded from them on the same
-    network and box takes instead of walking (see :func:`compute_bounds`);
+    these bounds.  ``carry`` names the network, box and splits that pass ran
+    on, so that a child on the same network and box takes these bounds of
+    its unchanged layers in place of walks (see :func:`compute_bounds`);
     None makes every child walk every layer.  The per-layer arrays are
-    read-only, because children share them.
+    read-only, because children read them.
     """
 
     pre_lb: list
@@ -173,37 +175,12 @@ def _validate_splits(items, widths) -> None:
             raise ValueError(f"{rid} is outside the network's ReLU layers")
 
 
-class _Relaxation(NamedTuple):
-    """Per-layer linear ReLU relaxation: lower x >= lam_low * xhat, upper
-    x <= lam_up * xhat + mu_up.  Held in the shapes a walk reads, over a
-    leading region axis: (k, 1, w) slopes and (k, w, 1) intercepts."""
-
-    lam_low: np.ndarray
-    lam_up: np.ndarray
-    mu_up: np.ndarray
-
-
 class _Carry(NamedTuple):
-    """What a pass hands its children: the network, box and split items it
-    ran on and, per ReLU layer, the walk's interval before any intersection,
-    as (1, w) rows, and the relaxation of the one region, so that a batch
-    joins its regions' layers along their first axis."""
+    """The pass a region's bounds came from: its network, box and split items."""
 
     net: Network
     box: InputBox
     splits: frozenset
-    walked: tuple
-    relax: tuple
-
-
-def _rows(arrays) -> np.ndarray:
-    """Equal-length 1-d arrays as the rows of one 2-d array (one array is viewed, not copied)."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
-def _cat(arrays) -> np.ndarray:
-    """Arrays joined along their first axis; one array is returned as it is."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def _lower_bound(blocks, relax, start, upto, lower, upper):
@@ -260,29 +237,34 @@ def bound_regions(net: Network, regions, objective=None) -> list:
     region, with the meanings :func:`compute_bounds` gives them; the
     ``objective``, if any, is shared by all.  Returns one
     :class:`PreactBounds` per region, in order, each the bits that
-    :func:`compute_bounds` returns for that region alone, ``walks`` and the
-    carried layers included.  A region whose parent is already
-    ``infeasible`` gets that parent; every other region gets one pass.
+    :func:`compute_bounds` returns for that region alone, ``walks``
+    included.  A region whose parent is already ``infeasible`` gets that
+    parent; every other region gets one pass.
 
-    The passes run together: each layer's interval comes from one
-    :func:`_interval` walk of every region that walks it, its products run
-    region by region inside one call each, which saves numpy's per-call
-    cost for all but one region.  Each unit's phase is decided here, once:
-    a split unit takes its sign's phase; otherwise it is inactive if
-    u <= STABLE_TOL, else active if l >= -STABLE_TOL, else ambiguous.  Its
-    relaxation follows the phase: 0, the identity, or the triangle's chord
-    above and a line through the origin below.  With an ``objective``, its
-    row ``(c @ W, c @ b)`` rides in the output block's walk, which sets
-    ``kappa`` and ``objective_lb`` (at least the parent's).
+    The passes run together, one step per ReLU layer for the whole batch.
+    A region walks the layer with :func:`_interval`, whose products run
+    region by region inside one call for every region that walks it, or
+    takes its parent's bounds of the layer in place of the walk (below).
+    The interval is intersected with the parent's bounds and each unit's
+    phase decided: a split unit takes its sign's phase; otherwise it is
+    inactive if u <= STABLE_TOL, else active if l >= -STABLE_TOL, else
+    ambiguous.  Its relaxation follows the phase: 0, the identity, or the
+    triangle's chord above and a line through the origin below.  With an
+    ``objective``, its row ``(c @ W, c @ b)`` rides in the output block's
+    walk, which sets ``kappa`` and ``objective_lb`` (at least the parent's).
 
-    When a region's parent carries a pass on the same network and box, the
-    layers above the first one whose splits differ from its splits would
-    walk through the same relaxations to the same intervals and meet the
-    same parent bounds, so they are taken from it as they are; that first
-    layer takes the parent's walked interval and is decided anew.  Regions
-    are taken in the order of that first layer, those with no such parent
-    leading, so the regions that walk a layer, and those that decide it, are
-    a prefix of the batch.
+    When a region's parent ran on the same network and box, the layers up
+    to the first one whose splits differ from its splits take the parent's
+    bounds in place of a walk.  The parent's bounds are the ``max``/``min``
+    of that same walk, with the walk as first argument, so intersecting
+    them with themselves gives the walk's intersection bit for bit, and
+    re-applying the parent's signs changes nothing.  (Where the parent's
+    bounds crossed by less than CROSS_TOL and were reordered, they give the
+    walk's bounds after this pass's reordering; only a "+" split of such a
+    unit, which the parent decided inactive, is checked for crossing
+    against the reordered bound instead of the walk's.)  Regions are taken
+    in the order of the number of layers they take, so the regions that
+    walk a layer are a prefix of the batch.
     """
     if objective is not None:
         objective = np.asarray(objective, dtype=float)
@@ -305,105 +287,79 @@ def bound_regions(net: Network, regions, objective=None) -> list:
             out[k] = prior
         elif carry is None or carry.net is not net or carry.box is not box:
             _validate_splits(items, widths)
-            plan.append((0, 0, k, box, items, prior, None))
+            plan.append((0, k, box, items, prior))
         else:
             changed = items ^ carry.splits  # the carried items were checked on this network
             _validate_splits(changed, widths)
-            first = min((rid.layer for rid, _ in changed), default=n_relu)
-            plan.append((first, 1, k, box, items, prior, carry))
+            first = min((rid.layer for rid, _ in changed), default=n_relu - 1)  # none: take all
+            plan.append((first + 1, k, box, items, prior))
     if not plan:
         return out
     if len(plan) > 1:
-        plan.sort(key=lambda p: p[:3])
-    firsts, carried, order, boxes, items, priors, carries = zip(*plan)
+        plan.sort(key=lambda p: p[:2])
+    takes, order, boxes, items, priors = zip(*plan)
     n = len(plan)
-    cold = n - sum(carried)  # the regions that walk every layer
     gaps = priors.count(None)
     if boxes.count(boxes[0]) == n:  # one box, as under ReLU branching: every region reads it
         lower, upper = boxes[0].lower[None, :, None], boxes[0].upper[None, :, None]
     else:
         lower = np.stack([box.lower for box in boxes])[:, :, None]
         upper = np.stack([box.upper for box in boxes])[:, :, None]
-    signs_at = {}  # per layer: (region, unit, sign) where decided
-    kept = []  # per region: pre_lb, pre_ub, phase, walked and relaxation by layer
-    for r, first in enumerate(firsts):
-        for rid, sign in items[r]:
-            if rid.layer >= first:
-                entry = (r, rid.neuron, 1.0 if sign == "+" else -1.0)
-                signs_at.setdefault(rid.layer, []).append(entry)
-        if carried[r]:
-            prior, carry = priors[r], carries[r]
-            kept.append((prior.pre_lb[:first], prior.pre_ub[:first], prior.phase[:first],
-                         list(carry.walked[:first]), list(carry.relax[:first])))
-        else:
-            kept.append(([], [], [], [], []))
+    signs_at = {}  # per layer: (region, unit, sign)
+    for r, split_items in enumerate(items):
+        for rid, sign in split_items:
+            signs_at.setdefault(rid.layer, []).append((r, rid.neuron, 1.0 if sign == "+" else -1.0))
 
-    def prior_rows(get, fill, upto=n):
-        """The first ``upto`` priors' arrays ``get(prior)`` as rows; a missing
-        prior's row is ``fill``, which leaves its bound as it is."""
-        arrays = [None if p is None else get(p) for p in priors[:upto]]
+    def prior_rows(get, fill):
+        """The priors' arrays ``get(prior)`` as rows; a missing prior's row is
+        ``fill``, which leaves its bound as it is."""
+        arrays = [None if p is None else get(p) for p in priors]
         if gaps:
             gap = np.full(next(a for a in arrays if a is not None).size, fill)
             arrays = [gap if a is None else a for a in arrays]
-        return _rows(arrays)
+        return np.stack(arrays)
 
-    infeasible = [False] * n
+    infeasible = np.zeros(n, dtype=bool)
+    lows, highs, phases = [], [], []
     relax = []  # per layer, every region's relaxation in the shapes _lower_bound takes
     for i in range(n_relu):
-        walking = cold if i == 0 else bisect.bisect_left(firsts, i)
-        deciding = bisect.bisect_right(firsts, i)
-        if deciding:
-            if walking == n:
-                l, u, _, _ = _interval(net, relax, i, lower, upper)
-            elif walking:
-                above = [tuple(a[:walking] for a in r) for r in relax]
-                l, u, _, _ = _interval(net, above, i, lower[:walking], upper[:walking])
-            if deciding > walking:  # these regions decide this layer from their prior's walk
-                sides = zip(*(carry.walked[i] for carry in carries[walking:deciding]))
-                taken = [_cat(side) for side in sides]
-                l, u = (np.concatenate(pair) for pair in zip((l, u), taken)) if walking else taken
-            walked_l, walked_u = l, u
-            if gaps < n:
-                l = np.maximum(l, prior_rows(lambda p: p.pre_lb[i], -np.inf, deciding))
-                u = np.minimum(u, prior_rows(lambda p: p.pre_ub[i], np.inf, deciding))
-            signed = signs_at.get(i)
-            if signed:
-                signs = np.zeros(l.shape)
-                for r, j, sign in signed:
-                    signs[r, j] = sign
-                plus, minus = signs > 0, signs < 0
-                l = np.where(plus, np.maximum(l, 0.0), l)
-                u = np.where(minus, np.minimum(u, 0.0), u)
-            crossed = l > u + CROSS_TOL
-            if crossed.any():
-                for r in np.flatnonzero(crossed.any(axis=1)):
-                    infeasible[r] = True
-            u = np.maximum(u, l)  # keep arrays ordered even for flagged regions
+        walking = bisect.bisect_right(takes, i)
+        if walking:
+            above = relax if walking == n else [tuple(a[:walking] for a in r) for r in relax]
+            l, u, _, _ = _interval(net, above, i, lower[:walking], upper[:walking])
+        if gaps < n:
+            prior_l = prior_rows(lambda p: p.pre_lb[i], -np.inf)
+            prior_u = prior_rows(lambda p: p.pre_ub[i], np.inf)
+            if walking < n:  # the later regions take their parent's bounds for the walk
+                l = np.concatenate([l, prior_l[walking:]]) if walking else prior_l
+                u = np.concatenate([u, prior_u[walking:]]) if walking else prior_u
+            l = np.maximum(l, prior_l)
+            u = np.minimum(u, prior_u)
+        signed = signs_at.get(i)
+        if signed:
+            signs = np.zeros(l.shape)
+            for r, j, sign in signed:
+                signs[r, j] = sign
+            plus, minus = signs > 0, signs < 0
+            l = np.where(plus, np.maximum(l, 0.0), l)
+            u = np.where(minus, np.minimum(u, 0.0), u)
+        infeasible |= (l > u + CROSS_TOL).any(axis=1)
+        u = np.maximum(u, l)  # keep arrays ordered even for flagged regions
 
-            phase = (u > STABLE_TOL) * (1 + (l < -STABLE_TOL))
-            if signed:  # a "-" unit is inactive even where l is up to CROSS_TOL above 0
-                phase = np.where(plus, ACTIVE, np.where(minus, INACTIVE, phase))
-            active, amb = phase == ACTIVE, phase == AMBIGUOUS
-            width = u - l
-            lam_low = (active | amb & (u >= -l)).astype(float)
-            lam_up = np.divide(u, width, out=active.astype(float), where=amb)
-            mu_up = np.divide(-u * l, width, out=np.zeros(l.shape), where=amb)
-            for a in (walked_l, walked_u, l, u, phase, lam_low, lam_up, mu_up):
-                a.setflags(write=False)
-            lam_low, lam_up, mu_up = mine = (lam_low[:, None, :], lam_up[:, None, :], mu_up[:, :, None])
-            for r in range(deciding):
-                pre_lb, pre_ub, phases, walked, relaxed = kept[r]
-                pre_lb.append(l[r])
-                pre_ub.append(u[r])
-                phases.append(phase[r])
-                walked.append((walked_l[r : r + 1], walked_u[r : r + 1]))
-                relaxed.append(_Relaxation(lam_low[r : r + 1], lam_up[r : r + 1], mu_up[r : r + 1]))
-        if deciding < n:  # the later regions keep their prior's relaxation of this layer
-            sides = zip(*(kr[4][i] for kr in kept[deciding:]))
-            if deciding:
-                sides = [(own, *side) for own, side in zip(mine, sides)]
-            mine = [_cat(side) for side in sides]
-        relax.append(mine)
+        phase = (u > STABLE_TOL) * (1 + (l < -STABLE_TOL))
+        if signed:  # a "-" unit is inactive even where l is up to CROSS_TOL above 0
+            phase = np.where(plus, ACTIVE, np.where(minus, INACTIVE, phase))
+        active, amb = phase == ACTIVE, phase == AMBIGUOUS
+        width = u - l
+        lam_low = (active | amb & (u >= -l)).astype(float)
+        lam_up = np.divide(u, width, out=active.astype(float), where=amb)
+        mu_up = np.divide(-u * l, width, out=np.zeros(l.shape), where=amb)
+        for a in (l, u, phase):
+            a.setflags(write=False)
+        lows.append(l)
+        highs.append(u)
+        phases.append(phase)
+        relax.append((lam_low[:, None, :], lam_up[:, None, :], mu_up[:, :, None]))
 
     out_l, out_u, lb, coefs = _interval(net, relax, n_relu, lower, upper, objective)
     if gaps < n:
@@ -416,22 +372,17 @@ def bound_regions(net: Network, regions, objective=None) -> list:
             out_u = np.where(has, np.maximum(out_u, out_l), out_u)
         else:
             out_u = np.maximum(out_u, out_l)
-        if crossed.any():
-            for r in np.flatnonzero(crossed.any(axis=1)):
-                infeasible[r] = True
+        infeasible |= crossed.any(axis=1)
     if objective is not None:
         kappa = [np.abs(a) for a in coefs]
-    for r, (pre_lb, pre_ub, phases, walked, relaxed) in enumerate(kept):
-        # the ReLU layers from the first it decides on, less that one when its
-        # walk came from the parent, and the output
-        walks = max(n_relu - firsts[r] - carried[r], 0) + 1
-        carry = _Carry(net, boxes[r], items[r], tuple(walked), tuple(relaxed))
+    for r, prior in enumerate(priors):
         bounds = PreactBounds(
-            pre_lb, pre_ub, phases, out_l[r], out_u[r], None, infeasible[r], None, walks, carry
+            [a[r] for a in lows], [a[r] for a in highs], [a[r] for a in phases],
+            out_l[r], out_u[r], None, bool(infeasible[r]), None,
+            n_relu + 1 - takes[r], _Carry(net, boxes[r], items[r]),
         )
         if objective is not None:
             bounds.kappa = [a[r] for a in kappa]
-            prior = priors[r]
             obj = lb[r]
             if prior is not None and prior.objective_lb is not None:
                 obj = max(obj, prior.objective_lb)
@@ -464,11 +415,10 @@ def compute_bounds(
 
     A parent computed on this same network object and box object (a ReLU
     split's child; not an input split's, whose box is new) hands the pass
-    its ReLU layers above the first layer whose split signs differ: their
-    bounds, phases and relaxations, unchanged and shared.  That first
-    layer's interval is the parent's walk, not walked again, intersected
-    and decided anew under the child's signs; only the later layers and the
-    output are walked.  The result is the full pass's, bit for bit.
+    its bounds of the ReLU layers up to the first layer whose split signs
+    differ, in place of their walks; each is intersected and decided anew
+    under the child's signs, and only the later layers and the output are
+    walked.  The result is the full pass's, bit for bit.
 
     If a split empties the region (bounds cross), the result is flagged
     ``infeasible``; callers verify such regions vacuously.  This is

@@ -52,14 +52,6 @@ class InputBox:
     def clip(self, x) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
 
-    def corners(self):
-        """Iterate all 2^dim corner points (use only for small dim)."""
-        n = self.dim
-        for mask in range(1 << n):
-            yield np.where(
-                [(mask >> i) & 1 for i in range(n)], self.upper, self.lower
-            ).astype(float)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, InputBox):
             return NotImplemented

@@ -12,6 +12,8 @@ subproblem's LP in the second.
 Each ``verify`` run writes DEBUG lines to the ``incver.verifier`` logger:
 one per bounding phase (frontier size, LPs and how many started warm, nodes
 settled, splits chosen) and one when it ends (its verdict and work counts).
+``verify_incremental`` in mode ivan writes one more between its runs: theta
+and the internal nodes of the first run's tree and of the pruned tree.
 """
 
 from __future__ import annotations
@@ -465,6 +467,10 @@ def verify_incremental(
         second = verify(net_updated, prop, cfg, hobs=hobs)
     else:
         pruned = prune(first.tree, cfg.heuristic.theta)
+        log.debug(
+            "prune at theta %g: %d internal nodes -> %d",
+            cfg.heuristic.theta, first.tree.num_internal(), pruned.num_internal(),
+        )
         second = verify(net_updated, prop, cfg, initial_tree=pruned, hobs=hobs, bases=bases)
     if note:
         joined = f"{second.note}; {note}" if second.note else note

@@ -22,7 +22,6 @@ from incver.analyzer import (
     STABLE_TOL,
     PreactBounds,
     _lower_bound,
-    _Relaxation,
     analyze,
     compute_bounds,
 )
@@ -86,7 +85,7 @@ def separate_walk_bounds(net: Network, box, splits, objective=None, parent=None)
         """The analyzer's walk of the rows ``A z + c`` for this one region."""
         A, c = np.atleast_2d(A), np.atleast_1d(c)
         start = (A, c[:, None], np.maximum(A, 0.0), np.minimum(A, 0.0))
-        shaped = [(r.lam_low[None, None], r.lam_up[None, None], r.mu_up[None, :, None]) for r in relax]
+        shaped = [(lo[None, None], up[None, None], mu[None, :, None]) for lo, up, mu in relax]
         lower, upper = box.lower[None, :, None], box.upper[None, :, None]
         lb, coefs = _lower_bound(blocks, shaped, start, upto, lower, upper)
         return lb[0, :, 0], [a[0] for a in coefs]
@@ -121,7 +120,7 @@ def separate_walk_bounds(net: Network, box, splits, objective=None, parent=None)
                 lam_up[j] = u[j] / (u[j] - l[j])
                 mu_up[j] = -u[j] * l[j] / (u[j] - l[j])
                 lam_low[j] = 1.0 if u[j] >= -l[j] else 0.0
-        relax.append(_Relaxation(lam_low, lam_up, mu_up))
+        relax.append((lam_low, lam_up, mu_up))
         pre_lb.append(l)
         pre_ub.append(u)
         phases.append(phase)

@@ -265,10 +265,10 @@ def assert_identical(got, want):
 
 
 def test_child_takes_the_parents_layers_bit_for_bit():
-    # A child on its parent's network and box takes the parent's layers
-    # above its first split layer and that layer's walk; it must give what
-    # the full pass gives from a parent stripped of what it carries.  The
-    # paths split at the first, a middle and the last ReLU layer.
+    # A child on its parent's network and box takes the parent's bounds of
+    # the layers up to its first split layer in place of their walks; it
+    # must give what the full pass gives from a parent stripped of its
+    # carry.  The paths split at the first, a middle and the last ReLU layer.
     rng = np.random.default_rng(91)
     steps = {"first": 0, "middle": 0, "last": 0}  # by the split's layer
     for trial in range(60):
@@ -309,7 +309,8 @@ def test_child_takes_the_parents_layers_bit_for_bit():
 def test_no_reuse_across_networks_or_boxes():
     # A parent computed on another network (even its quantized copy) or
     # for another box hands nothing on: the child walks every layer and
-    # gets the full pass's bits.  What a parent carries is read-only.
+    # gets the full pass's bits.  The per-layer arrays children share are
+    # read-only.
     rng = np.random.default_rng(93)
     for trial in range(20):
         net = make_net([2, 4, 3, 2], rng)
@@ -333,31 +334,33 @@ def test_no_reuse_across_networks_or_boxes():
                 assert child.walks == full.walks == 3
 
     bounds = compute_bounds(net, box, {ReluId(0, 0): "+"}, objective=c)
-    carried = [*bounds.pre_lb, *bounds.pre_ub, *bounds.phase]
-    carried += [a for r in bounds.carry.relax for a in r]
-    carried += [a for pair in bounds.carry.walked for a in pair]
-    for a in carried:
+    for a in [*bounds.pre_lb, *bounds.pre_ub, *bounds.phase]:
         with pytest.raises(ValueError):
             a[0] = 1.0
 
 
-def assert_same_carry(got, want):
-    # a child bounded from either takes the same layers, bit for bit
-    assert got.carry.splits == want.carry.splits and got.carry.box is want.carry.box
-    g = [*got.carry.walked, *got.carry.relax]
-    w = [*want.carry.walked, *want.carry.relax]
-    assert len(g) == len(w)
-    for gs, ws in zip(g, w):
-        assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(gs, ws))
+def assert_same_children(net, box, splits, objective, got, want):
+    # a child split at each ReLU layer, bounded from either, gets the same
+    # bits and walks
+    for layer, width in enumerate(b.size for _, b in net.blocks[:-1]):
+        rid = ReluId(layer, width - 1)
+        if rid in splits:
+            continue
+        child_splits = {**splits, rid: "-"}
+        a = compute_bounds(net, box, child_splits, objective=objective, parent=got)
+        b = compute_bounds(net, box, child_splits, objective=objective, parent=want)
+        assert_identical(a, b)
+        assert a.walks == b.walks
 
 
 def test_a_batch_is_each_regions_own_pass_bit_for_bit():
     # bound_regions propagates a whole frontier in one batched pass; every
-    # region must get the bits, walks and carried layers that compute_bounds
-    # gives it alone.  The frontiers mix sibling ReLU splits at the first, a
-    # middle and the last layer, grandchildren that split above their
-    # parent's split, input halves (a new box, so nothing carried), a region
-    # with no parent and one under an empty parent, in shuffled order.
+    # region must get the bits and walks that compute_bounds gives it alone,
+    # and hand its children the same.  The frontiers mix sibling ReLU splits
+    # at the first, a middle and the last layer, grandchildren that split
+    # above their parent's split, input halves (a new box, so nothing
+    # carried), a region with no parent and one under an empty parent, in
+    # shuffled order.
     rng = np.random.default_rng(97)
     layers = {"first": 0, "middle": 0, "last": 0}
     for trial in range(40):
@@ -396,7 +399,7 @@ def test_a_batch_is_each_regions_own_pass_bit_for_bit():
                     continue
                 assert_identical(got, want)
                 assert got.walks == want.walks
-                assert_same_carry(got, want)
+                assert_same_children(net, region_box, splits, objective, got, want)
     assert min(layers.values()) >= 20, layers
 
 

@@ -36,10 +36,6 @@ def test_box_helpers():
     assert not box.contains([1.5, 0.0])
     assert box.contains([1.0 + 1e-9, 0.0], tol=1e-8)
     assert np.array_equal(box.clip([2.0, -3.0]), [1.0, -1.0])
-    corners = list(box.corners())
-    assert len(corners) == 4
-    assert any(np.array_equal(c, [0.0, -1.0]) for c in corners)
-    assert any(np.array_equal(c, [1.0, 1.0]) for c in corners)
 
 
 def test_holds_concretely():

@@ -1,6 +1,8 @@
 """The scripts under tools/ still import against the package's current API."""
 
 import importlib.util
+import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -89,3 +91,19 @@ def test_stage_table_lists_every_mode_and_run(monkeypatch):
         lps, warm, pivots, phase1 = map(int, row[7:])
         assert warm <= lps and phase1 <= pivots
     assert sum(int(row[9]) for row in rows) > 0
+
+
+def test_work_matches_the_newest_benchmark_point(tmp_path):
+    # The newest BENCH_*.json pins deep-16x3 seed 1's work and digests; the
+    # tool, in a process of its own that pins BLAS, must reproduce them all.
+    points = TOOLS.parent.glob("BENCH_*.json")
+    newest = max(points, key=lambda p: int(re.fullmatch(r"BENCH_(\d+)\.json", p.name)[1]))
+    want = json.loads(newest.read_text(encoding="utf-8"))["work"]["deep-16x3"]["1"]
+    saved = tmp_path / "expect.txt"
+    saved.write_text(json.dumps(want) + "\n", encoding="utf-8")
+    run = subprocess.run(
+        [sys.executable, str(TOOLS / "work_signature.py"), "--workload", "deep-16x3",
+         "--seed", "1", "--expect", str(saved)],
+        capture_output=True, text=True,
+    )
+    assert run.returncode == 0, (newest.name, run.stderr)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import logging
 import math
 from pathlib import Path
 
@@ -512,6 +513,20 @@ def test_call_accounting_incremental():
             assert m.branchings == (m.nodes_final - second.tree.num_leaves()) - (
                 m.nodes_initial - leaves_0
             )
+
+
+def test_ivan_logs_how_far_pruning_cut_the_tree(caplog):
+    # One DEBUG line between the runs: the demo's baseline proof has 4
+    # internal nodes, and pruning it at theta 1.0 leaves 2.
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    net = load_network(fixtures / "demo_network.json")
+    updated = load_network(fixtures / "demo_updated.json")
+    prop = load_property(fixtures / "demo_property.json")
+    heur = HeuristicConfig(base=BaseHeuristic.RANDOM, alpha=0.25, theta=1.0, seed=27)
+    with caplog.at_level(logging.DEBUG, logger="incver.verifier"):
+        verify_incremental(net, updated, prop, VerifierConfig(mode=Mode.IVAN, heuristic=heur))
+    lines = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("prune")]
+    assert lines == ["prune at theta 1: 4 internal nodes -> 2"]
 
 
 def test_input_branching_computes_no_observed_scores(monkeypatch):
