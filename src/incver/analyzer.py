@@ -245,11 +245,13 @@ def bound_regions(net: Network, regions, objective=None) -> list:
     A region walks the layer with :func:`_interval`, whose products run
     region by region inside one call for every region that walks it, or
     takes its parent's bounds of the layer in place of the walk (below).
-    The interval is intersected with the parent's bounds and each unit's
-    phase decided: a split unit takes its sign's phase; otherwise it is
-    inactive if u <= STABLE_TOL, else active if l >= -STABLE_TOL, else
-    ambiguous.  Its relaxation follows the phase: 0, the identity, or the
-    triangle's chord above and a line through the origin below.  With an
+    The interval is intersected with the parent's bounds (a region without
+    a parent, with the whole space) and each unit's phase decided: a split
+    unit takes its sign's phase; otherwise it is inactive if
+    u <= STABLE_TOL, else active if l >= -STABLE_TOL, else ambiguous.  Its
+    relaxation follows the phase: 0, the identity, or the triangle's chord
+    above and a line through the origin below.  The output block's bounds
+    are intersected and checked for crossing the same way.  With an
     ``objective``, its row ``(c @ W, c @ b)`` rides in the output block's
     walk, which sets ``kappa`` and ``objective_lb`` (at least the parent's).
 
@@ -299,7 +301,12 @@ def bound_regions(net: Network, regions, objective=None) -> list:
         plan.sort(key=lambda p: p[:2])
     takes, order, boxes, items, priors = zip(*plan)
     n = len(plan)
-    gaps = priors.count(None)
+    if None in priors:  # a region without a parent is intersected with the whole space
+        whole = PreactBounds(
+            [np.full(w, -np.inf) for w in widths], [np.full(w, np.inf) for w in widths], None,
+            np.full(net.output_dim, -np.inf), np.full(net.output_dim, np.inf),
+        )
+        priors = [whole if p is None else p for p in priors]
     if boxes.count(boxes[0]) == n:  # one box, as under ReLU branching: every region reads it
         lower, upper = boxes[0].lower[None, :, None], boxes[0].upper[None, :, None]
     else:
@@ -310,15 +317,6 @@ def bound_regions(net: Network, regions, objective=None) -> list:
         for rid, sign in split_items:
             signs_at.setdefault(rid.layer, []).append((r, rid.neuron, 1.0 if sign == "+" else -1.0))
 
-    def prior_rows(get, fill):
-        """The priors' arrays ``get(prior)`` as rows; a missing prior's row is
-        ``fill``, which leaves its bound as it is."""
-        arrays = [None if p is None else get(p) for p in priors]
-        if gaps:
-            gap = np.full(next(a for a in arrays if a is not None).size, fill)
-            arrays = [gap if a is None else a for a in arrays]
-        return np.stack(arrays)
-
     infeasible = np.zeros(n, dtype=bool)
     lows, highs, phases = [], [], []
     relax = []  # per layer, every region's relaxation in the shapes _lower_bound takes
@@ -327,14 +325,13 @@ def bound_regions(net: Network, regions, objective=None) -> list:
         if walking:
             above = relax if walking == n else [tuple(a[:walking] for a in r) for r in relax]
             l, u, _, _ = _interval(net, above, i, lower[:walking], upper[:walking])
-        if gaps < n:
-            prior_l = prior_rows(lambda p: p.pre_lb[i], -np.inf)
-            prior_u = prior_rows(lambda p: p.pre_ub[i], np.inf)
-            if walking < n:  # the later regions take their parent's bounds for the walk
-                l = np.concatenate([l, prior_l[walking:]]) if walking else prior_l
-                u = np.concatenate([u, prior_u[walking:]]) if walking else prior_u
-            l = np.maximum(l, prior_l)
-            u = np.minimum(u, prior_u)
+        prior_l = np.stack([p.pre_lb[i] for p in priors])
+        prior_u = np.stack([p.pre_ub[i] for p in priors])
+        if walking < n:  # the later regions take their parent's bounds for the walk
+            l = np.concatenate([l, prior_l[walking:]]) if walking else prior_l
+            u = np.concatenate([u, prior_u[walking:]]) if walking else prior_u
+        l = np.maximum(l, prior_l)
+        u = np.minimum(u, prior_u)
         signed = signs_at.get(i)
         if signed:
             signs = np.zeros(l.shape)
@@ -362,17 +359,10 @@ def bound_regions(net: Network, regions, objective=None) -> list:
         relax.append((lam_low[:, None, :], lam_up[:, None, :], mu_up[:, :, None]))
 
     out_l, out_u, lb, coefs = _interval(net, relax, n_relu, lower, upper, objective)
-    if gaps < n:
-        out_l = np.maximum(out_l, prior_rows(lambda p: p.out_lb, -np.inf))
-        out_u = np.minimum(out_u, prior_rows(lambda p: p.out_ub, np.inf))
-        crossed = out_l > out_u + CROSS_TOL
-        if gaps:  # a region without a prior is neither checked nor reordered
-            has = np.array([p is not None for p in priors])[:, None]
-            crossed &= has
-            out_u = np.where(has, np.maximum(out_u, out_l), out_u)
-        else:
-            out_u = np.maximum(out_u, out_l)
-        infeasible |= crossed.any(axis=1)
+    out_l = np.maximum(out_l, np.stack([p.out_lb for p in priors]))
+    out_u = np.minimum(out_u, np.stack([p.out_ub for p in priors]))
+    infeasible |= (out_l > out_u + CROSS_TOL).any(axis=1)
+    out_u = np.maximum(out_u, out_l)
     if objective is not None:
         kappa = [np.abs(a) for a in coefs]
     for r, prior in enumerate(priors):
@@ -384,7 +374,7 @@ def bound_regions(net: Network, regions, objective=None) -> list:
         if objective is not None:
             bounds.kappa = [a[r] for a in kappa]
             obj = lb[r]
-            if prior is not None and prior.objective_lb is not None:
+            if prior.objective_lb is not None:
                 obj = max(obj, prior.objective_lb)
             bounds.objective_lb = float(obj)
         out[order[r]] = bounds

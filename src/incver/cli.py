@@ -8,17 +8,15 @@ name (DEBUG, INFO, ...) to turn on logging.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import dataclasses
 import itertools
 import json
 import logging
 import multiprocessing
+import multiprocessing.connection
 import os
-import signal
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -359,10 +357,7 @@ def _failed(task: dict, exc: BaseException) -> dict:
 
 
 def _run_instance(task: dict) -> dict:
-    """One experiment cell; returns a results.csv row plus timing fields.
-
-    Module-level (not a closure) so a process pool can pickle it.
-    """
+    """One experiment cell; returns a results.csv row plus timing fields."""
     row = _task_row(task)
     try:
         net = load_network(task["network"])
@@ -396,74 +391,60 @@ def _run_instance(task: dict) -> dict:
     }
 
 
-# Set in each pool worker: the pool's shared marks, 1 once a task has started,
-# and the index of the task this worker last started.
-_running = None
-_task = None
-
-
-def _start_worker(running) -> None:
-    """Pool initializer: a worker the pool stops clears its task's running mark."""
-    global _running
-    _running = running
-    signal.signal(signal.SIGTERM, _stopped_by_pool)
-
-
-def _stopped_by_pool(signum, frame) -> None:
-    """SIGTERM handler: the pool is stopping this worker, so its task did not break it."""
-    if _task is not None:
-        _running[_task] = 0
-    signal.signal(signum, signal.SIG_DFL)
-    os.kill(os.getpid(), signum)
-
-
-def _run_marked(index: int, task: dict) -> dict:
-    """Run one task in a pool worker, marked as running."""
-    global _task
-    _task = index
-    _running[index] = 1
-    return _run_instance(task)
-
-
-def _run_pool(tasks: list, jobs: int) -> tuple:
-    """Run the tasks in one pool of at most one worker per task.
-
-    Returns their outcomes, a failed task's being a row whose error names the
-    exception, and the indices of the tasks a broken pool took down: those
-    not running in a worker that died on its own (a dead worker breaks the
-    pool, which fails every unfinished task and stops the other workers).
-    """
-    running = multiprocessing.RawArray("b", len(tasks))
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=min(jobs, len(tasks)), initializer=_start_worker, initargs=(running,)
-    ) as pool:
-        futures = [pool.submit(_run_marked, i, t) for i, t in enumerate(tasks)]
-    outcomes, lost = [], []
-    for i, (task, future) in enumerate(zip(tasks, futures)):
-        try:
-            outcomes.append(future.result())
-        except Exception as exc:
-            outcomes.append(_failed(task, exc))
-            if isinstance(exc, BrokenProcessPool) and not running[i]:
-                lost.append(i)
-    return outcomes, lost
+def _work(conn) -> None:
+    """A worker process: run each task the parent sends, send back its outcome."""
+    for task in iter(conn.recv, None):
+        conn.send(_run_instance(task))
 
 
 def _run_tasks(tasks: list, jobs: int) -> list:
-    """Run the tasks; with ``jobs > 1`` in a pool of at most one worker per task.
+    """Run the tasks; with ``jobs > 1`` in at most that many worker processes.
 
-    A task whose worker raised or died becomes a row whose error names the
-    exception; the tasks that finished keep their rows.  The tasks a dead
-    worker's broken pool took down with it are run again, once, in one
-    fresh pool.
+    Each worker owns one pipe and is sent one task at a time.  A task that
+    raised becomes a row whose error names the exception.  A worker that
+    dies running a task (its pipe ends) fails that task alone, with a row
+    naming the worker's exit code, and a fresh worker takes the next task.
     """
     if jobs == 1 or not tasks:
         return [_run_instance(t) for t in tasks]
-    outcomes, lost = _run_pool(tasks, jobs)
-    if lost:
-        again, _ = _run_pool([tasks[i] for i in lost], jobs)
-        for i, outcome in zip(lost, again):
-            outcomes[i] = outcome
+    outcomes = [None] * len(tasks)
+    workers, busy = [], {}  # busy: a working worker's pipe -> (worker, its task's index)
+
+    def collect():
+        """Wait for a worker to finish its task; return its pipe and it, or None if it died."""
+        conn = multiprocessing.connection.wait(list(busy))[0]
+        worker, i = busy.pop(conn)
+        try:
+            outcomes[i] = conn.recv()
+        except EOFError:
+            worker.join()
+            error = ChildProcessError(f"worker exited with code {worker.exitcode}")
+            outcomes[i] = _failed(tasks[i], error)
+            conn.close()
+            return None
+        return conn, worker
+
+    def start():
+        """Start a worker; return the parent's end of its pipe and it."""
+        conn, child = multiprocessing.Pipe()
+        worker = multiprocessing.Process(target=_work, args=(child,))
+        worker.start()
+        child.close()
+        workers.append(worker)
+        return conn, worker
+
+    try:
+        for i, task in enumerate(tasks):
+            idle = collect() if len(busy) == jobs else None
+            conn, worker = idle or start()
+            conn.send(task)
+            busy[conn] = (worker, i)
+        while busy:
+            collect()
+    finally:
+        for worker in workers:
+            worker.terminate()
+            worker.join()
     return outcomes
 
 

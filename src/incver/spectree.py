@@ -14,6 +14,7 @@ spliced out) to warm-start verification of a modified network.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Union
@@ -325,7 +326,8 @@ def _decision_to_json(d: Optional[Decision]):
     return {"kind": "input", "dim": d.dim, "half": d.half, "cut": d.cut}
 
 
-def _decision_from_json(obj, where: str) -> Decision:
+def _decision_from_json(obj, where: str, nid: int) -> Decision:
+    """Node ``nid``'s decision, read from ``obj`` found at ``where``."""
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object")
     kind = obj.get("kind")
@@ -339,7 +341,11 @@ def _decision_from_json(obj, where: str) -> Decision:
             dim, half, cut = obj["dim"], obj["half"], obj["cut"]
             if not is_number(dim, integral=True) or not is_number(cut):
                 raise ParseError(f"{where}: dim must be int and cut a number")
+            if not math.isfinite(cut):  # a cut is the midpoint of a finite box
+                raise ParseError(f"{where}.cut: node {nid} cuts at {cut}, not a finite number")
             return InputDecision(dim, half, float(cut))
+    except ParseError:
+        raise
     except KeyError as exc:
         raise ParseError(f"{where}: missing field {exc}") from exc
     except ValueError as exc:
@@ -390,7 +396,7 @@ def tree_from_json(obj, where: str = "tree") -> SpecTree:
         if parent is not None and not is_number(parent, integral=True):
             raise ParseError(f"{w}.parent: expected an integer or null")
         dec = item.get("decision")
-        decision = None if dec is None else _decision_from_json(dec, f"{w}.decision")
+        decision = None if dec is None else _decision_from_json(dec, f"{w}.decision", nid)
         if (parent is None) != (decision is None):
             raise ParseError(f"{w}: parent and decision must both be present or both null")
         if decision is not None and dec["kind"] != branching:
@@ -409,6 +415,8 @@ def tree_from_json(obj, where: str = "tree") -> SpecTree:
         lb = item.get("lb")
         if lb is not None and not is_number(lb):
             raise ParseError(f"{w}.lb: expected a number or null")
+        if lb is not None and math.isnan(lb):  # Infinity stays: an infeasible leaf's bound
+            raise ParseError(f"{w}.lb: node {nid} has a NaN bound")
         status_s = item.get("status", "Unanalyzed")
         try:
             status = NodeStatus(status_s)

@@ -493,21 +493,23 @@ def delta_bound(net: Network, prop: Property, tree: SpecTree) -> DeltaBound:
     """How much the last layer's weights may move before the proof breaks.
 
     Requires a Verified run's tree: every leaf carries a recorded lower
-    bound and none is negative (else ValueError: such a tree proves
-    nothing).  A leaf's bound is its LP optimum or, where propagation
-    verified the leaf without an LP, the weaker propagation bound (see
-    :class:`DeltaBound`).  eta is computed from this network's bounds over
-    the unsplit root region, so it dominates every leaf subregion.
+    bound and every one is >= 0 (else ValueError naming each leaf whose
+    bound is negative or NaN: such a tree proves nothing).  A leaf's bound
+    is its LP optimum or, where propagation verified the leaf without an
+    LP, the weaker propagation bound (see :class:`DeltaBound`).  eta is
+    computed from this network's bounds over the unsplit root region, so it
+    dominates every leaf subregion.
     """
-    leaf_lbs = []
+    leaf_lbs = {}
     for nid in leaves(tree):
         lb = tree.node(nid).lb
         if lb is None:
             raise ValueError(f"leaf {nid} has no recorded lower bound; run was not completed")
-        leaf_lbs.append(lb)
-    lb_min = min(leaf_lbs)
-    if lb_min < 0.0:
-        raise ValueError(f"weakest leaf bound {lb_min} is negative; the tree proves nothing")
+        leaf_lbs[nid] = lb
+    unproved = [f"leaf {nid} has {lb}" for nid, lb in leaf_lbs.items() if not lb >= 0.0]
+    if unproved:  # a NaN bound is not >= 0 either
+        raise ValueError(f"{', '.join(unproved)}: a negative or NaN leaf bound proves nothing")
+    lb_min = min(leaf_lbs.values())
 
     # Bound the vector feeding the final affine layer by swapping that layer
     # for an identity map and reading the probe network's output bounds; this

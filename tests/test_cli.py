@@ -1,6 +1,5 @@
 """Tests for the command-line interface: exit codes, JSON output, sweeps."""
 
-import concurrent.futures
 import csv
 import json
 import math
@@ -10,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -417,8 +417,8 @@ def test_experiment_jobs_matches_serial(tmp_path, capsys):
     assert (serial_dir / "results.csv").read_bytes() == (parallel_dir / "results.csv").read_bytes()
 
 
-# The experiment pool runs whatever cli._run_instance is at submit time;
-# this stand-in kills its worker process on the network named doomed.json.
+# The experiment workers run whatever cli._run_instance is when they are
+# forked; this stand-in kills its worker on a network named doomed.json.
 _REAL_RUN_INSTANCE = cli._run_instance
 
 
@@ -428,30 +428,31 @@ def _run_instance_or_die(task):
     return _REAL_RUN_INSTANCE(task)
 
 
-def doomed_plan(tmp_path):
-    doomed = tmp_path / "doomed.json"
-    shutil.copy(FIXTURES / "demo_network.json", doomed)
-    return make_plan(
-        tmp_path,
-        [demo_mode("ivan")],
-        networks=[str(FIXTURES / "demo_network.json"), str(doomed)],
-    )
+def doomed_plan(tmp_path, networks=("demo_network.json", "doomed.json")):
+    """A plan of one ivan task per network, each a copy of the demo network."""
+    paths = [tmp_path / name for name in networks]
+    for path in paths:
+        shutil.copy(FIXTURES / "demo_network.json", path)
+    return make_plan(tmp_path, [demo_mode("ivan")], networks=[str(p) for p in paths])
 
 
-@pytest.mark.skipif(
+forked = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
-    reason="the stand-in reaches the workers only when they are forked",
+    reason="the stand-ins reach the workers only when they are forked",
 )
+
+
+@forked
 def test_experiment_survives_a_worker_that_dies(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_run_instance", _run_instance_or_die)
     plan_path, out_dir = doomed_plan(tmp_path)
     assert main(["experiment", "--plan", plan_path, "--jobs", "2"]) == EXIT_VERIFIED
+    assert multiprocessing.active_children() == []
     capsys.readouterr()
     rows = read_rows(out_dir)
     assert [r["network"].endswith("doomed.json") for r in rows] == [False, True]
-    assert rows[1]["error"].startswith("BrokenProcessPool")
+    assert rows[1]["error"] == "ChildProcessError: worker exited with code 1"
     assert rows[1]["second_verdict"] == ""
-    # the healthy task finished first or, lost with the pool, ran again
     assert rows[0]["error"] == ""
     assert rows[0]["second_verdict"] == "Verified"
     summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
@@ -459,68 +460,51 @@ def test_experiment_survives_a_worker_that_dies(tmp_path, capsys, monkeypatch):
     assert (out_dir / "scatter.csv").exists()
 
 
-class InlineExecutor:
-    """Stands in for ProcessPoolExecutor: runs each task at submit, starts no process.
+class CountedWorker(multiprocessing.Process):
+    """A worker process that records, once started, how many workers are alive."""
 
-    A task on doomed.json fails as if its worker had died running it: marked
-    running in the pool's shared array.  With ``lose_first`` set, the first
-    pool fails every other task as lost with it, unmarked.
-    """
+    alive = []
 
-    max_workers = []
-    lose_first = False
-
-    def __init__(self, max_workers, initializer, initargs):
-        InlineExecutor.max_workers.append(max_workers)
-        (self.running,) = initargs
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, index, task):
-        future = concurrent.futures.Future()
-        if task["network"].endswith("doomed.json"):
-            self.running[index] = 1
-            future.set_exception(concurrent.futures.process.BrokenProcessPool("worker died"))
-        elif InlineExecutor.lose_first and len(InlineExecutor.max_workers) == 1:
-            future.set_exception(concurrent.futures.process.BrokenProcessPool("pool broke"))
-        else:
-            future.set_result(cli._run_instance(task))
-        return future
+    def start(self):
+        super().start()
+        live = [p for p in multiprocessing.active_children() if isinstance(p, CountedWorker)]
+        CountedWorker.alive.append(len(live))
 
 
 @pytest.fixture
-def inline_pool(monkeypatch):
-    InlineExecutor.max_workers = []
-    InlineExecutor.lose_first = False
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
-    return InlineExecutor
+def counted_workers(monkeypatch):
+    CountedWorker.alive = []
+    monkeypatch.setattr(cli.multiprocessing, "Process", CountedWorker)
+    return CountedWorker
 
 
-def test_experiment_starts_at_most_one_worker_per_task(tmp_path, capsys, inline_pool):
+@forked
+def test_experiment_starts_at_most_one_worker_per_task(tmp_path, capsys, counted_workers):
     plan_path, out_dir = make_plan(tmp_path, [demo_mode("baseline"), demo_mode("ivan")])
-    for jobs, workers in (("2", 2), ("3", 2), ("8", 2)):
+    for jobs in ("2", "3", "8"):
         assert main(["experiment", "--plan", plan_path, "--jobs", jobs]) == EXIT_VERIFIED
-        assert inline_pool.max_workers.pop() == workers
+        assert counted_workers.alive == [1, 2]
+        counted_workers.alive.clear()
     assert main(["experiment", "--plan", plan_path, "--jobs", "1"]) == EXIT_VERIFIED
-    assert inline_pool.max_workers == []  # one job runs in process, without a pool
+    assert counted_workers.alive == []  # one job runs in process, without a worker
+    assert multiprocessing.active_children() == []
     capsys.readouterr()
 
 
+@forked
 def test_experiment_keeps_finished_rows_when_a_task_fails_in_its_worker(
-    tmp_path, capsys, inline_pool
+    tmp_path, capsys, monkeypatch, counted_workers
 ):
+    monkeypatch.setattr(cli, "_run_instance", _run_instance_or_die)
     plan_path, out_dir = doomed_plan(tmp_path)
     assert main(["experiment", "--plan", plan_path, "--jobs", "4"]) == EXIT_VERIFIED
+    assert multiprocessing.active_children() == []
     capsys.readouterr()
-    assert inline_pool.max_workers == [2]
+    assert counted_workers.alive == [1, 2]
     rows = read_rows(out_dir)
     assert rows[0]["error"] == ""
     assert rows[0]["second_verdict"] == "Verified"
-    assert rows[1]["error"] == "BrokenProcessPool: worker died"
+    assert rows[1]["error"] == "ChildProcessError: worker exited with code 1"
     assert rows[1]["first_verdict"] == ""
     assert [rows[1][col] for col in ("network", "mode", "seed")] == [
         str(tmp_path / "doomed.json"),
@@ -531,17 +515,35 @@ def test_experiment_keeps_finished_rows_when_a_task_fails_in_its_worker(
     assert (summary["instances"], summary["errors"]) == (2, 1)
 
 
-def test_experiment_reruns_the_tasks_a_broken_pool_took_down(tmp_path, capsys, inline_pool):
-    inline_pool.lose_first = True
-    plan_path, out_dir = doomed_plan(tmp_path)
-    assert main(["experiment", "--plan", plan_path, "--jobs", "4"]) == EXIT_VERIFIED
+@forked
+def test_experiment_replaces_a_worker_that_dies(tmp_path, capsys, monkeypatch, counted_workers):
+    # The doomed task is the first of three, and a's worker waits until b
+    # has started: a fresh worker must take b.  Each task runs exactly once.
+    plan_path, out_dir = doomed_plan(tmp_path, ("doomed.json", "a.json", "b.json"))
+    assert main(["experiment", "--plan", plan_path]) == EXIT_VERIFIED
+    serial = read_rows(out_dir)
+    ran = tmp_path / "ran.txt"
+    ran.touch()
+
+    def run_logged(task):
+        name = Path(task["network"]).name
+        deadline = time.monotonic() + 30.0
+        while name == "a.json" and "b.json" not in ran.read_text(encoding="utf-8"):
+            assert time.monotonic() < deadline, "no worker took b while a ran"
+            time.sleep(0.002)
+        with open(ran, "a", encoding="utf-8") as fh:
+            fh.write(name + "\n")
+        return _run_instance_or_die(task)
+
+    monkeypatch.setattr(cli, "_run_instance", run_logged)
+    assert main(["experiment", "--plan", plan_path, "--jobs", "2"]) == EXIT_VERIFIED
+    assert multiprocessing.active_children() == []
     capsys.readouterr()
-    # one fresh pool, for the healthy task alone; the doomed one is not rerun
-    assert inline_pool.max_workers == [2, 1]
     rows = read_rows(out_dir)
-    assert rows[0]["error"] == ""
-    assert rows[0]["second_verdict"] == "Verified"
-    assert rows[1]["error"] == "BrokenProcessPool: worker died"
+    assert rows[0]["error"] == "ChildProcessError: worker exited with code 1"
+    assert rows[1:] == serial[1:]
+    assert ran.read_text(encoding="utf-8").split() == ["doomed.json", "b.json", "a.json"]
+    assert len(counted_workers.alive) == 3 and max(counted_workers.alive) == 2
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -419,6 +419,24 @@ def test_load_rejects_booleans_as_numbers(node, key, value, field):
         tree_from_json(doc)
 
 
+def test_load_rejects_a_nan_bound():
+    doc = _two_leaf_doc()
+    doc["nodes"][2]["lb"] = float("nan")
+    with pytest.raises(ParseError, match=r"nodes\[2\]\.lb: node 2 has a NaN bound"):
+        tree_from_json(json.loads(json.dumps(doc)))  # Python's json reads NaN
+
+
+@pytest.mark.parametrize("cut", [float("nan"), float("inf")])
+def test_load_rejects_a_cut_that_is_not_finite(cut):
+    doc = _two_leaf_doc()
+    doc["branching"] = "input"
+    for node, half in ((1, "low"), (2, "high")):
+        doc["nodes"][node]["decision"] = {"kind": "input", "dim": 0, "half": half, "cut": cut}
+    field = r"nodes\[1\]\.decision\.cut: node 1 cuts at (nan|inf), not a finite number"
+    with pytest.raises(ParseError, match=field):
+        tree_from_json(json.loads(json.dumps(doc)))
+
+
 def test_load_rejects_cycle():
     d = {"kind": "relu", "layer": 0, "neuron": 0, "sign": "+"}
     dm = {"kind": "relu", "layer": 0, "neuron": 0, "sign": "-"}

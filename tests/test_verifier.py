@@ -666,6 +666,20 @@ def test_delta_bound_requires_finished_run():
         delta_bound(net, prop, t)
 
 
+@pytest.mark.parametrize("lbs, leaf", [((1.0, math.nan), 2), ((math.nan, 1.0), 1)])
+def test_delta_bound_rejects_a_nan_leaf_bound(lbs, leaf):
+    # A NaN is not >= 0, in either place: no radius is certified over it.
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    net = load_network(fixtures / "demo_network.json")
+    prop = load_property(fixtures / "demo_property.json")
+    t = singleton("input")
+    cut = float(prop.input.lower[0] + prop.input.upper[0]) / 2
+    left, right = split(t, 0, (InputDecision(0, "low", cut), InputDecision(0, "high", cut)))
+    t.node(left).lb, t.node(right).lb = lbs
+    with pytest.raises(ValueError, match=f"leaf {leaf} has nan: a negative or NaN"):
+        delta_bound(net, prop, t)
+
+
 def test_perturbations_within_delta_reverify_without_splits():
     rng = np.random.default_rng(31)
     done = 0
