@@ -445,8 +445,11 @@ def _build_program(net, prop, bounds):
     ``post - pre = 0`` if active, or ``post - pre >= 0`` and its chord
     ``post - slope * pre <= -slope * l`` if ambiguous; the output's affine
     rows come last.  Other post columns are max(pre, 0).  Every ``=`` row
-    ends with -1 or 1 on its own column, the layout the solver's crash basis
-    starts from.
+    ends with -1 or 1 on its own column, and both rows of an ambiguous unit
+    end on its post column, ``post - pre >= 0`` with 1.  That is the layout
+    the solver's crash basis starts from: it evaluates the network forward
+    from the input box's lower corner, and covers ``post - pre >= 0`` with
+    post = pre wherever pre is positive there.
     """
     blocks = net.blocks
     widths = tuple(W.shape[0] for W, _ in blocks)

@@ -21,18 +21,23 @@ rows has no basis, and phase 2 below moves each column to the bound its
 cost prefers by bound flips.  It runs the classic two phases from a crash
 start basis:
 
-1. Each ``=`` row takes as basic its last nonzero structural column, unless
-   that coefficient is below the pivot tolerance or an earlier row took the
-   column.  These columns form a triangular basis, so their values follow by
-   forward substitution from the nonbasic start values; a column whose value
-   leaves its bounds is parked at the nearer bound instead.  An inequality
-   row starts on its slack when the residual allows it.  Only the rows left
-   without a basic column receive an artificial variable, whose column is
-   ``sign(residual) * e_i`` with bounds ``[0, inf)``; when there are none,
-   phase 1 is skipped.  Otherwise phase 1 minimizes the sum of artificials,
-   and a positive optimum means the program is infeasible.  Artificials that
-   linger in the basis at zero are pivoted out where possible and otherwise
-   pinned to ``[0, 0]`` (their row is linearly dependent).
+1. Rows claim their last nonzero structural column as basic, in order of
+   that column: each ``=`` row unless the coefficient is below the pivot
+   tolerance or an earlier row took the column, and each inequality row
+   that the point substituted so far violates, when the value that makes
+   it tight lies within the column's bounds.  These columns form a
+   triangular basis, so their values follow by forward substitution from
+   the nonbasic start values.  A value within the feasibility tolerance
+   outside its bounds is clipped to them, as the rounding it is; an ``=``
+   row's column whose value leaves them by more is parked at the nearer
+   bound instead.  Every other inequality row starts on its slack when the
+   residual allows it.  Only the rows left without a basic column receive
+   an artificial variable, whose column is ``sign(residual) * e_i`` with
+   bounds ``[0, inf)``; when there are none, phase 1 is skipped.
+   Otherwise phase 1 minimizes the sum of artificials, and a positive
+   optimum means the program is infeasible.  Artificials that linger in
+   the basis at zero are pivoted out where possible and otherwise pinned
+   to ``[0, 0]`` (their row is linearly dependent).
 2. Phase 2 minimizes the real objective with artificial columns barred from
    entering.
 
@@ -52,9 +57,12 @@ answer: phase 2 from a primal-feasible basis ends at an optimum, and the
 final point passes the same feasibility guard.
 
 The analyzer orders its variables input, pre, post, output and writes each
-``=`` row with its own variable last, so on its programs the crash basis
-evaluates the affine layers forward from the start values, and phase 1 only
-repairs the rows whose value leaves its bounds.
+``=`` row with its own variable last, and each ambiguous ReLU's rows with
+its post column last.  On its programs the crash basis therefore evaluates
+the network forward from the input box's lower corner: an ambiguous unit's
+``post >= pre`` row claims post wherever pre is positive, so post is
+``max(pre, 0)``.  Phase 1 only repairs the rows that this point really
+violates, such as a split's sign or a value that leaves its bounds.
 
 The tableau ``T = Binv A`` is kept dense and updated by row operations at
 each pivot.  It is refactorized before each phase: B is factorized once, only
@@ -421,37 +429,58 @@ class _Tableau:
 
 
 def _crash(tab: _Tableau, A_rows: np.ndarray, is_eq: np.ndarray) -> np.ndarray:
-    """Triangular crash start for the equality rows.
+    """Triangular crash start: rows claim their last nonzero structural column.
 
-    Each "=" row claims its last nonzero structural column when that
-    coefficient exceeds the pivot tolerance and no earlier row has claimed the
-    column.  Every other nonzero of a claimed row lies in a lower column, so
-    taking the claimed columns in increasing order is a forward substitution
-    of a triangular basis from the nonbasic start values.  A column whose
-    substituted value leaves its bounds is parked, nonbasic, at the nearer
-    bound, and its row stays without a basic column.  Returns the start
-    point over the structural columns.
+    A row's head is its last nonzero structural column.  Rows are visited in
+    order of their heads; among rows sharing a head, "=" rows come first,
+    then row order.  A row whose head coefficient is below the pivot
+    tolerance is never visited.  The first row to claim a head takes it:
+
+    * an "=" row always claims its head.  When the head's substituted value
+      leaves its bounds by more than the feasibility tolerance, the column
+      is parked, nonbasic, at the nearer bound, and the row stays without a
+      basic column;
+    * an inequality row claims its head only when the point substituted so
+      far violates the row and the value that makes the row tight lies
+      within the feasibility tolerance of the head's bounds.  Its slack
+      stays nonbasic at 0.  The head starts at its lower bound, so only a
+      negative head coefficient can meet both, and only such rows are
+      visited.
+
+    A basic head takes its substituted value clipped to its bounds: a value
+    that crosses a bound by a rounding error is not a violation for phase 1
+    to repair.  Every other nonzero of a claiming row lies in a lower
+    column, so taking the claimed columns in increasing order is a forward
+    substitution of a triangular basis from the nonbasic start values.
+    Returns the start point over the structural columns.
     """
-    n = A_rows.shape[1]
-    nonzero = A_rows != 0
-    rows = np.flatnonzero(is_eq & nonzero.any(axis=1))
-    last = n - 1 - np.argmax(nonzero[rows, ::-1], axis=1)
-    keep = np.abs(A_rows[rows, last]) > _PIVOT_TOL
-    rows, last = rows[keep], last[keep]
-    heads, first = np.unique(last, return_index=True)  # first claim wins
+    m, n = A_rows.shape
+    last = n - 1 - np.argmax(A_rows[:, ::-1] != 0, axis=1)  # n - 1, with coefficient 0, on a zero row
+    coef = A_rows[np.arange(m), last]
+    rows = np.flatnonzero((coef < -_PIVOT_TOL) | (is_eq & (coef > _PIVOT_TOL)))
+    rows = rows[np.lexsort((~is_eq[rows], last[rows]))]  # stable: row order within ties
+    heads = last[rows]
+    below = A_rows[rows]  # each row without its head: its product with x reads the lower columns
+    below[np.arange(rows.size), heads] = 0.0
     x = tab.val[:n].copy()
     b, lo, hi = tab.b.tolist(), tab.lo.tolist(), tab.hi.tolist()
     basic, parked = [], []  # (row, column, value) and (column, state, value)
-    for j, i in zip(heads.tolist(), rows[first].tolist()):
-        row = A_rows[i]
-        v = (b[i] - row[:j] @ x[:j]) / row[j]
-        if lo[j] <= v <= hi[j]:
-            basic.append((i, j, v))
+    claimed = -1  # the head of the rows being visited, once a row has claimed it
+    visits = zip(rows.tolist(), heads.tolist(), coef[rows].tolist(), is_eq[rows].tolist(), below)
+    for i, j, c, eq, row in visits:
+        if j == claimed:
+            continue
+        v = (b[i] - float(row.dot(x))) / c
+        l, u = lo[j], hi[j]
+        near = l - _FEAS_TOL <= v <= u + _FEAS_TOL
+        if not (eq or (near and v > l)):  # c < 0: violated at lo while v > lo
+            continue
+        claimed = j
+        x[j] = w = v if l <= v <= u else (l if v < l else u)
+        if near:
+            basic.append((i, j, w))
         else:
-            state = _AT_LOWER if v < lo[j] else _AT_UPPER
-            v = min(max(v, lo[j]), hi[j])
-            parked.append((j, state, v))
-        x[j] = v
+            parked.append((j, _AT_LOWER if v < l else _AT_UPPER, w))
     # the marks are written at once; the loop reads only x and the bounds
     if basic:
         i, j, v = map(list, zip(*basic))
@@ -518,9 +547,10 @@ def _priced_optimal(tab: _Tableau, cost: np.ndarray) -> bool:
 def _cold_start(tab: _Tableau, A_rows: np.ndarray, is_eq: np.ndarray) -> bool:
     """Crash basis, then phase 1 for the rows it leaves uncovered.
 
-    Leaves ``tab`` refreshed on a feasible basis of the structural and slack
-    columns, apart from artificials pinned to zero on dependent rows, and
-    returns True; returns False when phase 1 proves the program infeasible.
+    Leaves ``tab`` refreshed on a basis of the structural and slack columns
+    that is feasible within the feasibility tolerance, apart from
+    artificials pinned to zero on dependent rows, and returns True; returns
+    False when phase 1 proves the program infeasible.
     """
     n = A_rows.shape[1]
     K, m = tab.K, tab.m
@@ -529,9 +559,10 @@ def _cold_start(tab: _Tableau, A_rows: np.ndarray, is_eq: np.ndarray) -> bool:
     tab.val[:n] = tab.lo[:n]  # structural columns start at their lower bounds
     residual = tab.b - A_rows @ _crash(tab, A_rows, is_eq)
 
-    # an inequality row starts on its slack when that is feasible; every
-    # row still without a basic column gets an artificial
-    on_slack = residual[ineq_rows] >= 0.0
+    # an inequality row the crash left uncovered starts on its slack when
+    # that is feasible; every row still without a basic column gets an
+    # artificial
+    on_slack = (residual[ineq_rows] >= 0.0) & (tab.basis[ineq_rows] < 0)
     rows, cols = ineq_rows[on_slack], slack_cols[on_slack]
     tab.basis[rows], tab.state[cols] = cols, _BASIC
     art_rows = np.flatnonzero(tab.basis < 0)
@@ -588,7 +619,9 @@ def solve(
     slack column, in row order, all as array operations on ``lp.A``.
     Without a usable ``start``, structural variables start at their lower
     bounds, the start basis is the crash basis described in the module
-    docstring, and phase 1 runs only for the rows it leaves without a
+    docstring (``=`` rows, and the inequality rows that the start point
+    violates, on their last columns; the other inequality rows on their
+    slacks), and phase 1 runs only for the rows it leaves without a
     feasible basic column.  A program with no rows goes the same way; its
     ``iterations`` count the bound flips.
 

@@ -101,7 +101,9 @@ class RunMetrics:
     once, and every split adds one internal node.  lps counts the boundings
     that solved an LP (the others were settled by bound propagation alone)
     and pivots sums those LPs' simplex pivots, phase1_pivots the share of
-    them that phase 1 applied to reach a feasible basis.  warm counts the
+    them that phase 1 applied to reach a feasible basis.  infeasible counts
+    the boundings that found their region empty, by propagation or by an
+    LP that phase 1 proved infeasible.  warm counts the
     LPs that started from a basis carried from an earlier run (``verify``'s
     ``bases``): only the second runs of modes reuse and ivan have any.
     passes counts propagation passes: one per node of a frontier and one per
@@ -128,6 +130,7 @@ class RunMetrics:
     lps: int
     pivots: int
     phase1_pivots: int
+    infeasible: int
     passes: int
     walks: int
     warm: int
@@ -252,6 +255,7 @@ def verify(
     lps = 0
     pivots = 0
     phase1_pivots = 0
+    infeasible = 0
     passes = 0
     walks = 0
     warm = 0
@@ -271,6 +275,7 @@ def verify(
             lps=lps,
             pivots=pivots,
             phase1_pivots=phase1_pivots,
+            infeasible=infeasible,
             passes=passes,
             walks=walks,
             warm=warm,
@@ -359,6 +364,7 @@ def verify(
             except LpTimeout:
                 return finish(RunVerdict.TIMEOUT, note="wall-clock timeout")
             boundings += 1
+            infeasible += res.infeasible
             if res.pivots is not None:
                 lps += 1
                 pivots += res.pivots

@@ -71,7 +71,8 @@ def random_lp(rng, n_max=5, m_max=8, family="feasible") -> LinearProgram:
     Families: "feasible" keeps a sampled interior point feasible for every
     row, "loose" draws right-hand sides freely (either status can result),
     "infeasible" adds a contradictory pair of rows, "chain" builds the
-    staircase of "=" rows that the solver's crash basis starts from (see
+    staircase of "=" rows, and the inequalities ending on their own
+    columns, that the solver's crash basis starts from (see
     :func:`_chain_rows`).
     """
     n = int(rng.integers(3 if family == "chain" else 1, n_max + 1))
@@ -80,9 +81,8 @@ def random_lp(rng, n_max=5, m_max=8, family="feasible") -> LinearProgram:
     c = rng.normal(size=n)
     bounds = np.column_stack([lo, hi])
     if family == "chain":
-        x0 = rng.uniform(lo, hi)
-        A = np.array(_chain_rows(rng, n, m_max))
-        return LinearProgram(c, bounds, A, ["="] * len(A), [float(a @ x0) for a in A])
+        rows, rels, rhs = _chain_rows(rng, lo, hi, rng.uniform(lo, hi), m_max)
+        return LinearProgram(c, bounds, np.array(rows), rels, rhs)
     m = int(rng.integers(0, m_max + 1))
     x0 = rng.uniform(lo, hi)
     rows, rels, rhs = [], [], []
@@ -110,17 +110,26 @@ def random_lp(rng, n_max=5, m_max=8, family="feasible") -> LinearProgram:
     return LinearProgram(c, bounds, np.reshape(rows, (len(rows), n)), rels, rhs)
 
 
-def _chain_rows(rng, n, m_max):
-    """Sparse "=" rows ending in distinct last columns, plus two odd rows.
+def _chain_rows(rng, lo, hi, x0, m_max):
+    """Sparse "=" rows ending in distinct last columns, odd rows and inequalities.
 
     Each chain row's last nonzero (its head) is a small coefficient, so the
     head's value substituted from the other columns often leaves its box.
-    One extra row ends in the first chain row's head (a shared head), and
-    one ends in a coefficient below the solver's pivot tolerance.  Every row
-    passes through one sampled point of the box, so the program is feasible.
+    One extra "=" row ends in the first chain row's head (a shared head),
+    and one ends in a coefficient below the solver's pivot tolerance.  An
+    inequality ends in a chain head too, which the "=" row claims first.
+    Two ">=" rows end in a column of their own, which no "=" row ends in,
+    over free columns below it (no chain head, so the crash leaves them at
+    their lower bounds): both are violated at that corner, one is tight
+    within its column's bounds and the other only beyond its upper bound.
+    Every row holds at the sampled point ``x0`` of the box, so the program
+    is feasible.  Returns the rows, their relations and right-hand sides.
     """
-    k = int(rng.integers(1, min(n - 1, max(m_max - 2, 1)) + 1))
+    n = lo.size
+    k = int(rng.integers(1, min(n - 2, max(m_max - 2, 1)) + 1))
     heads = np.sort(rng.choice(np.arange(1, n), size=k, replace=False))
+    own = int(rng.choice(np.setdiff1d(np.arange(1, n), heads)))
+    free = np.setdiff1d(np.arange(own), heads)  # column 0 at least
 
     def row(last, coef):
         a = np.zeros(n)
@@ -128,8 +137,25 @@ def _chain_rows(rng, n, m_max):
         a[last] = coef
         return a
 
-    rows = [row(h, rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.0)) for h in heads]
-    rows.append(row(heads[0], rng.normal()))
-    rows.append(row(int(rng.integers(1, n)), 1e-12))
+    eqs = [row(h, rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.0)) for h in heads]
+    eqs.append(row(heads[0], rng.normal()))
+    eqs.append(row(int(rng.integers(1, n)), 1e-12))
+    rows = [(a, "=", float(a @ x0)) for a in eqs]
+    a = row(int(rng.choice(heads)), rng.normal())
+    margin = float(rng.uniform(0.0, 1.0))
+    rows += [(a, "<=", float(a @ x0) + margin)] if rng.random() < 0.5 else [(a, ">=", float(a @ x0) - margin)]
+    for beyond in (False, True):
+        # a @ x + c * x[own] >= r, tight at x[own] = v where x is lo elsewhere
+        a = np.zeros(n)
+        a[free] = np.abs(rng.normal(size=free.size))
+        gap = float(a @ (x0 - lo))  # how far x0 lies above the corner on the free columns
+        if beyond:
+            v = hi[own] + float(rng.uniform(0.1, 1.0))
+            c = gap / (v - x0[own])  # r = a @ x0 + c * x0[own]: tight at x0
+        else:
+            v = float(rng.uniform(lo[own], x0[own]))
+            c = float(rng.uniform(0.2, 1.0))
+        a[own] = c
+        rows.append((a, ">=", float(a @ lo) - c * lo[own] + c * v))
     order = rng.permutation(len(rows))
-    return [rows[i] for i in order]
+    return tuple(map(list, zip(*(rows[i] for i in order))))

@@ -832,10 +832,11 @@ def test_program_matches_the_row_by_row_reference():
 
 def test_program_layout_feeds_the_crash_basis():
     # The solver's crash basis takes each "=" row's last nonzero column as
-    # basic (lp module docstring).  The bounding LP must end every "=" row
-    # with -1 or 1 on its own pre, post or output column, never two rows on
-    # one column, and give each ambiguous unit exactly one ">=" and one "<="
-    # row over its own pre and post columns.
+    # basic, and an inequality's where the start point violates it (lp
+    # module docstring).  The bounding LP must end every "=" row with -1 or
+    # 1 on its own pre, post or output column, never two rows on one
+    # column, and give each ambiguous unit exactly one ">=" and one "<="
+    # row over its own pre and post columns, ending on post.
     checked = ambiguous_seen = 0
     for net, prop, splits, bounds in random_programs(611, 80):
         lp = _build_program(net, prop, bounds)

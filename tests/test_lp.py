@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from incver.analyzer import _build_program, compute_bounds
 from incver.heuristics import BaseHeuristic, HeuristicConfig
 from incver import lp as lp_module
 from incver.lp import (
@@ -129,8 +130,9 @@ def test_random_lps_match_vertex_oracle():
 def test_crash_basis_pivot_count_on_demo():
     # Pivots are the deterministic work counter of the simplex.  The demo's
     # baseline first run settles 3 of its 9 boundings by bound propagation
-    # and solves the other 6 LPs in 33 pivots from the crash basis; the
-    # all-artificial start it replaced needs 57 on those LPs.
+    # and solves the other 6 LPs in 28 pivots from the crash basis; a crash
+    # that covers only the "=" rows needs 33 on those LPs, and the
+    # all-artificial start before it 57.
     net = load_network(FIXTURES / "demo_network.json")
     prop = load_property(FIXTURES / "demo_property.json")
     knobs = json.loads((FIXTURES / "demo_config.json").read_text(encoding="utf-8"))
@@ -143,7 +145,22 @@ def test_crash_basis_pivot_count_on_demo():
     run = verify(net, prop, VerifierConfig(mode=Mode.BASELINE, heuristic=heur, timeout=30.0))
     assert (run.metrics.boundings, run.metrics.branchings) == (9, 4)
     assert run.metrics.lps == 6
-    assert run.metrics.pivots == 33
+    assert run.metrics.pivots == 28
+
+
+def test_demo_root_lp_runs_no_phase1():
+    # The demo's root region has no split, so the crash's start corner, the
+    # network evaluated from the input box's lower corner with each
+    # ambiguous unit's post at max(pre, 0), lies inside it.  Two of the
+    # four ambiguous units have pre > 0 there, and their "post - pre >= 0"
+    # rows are covered by their post columns: phase 1 has nothing to repair.
+    net = load_network(FIXTURES / "demo_network.json")
+    prop = load_property(FIXTURES / "demo_property.json")
+    bounds = compute_bounds(net, prop.input, {}, objective=prop.output.c)
+    assert [p.tolist() for p in bounds.phase] == [[2, 2], [2, 2]]  # all four ambiguous
+    out = solve(_build_program(net, prop, bounds))
+    assert (out.status, out.phase1) == (LpStatus.OPTIMAL, 0)
+    assert round(out.value + prop.output.d, 9) == -7.0  # the root lb the demo pins
 
 
 def test_weak_duality_by_sampling():
@@ -521,7 +538,7 @@ def outcome_bits(out):
 
 
 # SHA-256 of outcome_bits over the programs of test_outcomes_are_pinned_bit_for_bit
-PINNED_OUTCOMES = "4ceaa215ca421d91f3bd20860b6bf9396dcb919af3071bc4dfbf2fe1bd97c38d"
+PINNED_OUTCOMES = "49e0ed9f2565cf8d8acbb86a20bf6203da3b73386ba63d330e690541ac8fb78c"
 
 
 def test_outcomes_are_pinned_bit_for_bit(monkeypatch):
@@ -656,6 +673,12 @@ def test_phase1_counts_the_pivots_before_the_first_feasible_basis():
     lp = LinearProgram([-1.0, -2.0], box([0.0, 2.0], [0.0, 2.0]), rows, ["<=", ">="], [1.0, 0.0])
     out = solve(lp)
     assert (out.phase1, out.iterations) == (0, 1)
-    # x + y >= 1 does not: its artificial leaves the basis in one phase-1 pivot
+    # x + y >= 1 does not, and the crash covers it with y = 1, which makes
+    # it tight within y's bounds: no phase 1, and one pivot to the optimum
     out = solve(LinearProgram([1.0, 2.0], box([0.0, 2.0], [0.0, 2.0]), [[1.0, 1.0]], [">="], [1.0]))
-    assert (out.phase1, out.iterations, out.value) == (1, 1, 1.0)
+    assert (out.phase1, out.iterations, out.value) == (0, 1, 1.0)
+    # x + y >= 3 would need y = 3, beyond its bound: the row starts on an
+    # artificial, which phase 1 drives out in two pivots (x flips to its
+    # upper bound, then y enters at 1), and that vertex is already optimal
+    out = solve(LinearProgram([1.0, 2.0], box([0.0, 2.0], [0.0, 2.0]), [[1.0, 1.0]], [">="], [3.0]))
+    assert (out.phase1, out.iterations, out.value) == (2, 2, 4.0)

@@ -94,16 +94,19 @@ def test_stage_table_lists_every_mode_and_run(monkeypatch):
 
 
 def test_work_matches_the_newest_benchmark_point(tmp_path):
-    # The newest BENCH_*.json pins deep-16x3 seed 1's work and digests; the
-    # tool, in a process of its own that pins BLAS, must reproduce them all.
+    # The newest BENCH_*.json pins seed 1's work and digests of deep-16x3
+    # (few large LPs) and input-split (many small ones, none of which runs
+    # a phase-1 pivot); the tool, in a process of its own that pins BLAS,
+    # must reproduce them all.
     points = TOOLS.parent.glob("BENCH_*.json")
     newest = max(points, key=lambda p: int(re.fullmatch(r"BENCH_(\d+)\.json", p.name)[1]))
-    want = json.loads(newest.read_text(encoding="utf-8"))["work"]["deep-16x3"]["1"]
-    saved = tmp_path / "expect.txt"
-    saved.write_text(json.dumps(want) + "\n", encoding="utf-8")
-    run = subprocess.run(
-        [sys.executable, str(TOOLS / "work_signature.py"), "--workload", "deep-16x3",
-         "--seed", "1", "--expect", str(saved)],
-        capture_output=True, text=True,
-    )
-    assert run.returncode == 0, (newest.name, run.stderr)
+    work = json.loads(newest.read_text(encoding="utf-8"))["work"]
+    for workload in ("deep-16x3", "input-split"):
+        saved = tmp_path / f"{workload}.txt"
+        saved.write_text(json.dumps(work[workload]["1"]) + "\n", encoding="utf-8")
+        run = subprocess.run(
+            [sys.executable, str(TOOLS / "work_signature.py"), "--workload", workload,
+             "--seed", "1", "--expect", str(saved)],
+            capture_output=True, text=True,
+        )
+        assert run.returncode == 0, (newest.name, workload, run.stderr)

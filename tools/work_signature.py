@@ -6,8 +6,9 @@ configurations ``perfbench/run.py`` uses.  It prints, per mode and in total:
 
 * boundings, branchings, propagation passes, their back-substitution
   walks, LPs solved, their summed pivots and the share of those that
-  phase 1 applied, the LPs that started from a carried basis and the
-  batched propagation calls (from the runs' metrics);
+  phase 1 applied, the LPs that started from a carried basis, the
+  batched propagation calls and the boundings that found their region
+  empty (from the runs' metrics);
 * a SHA-256 over every run's verdict, counts, counterexample bytes and each
   tree node's ``(id, lb.hex())``;
 * a verdict digest: a SHA-256 over every run's verdict alone;
@@ -99,7 +100,8 @@ BENCH_SECONDS = 30  # perfbench's run length, as BENCHMARK.json sets it
 BIT_DIGESTS = ("sha256", "lp_sha256", "sha", "lp_sha")
 # the work counters read from each run's metrics
 COUNTERS = (
-    "boundings", "branchings", "passes", "walks", "lps", "pivots", "phase1_pivots", "warm", "batches"
+    "boundings", "branchings", "passes", "walks", "lps", "pivots", "phase1_pivots", "warm", "batches",
+    "infeasible",
 )
 # the stage timers and work counters of each run's metrics, as the stage table's columns
 STAGES = ("propagate_s", "build_s", "solve_s")
