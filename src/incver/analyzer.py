@@ -442,13 +442,13 @@ def _build_program(net, prop, bounds):
 
     Rows go layer by layer: the affine rows ``W @ src - pre = -b``, then per
     unit, by its phase, none if inactive (its post column is [0, 0]),
-    ``post - pre = 0`` if active, or ``post - pre >= 0`` and its chord
+    ``post - pre = 0`` if active, or ``pre - post <= 0`` and its chord
     ``post - slope * pre <= -slope * l`` if ambiguous; the output's affine
     rows come last.  Other post columns are max(pre, 0).  Every ``=`` row
     ends with -1 or 1 on its own column, and both rows of an ambiguous unit
-    end on its post column, ``post - pre >= 0`` with 1.  That is the layout
+    end on its post column, ``pre - post <= 0`` with -1.  That is the layout
     the solver's crash basis starts from: it evaluates the network forward
-    from the input box's lower corner, and covers ``post - pre >= 0`` with
+    from the input box's lower corner, and covers ``pre - post <= 0`` with
     post = pre wherever pre is positive there.
     """
     blocks = net.blocks
@@ -469,7 +469,7 @@ def _build_program(net, prop, bounds):
 
     m = sum(widths) + int(above[-1])
     A = np.zeros((m, lo.size))
-    rel = np.full(m, "=", dtype="<U2")
+    eq = np.ones(m, dtype=bool)
     rhs = np.zeros(m)
     src = slice(0, net.input_dim)
     for (W, _), r, w in zip(blocks, aff_rows[layer_start], widths):
@@ -478,20 +478,20 @@ def _build_program(net, prop, bounds):
     A[aff_rows, aff_cols] = -1.0
     rhs[aff_rows] = -np.concatenate([b for _, b in blocks])
     on = np.flatnonzero(k)
-    A[first[on], post[on]] = 1.0
-    A[first[on], pre[on]] = -1.0
+    sign = np.where(k[on] == 2, -1.0, 1.0)  # post - pre = 0, or pre - post <= 0
+    A[first[on], post[on]] = sign
+    A[first[on], pre[on]] = -sign
     amb = np.flatnonzero(k == 2)
     l, u, chord = l[amb], u[amb], first[amb] + 1
     slope = u / (u - l)
-    rel[chord - 1] = ">="
+    eq[chord - 1] = eq[chord] = False
     A[chord, post[amb]] = 1.0
     A[chord, pre[amb]] = -slope
-    rel[chord] = "<="
     rhs[chord] = -slope * l
 
     objective = np.zeros(lo.size)
     objective[-net.output_dim :] = prop.output.c
-    return LinearProgram(objective, np.column_stack([lo, hi]), A, rel, rhs)
+    return LinearProgram(objective, np.column_stack([lo, hi]), A, eq, rhs)
 
 
 def analyze(

@@ -7,19 +7,22 @@ and rows), so the implementation favors a dense tableau, explicit state, and
 determinism over asymptotic cleverness.
 
 A program is held as arrays: the objective, the variable bounds, an
-``(m, n)`` row matrix ``A``, the row relations ``rel`` and the right-hand
-sides ``rhs``.  :func:`solve` reads them as they are; ``constraints`` is a
-derived ``(row, rel, rhs)`` view for readers that want rows one at a time.
-The constructor rejects NaN and infinite entries, bounds included, so the
-solver never sees a program it would misread.
+``(m, n)`` row matrix ``A``, a boolean mask ``eq`` and the right-hand sides
+``rhs``.  Row ``i`` reads ``A[i] @ x = rhs[i]`` where ``eq[i]`` is set and
+``A[i] @ x <= rhs[i]`` elsewhere.  There is no other row form: a lower
+limit on ``a @ x`` is written as the ``<=`` row of ``-a``.  :func:`solve`
+reads the arrays as they are; ``constraints`` is a derived
+``(row, "=" or "<=", rhs)`` view for readers that want rows one at a time.
+The constructor rejects NaN and infinite entries, bounds included, and a
+mask that is not boolean, so the solver never sees a program it would
+misread.
 
-The solver handles finite variable bounds ``lo <= x <= hi`` and rows with
-relations ``<=``, ``=``, ``>=``.  Every structural column sits at a finite
-bound while nonbasic, and the feasible region is a polytope, so there is no
-unbounded outcome: a program is optimal or infeasible.  A program with no
-rows has no basis, and phase 2 below moves each column to the bound its
-cost prefers by bound flips.  It runs the classic two phases from a crash
-start basis:
+The solver handles finite variable bounds ``lo <= x <= hi`` and those two
+row forms.  Every structural column sits at a finite bound while nonbasic,
+and the feasible region is a polytope, so there is no unbounded outcome: a
+program is optimal or infeasible.  A program with no rows has no basis, and
+phase 2 below moves each column to the bound its cost prefers by bound
+flips.  It runs the classic two phases from a crash start basis:
 
 1. Rows claim their last nonzero structural column as basic, in order of
    that column: each ``=`` row unless the coefficient is below the pivot
@@ -60,7 +63,7 @@ The analyzer orders its variables input, pre, post, output and writes each
 ``=`` row with its own variable last, and each ambiguous ReLU's rows with
 its post column last.  On its programs the crash basis therefore evaluates
 the network forward from the input box's lower corner: an ambiguous unit's
-``post >= pre`` row claims post wherever pre is positive, so post is
+``pre - post <= 0`` row claims post wherever pre is positive, so post is
 ``max(pre, 0)``.  Phase 1 only repairs the rows that this point really
 violates, such as a split's sign or a value that leaves its bounds.
 
@@ -128,7 +131,7 @@ class LpStatus(Enum):
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """Minimize ``objective @ x`` subject to ``A @ x  rel  rhs`` and variable bounds.
+    """Minimize ``objective @ x`` subject to ``=`` and ``<=`` rows and variable bounds.
 
     Parameters
     ----------
@@ -138,22 +141,22 @@ class LinearProgram:
         Per-variable ``[lo, hi]``, both finite.
     A : (m, n) array, optional
         Row coefficients.  Omitted for a pure box problem (``m = 0``).
-    rel : (m,) sequence of str
-        Each row's relation, one of ``"<="``, ``"="``, ``">="``.
+    eq : (m,) bool array, optional
+        True for an ``=`` row, False for a ``<=`` row.
     rhs : (m,) array
         Each row's right-hand side.
 
-    Raises ValueError on a shape mismatch, an unknown relation, or a NaN or
-    infinite coefficient or bound.
+    Raises ValueError on a shape mismatch, a mask that is not boolean, or a
+    NaN or infinite coefficient or bound.
     """
 
     objective: np.ndarray
     var_bounds: np.ndarray
     A: np.ndarray
-    rel: np.ndarray
+    eq: np.ndarray
     rhs: np.ndarray
 
-    def __init__(self, objective, var_bounds, A=None, rel=(), rhs=()):
+    def __init__(self, objective, var_bounds, A=None, eq=None, rhs=()):
         c = np.asarray(objective, dtype=float)
         vb = np.asarray(var_bounds, dtype=float)
         if c.ndim != 1 or c.size == 0:
@@ -163,23 +166,22 @@ class LinearProgram:
                 f"var_bounds must have shape ({c.size}, 2), got {vb.shape}"
             )
         rhs = np.asarray(rhs, dtype=float)
-        rel = np.asarray(rel, dtype=str)
+        eq = np.zeros(0, dtype=bool) if eq is None else np.asarray(eq)
         A = np.zeros((0, c.size)) if A is None else np.asarray(A, dtype=float)
-        if rhs.ndim != 1 or rel.shape != rhs.shape or A.shape != (rhs.size, c.size):
+        if rhs.ndim != 1 or eq.shape != rhs.shape or A.shape != (rhs.size, c.size):
             raise ValueError(
-                f"A, rel and rhs must have shapes (m, {c.size}), (m,) and (m,); "
-                f"got {A.shape}, {rel.shape} and {rhs.shape}"
+                f"A, eq and rhs must have shapes (m, {c.size}), (m,) and (m,); "
+                f"got {A.shape}, {eq.shape} and {rhs.shape}"
             )
-        unknown = sorted(set(rel.tolist()) - {"<=", "=", ">="})
-        if unknown:
-            raise ValueError(f"unknown relation {unknown[0]!r}")
+        if eq.dtype != bool:  # numpy would read any nonempty string as True
+            raise ValueError(f"eq must be a boolean mask, got dtype {eq.dtype}")
         for name, arr in (("objective", c), ("var_bounds", vb), ("A", A), ("rhs", rhs)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} has a NaN or infinite entry")
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "var_bounds", vb)
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "rel", rel)
+        object.__setattr__(self, "eq", eq)
         object.__setattr__(self, "rhs", rhs)
 
     @property
@@ -188,8 +190,8 @@ class LinearProgram:
 
     @property
     def constraints(self) -> tuple:
-        """The rows as ``(row, rel, rhs)`` triples, read from the arrays on each access."""
-        return tuple(zip(self.A, self.rel.tolist(), self.rhs.tolist()))
+        """The rows as ``(row, "=" or "<=", rhs)`` triples, read from the arrays on each access."""
+        return tuple(zip(self.A, np.where(self.eq, "=", "<=").tolist(), self.rhs.tolist()))
 
 
 class LpBasis(NamedTuple):
@@ -197,8 +199,8 @@ class LpBasis(NamedTuple):
 
     ``basic`` holds the basic column of each row; ``state`` holds each
     column's state (at its lower bound, at its upper bound, or basic).  The
-    columns are the program's variables, then one slack per inequality row
-    in row order.  :func:`solve` returns the final basis on an optimal
+    columns are the program's variables, then one slack per ``<=`` row in
+    row order.  :func:`solve` returns the final basis on an optimal
     outcome and accepts one as ``start``.
     """
 
@@ -609,29 +611,26 @@ def _cold_start(tab: _Tableau, A_rows: np.ndarray, is_eq: np.ndarray) -> bool:
 def solve(
     lp: LinearProgram,
     *,
-    max_iter: Optional[int] = None,
     start: Optional[LpBasis] = None,
     deadline: Optional[float] = None,
 ) -> LpOutcome:
     """Solve a linear program whose variable bounds are all finite.
 
-    ``>=`` rows are negated into ``<=`` rows and every inequality row gets a
-    slack column, in row order, all as array operations on ``lp.A``.
-    Without a usable ``start``, structural variables start at their lower
-    bounds, the start basis is the crash basis described in the module
-    docstring (``=`` rows, and the inequality rows that the start point
-    violates, on their last columns; the other inequality rows on their
-    slacks), and phase 1 runs only for the rows it leaves without a
-    feasible basic column.  A program with no rows goes the same way; its
-    ``iterations`` count the bound flips.
+    Every ``<=`` row gets a slack column, in row order; the program's own
+    arrays are read, never written.  Without a usable ``start``, structural
+    variables start at their lower bounds, the start basis is the crash
+    basis described in the module docstring (``=`` rows, and the ``<=``
+    rows that the start point violates, on their last columns; the other
+    ``<=`` rows on their slacks), and phase 1 runs only for the rows it
+    leaves without a feasible basic column.  A program with no rows goes the
+    same way; its ``iterations`` count the bound flips.  Both phases
+    together may apply ``200 * (rows + columns) + 1000`` pivots, slacks
+    counted as columns; one more raises :class:`LpError`.
 
     Parameters
     ----------
     lp : LinearProgram
         The program to minimize.
-    max_iter : int, optional
-        Pivot budget across both phases; defaults to ``200 * (rows + cols) +
-        1000``.  Exceeding it raises :class:`LpError`.
     start : LpBasis, optional
         A basis to run phase 2 from, usually ``basis`` of an earlier outcome
         on a program with the same rows and columns.  It is used only when it
@@ -669,31 +668,23 @@ def solve(
     if (lo_s > hi_s).any():
         return LpOutcome(LpStatus.INFEASIBLE)
 
-    # normalize rows: ">=" becomes "<=" by negation; remember equality rows
-    is_ge = lp.rel == ">="
-    is_eq = lp.rel == "="
-    A_rows = np.where(is_ge[:, None], -lp.A, lp.A)
-    b = np.where(is_ge, -lp.rhs, lp.rhs)
-
-    # one slack column per inequality row, in row order
-    ineq_rows = np.flatnonzero(~is_eq)
+    # one slack column per "<=" row, in row order
+    ineq_rows = np.flatnonzero(~lp.eq)
     n_slack = ineq_rows.size
     K = n + n_slack
     A = np.zeros((m, K))
-    A[:, :n] = A_rows
+    A[:, :n] = lp.A
     A[ineq_rows, n + np.arange(n_slack)] = 1.0
     lo = np.concatenate([lo_s, np.zeros(n_slack)])
     hi = np.concatenate([hi_s, np.full(n_slack, np.inf)])
+    max_iter = 200 * (m + K) + 1000
 
-    if max_iter is None:
-        max_iter = 200 * (m + K) + 1000
-
-    tab = _Tableau(A, b, lo, hi, max_iter, deadline)
+    tab = _Tableau(A, lp.rhs, lo, hi, max_iter, deadline)
     warm = start is not None and _warm_start(tab, start)
     if not warm:
         if start is not None:
-            tab = _Tableau(A, b, lo, hi, max_iter, deadline)  # the rejected start's marks go
-        if not _cold_start(tab, A_rows, is_eq):
+            tab = _Tableau(A, lp.rhs, lo, hi, max_iter, deadline)  # the rejected start's marks go
+        if not _cold_start(tab, lp.A, lp.eq):
             return LpOutcome(LpStatus.INFEASIBLE, iterations=tab.iterations, phase1=tab.phase1)
 
     full_cost = np.zeros(tab.K)
@@ -712,8 +703,8 @@ def solve(
     # the comparisons are written so that a NaN counts as a violation
     if not ((x >= lo_s - _FEAS_TOL) & (x <= hi_s + _FEAS_TOL)).all():
         raise LpError("final point violates variable bounds")
-    residual = A_rows @ x - b
-    violation = np.where(is_eq, np.abs(residual), residual)
+    residual = lp.A @ x - lp.rhs
+    violation = np.where(lp.eq, np.abs(residual), residual)
     if not violation.max(initial=-np.inf) <= _FEAS_TOL:
         i = int(np.argmax(~(violation <= _FEAS_TOL)))
         raise LpError(f"final point violates row {i} by {violation[i]:.3e}")

@@ -191,9 +191,13 @@ def region_minimum(net: Network, prop, pattern):
     const = float(prop.output.c @ c + prop.output.d)
     rows = np.vstack([Ap for Ap, _ in pre_forms])
     rhs = -np.concatenate([cp for _, cp in pre_forms])
-    rels = np.where(np.concatenate(pattern) > 0, ">=", "<=")
+    sign = np.where(np.concatenate(pattern) > 0, -1.0, 1.0)  # sign * row <= sign * rhs
     lp = LinearProgram(
-        obj, np.column_stack([prop.input.lower, prop.input.upper]), rows, rels, rhs
+        obj,
+        np.column_stack([prop.input.lower, prop.input.upper]),
+        sign[:, None] * rows,
+        np.zeros(rhs.size, dtype=bool),
+        sign * rhs,
     )
     status, value = vertex_minimum(lp)
     if status == "infeasible":

@@ -6,6 +6,9 @@ system, filters by feasibility, and takes the best objective.  It requires
 every variable box to be bounded, which the generators guarantee; under that
 assumption the feasible region is a polytope, so if it is nonempty the
 minimum is attained at one of the enumerated points.
+
+The generators write rows with the relations "<=", "=" and ">=";
+:func:`program` turns them into the solver's ``=`` and ``<=`` rows.
 """
 
 import itertools
@@ -15,6 +18,16 @@ import numpy as np
 from incver.lp import LinearProgram
 
 
+def program(objective, var_bounds, rows, rels, rhs) -> LinearProgram:
+    """The program of rows with relations "<=", "=" or ">=": each ">=" row negated into "<="."""
+    rows, rhs = np.asarray(rows, dtype=float), np.asarray(rhs, dtype=float)
+    rels = np.asarray(rels, dtype=str)
+    ge = rels == ">="
+    return LinearProgram(
+        objective, var_bounds, np.where(ge[:, None], -rows, rows), rels == "=", np.where(ge, -rhs, rhs)
+    )
+
+
 def vertex_minimum(lp: LinearProgram, feas_tol: float = 1e-8):
     """Return ("optimal", value) or ("infeasible", None) by enumeration."""
     c = lp.objective
@@ -22,7 +35,7 @@ def vertex_minimum(lp: LinearProgram, feas_tol: float = 1e-8):
     lo = lp.var_bounds[:, 0]
     hi = lp.var_bounds[:, 1]
     assert np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)), "oracle needs a bounded box"
-    rows, rels, rhs = lp.A, lp.rel, lp.rhs
+    rows, rhs = lp.A, lp.rhs
     m = rhs.size
 
     mats = []
@@ -52,28 +65,28 @@ def vertex_minimum(lp: LinearProgram, feas_tol: float = 1e-8):
 
     ok = np.all(points >= lo - feas_tol, axis=1) & np.all(points <= hi + feas_tol, axis=1)
     if m:
-        vals = points @ rows.T
-        for i, rel in enumerate(rels):
-            if rel == "<=":
-                ok &= vals[:, i] <= rhs[i] + feas_tol
-            elif rel == ">=":
-                ok &= vals[:, i] >= rhs[i] - feas_tol
-            else:
-                ok &= np.abs(vals[:, i] - rhs[i]) <= feas_tol
+        gap = points @ rows.T - rhs
+        ok &= np.all(np.where(lp.eq, np.abs(gap), gap) <= feas_tol, axis=1)
     if not ok.any():
         return "infeasible", None
     return "optimal", float(np.min(points[ok] @ c))
 
 
 def random_lp(rng, n_max=5, m_max=8, family="feasible") -> LinearProgram:
-    """Random LP over a bounded box.
+    """Random LP over a bounded box: :func:`random_rows`' program."""
+    return program(*random_rows(rng, n_max, m_max, family))
 
-    Families: "feasible" keeps a sampled interior point feasible for every
-    row, "loose" draws right-hand sides freely (either status can result),
-    "infeasible" adds a contradictory pair of rows, "chain" builds the
-    staircase of "=" rows, and the inequalities ending on their own
-    columns, that the solver's crash basis starts from (see
-    :func:`_chain_rows`).
+
+def random_rows(rng, n_max=5, m_max=8, family="feasible"):
+    """Random LP over a bounded box, in relation form.
+
+    Returns ``(objective, var_bounds, rows, rels, rhs)``, every entry but
+    ``rels`` an array, for :func:`program`.  Families: "feasible" keeps a
+    sampled interior point feasible for every row, "loose" draws right-hand
+    sides freely (either status can result), "infeasible" adds a
+    contradictory pair of rows, "chain" builds the staircase of "=" rows,
+    and the inequalities ending on their own columns, that the solver's
+    crash basis starts from (see :func:`_chain_rows`).
     """
     n = int(rng.integers(3 if family == "chain" else 1, n_max + 1))
     lo = rng.uniform(-3.0, 0.0, n)
@@ -82,7 +95,7 @@ def random_lp(rng, n_max=5, m_max=8, family="feasible") -> LinearProgram:
     bounds = np.column_stack([lo, hi])
     if family == "chain":
         rows, rels, rhs = _chain_rows(rng, lo, hi, rng.uniform(lo, hi), m_max)
-        return LinearProgram(c, bounds, np.array(rows), rels, rhs)
+        return c, bounds, np.array(rows), rels, np.array(rhs)
     m = int(rng.integers(0, m_max + 1))
     x0 = rng.uniform(lo, hi)
     rows, rels, rhs = [], [], []
@@ -107,7 +120,7 @@ def random_lp(rng, n_max=5, m_max=8, family="feasible") -> LinearProgram:
         rows += [a, a]
         rels += ["<=", ">="]
         rhs += [t, t + 1.0 + float(rng.uniform(0, 1))]
-    return LinearProgram(c, bounds, np.reshape(rows, (len(rows), n)), rels, rhs)
+    return c, bounds, np.reshape(rows, (len(rows), n)), rels, np.array(rhs, dtype=float)
 
 
 def _chain_rows(rng, lo, hi, x0, m_max):

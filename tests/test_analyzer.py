@@ -131,7 +131,7 @@ def test_minus_split_at_the_tolerance_corner_is_inactive():
     assert bounds.phase[0][0] == INACTIVE
     assert (bounds.out_lb[0], bounds.out_ub[0]) == (0.0, 0.0)
     lp = _build_program(net, prop, bounds)
-    assert lp.rel.tolist() == ["=", "="]  # the two affine rows only
+    assert lp.eq.tolist() == [True, True]  # the two affine rows only
     assert lp.var_bounds[2].tolist() == [0.0, 0.0]  # columns: input, pre, post, output
 
 
@@ -751,7 +751,8 @@ def random_programs(seed, trials):
 def reference_program(net, prop, splits, bounds):
     """The bounding LP written one row at a time, in the builder's order:
     each layer's affine rows, then unit by unit nothing (inactive), the "="
-    row (active) or the ">=" row and its chord (ambiguous); output rows last.
+    row (active) or the "pre - post <= 0" row and its chord (ambiguous);
+    output rows last.
 
     A unit is inactive if split "-" or, unsplit, if u <= STABLE_TOL; else
     active if split "+" or l >= -STABLE_TOL; else ambiguous.  Its post
@@ -777,14 +778,14 @@ def reference_program(net, prop, splits, bounds):
         kinds.append(kind)
     lo = np.concatenate(lo + [bounds.out_lb])
     hi = np.concatenate(hi + [bounds.out_ub])
-    rows, rels, rhs = [], [], []
+    rows, eq, rhs = [], [], []
 
     def add(entries, rel, value):
         row = np.zeros(lo.size)
         for col, coef in entries:
             row[col] = coef
         rows.append(row)
-        rels.append(rel)
+        eq.append(rel == "=")
         rhs.append(value)
 
     src_off, src_n = 0, net.input_dim
@@ -802,17 +803,17 @@ def reference_program(net, prop, splits, bounds):
             if kinds[i][j] == "active":
                 add([(post_v, 1.0), (pre_v, -1.0)], "=", 0.0)
                 continue
-            add([(post_v, 1.0), (pre_v, -1.0)], ">=", 0.0)
+            add([(post_v, -1.0), (pre_v, 1.0)], "<=", 0.0)
             slope = u / (u - l)
             add([(post_v, 1.0), (pre_v, -slope)], "<=", -slope * l)
         src_off, src_n = dst + widths[i], widths[i]
     objective = np.zeros(lo.size)
     objective[lo.size - net.output_dim :] = prop.output.c
-    return objective, np.column_stack([lo, hi]), np.array(rows), rels, np.array(rhs)
+    return objective, np.column_stack([lo, hi]), np.array(rows), eq, np.array(rhs)
 
 
 def test_program_matches_the_row_by_row_reference():
-    # The builder writes A, rel and rhs in blocks of array operations; they
+    # The builder writes A, eq and rhs in blocks of array operations; they
     # must hold the reference's rows in the reference's order, bit for bit.
     affine = Network((Affine(np.array([[2.0, -1.0]]), np.array([1.0])),))
     affine_prop = margin_prop([1.0], 0.5, unit_box(2))
@@ -820,11 +821,11 @@ def test_program_matches_the_row_by_row_reference():
     built = 0
     for net, prop, splits, bounds in [no_relu, *random_programs(612, 60)]:
         lp = _build_program(net, prop, bounds)
-        objective, var_bounds, A, rels, rhs = reference_program(net, prop, splits, bounds)
+        objective, var_bounds, A, eq, rhs = reference_program(net, prop, splits, bounds)
         assert lp.objective.tobytes() == objective.tobytes()
         assert lp.var_bounds.tobytes() == var_bounds.tobytes()
         assert lp.A.tobytes() == A.tobytes()
-        assert lp.rel.tolist() == rels
+        assert lp.eq.tolist() == eq
         assert lp.rhs.tobytes() == rhs.tobytes()
         built += 1
     assert built >= 30
@@ -832,12 +833,15 @@ def test_program_matches_the_row_by_row_reference():
 
 def test_program_layout_feeds_the_crash_basis():
     # The solver's crash basis takes each "=" row's last nonzero column as
-    # basic, and an inequality's where the start point violates it (lp
-    # module docstring).  The bounding LP must end every "=" row with -1 or
-    # 1 on its own pre, post or output column, never two rows on one
-    # column, and give each ambiguous unit exactly one ">=" and one "<="
-    # row over its own pre and post columns, ending on post.
-    checked = ambiguous_seen = 0
+    # basic, and a "<=" row's where the start point violates it (lp module
+    # docstring).  The bounding LP must end every "=" row with -1 or 1 on
+    # its own pre, post or output column, never two rows on one column, and
+    # give each ambiguous unit exactly two "<=" rows over its own pre and
+    # post columns, both ending on post, the first with -1 (pre - post <= 0)
+    # and the second, its chord, with 1.  So the rows have full rank, and
+    # every optimal LP leaves a basis: no artificial stays basic on a
+    # dependent row.
+    checked = ambiguous_seen = optimal = phase1 = 0
     for net, prop, splits, bounds in random_programs(611, 80):
         lp = _build_program(net, prop, bounds)
         dims = [net.input_dim] + [W.shape[0] for W, _ in net.blocks]
@@ -859,7 +863,7 @@ def test_program_layout_feeds_the_crash_basis():
         active = {rid for rid in rids if splits.get(rid, "+" if rid in stable_on else None) == "+"}
         ambiguous = {rid for rid in rids if rid not in splits and bounds.is_ambiguous(rid)}
 
-        eq_rows = np.flatnonzero(lp.rel == "=")
+        eq_rows = np.flatnonzero(lp.eq)
         heads = [int(np.flatnonzero(lp.A[i])[-1]) for i in eq_rows]
         assert len(set(heads)) == len(heads), "two = rows end on one column"
         assert set(heads) == (
@@ -874,13 +878,21 @@ def test_program_layout_feeds_the_crash_basis():
                 assert np.flatnonzero(lp.A[i]).tolist() == [pre[rid], post[rid]]
 
         per_unit = {}
-        for i in np.flatnonzero(lp.rel != "="):
+        for i in np.flatnonzero(~lp.eq):
             cols = np.flatnonzero(lp.A[i]).tolist()
             rid = next(r for r in rids if post[r] == cols[-1])
-            assert set(cols) <= {pre[rid], post[rid]} and lp.A[i, post[rid]] == 1.0
-            per_unit.setdefault(rid, []).append(str(lp.rel[i]))
+            assert set(cols) <= {pre[rid], post[rid]}
+            per_unit.setdefault(rid, []).append(float(lp.A[i, post[rid]]))
         assert set(per_unit) == ambiguous
-        assert all(sorted(rels) == ["<=", ">="] for rels in per_unit.values())
+        assert all(heads == [-1.0, 1.0] for heads in per_unit.values())
+
+        out = solve(lp)
+        if out.status is LpStatus.OPTIMAL:
+            assert out.basis is not None, "an optimal analyzer LP left an artificial basic"
+            optimal += 1
+            phase1 += out.phase1 > 0
         checked += 1
         ambiguous_seen += len(ambiguous)
     assert checked >= 40 and ambiguous_seen >= 60
+    # phase 1 runs on some of them, so the artificials' eviction is exercised
+    assert optimal >= 40 and phase1 >= 5

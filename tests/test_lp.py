@@ -30,7 +30,7 @@ from incver.lp import (
 from incver.model import load_network
 from incver.props import load_property
 from incver.verifier import Mode, VerifierConfig, verify
-from lp_oracles import random_lp, vertex_minimum
+from lp_oracles import program, random_lp, random_rows, vertex_minimum
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -54,7 +54,7 @@ def test_minimize_over_unit_interval():
 
 
 def test_contradictory_rows_infeasible():
-    lp = LinearProgram(
+    lp = program(
         [1.0],
         box([-10.0, 10.0]),
         [[1.0], [1.0]],
@@ -72,7 +72,7 @@ def test_crossed_bounds_infeasible():
 
 
 def test_equality_row():
-    lp = LinearProgram(
+    lp = program(
         [1.0, 1.0],
         box([0.0, 1.0], [0.0, 1.0]),
         [[1.0, 1.0]],
@@ -85,7 +85,7 @@ def test_equality_row():
 
 
 def test_fixed_variable_respected():
-    lp = LinearProgram(
+    lp = program(
         [-1.0, 1.0],
         box([0.5, 0.5], [0.0, 2.0]),
         [[1.0, 1.0]],
@@ -179,8 +179,6 @@ def test_weak_duality_by_sampling():
             v = pts @ row
             if rel == "<=":
                 feas &= v <= rhs + 1e-9
-            elif rel == ">=":
-                feas &= v >= rhs - 1e-9
             else:
                 feas &= np.abs(v - rhs) <= 1e-9
         if feas.any():
@@ -195,7 +193,7 @@ def test_objective_scaling():
         if out.status is not LpStatus.OPTIMAL:
             continue
         lam = float(rng.uniform(0.5, 4.0))
-        scaled = LinearProgram(lam * lp.objective, lp.var_bounds, lp.A, lp.rel, lp.rhs)
+        scaled = LinearProgram(lam * lp.objective, lp.var_bounds, lp.A, lp.eq, lp.rhs)
         out2 = solve(scaled)
         assert out2.status is LpStatus.OPTIMAL
         assert abs(out2.value - lam * out.value) <= 1e-6 * max(1.0, abs(lam * out.value))
@@ -216,8 +214,8 @@ def test_redundant_constraint_no_effect():
                 lp.objective,
                 lp.var_bounds,
                 np.vstack([lp.A, np.ones(n)]),
-                [*lp.rel, "<="],
-                [*lp.rhs, red],
+                np.append(lp.eq, False),
+                np.append(lp.rhs, red),
             )
         )
         assert out2.status is LpStatus.OPTIMAL
@@ -244,7 +242,7 @@ def test_degenerate_problem_terminates():
         e = np.zeros(n)
         e[j] = 1.0
         rows += [e, e + 0.5]
-    lp = LinearProgram(
+    lp = program(
         -np.ones(n),
         np.column_stack([np.zeros(n), np.ones(n)]),
         rows,
@@ -257,34 +255,52 @@ def test_degenerate_problem_terminates():
 
 
 def test_iteration_cap_raises():
-    rng = np.random.default_rng(5)
-    lp = random_lp(rng, n_max=5, m_max=8, family="feasible")
-    with pytest.raises(LpError):
-        solve(lp, max_iter=1)
+    # x + y + z + s = 3 over [0, 1]^3, s >= 0 basic: minimizing -x - y - z
+    # flips the three columns to their upper bounds, one pivot each, and a
+    # budget of one pivot stops the second.
+    def tableau(max_iter):
+        hi = np.array([1.0, 1.0, 1.0, np.inf])
+        tab = _Tableau(np.ones((1, 4)), np.array([3.0]), np.zeros(4), hi, max_iter)
+        tab.basis[0], tab.state[3] = 3, _BASIC
+        tab.refresh()
+        return tab
+
+    cost = np.array([-1.0, -1.0, -1.0, 0.0])
+    tab = tableau(3)
+    tab.run(cost)
+    assert (tab.iterations, tab.val[:3].tolist(), tab.xb.tolist()) == (3, [1.0, 1.0, 1.0], [0.0])
+    with pytest.raises(LpError, match="iteration limit 1 exceeded"):
+        tableau(1).run(cost)
 
 
 def test_validation_errors():
     unit = [[0.0, 1.0]]
     cases = [
         ([], np.zeros((0, 2))),
-        ([1.0], unit, [[1.0, 2.0]], ["<="], [0.0]),
-        ([1.0], unit, [[1.0]], ["<"], [0.0]),
+        ([1.0], unit, [[1.0, 2.0]], [False], [0.0]),
+        # a mask of the wrong shape, or one that is not boolean: numpy would
+        # read any relation string as True, an "=" row
+        ([1.0], unit, [[1.0]], None, [0.0]),
+        ([1.0], unit, [[1.0]], [False, False], [0.0]),
+        ([1.0], unit, [[1.0]], [[False]], [0.0]),
+        ([1.0], unit, [[1.0]], ["<="], [0.0]),
+        ([1.0], unit, [[1.0]], [0.0], [0.0]),
         # the solver would misread each of these and could return a wrong
         # OPTIMAL: a NaN row or rhs is never violated, a NaN lower bound
         # reads as -inf, and the solver keeps no column at an infinite bound
         ([np.nan], unit),
         ([np.inf], unit),
-        ([1.0], unit, [[np.nan]], [">="], [0.5]),
-        ([1.0], unit, [[-np.inf]], [">="], [0.5]),
-        ([1.0], unit, [[1.0]], [">="], [np.nan]),
-        ([1.0], unit, [[1.0]], [">="], [np.inf]),
+        ([1.0], unit, [[np.nan]], [False], [0.5]),
+        ([1.0], unit, [[-np.inf]], [False], [0.5]),
+        ([1.0], unit, [[1.0]], [False], [np.nan]),
+        ([1.0], unit, [[1.0]], [False], [np.inf]),
         ([-1.0], [[np.nan, 1.0]]),
         ([1.0], [[0.0, np.nan]]),
         ([1.0], [[np.inf, np.inf]]),
         ([1.0], [[-np.inf, -np.inf]]),
         ([1.0], [[-np.inf, 1.0]]),
         ([1.0], [[0.0, np.inf]]),
-        ([1.0], [[-np.inf, np.inf]], [[1.0]], [">="], [0.5]),
+        ([1.0], [[-np.inf, np.inf]], [[1.0]], [False], [0.5]),
     ]
     for args in cases:
         with pytest.raises(ValueError):
@@ -293,12 +309,12 @@ def test_validation_errors():
 
 def test_constraints_view_reads_the_arrays():
     lp = LinearProgram(
-        [1.0, 0.0], box([0.0, 1.0], [0.0, 1.0]), [[1.0, 2.0], [3.0, 4.0]], ["<=", ">="], [5.0, 6.0]
+        [1.0, 0.0], box([0.0, 1.0], [0.0, 1.0]), [[1.0, 2.0], [3.0, 4.0]], [False, True], [5.0, 6.0]
     )
     rows = lp.constraints
     assert [(r.tolist(), rel, rhs) for r, rel, rhs in rows] == [
         ([1.0, 2.0], "<=", 5.0),
-        ([3.0, 4.0], ">=", 6.0),
+        ([3.0, 4.0], "=", 6.0),
     ]
     assert all(type(rel) is str and type(rhs) is float for _, rel, rhs in rows)
     assert LinearProgram([1.0], box([0.0, 1.0])).constraints == ()
@@ -333,8 +349,8 @@ def test_refresh_solves_only_the_nonbasic_columns():
         assert np.allclose(tab.xb, np.linalg.solve(B, rhs), rtol=0, atol=1e-12)
 
 
-def oracle_lps():
-    """The random programs of test_random_lps_match_vertex_oracle, in order."""
+def oracle_rows():
+    """The random programs of test_random_lps_match_vertex_oracle, in order, in relation form."""
     rng = np.random.default_rng(2024)
     for n_max, m_max, family, count in [
         (5, 8, "feasible", 120),
@@ -344,7 +360,26 @@ def oracle_lps():
         (6, 6, "chain", 60),
     ]:
         for _ in range(count):
-            yield random_lp(rng, n_max=n_max, m_max=m_max, family=family)
+            yield random_rows(rng, n_max=n_max, m_max=m_max, family=family)
+
+
+def oracle_lps():
+    """The random programs of test_random_lps_match_vertex_oracle, in order."""
+    for rows in oracle_rows():
+        yield program(*rows)
+
+
+def test_solve_leaves_the_program_as_it_was():
+    # solve reads the program's arrays in place, without a copy: after a
+    # cold solve and a warm one from its basis, every array of every
+    # oracle program holds the bytes it held before.
+    for lp in oracle_lps():
+        arrays = (lp.objective, lp.var_bounds, lp.A, lp.eq, lp.rhs)
+        before = [a.tobytes() for a in arrays]
+        out = solve(lp)
+        if out.basis is not None:
+            solve(lp, start=out.basis)
+        assert [a.tobytes() for a in arrays] == before
 
 
 def assert_same_outcome(got, want):
@@ -373,7 +408,7 @@ def test_own_final_basis_restarts_without_a_pivot():
         if cold.basis is None:  # an artificial stayed basic on a dependent row
             continue
         optimal += 1
-        m, K = lp.rhs.size, lp.num_vars + int(np.sum(lp.rel != "="))
+        m, K = lp.rhs.size, lp.num_vars + int(np.sum(~lp.eq))
         assert cold.basis.basic.shape == (m,) and cold.basis.state.shape == (K,)
         again = solve(lp, start=cold.basis)
         assert again.warm and again.iterations == 0
@@ -413,17 +448,22 @@ def test_an_optimal_start_is_priced_without_building_the_tableau(monkeypatch):
     assert priced >= 150
 
 
-def perturbed(lp, rng, scale=1e-3):
-    """The same rows and columns with every coefficient and bound moved a little."""
-    lo, hi = lp.var_bounds.T
+def perturbed(rows, rng, scale=1e-3):
+    """The program of these relation-form rows, every coefficient and bound moved a little.
+
+    The rows are moved before their relations are applied, so a ">=" row
+    moves as written and is then negated.
+    """
+    objective, var_bounds, A, rels, rhs = rows
+    lo, hi = var_bounds.T
     shift = rng.uniform(-scale, scale, size=(2, lo.size))
     lo, hi = lo + shift[0], np.maximum(hi + shift[1], lo + shift[0])
-    return LinearProgram(
-        lp.objective + rng.uniform(-scale, scale, lp.objective.size),
+    return program(
+        objective + rng.uniform(-scale, scale, objective.size),
         np.column_stack([lo, hi]),
-        lp.A + rng.uniform(-scale, scale, lp.A.shape) * (lp.A != 0),
-        lp.rel,
-        lp.rhs + rng.uniform(-scale, scale, lp.rhs.size),
+        A + rng.uniform(-scale, scale, A.shape) * (A != 0),
+        rels,
+        rhs + rng.uniform(-scale, scale, rhs.size),
     )
 
 
@@ -433,11 +473,11 @@ def test_warm_start_on_a_perturbed_program_matches_the_cold_solve():
     # and optimum equal the cold solve's, and the point achieves the value.
     rng = np.random.default_rng(99)
     taken = 0
-    for lp in oracle_lps():
-        old = solve(lp)
+    for rows in oracle_rows():
+        old = solve(program(*rows))
         if old.basis is None:
             continue
-        new = perturbed(lp, rng)
+        new = perturbed(rows, rng)
         cold, warm = solve(new), solve(new, start=old.basis)
         assert warm.status is cold.status
         taken += warm.warm
@@ -452,13 +492,13 @@ def test_warm_start_on_a_perturbed_program_matches_the_cold_solve():
 
 def test_a_start_that_does_not_fit_falls_back_to_the_cold_solve():
     # x + y <= 1 and 2x + 2y <= 3 over [0, 2]^2: columns x, y, s0, s1.
-    lp = LinearProgram(
+    lp = program(
         [-1.0, -2.0], box([0.0, 2.0], [0.0, 2.0]), [[1.0, 1.0], [2.0, 2.0]], ["<=", "<="], [1.0, 3.0]
     )
     cold = solve(lp)
     assert cold.status is LpStatus.OPTIMAL and cold.basis is not None
     L, U, B = _AT_LOWER, _AT_UPPER, _BASIC
-    other = solve(LinearProgram([1.0], box([0.0, 1.0]), [[1.0]], ["<="], [0.5]))
+    other = solve(program([1.0], box([0.0, 1.0]), [[1.0]], ["<="], [0.5]))
     starts = {
         "wrong shape": other.basis,
         "repeated basic column": LpBasis(np.array([0, 0]), np.array([B, L, L, L])),
@@ -479,14 +519,14 @@ def test_a_start_that_does_not_fit_falls_back_to_the_cold_solve():
 
 def test_infeasible_and_dependent_programs_leave_no_basis():
     # An infeasible program has no basis; a start cannot make it feasible.
-    lp = LinearProgram([1.0], box([-10.0, 10.0]), [[1.0], [1.0]], [">=", "<="], [1.0, 0.0])
-    feasible = solve(LinearProgram([1.0], box([-10.0, 10.0]), [[1.0], [1.0]], [">=", "<="], [0.0, 1.0]))
+    lp = program([1.0], box([-10.0, 10.0]), [[1.0], [1.0]], [">=", "<="], [1.0, 0.0])
+    feasible = solve(program([1.0], box([-10.0, 10.0]), [[1.0], [1.0]], [">=", "<="], [0.0, 1.0]))
     cold = solve(lp)
     assert cold.status is LpStatus.INFEASIBLE and cold.basis is None
     assert_same_outcome(solve(lp, start=feasible.basis), cold)
     # A linearly dependent "=" row keeps an artificial basic, pinned at 0;
     # that basis has no columns to name in a start.
-    lp = LinearProgram([1.0, 2.0], box([0.0, 1.0], [0.0, 1.0]), [[1.0, 1.0], [2.0, 2.0]], ["=", "="], [1.0, 2.0])
+    lp = program([1.0, 2.0], box([0.0, 1.0], [0.0, 1.0]), [[1.0, 1.0], [2.0, 2.0]], ["=", "="], [1.0, 2.0])
     out = solve(lp)
     assert out.status is LpStatus.OPTIMAL and out.basis is None
     assert abs(out.value - 1.0) < 1e-9
@@ -515,17 +555,18 @@ def test_a_nan_reduced_cost_raises_instead_of_reading_as_optimal():
     assert not lp_module._priced_optimal(tab, np.array([0.0, np.nan]))
 
 
-def degenerate_lps():
+def degenerate_rows():
     """Rows through the origin, a vertex of the box: long runs of zero steps.
 
-    The second program reaches Bland's rule.
+    The second program reaches Bland's rule.  In relation form, as
+    :func:`oracle_rows`.
     """
     rng = np.random.default_rng(5)
     for _ in range(3):
         n, m = 25, 75
         A = rng.integers(-3, 4, size=(m, n)).astype(float)
         cost = -rng.integers(1, 5, size=n).astype(float)
-        yield LinearProgram(cost, np.column_stack([np.zeros(n), np.ones(n)]), A, ["<="] * m, np.zeros(m))
+        yield cost, np.column_stack([np.zeros(n), np.ones(n)]), A, ["<="] * m, np.zeros(m)
 
 
 def outcome_bits(out):
@@ -557,13 +598,13 @@ def test_outcomes_are_pinned_bit_for_bit(monkeypatch):
     monkeypatch.setattr(_Tableau, "_entering", recording_entering)
     digest = hashlib.sha256()
     rng = np.random.default_rng(99)
-    for lp in oracle_lps():
-        cold = solve(lp)
+    for rows in oracle_rows():
+        cold = solve(program(*rows))
         digest.update(outcome_bits(cold))
         if cold.basis is not None:
-            digest.update(outcome_bits(solve(perturbed(lp, rng), start=cold.basis)))
-    for lp in degenerate_lps():
-        digest.update(outcome_bits(solve(lp)))
+            digest.update(outcome_bits(solve(perturbed(rows, rng), start=cold.basis)))
+    for rows in degenerate_rows():
+        digest.update(outcome_bits(solve(program(*rows))))
     assert sum(bland) > _BLAND_TRIGGER
     assert digest.hexdigest() == PINNED_OUTCOMES
 
@@ -632,10 +673,10 @@ def test_each_pivot_matches_the_rules_built_from_the_states(monkeypatch):
     monkeypatch.setattr(_Tableau, "_entering", checked_entering)
     monkeypatch.setattr(_Tableau, "_ratio_test", checked_ratio_test)
     rng = np.random.default_rng(7)
-    for lp in [*oracle_lps(), *degenerate_lps()]:
-        out = solve(lp)
+    for rows in [*oracle_rows(), *degenerate_rows()]:
+        out = solve(program(*rows))
         if out.basis is not None:
-            solve(perturbed(lp, rng, scale=1e-1), start=out.basis)
+            solve(perturbed(rows, rng, scale=1e-1), start=out.basis)
     assert calls["ratio"] > 1000 and calls["bland"] > _BLAND_TRIGGER
 
 
@@ -670,15 +711,15 @@ def test_phase1_counts_the_pivots_before_the_first_feasible_basis():
     assert counted > 0
     # 0 <= x + y <= 1 holds at the lower bounds: every row starts on its slack
     rows = [[1.0, 1.0], [1.0, 1.0]]
-    lp = LinearProgram([-1.0, -2.0], box([0.0, 2.0], [0.0, 2.0]), rows, ["<=", ">="], [1.0, 0.0])
+    lp = program([-1.0, -2.0], box([0.0, 2.0], [0.0, 2.0]), rows, ["<=", ">="], [1.0, 0.0])
     out = solve(lp)
     assert (out.phase1, out.iterations) == (0, 1)
     # x + y >= 1 does not, and the crash covers it with y = 1, which makes
     # it tight within y's bounds: no phase 1, and one pivot to the optimum
-    out = solve(LinearProgram([1.0, 2.0], box([0.0, 2.0], [0.0, 2.0]), [[1.0, 1.0]], [">="], [1.0]))
+    out = solve(program([1.0, 2.0], box([0.0, 2.0], [0.0, 2.0]), [[1.0, 1.0]], [">="], [1.0]))
     assert (out.phase1, out.iterations, out.value) == (0, 1, 1.0)
     # x + y >= 3 would need y = 3, beyond its bound: the row starts on an
     # artificial, which phase 1 drives out in two pivots (x flips to its
     # upper bound, then y enters at 1), and that vertex is already optimal
-    out = solve(LinearProgram([1.0, 2.0], box([0.0, 2.0], [0.0, 2.0]), [[1.0, 1.0]], [">="], [3.0]))
+    out = solve(program([1.0, 2.0], box([0.0, 2.0], [0.0, 2.0]), [[1.0, 1.0]], [">="], [3.0]))
     assert (out.phase1, out.iterations, out.value) == (2, 2, 4.0)

@@ -95,13 +95,14 @@ def test_stage_table_lists_every_mode_and_run(monkeypatch):
 
 def test_work_matches_the_newest_benchmark_point(tmp_path):
     # The newest BENCH_*.json pins seed 1's work and digests of deep-16x3
-    # (few large LPs) and input-split (many small ones, none of which runs
-    # a phase-1 pivot); the tool, in a process of its own that pins BLAS,
+    # (few large LPs), input-split (many small ones, few phase-1 pivots and
+    # none infeasible) and quant-8x6 (the most phase-1 pivots and
+    # infeasible LPs); the tool, in a process of its own that pins BLAS,
     # must reproduce them all.
     points = TOOLS.parent.glob("BENCH_*.json")
     newest = max(points, key=lambda p: int(re.fullmatch(r"BENCH_(\d+)\.json", p.name)[1]))
     work = json.loads(newest.read_text(encoding="utf-8"))["work"]
-    for workload in ("deep-16x3", "input-split"):
+    for workload in ("deep-16x3", "input-split", "quant-8x6"):
         saved = tmp_path / f"{workload}.txt"
         saved.write_text(json.dumps(work[workload]["1"]) + "\n", encoding="utf-8")
         run = subprocess.run(
