@@ -141,6 +141,12 @@ class PreactBounds:
     ``objective_lb`` (present with ``kappa``) is a lower bound on the
     objective over the region: that back-substituted bound, at least the
     parent's, and raised to the LP optimum once :func:`analyze` solves one.
+    ``upper_side`` (present with ``kappa``) records where that bound's walk
+    went: its first entry masks the inputs whose coefficient is negative, so
+    the bound reads the box's upper corner there, and one entry per ReLU
+    layer masks the post-activations whose coefficient is negative before
+    relaxation, so the walk read the upper side, the chord of an ambiguous
+    unit.  :func:`analyze`'s LP starts from that corner and those sides.
     ``walks`` counts the back-substitution walks of the pass that computed
     these bounds.  ``carry`` names the network, box and splits that pass ran
     on, so that a child on the same network and box takes these bounds of
@@ -159,6 +165,7 @@ class PreactBounds:
     objective_lb: Optional[float] = None
     walks: int = 0
     carry: Optional[_Carry] = field(default=None, repr=False)
+    upper_side: Optional[list] = None
 
     def is_ambiguous(self, rid: ReluId) -> bool:
         return bool(self.phase[rid.layer][rid.neuron] == AMBIGUOUS)
@@ -193,15 +200,23 @@ def _lower_bound(blocks, relax, start, upto, lower, upper):
     positive and negative parts.  ``relax`` holds, per ReLU layer, the k
     regions' slopes as (k, 1, w) arrays and intercepts as a (k, w, 1)
     array; ``lower`` and ``upper`` are their boxes as (k, n, 1) arrays.
-    Returns the (k, r, 1) bounds and, per ReLU layer, the (k, r, w)
-    pre-activation coefficients met on the way.  Every product runs region
-    by region, so each region's values are the bits of a walk of its own.
-    An upper bound is the negated lower bound of the negated rows.
+    Returns the (k, r, 1) bounds, per ReLU layer the (k, r, w)
+    pre-activation coefficients met on the way, and per block up to
+    ``upto`` the negative parts of the rows' coefficients on its input, as
+    the walk met them: block 0's on the input box, where the bound reads
+    ``upper`` for a negative coefficient, and block j's on the
+    post-activations of ReLU layer j - 1, before their relaxation, where a
+    negative coefficient takes the relaxation's upper side.  Every product
+    runs region by region, so each region's values are the bits of a walk
+    of its own.  An upper bound is the negated lower bound of the negated
+    rows.
     """
     A, c, pos, neg = start
     coefs = [None] * upto
+    negs = [None] * (upto + 1)
     for j in range(upto - 1, -1, -1):
         lam_low, lam_up, mu_up = relax[j]
+        negs[j + 1] = neg
         c = c + neg @ mu_up
         A = pos * lam_low + neg * lam_up
         coefs[j] = A
@@ -210,7 +225,8 @@ def _lower_bound(blocks, relax, start, upto, lower, upper):
         A = A @ Wj
         pos = np.maximum(A, 0.0)
         neg = np.minimum(A, 0.0)
-    return pos @ lower + neg @ upper + c, coefs
+    negs[0] = neg
+    return pos @ lower + neg @ upper + c, coefs, negs
 
 
 def _interval(net, relax, upto, lower, upper, objective=None):
@@ -218,16 +234,20 @@ def _interval(net, relax, upto, lower, upper, objective=None):
 
     With an ``objective`` (the output block only) its row rides under those
     rows in the same walk.  Returns the (k, n) lower and upper bounds, and
-    the objective's (k,) bounds and its per-ReLU-layer (k, w) pre-activation
-    coefficients (None without an objective).
+    the objective's (k,) bounds, its per-ReLU-layer (k, w) pre-activation
+    coefficients and its upper sides: per block, a (k, w) mask, True where
+    its coefficient on the block's input is negative (see
+    :func:`_lower_bound`).  All three are None without an objective.
     """
     start = net.signed_blocks[upto] if objective is None else net.signed_output(objective)
     n = net.blocks[upto][1].size
-    lb, coefs = _lower_bound(net.blocks, relax, start, upto, lower, upper)
+    lb, coefs, negs = _lower_bound(net.blocks, relax, start, upto, lower, upper)
     lb = lb[..., 0]
     if objective is None:
-        return lb[:, :n], -lb[:, n:], None, None
-    return lb[:, :n], -lb[:, n : 2 * n], lb[:, -1], [a[:, -1] for a in coefs]
+        return lb[:, :n], -lb[:, n:], None, None, None
+    k = lb.shape[0]
+    sides = [np.broadcast_to(a[..., -1, :] < 0.0, (k, a.shape[-1])) for a in negs]
+    return lb[:, :n], -lb[:, n : 2 * n], lb[:, -1], [a[:, -1] for a in coefs], sides
 
 
 def bound_regions(net: Network, regions, objective=None) -> list:
@@ -324,7 +344,7 @@ def bound_regions(net: Network, regions, objective=None) -> list:
         walking = bisect.bisect_right(takes, i)
         if walking:
             above = relax if walking == n else [tuple(a[:walking] for a in r) for r in relax]
-            l, u, _, _ = _interval(net, above, i, lower[:walking], upper[:walking])
+            l, u, _, _, _ = _interval(net, above, i, lower[:walking], upper[:walking])
         prior_l = np.stack([p.pre_lb[i] for p in priors])
         prior_u = np.stack([p.pre_ub[i] for p in priors])
         if walking < n:  # the later regions take their parent's bounds for the walk
@@ -358,7 +378,7 @@ def bound_regions(net: Network, regions, objective=None) -> list:
         phases.append(phase)
         relax.append((lam_low[:, None, :], lam_up[:, None, :], mu_up[:, :, None]))
 
-    out_l, out_u, lb, coefs = _interval(net, relax, n_relu, lower, upper, objective)
+    out_l, out_u, lb, coefs, sides = _interval(net, relax, n_relu, lower, upper, objective)
     out_l = np.maximum(out_l, np.stack([p.out_lb for p in priors]))
     out_u = np.minimum(out_u, np.stack([p.out_ub for p in priors]))
     infeasible |= (out_l > out_u + CROSS_TOL).any(axis=1)
@@ -373,6 +393,7 @@ def bound_regions(net: Network, regions, objective=None) -> list:
         )
         if objective is not None:
             bounds.kappa = [a[r] for a in kappa]
+            bounds.upper_side = [a[r] for a in sides]
             obj = lb[r]
             if prior.objective_lb is not None:
                 obj = max(obj, prior.objective_lb)
@@ -446,10 +467,17 @@ def _build_program(net, prop, bounds):
     ``post - slope * pre <= -slope * l`` if ambiguous; the output's affine
     rows come last.  Other post columns are max(pre, 0).  Every ``=`` row
     ends with -1 or 1 on its own column, and both rows of an ambiguous unit
-    end on its post column, ``pre - post <= 0`` with -1.  That is the layout
-    the solver's crash basis starts from: it evaluates the network forward
-    from the input box's lower corner, and covers ``pre - post <= 0`` with
-    post = pre wherever pre is positive there.
+    end on its post column, ``pre - post <= 0`` with -1 and the chord with
+    1.  That is the layout the solver's crash basis starts from: it
+    evaluates the network forward from the program's start corner.  The
+    ``at_upper`` mask sets that corner where the bounds' objective walk went
+    (``upper_side``): each input whose coefficient there is negative starts
+    at its upper bound, and so does each ambiguous unit's post whose
+    coefficient is negative, the units whose walk read the chord.  The crash
+    covers such a post's chord row with post = slope * (pre - l), and every
+    other ambiguous post's ``pre - post <= 0`` row with post = pre wherever
+    pre is positive.  Bounds without an ``upper_side`` start every column
+    at its lower bound.
     """
     blocks = net.blocks
     widths = tuple(W.shape[0] for W, _ in blocks)
@@ -489,9 +517,14 @@ def _build_program(net, prop, bounds):
     A[chord, pre[amb]] = -slope
     rhs[chord] = -slope * l
 
+    at_upper = np.zeros(lo.size, dtype=bool)
+    if bounds.upper_side is not None:
+        corner, *posts = bounds.upper_side
+        at_upper[: net.input_dim] = corner
+        at_upper[post[amb]] = np.concatenate([np.zeros(0, dtype=bool), *posts])[amb]
     objective = np.zeros(lo.size)
     objective[-net.output_dim :] = prop.output.c
-    return LinearProgram(objective, np.column_stack([lo, hi]), A, eq, rhs)
+    return LinearProgram(objective, np.column_stack([lo, hi]), A, eq, rhs, at_upper)
 
 
 def analyze(

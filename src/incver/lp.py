@@ -24,21 +24,23 @@ program is optimal or infeasible.  A program with no rows has no basis, and
 phase 2 below moves each column to the bound its cost prefers by bound
 flips.  It runs the classic two phases from a crash start basis:
 
-1. Rows claim their last nonzero structural column as basic, in order of
-   that column: each ``=`` row unless the coefficient is below the pivot
-   tolerance or an earlier row took the column, and each inequality row
-   that the point substituted so far violates, when the value that makes
-   it tight lies within the column's bounds.  These columns form a
-   triangular basis, so their values follow by forward substitution from
-   the nonbasic start values.  A value within the feasibility tolerance
-   outside its bounds is clipped to them, as the rounding it is; an ``=``
-   row's column whose value leaves them by more is parked at the nearer
-   bound instead.  Every other inequality row starts on its slack when the
-   residual allows it.  Only the rows left without a basic column receive
-   an artificial variable, whose column is ``sign(residual) * e_i`` with
-   bounds ``[0, inf)``; when there are none, phase 1 is skipped.
-   Otherwise phase 1 minimizes the sum of artificials, and a positive
-   optimum means the program is infeasible.  Artificials that linger in
+1. Every structural column starts at a bound: its lower one, or its upper
+   one where the program's ``at_upper`` mask says so.  Rows claim their
+   last nonzero structural column as basic, in order of that column: each
+   ``=`` row unless the coefficient is below the pivot tolerance or an
+   earlier row took the column, and each inequality row that the point
+   substituted so far violates, when the value that makes it tight lies
+   within the column's bounds.  These columns form a triangular basis, so
+   their values follow by forward substitution from the nonbasic start
+   values.  A value within the feasibility tolerance outside its bounds is
+   clipped to them, as the rounding it is; an ``=`` row's column whose
+   value leaves them by more is parked at the nearer bound instead.  Every
+   other inequality row starts on its slack when the residual allows it.
+   Only the rows left without a basic column receive an artificial
+   variable, whose column is ``sign(residual) * e_i`` with bounds
+   ``[0, inf)``; when there are none, phase 1 is skipped.  Otherwise
+   phase 1 minimizes the sum of artificials, and a positive optimum means
+   the program is infeasible.  Artificials that linger in
    the basis at zero are pivoted out where possible and otherwise pinned
    to ``[0, 0]`` (their row is linearly dependent).
 2. Phase 2 minimizes the real objective with artificial columns barred from
@@ -62,10 +64,14 @@ final point passes the same feasibility guard.
 The analyzer orders its variables input, pre, post, output and writes each
 ``=`` row with its own variable last, and each ambiguous ReLU's rows with
 its post column last.  On its programs the crash basis therefore evaluates
-the network forward from the input box's lower corner: an ambiguous unit's
-``pre - post <= 0`` row claims post wherever pre is positive, so post is
-``max(pre, 0)``.  Phase 1 only repairs the rows that this point really
-violates, such as a split's sign or a value that leaves its bounds.
+the network forward from an input corner, and its mask sets that corner
+and each ambiguous unit's side of the triangle relaxation where the
+region's propagation bound put them.  A unit whose post starts at its lower
+bound, 0, is covered by its ``pre - post <= 0`` row wherever pre is
+positive, so post is ``max(pre, 0)``; one whose post starts at its upper
+bound is covered by its chord row, so post lies on the chord.  Phase 1 only
+repairs the rows that this point really violates, such as a split's sign or
+a value that leaves its bounds.
 
 The tableau ``T = Binv A`` is kept dense and updated by row operations at
 each pivot.  It is refactorized before each phase: B is factorized once, only
@@ -145,6 +151,11 @@ class LinearProgram:
         True for an ``=`` row, False for a ``<=`` row.
     rhs : (m,) array
         Each row's right-hand side.
+    at_upper : (n,) bool array, optional
+        True for a variable whose cold start is its upper bound instead of
+        its lower one (see :func:`solve`); all False when omitted.  It names
+        a start point, not a constraint: the program's optimum is the same
+        for every mask.
 
     Raises ValueError on a shape mismatch, a mask that is not boolean, or a
     NaN or infinite coefficient or bound.
@@ -155,8 +166,9 @@ class LinearProgram:
     A: np.ndarray
     eq: np.ndarray
     rhs: np.ndarray
+    at_upper: np.ndarray
 
-    def __init__(self, objective, var_bounds, A=None, eq=None, rhs=()):
+    def __init__(self, objective, var_bounds, A=None, eq=None, rhs=(), at_upper=None):
         c = np.asarray(objective, dtype=float)
         vb = np.asarray(var_bounds, dtype=float)
         if c.ndim != 1 or c.size == 0:
@@ -173,8 +185,12 @@ class LinearProgram:
                 f"A, eq and rhs must have shapes (m, {c.size}), (m,) and (m,); "
                 f"got {A.shape}, {eq.shape} and {rhs.shape}"
             )
-        if eq.dtype != bool:  # numpy would read any nonempty string as True
-            raise ValueError(f"eq must be a boolean mask, got dtype {eq.dtype}")
+        up = np.zeros(c.size, dtype=bool) if at_upper is None else np.asarray(at_upper)
+        if up.shape != c.shape:
+            raise ValueError(f"at_upper must have shape ({c.size},), got {up.shape}")
+        for name, mask in (("eq", eq), ("at_upper", up)):
+            if mask.dtype != bool:  # numpy would read any nonempty string as True
+                raise ValueError(f"{name} must be a boolean mask, got dtype {mask.dtype}")
         for name, arr in (("objective", c), ("var_bounds", vb), ("A", A), ("rhs", rhs)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} has a NaN or infinite entry")
@@ -183,6 +199,7 @@ class LinearProgram:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "eq", eq)
         object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "at_upper", up)
 
     @property
     def num_vars(self) -> int:
@@ -430,24 +447,27 @@ class _Tableau:
         self.xb[row] = new_val
 
 
-def _crash(tab: _Tableau, A_rows: np.ndarray, is_eq: np.ndarray) -> np.ndarray:
+def _crash(tab: _Tableau, lp: LinearProgram) -> np.ndarray:
     """Triangular crash start: rows claim their last nonzero structural column.
 
     A row's head is its last nonzero structural column.  Rows are visited in
     order of their heads; among rows sharing a head, "=" rows come first,
-    then row order.  A row whose head coefficient is below the pivot
-    tolerance is never visited.  The first row to claim a head takes it:
+    then row order.  The first row to claim a head takes it:
 
-    * an "=" row always claims its head.  When the head's substituted value
-      leaves its bounds by more than the feasibility tolerance, the column
-      is parked, nonbasic, at the nearer bound, and the row stays without a
-      basic column;
+    * an "=" row always claims its head, unless the head coefficient is
+      below the pivot tolerance (such a row is never visited).  When the
+      head's substituted value leaves its bounds by more than the
+      feasibility tolerance, the column is parked, nonbasic, at the nearer
+      bound, and the row stays without a basic column;
     * an inequality row claims its head only when the point substituted so
       far violates the row and the value that makes the row tight lies
       within the feasibility tolerance of the head's bounds.  Its slack
-      stays nonbasic at 0.  The head starts at its lower bound, so only a
-      negative head coefficient can meet both, and only such rows are
-      visited.
+      stays nonbasic at 0.  A head that starts at its lower bound can only
+      meet both under a negative coefficient, and one that starts at its
+      upper bound (``lp.at_upper``) only under a positive one; only rows
+      whose head coefficient has that sign, beyond the pivot tolerance, are
+      visited.  The row is then violated exactly when the tight value lies
+      above the lower bound, or below the upper one.
 
     A basic head takes its substituted value clipped to its bounds: a value
     that crosses a bound by a rounding error is not a violation for phase 1
@@ -456,10 +476,13 @@ def _crash(tab: _Tableau, A_rows: np.ndarray, is_eq: np.ndarray) -> np.ndarray:
     substitution of a triangular basis from the nonbasic start values.
     Returns the start point over the structural columns.
     """
+    A_rows, is_eq = lp.A, lp.eq
     m, n = A_rows.shape
     last = n - 1 - np.argmax(A_rows[:, ::-1] != 0, axis=1)  # n - 1, with coefficient 0, on a zero row
     coef = A_rows[np.arange(m), last]
-    rows = np.flatnonzero((coef < -_PIVOT_TOL) | (is_eq & (coef > _PIVOT_TOL)))
+    up = lp.at_upper[last]
+    facing = np.where(is_eq, np.abs(coef), np.where(up, coef, -coef))  # the coefficient a visit needs
+    rows = np.flatnonzero(facing > _PIVOT_TOL)
     rows = rows[np.lexsort((~is_eq[rows], last[rows]))]  # stable: row order within ties
     heads = last[rows]
     below = A_rows[rows]  # each row without its head: its product with x reads the lower columns
@@ -468,14 +491,16 @@ def _crash(tab: _Tableau, A_rows: np.ndarray, is_eq: np.ndarray) -> np.ndarray:
     b, lo, hi = tab.b.tolist(), tab.lo.tolist(), tab.hi.tolist()
     basic, parked = [], []  # (row, column, value) and (column, state, value)
     claimed = -1  # the head of the rows being visited, once a row has claimed it
-    visits = zip(rows.tolist(), heads.tolist(), coef[rows].tolist(), is_eq[rows].tolist(), below)
-    for i, j, c, eq, row in visits:
+    visits = zip(
+        rows.tolist(), heads.tolist(), coef[rows].tolist(), is_eq[rows].tolist(), up[rows].tolist(), below
+    )
+    for i, j, c, eq, at_u, row in visits:
         if j == claimed:
             continue
         v = (b[i] - float(row.dot(x))) / c
         l, u = lo[j], hi[j]
         near = l - _FEAS_TOL <= v <= u + _FEAS_TOL
-        if not (eq or (near and v > l)):  # c < 0: violated at lo while v > lo
+        if not (eq or (near and (v < u if at_u else v > l))):  # violated at the head's start
             continue
         claimed = j
         x[j] = w = v if l <= v <= u else (l if v < l else u)
@@ -546,20 +571,23 @@ def _priced_optimal(tab: _Tableau, cost: np.ndarray) -> bool:
         return False
 
 
-def _cold_start(tab: _Tableau, A_rows: np.ndarray, is_eq: np.ndarray) -> bool:
+def _cold_start(tab: _Tableau, lp: LinearProgram) -> bool:
     """Crash basis, then phase 1 for the rows it leaves uncovered.
 
-    Leaves ``tab`` refreshed on a basis of the structural and slack columns
-    that is feasible within the feasibility tolerance, apart from
+    Structural columns start at the bound ``lp.at_upper`` names, slacks at
+    0.  Leaves ``tab`` refreshed on a basis of the structural and slack
+    columns that is feasible within the feasibility tolerance, apart from
     artificials pinned to zero on dependent rows, and returns True; returns
     False when phase 1 proves the program infeasible.
     """
-    n = A_rows.shape[1]
+    n = lp.num_vars
     K, m = tab.K, tab.m
-    ineq_rows = np.flatnonzero(~is_eq)
+    ineq_rows = np.flatnonzero(~lp.eq)
     slack_cols = n + np.arange(ineq_rows.size)
-    tab.val[:n] = tab.lo[:n]  # structural columns start at their lower bounds
-    residual = tab.b - A_rows @ _crash(tab, A_rows, is_eq)
+    up = lp.at_upper
+    tab.state[:n] = np.where(up, _AT_UPPER, _AT_LOWER)
+    tab.val[:n] = np.where(up, tab.hi[:n], tab.lo[:n])
+    residual = tab.b - lp.A @ _crash(tab, lp)
 
     # an inequality row the crash left uncovered starts on its slack when
     # that is feasible; every row still without a basic column gets an
@@ -618,11 +646,11 @@ def solve(
 
     Every ``<=`` row gets a slack column, in row order; the program's own
     arrays are read, never written.  Without a usable ``start``, structural
-    variables start at their lower bounds, the start basis is the crash
-    basis described in the module docstring (``=`` rows, and the ``<=``
-    rows that the start point violates, on their last columns; the other
-    ``<=`` rows on their slacks), and phase 1 runs only for the rows it
-    leaves without a feasible basic column.  A program with no rows goes the
+    variables start at the bounds ``lp.at_upper`` names, the start basis is
+    the crash basis described in the module docstring (``=`` rows, and the
+    ``<=`` rows that the start point violates, on their last columns; the
+    other ``<=`` rows on their slacks), and phase 1 runs only for the rows
+    it leaves without a feasible basic column.  A program with no rows goes the
     same way; its ``iterations`` count the bound flips.  Both phases
     together may apply ``200 * (rows + columns) + 1000`` pivots, slacks
     counted as columns; one more raises :class:`LpError`.
@@ -684,7 +712,7 @@ def solve(
     if not warm:
         if start is not None:
             tab = _Tableau(A, lp.rhs, lo, hi, max_iter, deadline)  # the rejected start's marks go
-        if not _cold_start(tab, lp.A, lp.eq):
+        if not _cold_start(tab, lp):
             return LpOutcome(LpStatus.INFEASIBLE, iterations=tab.iterations, phase1=tab.phase1)
 
     full_cost = np.zeros(tab.K)

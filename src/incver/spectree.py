@@ -44,6 +44,11 @@ __all__ = [
 ]
 
 
+# recorded child bounds that agree to this relative tolerance are a tie in prune:
+# the same optimum, rounded differently
+TIE_RTOL = 1e-12
+
+
 class NodeStatus(Enum):
     UNANALYZED = "Unanalyzed"
     VERIFIED = "Verified"
@@ -268,8 +273,11 @@ def prune(tree: SpecTree, theta: float) -> SpecTree:
 
     Walking top-down: a node whose split improved the bound by less than
     ``theta`` (strictly) is replaced by its weaker child (the one with the
-    smaller recorded bound; ties keep the left child), repeating through runs
-    of consecutive ineffective splits.  Splits whose improvement cannot be
+    smaller recorded bound), repeating through runs of consecutive
+    ineffective splits.  Bounds within ``TIE_RTOL`` of each other, relative
+    to the larger magnitude, are a tie, and a tie keeps the left child: a
+    split that left both children at their parent's bound up to rounding
+    does not follow the last bit.  Splits whose improvement cannot be
     computed (missing bounds on interrupted runs) are kept.  The copy's nodes
     are all reset to Unanalyzed with no recorded bounds.
     """
@@ -287,7 +295,8 @@ def prune(tree: SpecTree, theta: float) -> SpecTree:
             if imp >= theta:
                 break
             left, right = tree.node(src.left), tree.node(src.right)
-            src = left if left.lb <= right.lb else right
+            tie = math.isclose(left.lb, right.lb, rel_tol=TIE_RTOL)
+            src = right if right.lb < left.lb and not tie else left
         if src.is_leaf:
             continue
         dst = out.node(dst_id)

@@ -7,7 +7,8 @@ so tests can use these as ground truth.  ``path_bounds`` is a helper: it
 bounds a region the way the verifier reaches it, down its branching path.
 ``separate_walk_bounds`` is a reference for the propagation pass's layout:
 it reuses the analyzer's back-substitution walk, but runs it once per bound
-side and once more for the objective.
+side and once more for the objective, and reads the objective's upper sides
+from the walk's pre-activation coefficients instead of from the walk.
 """
 
 import itertools
@@ -87,7 +88,7 @@ def separate_walk_bounds(net: Network, box, splits, objective=None, parent=None)
         start = (A, c[:, None], np.maximum(A, 0.0), np.minimum(A, 0.0))
         shaped = [(lo[None, None], up[None, None], mu[None, :, None]) for lo, up, mu in relax]
         lower, upper = box.lower[None, :, None], box.upper[None, :, None]
-        lb, coefs = _lower_bound(blocks, shaped, start, upto, lower, upper)
+        lb, coefs, _ = _lower_bound(blocks, shaped, start, upto, lower, upper)
         return lb[0, :, 0], [a[0] for a in coefs]
 
     def interval(upto):
@@ -138,6 +139,11 @@ def separate_walk_bounds(net: Network, box, splits, objective=None, parent=None)
         lb, coefs = walk(c @ W, c @ b, len(blocks) - 1)
         lb = lb[0]
         bounds.kappa = [np.abs(a[0]) for a in coefs]
+        # the objective's coefficients on each block's input, from those on
+        # its output: the pre-activation coefficients, and the objective on
+        # the output block; negative ones read the upper side
+        outputs = [*(a[0] for a in coefs), c]
+        bounds.upper_side = [row @ W < 0.0 for row, (W, _) in zip(outputs, blocks)]
         if parent is not None and parent.objective_lb is not None:
             lb = max(lb, parent.objective_lb)
         bounds.objective_lb = float(lb)

@@ -19,10 +19,11 @@ from incver.analyzer import (
     bound_regions,
     compute_bounds,
 )
-from incver.lp import LpStatus, solve
+from incver.lp import LinearProgram, LpStatus, solve
 from incver.model import Affine, Network, Relu, ReluId, quantize, relu_ids
 from incver.props import InputBox, OutputConstraint, Property
 from bound_oracles import (
+    all_sign_patterns,
     analyze_region,
     brute_force_minimum,
     forward_with_preacts,
@@ -205,7 +206,8 @@ def test_bounds_nest_along_split_paths():
 def test_stacked_walks_match_the_separate_walks():
     # One pass walks each layer's [W; -W] together and rides the objective's
     # row in the output block's walk; the reference walks each side and the
-    # objective on its own.  Phases must agree exactly, every bound to 1e-12.
+    # objective on its own.  Phases and the objective's upper sides must
+    # agree exactly, every bound to 1e-12.
     rng = np.random.default_rng(77)
     affine = Network((Affine(np.array([[2.0, -1.0], [0.5, 3.0]]), np.array([1.0, -2.0])),))
     cases = [(affine, {}, None)]
@@ -236,10 +238,12 @@ def test_stacked_walks_match_the_separate_walks():
             pairs = [*zip(got.pre_lb, want.pre_lb), *zip(got.pre_ub, want.pre_ub)]
             pairs += [(got.out_lb, want.out_lb), (got.out_ub, want.out_ub)]
             if objective is None:
-                assert got.kappa is None and got.objective_lb is None
+                assert got.kappa is None and got.objective_lb is None and got.upper_side is None
             else:
                 pairs += list(zip(got.kappa, want.kappa, strict=True))
                 pairs.append((got.objective_lb, want.objective_lb))
+                sides = zip(got.upper_side, want.upper_side, strict=True)
+                assert all(np.array_equal(g, w) for g, w in sides)
             for g, w in pairs:
                 assert np.allclose(g, w, rtol=0.0, atol=1e-12)
             compared += 1
@@ -255,10 +259,11 @@ def assert_identical(got, want):
         g, w = getattr(got, name), getattr(want, name)
         assert len(g) == len(w) and all(same(a, b) for a, b in zip(g, w)), name
     assert same(got.out_lb, want.out_lb) and same(got.out_ub, want.out_ub)
-    assert (got.kappa is None) == (want.kappa is None)
-    if got.kappa is not None:
-        assert len(got.kappa) == len(want.kappa)
-        assert all(same(a, b) for a, b in zip(got.kappa, want.kappa))
+    for name in ("kappa", "upper_side"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g is None) == (w is None), name
+        if g is not None:
+            assert len(g) == len(w) and all(same(a, b) for a, b in zip(g, w)), name
     lbs = (got.objective_lb, want.objective_lb)
     assert lbs == (None, None) or float(lbs[0]).hex() == float(lbs[1]).hex()
     assert got.infeasible == want.infeasible
@@ -624,7 +629,10 @@ def region_grid_minimum(net, prop, splits):
 def test_propagation_verdicts_are_sound():
     # A region verified without an LP (pivots None) records the propagation
     # bound, at least its parent's: nonnegative, below every grid point's
-    # margin in the region, and no tighter than the region's own LP.
+    # margin in the region, and no tighter than the region's own LP.  That
+    # LP may be infeasible where the region is empty, though propagation
+    # did not find it so; then every full sign pattern that the splits
+    # allow is empty too.
     rng = np.random.default_rng(59)
     skipped = 0
 
@@ -638,6 +646,14 @@ def test_propagation_verdicts_are_sound():
         if grid_min is not None:
             assert v.lb_value <= grid_min + 1e-9
         out = solve(_build_program(net, prop, v.bounds))
+        if out.status is LpStatus.INFEASIBLE:
+            signs = {rid: 1.0 if sign == "+" else -1.0 for rid, sign in splits.items()}
+            allowed = [
+                pattern for pattern in all_sign_patterns(net)
+                if all(pattern[rid.layer][rid.neuron] == sign for rid, sign in signs.items())
+            ]
+            assert all(region_minimum(net, prop, pattern) is None for pattern in allowed)
+            return
         assert out.status is LpStatus.OPTIMAL
         assert v.lb_value <= out.value + prop.output.d + 1e-9
 
@@ -829,6 +845,37 @@ def test_program_matches_the_row_by_row_reference():
         assert lp.rhs.tobytes() == rhs.tobytes()
         built += 1
     assert built >= 30
+
+
+def test_program_starts_where_the_objective_walk_points():
+    # The LP's start mask is the objective walk's upper sides, as the
+    # reference reads them from its own walk: each input whose coefficient
+    # is negative, and each ambiguous unit's post whose coefficient is
+    # negative (the walk read its chord).  Every other column starts at its
+    # lower bound.  The start does not move the optimum.
+    corners = chords = 0
+    for net, prop, splits, bounds in random_programs(613, 80):
+        items = list(splits.items())
+        parent = path_bounds(net, prop.input, dict(items[:-1])) if items else None
+        want = separate_walk_bounds(net, prop.input, splits, objective=prop.output.c, parent=parent)
+        lp = _build_program(net, prop, bounds)
+        corner, *posts = want.upper_side
+        expected = np.zeros(lp.num_vars, dtype=bool)
+        expected[: net.input_dim] = corner
+        offset = net.input_dim
+        for phase, side in zip(bounds.phase, posts):
+            w = phase.size
+            expected[offset + w : offset + 2 * w] = side & (phase == AMBIGUOUS)  # the post columns
+            offset += 2 * w
+        assert np.array_equal(lp.at_upper, expected)
+        corners += int(corner.sum())
+        chords += int(expected[net.input_dim :].sum())
+        lower = LinearProgram(lp.objective, lp.var_bounds, lp.A, lp.eq, lp.rhs)
+        got, want_out = solve(lp), solve(lower)
+        assert got.status is want_out.status
+        if got.status is LpStatus.OPTIMAL:
+            assert abs(got.value - want_out.value) <= 1e-7
+    assert corners >= 40 and chords >= 20
 
 
 def test_program_layout_feeds_the_crash_basis():

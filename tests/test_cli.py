@@ -86,8 +86,8 @@ def test_verify_demo_fixture_metrics(capsys):
     assert doc["verdict"] == "Verified"
     assert doc["metrics"]["boundings"] == 9
     assert doc["metrics"]["branchings"] == 4
-    assert (doc["metrics"]["lps"], doc["metrics"]["pivots"]) == (6, 28)
-    assert doc["metrics"]["phase1_pivots"] == 11  # of the 28, before a feasible basis
+    assert (doc["metrics"]["lps"], doc["metrics"]["pivots"]) == (6, 12)
+    assert doc["metrics"]["phase1_pivots"] == 7  # of the 12, before a feasible basis
     assert doc["metrics"]["infeasible"] == 0  # no region of the demo is empty
     assert (doc["metrics"]["passes"], doc["metrics"]["walks"]) == (9, 13)
     assert doc["counterexample"] is None
@@ -594,16 +594,17 @@ def test_log_env_controls_verbosity():
     assert len(logged(noisy)) >= len(logged(quiet))
     # at DEBUG each verify run writes a line per bounding phase and ends with
     # one line of its work: the first run, then reuse's second run, whose two
-    # LPs start from the first run's bases
+    # LPs are handed the first run's bases; one of them is not primal
+    # feasible on the updated network, so that LP starts cold
     runs = [line for line in noisy.stderr.splitlines() if line.startswith("DEBUG:incver.verifier:")]
     assert runs == [
         "DEBUG:incver.verifier:phase 1: 1 nodes, 1 LPs (0 warm), 0 settled, 1 splits [relu(0, 0)]",
         "DEBUG:incver.verifier:phase 2: 2 nodes, 2 LPs (0 warm), 0 settled, 2 splits [relu(1, 0) relu(1, 0)]",
         "DEBUG:incver.verifier:phase 3: 4 nodes, 2 LPs (0 warm), 3 settled, 1 splits [relu(1, 1)]",
         "DEBUG:incver.verifier:phase 4: 2 nodes, 1 LPs (0 warm), 2 settled, 0 splits []",
-        "DEBUG:incver.verifier:verify Verified: 9 boundings, 4 branchings, 6 LPs (0 warm), 28 pivots",
-        "DEBUG:incver.verifier:phase 1: 5 nodes, 2 LPs (2 warm), 5 settled, 0 splits []",
-        "DEBUG:incver.verifier:verify Verified: 5 boundings, 0 branchings, 2 LPs (2 warm), 0 pivots",
+        "DEBUG:incver.verifier:verify Verified: 9 boundings, 4 branchings, 6 LPs (0 warm), 12 pivots",
+        "DEBUG:incver.verifier:phase 1: 5 nodes, 2 LPs (1 warm), 5 settled, 0 splits []",
+        "DEBUG:incver.verifier:verify Verified: 5 boundings, 0 branchings, 2 LPs (1 warm), 4 pivots",
     ]
     assert "incver.verifier" not in quiet.stderr
     junk = subprocess.run(

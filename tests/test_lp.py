@@ -130,9 +130,11 @@ def test_random_lps_match_vertex_oracle():
 def test_crash_basis_pivot_count_on_demo():
     # Pivots are the deterministic work counter of the simplex.  The demo's
     # baseline first run settles 3 of its 9 boundings by bound propagation
-    # and solves the other 6 LPs in 28 pivots from the crash basis; a crash
-    # that covers only the "=" rows needs 33 on those LPs, and the
-    # all-artificial start before it 57.
+    # and solves the other 6 LPs in 12 pivots from the crash basis, started
+    # at the input corner and relaxation sides of each region's propagation
+    # bound.  Started at the lower corner the crash needs 28 on those LPs, a
+    # crash that covers only the "=" rows 33, and the all-artificial start
+    # before it 57.
     net = load_network(FIXTURES / "demo_network.json")
     prop = load_property(FIXTURES / "demo_property.json")
     knobs = json.loads((FIXTURES / "demo_config.json").read_text(encoding="utf-8"))
@@ -145,15 +147,16 @@ def test_crash_basis_pivot_count_on_demo():
     run = verify(net, prop, VerifierConfig(mode=Mode.BASELINE, heuristic=heur, timeout=30.0))
     assert (run.metrics.boundings, run.metrics.branchings) == (9, 4)
     assert run.metrics.lps == 6
-    assert run.metrics.pivots == 28
+    assert run.metrics.pivots == 12
 
 
 def test_demo_root_lp_runs_no_phase1():
-    # The demo's root region has no split, so the crash's start corner, the
-    # network evaluated from the input box's lower corner with each
-    # ambiguous unit's post at max(pre, 0), lies inside it.  Two of the
-    # four ambiguous units have pre > 0 there, and their "post - pre >= 0"
-    # rows are covered by their post columns: phase 1 has nothing to repair.
+    # The demo's root region has no split, so the crash's start point lies
+    # inside it: the network evaluated from the input corner that the
+    # region's propagation bound read (the upper one here), each ambiguous
+    # unit's post on the side of its relaxation that bound read (layer 0's
+    # at max(pre, 0), layer 1's on their chords).  Phase 1 has nothing to
+    # repair.
     net = load_network(FIXTURES / "demo_network.json")
     prop = load_property(FIXTURES / "demo_property.json")
     bounds = compute_bounds(net, prop.input, {}, objective=prop.output.c)
@@ -301,10 +304,18 @@ def test_validation_errors():
         ([1.0], [[-np.inf, 1.0]]),
         ([1.0], [[0.0, np.inf]]),
         ([1.0], [[-np.inf, np.inf]], [[1.0]], [False], [0.5]),
+        # a start mask of the wrong shape, or one that is not boolean
+        ([1.0], unit, None, None, (), [True, False]),
+        ([1.0], unit, None, None, (), []),
+        ([1.0], unit, None, None, (), [[True]]),
+        ([1.0], unit, None, None, (), [1.0]),
+        ([1.0], unit, None, None, (), ["upper"]),
     ]
     for args in cases:
         with pytest.raises(ValueError):
             LinearProgram(*args)
+    assert LinearProgram([1.0, 2.0], unit * 2).at_upper.tolist() == [False, False]
+    assert LinearProgram([1.0], unit, at_upper=np.array([True])).at_upper.tolist() == [True]
 
 
 def test_constraints_view_reads_the_arrays():
@@ -696,6 +707,52 @@ def test_a_past_deadline_stops_the_simplex_at_its_first_pivot():
         stopped += 1
     assert stopped >= 100
     assert issubclass(LpTimeout, LpError)
+
+
+def test_a_head_starting_at_its_upper_bound_is_claimed_by_the_row_it_violates():
+    # x in [0, 1] starts at its lower bound and y in [0, 2] at its upper one.
+    # With a zero cost the outcome is the crash start itself.  y - x <= 0.5
+    # is violated at (0, 2) and tight at y = 0.5 inside y's bounds: the row
+    # claims y, with no phase 1.  y - x <= 3 holds there: the row starts on
+    # its slack and y stays at its upper bound.  y - x <= -0.5 would need
+    # y = -0.5, below its bound: the row gets an artificial.
+    def start(rhs, at_upper=(False, True)):
+        lp = LinearProgram(
+            [0.0, 0.0], box([0.0, 1.0], [0.0, 2.0]), [[-1.0, 1.0]], [False], [rhs], np.array(at_upper)
+        )
+        return solve(lp)
+
+    claimed = start(0.5)
+    assert (claimed.iterations, claimed.phase1) == (0, 0)
+    assert claimed.point.tolist() == [0.0, 0.5]
+    assert claimed.basis.basic.tolist() == [1] and claimed.basis.state.tolist() == [_AT_LOWER, _BASIC, _AT_LOWER]
+    satisfied = start(3.0)
+    assert (satisfied.iterations, satisfied.point.tolist()) == (0, [0.0, 2.0])
+    assert satisfied.basis.basic.tolist() == [2] and satisfied.basis.state.tolist() == [_AT_LOWER, _AT_UPPER, _BASIC]
+    beyond = start(-0.5)
+    assert beyond.phase1 > 0 and beyond.status is LpStatus.OPTIMAL
+    # from the lower corner the same rows hold at (0, 0), except the last
+    assert start(0.5, (False, False)).basis.basic.tolist() == [2]
+    assert start(-0.5, (False, False)).phase1 > 0
+
+
+def test_any_start_corner_reaches_the_same_optimum():
+    # The mask names a start point, not a constraint: over the oracle family,
+    # random start corners give the status of the all-lower start and its
+    # optimum within the feasibility tolerance, at a feasible point that
+    # achieves it.  Some corners take other pivots, so the start is used.
+    rng = np.random.default_rng(24)
+    moved = 0
+    for lp in oracle_lps():
+        lower = solve(lp)
+        for at_upper in (rng.random(lp.num_vars) < 0.5, np.ones(lp.num_vars, dtype=bool)):
+            out = solve(LinearProgram(lp.objective, lp.var_bounds, lp.A, lp.eq, lp.rhs, at_upper))
+            assert out.status is lower.status
+            moved += out.iterations != lower.iterations
+            if out.status is LpStatus.OPTIMAL:
+                assert abs(out.value - lower.value) <= _FEAS_TOL
+                assert abs(float(lp.objective @ out.point) - out.value) < 1e-9
+    assert moved >= 100
 
 
 def test_phase1_counts_the_pivots_before_the_first_feasible_basis():

@@ -242,6 +242,32 @@ def test_prune_threshold_is_strict():
     assert out.num_nodes() == 1
 
 
+def test_prune_ties_children_that_differ_in_the_last_bit():
+    # A split that changed nothing leaves both children at the parent's
+    # bound up to rounding.  One ulp apart, either way round, they tie, and
+    # the tie keeps the left child's subtree; a real gap still picks the
+    # weaker child.
+    lb = -0.023163117119451654
+    below = float(np.nextafter(lb, -1.0))
+
+    def kept(left_lb, right_lb):
+        t = singleton()
+        l, r = split(t, 0, relu_pair(0, 0))
+        set_lb(t, 0, lb)
+        set_lb(t, l, left_lb)
+        set_lb(t, r, right_lb)
+        for child, neuron in ((l, 1), (r, 2)):  # effective splits that tell the subtrees apart
+            for grandchild in split(t, child, relu_pair(1, neuron)):
+                set_lb(t, grandchild, 1.0, NodeStatus.VERIFIED)
+        out = prune(t, theta=0.5)
+        assert out.num_nodes() == 3
+        return out.node(out.node(out.root).left).decision.rid.neuron
+
+    assert kept(lb, below) == 1 and kept(below, lb) == 1
+    assert kept(lb, lb) == 1
+    assert kept(lb, lb - 1e-6) == 2 and kept(lb - 1e-6, lb) == 1
+
+
 def test_prune_all_bad_gives_singleton():
     t, _ = running_example_tree()
     out = prune(t, theta=100.0)

@@ -13,13 +13,15 @@ configurations ``perfbench/run.py`` uses.  It prints, per mode and in total:
   tree node's ``(id, lb.hex())``;
 * a verdict digest: a SHA-256 over every run's verdict alone;
 * an LP digest: a SHA-256 over every program handed to ``solve`` (wrapped
-  the same way), its ``objective`` and ``var_bounds`` bytes and, row by row
-  of its ``constraints``, ``(row.tobytes(), rel, rhs.hex())``.
+  the same way), its ``objective``, ``var_bounds`` and ``at_upper`` (start
+  corner) bytes and, row by row of its ``constraints``,
+  ``(row.tobytes(), rel, rhs.hex())``.
 
 Two commits that print the same digests did the same search and proved the
 same bounds, bit for bit; the same LP digests mean they solved the same
-programs, row for row.  A change that only records different lower bounds
-keeps the verdict digest.  Run from the repository root:
+programs, row for row, from the same start corners.  A change that only
+records different lower bounds keeps the verdict digest.  Run from the
+repository root:
 
     python3 tools/work_signature.py --workload quant-8x6 --seed 1
 
@@ -122,8 +124,8 @@ def run_digest(res) -> bytes:
 
 
 def lp_digest(lp) -> bytes:
-    """The bits of one bounding program: objective, variable bounds, rows in order."""
-    parts = [lp.objective.tobytes(), lp.var_bounds.tobytes()]
+    """The bits of one bounding program: objective, variable bounds, start corner, rows in order."""
+    parts = [lp.objective.tobytes(), lp.var_bounds.tobytes(), lp.at_upper.tobytes()]
     for row, rel, rhs in lp.constraints:
         parts += [row.tobytes(), rel.encode(), float(rhs).hex().encode()]
     return b"|".join(parts)
