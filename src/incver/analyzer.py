@@ -109,7 +109,9 @@ class AnalyzerVerdict:
     ``bounds`` are the region's bounds from this call, computed with the
     property's objective so their ``kappa`` is set; the verifier ranks split
     candidates from them.  ``pivots`` is the LP's simplex pivot count, or
-    None when no LP ran, and ``phase1`` how many of them phase 1 applied.
+    None when no LP ran, ``phase1`` how many of them phase 1 applied, and
+    ``factorizations`` the LP's factorizations of its basis (see
+    ``LpOutcome.factorizations``), 0 when no LP ran.
     ``basis`` is the LP's final basis (see ``LpOutcome.basis``), None when
     no LP ran or it left none; ``warm`` says whether the LP started from
     the ``start`` it was given.  ``build_s`` and ``solve_s`` are the
@@ -123,6 +125,7 @@ class AnalyzerVerdict:
     bounds: Optional[PreactBounds] = None
     pivots: Optional[int] = None
     phase1: int = 0
+    factorizations: int = 0
     basis: Optional[LpBasis] = None
     warm: bool = False
     build_s: float = 0.0
@@ -578,7 +581,8 @@ def analyze(
     except Exception as exc:
         raise AnalyzerError(f"bounding LP failed: {exc}") from exc
     solved = dict(
-        bounds=bounds, pivots=out.iterations, phase1=out.phase1, basis=out.basis, warm=out.warm,
+        bounds=bounds, pivots=out.iterations, phase1=out.phase1, factorizations=out.factorizations,
+        basis=out.basis, warm=out.warm,
         build_s=t1 - t0, solve_s=time.perf_counter() - t1,
     )
     if out.status is LpStatus.INFEASIBLE:

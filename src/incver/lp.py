@@ -35,16 +35,18 @@ flips.  It runs the classic two phases from a crash start basis:
    values.  A value within the feasibility tolerance outside its bounds is
    clipped to them, as the rounding it is; an ``=`` row's column whose
    value leaves them by more is parked at the nearer bound instead.  Every
-   other inequality row starts on its slack when the residual allows it.
-   Only the rows left without a basic column receive an artificial
-   variable, whose column is ``sign(residual) * e_i`` with bounds
-   ``[0, inf)``; when there are none, phase 1 is skipped.  Otherwise
-   phase 1 minimizes the sum of artificials, and a positive optimum means
-   the program is infeasible.  Artificials that linger in
+   other inequality row starts on its slack when its residual at the start
+   point is at least minus the feasibility tolerance: a row that the point
+   misses by rounding only is not a violation for phase 1 to repair, just
+   as a head's value is not.  Only the rows left without a basic column
+   receive an artificial variable, whose column is ``sign(residual) * e_i``
+   with bounds ``[0, inf)``; when there are none, phase 1 is skipped.
+   Otherwise phase 1 minimizes the sum of artificials, and a positive
+   optimum means the program is infeasible.  Artificials that linger in
    the basis at zero are pivoted out where possible and otherwise pinned
    to ``[0, 0]`` (their row is linearly dependent).
 2. Phase 2 minimizes the real objective with artificial columns barred from
-   entering.
+   entering, on the tableau that phase 1's row operations left.
 
 ``solve`` also takes a ``start``: the final basis of an earlier optimal
 solve (``LpOutcome.basis``), typically of the same bounding program on a
@@ -74,10 +76,15 @@ repairs the rows that this point really violates, such as a split's sign or
 a value that leaves its bounds.
 
 The tableau ``T = Binv A`` is kept dense and updated by row operations at
-each pivot.  It is refactorized before each phase: B is factorized once, only
-the nonbasic columns are solved, and the basic columns are set to the exact
-unit vectors.  After phase 2 only the basic values are re-solved, for the
-final point, since the tableau is not read again.
+each pivot.  A cold solve factorizes B at most twice.  The crash basis is
+factorized once, before phase 1: only the nonbasic columns are solved, and
+the basic columns are set to the exact unit vectors.  Phase 2 continues on
+the tableau phase 1 leaves, with no refactorization between the phases.
+After phase 2 only the basic values are re-solved, for the final point,
+since the tableau is not read again; when no pivot moved them since the
+crash factorization, they are already that factorization's solution, and
+the re-solve is skipped.  The final feasibility guard checks the point
+either way.
 
 At these sizes a pivot costs numpy calls, not flops, so the pivot loop keeps
 what it would otherwise rebuild from the column states each time: every
@@ -239,7 +246,13 @@ class LpOutcome:
     ``INFEASIBLE``.  ``warm`` says whether the solve started from the given
     ``start`` instead of the crash basis.  ``phase1`` counts the pivots of
     ``iterations`` that phase 1 applied: 0 when the crash basis covers
-    every row, and for a warm start.
+    every row, and for a warm start.  ``factorizations`` counts the
+    factorizations of a basis matrix: each refactorization of the
+    tableau or of the basic values alone, and the dual solve that prices a
+    warm start.  A cold solve makes one for its crash basis and, when any
+    pivot moved the point, one for its final point; a warm one makes two
+    when its start prices optimal and four otherwise, and a start that
+    does not fit adds the one its check made, if it got that far.
     """
 
     status: LpStatus
@@ -249,6 +262,7 @@ class LpOutcome:
     basis: Optional[LpBasis] = None
     warm: bool = False
     phase1: int = 0
+    factorizations: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +282,13 @@ class _Tableau:
 
     Columns are ordered: structural variables, slacks for inequality rows,
     then any artificials.  ``T`` is first set by :meth:`refresh`, which
-    runs before each phase; while a phase runs, ``T`` equals ``Binv @ A``
-    for the current basis, with its basic columns the unit vectors; ``xb``
-    holds basic variable values; ``val`` holds the fixed value of every
-    nonbasic column.
+    runs once before the first phase; from then on ``T`` equals
+    ``Binv @ A`` for the current basis, up to the drift of the row
+    operations, with its basic columns the unit vectors; ``xb`` holds basic
+    variable values; ``val`` holds the fixed value of every nonbasic
+    column.  ``factorizations`` counts the factorizations of B, and
+    ``fresh`` says whether ``xb`` is still the last refresh's own solution,
+    with no pivot applied since.
 
     Three derived arrays are set by :meth:`set_directions` when a phase
     starts and kept by each pivot, so a pivot reads them instead of
@@ -300,6 +317,8 @@ class _Tableau:
         self.val = np.zeros(self.K)
         self.iterations = 0
         self.phase1 = 0
+        self.factorizations = 0
+        self.fresh = False
 
     def refresh(self, tableau: bool = True) -> None:
         """Refactorize: recompute the basic values, and T = Binv A, from the basis.
@@ -307,20 +326,22 @@ class _Tableau:
         B is factorized once, and the basic values and the nonbasic columns
         of T are solved as one right-hand side; the basic columns of T are
         the unit vectors, written exactly.  With ``tableau=False`` only the
-        basic values are solved and T is left as it is.  Used between phases
-        to shed accumulated row-operation drift, and for the final point.
+        basic values are solved and T is left as it is.  Used once for the
+        start basis, and for the final point.
         """
         B = self.A[:, self.basis]
         nonbasic = (self.state != _BASIC).nonzero()[0]
         N = self.A[:, nonbasic]
         rhs = self.b - N @ self.val[nonbasic]
+        self.factorizations += 1
         try:
-            if not tableau:
-                self.xb = np.linalg.solve(B, rhs)
-                return
-            sol = np.linalg.solve(B, np.column_stack([rhs, N]))
+            sol = np.linalg.solve(B, np.column_stack([rhs, N]) if tableau else rhs)
         except np.linalg.LinAlgError as exc:
             raise LpError("singular basis during refactorization") from exc
+        self.fresh = True
+        if not tableau:
+            self.xb = sol
+            return
         self.xb = sol[:, 0]
         self.T = np.zeros((self.m, self.K))
         self.T[:, nonbasic] = sol[:, 1:]
@@ -414,6 +435,7 @@ class _Tableau:
 
         ``delta`` is ``sigma * T[:, j]``, as :meth:`_ratio_test` read it.
         """
+        self.fresh = False
         self.xb -= t * delta
         if row is None:
             # bound flip: j moves to its opposite bound, basis unchanged
@@ -561,6 +583,7 @@ def _priced_optimal(tab: _Tableau, cost: np.ndarray) -> bool:
     transpose does not factorize, or whose prices have a NaN, is not known
     to be optimal.
     """
+    tab.factorizations += 1
     try:
         y = np.linalg.solve(tab.A[:, tab.basis].T, cost[tab.basis])
     except np.linalg.LinAlgError:
@@ -575,10 +598,11 @@ def _cold_start(tab: _Tableau, lp: LinearProgram) -> bool:
     """Crash basis, then phase 1 for the rows it leaves uncovered.
 
     Structural columns start at the bound ``lp.at_upper`` names, slacks at
-    0.  Leaves ``tab`` refreshed on a basis of the structural and slack
-    columns that is feasible within the feasibility tolerance, apart from
-    artificials pinned to zero on dependent rows, and returns True; returns
-    False when phase 1 proves the program infeasible.
+    0.  The start basis is factorized once; phase 1 then updates that
+    tableau by row operations alone.  Leaves ``tab`` on a basis of the
+    structural and slack columns that is feasible within the feasibility
+    tolerance, apart from artificials pinned to zero on dependent rows, and
+    returns True; returns False when phase 1 proves the program infeasible.
     """
     n = lp.num_vars
     K, m = tab.K, tab.m
@@ -590,9 +614,9 @@ def _cold_start(tab: _Tableau, lp: LinearProgram) -> bool:
     residual = tab.b - lp.A @ _crash(tab, lp)
 
     # an inequality row the crash left uncovered starts on its slack when
-    # that is feasible; every row still without a basic column gets an
-    # artificial
-    on_slack = (residual[ineq_rows] >= 0.0) & (tab.basis[ineq_rows] < 0)
+    # that is feasible within the tolerance; every row still without a
+    # basic column gets an artificial
+    on_slack = (residual[ineq_rows] >= -_FEAS_TOL) & (tab.basis[ineq_rows] < 0)
     rows, cols = ineq_rows[on_slack], slack_cols[on_slack]
     tab.basis[rows], tab.state[cols] = cols, _BASIC
     art_rows = np.flatnonzero(tab.basis < 0)
@@ -610,29 +634,31 @@ def _cold_start(tab: _Tableau, lp: LinearProgram) -> bool:
         tab.val = np.concatenate([tab.val, np.zeros(n_art)])
         tab.state = np.concatenate([tab.state, np.full(n_art, _AT_LOWER, dtype=int)])
         tab.basis[art_rows], tab.state[art_cols] = art_cols, _BASIC
-        tab.refresh()
-
-        phase1_cost = np.zeros(tab.K)
-        phase1_cost[K:] = 1.0
-        tab.run(phase1_cost)
-        tab.phase1 = tab.iterations
-        if float(phase1_cost[tab.basis] @ tab.xb) > _FEAS_TOL:
-            return False
-
-        # evict basic artificials where a real pivot column exists; rows with
-        # none are linearly dependent and keep a pinned artificial
-        for i in np.flatnonzero(tab.basis >= K):
-            candidates = np.flatnonzero(
-                (tab.state[:K] != _BASIC) & (np.abs(tab.T[i, :K]) > _PIVOT_TOL)
-            )
-            if candidates.size:
-                j = int(candidates[0])
-                tab._apply_pivot(j, 1.0, 0.0, i, tab.T[:, j])
-        # pinned to [0, 0], an artificial never enters again
-        tab.lo[K:] = 0.0
-        tab.hi[K:] = 0.0
-        tab.val[K:] = 0.0
     tab.refresh()
+    if not art_rows.size:
+        return True
+
+    phase1_cost = np.zeros(tab.K)
+    phase1_cost[K:] = 1.0
+    tab.run(phase1_cost)
+    tab.phase1 = tab.iterations
+    if float(phase1_cost[tab.basis] @ tab.xb) > _FEAS_TOL:
+        return False
+
+    # evict basic artificials where a real pivot column exists; rows with
+    # none are linearly dependent and keep a pinned artificial
+    for i in np.flatnonzero(tab.basis >= K):
+        candidates = np.flatnonzero(
+            (tab.state[:K] != _BASIC) & (np.abs(tab.T[i, :K]) > _PIVOT_TOL)
+        )
+        if candidates.size:
+            j = int(candidates[0])
+            tab._apply_pivot(j, 1.0, 0.0, i, tab.T[:, j])
+    # pinned to [0, 0], an artificial never enters again: phase 2 sets its
+    # direction to 0, and reads T as phase 1's row operations left it
+    tab.lo[K:] = 0.0
+    tab.hi[K:] = 0.0
+    tab.val[K:] = 0.0
     return True
 
 
@@ -650,10 +676,13 @@ def solve(
     the crash basis described in the module docstring (``=`` rows, and the
     ``<=`` rows that the start point violates, on their last columns; the
     other ``<=`` rows on their slacks), and phase 1 runs only for the rows
-    it leaves without a feasible basic column.  A program with no rows goes the
-    same way; its ``iterations`` count the bound flips.  Both phases
-    together may apply ``200 * (rows + columns) + 1000`` pivots, slacks
-    counted as columns; one more raises :class:`LpError`.
+    it leaves without a basic column feasible within the tolerance.  A
+    cold solve factorizes B once for the crash basis and once more for the
+    final point, which it skips when the crash basis needs no pivot.  A
+    program with no rows goes the same way; its ``iterations`` count the
+    bound flips.  Both phases together may apply
+    ``200 * (rows + columns) + 1000`` pivots, slacks counted as columns;
+    one more raises :class:`LpError`.
 
     Parameters
     ----------
@@ -673,10 +702,11 @@ def solve(
     Returns
     -------
     LpOutcome
-        ``OPTIMAL`` carries the minimum value, an argmin point that has been
-        re-solved against the final basis and verified feasible within the
-        feasibility tolerance by one residual ``A @ x - rhs`` over all rows,
-        where a NaN counts as a violation, and that final basis;
+        ``OPTIMAL`` carries the minimum value, an argmin point whose basic
+        values have been solved from a factorization of the final basis and
+        that is verified feasible within the feasibility tolerance by one
+        residual ``A @ x - rhs`` over all rows, where a NaN counts as a
+        violation, and that final basis;
         ``INFEASIBLE`` carries no point and no basis.  There is no unbounded
         outcome.
 
@@ -711,9 +741,14 @@ def solve(
     warm = start is not None and _warm_start(tab, start)
     if not warm:
         if start is not None:
+            spent = tab.factorizations
             tab = _Tableau(A, lp.rhs, lo, hi, max_iter, deadline)  # the rejected start's marks go
+            tab.factorizations = spent
         if not _cold_start(tab, lp):
-            return LpOutcome(LpStatus.INFEASIBLE, iterations=tab.iterations, phase1=tab.phase1)
+            return LpOutcome(
+                LpStatus.INFEASIBLE, iterations=tab.iterations, phase1=tab.phase1,
+                factorizations=tab.factorizations,
+            )
 
     full_cost = np.zeros(tab.K)
     full_cost[:n] = lp.objective
@@ -721,14 +756,15 @@ def solve(
         if warm:
             tab.refresh()  # the start's basic values are known; phase 2 needs T
         tab.run(full_cost)
-        tab.refresh(tableau=False)  # T is not read again
+        if warm or not tab.fresh:
+            tab.refresh(tableau=False)  # T is not read again
     # tab is not read again: its arrays become the outcome's
     tab.val[tab.basis] = tab.xb
     x = tab.val[:n]
 
     # final guard: never return an OPTIMAL point that is not actually feasible;
-    # the point's basic values were just re-solved from the final basis, and
-    # the comparisons are written so that a NaN counts as a violation
+    # the point's basic values were solved from a factorization of the final
+    # basis, and the comparisons are written so that a NaN counts as a violation
     if not ((x >= lo_s - _FEAS_TOL) & (x <= hi_s + _FEAS_TOL)).all():
         raise LpError("final point violates variable bounds")
     residual = lp.A @ x - lp.rhs
@@ -740,5 +776,6 @@ def solve(
     if not (tab.basis >= K).any():  # an artificial left basic has no column in a start
         basis = LpBasis(tab.basis, tab.state[:K])
     return LpOutcome(
-        LpStatus.OPTIMAL, float(lp.objective @ x), x, tab.iterations, basis, warm, tab.phase1
+        LpStatus.OPTIMAL, float(lp.objective @ x), x, tab.iterations, basis, warm, tab.phase1,
+        tab.factorizations,
     )

@@ -101,11 +101,15 @@ class RunMetrics:
     once, and every split adds one internal node.  lps counts the boundings
     that solved an LP (the others were settled by bound propagation alone)
     and pivots sums those LPs' simplex pivots, phase1_pivots the share of
-    them that phase 1 applied to reach a feasible basis.  infeasible counts
-    the boundings that found their region empty, by propagation or by an
-    LP that phase 1 proved infeasible.  warm counts the
-    LPs that started from a basis carried from an earlier run (``verify``'s
-    ``bases``): only the second runs of modes reuse and ivan have any.
+    them that phase 1 applied to reach a feasible basis.  factorizations
+    sums those LPs' factorizations of a basis matrix (see
+    ``LpOutcome.factorizations``): two for a cold LP that pivots, one for
+    a cold LP whose crash basis is already optimal or that phase 1 proves
+    infeasible, two to four for a warm one.  infeasible counts the
+    boundings that found their region empty, by propagation or by an LP
+    that phase 1 proved infeasible.  warm counts the LPs that started from
+    a basis carried from an earlier run (``verify``'s ``bases``): only the
+    second runs of modes reuse and ivan have any.
     passes counts propagation passes: one per node of a frontier and one per
     internal node of an initial tree, except where the parent region is
     already empty and its bounds are handed on without a pass (a run that
@@ -130,6 +134,7 @@ class RunMetrics:
     lps: int
     pivots: int
     phase1_pivots: int
+    factorizations: int
     infeasible: int
     passes: int
     walks: int
@@ -255,6 +260,7 @@ def verify(
     lps = 0
     pivots = 0
     phase1_pivots = 0
+    factorizations = 0
     infeasible = 0
     passes = 0
     walks = 0
@@ -275,6 +281,7 @@ def verify(
             lps=lps,
             pivots=pivots,
             phase1_pivots=phase1_pivots,
+            factorizations=factorizations,
             infeasible=infeasible,
             passes=passes,
             walks=walks,
@@ -369,6 +376,7 @@ def verify(
                 lps += 1
                 pivots += res.pivots
                 phase1_pivots += res.phase1
+                factorizations += res.factorizations
                 warm += res.warm
                 build_s += res.build_s
                 solve_s += res.solve_s

@@ -88,6 +88,7 @@ def test_verify_demo_fixture_metrics(capsys):
     assert doc["metrics"]["branchings"] == 4
     assert (doc["metrics"]["lps"], doc["metrics"]["pivots"]) == (6, 12)
     assert doc["metrics"]["phase1_pivots"] == 7  # of the 12, before a feasible basis
+    assert doc["metrics"]["factorizations"] == 12  # each LP's crash basis and final point
     assert doc["metrics"]["infeasible"] == 0  # no region of the demo is empty
     assert (doc["metrics"]["passes"], doc["metrics"]["walks"]) == (9, 13)
     assert doc["counterexample"] is None

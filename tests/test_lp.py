@@ -590,7 +590,7 @@ def outcome_bits(out):
 
 
 # SHA-256 of outcome_bits over the programs of test_outcomes_are_pinned_bit_for_bit
-PINNED_OUTCOMES = "49e0ed9f2565cf8d8acbb86a20bf6203da3b73386ba63d330e690541ac8fb78c"
+PINNED_OUTCOMES = "ba7b267328e0494ce3d38074681f8fdf1c50d087fc81ca9d02d9fe765d34f6a1"
 
 
 def test_outcomes_are_pinned_bit_for_bit(monkeypatch):
@@ -780,3 +780,51 @@ def test_phase1_counts_the_pivots_before_the_first_feasible_basis():
     # upper bound, then y enters at 1), and that vertex is already optimal
     out = solve(program([1.0, 2.0], box([0.0, 2.0], [0.0, 2.0]), [[1.0, 1.0]], [">="], [3.0]))
     assert (out.phase1, out.iterations, out.value) == (2, 2, 4.0)
+
+
+def test_a_row_missed_by_rounding_starts_on_its_slack():
+    # x in [0, 0.1] starts at its upper bound and y in [0, 1] at its lower
+    # one; the crash never visits x + y <= rhs, whose head y starts at its
+    # lower bound under a positive coefficient.  With rhs one ulp below 0.1
+    # the start point misses the row by rounding only: the row starts on
+    # its slack, and the start is already optimal, with no pivot and one
+    # factorization.  Missed by twice the feasibility tolerance, the row
+    # gets an artificial and phase 1 repairs it.
+    def program_with(rhs):
+        return LinearProgram(
+            [-1.0, 1.0], box([0.0, 0.1], [0.0, 1.0]), [[1.0, 1.0]], [False], [rhs],
+            np.array([True, False]),
+        )
+
+    rounded = program_with(np.nextafter(0.1, 0.0))
+    assert rounded.rhs[0] - 0.1 == -np.spacing(0.1)  # the start point's residual is -1 ulp
+    out = solve(rounded)
+    assert (out.status, out.phase1, out.iterations, out.factorizations) == (LpStatus.OPTIMAL, 0, 0, 1)
+    assert out.basis.basic.tolist() == [2] and out.point.tolist() == [0.1, 0.0]
+    status, value = vertex_minimum(rounded)
+    assert status == "optimal" and abs(out.value - value) <= 1e-12
+    violated = program_with(0.1 - 2 * _FEAS_TOL)
+    out = solve(violated)
+    assert out.status is LpStatus.OPTIMAL and out.phase1 > 0
+    status, value = vertex_minimum(violated)
+    assert status == "optimal" and abs(out.value - value) <= 1e-12
+
+
+def test_a_cold_solve_factorizes_its_crash_basis_and_its_final_point():
+    # Phase 2 continues on the tableau phase 1 leaves, and the final point
+    # is re-solved only when a pivot moved it: over the oracle family a
+    # cold solve that runs phase 1 to an optimum factorizes B twice, one
+    # that pivots only in phase 2 twice, one that needs no pivot once, and
+    # one that phase 1 proves infeasible once.
+    seen = {"phase1": 0, "phase2": 0, "none": 0, "infeasible": 0}
+    for lp in oracle_lps():
+        out = solve(lp)
+        if out.status is LpStatus.INFEASIBLE:
+            kind, want = "infeasible", 1
+        elif out.iterations == 0:
+            kind, want = "none", 1
+        else:
+            kind, want = ("phase1" if out.phase1 else "phase2"), 2
+        assert out.factorizations == want, (kind, out)
+        seen[kind] += 1
+    assert min(seen.values()) >= 30, seen
