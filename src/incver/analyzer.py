@@ -38,13 +38,16 @@ Two layers of machinery live here:
     so they carry the branching heuristics' ``kappa`` and the objective's
     propagation lower bound; it runs no pass of its own.  When that bound
     already proves the property and some ReLU is still ambiguous, the region
-    is Verified with no LP.  Otherwise it builds one linear program over
-    input, pre-activation, post-activation, and output variables, bounded by
-    those bounds as they are; minimizes the property margin c^T y + d over
-    the triangle relaxation of each ambiguous ReLU; and classifies the
-    region as Verified, Unknown, or Counterexample.  A region with no
-    ambiguous ReLU always gets its LP, which is exact there while
-    propagation is not.  An infeasible region (crossed bounds or an
+    is Verified with no LP.  When it does not, and the region's box is new
+    (its pass walked every layer: the root, or an input split's child), the
+    network is evaluated at the input corner the bound's walk read; a corner
+    that violates the property refutes the region with no LP.  Otherwise it
+    builds one linear program over input, pre-activation, post-activation,
+    and output variables, bounded by those bounds as they are; minimizes the
+    property margin c^T y + d over the triangle relaxation of each ambiguous
+    ReLU; and classifies the region as Verified, Unknown, or Counterexample.
+    A region with no ambiguous ReLU always gets its LP, which is exact there
+    while propagation is not.  An infeasible region (crossed bounds or an
     infeasible LP) verifies vacuously.  The verdict hands its bounds on: the
     verifier picks a split from them and bounds the two children from them,
     instead of recomputing either.  It also hands on the LP's final basis,
@@ -105,11 +108,15 @@ class AnalyzerVerdict:
     It is the LP optimum plus d when an LP ran, and the bounds'
     ``objective_lb`` plus d when propagation verified the region without
     one; that bound is at most the LP optimum, so it can be the weaker.
-    ``candidate`` is the concrete violating input for Counterexample.
+    A Counterexample found at the walk's corner without an LP records that
+    propagation bound too.  ``candidate`` is the concrete violating input
+    for Counterexample: the LP minimizer's input block, clipped to the box,
+    or the walk's corner.
     ``bounds`` are the region's bounds from this call, computed with the
     property's objective so their ``kappa`` is set; the verifier ranks split
     candidates from them.  ``pivots`` is the LP's simplex pivot count, or
-    None when no LP ran, ``phase1`` how many of them phase 1 applied, and
+    None when no LP ran (a Verified or Counterexample settled by the bounds
+    alone), ``phase1`` how many of them phase 1 applied, and
     ``factorizations`` the LP's factorizations of its basis (see
     ``LpOutcome.factorizations``), 0 when no LP ran.
     ``basis`` is the LP's final basis (see ``LpOutcome.basis``), None when
@@ -149,7 +156,8 @@ class PreactBounds:
     the bound reads the box's upper corner there, and one entry per ReLU
     layer masks the post-activations whose coefficient is negative before
     relaxation, so the walk read the upper side, the chord of an ambiguous
-    unit.  :func:`analyze`'s LP starts from that corner and those sides.
+    unit.  :func:`analyze`'s LP starts from that corner and those sides, and
+    on a new box :func:`analyze` evaluates the network at that corner.
     ``walks`` counts the back-substitution walks of the pass that computed
     these bounds.  ``carry`` names the network, box and splits that pass ran
     on, so that a child on the same network and box takes these bounds of
@@ -530,6 +538,16 @@ def _build_program(net, prop, bounds):
     return LinearProgram(objective, np.column_stack([lo, hi]), A, eq, rhs, at_upper)
 
 
+def _margin(net, prop, x) -> float:
+    """The property margin at ``x``, through the network's blocks: a quick
+    screen, which :func:`~incver.props.holds_concretely` confirms layer by
+    layer."""
+    for W, b in net.blocks[:-1]:
+        x = np.maximum(W @ x + b, 0.0)
+    W, b = net.blocks[-1]
+    return prop.output.margin(W @ x + b)
+
+
 def analyze(
     net: Network,
     prop: Property,
@@ -550,13 +568,19 @@ def analyze(
     which checks it before each pivot.
 
     Returns Verified when the proved lower bound is nonnegative (or the
-    region is empty, flagged ``infeasible``), Counterexample when the LP
-    minimizer's input block concretely violates the property, and Unknown
-    when the relaxation's minimum is negative but spurious.  The LP is
-    skipped, and the verdict's ``pivots`` left None, only where the bounds'
-    ``objective_lb`` plus d is already nonnegative and some ReLU is still
-    ambiguous; after an LP, ``objective_lb`` is raised to its optimum so the
-    region's children start from it.
+    region is empty, flagged ``infeasible``), Counterexample when a concrete
+    input violates the property, and Unknown when the relaxation's minimum
+    is negative but spurious.  The LP is skipped, and the verdict's
+    ``pivots`` left None, only where some ReLU is still ambiguous and either
+    the bounds' ``objective_lb`` plus d is already nonnegative (Verified),
+    or it is negative, the bounds walked every layer (a new box: the root,
+    or an input split's child, not a ReLU split's) and the network violates
+    the property at the walk's corner ``where(upper_side[0], upper,
+    lower)``: Counterexample at that corner, with ``objective_lb`` plus d as
+    its ``lb_value``.  A region with no ambiguous ReLU always gets its LP,
+    which is exact there.  Otherwise the LP's minimizer is the candidate.
+    After an LP, ``objective_lb`` is raised to its optimum so the region's
+    children start from it.
 
     Raises ValueError when feasible bounds carry no ``objective_lb`` (they
     were computed without an objective), :class:`~incver.lp.LpTimeout`
@@ -569,8 +593,13 @@ def analyze(
     if bounds.objective_lb is None:
         raise ValueError("bounds were computed without the property's objective")
     lb = bounds.objective_lb + prop.output.d
-    if lb >= 0.0 and bounds.any_ambiguous():
-        return AnalyzerVerdict(Verdict.VERIFIED, float(lb), bounds=bounds)
+    if lb >= 0.0:
+        if bounds.any_ambiguous():
+            return AnalyzerVerdict(Verdict.VERIFIED, float(lb), bounds=bounds)
+    elif bounds.walks == len(net.blocks) and bounds.any_ambiguous():  # a new box: every layer walked
+        corner = np.where(bounds.upper_side[0], prop.input.upper, prop.input.lower)
+        if _margin(net, prop, corner) < 0.0 and not holds_concretely(prop, net, corner):
+            return AnalyzerVerdict(Verdict.COUNTEREXAMPLE, float(lb), corner, bounds=bounds)
     t0 = time.perf_counter()
     program = _build_program(net, prop, bounds)
     t1 = time.perf_counter()

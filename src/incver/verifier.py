@@ -11,7 +11,8 @@ subproblem's LP in the second.
 
 Each ``verify`` run writes DEBUG lines to the ``incver.verifier`` logger:
 one per bounding phase (frontier size, LPs and how many started warm, nodes
-settled, splits chosen) and one when it ends (its verdict and work counts).
+refuted at their walk corner without an LP, nodes settled, splits chosen)
+and one when it ends (its verdict and work counts).
 ``verify_incremental`` in mode ivan writes one more between its runs: theta
 and the internal nodes of the first run's tree and of the pruned tree.
 """
@@ -99,16 +100,19 @@ class RunMetrics:
 
     because every starting leaf and every created node is bounded exactly
     once, and every split adds one internal node.  lps counts the boundings
-    that solved an LP (the others were settled by bound propagation alone)
-    and pivots sums those LPs' simplex pivots, phase1_pivots the share of
-    them that phase 1 applied to reach a feasible basis.  factorizations
-    sums those LPs' factorizations of a basis matrix (see
+    that solved an LP (the others were settled from their propagated bounds
+    alone) and pivots sums those LPs' simplex pivots, phase1_pivots the
+    share of them that phase 1 applied to reach a feasible basis.
+    factorizations sums those LPs' factorizations of a basis matrix (see
     ``LpOutcome.factorizations``): two for a cold LP that pivots, one for
     a cold LP whose crash basis is already optimal or that phase 1 proves
     infeasible, two to four for a warm one.  infeasible counts the
     boundings that found their region empty, by propagation or by an LP
-    that phase 1 proved infeasible.  warm counts the LPs that started from
-    a basis carried from an earlier run (``verify``'s ``bases``): only the
+    that phase 1 proved infeasible.  corners counts the boundings refuted
+    without an LP, at the input corner of their objective walk (see
+    ``analyzer.analyze``); only a new box, the root's or an input split
+    child's, is refuted there.  warm counts the LPs that started from a
+    basis carried from an earlier run (``verify``'s ``bases``): only the
     second runs of modes reuse and ivan have any.
     passes counts propagation passes: one per node of a frontier and one per
     internal node of an initial tree, except where the parent region is
@@ -136,6 +140,7 @@ class RunMetrics:
     phase1_pivots: int
     factorizations: int
     infeasible: int
+    corners: int
     passes: int
     walks: int
     warm: int
@@ -207,10 +212,12 @@ def verify(
     inconclusive ones and make their children the next phase's frontier.
     A phase's bounds are propagated in one batched pass
     (``analyzer.bound_regions``), and each node is then settled from its own
-    by ``analyze``: by the propagation bound alone, or by its LP.  A whole
-    phase is bounded before any counterexample is acted on, and the
-    lowest-numbered violating node wins, so results and call counts do not
-    depend on evaluation order within a phase.
+    by ``analyze``: by the propagation bound alone, by the network's value
+    at the corner that bound's walk read (a counterexample there, on the
+    root's box or an input split child's), or by its LP.  A whole phase is
+    bounded before any counterexample is acted on, and the lowest-numbered
+    violating node wins, so results and call counts do not depend on
+    evaluation order within a phase.
 
     ``hobs`` carries per-split effectiveness statistics recorded on an
     earlier proof tree and goes to ``choose_split`` as its ``observed``;
@@ -262,6 +269,7 @@ def verify(
     phase1_pivots = 0
     factorizations = 0
     infeasible = 0
+    corners = 0
     passes = 0
     walks = 0
     warm = 0
@@ -283,6 +291,7 @@ def verify(
             phase1_pivots=phase1_pivots,
             factorizations=factorizations,
             infeasible=infeasible,
+            corners=corners,
             passes=passes,
             walks=walks,
             warm=warm,
@@ -339,15 +348,15 @@ def verify(
         raise ValueError(misfits[min(misfits)])
     active.sort(key=lambda entry: entry[0])
 
-    phase, outcomes, lps_before, warm_before = 0, [], 0, 0
+    phase, outcomes, lps_before, warm_before, corners_before = 0, [], 0, 0, 0
 
     def log_phase(chosen) -> None:
         if log.isEnabledFor(logging.DEBUG):
             settled = sum(res.status is not Verdict.UNKNOWN for *_, res in outcomes)
             log.debug(
-                "phase %d: %d nodes, %d LPs (%d warm), %d settled, %d splits [%s]",
-                phase, len(outcomes), lps - lps_before, warm - warm_before, settled,
-                len(chosen), " ".join(_label(d) for d in chosen),
+                "phase %d: %d nodes, %d LPs (%d warm), %d corners, %d settled, %d splits [%s]",
+                phase, len(outcomes), lps - lps_before, warm - warm_before, corners - corners_before,
+                settled, len(chosen), " ".join(_label(d) for d in chosen),
             )
 
     while active:
@@ -356,7 +365,7 @@ def verify(
         if time.perf_counter() > deadline:
             return finish(RunVerdict.TIMEOUT, note="wall-clock timeout")
         phase += 1
-        lps_before, warm_before = lps, warm
+        lps_before, warm_before, corners_before = lps, warm, corners
         outcomes = []
         for (nid, box, splits, _), bounds in zip(active, propagate(active, prop.output.c)):
             if time.perf_counter() > deadline:
@@ -372,7 +381,9 @@ def verify(
                 return finish(RunVerdict.TIMEOUT, note="wall-clock timeout")
             boundings += 1
             infeasible += res.infeasible
-            if res.pivots is not None:
+            if res.pivots is None:
+                corners += res.status is Verdict.COUNTEREXAMPLE
+            else:
                 lps += 1
                 pivots += res.pivots
                 phase1_pivots += res.phase1

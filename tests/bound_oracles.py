@@ -1,10 +1,12 @@
 """Independent oracles for bound and verdict checking.
 
-Everything here except ``path_bounds`` and ``separate_walk_bounds`` works
-directly on the layer arithmetic (or on exact per-sign-pattern affine algebra
-plus vertex enumeration) and never calls the package's analyzer or simplex,
-so tests can use these as ground truth.  ``path_bounds`` is a helper: it
-bounds a region the way the verifier reaches it, down its branching path.
+Everything here except the helpers ``path_bounds``, ``analyze_region`` and
+``relaxed_minimum`` and the reference ``separate_walk_bounds`` works directly
+on the layer arithmetic (in rationals for ``exact_margin``, or on exact
+per-sign-pattern affine algebra plus vertex enumeration) and never calls the
+package's analyzer or simplex, so tests can use these as ground truth.
+``path_bounds`` bounds a region the way the verifier reaches it, down its
+branching path; ``relaxed_minimum`` is the root region's LP optimum.
 ``separate_walk_bounds`` is a reference for the propagation pass's layout:
 it reuses the analyzer's back-substitution walk, but runs it once per bound
 side and once more for the objective, and reads the objective's upper sides
@@ -12,6 +14,7 @@ from the walk's pre-activation coefficients instead of from the walk.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -22,11 +25,12 @@ from incver.analyzer import (
     INACTIVE,
     STABLE_TOL,
     PreactBounds,
+    _build_program,
     _lower_bound,
     analyze,
     compute_bounds,
 )
-from incver.lp import LinearProgram
+from incver.lp import LinearProgram, solve
 from incver.model import Affine, Network, ReluId
 from lp_oracles import vertex_minimum
 
@@ -64,6 +68,13 @@ def analyze_region(net: Network, prop, splits, parent=None, start=None):
     objective from ``parent`` as the verifier propagates them."""
     bounds = compute_bounds(net, prop.input, splits, objective=prop.output.c, parent=parent)
     return analyze(net, prop, bounds, start=start)
+
+
+def relaxed_minimum(net: Network, prop) -> float:
+    """The root relaxation's bound: the optimum of the root region's
+    bounding LP, c^T y over the triangle relaxation, with no d."""
+    bounds = compute_bounds(net, prop.input, {}, objective=prop.output.c)
+    return float(solve(_build_program(net, prop, bounds)).value)
 
 
 def separate_walk_bounds(net: Network, box, splits, objective=None, parent=None):
@@ -148,6 +159,26 @@ def separate_walk_bounds(net: Network, box, splits, objective=None, parent=None)
             lb = max(lb, parent.objective_lb)
         bounds.objective_lb = float(lb)
     return bounds
+
+
+def exact_margin(net: Network, prop, x) -> Fraction:
+    """The property margin c^T N(x) + d in exact rational arithmetic.
+
+    Weights, inputs and the constraint are binary floats, so each is a
+    rational and every product and sum here is exact: a point is a
+    counterexample exactly when this is below 0.
+    """
+    v = [Fraction(float(t)) for t in x]
+    for layer in net.layers:
+        if isinstance(layer, Affine):
+            v = [
+                sum((Fraction(float(w)) * t for w, t in zip(row, v)), Fraction(float(b)))
+                for row, b in zip(layer.weights, layer.bias)
+            ]
+        else:
+            v = [max(t, Fraction(0)) for t in v]
+    c = prop.output.c
+    return sum((Fraction(float(ci)) * t for ci, t in zip(c, v)), Fraction(prop.output.d))
 
 
 def grid_points(box, total=10_000):

@@ -55,7 +55,7 @@ from incver.verifier import (
     verify,
     verify_incremental,
 )
-from bound_oracles import analyze_region, brute_force_minimum
+from bound_oracles import analyze_region, brute_force_minimum, exact_margin, relaxed_minimum
 from lp_oracles import random_lp, vertex_minimum
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -342,6 +342,10 @@ def test_criterion_2_mode_agreement_and_oracles(batch):
             else:
                 assert not holds_concretely(rec["prop"], net, res.counterexample), f"instance {i}"
                 ce += 1
+        for mode in MODES:  # every reported point is a counterexample in exact arithmetic
+            for net, res in zip((rec["net"], rec["updated"]), rec["runs"][mode]):
+                if res.verdict is RunVerdict.COUNTEREXAMPLE:
+                    assert exact_margin(net, rec["prop"], res.counterexample) < 0, f"instance {i}"
     elapsed = batch["elapsed"]
     ok = elapsed < 600.0
     report(
@@ -519,7 +523,7 @@ def test_criterion_7_quantized_speedup_table():
         # Place the threshold between the root relaxation's bound and the
         # sampled minimum: verified, but only after some splitting.
         probe_min = float((batch_outputs(net, probe_points(box, rng, samples=4096)) @ c).min())
-        relaxed_min = analyze_region(net, Property(box, OutputConstraint(c, 0.0)), {}).lb_value
+        relaxed_min = relaxed_minimum(net, Property(box, OutputConstraint(c, 0.0)))
         frac = float(rng.uniform(0.3, 0.5))
         prop = Property(box, OutputConstraint(c, -relaxed_min - frac * (probe_min - relaxed_min)))
         for label, pert in (("int8", QuantizeInt8()), ("int16", QuantizeInt16())):
@@ -617,6 +621,7 @@ def test_criterion_9_input_splitting_agreement():
         else:
             assert run.verdict is RunVerdict.COUNTEREXAMPLE, f"instance {i} timed out"
             assert not holds_concretely(prop, net, run.counterexample)
+            assert exact_margin(net, prop, run.counterexample) < 0, f"instance {i}"
             ce += 1
 
         updated = perturb(net, UniformRandom(fraction=0.01, seed=i))
@@ -628,4 +633,8 @@ def test_criterion_9_input_splitting_agreement():
         }
         assert pairs[Mode.IVAN][0].verdict == pairs[Mode.BASELINE][0].verdict
         assert pairs[Mode.IVAN][1].verdict == pairs[Mode.BASELINE][1].verdict
+        for pair in pairs.values():
+            for model, res in zip((net, updated), pair):
+                if res.verdict is RunVerdict.COUNTEREXAMPLE:
+                    assert exact_margin(model, prop, res.counterexample) < 0, f"instance {i}"
     report(9, True, f"20 global properties ({verified} verified, {ce} refuted), ivan == baseline")

@@ -16,20 +16,23 @@ from incver.analyzer import (
     PreactBounds,
     Verdict,
     _build_program,
+    analyze,
     bound_regions,
     compute_bounds,
 )
 from incver.lp import LinearProgram, LpStatus, solve
 from incver.model import Affine, Network, Relu, ReluId, quantize, relu_ids
-from incver.props import InputBox, OutputConstraint, Property
+from incver.props import InputBox, OutputConstraint, Property, holds_concretely
 from bound_oracles import (
     all_sign_patterns,
     analyze_region,
     brute_force_minimum,
+    exact_margin,
     forward_with_preacts,
     grid_points,
     path_bounds,
     region_minimum,
+    relaxed_minimum,
     separate_walk_bounds,
 )
 
@@ -548,7 +551,7 @@ def test_unknown_verdict_carries_the_objective_bounds():
         # threshold halfway between the root relaxation's bound and the true
         # minimum, so the root (and often its descendants) is Unknown
         probe = margin_prop([1.0], 0.0, unit_box(2))
-        d = -(analyze_region(net, probe, {}).lb_value + brute_force_minimum(net, probe)) / 2.0
+        d = -(relaxed_minimum(net, probe) + brute_force_minimum(net, probe)) / 2.0
         prop = margin_prop([1.0], d, unit_box(2))
         splits = {}
         # split choices come from a per-trial stream: a verdict that flips on
@@ -588,6 +591,76 @@ def test_counterexamples_are_genuine():
             assert prop.output.margin(out) < 0
             assert prop.input.contains(v.candidate)
     assert seen >= 5
+
+
+def corner_net():
+    """1.2 - relu(x0 + .5) - relu(.5 - x0) - .25 * relu(x1 + 2) + 0 * relu(x1) on [-1, 1]^2.
+
+    At the root the first two units are ambiguous, the third active and the
+    fourth ambiguous.  The objective walk reads the chord of both ambiguous
+    units, whose slopes on x0 cancel, so its corner is (-1, 1), where the
+    margin is 1.2 - 1.5 - .75 = -1.05.
+    """
+    net = Network((
+        Affine(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]), np.array([0.5, 0.5, 2.0, 0.0])),
+        Relu(),
+        Affine(np.array([[-1.0, -1.0, -0.25, 0.0]]), np.array([1.2])),
+    ))
+    return net, margin_prop([1.0], 0.0, InputBox(-np.ones(2), np.ones(2)))
+
+
+def walk_corner(prop, bounds):
+    return np.where(bounds.upper_side[0], prop.input.upper, prop.input.lower)
+
+
+def test_a_violating_walk_corner_refutes_a_new_box_without_its_lp():
+    # A new box (its pass walked every layer) with an ambiguous unit and a
+    # negative propagation bound is refuted at the corner its objective walk
+    # names, when the network violates the property there: no LP, the
+    # corner as the candidate bit for bit, and the propagation bound as lb.
+    net, prop = corner_net()
+    bounds = compute_bounds(net, prop.input, {}, objective=prop.output.c)
+    assert bounds.walks == len(net.blocks) and bounds.any_ambiguous()
+    corner = walk_corner(prop, bounds)
+    assert corner.tolist() == [-1.0, 1.0]
+    v = analyze(net, prop, bounds)
+    assert v.status is Verdict.COUNTEREXAMPLE
+    assert v.pivots is None and v.basis is None and not v.warm and v.factorizations == 0
+    assert v.candidate.tobytes() == corner.tobytes()
+    assert v.lb_value == bounds.objective_lb + prop.output.d
+    assert v.bounds is bounds and v.lb_value < 0.0
+    assert exact_margin(net, prop, v.candidate) < 0
+
+
+def test_a_region_with_every_relu_fixed_still_solves_its_lp():
+    # The same net with every ReLU fixed by a split: its box is new and its
+    # corner violates, but the LP is exact there, so the LP still runs.
+    net, prop = corner_net()
+    splits = {ReluId(0, 0): "+", ReluId(0, 1): "-", ReluId(0, 3): "+"}
+    bounds = compute_bounds(net, prop.input, splits, objective=prop.output.c)
+    assert bounds.walks == len(net.blocks) and not bounds.any_ambiguous()
+    corner = walk_corner(prop, bounds)
+    assert bounds.objective_lb + prop.output.d < 0.0 and not holds_concretely(prop, net, corner)
+    v = analyze(net, prop, bounds)
+    assert v.pivots is not None
+    assert v.status is Verdict.COUNTEREXAMPLE
+    assert exact_margin(net, prop, v.candidate) < 0
+
+
+def test_a_relu_split_child_still_solves_its_lp():
+    # A ReLU split's child keeps its parent's box, and its pass takes the
+    # parent's layer in place of a walk: its corner is not checked, though
+    # it still has ambiguous units, a negative bound and a violating corner.
+    net, prop = corner_net()
+    root = compute_bounds(net, prop.input, {}, objective=prop.output.c)
+    child = compute_bounds(net, prop.input, {ReluId(0, 3): "+"}, objective=prop.output.c, parent=root)
+    assert child.walks < len(net.blocks) and child.any_ambiguous()
+    corner = walk_corner(prop, child)
+    assert child.objective_lb + prop.output.d < 0.0 and not holds_concretely(prop, net, corner)
+    v = analyze(net, prop, child)
+    assert v.pivots is not None
+    assert v.status is Verdict.COUNTEREXAMPLE  # through the LP's argmin
+    assert exact_margin(net, prop, v.candidate) < 0
 
 
 def test_fully_split_matches_region_oracle():

@@ -90,6 +90,7 @@ def test_verify_demo_fixture_metrics(capsys):
     assert doc["metrics"]["phase1_pivots"] == 7  # of the 12, before a feasible basis
     assert doc["metrics"]["factorizations"] == 12  # each LP's crash basis and final point
     assert doc["metrics"]["infeasible"] == 0  # no region of the demo is empty
+    assert doc["metrics"]["corners"] == 0  # nor refuted at its walk corner
     assert (doc["metrics"]["passes"], doc["metrics"]["walks"]) == (9, 13)
     assert doc["counterexample"] is None
     assert doc["schema_version"] == 1
@@ -599,12 +600,12 @@ def test_log_env_controls_verbosity():
     # feasible on the updated network, so that LP starts cold
     runs = [line for line in noisy.stderr.splitlines() if line.startswith("DEBUG:incver.verifier:")]
     assert runs == [
-        "DEBUG:incver.verifier:phase 1: 1 nodes, 1 LPs (0 warm), 0 settled, 1 splits [relu(0, 0)]",
-        "DEBUG:incver.verifier:phase 2: 2 nodes, 2 LPs (0 warm), 0 settled, 2 splits [relu(1, 0) relu(1, 0)]",
-        "DEBUG:incver.verifier:phase 3: 4 nodes, 2 LPs (0 warm), 3 settled, 1 splits [relu(1, 1)]",
-        "DEBUG:incver.verifier:phase 4: 2 nodes, 1 LPs (0 warm), 2 settled, 0 splits []",
+        "DEBUG:incver.verifier:phase 1: 1 nodes, 1 LPs (0 warm), 0 corners, 0 settled, 1 splits [relu(0, 0)]",
+        "DEBUG:incver.verifier:phase 2: 2 nodes, 2 LPs (0 warm), 0 corners, 0 settled, 2 splits [relu(1, 0) relu(1, 0)]",
+        "DEBUG:incver.verifier:phase 3: 4 nodes, 2 LPs (0 warm), 0 corners, 3 settled, 1 splits [relu(1, 1)]",
+        "DEBUG:incver.verifier:phase 4: 2 nodes, 1 LPs (0 warm), 0 corners, 2 settled, 0 splits []",
         "DEBUG:incver.verifier:verify Verified: 9 boundings, 4 branchings, 6 LPs (0 warm), 12 pivots",
-        "DEBUG:incver.verifier:phase 1: 5 nodes, 2 LPs (1 warm), 5 settled, 0 splits []",
+        "DEBUG:incver.verifier:phase 1: 5 nodes, 2 LPs (1 warm), 0 corners, 5 settled, 0 splits []",
         "DEBUG:incver.verifier:verify Verified: 5 boundings, 0 branchings, 2 LPs (1 warm), 4 pivots",
     ]
     assert "incver.verifier" not in quiet.stderr

@@ -45,7 +45,7 @@ from incver.verifier import (
     verify,
     verify_incremental,
 )
-from bound_oracles import brute_force_minimum
+from bound_oracles import brute_force_minimum, exact_margin
 from incver.model import ReluId
 
 
@@ -249,6 +249,30 @@ def test_reused_tree_under_an_empty_region_verifies_vacuously():
     assert (res.metrics.passes, res.metrics.walks) == (3, 4)
 
 
+def test_of_two_violating_corners_in_a_phase_the_lowest_numbered_node_wins():
+    # 1.2 - relu(x + .5) - relu(.5 - x) on [-1, 1], with the root split at
+    # x = 0 by an initial tree: both children are new boxes whose walk
+    # corners (-1 for node 1, 1 for node 2) violate the property.  The
+    # whole phase is bounded, both without an LP, and node 1's corner is
+    # the run's counterexample.
+    net = Network((
+        Affine(np.array([[1.0], [-1.0]]), np.array([0.5, 0.5])),
+        Relu(),
+        Affine(np.array([[-1.0, -1.0]]), np.array([1.2])),
+    ))
+    prop = Property(InputBox(np.array([-1.0]), np.array([1.0])), OutputConstraint(np.array([1.0]), 0.0))
+    tree = singleton("input")
+    low = InputDecision(0, "low", 0.0)
+    assert split(tree, 0, (low, low.complement())) == (1, 2)
+    res = verify(net, prop, VerifierConfig(branching="input", timeout=120.0), initial_tree=tree)
+    assert res.verdict is RunVerdict.COUNTEREXAMPLE
+    m = res.metrics
+    assert (m.boundings, m.corners, m.lps) == (2, 2, 0)
+    assert [res.tree.node(nid).status for nid in (1, 2)] == [NodeStatus.COUNTEREXAMPLE] * 2
+    assert res.counterexample.tolist() == [-1.0]
+    assert exact_margin(net, prop, res.counterexample) < 0 and exact_margin(net, prop, [1.0]) < 0
+
+
 def test_a_run_reports_its_batches_and_where_its_time_went():
     # One batched propagation call per bounding phase and per level of an
     # initial tree with an internal node: the demo's first run has 4 phases
@@ -391,9 +415,13 @@ def test_carried_bases_change_only_the_pivots():
     # Reuse and ivan start their second run's LPs from the first run's final
     # bases: same verdicts, boundings, branchings and LPs as without them,
     # fewer pivots.  Baseline and reorder carry nothing, and every first run
-    # is a plain run: their node lbs are the same bits.
+    # is a plain run: their node lbs are the same bits.  The narrow nets'
+    # refuted instances end at their root's walk corner, before any LP, so
+    # the carried bases come from the wider batch: its second runs start 16
+    # LPs warm.
     warm = 0
-    for net, prop, _ in random_instances(seed=10, count=8):
+    batches = random_instances(seed=10, count=8), random_instances(seed=10, count=8, dims=(2, 4, 4, 1))
+    for net, prop, _ in itertools.chain(*batches):
         updated = perturb(net, QuantizeInt8())
         plain = verify(net, prop, CFG)
         for mode in Mode:
