@@ -67,8 +67,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from incver.lp import LinearProgram, LpBasis, LpStatus, LpTimeout, solve
-from incver.model import Network, ReluId
+from incver.lp import LinearProgram, LpBasis, LpOutcome, LpStatus, LpTimeout, solve
+from incver.model import Network
 from incver.props import InputBox, Property, holds_concretely
 
 __all__ = [
@@ -114,15 +114,12 @@ class AnalyzerVerdict:
     or the walk's corner.
     ``bounds`` are the region's bounds from this call, computed with the
     property's objective so their ``kappa`` is set; the verifier ranks split
-    candidates from them.  ``pivots`` is the LP's simplex pivot count, or
-    None when no LP ran (a Verified or Counterexample settled by the bounds
-    alone), ``phase1`` how many of them phase 1 applied, and
-    ``factorizations`` the LP's factorizations of its basis (see
-    ``LpOutcome.factorizations``), 0 when no LP ran.
-    ``basis`` is the LP's final basis (see ``LpOutcome.basis``), None when
-    no LP ran or it left none; ``warm`` says whether the LP started from
-    the ``start`` it was given.  ``build_s`` and ``solve_s`` are the
-    seconds spent building the LP and solving it, 0.0 when no LP ran.
+    candidates from them.  ``lp`` is the LP's outcome (its pivots, their
+    phase-1 share, its factorizations, its final basis and whether it
+    started warm: see :class:`~incver.lp.LpOutcome`), or None when no LP
+    ran (a Verified or Counterexample settled by the bounds alone).
+    ``build_s`` and ``solve_s`` are the seconds spent building the LP and
+    solving it, 0.0 when no LP ran.
     """
 
     status: Verdict
@@ -130,11 +127,7 @@ class AnalyzerVerdict:
     candidate: Optional[np.ndarray] = None
     infeasible: bool = False
     bounds: Optional[PreactBounds] = None
-    pivots: Optional[int] = None
-    phase1: int = 0
-    factorizations: int = 0
-    basis: Optional[LpBasis] = None
-    warm: bool = False
+    lp: Optional[LpOutcome] = None
     build_s: float = 0.0
     solve_s: float = 0.0
 
@@ -177,9 +170,6 @@ class PreactBounds:
     walks: int = 0
     carry: Optional[_Carry] = field(default=None, repr=False)
     upper_side: Optional[list] = None
-
-    def is_ambiguous(self, rid: ReluId) -> bool:
-        return bool(self.phase[rid.layer][rid.neuron] == AMBIGUOUS)
 
     def any_ambiguous(self) -> bool:
         return any(np.any(p == AMBIGUOUS) for p in self.phase)
@@ -571,7 +561,7 @@ def analyze(
     region is empty, flagged ``infeasible``), Counterexample when a concrete
     input violates the property, and Unknown when the relaxation's minimum
     is negative but spurious.  The LP is skipped, and the verdict's
-    ``pivots`` left None, only where some ReLU is still ambiguous and either
+    ``lp`` left None, only where some ReLU is still ambiguous and either
     the bounds' ``objective_lb`` plus d is already nonnegative (Verified),
     or it is negative, the bounds walked every layer (a new box: the root,
     or an input split's child, not a ReLU split's) and the network violates
@@ -609,11 +599,7 @@ def analyze(
         raise
     except Exception as exc:
         raise AnalyzerError(f"bounding LP failed: {exc}") from exc
-    solved = dict(
-        bounds=bounds, pivots=out.iterations, phase1=out.phase1, factorizations=out.factorizations,
-        basis=out.basis, warm=out.warm,
-        build_s=t1 - t0, solve_s=time.perf_counter() - t1,
-    )
+    solved = dict(bounds=bounds, lp=out, build_s=t1 - t0, solve_s=time.perf_counter() - t1)
     if out.status is LpStatus.INFEASIBLE:
         return AnalyzerVerdict(Verdict.VERIFIED, math.inf, infeasible=True, **solved)
     bounds.objective_lb = max(bounds.objective_lb, float(out.value))

@@ -33,7 +33,9 @@ from .model import (
     is_number,
     load_network,
     perturb,
+    read_json,
     same_architecture,
+    write_json,
 )
 from .props import load_property
 from .spectree import load_tree, save_tree
@@ -262,8 +264,8 @@ def _perturbation_from_json(obj, where: str) -> tuple[str, PerturbSpec]:
     raise ParseError(f"{where}: unknown perturbation kind {kind!r}")
 
 
-def _mode_from_json(obj, where: str, timeout: float) -> tuple:
-    """A plan's mode entry as (settings, the VerifierConfig built from them).
+def _mode_from_json(obj, where: str, timeout: float) -> VerifierConfig:
+    """A plan's mode entry as the VerifierConfig of its settings.
 
     Settings the entry leaves out take their defaults.  A setting that is
     not a JSON number where one is expected (an integer for ``seed``), or
@@ -281,7 +283,7 @@ def _mode_from_json(obj, where: str, timeout: float) -> tuple:
         "branching": obj.get("branching", _DEFAULT.branching),
     }
     try:
-        return settings, _config(settings, timeout)
+        return _config(settings, timeout)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
@@ -289,19 +291,15 @@ def _mode_from_json(obj, where: str, timeout: float) -> tuple:
 @dataclasses.dataclass(frozen=True)
 class ExperimentPlan:
     networks: tuple
-    perturbations: tuple  # (label, raw json dict) pairs
+    perturbations: tuple  # (label, PerturbSpec) pairs
     properties: tuple
-    modes: tuple  # (settings dict, VerifierConfig) pairs
+    modes: tuple  # VerifierConfigs
     output_dir: str
 
 
 def load_plan(path) -> ExperimentPlan:
     """Read and check a plan: a bad entry raises ParseError before anything runs."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    obj = read_json(path)
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: expected a JSON object")
     for key in ("networks", "perturbations", "properties", "modes"):
@@ -315,56 +313,53 @@ def load_plan(path) -> ExperimentPlan:
     timeout = obj.get("timeout", _DEFAULT.timeout)
     if not is_number(timeout) or not timeout > 0:  # NaN too: no run would ever time out
         raise ParseError(f"{path}.timeout: expected a positive number, got {timeout!r}")
-    perturbations = []
-    for i, raw in enumerate(obj["perturbations"]):
-        label, _spec = _perturbation_from_json(raw, f"{path}.perturbations[{i}]")
-        perturbations.append((label, raw))
-    modes = tuple(
-        _mode_from_json(m, f"{path}.modes[{i}]", float(timeout)) for i, m in enumerate(obj["modes"])
-    )
     return ExperimentPlan(
         networks=tuple(obj["networks"]),
-        perturbations=tuple(perturbations),
+        perturbations=tuple(
+            _perturbation_from_json(p, f"{path}.perturbations[{i}]")
+            for i, p in enumerate(obj["perturbations"])
+        ),
         properties=tuple(obj["properties"]),
-        modes=modes,
+        modes=tuple(
+            _mode_from_json(m, f"{path}.modes[{i}]", float(timeout))
+            for i, m in enumerate(obj["modes"])
+        ),
         output_dir=obj["output_dir"],
     )
 
 
-def _task_row(task: dict) -> dict:
+def _task_row(task: tuple) -> dict:
     """The results.csv columns that describe the task, with an empty error."""
-    ms = task["mode_settings"]
+    network, (label, _), prop_path, cfg = task
     return {
         "schema_version": SCHEMA_VERSION,
-        "network": task["network"],
-        "perturbation": task["perturbation_label"],
-        "property": task["property"],
-        "mode": ms["mode"],
-        "heuristic": ms["heuristic"],
-        "alpha": ms["alpha"],
-        "theta": ms["theta"],
-        "seed": ms["seed"],
-        "branching": ms["branching"],
+        "network": network,
+        "perturbation": label,
+        "property": prop_path,
+        "mode": cfg.mode.value,
+        "heuristic": cfg.heuristic.base.value,
+        "alpha": cfg.heuristic.alpha,
+        "theta": cfg.heuristic.theta,
+        "seed": cfg.heuristic.seed,
+        "branching": cfg.branching,
         "error": "",
     }
 
 
-def _failed(task: dict, exc: BaseException) -> dict:
+def _failed(task: tuple, exc: BaseException) -> dict:
     """The outcome of a task that raised: a row whose error names the exception."""
     row = {**_task_row(task), "error": f"{type(exc).__name__}: {exc}"}
-    row = {col: row.get(col, "") for col in RESULTS_COLUMNS}
     return {"row": row, "first_seconds": None, "second_seconds": None}
 
 
-def _run_instance(task: dict) -> dict:
-    """One experiment cell; returns a results.csv row plus timing fields."""
+def _run_instance(task: tuple) -> dict:
+    """One experiment cell, a (network path, (label, spec), property path,
+    config) tuple; returns a results.csv row plus timing fields."""
+    network, (_, spec), prop_path, cfg = task
     row = _task_row(task)
     try:
-        net = load_network(task["network"])
-        prop = load_property(task["property"])
-        _, spec = _perturbation_from_json(task["perturbation_json"], "plan")
-        updated = perturb(net, spec)
-        first, second = verify_incremental(net, updated, prop, task["config"])
+        net, prop = load_network(network), load_property(prop_path)
+        first, second = verify_incremental(net, perturb(net, spec), prop, cfg)
     except Exception as exc:  # recorded, sweep continues
         return _failed(task, exc)
     row.update(
@@ -521,25 +516,14 @@ def cmd_experiment(args) -> int:
     out_dir = Path(plan.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    cells = itertools.product(plan.networks, plan.perturbations, plan.properties, plan.modes)
-    tasks = [
-        {
-            "network": net_path,
-            "perturbation_label": label,
-            "perturbation_json": pert_json,
-            "property": prop_path,
-            "mode_settings": ms,
-            "config": cfg,
-        }
-        for net_path, (label, pert_json), prop_path, (ms, cfg) in cells
-    ]
+    tasks = list(itertools.product(plan.networks, plan.perturbations, plan.properties, plan.modes))
     outcomes = _run_tasks(tasks, args.jobs)
 
     with open(out_dir / "results.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(RESULTS_COLUMNS))
         writer.writeheader()
         for o in outcomes:
-            writer.writerow({col: o["row"].get(col, "") for col in RESULTS_COLUMNS})
+            writer.writerow(o["row"])
 
     summary_modes, scatter = _speedup_summary(outcomes)
     errors = sum(1 for o in outcomes if o["row"]["error"])
@@ -549,9 +533,7 @@ def cmd_experiment(args) -> int:
         "errors": errors,
         "modes": summary_modes,
     }
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=1)
-        fh.write("\n")
+    write_json(summary, out_dir / "summary.json")
     with open(out_dir / "scatter.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(SCATTER_COLUMNS))
         writer.writeheader()

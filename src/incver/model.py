@@ -20,6 +20,25 @@ class ParseError(ValueError):
     """A file or JSON document does not match the expected schema."""
 
 
+def read_json(path):
+    """The JSON document in the file at ``path``.
+
+    A syntax error raises ParseError naming the path, line and column.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+
+
+def write_json(doc, path) -> None:
+    """Write a JSON document to the file at ``path``, indented, ending in a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
 def is_number(value, integral: bool = False) -> bool:
     """Whether a parsed JSON value is a number (an integer if ``integral``).
 
@@ -428,15 +447,8 @@ def network_from_json(obj: object, where: str = "network") -> Network:
 
 
 def save_network(net: Network, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(network_to_json(net), fh, indent=1)
-        fh.write("\n")
+    write_json(network_to_json(net), path)
 
 
 def load_network(path) -> Network:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return network_from_json(obj, where=str(path))
+    return network_from_json(read_json(path), where=str(path))

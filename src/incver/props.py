@@ -8,12 +8,11 @@ and d = 0, written in property JSON like any other.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from incver.model import Network, ParseError, _as_readonly, evaluate, is_number
+from incver.model import Network, ParseError, _as_readonly, evaluate, is_number, read_json, write_json
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,15 +141,8 @@ def property_from_json(obj: object, where: str = "property") -> Property:
 
 
 def save_property(p: Property, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(property_to_json(p), fh, indent=1)
-        fh.write("\n")
+    write_json(property_to_json(p), path)
 
 
 def load_property(path) -> Property:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return property_from_json(obj, where=str(path))
+    return property_from_json(read_json(path), where=str(path))

@@ -13,7 +13,6 @@ spliced out) to warm-start verification of a modified network.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -21,7 +20,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from incver.model import ParseError, ReluId, is_number
+from incver.model import ParseError, ReluId, is_number, read_json, write_json
 from incver.props import InputBox
 
 __all__ = [
@@ -505,15 +504,8 @@ def tree_from_json(obj, where: str = "tree") -> SpecTree:
 
 
 def save_tree(tree: SpecTree, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tree_to_json(tree), fh, indent=1)
-        fh.write("\n")
+    write_json(tree_to_json(tree), path)
 
 
 def load_tree(path) -> SpecTree:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return tree_from_json(obj, where=str(path))
+    return tree_from_json(read_json(path), where=str(path))

@@ -100,9 +100,10 @@ class RunMetrics:
 
     because every starting leaf and every created node is bounded exactly
     once, and every split adds one internal node.  lps counts the boundings
-    that solved an LP (the others were settled from their propagated bounds
-    alone) and pivots sums those LPs' simplex pivots, phase1_pivots the
-    share of them that phase 1 applied to reach a feasible basis.
+    that solved an LP (the others, whose verdict's ``lp`` is None, were
+    settled from their propagated bounds alone) and pivots sums those LPs'
+    simplex pivots (``LpOutcome.iterations``), phase1_pivots the share of
+    them that phase 1 applied to reach a feasible basis.
     factorizations sums those LPs' factorizations of a basis matrix (see
     ``LpOutcome.factorizations``): two for a cold LP that pivots, one for
     a cold LP whose crash basis is already optimal or that phase 1 proves
@@ -214,10 +215,11 @@ def verify(
     (``analyzer.bound_regions``), and each node is then settled from its own
     by ``analyze``: by the propagation bound alone, by the network's value
     at the corner that bound's walk read (a counterexample there, on the
-    root's box or an input split child's), or by its LP.  A whole phase is
-    bounded before any counterexample is acted on, and the lowest-numbered
-    violating node wins, so results and call counts do not depend on
-    evaluation order within a phase.
+    root's box or an input split child's), or by its LP; the verdict's
+    ``lp`` is None unless an LP ran, and its counts are summed into the
+    run's metrics.  A whole phase is bounded before any counterexample is
+    acted on, and the lowest-numbered violating node wins, so results and
+    call counts do not depend on evaluation order within a phase.
 
     ``hobs`` carries per-split effectiveness statistics recorded on an
     earlier proof tree and goes to ``choose_split`` as its ``observed``;
@@ -381,18 +383,18 @@ def verify(
                 return finish(RunVerdict.TIMEOUT, note="wall-clock timeout")
             boundings += 1
             infeasible += res.infeasible
-            if res.pivots is None:
+            if res.lp is None:
                 corners += res.status is Verdict.COUNTEREXAMPLE
             else:
                 lps += 1
-                pivots += res.pivots
-                phase1_pivots += res.phase1
-                factorizations += res.factorizations
-                warm += res.warm
+                pivots += res.lp.iterations
+                phase1_pivots += res.lp.phase1
+                factorizations += res.lp.factorizations
+                warm += res.lp.warm
                 build_s += res.build_s
                 solve_s += res.solve_s
-                if bases is not None and res.basis is not None:
-                    bases[key] = res.basis
+                if bases is not None and res.lp.basis is not None:
+                    bases[key] = res.lp.basis
             node = tree.node(nid)
             node.lb = res.lb_value
             node.status = NodeStatus(res.status.value)

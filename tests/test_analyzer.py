@@ -107,7 +107,7 @@ def test_split_clamps_pre_bounds():
     box = unit_box(2)
     plain = compute_bounds(net, box, {})
     rid = ReluId(0, 0)
-    if not plain.is_ambiguous(rid):
+    if plain.phase[rid.layer][rid.neuron] != AMBIGUOUS:
         pytest.skip("seed produced a stable unit")
     pos = compute_bounds(net, box, {rid: "+"})
     neg = compute_bounds(net, box, {rid: "-"})
@@ -182,7 +182,7 @@ def test_bounds_nest_along_split_paths():
                 ReluId(i, j)
                 for i in range(len(parent.pre_lb))
                 for j in range(len(parent.pre_lb[i]))
-                if parent.is_ambiguous(ReluId(i, j)) and ReluId(i, j) not in parent_splits
+                if parent.phase[i][j] == AMBIGUOUS and ReluId(i, j) not in parent_splits
             ]
             if not amb:
                 break
@@ -296,7 +296,7 @@ def test_child_takes_the_parents_layers_bit_for_bit():
                 free = [rid for rid in free if rid not in splits]
                 if not free:
                     continue
-                amb = [rid for rid in free if parent.is_ambiguous(rid)]
+                amb = [rid for rid in free if parent.phase[rid.layer][rid.neuron] == AMBIGUOUS]
                 rid = amb[0] if amb else free[int(rng.integers(len(free)))]
                 splits = {**splits, rid: "+" if rng.random() < 0.5 else "-"}
                 child = compute_bounds(net, box, splits, objective=objective, parent=parent)
@@ -484,7 +484,7 @@ def test_soundness_under_splits():
         amb = [
             ReluId(0, j)
             for j in range(len(base.pre_lb[0]))
-            if base.is_ambiguous(ReluId(0, j))
+            if base.phase[0][j] == AMBIGUOUS
         ]
         if not amb:
             continue
@@ -522,7 +522,7 @@ def test_monotone_under_splitting():
                 ReluId(i, j)
                 for i in range(len(b.pre_lb))
                 for j in range(len(b.pre_lb[i]))
-                if b.is_ambiguous(ReluId(i, j)) and ReluId(i, j) not in splits
+                if b.phase[i][j] == AMBIGUOUS and ReluId(i, j) not in splits
             ]
             if not amb:
                 break
@@ -569,7 +569,7 @@ def test_unknown_verdict_carries_the_objective_bounds():
                 ReluId(i, j)
                 for i in range(len(got.pre_lb))
                 for j in range(len(got.pre_lb[i]))
-                if got.is_ambiguous(ReluId(i, j)) and ReluId(i, j) not in splits
+                if got.phase[i][j] == AMBIGUOUS and ReluId(i, j) not in splits
             ]
             if not amb:
                 break
@@ -625,7 +625,7 @@ def test_a_violating_walk_corner_refutes_a_new_box_without_its_lp():
     assert corner.tolist() == [-1.0, 1.0]
     v = analyze(net, prop, bounds)
     assert v.status is Verdict.COUNTEREXAMPLE
-    assert v.pivots is None and v.basis is None and not v.warm and v.factorizations == 0
+    assert v.lp is None
     assert v.candidate.tobytes() == corner.tobytes()
     assert v.lb_value == bounds.objective_lb + prop.output.d
     assert v.bounds is bounds and v.lb_value < 0.0
@@ -642,7 +642,7 @@ def test_a_region_with_every_relu_fixed_still_solves_its_lp():
     corner = walk_corner(prop, bounds)
     assert bounds.objective_lb + prop.output.d < 0.0 and not holds_concretely(prop, net, corner)
     v = analyze(net, prop, bounds)
-    assert v.pivots is not None
+    assert v.lp is not None
     assert v.status is Verdict.COUNTEREXAMPLE
     assert exact_margin(net, prop, v.candidate) < 0
 
@@ -658,7 +658,7 @@ def test_a_relu_split_child_still_solves_its_lp():
     corner = walk_corner(prop, child)
     assert child.objective_lb + prop.output.d < 0.0 and not holds_concretely(prop, net, corner)
     v = analyze(net, prop, child)
-    assert v.pivots is not None
+    assert v.lp is not None
     assert v.status is Verdict.COUNTEREXAMPLE  # through the LP's argmin
     assert exact_margin(net, prop, v.candidate) < 0
 
@@ -711,7 +711,7 @@ def test_propagation_verdicts_are_sound():
 
     def check(net, prop, splits, v):
         nonlocal skipped
-        if v.status is not Verdict.VERIFIED or v.pivots is not None or v.infeasible:
+        if v.status is not Verdict.VERIFIED or v.lp is not None or v.infeasible:
             return
         skipped += 1
         assert v.lb_value >= 0.0
@@ -742,7 +742,7 @@ def test_propagation_verdicts_are_sound():
         splits, v = {}, analyze_region(net, prop, {})
         check(net, prop, splits, v)
         for _ in range(5):
-            amb = [rid for rid in relu_ids(net) if v.bounds.is_ambiguous(rid)]
+            amb = [rid for rid in relu_ids(net) if v.bounds.phase[rid.layer][rid.neuron] == AMBIGUOUS]
             if v.status is not Verdict.UNKNOWN or not amb:
                 break
             rid = amb[int(rng.integers(len(amb)))]
@@ -776,7 +776,7 @@ def test_fully_split_region_solves_its_lp():
             v = analyze_region(net, prop, splits)
             if v.infeasible:
                 continue
-            assert v.pivots is not None
+            assert v.lp is not None
             want = region_minimum(net, prop, [np.array(pat_bits, dtype=float)])
             assert v.lb_value == pytest.approx(want, abs=1e-6)
             tighter += v.lb_value > 1e-6
@@ -981,7 +981,9 @@ def test_program_layout_feeds_the_crash_basis():
             and bounds.pre_ub[rid.layer][rid.neuron] > STABLE_TOL
         }
         active = {rid for rid in rids if splits.get(rid, "+" if rid in stable_on else None) == "+"}
-        ambiguous = {rid for rid in rids if rid not in splits and bounds.is_ambiguous(rid)}
+        ambiguous = {
+            rid for rid in rids if rid not in splits and bounds.phase[rid.layer][rid.neuron] == AMBIGUOUS
+        }
 
         eq_rows = np.flatnonzero(lp.eq)
         heads = [int(np.flatnonzero(lp.A[i])[-1]) for i in eq_rows]

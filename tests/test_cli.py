@@ -26,8 +26,8 @@ from incver.cli import (
     RESULTS_COLUMNS,
     main,
 )
-from incver.model import Affine, Network, Relu, save_network
-from incver.props import InputBox, OutputConstraint, Property, save_property
+from incver.model import Affine, Network, ParseError, Relu, load_network, save_network
+from incver.props import InputBox, OutputConstraint, Property, load_property, save_property
 from incver.spectree import load_tree, leaves
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -267,10 +267,10 @@ def test_incremental_architecture_mismatch_exits_65(tmp_path, capsys):
     assert "architecture" in capsys.readouterr().err
 
 
-def make_plan(tmp_path, modes, networks=None, out_name="exp"):
+def make_plan(tmp_path, modes, networks=None, out_name="exp", perturbations=None):
     plan = {
         "networks": networks or [str(FIXTURES / "demo_network.json")],
-        "perturbations": [{"kind": "quantize_int8"}],
+        "perturbations": perturbations or [{"kind": "quantize_int8"}],
         "properties": [str(FIXTURES / "demo_property.json")],
         "modes": modes,
         "timeout": 30.0,
@@ -408,16 +408,50 @@ def test_experiment_rejects_a_bad_plan_before_running(tmp_path, capsys, edit, wh
 
 
 def test_experiment_jobs_matches_serial(tmp_path, capsys):
-    serial_plan, serial_dir = make_plan(
-        tmp_path, [demo_mode("baseline"), demo_mode("ivan")], out_name="serial"
-    )
+    # every perturbation kind, so each parsed spec crosses a worker's pipe,
+    # a LastLayer's matrix too
+    perturbations = [
+        {"kind": "quantize_int8"},
+        {"kind": "quantize_int16"},
+        {"kind": "uniform_random", "fraction": 0.02, "seed": 7},
+        {"kind": "last_layer", "matrix": [[0.01, -0.02]]},
+    ]
+    modes = [demo_mode("baseline"), demo_mode("ivan")]
+    serial_plan, serial_dir = make_plan(tmp_path, modes, out_name="serial", perturbations=perturbations)
     parallel_plan, parallel_dir = make_plan(
-        tmp_path, [demo_mode("baseline"), demo_mode("ivan")], out_name="parallel"
+        tmp_path, modes, out_name="parallel", perturbations=perturbations
     )
     assert main(["experiment", "--plan", serial_plan]) == EXIT_VERIFIED
     assert main(["experiment", "--plan", parallel_plan, "--jobs", "2"]) == EXIT_VERIFIED
     capsys.readouterr()
+    rows = read_rows(serial_dir)
+    labels = ["quantize_int8", "quantize_int16", "uniform_random:0.02:7", "last_layer"]
+    assert [r["perturbation"] for r in rows] == [label for label in labels for _ in modes]
+    assert all(r["error"] == "" and r["second_verdict"] == "Verified" for r in rows)
     assert (serial_dir / "results.csv").read_bytes() == (parallel_dir / "results.csv").read_bytes()
+
+
+MALFORMED = '{"name": "demo",\n "layers": [1,]}\n'  # line 2, column 15: a value is missing
+
+
+@pytest.mark.parametrize(
+    "read",
+    [load_network, load_property, load_tree, cli.load_plan],
+    ids=["network", "property", "tree", "plan"],
+)
+def test_a_reader_names_the_line_and_column_of_a_syntax_error(tmp_path, read):
+    path = tmp_path / "malformed.json"
+    path.write_text(MALFORMED, encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        read(path)
+    assert str(err.value) == f"{path}: line 2 column 15: Expecting value"
+
+
+def test_experiment_with_a_malformed_plan_exits_70(tmp_path, capsys):
+    path = tmp_path / "malformed.json"
+    path.write_text(MALFORMED, encoding="utf-8")
+    assert main(["experiment", "--plan", str(path)]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {path}: line 2 column 15: Expecting value\n"
 
 
 # The experiment workers run whatever cli._run_instance is when they are
@@ -426,7 +460,7 @@ _REAL_RUN_INSTANCE = cli._run_instance
 
 
 def _run_instance_or_die(task):
-    if task["network"].endswith("doomed.json"):
+    if task[0].endswith("doomed.json"):
         os._exit(1)
     return _REAL_RUN_INSTANCE(task)
 
@@ -529,7 +563,7 @@ def test_experiment_replaces_a_worker_that_dies(tmp_path, capsys, monkeypatch, c
     ran.touch()
 
     def run_logged(task):
-        name = Path(task["network"]).name
+        name = Path(task[0]).name
         deadline = time.monotonic() + 30.0
         while name == "a.json" and "b.json" not in ran.read_text(encoding="utf-8"):
             assert time.monotonic() < deadline, "no worker took b while a ran"
