@@ -30,8 +30,10 @@ Two layers of machinery live here:
     arrays of a layer gain a leading region axis, each layer is walked once
     for every region that walks it, and one step intersects, signs and
     decides it for the whole batch, so numpy's per-call cost is paid once
-    per batch instead of once per region.  Each region's values are the
-    bits its own pass computes.  ``compute_bounds`` is the batch of one.
+    per batch instead of once per region.  The same step records whether
+    any of a region's units is ambiguous, so that ``analyze`` need not scan
+    the phases again.  Each region's values are the bits its own pass
+    computes.  ``compute_bounds`` is the batch of one.
 
 ``analyze``
     Settles a region from its bounds, computed with the property's objective
@@ -46,6 +48,9 @@ Two layers of machinery live here:
     and output variables, bounded by those bounds as they are; minimizes the
     property margin c^T y + d over the triangle relaxation of each ambiguous
     ReLU; and classifies the region as Verified, Unknown, or Counterexample.
+    Every row that program can have is built once per network, as a
+    read-only template; a region keeps the rows its phases need and writes
+    only its own entries into them.
     A region with no ambiguous ReLU always gets its LP, which is exact there
     while propagation is not.  An infeasible region (crossed bounds or an
     infeasible LP) verifies vacuously.  The verdict hands its bounds on: the
@@ -58,7 +63,6 @@ Two layers of machinery live here:
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -155,8 +159,9 @@ class PreactBounds:
     these bounds.  ``carry`` names the network, box and splits that pass ran
     on, so that a child on the same network and box takes these bounds of
     its unchanged layers in place of walks (see :func:`compute_bounds`);
-    None makes every child walk every layer.  The per-layer arrays are
-    read-only, because children read them.
+    None makes every child walk every layer.  ``ambiguous`` is True when
+    some unit's phase is AMBIGUOUS, as the pass decided it.  The per-layer
+    arrays are read-only, because children read them.
     """
 
     pre_lb: list
@@ -170,9 +175,7 @@ class PreactBounds:
     walks: int = 0
     carry: Optional[_Carry] = field(default=None, repr=False)
     upper_side: Optional[list] = None
-
-    def any_ambiguous(self) -> bool:
-        return any(np.any(p == AMBIGUOUS) for p in self.phase)
+    ambiguous: bool = False
 
 
 def _validate_splits(items, widths) -> None:
@@ -247,7 +250,8 @@ def _interval(net, relax, upto, lower, upper, objective=None):
     if objective is None:
         return lb[:, :n], -lb[:, n:], None, None, None
     k = lb.shape[0]
-    sides = [np.broadcast_to(a[..., -1, :] < 0.0, (k, a.shape[-1])) for a in negs]
+    # the rows the walk starts from are the batch's, shared: their mask is repeated per region
+    sides = [a[:, -1] < 0.0 if a.ndim == 3 else (a[-1:] < 0.0).repeat(k, axis=0) for a in negs]
     return lb[:, :n], -lb[:, n : 2 * n], lb[:, -1], [a[:, -1] for a in coefs], sides
 
 
@@ -275,6 +279,7 @@ def bound_regions(net: Network, regions, objective=None) -> list:
     are intersected and checked for crossing the same way.  With an
     ``objective``, its row ``(c @ W, c @ b)`` rides in the output block's
     walk, which sets ``kappa`` and ``objective_lb`` (at least the parent's).
+    The decide step also sets each region's ``ambiguous`` flag.
 
     When a region's parent ran on the same network and box, the layers up
     to the first one whose splits differ from its splits take the parent's
@@ -328,31 +333,31 @@ def bound_regions(net: Network, regions, objective=None) -> list:
             np.full(net.output_dim, -np.inf), np.full(net.output_dim, np.inf),
         )
         priors = [whole if p is None else p for p in priors]
-    if boxes.count(boxes[0]) == n:  # one box, as under ReLU branching: every region reads it
+    # one box, as under ReLU branching, is read by every region (an affine
+    # net's first walk is its objective's, which needs a row per region)
+    if n_relu and all(box is boxes[0] for box in boxes):
         lower, upper = boxes[0].lower[None, :, None], boxes[0].upper[None, :, None]
     else:
-        lower = np.stack([box.lower for box in boxes])[:, :, None]
-        upper = np.stack([box.upper for box in boxes])[:, :, None]
+        lower = np.array([box.lower for box in boxes])[:, :, None]
+        upper = np.array([box.upper for box in boxes])[:, :, None]
     signs_at = {}  # per layer: (region, unit, sign)
     for r, split_items in enumerate(items):
         for rid, sign in split_items:
             signs_at.setdefault(rid.layer, []).append((r, rid.neuron, 1.0 if sign == "+" else -1.0))
 
     infeasible = np.zeros(n, dtype=bool)
+    ambiguous = np.zeros(n, dtype=bool)
     lows, highs, phases = [], [], []
     relax = []  # per layer, every region's relaxation in the shapes _lower_bound takes
     for i in range(n_relu):
         walking = bisect.bisect_right(takes, i)
-        if walking:
+        l = np.array([p.pre_lb[i] for p in priors])  # the later regions take these for the walk
+        u = np.array([p.pre_ub[i] for p in priors])
+        if walking:  # at layer 0, a walk of one shared box is one row that every region reads
             above = relax if walking == n else [tuple(a[:walking] for a in r) for r in relax]
-            l, u, _, _, _ = _interval(net, above, i, lower[:walking], upper[:walking])
-        prior_l = np.stack([p.pre_lb[i] for p in priors])
-        prior_u = np.stack([p.pre_ub[i] for p in priors])
-        if walking < n:  # the later regions take their parent's bounds for the walk
-            l = np.concatenate([l, prior_l[walking:]]) if walking else prior_l
-            u = np.concatenate([u, prior_u[walking:]]) if walking else prior_u
-        l = np.maximum(l, prior_l)
-        u = np.minimum(u, prior_u)
+            walk_l, walk_u, _, _, _ = _interval(net, above, i, lower[:walking], upper[:walking])
+            np.maximum(walk_l, l[:walking], out=l[:walking])
+            np.minimum(walk_u, u[:walking], out=u[:walking])
         signed = signs_at.get(i)
         if signed:
             signs = np.zeros(l.shape)
@@ -368,6 +373,7 @@ def bound_regions(net: Network, regions, objective=None) -> list:
         if signed:  # a "-" unit is inactive even where l is up to CROSS_TOL above 0
             phase = np.where(plus, ACTIVE, np.where(minus, INACTIVE, phase))
         active, amb = phase == ACTIVE, phase == AMBIGUOUS
+        ambiguous |= amb.any(axis=1)
         width = u - l
         lam_low = (active | amb & (u >= -l)).astype(float)
         lam_up = np.divide(u, width, out=active.astype(float), where=amb)
@@ -380,17 +386,18 @@ def bound_regions(net: Network, regions, objective=None) -> list:
         relax.append((lam_low[:, None, :], lam_up[:, None, :], mu_up[:, :, None]))
 
     out_l, out_u, lb, coefs, sides = _interval(net, relax, n_relu, lower, upper, objective)
-    out_l = np.maximum(out_l, np.stack([p.out_lb for p in priors]))
-    out_u = np.minimum(out_u, np.stack([p.out_ub for p in priors]))
+    out_l = np.maximum(out_l, np.array([p.out_lb for p in priors]))
+    out_u = np.minimum(out_u, np.array([p.out_ub for p in priors]))
     infeasible |= (out_l > out_u + CROSS_TOL).any(axis=1)
     out_u = np.maximum(out_u, out_l)
     if objective is not None:
         kappa = [np.abs(a) for a in coefs]
-    for r, prior in enumerate(priors):
+    flags = zip(infeasible.tolist(), ambiguous.tolist())
+    for r, (prior, (empty, amb)) in enumerate(zip(priors, flags)):
         bounds = PreactBounds(
             [a[r] for a in lows], [a[r] for a in highs], [a[r] for a in phases],
-            out_l[r], out_u[r], None, bool(infeasible[r]), None,
-            n_relu + 1 - takes[r], _Carry(net, boxes[r], items[r]),
+            out_l[r], out_u[r], None, empty, None,
+            n_relu + 1 - takes[r], _Carry(net, boxes[r], items[r]), None, amb,
         )
         if objective is not None:
             bounds.kappa = [a[r] for a in kappa]
@@ -439,90 +446,108 @@ def compute_bounds(
     return bound_regions(net, [(box, splits, parent)], objective)[0]
 
 
-@functools.lru_cache(maxsize=64)
-def _layout(n_in: int, widths: tuple):
-    """Offsets of the bounding LP for the affine blocks' output ``widths``:
-    each block's first unit (and first row among the affine rows); each ReLU
-    unit's pre and post column and the affine rows up to its layer's; each
-    affine row's index among them, its own (pre or output) column and the
-    ReLU units above its block."""
-    relu_w = np.array(widths[:-1], dtype=int)  # an int array even with no ReLU layer
-    layer_start = np.cumsum([0, *relu_w])
-    pre = np.arange(layer_start[-1]) + np.repeat(n_in + layer_start[:-1], relu_w)
-    post = pre + np.repeat(relu_w, relu_w)
-    aff_rows = np.arange(sum(widths))
-    aff_cols = aff_rows + np.repeat(n_in + layer_start, widths)
-    units_above = np.repeat(layer_start, widths)
-    out = (layer_start, pre, post, np.repeat(layer_start[1:], relu_w), aff_rows, aff_cols, units_above)
-    for a in out:
-        a.setflags(write=False)  # cached, so shared by every call
-    return out
+class _Template(NamedTuple):
+    """Every row a network's bounding LP can have, and each ReLU unit's place among them."""
+
+    A: np.ndarray
+    eq: np.ndarray
+    rhs: np.ndarray
+    pre: np.ndarray
+    post: np.ndarray
+    unit_rows: np.ndarray
+
+
+def _template(net) -> _Template:
+    """The rows of every bounding LP of ``net``: computed once per network, read-only.
+
+    Rows go layer by layer: the affine rows ``W @ src - pre = -b``, then two
+    rows per ReLU unit, its active form ``post - pre = 0`` and its chord
+    row's ``post`` entry (a ``<=`` row with right-hand side 0); the output's
+    affine rows come last.  Columns are input, (pre, post) per ReLU layer
+    and output.  ``pre`` and ``post`` hold each ReLU unit's columns and
+    ``unit_rows`` its two rows, as a (units, 2) array.
+    """
+    t = net.__dict__.get("_lp_template")
+    if t is not None:
+        return t
+    widths = [b.size for _, b in net.blocks]
+    units = sum(widths[:-1])
+    m, n = sum(widths) + 2 * units, net.input_dim + 2 * units + widths[-1]
+    A, eq, rhs = np.zeros((m, n)), np.ones(m, dtype=bool), np.zeros(m)
+    pre, first = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    row, src, w_src = 0, 0, net.input_dim
+    for W, b in net.blocks:
+        w, own = b.size, src + w_src
+        A[row : row + w, src:own] = W
+        A[np.arange(row, row + w), np.arange(own, own + w)] = -1.0
+        rhs[row : row + w] = -b
+        pre.append(np.arange(own, own + w))
+        first.append(row + w + 2 * np.arange(w))
+        row, src, w_src = row + 3 * w, own + w, w
+    pre, first = np.concatenate(pre[:-1]), np.concatenate(first[:-1])  # the output block has no unit
+    post = pre + np.repeat(widths[:-1], widths[:-1]).astype(int)
+    A[first, post] = A[first + 1, post] = 1.0
+    A[first, pre] = -1.0
+    eq[first + 1] = False
+    t = _Template(A, eq, rhs, pre, post, np.column_stack([first, first + 1]))
+    for a in t:
+        a.setflags(write=False)  # shared by every program of the network
+    net.__dict__["_lp_template"] = t
+    return t
 
 
 def _build_program(net, prop, bounds):
     """The bounding LP as arrays over input, (pre, post) per ReLU layer and output columns.
 
-    Rows go layer by layer: the affine rows ``W @ src - pre = -b``, then per
-    unit, by its phase, none if inactive (its post column is [0, 0]),
-    ``post - pre = 0`` if active, or ``pre - post <= 0`` and its chord
-    ``post - slope * pre <= -slope * l`` if ambiguous; the output's affine
-    rows come last.  Other post columns are max(pre, 0).  Every ``=`` row
-    ends with -1 or 1 on its own column, and both rows of an ambiguous unit
-    end on its post column, ``pre - post <= 0`` with -1 and the chord with
-    1.  That is the layout the solver's crash basis starts from: it
-    evaluates the network forward from the program's start corner.  The
-    ``at_upper`` mask sets that corner where the bounds' objective walk went
-    (``upper_side``): each input whose coefficient there is negative starts
-    at its upper bound, and so does each ambiguous unit's post whose
-    coefficient is negative, the units whose walk read the chord.  The crash
-    covers such a post's chord row with post = slope * (pre - l), and every
-    other ambiguous post's ``pre - post <= 0`` row with post = pre wherever
-    pre is positive.  Bounds without an ``upper_side`` start every column
-    at its lower bound.
+    The rows are the network's :func:`_template` rows that the units'
+    phases keep, in its order: the affine rows, then per unit none if
+    inactive (its post column is [0, 0]), ``post - pre = 0`` if active, or
+    ``pre - post <= 0`` and its chord ``post - slope * pre <= -slope * l``
+    if ambiguous; the output's affine rows come last.  The node writes only
+    its own entries into the kept rows: the ambiguous units' signs, slopes
+    and chord right-hand sides, and their rows' ``<=``.  Other post columns
+    are max(pre, 0).  Every ``=`` row ends with -1 or 1 on its own column,
+    and both rows of an ambiguous unit end on its post column,
+    ``pre - post <= 0`` with -1 and the chord with 1.  That is the layout
+    the solver's crash basis starts from: it evaluates the network forward
+    from the program's start corner.  The ``at_upper`` mask sets that
+    corner where the bounds' objective walk went (``upper_side``): each
+    input whose coefficient there is negative starts at its upper bound,
+    and so does each ambiguous unit's post whose coefficient is negative,
+    the units whose walk read the chord.  The crash covers such a post's
+    chord row with post = slope * (pre - l), and every other ambiguous
+    post's ``pre - post <= 0`` row with post = pre wherever pre is
+    positive.  Bounds without an ``upper_side`` start every column at its
+    lower bound.
     """
-    blocks = net.blocks
-    widths = tuple(W.shape[0] for W, _ in blocks)
-    layer_start, pre, post, row_base, aff_rows, aff_cols, units_above = _layout(net.input_dim, widths)
+    t = _template(net)
+    phase = np.concatenate([np.zeros(0, dtype=int), *bounds.phase])
+    keep = np.ones(t.rhs.size, dtype=bool)
+    # each unit keeps its active form unless inactive, and its chord row if ambiguous
+    keep[t.unit_rows] = phase[:, None] > (INACTIVE, ACTIVE)
+    A, eq, rhs = t.A[keep], t.eq[keep], t.rhs[keep]
     cols = [(prop.input.lower, prop.input.upper)]
     for l, u, on in zip(bounds.pre_lb, bounds.pre_ub, bounds.phase):
         cols += [(l, u), (np.where(on, np.maximum(l, 0.0), 0.0), np.where(on, np.maximum(u, 0.0), 0.0))]
     cols.append((bounds.out_lb, bounds.out_ub))
     lo, hi = (np.concatenate(side) for side in zip(*cols))
 
+    amb = np.flatnonzero(phase == AMBIGUOUS)
+    chord = np.cumsum(keep)[t.unit_rows[amb, 1]] - 1  # the chord rows' places among the kept rows
+    pre, post = t.pre[amb], t.post[amb]
     l, u = lo[pre], hi[pre]
-    k = np.concatenate([np.zeros(0, dtype=int), *bounds.phase])  # rows per unit: its phase
-    above = np.zeros(k.size + 1, dtype=int)  # ReLU rows above each unit, then in all
-    np.cumsum(k, out=above[1:])
-    first = row_base + above[:-1]  # each unit's first row
-    aff_rows = aff_rows + above[units_above]  # shifted down by the ReLU rows above
-
-    m = sum(widths) + int(above[-1])
-    A = np.zeros((m, lo.size))
-    eq = np.ones(m, dtype=bool)
-    rhs = np.zeros(m)
-    src = slice(0, net.input_dim)
-    for (W, _), r, w in zip(blocks, aff_rows[layer_start], widths):
-        A[r : r + w, src] = W
-        src = slice(src.stop + w, src.stop + 2 * w)
-    A[aff_rows, aff_cols] = -1.0
-    rhs[aff_rows] = -np.concatenate([b for _, b in blocks])
-    on = np.flatnonzero(k)
-    sign = np.where(k[on] == 2, -1.0, 1.0)  # post - pre = 0, or pre - post <= 0
-    A[first[on], post[on]] = sign
-    A[first[on], pre[on]] = -sign
-    amb = np.flatnonzero(k == 2)
-    l, u, chord = l[amb], u[amb], first[amb] + 1
     slope = u / (u - l)
-    eq[chord - 1] = eq[chord] = False
-    A[chord, post[amb]] = 1.0
-    A[chord, pre[amb]] = -slope
+    eq[chord - 1] = False
+    A[chord - 1, post] = -1.0  # pre - post <= 0
+    A[chord - 1, pre] = 1.0
+    A[chord, pre] = -slope
     rhs[chord] = -slope * l
 
     at_upper = np.zeros(lo.size, dtype=bool)
     if bounds.upper_side is not None:
         corner, *posts = bounds.upper_side
         at_upper[: net.input_dim] = corner
-        at_upper[post[amb]] = np.concatenate([np.zeros(0, dtype=bool), *posts])[amb]
+        at_upper[post] = np.concatenate([np.zeros(0, dtype=bool), *posts])[amb]
     objective = np.zeros(lo.size)
     objective[-net.output_dim :] = prop.output.c
     return LinearProgram(objective, np.column_stack([lo, hi]), A, eq, rhs, at_upper)
@@ -584,9 +609,9 @@ def analyze(
         raise ValueError("bounds were computed without the property's objective")
     lb = bounds.objective_lb + prop.output.d
     if lb >= 0.0:
-        if bounds.any_ambiguous():
+        if bounds.ambiguous:
             return AnalyzerVerdict(Verdict.VERIFIED, float(lb), bounds=bounds)
-    elif bounds.walks == len(net.blocks) and bounds.any_ambiguous():  # a new box: every layer walked
+    elif bounds.walks == len(net.blocks) and bounds.ambiguous:  # a new box: every layer walked
         corner = np.where(bounds.upper_side[0], prop.input.upper, prop.input.lower)
         if _margin(net, prop, corner) < 0.0 and not holds_concretely(prop, net, corner):
             return AnalyzerVerdict(Verdict.COUNTEREXAMPLE, float(lb), corner, bounds=bounds)

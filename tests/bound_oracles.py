@@ -1,7 +1,8 @@
 """Independent oracles for bound and verdict checking.
 
 Everything here except the helpers ``path_bounds``, ``analyze_region`` and
-``relaxed_minimum`` and the reference ``separate_walk_bounds`` works directly
+``relaxed_minimum`` and the references ``separate_walk_bounds`` and
+``reference_program`` works directly
 on the layer arithmetic (in rationals for ``exact_margin``, or on exact
 per-sign-pattern affine algebra plus vertex enumeration) and never calls the
 package's analyzer or simplex, so tests can use these as ground truth.
@@ -11,6 +12,8 @@ branching path; ``relaxed_minimum`` is the root region's LP optimum.
 it reuses the analyzer's back-substitution walk, but runs it once per bound
 side and once more for the objective, and reads the objective's upper sides
 from the walk's pre-activation coefficients instead of from the walk.
+``reference_program`` builds a node's bounding LP afresh, entry by entry,
+with no per-network template; the analyzer's builder must give its bits.
 """
 
 import itertools
@@ -144,6 +147,7 @@ def separate_walk_bounds(net: Network, box, splits, objective=None, parent=None)
             infeasible = True
         out_u = np.maximum(out_u, out_l)
     bounds = PreactBounds(pre_lb, pre_ub, phases, out_l, out_u, None, infeasible)
+    bounds.ambiguous = any(bool(np.any(p == AMBIGUOUS)) for p in phases)
     if objective is not None:
         W, b = blocks[-1]
         c = np.asarray(objective, dtype=float)
@@ -159,6 +163,74 @@ def separate_walk_bounds(net: Network, box, splits, objective=None, parent=None)
             lb = max(lb, parent.objective_lb)
         bounds.objective_lb = float(lb)
     return bounds
+
+
+def reference_program(net: Network, prop, bounds) -> LinearProgram:
+    """The bounding LP written node by node, with no template.
+
+    Its columns, rows, right-hand sides, start mask and objective are the
+    ones the analyzer's builder must give: the affine rows ``W @ src - pre =
+    -b`` of each layer, then per unit by its phase nothing, ``post - pre =
+    0`` or ``pre - post <= 0`` and the chord ``post - slope * pre <= -slope *
+    l``; the output's affine rows last.
+    """
+    blocks = net.blocks
+    widths = tuple(W.shape[0] for W, _ in blocks)
+    # offsets: each block's first unit; each ReLU unit's pre and post column
+    # and the affine rows up to its layer's; each affine row's index among
+    # them, its own (pre or output) column and the ReLU units above its block
+    relu_w = np.array(widths[:-1], dtype=int)
+    layer_start = np.cumsum([0, *relu_w])
+    pre = np.arange(layer_start[-1]) + np.repeat(net.input_dim + layer_start[:-1], relu_w)
+    post = pre + np.repeat(relu_w, relu_w)
+    row_base = np.repeat(layer_start[1:], relu_w)
+    aff_rows = np.arange(sum(widths))
+    aff_cols = aff_rows + np.repeat(net.input_dim + layer_start, widths)
+    units_above = np.repeat(layer_start, widths)
+
+    cols = [(prop.input.lower, prop.input.upper)]
+    for l, u, on in zip(bounds.pre_lb, bounds.pre_ub, bounds.phase):
+        cols += [(l, u), (np.where(on, np.maximum(l, 0.0), 0.0), np.where(on, np.maximum(u, 0.0), 0.0))]
+    cols.append((bounds.out_lb, bounds.out_ub))
+    lo, hi = (np.concatenate(side) for side in zip(*cols))
+
+    l, u = lo[pre], hi[pre]
+    k = np.concatenate([np.zeros(0, dtype=int), *bounds.phase])  # rows per unit: its phase
+    above = np.zeros(k.size + 1, dtype=int)  # ReLU rows above each unit, then in all
+    np.cumsum(k, out=above[1:])
+    first = row_base + above[:-1]  # each unit's first row
+    aff_rows = aff_rows + above[units_above]  # shifted down by the ReLU rows above
+
+    m = sum(widths) + int(above[-1])
+    A = np.zeros((m, lo.size))
+    eq = np.ones(m, dtype=bool)
+    rhs = np.zeros(m)
+    src = slice(0, net.input_dim)
+    for (W, _), r, w in zip(blocks, aff_rows[layer_start], widths):
+        A[r : r + w, src] = W
+        src = slice(src.stop + w, src.stop + 2 * w)
+    A[aff_rows, aff_cols] = -1.0
+    rhs[aff_rows] = -np.concatenate([b for _, b in blocks])
+    on = np.flatnonzero(k)
+    sign = np.where(k[on] == 2, -1.0, 1.0)  # post - pre = 0, or pre - post <= 0
+    A[first[on], post[on]] = sign
+    A[first[on], pre[on]] = -sign
+    amb = np.flatnonzero(k == 2)
+    l, u, chord = l[amb], u[amb], first[amb] + 1
+    slope = u / (u - l)
+    eq[chord - 1] = eq[chord] = False
+    A[chord, post[amb]] = 1.0
+    A[chord, pre[amb]] = -slope
+    rhs[chord] = -slope * l
+
+    at_upper = np.zeros(lo.size, dtype=bool)
+    if bounds.upper_side is not None:
+        corner, *posts = bounds.upper_side
+        at_upper[: net.input_dim] = corner
+        at_upper[post[amb]] = np.concatenate([np.zeros(0, dtype=bool), *posts])[amb]
+    objective = np.zeros(lo.size)
+    objective[-net.output_dim :] = prop.output.c
+    return LinearProgram(objective, np.column_stack([lo, hi]), A, eq, rhs, at_upper)
 
 
 def exact_margin(net: Network, prop, x) -> Fraction:

@@ -16,6 +16,7 @@ from incver.analyzer import (
     PreactBounds,
     Verdict,
     _build_program,
+    _template,
     analyze,
     bound_regions,
     compute_bounds,
@@ -31,6 +32,7 @@ from bound_oracles import (
     forward_with_preacts,
     grid_points,
     path_bounds,
+    reference_program,
     region_minimum,
     relaxed_minimum,
     separate_walk_bounds,
@@ -253,23 +255,25 @@ def test_stacked_walks_match_the_separate_walks():
     assert compared >= 300
 
 
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def assert_identical(got, want):
     # the same bits in every field a pass computes
-    def same(a, b):
-        return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
     for name in ("pre_lb", "pre_ub", "phase"):
         g, w = getattr(got, name), getattr(want, name)
-        assert len(g) == len(w) and all(same(a, b) for a, b in zip(g, w)), name
-    assert same(got.out_lb, want.out_lb) and same(got.out_ub, want.out_ub)
+        assert len(g) == len(w) and all(same_bits(a, b) for a, b in zip(g, w)), name
+    assert same_bits(got.out_lb, want.out_lb) and same_bits(got.out_ub, want.out_ub)
     for name in ("kappa", "upper_side"):
         g, w = getattr(got, name), getattr(want, name)
         assert (g is None) == (w is None), name
         if g is not None:
-            assert len(g) == len(w) and all(same(a, b) for a, b in zip(g, w)), name
+            assert len(g) == len(w) and all(same_bits(a, b) for a, b in zip(g, w)), name
     lbs = (got.objective_lb, want.objective_lb)
     assert lbs == (None, None) or float(lbs[0]).hex() == float(lbs[1]).hex()
     assert got.infeasible == want.infeasible
+    assert got.ambiguous == want.ambiguous
 
 
 def test_child_takes_the_parents_layers_bit_for_bit():
@@ -409,6 +413,62 @@ def test_a_batch_is_each_regions_own_pass_bit_for_bit():
                 assert got.walks == want.walks
                 assert_same_children(net, region_box, splits, objective, got, want)
     assert min(layers.values()) >= 20, layers
+
+
+def test_a_batch_over_equal_boxes_gets_the_shared_boxs_bits():
+    # A batch reads one box for every region only when the regions hold the
+    # same box object; equal boxes that are distinct objects are stacked,
+    # and must give the bits of the batch over the one shared box.  Their
+    # children of the root walk every layer (their box is not the root's
+    # object), and get the same bits as the ones that take its layers.
+    # Affine nets, with no ReLU layer, are among them.
+    rng = np.random.default_rng(98)
+    for trial in range(24):
+        dims = [int(rng.integers(1, 4)), *rng.integers(2, 6, size=trial % 4).tolist(), 2]
+        net = make_net(dims, rng)
+        box = unit_box(net.input_dim)
+        rids = relu_ids(net)
+        for objective in (None, rng.normal(size=2)):
+            root = compute_bounds(net, box, {}, objective=objective)
+            shared = [(box, {}, None), (box, {}, root)]
+            for k in rng.choice(len(rids), 2) if rids else []:
+                shared += [(box, {rids[k]: sign}, parent) for sign in "+-" for parent in (None, root)]
+            copies = [(InputBox(b.lower.copy(), b.upper.copy()), *region) for b, *region in shared]
+            for got, want in zip(bound_regions(net, copies, objective), bound_regions(net, shared, objective)):
+                assert_identical(got, want)
+
+
+def test_the_ambiguity_flag_follows_the_phases():
+    # Each region's flag is set in the pass's decide step; it must say
+    # whether some unit's phase is AMBIGUOUS, for every region of a mixed
+    # batch: a root, ReLU-split children that take their parent's layers
+    # (one with every unit split), an input-split child and a child of an
+    # infeasible parent.
+    rng = np.random.default_rng(99)
+    flags = []
+    for trial in range(30):
+        depth = 1 + trial % 3
+        dims = [int(rng.integers(1, 4)), *rng.integers(2, 6, size=depth).tolist(), 2]
+        net = make_net(dims, rng)
+        box = unit_box(net.input_dim)
+        for objective in (None, rng.normal(size=2)):
+            root = compute_bounds(net, box, {}, objective=objective)
+            rid = ReluId(depth - 1, int(rng.integers(dims[depth])))
+            pre, _ = forward_with_preacts(net, rng.random(net.input_dim))
+            every = {r: "+" if pre[r.layer][r.neuron] >= 0.0 else "-" for r in relu_ids(net)}
+            lower, upper = box.lower.copy(), box.upper.copy()
+            upper[0] = 0.5
+            empty = replace(root, infeasible=True)
+            frontier = [
+                (box, {}, None), (box, {rid: "+"}, root), (box, {rid: "-"}, root), (box, every, root),
+                (InputBox(lower, upper), {}, root), (box, {rid: "+"}, empty),
+            ]
+            batch = bound_regions(net, frontier, objective)
+            assert batch[1].walks < len(net.blocks) and batch[-1] is empty
+            for bounds in batch:
+                assert bounds.ambiguous == any(np.any(p == AMBIGUOUS) for p in bounds.phase)
+                flags.append(bounds.ambiguous)
+    assert flags.count(True) >= 100 and flags.count(False) >= 20
 
 
 def test_crossing_split_flags_infeasible():
@@ -620,7 +680,7 @@ def test_a_violating_walk_corner_refutes_a_new_box_without_its_lp():
     # corner as the candidate bit for bit, and the propagation bound as lb.
     net, prop = corner_net()
     bounds = compute_bounds(net, prop.input, {}, objective=prop.output.c)
-    assert bounds.walks == len(net.blocks) and bounds.any_ambiguous()
+    assert bounds.walks == len(net.blocks) and bounds.ambiguous
     corner = walk_corner(prop, bounds)
     assert corner.tolist() == [-1.0, 1.0]
     v = analyze(net, prop, bounds)
@@ -638,7 +698,7 @@ def test_a_region_with_every_relu_fixed_still_solves_its_lp():
     net, prop = corner_net()
     splits = {ReluId(0, 0): "+", ReluId(0, 1): "-", ReluId(0, 3): "+"}
     bounds = compute_bounds(net, prop.input, splits, objective=prop.output.c)
-    assert bounds.walks == len(net.blocks) and not bounds.any_ambiguous()
+    assert bounds.walks == len(net.blocks) and not bounds.ambiguous
     corner = walk_corner(prop, bounds)
     assert bounds.objective_lb + prop.output.d < 0.0 and not holds_concretely(prop, net, corner)
     v = analyze(net, prop, bounds)
@@ -654,7 +714,7 @@ def test_a_relu_split_child_still_solves_its_lp():
     net, prop = corner_net()
     root = compute_bounds(net, prop.input, {}, objective=prop.output.c)
     child = compute_bounds(net, prop.input, {ReluId(0, 3): "+"}, objective=prop.output.c, parent=root)
-    assert child.walks < len(net.blocks) and child.any_ambiguous()
+    assert child.walks < len(net.blocks) and child.ambiguous
     corner = walk_corner(prop, child)
     assert child.objective_lb + prop.output.d < 0.0 and not holds_concretely(prop, net, corner)
     v = analyze(net, prop, child)
@@ -837,7 +897,7 @@ def random_programs(seed, trials):
             yield net, prop, splits, bounds
 
 
-def reference_program(net, prop, splits, bounds):
+def row_by_row_program(net, prop, splits, bounds):
     """The bounding LP written one row at a time, in the builder's order:
     each layer's affine rows, then unit by unit nothing (inactive), the "="
     row (active) or the "pre - post <= 0" row and its chord (ambiguous);
@@ -910,7 +970,7 @@ def test_program_matches_the_row_by_row_reference():
     built = 0
     for net, prop, splits, bounds in [no_relu, *random_programs(612, 60)]:
         lp = _build_program(net, prop, bounds)
-        objective, var_bounds, A, eq, rhs = reference_program(net, prop, splits, bounds)
+        objective, var_bounds, A, eq, rhs = row_by_row_program(net, prop, splits, bounds)
         assert lp.objective.tobytes() == objective.tobytes()
         assert lp.var_bounds.tobytes() == var_bounds.tobytes()
         assert lp.A.tobytes() == A.tobytes()
@@ -918,6 +978,75 @@ def test_program_matches_the_row_by_row_reference():
         assert lp.rhs.tobytes() == rhs.tobytes()
         built += 1
     assert built >= 30
+
+
+def assert_same_program(got, want):
+    for name in ("objective", "var_bounds", "A", "eq", "rhs", "at_upper"):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+
+
+def test_template_program_matches_the_reference_builder():
+    # The builder gathers its rows from the network's template and writes
+    # only the node's own entries; every array must be the bits of the
+    # reference builder, which writes each program afresh.  Nets with one
+    # and three ReLU layers, at the root, under splits of both signs, with
+    # every unit split (no ambiguous unit), and on input-split child boxes.
+    rng = np.random.default_rng(614)
+    seen = {"ambiguous": 0, "stable": 0, "plus": 0, "minus": 0, "input": 0}
+    for trial in range(12):
+        dims = [3, 5, 2] if trial % 2 else [2, 4, 3, 5, 2]
+        net = make_net(dims, rng)
+        box = unit_box(net.input_dim)
+        prop = margin_prop(rng.normal(size=dims[-1]), 0.0, box)
+        c = prop.output.c
+        root = compute_bounds(net, box, {}, objective=c)
+        rids = relu_ids(net)
+        picked = [rids[k] for k in rng.choice(len(rids), size=3, replace=False)]
+        pre, _ = forward_with_preacts(net, rng.random(net.input_dim))  # a point the region keeps
+        every = {rid: "+" if pre[rid.layer][rid.neuron] >= 0.0 else "-" for rid in rids}
+        regions = [(box, {}, None), (box, every, root)]
+        regions += [(box, {rid: sign}, root) for rid in picked for sign in "+-"]
+        for half in ("low", "high"):
+            lower, upper = box.lower.copy(), box.upper.copy()
+            (upper if half == "low" else lower)[trial % net.input_dim] = 0.5
+            regions.append((InputBox(lower, upper), {}, root))
+        for region_box, splits, parent in regions:
+            bounds = compute_bounds(net, region_box, splits, objective=c, parent=parent)
+            if bounds.infeasible:
+                continue
+            node_prop = Property(region_box, prop.output)
+            want = reference_program(net, node_prop, bounds)
+            assert_same_program(_build_program(net, node_prop, bounds), want)
+            seen["ambiguous" if bounds.ambiguous else "stable"] += 1
+            seen["plus"] += "+" in splits.values()
+            seen["minus"] += "-" in splits.values()
+            seen["input"] += region_box is not box
+    assert min(seen.values()) >= 10, seen
+
+
+def test_the_template_is_built_once_per_network_and_read_only():
+    # One template per network, shared by every program: a second call
+    # returns the same object, its arrays refuse writes, and a program
+    # written into after it is built leaves the template, and so the next
+    # program, as they were.
+    net = make_net([2, 4, 3, 1], np.random.default_rng(615))
+    prop = margin_prop([1.0], 0.0, unit_box(2))
+    template = _template(net)
+    assert _template(net) is template
+    assert _template(quantize(net, 8)) is not template
+    before = [a.copy() for a in template]
+    for a in template:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1
+    bounds = compute_bounds(net, prop.input, {}, objective=prop.output.c)
+    lp = _build_program(net, prop, bounds)
+    assert lp.A.size and all(a.flags.writeable for a in (lp.A, lp.eq, lp.rhs))
+    lp.A[...] = 7.0
+    lp.eq[...] = False
+    lp.rhs[...] = 7.0
+    assert all(same_bits(a, b) for a, b in zip(_template(net), before))
+    assert_same_program(_build_program(net, prop, bounds), reference_program(net, prop, bounds))
 
 
 def test_program_starts_where_the_objective_walk_points():

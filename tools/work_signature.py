@@ -52,8 +52,9 @@ plain solver (no LP digest), and prints to standard error, after the
 JSON line, where each mode's first and second runs spent their time: the
 best of the N passes, in milliseconds summed over the instances, of
 propagation, LP building, LP solving and the rest of the runs' wall time,
-next to their LPs, warm starts, pivots, phase-1 pivots, factorizations and
-corner refutations.
+next to their LPs, warm starts, pivots, phase-1 pivots, factorizations,
+corner refutations, propagation passes and the batched propagation calls
+that ran them, so that propagation's time per batch can be read off.
 The table is not part of the JSON that ``--expect`` compares.
 
     python3 tools/work_signature.py --workload deep-16x3 --seed 1 --stages 5
@@ -109,7 +110,7 @@ COUNTERS = (
 )
 # the stage timers and work counters of each run's metrics, as the stage table's columns
 STAGES = ("propagate_s", "build_s", "solve_s")
-WORK = ("lps", "warm", "pivots", "phase1_pivots", "factorizations", "corners")
+WORK = ("lps", "warm", "pivots", "phase1_pivots", "factorizations", "corners", "passes", "batches")
 
 
 def _lb_hex(lb) -> str:
@@ -240,14 +241,14 @@ def stage_table(workload: str, seed: int, repeats: int) -> str:
         f"stages of {workload} seed {seed}: ms, best of {repeats} passes",
         f"{'mode':9s} {'run':6s} {'total':>8s} {'propagate':>9s} {'build':>7s} {'solve':>8s} "
         f"{'other':>7s} {'lps':>5s} {'warm':>5s} {'pivots':>7s} {'phase1':>6s} {'factorizations':>14s} "
-        f"{'corners':>7s}",
+        f"{'corners':>7s} {'passes':>6s} {'batches':>7s}",
     ]
     for (mode, run), row in best.items():
         lines.append(
             f"{mode:9s} {run:6s} {row['wall'] * 1e3:8.1f} {row['propagate_s'] * 1e3:9.1f} "
             f"{row['build_s'] * 1e3:7.1f} {row['solve_s'] * 1e3:8.1f} {row['other'] * 1e3:7.1f} "
             f"{row['lps']:5d} {row['warm']:5d} {row['pivots']:7d} {row['phase1_pivots']:6d} "
-            f"{row['factorizations']:14d} {row['corners']:7d}"
+            f"{row['factorizations']:14d} {row['corners']:7d} {row['passes']:6d} {row['batches']:7d}"
         )
     return "\n".join(lines)
 
