@@ -88,9 +88,14 @@ class VerifierConfig:
             raise ValueError(f"min_width must be positive, got {self.min_width}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class RunMetrics:
     """Work done by one verification run.
+
+    ``verify`` fills one instance in place: it creates it with
+    nodes_initial, adds to each counter and timer where that work is done,
+    and sets wall_time, nodes_final and leaves_final as the run ends.  Every
+    field defaults to zero.
 
     boundings counts analyzer calls; branchings counts tree splits.  For a
     completed run these satisfy the tree accounting identities
@@ -130,25 +135,25 @@ class RunMetrics:
     wall_time is the search itself (split choice, tree bookkeeping).
     """
 
-    boundings: int
-    branchings: int
-    wall_time: float
-    nodes_initial: int
-    nodes_final: int
-    leaves_final: int
-    lps: int
-    pivots: int
-    phase1_pivots: int
-    factorizations: int
-    infeasible: int
-    corners: int
-    passes: int
-    walks: int
-    warm: int
-    batches: int
-    propagate_s: float
-    build_s: float
-    solve_s: float
+    boundings: int = 0
+    branchings: int = 0
+    wall_time: float = 0.0
+    nodes_initial: int = 0
+    nodes_final: int = 0
+    leaves_final: int = 0
+    lps: int = 0
+    pivots: int = 0
+    phase1_pivots: int = 0
+    factorizations: int = 0
+    infeasible: int = 0
+    corners: int = 0
+    passes: int = 0
+    walks: int = 0
+    warm: int = 0
+    batches: int = 0
+    propagate_s: float = 0.0
+    build_s: float = 0.0
+    solve_s: float = 0.0
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
@@ -238,8 +243,11 @@ def verify(
 
     The run's deadline, ``cfg.timeout`` seconds after it starts, is checked
     before each level, phase and bounding, and goes through ``analyze`` to
-    the simplex, which checks it before each pivot; a run that reaches it
-    ends as Timeout ("wall-clock timeout"), an LP cut off mid-solve included.
+    the simplex, which checks it before each pivot.  Either check raises
+    ``LpTimeout``, and the run's one deadline exit, an ``except LpTimeout``
+    around the initial tree's walk and the phase loop, ends it as Timeout
+    ("wall-clock timeout") with the metrics of the work done until then (a
+    bounding whose LP was cut off mid-solve is not counted).
 
     ``bases`` is a map the caller owns from a node's subproblem,
     ``(frozenset(splits.items()), box.lower.tobytes(), box.upper.tobytes())``,
@@ -262,179 +270,147 @@ def verify(
             )
         _check_fits(initial_tree, net)
         tree = reset_copy(initial_tree)
-    nodes_initial = tree.num_nodes()
-
-    boundings = 0
-    branchings = 0
-    lps = 0
-    pivots = 0
-    phase1_pivots = 0
-    factorizations = 0
-    infeasible = 0
-    corners = 0
-    passes = 0
-    walks = 0
-    warm = 0
-    batches = 0
-    propagate_s = 0.0
-    build_s = 0.0
-    solve_s = 0.0
+    m = RunMetrics(nodes_initial=tree.num_nodes())
 
     def finish(verdict: RunVerdict, **extra) -> RunResult:
-        metrics = RunMetrics(
-            boundings=boundings,
-            branchings=branchings,
-            wall_time=time.perf_counter() - start,
-            nodes_initial=nodes_initial,
-            nodes_final=tree.num_nodes(),
-            leaves_final=tree.num_leaves(),
-            lps=lps,
-            pivots=pivots,
-            phase1_pivots=phase1_pivots,
-            factorizations=factorizations,
-            infeasible=infeasible,
-            corners=corners,
-            passes=passes,
-            walks=walks,
-            warm=warm,
-            batches=batches,
-            propagate_s=propagate_s,
-            build_s=build_s,
-            solve_s=solve_s,
-        )
+        m.wall_time = time.perf_counter() - start
+        m.nodes_final, m.leaves_final = tree.num_nodes(), tree.num_leaves()
         log.debug(
             "verify %s: %d boundings, %d branchings, %d LPs (%d warm), %d pivots",
-            verdict.value, boundings, branchings, lps, warm, pivots,
+            verdict.value, m.boundings, m.branchings, m.lps, m.warm, m.pivots,
         )
-        return RunResult(verdict, tree, metrics, **extra)
+        return RunResult(verdict, tree, m, **extra)
+
+    def check_deadline() -> None:
+        if time.perf_counter() > deadline:
+            raise LpTimeout("wall-clock timeout")
 
     def propagate(entries, objective=None) -> list:
         """Bound the entries' regions in one batched pass, counting its passes and walks."""
-        nonlocal passes, walks, batches, propagate_s
         t = time.perf_counter()
         out = bound_regions(net, [entry[1:] for entry in entries], objective)
-        propagate_s += time.perf_counter() - t
-        batches += 1
+        m.propagate_s += time.perf_counter() - t
+        m.batches += 1
         for (*_, parent), bounds in zip(entries, out):
             if bounds is not parent:  # an empty parent's bounds are handed on without a pass
-                passes += 1
-                walks += bounds.walks
+                m.passes += 1
+                m.walks += bounds.walks
         return out
 
-    # The first frontier: the initial tree's leaves, (nid, box, splits, parent
-    # bounds).  The tree is walked level by level, each level's internal nodes
-    # bounded in one batch; a cut outside its parent's box ends its branch of
-    # the walk, and the lowest such node is reported once the walk is done.
-    active, level, misfits = [], [(tree.root, prop.input, {}, None)], {}
-    while level:
-        inner = []
-        for entry in level:
-            (active if tree.node(entry[0]).is_leaf else inner).append(entry)
-        if not inner:
-            break
-        if time.perf_counter() > deadline:
-            return finish(RunVerdict.TIMEOUT, note="wall-clock timeout")
-        level = []
-        for (nid, box, splits, _), bounds in zip(inner, propagate(inner)):
-            node = tree.node(nid)
-            for cid in (node.left, node.right):
-                d = tree.node(cid).decision
-                if isinstance(d, InputDecision) and not box.lower[d.dim] <= d.cut <= box.upper[d.dim]:
-                    misfits[cid] = (
-                        f"initial tree node {cid}: cut {d.cut} on input {d.dim} lies outside "
-                        f"its parent's [{box.lower[d.dim]}, {box.upper[d.dim]}]"
-                    )
-                else:
-                    level.append((cid, *narrow(box, splits, d), bounds))
-    if misfits:
-        raise ValueError(misfits[min(misfits)])
-    active.sort(key=lambda entry: entry[0])
+    try:
+        # The first frontier: the initial tree's leaves, (nid, box, splits,
+        # parent bounds).  The tree is walked level by level, each level's
+        # internal nodes bounded in one batch; a cut outside its parent's box
+        # ends its branch of the walk, and the lowest such node is reported
+        # once the walk is done.
+        active, level, misfits = [], [(tree.root, prop.input, {}, None)], {}
+        while level:
+            inner = []
+            for entry in level:
+                (active if tree.node(entry[0]).is_leaf else inner).append(entry)
+            if not inner:
+                break
+            check_deadline()
+            level = []
+            for (nid, box, splits, _), bounds in zip(inner, propagate(inner)):
+                node = tree.node(nid)
+                for cid in (node.left, node.right):
+                    d = tree.node(cid).decision
+                    if isinstance(d, InputDecision) and not box.lower[d.dim] <= d.cut <= box.upper[d.dim]:
+                        misfits[cid] = (
+                            f"initial tree node {cid}: cut {d.cut} on input {d.dim} lies outside "
+                            f"its parent's [{box.lower[d.dim]}, {box.upper[d.dim]}]"
+                        )
+                    else:
+                        level.append((cid, *narrow(box, splits, d), bounds))
+        if misfits:
+            raise ValueError(misfits[min(misfits)])
+        active.sort(key=lambda entry: entry[0])
 
-    phase, outcomes, lps_before, warm_before, corners_before = 0, [], 0, 0, 0
-
-    def log_phase(chosen) -> None:
-        if log.isEnabledFor(logging.DEBUG):
-            settled = sum(res.status is not Verdict.UNKNOWN for *_, res in outcomes)
-            log.debug(
-                "phase %d: %d nodes, %d LPs (%d warm), %d corners, %d settled, %d splits [%s]",
-                phase, len(outcomes), lps - lps_before, warm - warm_before, corners - corners_before,
-                settled, len(chosen), " ".join(_label(d) for d in chosen),
-            )
-
-    while active:
-        # Bounding phase: propagate the whole frontier in one batch, then
-        # settle each node from its bounds, by propagation or by its LP.
-        if time.perf_counter() > deadline:
-            return finish(RunVerdict.TIMEOUT, note="wall-clock timeout")
-        phase += 1
-        lps_before, warm_before, corners_before = lps, warm, corners
-        outcomes = []
-        for (nid, box, splits, _), bounds in zip(active, propagate(active, prop.output.c)):
-            if time.perf_counter() > deadline:
-                return finish(RunVerdict.TIMEOUT, note="wall-clock timeout")
-            key = carried = None
-            if bases is not None:
-                key = (frozenset(splits.items()), box.lower.tobytes(), box.upper.tobytes())
-                carried = bases.get(key)
-            node_prop = Property(box, prop.output, name=prop.name)
-            try:
+        phase = 0
+        while active:
+            # Bounding phase: propagate the whole frontier in one batch, then
+            # settle each node from its bounds, by propagation or by its LP.
+            check_deadline()
+            phase += 1
+            outcomes = []
+            for (nid, box, splits, _), bounds in zip(active, propagate(active, prop.output.c)):
+                check_deadline()
+                key = carried = None
+                if bases is not None:
+                    key = (frozenset(splits.items()), box.lower.tobytes(), box.upper.tobytes())
+                    carried = bases.get(key)
+                node_prop = Property(box, prop.output, name=prop.name)
                 res = analyze(net, node_prop, bounds, start=carried, deadline=deadline)
-            except LpTimeout:
-                return finish(RunVerdict.TIMEOUT, note="wall-clock timeout")
-            boundings += 1
-            infeasible += res.infeasible
-            if res.lp is None:
-                corners += res.status is Verdict.COUNTEREXAMPLE
-            else:
-                lps += 1
-                pivots += res.lp.iterations
-                phase1_pivots += res.lp.phase1
-                factorizations += res.lp.factorizations
-                warm += res.lp.warm
-                build_s += res.build_s
-                solve_s += res.solve_s
-                if bases is not None and res.lp.basis is not None:
-                    bases[key] = res.lp.basis
-            node = tree.node(nid)
-            node.lb = res.lb_value
-            node.status = NodeStatus(res.status.value)
-            outcomes.append((nid, box, splits, res))
+                m.boundings += 1
+                m.infeasible += res.infeasible
+                if res.lp is None:
+                    m.corners += res.status is Verdict.COUNTEREXAMPLE
+                else:
+                    m.lps += 1
+                    m.pivots += res.lp.iterations
+                    m.phase1_pivots += res.lp.phase1
+                    m.factorizations += res.lp.factorizations
+                    m.warm += res.lp.warm
+                    m.build_s += res.build_s
+                    m.solve_s += res.solve_s
+                    if bases is not None and res.lp.basis is not None:
+                        bases[key] = res.lp.basis
+                node = tree.node(nid)
+                node.lb = res.lb_value
+                node.status = NodeStatus(res.status.value)
+                outcomes.append((nid, box, splits, res))
 
-        violations = [(nid, r) for nid, _, _, r in outcomes if r.status is Verdict.COUNTEREXAMPLE]
-        if violations:
-            log_phase([])
-            nid, res = min(violations, key=lambda pair: pair[0])
-            return finish(RunVerdict.COUNTEREXAMPLE, counterexample=res.candidate)
+            violations = [(nid, r) for nid, _, _, r in outcomes if r.status is Verdict.COUNTEREXAMPLE]
+            if violations:
+                _log_phase(phase, outcomes, [])
+                nid, res = min(violations, key=lambda pair: pair[0])
+                return finish(RunVerdict.COUNTEREXAMPLE, counterexample=res.candidate)
 
-        # Branching phase: split every node the analyzer could not settle,
-        # ranking candidates from the bounds its bounding call computed.
-        active, chosen = [], []
-        for nid, box, splits, res in outcomes:
-            if res.status is not Verdict.UNKNOWN:
-                continue
-            if tree.num_nodes() + 2 > cfg.max_nodes:
-                return finish(RunVerdict.TIMEOUT, note=f"node budget of {cfg.max_nodes} exhausted")
-            if tree.branching == "relu":
-                pick = choose_split(cfg.heuristic, res.bounds, observed=hobs)
-                if pick is None:
-                    raise RuntimeError(
-                        f"node {nid} is inconclusive but every ReLU is stable or "
-                        "already split; an exactly-encoded subproblem must resolve"
-                    )
-            else:
-                if float(box.widths().max()) <= cfg.min_width:
-                    return finish(
-                        RunVerdict.TIMEOUT,
-                        note=f"minimum box width {cfg.min_width} reached at node {nid}",
-                    )
-                pick = choose_input_split(box)
-            for cid, d in zip(split(tree, nid, pick), pick):
-                active.append((cid, *narrow(box, splits, d), res.bounds))
-            branchings += 1
-            chosen.append(pick[0])
-        log_phase(chosen)
-
+            # Branching phase: split every node the analyzer could not settle,
+            # ranking candidates from the bounds its bounding call computed.
+            active, chosen = [], []
+            for nid, box, splits, res in outcomes:
+                if res.status is not Verdict.UNKNOWN:
+                    continue
+                if tree.num_nodes() + 2 > cfg.max_nodes:
+                    return finish(RunVerdict.TIMEOUT, note=f"node budget of {cfg.max_nodes} exhausted")
+                if tree.branching == "relu":
+                    pick = choose_split(cfg.heuristic, res.bounds, observed=hobs)
+                    if pick is None:
+                        raise RuntimeError(
+                            f"node {nid} is inconclusive but every ReLU is stable or "
+                            "already split; an exactly-encoded subproblem must resolve"
+                        )
+                else:
+                    if float(box.widths().max()) <= cfg.min_width:
+                        return finish(
+                            RunVerdict.TIMEOUT,
+                            note=f"minimum box width {cfg.min_width} reached at node {nid}",
+                        )
+                    pick = choose_input_split(box)
+                for cid, d in zip(split(tree, nid, pick), pick):
+                    active.append((cid, *narrow(box, splits, d), res.bounds))
+                m.branchings += 1
+                chosen.append(pick[0])
+            _log_phase(phase, outcomes, chosen)
+    except LpTimeout:  # the search loop's deadline check or the simplex's
+        return finish(RunVerdict.TIMEOUT, note="wall-clock timeout")
     return finish(RunVerdict.VERIFIED)
+
+
+def _log_phase(phase: int, outcomes: list, chosen: list) -> None:
+    """One DEBUG line for a bounding phase, counted from its own verdicts."""
+    if log.isEnabledFor(logging.DEBUG):
+        verdicts = [res for *_, res in outcomes]
+        lps = [res.lp for res in verdicts if res.lp is not None]
+        log.debug(
+            "phase %d: %d nodes, %d LPs (%d warm), %d corners, %d settled, %d splits [%s]",
+            phase, len(verdicts), len(lps), sum(lp.warm for lp in lps),
+            sum(res.lp is None and res.status is Verdict.COUNTEREXAMPLE for res in verdicts),
+            sum(res.status is not Verdict.UNKNOWN for res in verdicts),
+            len(chosen), " ".join(_label(d) for d in chosen),
+        )
 
 
 def _label(decision) -> str:
@@ -478,30 +454,23 @@ def verify_incremental(
     bases = {} if cfg.mode in (Mode.REUSE, Mode.IVAN) else None
     first = verify(net_original, prop, base_cfg, bases=bases)
 
-    note = ""
-    if first.verdict is not RunVerdict.VERIFIED:
-        note = f"reused tree comes from a first run that ended {first.verdict.value}"
-
     # choose_input_split ranks nothing, so an input tree's scores would go unread
     hobs = None
     if cfg.mode in (Mode.REORDER, Mode.IVAN) and cfg.branching == "relu":
         hobs = observed_scores(first.tree)
-    if cfg.mode is Mode.BASELINE:
-        second = verify(net_updated, prop, cfg)
-    elif cfg.mode is Mode.REUSE:
-        second = verify(net_updated, prop, cfg, initial_tree=first.tree, bases=bases)
-    elif cfg.mode is Mode.REORDER:
-        second = verify(net_updated, prop, cfg, hobs=hobs)
-    else:
-        pruned = prune(first.tree, cfg.heuristic.theta)
+    tree = None
+    if cfg.mode is Mode.REUSE:
+        tree = first.tree
+    elif cfg.mode is Mode.IVAN:
+        tree = prune(first.tree, cfg.heuristic.theta)
         log.debug(
             "prune at theta %g: %d internal nodes -> %d",
-            cfg.heuristic.theta, first.tree.num_internal(), pruned.num_internal(),
+            cfg.heuristic.theta, first.tree.num_internal(), tree.num_internal(),
         )
-        second = verify(net_updated, prop, cfg, initial_tree=pruned, hobs=hobs, bases=bases)
-    if note:
-        joined = f"{second.note}; {note}" if second.note else note
-        second = dataclasses.replace(second, note=joined)
+    second = verify(net_updated, prop, cfg, initial_tree=tree, hobs=hobs, bases=bases)
+    if first.verdict is not RunVerdict.VERIFIED:
+        note = f"reused tree comes from a first run that ended {first.verdict.value}"
+        second = dataclasses.replace(second, note=f"{second.note}; {note}" if second.note else note)
     return first, second
 
 

@@ -40,6 +40,21 @@ def test_signature_compares_only_the_expected_fields(monkeypatch):
     assert tool.differences({**new, "boundings": 8}, old) == {"boundings": (9, 8)}
 
 
+def test_expect_reads_a_saved_output_or_a_trajectory_point(tmp_path, monkeypatch):
+    # --expect takes the last line of a saved output, or the work a
+    # trajectory point holds for the workload and seed.
+    tool = load_tool("work_signature", monkeypatch)
+    sig = {"workload": "deep-16x3", "seed": 2, "boundings": 9}
+    saved = tmp_path / "before.txt"
+    saved.write_text("total     boundings     9\n" + json.dumps(sig) + "\n", encoding="utf-8")
+    assert tool.saved_signature(saved, "deep-16x3", 2) == sig
+    point = tmp_path / "BENCH_1.json"
+    point.write_text(json.dumps({"work": {"deep-16x3": {"2": sig}}}, indent=1), encoding="utf-8")
+    assert tool.saved_signature(point, "deep-16x3", 2) == sig
+    with pytest.raises(KeyError):
+        tool.saved_signature(point, "deep-16x3", 3)
+
+
 def test_signature_pins_blas_or_refuses():
     # Imported before numpy, the tool pins BLAS to one thread; imported
     # after numpy loaded without the pin, it refuses to compute a signature,
@@ -97,21 +112,18 @@ def test_stage_table_lists_every_mode_and_run(monkeypatch):
     assert sum(int(row[9]) for row in rows) > 0
 
 
-def test_work_matches_the_newest_benchmark_point(tmp_path):
+def test_work_matches_the_newest_benchmark_point():
     # The newest BENCH_*.json pins seed 1's work and digests of deep-16x3
     # (few large LPs), input-split (many small ones, few phase-1 pivots and
     # none infeasible) and quant-8x6 (the most phase-1 pivots and
     # infeasible LPs); the tool, in a process of its own that pins BLAS,
-    # must reproduce them all.
+    # must reproduce them all, reading them from the point itself.
     points = TOOLS.parent.glob("BENCH_*.json")
     newest = max(points, key=lambda p: int(re.fullmatch(r"BENCH_(\d+)\.json", p.name)[1]))
-    work = json.loads(newest.read_text(encoding="utf-8"))["work"]
     for workload in ("deep-16x3", "input-split", "quant-8x6"):
-        saved = tmp_path / f"{workload}.txt"
-        saved.write_text(json.dumps(work[workload]["1"]) + "\n", encoding="utf-8")
         run = subprocess.run(
             [sys.executable, str(TOOLS / "work_signature.py"), "--workload", workload,
-             "--seed", "1", "--expect", str(saved)],
+             "--seed", "1", "--expect", str(newest)],
             capture_output=True, text=True,
         )
         assert run.returncode == 0, (newest.name, workload, run.stderr)

@@ -4,6 +4,8 @@ import dataclasses
 import itertools
 import logging
 import math
+import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -740,6 +742,92 @@ def test_wall_clock_timeout():
     assert res.verdict is RunVerdict.TIMEOUT
     assert "timeout" in res.note
     assert res.metrics.boundings == 0
+
+
+def input_split_tree():
+    """An input tree whose root is cut at 0.5 on input 0."""
+    tree = singleton("input")
+    low = InputDecision(0, "low", 0.5)
+    split(tree, 0, (low, low.complement()))
+    return tree
+
+
+def test_a_deadline_passed_before_the_initial_tree_walk_ends_the_run_unbounded():
+    # The deadline has passed when the first level of the initial tree is
+    # to be walked: the run ends there, having propagated nothing.
+    net, prop, _ = random_instances(seed=16, count=1)[0]
+    cfg = VerifierConfig(branching="input", timeout=1e-9)
+    res = verify(net, prop, cfg, initial_tree=input_split_tree())
+    assert (res.verdict, res.note) == (RunVerdict.TIMEOUT, "wall-clock timeout")
+    m = res.metrics
+    assert (m.boundings, m.passes, m.batches) == (0, 0, 0)
+    assert m.nodes_initial == m.nodes_final == 3
+
+
+def test_a_deadline_passed_in_a_frontier_batch_keeps_the_batchs_work(monkeypatch):
+    # The deadline passes while the first frontier is propagated: the run
+    # ends before its first bounding, and its metrics count the passes and
+    # walks of the initial tree's level and of that frontier.
+    bound_regions = verifier.bound_regions
+    batches = []
+
+    def slow(net, regions, objective=None):
+        out = bound_regions(net, regions, objective)
+        batches.append(out)
+        if objective is not None:  # a frontier, not a level of an initial tree
+            time.sleep(0.3)
+        return out
+
+    monkeypatch.setattr(verifier, "bound_regions", slow)
+    net, prop, _ = random_instances(seed=16, count=1)[0]
+    cfg = VerifierConfig(branching="input", timeout=0.2)
+    res = verify(net, prop, cfg, initial_tree=input_split_tree())
+    assert (res.verdict, res.note) == (RunVerdict.TIMEOUT, "wall-clock timeout")
+    m = res.metrics
+    assert [len(out) for out in batches] == [1, 2]
+    assert (m.boundings, m.batches, m.passes) == (0, 2, 3)
+    assert m.walks == sum(b.walks for out in batches for b in out)
+
+
+PHASE_LINE = re.compile(r"phase \d+: (\d+) nodes, (\d+) LPs \((\d+) warm\), (\d+) corners, \d+ settled, (\d+) splits")
+
+
+def phase_sums(caplog) -> list:
+    """Per run, in order, the summed nodes, LPs, warm, corners and splits of
+    its phase lines; each run's lines end with its ``verify`` line."""
+    runs, sums = [], [0] * 5
+    for rec in caplog.records:
+        msg = rec.getMessage()
+        if msg.startswith("verify "):
+            runs.append(sums)
+            sums = [0] * 5
+        elif match := PHASE_LINE.fullmatch(msg.split(" [")[0]):
+            sums = [total + int(n) for total, n in zip(sums, match.groups())]
+    return runs
+
+
+def test_phase_lines_add_up_to_the_runs_metrics(caplog):
+    # Each phase's DEBUG line counts that phase's own verdicts; summed over
+    # a run they give its boundings, LPs, warm starts, corner refutations
+    # and branchings: on input-branching runs, one refuted at a walk corner
+    # after a split, and on the demo's reuse and ivan pairs, reuse's second
+    # run starting an LP warm.
+    runs = []
+    with caplog.at_level(logging.DEBUG, logger="incver.verifier"):
+        cfg = VerifierConfig(timeout=120.0, branching="input", max_nodes=4000)
+        for net, prop, _ in random_instances(seed=20, count=8):
+            runs.append(verify(net, prop, cfg))
+        fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+        net = load_network(fixtures / "demo_network.json")
+        updated = load_network(fixtures / "demo_updated.json")
+        prop = load_property(fixtures / "demo_property.json")
+        heur = HeuristicConfig(base=BaseHeuristic.RANDOM, alpha=0.25, theta=1.0, seed=27)
+        for mode in (Mode.REUSE, Mode.IVAN):
+            runs += verify_incremental(net, updated, prop, VerifierConfig(mode=mode, heuristic=heur))
+    metrics = [r.metrics for r in runs]
+    assert phase_sums(caplog) == [[m.boundings, m.lps, m.warm, m.corners, m.branchings] for m in metrics]
+    assert any(m.corners > 0 and m.branchings > 0 for m in metrics[:8])
+    assert metrics[9].warm > 0
 
 
 def find_branching_instance(seed=18):

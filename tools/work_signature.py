@@ -34,18 +34,21 @@ first without the pin may compute other bits (multi-threaded BLAS sums in
 another order), so :func:`signature` raises RuntimeError there.
 
 The last line of standard output is one JSON object with the totals.  With
-``--expect FILE`` (a saved output, whose last line is that JSON object) the
-script also compares the two objects, the per-mode rows included, and names
-each field that differs; a field the saved object lacks (a counter added
-since) is not compared.  It exits 1 when a count, the instance digest or a
-verdict digest differs: the search changed.  It exits 2 when only the
-bit-level digests differ (the run and LP SHA-256s): the same search, whose
-bounds and programs differ in the last bits, as after a change in the order
-of floating-point operations.
+``--expect FILE`` the script also compares it with a saved object, the
+per-mode rows included, and names each field that differs; a field the
+saved object lacks (a counter added since) is not compared.  FILE is a
+saved output, whose last line is that object, or a trajectory point
+written by ``--bench``, whose ``work`` holds the object (without per-mode
+rows) for each workload and seed.  It exits 1 when a count, the instance
+digest or a verdict digest differs: the search changed.  It exits 2 when
+only the bit-level digests differ (the run and LP SHA-256s): the same
+search, whose bounds and programs differ in the last bits, as after a
+change in the order of floating-point operations.
 
     python3 tools/work_signature.py --workload quant-8x6 --seed 1 > before.txt
     # ... change the code ...
     python3 tools/work_signature.py --workload quant-8x6 --seed 1 --expect before.txt
+    python3 tools/work_signature.py --workload quant-8x6 --seed 1 --expect BENCH_29.json
 
 With ``--stages N`` the script then runs the pass N more times, with the
 plain solver (no LP digest), and prints to standard error, after the
@@ -267,6 +270,20 @@ def differences(got: dict, want: dict) -> dict:
     return {key: (w[key], g.get(key)) for key in sorted(w) if g.get(key) != w[key]}
 
 
+def saved_signature(path: Path, workload: str, seed: int) -> dict:
+    """The signature ``--expect`` compares with: a trajectory point's work for
+    the workload and seed, or a saved output's last line.  KeyError when a
+    trajectory point has no work for them."""
+    text = path.read_text(encoding="utf-8")
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError:  # a saved output: the table, then the JSON line
+        doc = None
+    if isinstance(doc, dict) and "work" in doc:
+        return doc["work"][workload][str(seed)]
+    return json.loads(text.strip().splitlines()[-1])
+
+
 def perfbench_runs(workload: str) -> dict:
     """Median, spread and values of each end-to-end metric over BENCH_RUNS runs.
 
@@ -341,7 +358,10 @@ def main(argv=None) -> int:
         p.error("--workload and --seed are required without --bench")
     want = None
     if args.expect:
-        want = json.loads(Path(args.expect).read_text(encoding="utf-8").strip().splitlines()[-1])
+        try:
+            want = saved_signature(Path(args.expect), args.workload, args.seed)
+        except KeyError:
+            p.error(f"{args.expect} has no work for {args.workload} at seed {args.seed}")
     sig = signature(args.workload, args.seed)
     total = {
         **sig,
