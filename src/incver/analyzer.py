@@ -57,7 +57,11 @@ Two layers of machinery live here:
     verifier picks a split from them and bounds the two children from them,
     instead of recomputing either.  It also hands on the LP's final basis,
     which the verifier gives back as the ``start`` of the same region's LP
-    on an updated network.
+    on an updated network.  A start whose LP proved its region first tries
+    to prove it again without a solve: the program is built, and the
+    start's duals on it give a weak-duality bound (``lp.dual_bound``); the
+    region is Verified when that bound plus d is nonnegative, and otherwise
+    the same program is solved from the start.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from incver.lp import LinearProgram, LpBasis, LpOutcome, LpStatus, LpTimeout, solve
+from incver.lp import LinearProgram, LpBasis, LpOutcome, LpStatus, LpTimeout, dual_bound, solve
 from incver.model import Network
 from incver.props import InputBox, Property, holds_concretely
 
@@ -121,9 +125,12 @@ class AnalyzerVerdict:
     candidates from them.  ``lp`` is the LP's outcome (its pivots, their
     phase-1 share, its factorizations, its final basis and whether it
     started warm: see :class:`~incver.lp.LpOutcome`), or None when no LP
-    ran (a Verified or Counterexample settled by the bounds alone).
-    ``build_s`` and ``solve_s`` are the seconds spent building the LP and
-    solving it, 0.0 when no LP ran.
+    ran (a Verified or Counterexample settled by the bounds alone, or a
+    Verified proved by a carried basis's duals).  ``certified`` marks the
+    latter: its ``lb_value`` is that weak-duality bound plus d, at most the
+    LP optimum plus d.  ``build_s`` and ``solve_s`` are the seconds spent
+    building the LP and solving it, or checking the certificate; 0.0 when
+    no program was built.
     """
 
     status: Verdict
@@ -134,6 +141,7 @@ class AnalyzerVerdict:
     lp: Optional[LpOutcome] = None
     build_s: float = 0.0
     solve_s: float = 0.0
+    certified: bool = False
 
 
 @dataclass
@@ -569,6 +577,7 @@ def analyze(
     bounds: PreactBounds,
     start: Optional[LpBasis] = None,
     deadline: Optional[float] = None,
+    proved: bool = False,
 ) -> AnalyzerVerdict:
     """One bounding call: lower-bound the property margin over the region from its bounds.
 
@@ -582,11 +591,23 @@ def analyze(
     ``deadline``, a ``time.perf_counter()`` reading, goes to the solver,
     which checks it before each pivot.
 
+    ``proved`` says that ``start``'s LP ended Verified.  Such a start is
+    tried as a certificate first, where the LP would run: the program is
+    built once, and when ``lp.dual_bound`` of the start on it, plus d, is
+    nonnegative, the region is Verified with that bound as ``lb_value``,
+    ``certified`` set and ``lp`` None, with no solve.  Otherwise the same
+    program is solved from ``start``.  The certificate is sound for any
+    basis, primal feasible on this program or not, and takes no
+    feasibility tolerance.  Other starts are not tried: a start whose LP
+    left its region Unknown rarely proves it, and a failed check is time
+    spent for nothing.
+
     Returns Verified when the proved lower bound is nonnegative (or the
     region is empty, flagged ``infeasible``), Counterexample when a concrete
     input violates the property, and Unknown when the relaxation's minimum
     is negative but spurious.  The LP is skipped, and the verdict's
-    ``lp`` left None, only where some ReLU is still ambiguous and either
+    ``lp`` left None, where a proved ``start`` certifies the region (above),
+    or where some ReLU is still ambiguous and either
     the bounds' ``objective_lb`` plus d is already nonnegative (Verified),
     or it is negative, the bounds walked every layer (a new box: the root,
     or an input split's child, not a ReLU split's) and the network violates
@@ -618,6 +639,14 @@ def analyze(
     t0 = time.perf_counter()
     program = _build_program(net, prop, bounds)
     t1 = time.perf_counter()
+    if proved and start is not None:
+        proof = dual_bound(program, start)
+        lb = -math.inf if proof is None else proof + prop.output.d
+        if lb >= 0.0:
+            return AnalyzerVerdict(
+                Verdict.VERIFIED, float(lb), bounds=bounds, certified=True,
+                build_s=t1 - t0, solve_s=time.perf_counter() - t1,
+            )
     try:
         out = solve(program, start=start, deadline=deadline)
     except LpTimeout:

@@ -1,10 +1,11 @@
-"""Dense bounded-variable primal simplex.
+"""Dense bounded-variable primal simplex, and a weak-duality bound from a basis.
 
 This module is the only linear-programming code in the package; the analyzer
 builds one :class:`LinearProgram` per bounding call and hands it to
-:func:`solve`.  Problem sizes are desk scale (at most a few hundred variables
-and rows), so the implementation favors a dense tableau, explicit state, and
-determinism over asymptotic cleverness.
+:func:`solve`, or, for a region whose carried basis proved it on an earlier
+network, first to :func:`dual_bound`.  Problem sizes are desk scale (at
+most a few hundred variables and rows), so the implementation favors a
+dense tableau, explicit state, and determinism over asymptotic cleverness.
 
 A program is held as arrays: the objective, the variable bounds, an
 ``(m, n)`` row matrix ``A``, a boolean mask ``eq`` and the right-hand sides
@@ -102,6 +103,13 @@ switches to Bland's rule (lowest eligible index) until progress resumes,
 which prevents cycling.  All tie-breaks are by lowest index, so identical
 inputs produce identical pivot sequences, outcomes, and points.
 
+:func:`dual_bound` reads a basis without solving: one solve of
+``B^T y = c_B`` gives duals y, and weak duality turns any y whose ``<=``
+entries are at most 0 into a lower bound on the optimum, less an a-priori
+bound on the rounding of its own evaluation.  No feasibility tolerance
+enters it, and the basis need not be primal feasible on the program, so a
+carried basis that :func:`solve` would drop can still prove its region.
+
 Numerical failure (iteration cap, singular basis, a NaN reduced cost or
 basic value, an entering column that no row blocks, a final solution that
 does not verify feasible) raises :class:`LpError`; the solver never returns
@@ -111,6 +119,7 @@ pivoting past it raises :class:`LpTimeout`, an :class:`LpError`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from time import perf_counter
@@ -125,6 +134,7 @@ __all__ = [
     "LpOutcome",
     "LpStatus",
     "LpTimeout",
+    "dual_bound",
     "solve",
 ]
 
@@ -275,6 +285,8 @@ _DIRECTION = np.array([-1.0, 1.0, 0.0])
 _PIVOT_TOL, _FEAS_TOL, _OPT_TOL = 1e-9, 1e-7, 1e-9
 _DEGENERATE_STEP = 1e-11
 _BLAND_TRIGGER = 50
+# the unit roundoff of a float64, u = 2**-53
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 class _Tableau:
@@ -662,6 +674,16 @@ def _cold_start(tab: _Tableau, lp: LinearProgram) -> bool:
     return True
 
 
+def _slacked(lp: LinearProgram) -> np.ndarray:
+    """The program's rows over its columns and one slack column per ``<=`` row, in row order."""
+    ineq_rows = np.flatnonzero(~lp.eq)
+    n = lp.num_vars
+    A = np.zeros((lp.rhs.size, n + ineq_rows.size))
+    A[:, :n] = lp.A
+    A[ineq_rows, n + np.arange(ineq_rows.size)] = 1.0
+    return A
+
+
 def solve(
     lp: LinearProgram,
     *,
@@ -726,13 +748,9 @@ def solve(
     if (lo_s > hi_s).any():
         return LpOutcome(LpStatus.INFEASIBLE)
 
-    # one slack column per "<=" row, in row order
-    ineq_rows = np.flatnonzero(~lp.eq)
-    n_slack = ineq_rows.size
-    K = n + n_slack
-    A = np.zeros((m, K))
-    A[:, :n] = lp.A
-    A[ineq_rows, n + np.arange(n_slack)] = 1.0
+    A = _slacked(lp)
+    K = A.shape[1]
+    n_slack = K - n
     lo = np.concatenate([lo_s, np.zeros(n_slack)])
     hi = np.concatenate([hi_s, np.full(n_slack, np.inf)])
     max_iter = 200 * (m + K) + 1000
@@ -779,3 +797,62 @@ def solve(
         LpStatus.OPTIMAL, float(lp.objective @ x), x, tab.iterations, basis, warm, tab.phase1,
         tab.factorizations,
     )
+
+
+def dual_bound(lp: LinearProgram, basis: LpBasis) -> Optional[float]:
+    """A lower bound on the program's optimum from the duals of ``basis``, with no pivot.
+
+    ``basis`` names a basis over the program's columns and slacks, as
+    :func:`solve` returns one; it need not be primal feasible, or optimal,
+    on this program.  Its duals y solve ``B^T y = c_B`` once, where B holds
+    the basic structural columns of ``A`` and the unit columns of the
+    basic slacks.  Each ``<=`` row's y is clipped to at most 0.  For any
+    such y, and every feasible x, ``c @ x >= y @ b + d @ x`` with
+    ``d = c - A^T y``, so the optimum is at least
+
+        y @ b + sum_j min(d_j * lo_j, d_j * hi_j)
+
+    (weak duality; Neumaier & Shcherbina, Math. Programming 99, 2004).  No
+    feasibility tolerance enters it.  When the basis is optimal, the bound
+    is the optimum up to rounding; when it is dual feasible, it is the
+    objective of the basis's own point.
+
+    The returned bound subtracts an a-priori bound on the rounding error of
+    its own evaluation (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 3): ``gamma_k * (|y| @ |b| + (|c| + |A|^T |y| + |d|) @
+    max(|lo|, |hi|))``, where ``gamma_k = k u / (1 - k u)``, ``u`` is the
+    unit roundoff and k is twice the ``rows + columns + 2`` roundings of
+    the longest chain, which also covers the rounding of the allowance
+    itself and of the final subtraction.  The bound is therefore a lower
+    bound on the exact optimum of the program as stored.
+
+    Returns None when the basis does not have the program's shape or names
+    a column it lacks, when B is singular, when bounds cross (the program
+    is infeasible; :func:`solve` says so), or when the bound is NaN or
+    infinite.
+    """
+    n, m = lp.num_vars, lp.rhs.size
+    A = _slacked(lp)
+    K = A.shape[1]
+    basic, state = basis
+    if basic.shape != (m,) or state.shape != (K,) or (m and not 0 <= basic.min() <= basic.max() < K):
+        return None
+    lo, hi = lp.var_bounds.T
+    if (lo > hi).any():
+        return None
+    cost = np.zeros(K)
+    cost[:n] = lp.objective
+    try:
+        y = np.linalg.solve(A[:, basic].T, cost[basic])
+    except np.linalg.LinAlgError:
+        return None
+    y = np.where(lp.eq, y, np.minimum(y, 0.0))
+    d = lp.objective - y @ lp.A
+    value = y @ lp.rhs + d @ np.where(d >= 0.0, lo, hi)  # each term is min(d_j * lo_j, d_j * hi_j)
+    k = 2 * (m + n + 2)
+    gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+    abs_y = np.abs(y)
+    scale = np.abs(lp.objective) + abs_y @ np.abs(lp.A) + np.abs(d)
+    rounding = gamma * (abs_y @ np.abs(lp.rhs) + scale @ np.abs(lp.var_bounds).max(axis=1))
+    bound = float(value - rounding)
+    return bound if math.isfinite(bound) else None

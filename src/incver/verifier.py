@@ -7,12 +7,15 @@ its proof tree (reused, reordered, or pruned, depending on the mode)
 against an updated network so the second run starts from the structure
 that worked the first time instead of from scratch.  Modes reuse and ivan
 also carry each LP's final simplex basis from the first run to the same
-subproblem's LP in the second.
+subproblem in the second, where a basis whose LP proved its subproblem
+first tries to prove it again from its duals, with no LP, and any other
+basis starts the LP.
 
 Each ``verify`` run writes DEBUG lines to the ``incver.verifier`` logger:
 one per bounding phase (frontier size, LPs and how many started warm, nodes
-refuted at their walk corner without an LP, nodes settled, splits chosen)
-and one when it ends (its verdict and work counts).
+proved by a carried basis's duals, nodes refuted at their walk corner
+without an LP, nodes settled, splits chosen) and one when it ends (its
+verdict and work counts).
 ``verify_incremental`` in mode ivan writes one more between its runs: theta
 and the internal nodes of the first run's tree and of the pruned tree.
 """
@@ -106,9 +109,10 @@ class RunMetrics:
     because every starting leaf and every created node is bounded exactly
     once, and every split adds one internal node.  lps counts the boundings
     that solved an LP (the others, whose verdict's ``lp`` is None, were
-    settled from their propagated bounds alone) and pivots sums those LPs'
-    simplex pivots (``LpOutcome.iterations``), phase1_pivots the share of
-    them that phase 1 applied to reach a feasible basis.
+    settled from their propagated bounds alone or certified) and pivots
+    sums those LPs' simplex pivots (``LpOutcome.iterations``),
+    phase1_pivots the share of them that phase 1 applied to reach a
+    feasible basis.
     factorizations sums those LPs' factorizations of a basis matrix (see
     ``LpOutcome.factorizations``): two for a cold LP that pivots, one for
     a cold LP whose crash basis is already optimal or that phase 1 proves
@@ -119,7 +123,10 @@ class RunMetrics:
     ``analyzer.analyze``); only a new box, the root's or an input split
     child's, is refuted there.  warm counts the LPs that started from a
     basis carried from an earlier run (``verify``'s ``bases``): only the
-    second runs of modes reuse and ivan have any.
+    second runs of modes reuse and ivan have any.  certified counts the
+    boundings that such a carried basis proved from its duals, by weak
+    duality with no LP (``analyzer.analyze``); they are neither LPs nor
+    warm starts, and only the same second runs have any.
     passes counts propagation passes: one per node of a frontier and one per
     internal node of an initial tree, except where the parent region is
     already empty and its bounds are handed on without a pass (a run that
@@ -131,8 +138,10 @@ class RunMetrics:
     and one per level of an initial tree with an internal node.
 
     propagate_s, build_s and solve_s are the seconds spent in those batched
-    passes, in building the bounding LPs and in solving them; the rest of
-    wall_time is the search itself (split choice, tree bookkeeping).
+    passes, in building the bounding LPs and in solving them; a certified
+    bounding's program counts as built, and its duality check as solving.
+    The rest of wall_time is the search itself (split choice, tree
+    bookkeeping).
     """
 
     boundings: int = 0
@@ -150,6 +159,7 @@ class RunMetrics:
     passes: int = 0
     walks: int = 0
     warm: int = 0
+    certified: int = 0
     batches: int = 0
     propagate_s: float = 0.0
     build_s: float = 0.0
@@ -179,7 +189,8 @@ class DeltaBound:
     ``eta`` upper-bounds the 2-norm of the activations feeding the final
     layer over the whole input box; ``lb_min`` is the weakest leaf bound.
     A leaf that bound propagation verified without an LP records that
-    bound, which is at most the leaf's LP optimum: the radius stays sound,
+    bound, and one that a carried basis certified records its weak-duality
+    bound; each is at most the leaf's LP optimum: the radius stays sound,
     but it can be smaller than the LP optima alone would give.
     A degenerate eta of zero makes every perturbation harmless, reported
     as delta = inf.
@@ -220,11 +231,12 @@ def verify(
     (``analyzer.bound_regions``), and each node is then settled from its own
     by ``analyze``: by the propagation bound alone, by the network's value
     at the corner that bound's walk read (a counterexample there, on the
-    root's box or an input split child's), or by its LP; the verdict's
-    ``lp`` is None unless an LP ran, and its counts are summed into the
-    run's metrics.  A whole phase is bounded before any counterexample is
-    acted on, and the lowest-numbered violating node wins, so results and
-    call counts do not depend on evaluation order within a phase.
+    root's box or an input split child's), by a carried basis's duals (see
+    ``bases``), or by its LP; the verdict's ``lp`` is None unless an LP
+    ran, and its counts are summed into the run's metrics.  A whole phase
+    is bounded before any counterexample is acted on, and the
+    lowest-numbered violating node wins, so results and call counts do not
+    depend on evaluation order within a phase.
 
     ``hobs`` carries per-split effectiveness statistics recorded on an
     earlier proof tree and goes to ``choose_split`` as its ``observed``;
@@ -251,12 +263,20 @@ def verify(
 
     ``bases`` is a map the caller owns from a node's subproblem,
     ``(frozenset(splits.items()), box.lower.tobytes(), box.upper.tobytes())``,
-    to an LP's final basis.  Before each bounding the node's entry, if any,
-    goes to ``analyze`` as the LP's ``start``, and after an LP that left a
-    basis the entry is set to it.  With ``bases=None`` nothing is looked up
-    or stored.  A start saves pivots; the LP's status stays, but its optimum
+    to an LP's final basis and whether that LP ended Verified.  Before each
+    bounding the node's entry, if any, goes to ``analyze`` as the LP's
+    ``start`` and ``proved``, and after an LP that left a basis the entry is
+    set to it.  With ``bases=None`` nothing is looked up or stored.  A
+    proved start is first tried as a certificate: when its duals on the
+    node's program prove the node by weak duality, the node is Verified
+    with that bound as its lb and no LP, and its entry stays as it was.
+    Otherwise, and for a start that did not prove its node, the LP starts
+    from it.  A start saves pivots; the LP's status stays, but its optimum
     can move within the solver's tolerance and its argmin to another
-    optimal vertex, so a recorded lb can differ in its last bits.
+    optimal vertex, so a recorded lb can differ in its last bits.  A
+    certified lb is at most the LP optimum, by a rounding error when the
+    basis is still optimal.  Neither changes a verdict, a bounding or a
+    branching: a failed certificate falls back to the LP.
     """
     start = time.perf_counter()
     deadline = start + cfg.timeout
@@ -276,8 +296,8 @@ def verify(
         m.wall_time = time.perf_counter() - start
         m.nodes_final, m.leaves_final = tree.num_nodes(), tree.num_leaves()
         log.debug(
-            "verify %s: %d boundings, %d branchings, %d LPs (%d warm), %d pivots",
-            verdict.value, m.boundings, m.branchings, m.lps, m.warm, m.pivots,
+            "verify %s: %d boundings, %d branchings, %d LPs (%d warm), %d certified, %d pivots",
+            verdict.value, m.boundings, m.branchings, m.lps, m.warm, m.certified, m.pivots,
         )
         return RunResult(verdict, tree, m, **extra)
 
@@ -336,14 +356,17 @@ def verify(
             outcomes = []
             for (nid, box, splits, _), bounds in zip(active, propagate(active, prop.output.c)):
                 check_deadline()
-                key = carried = None
+                key, carried, proved = None, None, False
                 if bases is not None:
                     key = (frozenset(splits.items()), box.lower.tobytes(), box.upper.tobytes())
-                    carried = bases.get(key)
+                    carried, proved = bases.get(key, (None, False))
                 node_prop = Property(box, prop.output, name=prop.name)
-                res = analyze(net, node_prop, bounds, start=carried, deadline=deadline)
+                res = analyze(net, node_prop, bounds, start=carried, deadline=deadline, proved=proved)
                 m.boundings += 1
                 m.infeasible += res.infeasible
+                m.certified += res.certified
+                m.build_s += res.build_s
+                m.solve_s += res.solve_s
                 if res.lp is None:
                     m.corners += res.status is Verdict.COUNTEREXAMPLE
                 else:
@@ -352,10 +375,8 @@ def verify(
                     m.phase1_pivots += res.lp.phase1
                     m.factorizations += res.lp.factorizations
                     m.warm += res.lp.warm
-                    m.build_s += res.build_s
-                    m.solve_s += res.solve_s
                     if bases is not None and res.lp.basis is not None:
-                        bases[key] = res.lp.basis
+                        bases[key] = (res.lp.basis, res.status is Verdict.VERIFIED)
                 node = tree.node(nid)
                 node.lb = res.lb_value
                 node.status = NodeStatus(res.status.value)
@@ -405,8 +426,8 @@ def _log_phase(phase: int, outcomes: list, chosen: list) -> None:
         verdicts = [res for *_, res in outcomes]
         lps = [res.lp for res in verdicts if res.lp is not None]
         log.debug(
-            "phase %d: %d nodes, %d LPs (%d warm), %d corners, %d settled, %d splits [%s]",
-            phase, len(verdicts), len(lps), sum(lp.warm for lp in lps),
+            "phase %d: %d nodes, %d LPs (%d warm), %d certified, %d corners, %d settled, %d splits [%s]",
+            phase, len(verdicts), len(lps), sum(lp.warm for lp in lps), sum(res.certified for res in verdicts),
             sum(res.lp is None and res.status is Verdict.COUNTEREXAMPLE for res in verdicts),
             sum(res.status is not Verdict.UNKNOWN for res in verdicts),
             len(chosen), " ".join(_label(d) for d in chosen),
@@ -440,9 +461,10 @@ def verify_incremental(
 
     Reuse and ivan also hand both runs one ``bases`` map (see
     :func:`verify`), so each LP of the second run starts from the final
-    basis of the same subproblem's LP in the first, where there was one.
-    The map is dropped on return.  Baseline and reorder, and every first
-    run, solve each LP from the crash basis.
+    basis of the same subproblem's LP in the first, where there was one,
+    and a subproblem whose first LP proved it is first re-proved from that
+    basis's duals, with no LP.  The map is dropped on return.  Baseline and
+    reorder, and every first run, solve each LP from the crash basis.
 
     A first run that ended in a counterexample or timeout still hands its
     partial tree over (noted on the second result); the structure it did
@@ -492,7 +514,8 @@ def delta_bound(net: Network, prop: Property, tree: SpecTree) -> DeltaBound:
     bound and every one is >= 0 (else ValueError naming each leaf whose
     bound is negative or NaN: such a tree proves nothing).  A leaf's bound
     is its LP optimum or, where propagation verified the leaf without an
-    LP, the weaker propagation bound (see :class:`DeltaBound`).  eta is
+    LP, the weaker propagation bound, or, where a carried basis certified
+    it, the weak-duality bound (see :class:`DeltaBound`).  eta is
     computed from this network's bounds over the unsplit root region, so it
     dominates every leaf subregion.
     """

@@ -630,17 +630,22 @@ def test_log_env_controls_verbosity():
     assert len(logged(noisy)) >= len(logged(quiet))
     # at DEBUG each verify run writes a line per bounding phase and ends with
     # one line of its work: the first run, then reuse's second run, whose two
-    # LPs are handed the first run's bases; one of them is not primal
-    # feasible on the updated network, so that LP starts cold
+    # LP leaves are handed the first run's bases.  Both bases proved their
+    # leaves, and their duals prove them again on the updated network, so
+    # neither leaf needs an LP; one of the two bases is not even primal
+    # feasible there, which would have made its LP start cold.
     runs = [line for line in noisy.stderr.splitlines() if line.startswith("DEBUG:incver.verifier:")]
     assert runs == [
-        "DEBUG:incver.verifier:phase 1: 1 nodes, 1 LPs (0 warm), 0 corners, 0 settled, 1 splits [relu(0, 0)]",
-        "DEBUG:incver.verifier:phase 2: 2 nodes, 2 LPs (0 warm), 0 corners, 0 settled, 2 splits [relu(1, 0) relu(1, 0)]",
-        "DEBUG:incver.verifier:phase 3: 4 nodes, 2 LPs (0 warm), 0 corners, 3 settled, 1 splits [relu(1, 1)]",
-        "DEBUG:incver.verifier:phase 4: 2 nodes, 1 LPs (0 warm), 0 corners, 2 settled, 0 splits []",
-        "DEBUG:incver.verifier:verify Verified: 9 boundings, 4 branchings, 6 LPs (0 warm), 12 pivots",
-        "DEBUG:incver.verifier:phase 1: 5 nodes, 2 LPs (1 warm), 0 corners, 5 settled, 0 splits []",
-        "DEBUG:incver.verifier:verify Verified: 5 boundings, 0 branchings, 2 LPs (1 warm), 4 pivots",
+        "DEBUG:incver.verifier:phase 1: 1 nodes, 1 LPs (0 warm), 0 certified, 0 corners, 0 settled, 1 splits "
+        "[relu(0, 0)]",
+        "DEBUG:incver.verifier:phase 2: 2 nodes, 2 LPs (0 warm), 0 certified, 0 corners, 0 settled, 2 splits "
+        "[relu(1, 0) relu(1, 0)]",
+        "DEBUG:incver.verifier:phase 3: 4 nodes, 2 LPs (0 warm), 0 certified, 0 corners, 3 settled, 1 splits "
+        "[relu(1, 1)]",
+        "DEBUG:incver.verifier:phase 4: 2 nodes, 1 LPs (0 warm), 0 certified, 0 corners, 2 settled, 0 splits []",
+        "DEBUG:incver.verifier:verify Verified: 9 boundings, 4 branchings, 6 LPs (0 warm), 0 certified, 12 pivots",
+        "DEBUG:incver.verifier:phase 1: 5 nodes, 0 LPs (0 warm), 2 certified, 0 corners, 5 settled, 0 splits []",
+        "DEBUG:incver.verifier:verify Verified: 5 boundings, 0 branchings, 0 LPs (0 warm), 2 certified, 0 pivots",
     ]
     assert "incver.verifier" not in quiet.stderr
     junk = subprocess.run(

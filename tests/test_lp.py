@@ -25,6 +25,7 @@ from incver.lp import (
     LpStatus,
     LpTimeout,
     _Tableau,
+    dual_bound,
     solve,
 )
 from incver.model import load_network
@@ -526,6 +527,61 @@ def test_a_start_that_does_not_fit_falls_back_to_the_cold_solve():
     # the same basis, states in order, is taken
     fits = solve(lp, start=LpBasis(np.array([1, 3]), np.array([L, B, L, B])))
     assert fits.warm and abs(fits.value - cold.value) <= _FEAS_TOL
+
+
+def test_dual_bound_is_a_lower_bound_from_any_basis():
+    # dual_bound prices a basis on a program with no pivot.  At the
+    # program's own optimal basis it is the optimum; carried to a slightly
+    # perturbed program, where it often stays optimal, and to a strongly
+    # perturbed one, where it is often primal infeasible (solve then does
+    # not take it as a start), it is at most the optimum.
+    rng = np.random.default_rng(7)
+    own = carried = infeasible_start = 0
+    for rows in oracle_rows():
+        lp = program(*rows)
+        out = solve(lp)
+        if out.basis is None:
+            continue
+        bound = dual_bound(lp, out.basis)
+        assert bound is not None and bound <= out.value + 1e-9 and abs(bound - out.value) <= 1e-9
+        own += 1
+        for scale in (1e-3, 0.3):
+            new = perturbed(rows, rng, scale)
+            cold = solve(new)
+            bound = dual_bound(new, out.basis)
+            if cold.status is not LpStatus.OPTIMAL or bound is None:
+                continue
+            assert bound <= cold.value + 1e-9
+            carried += 1
+            infeasible_start += not solve(new, start=out.basis).warm
+    assert own >= 150 and carried >= 250 and infeasible_start >= 20
+
+
+def test_dual_bound_refuses_a_basis_it_cannot_price():
+    # x + y <= 1 and 2x + 2y <= 3 over [0, 2]^2: columns x, y, s0, s1.
+    lp = program(
+        [-1.0, -2.0], box([0.0, 2.0], [0.0, 2.0]), [[1.0, 1.0], [2.0, 2.0]], ["<=", "<="], [1.0, 3.0]
+    )
+    cold = solve(lp)
+    assert abs(dual_bound(lp, cold.basis) - cold.value) <= 1e-12
+    L, U, B = _AT_LOWER, _AT_UPPER, _BASIC
+    other = solve(program([1.0], box([0.0, 1.0]), [[1.0]], ["<="], [0.5]))
+    refused = {
+        "wrong shape": other.basis,
+        "repeated basic column": LpBasis(np.array([0, 0]), np.array([B, L, L, L])),
+        "singular B": LpBasis(np.array([0, 1]), np.array([B, B, L, L])),
+        "column out of range": LpBasis(np.array([4, 3]), np.array([L, L, L, B])),
+        "negative column": LpBasis(np.array([-1, 3]), np.array([L, L, L, B])),
+    }
+    for name, basis in refused.items():
+        assert dual_bound(lp, basis) is None, name
+    crossed = program([1.0, 1.0], box([0.0, 1.0], [2.0, 1.0]), [[1.0, 1.0]], ["<="], [5.0])
+    assert dual_bound(crossed, LpBasis(np.array([2]), np.array([L, L, B]))) is None
+    # a basis that is not primal feasible still bounds: x basic on row 0
+    # and y at its upper bound 2 put x at -1; its duals give -3, below the
+    # optimum -2
+    start = LpBasis(np.array([0, 3]), np.array([B, U, L, B]))
+    assert abs(dual_bound(lp, start) + 3.0) <= 1e-12 and cold.value == -2.0
 
 
 def test_infeasible_and_dependent_programs_leave_no_basis():

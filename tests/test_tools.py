@@ -94,8 +94,8 @@ def test_stage_table_lists_every_mode_and_run(monkeypatch):
     lines = tool.stage_table("deep-16x3", 1, 1).splitlines()
     assert lines[0] == "stages of deep-16x3 seed 1: ms, best of 1 passes"
     assert lines[1].split() == [
-        "mode", "run", "total", "propagate", "build", "solve", "other", "lps", "warm", "pivots", "phase1",
-        "factorizations", "corners", "passes", "batches",
+        "mode", "run", "total", "propagate", "build", "solve", "other", "lps", "warm", "certified", "pivots",
+        "phase1", "factorizations", "corners", "passes", "batches",
     ]
     rows = [line.split() for line in lines[2:]]
     assert [row[:2] for row in rows] == [
@@ -104,12 +104,14 @@ def test_stage_table_lists_every_mode_and_run(monkeypatch):
     for row in rows:
         total, *stages = map(float, row[2:7])
         assert abs(sum(stages) - total) < 0.5  # each column is rounded to 0.1 ms
-        lps, warm, pivots, phase1, factorizations, corners, passes, batches = map(int, row[7:])
+        lps, warm, certified, pivots, phase1, factorizations, corners, passes, batches = map(int, row[7:])
         assert warm <= lps and phase1 <= pivots
+        assert certified == 0 or row[:2] in (["reuse", "second"], ["ivan", "second"])
         assert lps <= factorizations <= 4 * lps  # one to four per LP
         assert corners == 0  # no walk corner of deep-16x3 violates
         assert 1 <= batches <= passes  # a batched call runs one pass or more
-    assert sum(int(row[9]) for row in rows) > 0
+    assert sum(int(row[10]) for row in rows) > 0
+    assert sum(int(row[9]) for row in rows) > 0  # deep-16x3's reuse certifies leaves
 
 
 def test_work_matches_the_newest_benchmark_point():

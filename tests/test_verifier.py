@@ -13,6 +13,7 @@ import pytest
 
 from incver import lp as lp_module
 from incver import verifier
+from incver.analyzer import Verdict
 from incver.heuristics import BaseHeuristic, HeuristicConfig
 from incver.model import (
     Affine,
@@ -345,11 +346,12 @@ def test_each_bounding_gets_the_subproblem_of_its_root_path(monkeypatch):
     analyze = verifier.analyze
     pending = record_frontier_regions(monkeypatch)
 
-    def recording_analyze(net, prop, bounds, start=None, deadline=None):
+    def recording_analyze(net, prop, bounds, start=None, deadline=None, proved=False):
         (box, splits, parent), given = pending.pop(0)
         assert bounds is given and prop.input is box
+        assert proved is False or start is not None
         seen.append((box, splits, parent, start))
-        return analyze(net, prop, bounds, start=start, deadline=deadline)
+        return analyze(net, prop, bounds, start=start, deadline=deadline, proved=proved)
 
     monkeypatch.setattr(verifier, "analyze", recording_analyze)
 
@@ -415,13 +417,16 @@ def second_run_without_bases(first, updated, prop, cfg):
 
 def test_carried_bases_change_only_the_pivots():
     # Reuse and ivan start their second run's LPs from the first run's final
-    # bases: same verdicts, boundings, branchings and LPs as without them,
-    # fewer pivots.  Baseline and reorder carry nothing, and every first run
-    # is a plain run: their node lbs are the same bits.  The narrow nets'
-    # refuted instances end at their root's walk corner, before any LP, so
-    # the carried bases come from the wider batch: its second runs start 16
+    # bases: same verdicts, boundings and branchings as without them, and
+    # fewer pivots.  A leaf whose carried basis proved it on the first
+    # network, and whose duals prove it again, needs no LP: its LP and its
+    # certificate together are the LP of the run without bases.  Baseline
+    # and reorder carry nothing, and every first run is a plain run: their
+    # node lbs are the same bits.  The narrow nets' refuted instances end at
+    # their root's walk corner, before any LP, so the carried bases come
+    # from the wider batch: its second runs certify 3 leaves and start 13
     # LPs warm.
-    warm = 0
+    warm = certified = 0
     batches = random_instances(seed=10, count=8), random_instances(seed=10, count=8, dims=(2, 4, 4, 1))
     for net, prop, _ in itertools.chain(*batches):
         updated = perturb(net, QuantizeInt8())
@@ -429,39 +434,71 @@ def test_carried_bases_change_only_the_pivots():
         for mode in Mode:
             cfg = VerifierConfig(mode=mode, timeout=120.0)
             first, second = verify_incremental(net, updated, prop, cfg)
-            assert node_lbs(first) == node_lbs(plain) and first.metrics.warm == 0
+            assert node_lbs(first) == node_lbs(plain) and first.metrics.warm == first.metrics.certified == 0
             cold = second_run_without_bases(first, updated, prop, cfg)
             got, want = second.metrics, cold.metrics
             assert second.verdict is cold.verdict
-            assert (got.boundings, got.branchings, got.lps) == (want.boundings, want.branchings, want.lps)
+            assert (got.boundings, got.branchings) == (want.boundings, want.branchings)
+            assert got.lps + got.certified == want.lps
             assert got.pivots <= want.pivots
             if mode in (Mode.BASELINE, Mode.REORDER):
                 assert node_lbs(second) == node_lbs(cold)
-                assert got.warm == 0 and got.pivots == want.pivots
+                assert got.warm == got.certified == 0 and got.pivots == want.pivots
             assert got.warm <= got.lps
             warm += got.warm
-    assert warm > 0
+            certified += got.certified
+    assert certified > 0 and warm > 0
+
+
+def test_a_certified_leaf_records_at_most_its_lp_optimum(monkeypatch):
+    # A leaf proved by its carried basis's duals records that certificate:
+    # nonnegative, and at most the optimum of the LP it stands in for,
+    # solved cold on the same bounds, plus d.  Reuse and ivan second runs on
+    # quantized random nets, under both branchings, certify 17 leaves.
+    analyze = verifier.analyze
+    certified = []
+
+    def checking_analyze(net, prop, bounds, start=None, deadline=None, proved=False):
+        res = analyze(net, prop, bounds, start=start, deadline=deadline, proved=proved)
+        if res.certified:
+            assert res.status is Verdict.VERIFIED and res.lp is None and proved
+            cold = analyze(net, prop, dataclasses.replace(bounds))
+            assert cold.lp is not None and cold.status is Verdict.VERIFIED
+            assert 0.0 <= res.lb_value <= cold.lb_value + 1e-9
+            certified.append(res.lb_value)
+        return res
+
+    monkeypatch.setattr(verifier, "analyze", checking_analyze)
+    for net, prop, _ in random_instances(seed=12, count=8, dims=(2, 4, 4, 1)):
+        updated = perturb(net, QuantizeInt8())
+        for branching, mode in itertools.product(BRANCHINGS, (Mode.REUSE, Mode.IVAN)):
+            cfg = VerifierConfig(mode=mode, timeout=120.0, branching=branching, max_nodes=4000)
+            first, second = verify_incremental(net, updated, prop, cfg)
+            assert first.metrics.certified == 0
+    assert len(certified) == 17
 
 
 def test_a_basis_is_stored_only_after_its_lp(monkeypatch):
     # verify looks each node's subproblem up before bounding it and stores
-    # the LP's final basis after it; a node settled without an LP, or whose
-    # LP left no basis, stores nothing.
+    # the LP's final basis after it, with whether that LP proved the node; a
+    # node settled without an LP, or whose LP left no basis, stores nothing.
+    # The stored flag goes back to analyze as ``proved`` with the basis.
     expected = {}
     bases = {}
     analyze = verifier.analyze
     pending = record_frontier_regions(monkeypatch)
 
-    def checking_analyze(net, prop, bounds, start=None, deadline=None):
+    def checking_analyze(net, prop, bounds, start=None, deadline=None, proved=False):
         assert bases.keys() == expected.keys()
-        assert all(bases[key] is basis for key, basis in expected.items())
+        assert all(bases[key][0] is basis and bases[key][1] is ok for key, (basis, ok) in expected.items())
         (_, splits, _), given = pending.pop(0)
         assert bounds is given
         key = (frozenset(splits.items()), prop.input.lower.tobytes(), prop.input.upper.tobytes())
-        assert start is expected.get(key)
-        res = analyze(net, prop, bounds, start=start, deadline=deadline)
+        want_start, want_proved = expected.get(key, (None, False))
+        assert start is want_start and proved is want_proved
+        res = analyze(net, prop, bounds, start=start, deadline=deadline, proved=proved)
         if res.lp is not None and res.lp.basis is not None:
-            expected[key] = res.lp.basis
+            expected[key] = (res.lp.basis, res.status is Verdict.VERIFIED)
         return res
 
     monkeypatch.setattr(verifier, "analyze", checking_analyze)
@@ -789,18 +826,20 @@ def test_a_deadline_passed_in_a_frontier_batch_keeps_the_batchs_work(monkeypatch
     assert m.walks == sum(b.walks for out in batches for b in out)
 
 
-PHASE_LINE = re.compile(r"phase \d+: (\d+) nodes, (\d+) LPs \((\d+) warm\), (\d+) corners, \d+ settled, (\d+) splits")
+PHASE_LINE = re.compile(
+    r"phase \d+: (\d+) nodes, (\d+) LPs \((\d+) warm\), (\d+) certified, (\d+) corners, \d+ settled, (\d+) splits"
+)
 
 
 def phase_sums(caplog) -> list:
-    """Per run, in order, the summed nodes, LPs, warm, corners and splits of
-    its phase lines; each run's lines end with its ``verify`` line."""
-    runs, sums = [], [0] * 5
+    """Per run, in order, the summed nodes, LPs, warm, certified, corners and
+    splits of its phase lines; each run's lines end with its ``verify`` line."""
+    runs, sums = [], [0] * 6
     for rec in caplog.records:
         msg = rec.getMessage()
         if msg.startswith("verify "):
             runs.append(sums)
-            sums = [0] * 5
+            sums = [0] * 6
         elif match := PHASE_LINE.fullmatch(msg.split(" [")[0]):
             sums = [total + int(n) for total, n in zip(sums, match.groups())]
     return runs
@@ -808,10 +847,11 @@ def phase_sums(caplog) -> list:
 
 def test_phase_lines_add_up_to_the_runs_metrics(caplog):
     # Each phase's DEBUG line counts that phase's own verdicts; summed over
-    # a run they give its boundings, LPs, warm starts, corner refutations
-    # and branchings: on input-branching runs, one refuted at a walk corner
-    # after a split, and on the demo's reuse and ivan pairs, reuse's second
-    # run starting an LP warm.
+    # a run they give its boundings, LPs, warm starts, certified boundings,
+    # corner refutations and branchings: on input-branching runs, one
+    # refuted at a walk corner after a split; on the demo's reuse and ivan
+    # pairs, reuse's second run proving leaves from carried duals; and on a
+    # quantized random pair, a reuse second run that also starts LPs warm.
     runs = []
     with caplog.at_level(logging.DEBUG, logger="incver.verifier"):
         cfg = VerifierConfig(timeout=120.0, branching="input", max_nodes=4000)
@@ -824,10 +864,15 @@ def test_phase_lines_add_up_to_the_runs_metrics(caplog):
         heur = HeuristicConfig(base=BaseHeuristic.RANDOM, alpha=0.25, theta=1.0, seed=27)
         for mode in (Mode.REUSE, Mode.IVAN):
             runs += verify_incremental(net, updated, prop, VerifierConfig(mode=mode, heuristic=heur))
+        (net, prop, _), = random_instances(seed=10, count=1, dims=(2, 4, 4, 1))
+        runs += verify_incremental(net, perturb(net, QuantizeInt8()), prop, VerifierConfig(mode=Mode.REUSE))
     metrics = [r.metrics for r in runs]
-    assert phase_sums(caplog) == [[m.boundings, m.lps, m.warm, m.corners, m.branchings] for m in metrics]
+    assert phase_sums(caplog) == [
+        [m.boundings, m.lps, m.warm, m.certified, m.corners, m.branchings] for m in metrics
+    ]
     assert any(m.corners > 0 and m.branchings > 0 for m in metrics[:8])
-    assert metrics[9].warm > 0
+    assert metrics[9].certified > 0
+    assert metrics[13].warm > 0 and metrics[13].certified > 0
 
 
 def find_branching_instance(seed=18):

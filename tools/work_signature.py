@@ -7,9 +7,10 @@ configurations ``perfbench/run.py`` uses.  It prints, per mode and in total:
 * boundings, branchings, propagation passes, their back-substitution
   walks, LPs solved, their summed pivots and the share of those that
   phase 1 applied, their factorizations of a basis matrix, the LPs that
-  started from a carried basis, the batched propagation calls, the
-  boundings that found their region empty and those refuted at their walk
-  corner without an LP (from the runs' metrics);
+  started from a carried basis, the boundings that a carried basis's duals
+  proved without an LP, the batched propagation calls, the boundings that
+  found their region empty and those refuted at their walk corner without
+  an LP (from the runs' metrics);
 * a SHA-256 over every run's verdict, counts, counterexample bytes and each
   tree node's ``(id, lb.hex())``;
 * a verdict digest: a SHA-256 over every run's verdict alone;
@@ -55,9 +56,11 @@ plain solver (no LP digest), and prints to standard error, after the
 JSON line, where each mode's first and second runs spent their time: the
 best of the N passes, in milliseconds summed over the instances, of
 propagation, LP building, LP solving and the rest of the runs' wall time,
-next to their LPs, warm starts, pivots, phase-1 pivots, factorizations,
-corner refutations, propagation passes and the batched propagation calls
-that ran them, so that propagation's time per batch can be read off.
+next to their LPs, warm starts, certified boundings, pivots, phase-1
+pivots, factorizations, corner refutations, propagation passes and the
+batched propagation calls that ran them, so that propagation's time per
+batch can be read off.  A certified bounding's program build counts as
+LP building, and its duality check as LP solving.
 The table is not part of the JSON that ``--expect`` compares.
 
     python3 tools/work_signature.py --workload deep-16x3 --seed 1 --stages 5
@@ -109,11 +112,11 @@ BIT_DIGESTS = ("sha256", "lp_sha256", "sha", "lp_sha")
 # the work counters read from each run's metrics
 COUNTERS = (
     "boundings", "branchings", "passes", "walks", "lps", "pivots", "phase1_pivots", "factorizations",
-    "warm", "batches", "infeasible", "corners",
+    "warm", "batches", "infeasible", "corners", "certified",
 )
 # the stage timers and work counters of each run's metrics, as the stage table's columns
 STAGES = ("propagate_s", "build_s", "solve_s")
-WORK = ("lps", "warm", "pivots", "phase1_pivots", "factorizations", "corners", "passes", "batches")
+WORK = ("lps", "warm", "certified", "pivots", "phase1_pivots", "factorizations", "corners", "passes", "batches")
 
 
 def _lb_hex(lb) -> str:
@@ -243,14 +246,14 @@ def stage_table(workload: str, seed: int, repeats: int) -> str:
     lines = [
         f"stages of {workload} seed {seed}: ms, best of {repeats} passes",
         f"{'mode':9s} {'run':6s} {'total':>8s} {'propagate':>9s} {'build':>7s} {'solve':>8s} "
-        f"{'other':>7s} {'lps':>5s} {'warm':>5s} {'pivots':>7s} {'phase1':>6s} {'factorizations':>14s} "
-        f"{'corners':>7s} {'passes':>6s} {'batches':>7s}",
+        f"{'other':>7s} {'lps':>5s} {'warm':>5s} {'certified':>9s} {'pivots':>7s} {'phase1':>6s} "
+        f"{'factorizations':>14s} {'corners':>7s} {'passes':>6s} {'batches':>7s}",
     ]
     for (mode, run), row in best.items():
         lines.append(
             f"{mode:9s} {run:6s} {row['wall'] * 1e3:8.1f} {row['propagate_s'] * 1e3:9.1f} "
             f"{row['build_s'] * 1e3:7.1f} {row['solve_s'] * 1e3:8.1f} {row['other'] * 1e3:7.1f} "
-            f"{row['lps']:5d} {row['warm']:5d} {row['pivots']:7d} {row['phase1_pivots']:6d} "
+            f"{row['lps']:5d} {row['warm']:5d} {row['certified']:9d} {row['pivots']:7d} {row['phase1_pivots']:6d} "
             f"{row['factorizations']:14d} {row['corners']:7d} {row['passes']:6d} {row['batches']:7d}"
         )
     return "\n".join(lines)
@@ -375,6 +378,7 @@ def main(argv=None) -> int:
             f"passes {row['passes']:5d}  walks {row['walks']:5d}  lps {row['lps']:5d}  "
             f"pivots {row['pivots']:6d}  phase1 {row['phase1_pivots']:5d}  "
             f"factorizations {row['factorizations']:5d}  warm {row['warm']:4d}  "
+            f"certified {row['certified']:4d}  "
             f"batches {row['batches']:4d}  corners {row['corners']:3d}  "
             f"sha256 {row['sha'][:16]}  verdicts {row['verdict_sha'][:16]}  lp {row['lp_sha'][:16]}"
         )
