@@ -56,12 +56,12 @@ Two layers of machinery live here:
     infeasible LP) verifies vacuously.  The verdict hands its bounds on: the
     verifier picks a split from them and bounds the two children from them,
     instead of recomputing either.  It also hands on the LP's final basis,
-    which the verifier gives back as the ``start`` of the same region's LP
-    on an updated network.  A start whose LP proved its region first tries
-    to prove it again without a solve: the program is built, and the
-    start's duals on it give a weak-duality bound (``lp.dual_bound``); the
-    region is Verified when that bound plus d is nonnegative, and otherwise
-    the same program is solved from the start.
+    which the verifier gives back as the ``start`` of the same region on an
+    updated network.  The program is built, and ``lp.price_basis`` reads
+    the start on it: the region is Verified when the start's weak-duality
+    bound plus d is nonnegative; otherwise a start that is still optimal
+    gives the LP's outcome with no pivot, and any other leaves the program
+    to a solve from the crash basis.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from incver.lp import LinearProgram, LpBasis, LpOutcome, LpStatus, LpTimeout, dual_bound, solve
+from incver.lp import LinearProgram, LpBasis, LpOutcome, LpStatus, LpTimeout, price_basis, solve
 from incver.model import Network
 from incver.props import InputBox, Property, holds_concretely
 
@@ -123,14 +123,15 @@ class AnalyzerVerdict:
     ``bounds`` are the region's bounds from this call, computed with the
     property's objective so their ``kappa`` is set; the verifier ranks split
     candidates from them.  ``lp`` is the LP's outcome (its pivots, their
-    phase-1 share, its factorizations, its final basis and whether it
-    started warm: see :class:`~incver.lp.LpOutcome`), or None when no LP
-    ran (a Verified or Counterexample settled by the bounds alone, or a
-    Verified proved by a carried basis's duals).  ``certified`` marks the
-    latter: its ``lb_value`` is that weak-duality bound plus d, at most the
-    LP optimum plus d.  ``build_s`` and ``solve_s`` are the seconds spent
-    building the LP and solving it, or checking the certificate; 0.0 when
-    no program was built.
+    phase-1 share, its factorizations, its final basis and whether a
+    carried basis gave it: see :class:`~incver.lp.LpOutcome`), or None
+    when no LP ran (a Verified or Counterexample settled by the bounds
+    alone, or a Verified proved by a carried basis's duals).
+    ``certified`` marks the latter: its ``lb_value`` is that weak-duality
+    bound plus d, at most the LP optimum plus d.  ``build_s`` and
+    ``solve_s`` are the seconds spent building the LP and solving it,
+    reading a carried basis included, or checking the certificate; 0.0
+    when no program was built.
     """
 
     status: Verdict
@@ -577,36 +578,34 @@ def analyze(
     bounds: PreactBounds,
     start: Optional[LpBasis] = None,
     deadline: Optional[float] = None,
-    proved: bool = False,
 ) -> AnalyzerVerdict:
     """One bounding call: lower-bound the property margin over the region from its bounds.
 
     ``bounds`` are the region's bounds, computed with the property's
     objective (see :func:`bound_regions`); the verifier propagates a whole
     frontier's at once and hands each region its own, so this call runs no
-    pass.  ``start``, a basis of an earlier LP of the same region, goes to
-    :func:`~incver.lp.solve`.  It saves pivots and keeps the LP's status,
-    but can move the optimum within the solver's tolerance and return
-    another optimal vertex, from which the candidate input is clipped.
-    ``deadline``, a ``time.perf_counter()`` reading, goes to the solver,
-    which checks it before each pivot.
+    pass.  ``deadline``, a ``time.perf_counter()`` reading, goes to the
+    solver, which checks it before each pivot.
 
-    ``proved`` says that ``start``'s LP ended Verified.  Such a start is
-    tried as a certificate first, where the LP would run: the program is
-    built once, and when ``lp.dual_bound`` of the start on it, plus d, is
-    nonnegative, the region is Verified with that bound as ``lb_value``,
-    ``certified`` set and ``lp`` None, with no solve.  Otherwise the same
-    program is solved from ``start``.  The certificate is sound for any
-    basis, primal feasible on this program or not, and takes no
-    feasibility tolerance.  Other starts are not tried: a start whose LP
-    left its region Unknown rarely proves it, and a failed check is time
-    spent for nothing.
+    ``start``, a basis of an earlier LP of the same region, is read where
+    the LP would run: the program is built once, and
+    :func:`~incver.lp.price_basis` reads the start on it with target
+    ``-d``.  When the start's weak-duality bound plus d is nonnegative, the
+    region is Verified with that bound as ``lb_value``, ``certified`` set
+    and ``lp`` None, with no solve.  The certificate is sound for any basis,
+    primal feasible on this program or not, and takes no feasibility
+    tolerance.  Otherwise a start that is still optimal on the program
+    gives the LP's outcome, with no pivot; its optimum can differ from a
+    cold solve's within the solver's tolerance, at another optimal vertex,
+    from which the candidate input is clipped.  Any other start, and a
+    point that fails the solver's final guard, leaves the program to a
+    cold :func:`~incver.lp.solve`.
 
     Returns Verified when the proved lower bound is nonnegative (or the
     region is empty, flagged ``infeasible``), Counterexample when a concrete
     input violates the property, and Unknown when the relaxation's minimum
     is negative but spurious.  The LP is skipped, and the verdict's
-    ``lp`` left None, where a proved ``start`` certifies the region (above),
+    ``lp`` left None, where ``start`` certifies the region (above),
     or where some ReLU is still ambiguous and either
     the bounds' ``objective_lb`` plus d is already nonnegative (Verified),
     or it is negative, the bounds walked every layer (a new box: the root,
@@ -639,16 +638,15 @@ def analyze(
     t0 = time.perf_counter()
     program = _build_program(net, prop, bounds)
     t1 = time.perf_counter()
-    if proved and start is not None:
-        proof = dual_bound(program, start)
-        lb = -math.inf if proof is None else proof + prop.output.d
-        if lb >= 0.0:
-            return AnalyzerVerdict(
-                Verdict.VERIFIED, float(lb), bounds=bounds, certified=True,
-                build_s=t1 - t0, solve_s=time.perf_counter() - t1,
-            )
+    proof, out = (None, None) if start is None else price_basis(program, start, -prop.output.d)
+    if proof is not None and proof + prop.output.d >= 0.0:
+        return AnalyzerVerdict(
+            Verdict.VERIFIED, float(proof + prop.output.d), bounds=bounds, certified=True,
+            build_s=t1 - t0, solve_s=time.perf_counter() - t1,
+        )
     try:
-        out = solve(program, start=start, deadline=deadline)
+        if out is None:
+            out = solve(program, deadline=deadline)
     except LpTimeout:
         raise
     except Exception as exc:

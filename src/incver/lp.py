@@ -1,9 +1,9 @@
-"""Dense bounded-variable primal simplex, and a weak-duality bound from a basis.
+"""Dense bounded-variable primal simplex, and a reader of a carried basis.
 
 This module is the only linear-programming code in the package; the analyzer
 builds one :class:`LinearProgram` per bounding call and hands it to
-:func:`solve`, or, for a region whose carried basis proved it on an earlier
-network, first to :func:`dual_bound`.  Problem sizes are desk scale (at
+:func:`solve`, or, for a region that carries a basis from an earlier
+network, first to :func:`price_basis`.  Problem sizes are desk scale (at
 most a few hundred variables and rows), so the implementation favors a
 dense tableau, explicit state, and determinism over asymptotic cleverness.
 
@@ -49,21 +49,6 @@ flips.  It runs the classic two phases from a crash start basis:
 2. Phase 2 minimizes the real objective with artificial columns barred from
    entering, on the tableau that phase 1's row operations left.
 
-``solve`` also takes a ``start``: the final basis of an earlier optimal
-solve (``LpOutcome.basis``), typically of the same bounding program on a
-slightly changed network.  It is accepted when it has the program's shape,
-names no artificial column, keeps every nonbasic column at a finite bound,
-its B factorizes, and its basic values lie within the feasibility tolerance
-of their bounds; only the basic values are solved for that.  The start is
-then priced from its duals (one solve of ``B^T y = c_B``): when no column
-can enter, the old basis is still optimal, and its basic values are the
-final point, with no tableau built and no pivot.  Otherwise T is built and
-phase 2 runs from the start, with no crash and no phase 1.  Any other
-start is dropped, and the solve takes the crash path on a fresh tableau,
-bit for bit as without a start.  A stale start can cost pivots, never the
-answer: phase 2 from a primal-feasible basis ends at an optimum, and the
-final point passes the same feasibility guard.
-
 The analyzer orders its variables input, pre, post, output and writes each
 ``=`` row with its own variable last, and each ambiguous ReLU's rows with
 its post column last.  On its programs the crash basis therefore evaluates
@@ -103,12 +88,19 @@ switches to Bland's rule (lowest eligible index) until progress resumes,
 which prevents cycling.  All tie-breaks are by lowest index, so identical
 inputs produce identical pivot sequences, outcomes, and points.
 
-:func:`dual_bound` reads a basis without solving: one solve of
-``B^T y = c_B`` gives duals y, and weak duality turns any y whose ``<=``
-entries are at most 0 into a lower bound on the optimum, less an a-priori
-bound on the rounding of its own evaluation.  No feasibility tolerance
-enters it, and the basis need not be primal feasible on the program, so a
-carried basis that :func:`solve` would drop can still prove its region.
+:func:`price_basis` is the one reader of a basis carried from an earlier
+solve (``LpOutcome.basis``), typically of the same bounding program on a
+slightly changed network, and it never pivots.  One solve of ``B^T y =
+c_B`` gives duals y, and weak duality turns any y whose ``<=`` entries are
+at most 0 into a lower bound on the optimum, less an a-priori bound on the
+rounding of its own evaluation.  No feasibility tolerance enters it, and the
+basis need not be primal feasible on the program.  When that bound falls
+short of what the caller needs, the same y prices every column, and one
+solve of ``B x_B = b - N x_N`` gives the basis's point: when no column can
+enter and the point is feasible, the basis is still optimal, and that point
+is the program's outcome, with no tableau built and no pivot.  Any other
+basis leaves the program to :func:`solve`, which always starts from its
+crash basis.
 
 Numerical failure (iteration cap, singular basis, a NaN reduced cost or
 basic value, an entering column that no row blocks, a final solution that
@@ -123,7 +115,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from time import perf_counter
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -134,7 +126,7 @@ __all__ = [
     "LpOutcome",
     "LpStatus",
     "LpTimeout",
-    "dual_bound",
+    "price_basis",
     "solve",
 ]
 
@@ -235,7 +227,7 @@ class LpBasis(NamedTuple):
     column's state (at its lower bound, at its upper bound, or basic).  The
     columns are the program's variables, then one slack per ``<=`` row in
     row order.  :func:`solve` returns the final basis on an optimal
-    outcome and accepts one as ``start``.
+    outcome, and :func:`price_basis` reads one on another program.
     """
 
     basic: np.ndarray
@@ -244,7 +236,7 @@ class LpBasis(NamedTuple):
 
 @dataclass(frozen=True)
 class LpOutcome:
-    """Result of :func:`solve`.
+    """Result of :func:`solve`, or of :func:`price_basis` for a carried basis still optimal.
 
     ``value`` and ``point`` are populated only for ``OPTIMAL``; ``point`` is
     the argmin restricted to the program's own variables.  ``iterations``
@@ -253,16 +245,14 @@ class LpOutcome:
     variable bounds make the program infeasible before the simplex starts.
     ``basis`` is the final basis of an ``OPTIMAL`` outcome, or None when an
     artificial column is still basic (a linearly dependent row) and for
-    ``INFEASIBLE``.  ``warm`` says whether the solve started from the given
-    ``start`` instead of the crash basis.  ``phase1`` counts the pivots of
-    ``iterations`` that phase 1 applied: 0 when the crash basis covers
-    every row, and for a warm start.  ``factorizations`` counts the
-    factorizations of a basis matrix: each refactorization of the
-    tableau or of the basic values alone, and the dual solve that prices a
-    warm start.  A cold solve makes one for its crash basis and, when any
-    pivot moved the point, one for its final point; a warm one makes two
-    when its start prices optimal and four otherwise, and a start that
-    does not fit adds the one its check made, if it got that far.
+    ``INFEASIBLE``.  ``warm`` says that the outcome is a carried basis's,
+    read by :func:`price_basis` with no pivot, instead of a solve's from the
+    crash basis.  ``phase1`` counts the pivots of ``iterations`` that phase
+    1 applied: 0 when the crash basis covers every row, and for a carried
+    basis.  ``factorizations`` counts the factorizations of a basis matrix:
+    a solve makes one for its crash basis and, when any pivot moved the
+    point, one for its final point; a carried basis's outcome counts two,
+    its dual solve and its point's.
     """
 
     status: LpStatus
@@ -552,60 +542,6 @@ def _crash(tab: _Tableau, lp: LinearProgram) -> np.ndarray:
     return x
 
 
-def _warm_start(tab: _Tableau, start: LpBasis) -> bool:
-    """Set ``tab`` up on a carried basis; False when the start does not fit.
-
-    The start fits when it has the tableau's shape, its basic columns are
-    distinct structural or slack columns and exactly the columns its states
-    mark basic, every nonbasic column sits at a finite bound, B factorizes,
-    and the basic values lie within the feasibility tolerance of their
-    bounds.  A fitting start leaves ``tab`` with its basic values solved,
-    its directions set and T not built; one that does not fit may leave
-    ``tab`` half set up.
-    """
-    basic, state = start
-    if basic.shape != (tab.m,) or state.shape != (tab.K,):
-        return False
-    if not (state.min() >= _AT_LOWER and state.max() <= _BASIC):
-        return False
-    # distinct, in range, and marked basic: an artificial has no column here
-    marked = (state == _BASIC).nonzero()[0]
-    if marked.size != tab.m or not (marked == np.sort(basic)).all():
-        return False
-    at_upper = state == _AT_UPPER
-    if not np.isfinite(tab.hi[at_upper]).all():  # a slack has no finite upper bound
-        return False
-    tab.basis = basic.copy()
-    tab.state = state.copy()
-    tab.val = np.where(at_upper, tab.hi, tab.lo)
-    try:
-        tab.refresh(tableau=False)
-    except LpError:
-        return False
-    tab.set_directions()
-    return bool(((tab.xb >= tab.blo - _FEAS_TOL) & (tab.xb <= tab.bhi + _FEAS_TOL)).all())
-
-
-def _priced_optimal(tab: _Tableau, cost: np.ndarray) -> bool:
-    """Whether no column can enter the tableau's basis, priced from the duals.
-
-    One solve of ``B^T y = c_B`` gives the reduced costs ``c - y^T A`` of
-    every column, read by the same entering test as phase 2, with the
-    directions :func:`_warm_start` set; T is not needed.  A basis whose
-    transpose does not factorize, or whose prices have a NaN, is not known
-    to be optimal.
-    """
-    tab.factorizations += 1
-    try:
-        y = np.linalg.solve(tab.A[:, tab.basis].T, cost[tab.basis])
-    except np.linalg.LinAlgError:
-        return False
-    try:
-        return tab._entering(cost - y @ tab.A, False) is None
-    except LpError:
-        return False
-
-
 def _cold_start(tab: _Tableau, lp: LinearProgram) -> bool:
     """Crash basis, then phase 1 for the rows it leaves uncovered.
 
@@ -684,38 +620,47 @@ def _slacked(lp: LinearProgram) -> np.ndarray:
     return A
 
 
-def solve(
-    lp: LinearProgram,
-    *,
-    start: Optional[LpBasis] = None,
-    deadline: Optional[float] = None,
-) -> LpOutcome:
-    """Solve a linear program whose variable bounds are all finite.
+
+
+def _fault(lp: LinearProgram, x: np.ndarray) -> Optional[str]:
+    """Why ``x`` is not a feasible point of the program, or None when it is.
+
+    The final guard of an ``OPTIMAL`` point: every variable within the
+    feasibility tolerance of its bounds, and one residual ``A @ x - rhs``
+    over all rows within it.  The comparisons are written so that a NaN
+    counts as a violation.
+    """
+    lo, hi = lp.var_bounds.T
+    if not ((x >= lo - _FEAS_TOL) & (x <= hi + _FEAS_TOL)).all():
+        return "final point violates variable bounds"
+    residual = lp.A @ x - lp.rhs
+    violation = np.where(lp.eq, np.abs(residual), residual)
+    if violation.max(initial=-np.inf) <= _FEAS_TOL:
+        return None
+    i = int(np.argmax(~(violation <= _FEAS_TOL)))
+    return f"final point violates row {i} by {violation[i]:.3e}"
+
+
+def solve(lp: LinearProgram, *, deadline: Optional[float] = None) -> LpOutcome:
+    """Solve a linear program whose variable bounds are all finite, from its crash basis.
 
     Every ``<=`` row gets a slack column, in row order; the program's own
-    arrays are read, never written.  Without a usable ``start``, structural
-    variables start at the bounds ``lp.at_upper`` names, the start basis is
-    the crash basis described in the module docstring (``=`` rows, and the
-    ``<=`` rows that the start point violates, on their last columns; the
-    other ``<=`` rows on their slacks), and phase 1 runs only for the rows
-    it leaves without a basic column feasible within the tolerance.  A
-    cold solve factorizes B once for the crash basis and once more for the
-    final point, which it skips when the crash basis needs no pivot.  A
-    program with no rows goes the same way; its ``iterations`` count the
-    bound flips.  Both phases together may apply
-    ``200 * (rows + columns) + 1000`` pivots, slacks counted as columns;
-    one more raises :class:`LpError`.
+    arrays are read, never written.  Structural variables start at the
+    bounds ``lp.at_upper`` names, the start basis is the crash basis
+    described in the module docstring (``=`` rows, and the ``<=`` rows that
+    the start point violates, on their last columns; the other ``<=`` rows
+    on their slacks), and phase 1 runs only for the rows it leaves without
+    a basic column feasible within the tolerance.  The solve factorizes B
+    once for the crash basis and once more for the final point, which it
+    skips when the crash basis needs no pivot.  A program with no rows goes
+    the same way; its ``iterations`` count the bound flips.  Both phases
+    together may apply ``200 * (rows + columns) + 1000`` pivots, slacks
+    counted as columns; one more raises :class:`LpError`.
 
     Parameters
     ----------
     lp : LinearProgram
         The program to minimize.
-    start : LpBasis, optional
-        A basis to run phase 2 from, usually ``basis`` of an earlier outcome
-        on a program with the same rows and columns.  It is used only when it
-        fits (see the module docstring; the outcome's ``warm`` says so) and
-        is otherwise ignored: the solve is then the one without a start, bit
-        for bit.
     deadline : float, optional
         A ``time.perf_counter()`` reading; each pivot checks it first, and a
         solve still pivoting past it raises :class:`LpTimeout`.  A solve
@@ -756,103 +701,128 @@ def solve(
     max_iter = 200 * (m + K) + 1000
 
     tab = _Tableau(A, lp.rhs, lo, hi, max_iter, deadline)
-    warm = start is not None and _warm_start(tab, start)
-    if not warm:
-        if start is not None:
-            spent = tab.factorizations
-            tab = _Tableau(A, lp.rhs, lo, hi, max_iter, deadline)  # the rejected start's marks go
-            tab.factorizations = spent
-        if not _cold_start(tab, lp):
-            return LpOutcome(
-                LpStatus.INFEASIBLE, iterations=tab.iterations, phase1=tab.phase1,
-                factorizations=tab.factorizations,
-            )
-
+    if not _cold_start(tab, lp):
+        return LpOutcome(
+            LpStatus.INFEASIBLE, iterations=tab.iterations, phase1=tab.phase1,
+            factorizations=tab.factorizations,
+        )
     full_cost = np.zeros(tab.K)
     full_cost[:n] = lp.objective
-    if not (warm and _priced_optimal(tab, full_cost)):
-        if warm:
-            tab.refresh()  # the start's basic values are known; phase 2 needs T
-        tab.run(full_cost)
-        if warm or not tab.fresh:
-            tab.refresh(tableau=False)  # T is not read again
+    tab.run(full_cost)
+    if not tab.fresh:
+        tab.refresh(tableau=False)  # T is not read again
     # tab is not read again: its arrays become the outcome's
     tab.val[tab.basis] = tab.xb
     x = tab.val[:n]
-
     # final guard: never return an OPTIMAL point that is not actually feasible;
-    # the point's basic values were solved from a factorization of the final
-    # basis, and the comparisons are written so that a NaN counts as a violation
-    if not ((x >= lo_s - _FEAS_TOL) & (x <= hi_s + _FEAS_TOL)).all():
-        raise LpError("final point violates variable bounds")
-    residual = lp.A @ x - lp.rhs
-    violation = np.where(lp.eq, np.abs(residual), residual)
-    if not violation.max(initial=-np.inf) <= _FEAS_TOL:
-        i = int(np.argmax(~(violation <= _FEAS_TOL)))
-        raise LpError(f"final point violates row {i} by {violation[i]:.3e}")
+    # the point's basic values were solved from a factorization of the final basis
+    fault = _fault(lp, x)
+    if fault:
+        raise LpError(fault)
     basis = None
-    if not (tab.basis >= K).any():  # an artificial left basic has no column in a start
+    if not (tab.basis >= K).any():  # an artificial left basic has no column in a basis
         basis = LpBasis(tab.basis, tab.state[:K])
     return LpOutcome(
-        LpStatus.OPTIMAL, float(lp.objective @ x), x, tab.iterations, basis, warm, tab.phase1,
+        LpStatus.OPTIMAL, float(lp.objective @ x), x, tab.iterations, basis, False, tab.phase1,
         tab.factorizations,
     )
 
 
-def dual_bound(lp: LinearProgram, basis: LpBasis) -> Optional[float]:
-    """A lower bound on the program's optimum from the duals of ``basis``, with no pivot.
+def price_basis(
+    lp: LinearProgram, basis: LpBasis, target: float = math.inf
+) -> Tuple[Optional[float], Optional[LpOutcome]]:
+    """Read a carried basis on a program: a weak-duality bound, and the optimum it may still name.
 
     ``basis`` names a basis over the program's columns and slacks, as
-    :func:`solve` returns one; it need not be primal feasible, or optimal,
-    on this program.  Its duals y solve ``B^T y = c_B`` once, where B holds
-    the basic structural columns of ``A`` and the unit columns of the
-    basic slacks.  Each ``<=`` row's y is clipped to at most 0.  For any
-    such y, and every feasible x, ``c @ x >= y @ b + d @ x`` with
-    ``d = c - A^T y``, so the optimum is at least
+    :func:`solve` returns one, usually for the same program on another
+    network.  The bound reads its basic columns alone, one per row, each a
+    column the program has.  Their duals y solve ``B^T y = c_B`` once,
+    where B holds the basic structural columns of ``A`` and the unit
+    columns of the basic slacks.  Each ``<=`` row's y is clipped to at most 0.  For any such y, and every
+    feasible x, ``c @ x >= y @ b + d @ x`` with ``d = c - A^T y``, so the
+    optimum is at least
 
         y @ b + sum_j min(d_j * lo_j, d_j * hi_j)
 
     (weak duality; Neumaier & Shcherbina, Math. Programming 99, 2004).  No
-    feasibility tolerance enters it.  When the basis is optimal, the bound
-    is the optimum up to rounding; when it is dual feasible, it is the
-    objective of the basis's own point.
+    feasibility tolerance enters it, and the basis need not be primal
+    feasible, or optimal, on this program.  When the basis is optimal, the
+    bound is the optimum up to rounding; when it is dual feasible, it is the
+    objective of the basis's own point.  The returned bound subtracts an
+    a-priori bound on the rounding error of its own evaluation (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 3): ``gamma_k *
+    (|y| @ |b| + (|c| + |A|^T |y| + |d|) @ max(|lo|, |hi|))``, where
+    ``gamma_k = k u / (1 - k u)``, ``u`` is the unit roundoff and k is twice
+    the ``rows + columns + 2`` roundings of the longest chain, which also
+    covers the rounding of the allowance itself and of the final
+    subtraction.  It is therefore a lower bound on the exact optimum of the
+    program as stored.
 
-    The returned bound subtracts an a-priori bound on the rounding error of
-    its own evaluation (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, ch. 3): ``gamma_k * (|y| @ |b| + (|c| + |A|^T |y| + |d|) @
-    max(|lo|, |hi|))``, where ``gamma_k = k u / (1 - k u)``, ``u`` is the
-    unit roundoff and k is twice the ``rows + columns + 2`` roundings of
-    the longest chain, which also covers the rounding of the allowance
-    itself and of the final subtraction.  The bound is therefore a lower
-    bound on the exact optimum of the program as stored.
+    A bound at or above ``target`` is all the caller needs, and the read
+    stops there.  Below it, the basis's states must fit its basic columns:
+    each lower, upper or basic, exactly the basic columns marked basic, and
+    no slack at its infinite upper bound.  The unclipped y then prices
+    every column with phase 2's entering test, and one solve of
+    ``B x_B = b - N x_N`` gives the basis's point.  When no column can enter (a NaN price is not known to
+    be optimal), every basic value lies within the feasibility tolerance of
+    its bounds and the point passes :func:`solve`'s final guard, the basis
+    is still optimal: the outcome is ``OPTIMAL`` at that point, with
+    ``iterations`` 0, ``warm`` set, ``phase1`` 0, two factorizations and
+    the basis as its final basis.
 
-    Returns None when the basis does not have the program's shape or names
-    a column it lacks, when B is singular, when bounds cross (the program
-    is infeasible; :func:`solve` says so), or when the bound is NaN or
-    infinite.
+    Returns ``(bound, outcome)``.  ``bound`` is None, and so is the
+    outcome, when the basic columns do not fit, when B is singular, when
+    bounds cross (the program is infeasible; :func:`solve` says so), or when
+    the bound is NaN or infinite.  ``outcome`` is None whenever the basis
+    is not known to be optimal on this program; the program then needs
+    :func:`solve`.
     """
     n, m = lp.num_vars, lp.rhs.size
     A = _slacked(lp)
     K = A.shape[1]
     basic, state = basis
-    if basic.shape != (m,) or state.shape != (K,) or (m and not 0 <= basic.min() <= basic.max() < K):
-        return None
     lo, hi = lp.var_bounds.T
-    if (lo > hi).any():
-        return None
-    cost = np.zeros(K)
-    cost[:n] = lp.objective
+    fits = basic.shape == (m,) and state.shape == (K,) and (not m or 0 <= basic.min() <= basic.max() < K)
+    if not fits or (lo > hi).any():
+        return None, None
+    cost = np.concatenate([lp.objective, np.zeros(K - n)])
     try:
         y = np.linalg.solve(A[:, basic].T, cost[basic])
     except np.linalg.LinAlgError:
-        return None
-    y = np.where(lp.eq, y, np.minimum(y, 0.0))
-    d = lp.objective - y @ lp.A
-    value = y @ lp.rhs + d @ np.where(d >= 0.0, lo, hi)  # each term is min(d_j * lo_j, d_j * hi_j)
+        return None, None
+    y_le = np.where(lp.eq, y, np.minimum(y, 0.0))
+    d = lp.objective - y_le @ lp.A
+    value = y_le @ lp.rhs + d @ np.where(d >= 0.0, lo, hi)  # each term is min(d_j * lo_j, d_j * hi_j)
     k = 2 * (m + n + 2)
     gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
-    abs_y = np.abs(y)
+    abs_y = np.abs(y_le)
     scale = np.abs(lp.objective) + abs_y @ np.abs(lp.A) + np.abs(d)
     rounding = gamma * (abs_y @ np.abs(lp.rhs) + scale @ np.abs(lp.var_bounds).max(axis=1))
     bound = float(value - rounding)
-    return bound if math.isfinite(bound) else None
+    if not math.isfinite(bound):
+        return None, None
+    if not bound < target or not (
+        ((state >= _AT_LOWER) & (state <= _BASIC)).all()
+        and np.array_equal(np.flatnonzero(state == _BASIC), np.sort(basic))
+        and not (state[n:] == _AT_UPPER).any()
+    ):
+        return bound, None
+
+    lo = np.concatenate([lo, np.zeros(K - n)])
+    hi = np.concatenate([hi, np.full(K - n, np.inf)])
+    score = _DIRECTION[state] * (hi - lo > 0) * (cost - y @ A)
+    if not score.max() <= _OPT_TOL:  # a column can enter, or a price is NaN
+        return bound, None
+    val = np.where(state == _AT_UPPER, hi, lo)
+    nonbasic = (state != _BASIC).nonzero()[0]
+    try:
+        xb = np.linalg.solve(A[:, basic], lp.rhs - A[:, nonbasic] @ val[nonbasic])
+    except np.linalg.LinAlgError:
+        return bound, None
+    if not ((xb >= lo[basic] - _FEAS_TOL) & (xb <= hi[basic] + _FEAS_TOL)).all():
+        return bound, None
+    val[basic] = xb
+    x = val[:n]
+    if _fault(lp, x):
+        return bound, None
+    return bound, LpOutcome(LpStatus.OPTIMAL, float(lp.objective @ x), x, 0, LpBasis(basic, state), True, 0, 2)

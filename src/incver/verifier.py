@@ -7,15 +7,15 @@ its proof tree (reused, reordered, or pruned, depending on the mode)
 against an updated network so the second run starts from the structure
 that worked the first time instead of from scratch.  Modes reuse and ivan
 also carry each LP's final simplex basis from the first run to the same
-subproblem in the second, where a basis whose LP proved its subproblem
-first tries to prove it again from its duals, with no LP, and any other
-basis starts the LP.
+subproblem in the second, where the basis first tries to prove the
+subproblem from its duals, with no LP, and a basis that is still optimal
+gives the LP's outcome with no pivot.
 
 Each ``verify`` run writes DEBUG lines to the ``incver.verifier`` logger:
-one per bounding phase (frontier size, LPs and how many started warm, nodes
-proved by a carried basis's duals, nodes refuted at their walk corner
-without an LP, nodes settled, splits chosen) and one when it ends (its
-verdict and work counts).
+one per bounding phase (frontier size, LPs and how many of them a carried
+basis answered, nodes proved by a carried basis's duals, nodes refuted at
+their walk corner without an LP, nodes settled, splits chosen) and one
+when it ends (its verdict and work counts).
 ``verify_incremental`` in mode ivan writes one more between its runs: theta
 and the internal nodes of the first run's tree and of the pruned tree.
 """
@@ -116,17 +116,17 @@ class RunMetrics:
     factorizations sums those LPs' factorizations of a basis matrix (see
     ``LpOutcome.factorizations``): two for a cold LP that pivots, one for
     a cold LP whose crash basis is already optimal or that phase 1 proves
-    infeasible, two to four for a warm one.  infeasible counts the
+    infeasible, two for one that a carried basis answered.  infeasible counts the
     boundings that found their region empty, by propagation or by an LP
     that phase 1 proved infeasible.  corners counts the boundings refuted
     without an LP, at the input corner of their objective walk (see
     ``analyzer.analyze``); only a new box, the root's or an input split
-    child's, is refuted there.  warm counts the LPs that started from a
-    basis carried from an earlier run (``verify``'s ``bases``): only the
-    second runs of modes reuse and ivan have any.  certified counts the
-    boundings that such a carried basis proved from its duals, by weak
-    duality with no LP (``analyzer.analyze``); they are neither LPs nor
-    warm starts, and only the same second runs have any.
+    child's, is refuted there.  warm counts the LPs that a basis carried
+    from an earlier run (``verify``'s ``bases``) answered, still optimal,
+    with no pivot: only the second runs of modes reuse and ivan have any.
+    certified counts the boundings that such a carried basis proved from
+    its duals, by weak duality with no LP (``analyzer.analyze``); they are
+    not LPs, and only the same second runs have any.
     passes counts propagation passes: one per node of a frontier and one per
     internal node of an initial tree, except where the parent region is
     already empty and its bounds are handed on without a pass (a run that
@@ -263,20 +263,21 @@ def verify(
 
     ``bases`` is a map the caller owns from a node's subproblem,
     ``(frozenset(splits.items()), box.lower.tobytes(), box.upper.tobytes())``,
-    to an LP's final basis and whether that LP ended Verified.  Before each
-    bounding the node's entry, if any, goes to ``analyze`` as the LP's
-    ``start`` and ``proved``, and after an LP that left a basis the entry is
-    set to it.  With ``bases=None`` nothing is looked up or stored.  A
-    proved start is first tried as a certificate: when its duals on the
-    node's program prove the node by weak duality, the node is Verified
-    with that bound as its lb and no LP, and its entry stays as it was.
-    Otherwise, and for a start that did not prove its node, the LP starts
-    from it.  A start saves pivots; the LP's status stays, but its optimum
-    can move within the solver's tolerance and its argmin to another
-    optimal vertex, so a recorded lb can differ in its last bits.  A
-    certified lb is at most the LP optimum, by a rounding error when the
-    basis is still optimal.  Neither changes a verdict, a bounding or a
-    branching: a failed certificate falls back to the LP.
+    to the ``LpBasis`` its last LP ended on.  Before each bounding the
+    node's entry, if any, goes to ``analyze`` as its ``start``, and after
+    an LP that left a basis the entry is set to it.  With ``bases=None``
+    nothing is looked up or stored.  A start is first tried as a
+    certificate: when its duals on the node's program prove the node by
+    weak duality, the node is Verified with that bound as its lb and no
+    LP, and its entry stays as it was.  Otherwise a start that is still
+    optimal on the program answers the LP with no pivot, and any other
+    leaves it to a cold solve.  The LP's status stays, but an answered
+    LP's optimum can differ from the cold one's within the solver's
+    tolerance and its argmin can be another optimal vertex, so a recorded
+    lb can differ in its last bits.  A certified lb is at most the LP
+    optimum, by a rounding error when the basis is still optimal.  Neither
+    changes a verdict, a bounding or a branching: a failed certificate
+    falls back to the LP.
     """
     start = time.perf_counter()
     deadline = start + cfg.timeout
@@ -356,12 +357,12 @@ def verify(
             outcomes = []
             for (nid, box, splits, _), bounds in zip(active, propagate(active, prop.output.c)):
                 check_deadline()
-                key, carried, proved = None, None, False
+                key, carried = None, None
                 if bases is not None:
                     key = (frozenset(splits.items()), box.lower.tobytes(), box.upper.tobytes())
-                    carried, proved = bases.get(key, (None, False))
+                    carried = bases.get(key)
                 node_prop = Property(box, prop.output, name=prop.name)
-                res = analyze(net, node_prop, bounds, start=carried, deadline=deadline, proved=proved)
+                res = analyze(net, node_prop, bounds, start=carried, deadline=deadline)
                 m.boundings += 1
                 m.infeasible += res.infeasible
                 m.certified += res.certified
@@ -376,7 +377,7 @@ def verify(
                     m.factorizations += res.lp.factorizations
                     m.warm += res.lp.warm
                     if bases is not None and res.lp.basis is not None:
-                        bases[key] = (res.lp.basis, res.status is Verdict.VERIFIED)
+                        bases[key] = res.lp.basis
                 node = tree.node(nid)
                 node.lb = res.lb_value
                 node.status = NodeStatus(res.status.value)
@@ -460,11 +461,12 @@ def verify_incremental(
       theta out of the reused tree.
 
     Reuse and ivan also hand both runs one ``bases`` map (see
-    :func:`verify`), so each LP of the second run starts from the final
-    basis of the same subproblem's LP in the first, where there was one,
-    and a subproblem whose first LP proved it is first re-proved from that
-    basis's duals, with no LP.  The map is dropped on return.  Baseline and
-    reorder, and every first run, solve each LP from the crash basis.
+    :func:`verify`), so each subproblem of the second run whose LP the
+    first run solved gets that LP's final basis: its duals first try to
+    prove the subproblem with no LP, and a basis still optimal answers the
+    LP with no pivot; any other LP is solved from its crash basis.  The
+    map is dropped on return.  Baseline and reorder, and every first run,
+    solve each LP from the crash basis.
 
     A first run that ended in a counterexample or timeout still hands its
     partial tree over (noted on the second result); the structure it did

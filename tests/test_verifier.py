@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from incver import analyzer
 from incver import lp as lp_module
+from incver.lp import LpBasis
 from incver import verifier
 from incver.analyzer import Verdict
 from incver.heuristics import BaseHeuristic, HeuristicConfig
@@ -346,12 +348,11 @@ def test_each_bounding_gets_the_subproblem_of_its_root_path(monkeypatch):
     analyze = verifier.analyze
     pending = record_frontier_regions(monkeypatch)
 
-    def recording_analyze(net, prop, bounds, start=None, deadline=None, proved=False):
+    def recording_analyze(net, prop, bounds, start=None, deadline=None):
         (box, splits, parent), given = pending.pop(0)
         assert bounds is given and prop.input is box
-        assert proved is False or start is not None
         seen.append((box, splits, parent, start))
-        return analyze(net, prop, bounds, start=start, deadline=deadline, proved=proved)
+        return analyze(net, prop, bounds, start=start, deadline=deadline)
 
     monkeypatch.setattr(verifier, "analyze", recording_analyze)
 
@@ -416,16 +417,15 @@ def second_run_without_bases(first, updated, prop, cfg):
 
 
 def test_carried_bases_change_only_the_pivots():
-    # Reuse and ivan start their second run's LPs from the first run's final
-    # bases: same verdicts, boundings and branchings as without them, and
-    # fewer pivots.  A leaf whose carried basis proved it on the first
-    # network, and whose duals prove it again, needs no LP: its LP and its
-    # certificate together are the LP of the run without bases.  Baseline
-    # and reorder carry nothing, and every first run is a plain run: their
-    # node lbs are the same bits.  The narrow nets' refuted instances end at
-    # their root's walk corner, before any LP, so the carried bases come
-    # from the wider batch: its second runs certify 3 leaves and start 13
-    # LPs warm.
+    # Reuse and ivan hand their second run's subproblems the first run's
+    # final bases: same verdicts, boundings and branchings as without them,
+    # and fewer pivots.  A leaf whose carried basis's duals prove it needs
+    # no LP: its LP and its certificate together are the LP of the run
+    # without bases.  Baseline and reorder carry nothing, and every first
+    # run is a plain run: their node lbs are the same bits.  The narrow
+    # nets' refuted instances end at their root's walk corner, before any
+    # LP, so the carried bases come from the wider batch: its second runs
+    # certify 3 leaves, and 13 LPs are answered by a basis still optimal.
     warm = certified = 0
     batches = random_instances(seed=10, count=8), random_instances(seed=10, count=8, dims=(2, 4, 4, 1))
     for net, prop, _ in itertools.chain(*batches):
@@ -458,10 +458,10 @@ def test_a_certified_leaf_records_at_most_its_lp_optimum(monkeypatch):
     analyze = verifier.analyze
     certified = []
 
-    def checking_analyze(net, prop, bounds, start=None, deadline=None, proved=False):
-        res = analyze(net, prop, bounds, start=start, deadline=deadline, proved=proved)
+    def checking_analyze(net, prop, bounds, start=None, deadline=None):
+        res = analyze(net, prop, bounds, start=start, deadline=deadline)
         if res.certified:
-            assert res.status is Verdict.VERIFIED and res.lp is None and proved
+            assert res.status is Verdict.VERIFIED and res.lp is None and start is not None
             cold = analyze(net, prop, dataclasses.replace(bounds))
             assert cold.lp is not None and cold.status is Verdict.VERIFIED
             assert 0.0 <= res.lb_value <= cold.lb_value + 1e-9
@@ -480,25 +480,24 @@ def test_a_certified_leaf_records_at_most_its_lp_optimum(monkeypatch):
 
 def test_a_basis_is_stored_only_after_its_lp(monkeypatch):
     # verify looks each node's subproblem up before bounding it and stores
-    # the LP's final basis after it, with whether that LP proved the node; a
-    # node settled without an LP, or whose LP left no basis, stores nothing.
-    # The stored flag goes back to analyze as ``proved`` with the basis.
+    # the LP's final basis after it, a bare LpBasis; a node settled without
+    # an LP, or whose LP left no basis, stores nothing.  The stored basis
+    # goes back to analyze as the node's start.
     expected = {}
     bases = {}
     analyze = verifier.analyze
     pending = record_frontier_regions(monkeypatch)
 
-    def checking_analyze(net, prop, bounds, start=None, deadline=None, proved=False):
+    def checking_analyze(net, prop, bounds, start=None, deadline=None):
         assert bases.keys() == expected.keys()
-        assert all(bases[key][0] is basis and bases[key][1] is ok for key, (basis, ok) in expected.items())
+        assert all(type(bases[key]) is LpBasis and bases[key] is basis for key, basis in expected.items())
         (_, splits, _), given = pending.pop(0)
         assert bounds is given
         key = (frozenset(splits.items()), prop.input.lower.tobytes(), prop.input.upper.tobytes())
-        want_start, want_proved = expected.get(key, (None, False))
-        assert start is want_start and proved is want_proved
-        res = analyze(net, prop, bounds, start=start, deadline=deadline, proved=proved)
+        assert start is expected.get(key)
+        res = analyze(net, prop, bounds, start=start, deadline=deadline)
         if res.lp is not None and res.lp.basis is not None:
-            expected[key] = (res.lp.basis, res.status is Verdict.VERIFIED)
+            expected[key] = res.lp.basis
         return res
 
     monkeypatch.setattr(verifier, "analyze", checking_analyze)
@@ -513,6 +512,68 @@ def test_a_basis_is_stored_only_after_its_lp(monkeypatch):
         assert bases.keys() == expected.keys()
         assert second.metrics.warm <= second.metrics.lps
     assert stored > 0
+
+
+def test_a_leaf_whose_first_lp_ended_unknown_is_certified():
+    # The demo's root LP ends Unknown at -7, and the first run splits the
+    # root.  With the output bias raised by 7.2, the root's LP optimum on
+    # the updated network is 0.2 while propagation reads about -15.3
+    # there.  A theta that prunes every split hands ivan's second run the
+    # root alone, with the basis of that Unknown LP, and its duals prove the
+    # root with no LP: one bounding, certified, at most the LP optimum.
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    net = load_network(fixtures / "demo_network.json")
+    prop = load_property(fixtures / "demo_property.json")
+    assert prop.output.c.tolist() == [1.0]
+    last = net.layers[-1]
+    raised = Network(net.layers[:-1] + (Affine(last.weights, last.bias + 7.2),))
+    cfg = VerifierConfig(mode=Mode.IVAN, heuristic=HeuristicConfig(theta=1e9), timeout=30.0)
+    first, second = verify_incremental(net, raised, prop, cfg)
+    root = first.tree.node(first.tree.root)
+    assert root.status is NodeStatus.UNKNOWN and abs(root.lb + 7.0) <= 1e-9
+    assert first.verdict is second.verdict is RunVerdict.VERIFIED
+    m = second.metrics
+    assert (m.boundings, m.branchings, m.lps, m.certified) == (1, 0, 0, 1)
+    assert 0.2 - 1e-9 <= second.tree.node(second.tree.root).lb <= 0.2 + 1e-9
+
+
+def test_a_carried_point_that_fails_the_guard_falls_back_to_the_cold_solve(monkeypatch):
+    # A carried basis answers its LP only when its point passes the
+    # solver's final guard.  Under a guard that fails every carried point,
+    # and only those, each such LP is solved cold instead of raising: the
+    # second runs end as they did, with the same boundings, branchings, LPs
+    # and certified leaves, and no LP answered by a carried basis.
+    cases = [
+        (net, perturb(net, QuantizeInt8()), prop, VerifierConfig(mode=mode, timeout=120.0))
+        for net, prop, _ in random_instances(seed=10, count=8, dims=(2, 4, 4, 1))
+        for mode in (Mode.REUSE, Mode.IVAN)
+    ]
+    plain = [verify_incremental(*case)[1] for case in cases]
+    price_basis, fault = analyzer.price_basis, lp_module._fault
+    carried, failed = set(), []
+
+    def marking_price_basis(lp, basis, target):
+        carried.add(id(lp))
+        try:
+            return price_basis(lp, basis, target)
+        finally:
+            carried.discard(id(lp))
+
+    def failing_fault(lp, x):
+        if id(lp) in carried:
+            failed.append(x)
+            return "a guard that fails every carried point"
+        return fault(lp, x)
+
+    monkeypatch.setattr(analyzer, "price_basis", marking_price_basis)
+    monkeypatch.setattr(lp_module, "_fault", failing_fault)
+    for case, want in zip(cases, plain):
+        got = verify_incremental(*case)[1]
+        assert got.verdict is want.verdict
+        for key in ("boundings", "branchings", "lps", "certified"):
+            assert getattr(got.metrics, key) == getattr(want.metrics, key), key
+        assert got.metrics.warm == 0 and got.metrics.pivots >= want.metrics.pivots
+    assert len(failed) == sum(m.metrics.warm for m in plain) > 0
 
 
 def test_children_never_record_a_bound_below_their_parent():
@@ -847,11 +908,12 @@ def phase_sums(caplog) -> list:
 
 def test_phase_lines_add_up_to_the_runs_metrics(caplog):
     # Each phase's DEBUG line counts that phase's own verdicts; summed over
-    # a run they give its boundings, LPs, warm starts, certified boundings,
-    # corner refutations and branchings: on input-branching runs, one
-    # refuted at a walk corner after a split; on the demo's reuse and ivan
-    # pairs, reuse's second run proving leaves from carried duals; and on a
-    # quantized random pair, a reuse second run that also starts LPs warm.
+    # a run they give its boundings, LPs, LPs a carried basis answered,
+    # certified boundings, corner refutations and branchings: on
+    # input-branching runs, one refuted at a walk corner after a split; on
+    # the demo's reuse and ivan pairs, reuse's second run proving leaves
+    # from carried duals; and on a quantized random pair, a reuse second
+    # run in which carried bases also answer LPs.
     runs = []
     with caplog.at_level(logging.DEBUG, logger="incver.verifier"):
         cfg = VerifierConfig(timeout=120.0, branching="input", max_nodes=4000)

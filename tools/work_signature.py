@@ -7,17 +7,21 @@ configurations ``perfbench/run.py`` uses.  It prints, per mode and in total:
 * boundings, branchings, propagation passes, their back-substitution
   walks, LPs solved, their summed pivots and the share of those that
   phase 1 applied, their factorizations of a basis matrix, the LPs that
-  started from a carried basis, the boundings that a carried basis's duals
-  proved without an LP, the batched propagation calls, the boundings that
-  found their region empty and those refuted at their walk corner without
-  an LP (from the runs' metrics);
+  a carried basis answered with no pivot, the boundings that a carried
+  basis's duals proved without an LP, the batched propagation calls, the
+  boundings that found their region empty and those refuted at their walk
+  corner without an LP (from the runs' metrics);
 * a SHA-256 over every run's verdict, counts, counterexample bytes and each
   tree node's ``(id, lb.hex())``;
 * a verdict digest: a SHA-256 over every run's verdict alone;
-* an LP digest: a SHA-256 over every program handed to ``solve`` (wrapped
-  the same way), its ``objective``, ``var_bounds`` and ``at_upper`` (start
-  corner) bytes and, row by row of its ``constraints``,
-  ``(row.tobytes(), rel, rhs.hex())``.
+* an LP digest: a SHA-256 over every program an LP answered, once each:
+  those handed to ``solve`` and those a carried basis answered through
+  ``price_basis`` (both wrapped the same way).  It digests the program's
+  ``objective``, ``var_bounds`` and ``at_upper`` (start corner) bytes and,
+  row by row of its ``constraints``, ``(row.tobytes(), rel, rhs.hex())``.
+  A program that a carried basis certified is not digested, since no LP
+  answered it; one that ``price_basis`` read and left to ``solve`` is
+  digested once, by ``solve``.
 
 Two commits that print the same digests did the same search and proved the
 same bounds, bit for bit; the same LP digests mean they solved the same
@@ -56,11 +60,12 @@ plain solver (no LP digest), and prints to standard error, after the
 JSON line, where each mode's first and second runs spent their time: the
 best of the N passes, in milliseconds summed over the instances, of
 propagation, LP building, LP solving and the rest of the runs' wall time,
-next to their LPs, warm starts, certified boundings, pivots, phase-1
-pivots, factorizations, corner refutations, propagation passes and the
-batched propagation calls that ran them, so that propagation's time per
-batch can be read off.  A certified bounding's program build counts as
-LP building, and its duality check as LP solving.
+next to their LPs, those of them a carried basis answered (warm),
+certified boundings, pivots, phase-1 pivots, factorizations, corner
+refutations, propagation passes and the batched propagation calls that
+ran them, so that propagation's time per batch can be read off.  A
+certified bounding's program build counts as LP building, and its duality
+check as LP solving.
 The table is not part of the JSON that ``--expect`` compares.
 
     python3 tools/work_signature.py --workload deep-16x3 --seed 1 --stages 5
@@ -171,18 +176,27 @@ def signature(workload: str, seed: int) -> dict:
     total = hashlib.sha256()
     verdict_total = hashlib.sha256()
     lp_total = hashlib.sha256()
-    # digest the LPs by wrapping the analyzer's solver; ``row`` is the
-    # current mode's counters, rebound by the loop below
-    lp_solve = analyzer.solve
+    # digest the LPs by wrapping the analyzer's solver and basis reader;
+    # ``row`` is the current mode's counters, rebound by the loop below
+    lp_solve, lp_price = analyzer.solve, analyzer.price_basis
     row = None
 
-    def digested_solve(lp, **kwargs):
+    def digest(lp):
         bits = lp_digest(lp)
         row["lp_sha"].update(bits)
         lp_total.update(bits)
+
+    def digested_solve(lp, **kwargs):
+        digest(lp)
         return lp_solve(lp, **kwargs)
 
-    analyzer.solve = digested_solve
+    def digested_price(lp, basis, target):
+        bound, out = lp_price(lp, basis, target)
+        if out is not None:  # an LP the carried basis answered
+            digest(lp)
+        return bound, out
+
+    analyzer.solve, analyzer.price_basis = digested_solve, digested_price
     try:
         for inst in instances:
             for mode, cfg in configs.items():
@@ -197,7 +211,7 @@ def signature(workload: str, seed: int) -> dict:
                     row["verdict_sha"].update(res.verdict.value.encode())
                     verdict_total.update(res.verdict.value.encode())
     finally:
-        analyzer.solve = lp_solve
+        analyzer.solve, analyzer.price_basis = lp_solve, lp_price
     digests = ("sha", "verdict_sha", "lp_sha")
     modes = {
         name: {**row, **{key: row[key].hexdigest() for key in digests}}
