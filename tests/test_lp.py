@@ -428,19 +428,15 @@ def perturbed(rows, rng, scale=1e-3):
     )
 
 
-def test_own_final_basis_restarts_without_a_pivot(monkeypatch):
+def test_own_final_basis_restarts_without_a_pivot():
     # An optimal basis is optimal for its own program: price_basis reads it
-    # with no tableau and no pivot, and its outcome is the cold solve's
-    # basis, value and point.  Where the cold solve re-solved its final
-    # point over the slack columns alone (phase 2 pivots, no artificials),
-    # it solved the same system, and the bits are the same; elsewhere they
-    # agree to rounding.  The bound is the optimum up to rounding.
-    monkeypatch.setattr(lp_module, "_Tableau", None)  # the reader builds none
+    # with no pivot, and its outcome is the cold solve's basis, value and
+    # point.  Where the cold solve re-solved its final point over the slack
+    # columns alone (phase 2 pivots, no artificials), it solved the same
+    # system, and the bits are the same; elsewhere they agree to rounding.
     optimal = same_bits = 0
     for lp in oracle_lps():
-        with monkeypatch.context() as patch:
-            patch.setattr(lp_module, "_Tableau", _Tableau)
-            cold = solve(lp)
+        cold = solve(lp)
         assert not cold.warm
         if cold.status is LpStatus.INFEASIBLE:
             assert cold.basis is None
@@ -450,8 +446,7 @@ def test_own_final_basis_restarts_without_a_pivot(monkeypatch):
         optimal += 1
         m, K = lp.rhs.size, lp.num_vars + int(np.sum(~lp.eq))
         assert cold.basis.basic.shape == (m,) and cold.basis.state.shape == (K,)
-        bound, again = price_basis(lp, cold.basis)
-        assert bound <= cold.value + 1e-9 and abs(bound - cold.value) <= 1e-9
+        _, again = price_basis(lp, cold.basis)
         assert (again.status, again.iterations, again.phase1, again.factorizations) == (LpStatus.OPTIMAL, 0, 0, 2)
         assert again.warm
         assert np.array_equal(again.basis.basic, cold.basis.basic)
@@ -461,6 +456,36 @@ def test_own_final_basis_restarts_without_a_pivot(monkeypatch):
             assert again.value.hex() == cold.value.hex() and again.point.tobytes() == cold.point.tobytes()
             same_bits += 1
     assert optimal >= 150 and same_bits >= 50
+
+
+def test_an_optimal_start_is_priced_without_building_the_tableau(monkeypatch):
+    # A carried basis is priced from its duals: read on its own program it
+    # finds no entering column, and it answers with two solves of B, one
+    # for the duals and one for the point, and never a tableau (the class
+    # is gone while it reads).  The outcome counts those two
+    # factorizations.
+    solves = []
+    linalg_solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        solves.append(a.shape)
+        return linalg_solve(a, b)
+
+    priced = 0
+    for lp in oracle_lps():
+        cold = solve(lp)
+        if cold.basis is None:
+            continue
+        with monkeypatch.context() as patch:
+            patch.setattr(lp_module, "_Tableau", None)
+            patch.setattr(np.linalg, "solve", counting_solve)
+            solves.clear()
+            _, again = price_basis(lp, cold.basis)
+        m = lp.rhs.size
+        assert solves == [(m, m), (m, m)]
+        assert again.warm and (again.iterations, again.factorizations) == (0, len(solves))
+        priced += 1
+    assert priced >= 150
 
 
 def test_warm_start_on_a_perturbed_program_matches_the_cold_solve():
@@ -496,7 +521,57 @@ def test_warm_start_on_a_perturbed_program_matches_the_cold_solve():
     assert bound_only[0.3] >= 50 and sum(answered.values()) + sum(bound_only.values()) >= 250
 
 
+def test_dual_bound_is_a_lower_bound_from_any_basis():
+    # price_basis's bound needs no pivot.  At the program's own optimal
+    # basis it is the optimum; carried to a slightly perturbed program,
+    # where the basis often stays optimal, and to a strongly perturbed one,
+    # where it is often primal infeasible (and so answers nothing), it is
+    # at most the optimum.
+    rng = np.random.default_rng(7)
+    own = carried = infeasible_start = 0
+    for rows in oracle_rows():
+        lp = program(*rows)
+        out = solve(lp)
+        if out.basis is None:
+            continue
+        bound, _ = price_basis(lp, out.basis)
+        assert bound is not None and bound <= out.value + 1e-9 and abs(bound - out.value) <= 1e-9
+        own += 1
+        for scale in (1e-3, 0.3):
+            new = perturbed(rows, rng, scale)
+            cold = solve(new)
+            bound, answer = price_basis(new, out.basis)
+            if cold.status is not LpStatus.OPTIMAL or bound is None:
+                continue
+            assert bound <= cold.value + 1e-9
+            carried += 1
+            infeasible_start += answer is None
+    assert own >= 150 and carried >= 250 and infeasible_start >= 20
+
+
 def test_a_start_that_does_not_fit_falls_back_to_the_cold_solve():
+    # x + y <= 1 and 2x + 2y <= 3 over [0, 2]^2: columns x, y, s0, s1.
+    lp = program(
+        [-1.0, -2.0], box([0.0, 2.0], [0.0, 2.0]), [[1.0, 1.0], [2.0, 2.0]], ["<=", "<="], [1.0, 3.0]
+    )
+    cold = solve(lp)
+    assert cold.status is LpStatus.OPTIMAL and cold.value == -2.0
+    L, U, B = _AT_LOWER, _AT_UPPER, _BASIC
+    # the bound reads the basic columns alone; states that do not fit them
+    # name no point, and so give the bound of the same columns and no outcome
+    y_basic = LpBasis(np.array([1, 3]), np.array([L, B, L, B]))
+    want, out = price_basis(lp, y_basic)
+    assert abs(want - cold.value) <= 1e-12 and out is not None
+    for name, state in {
+        "slack at an infinite bound": [L, B, U, B],
+        "unknown state": [L, B, 7, B],
+        "basic mark on a nonbasic column": [B, B, L, B],
+        "basic column not marked basic": [L, L, L, B],
+    }.items():
+        assert price_basis(lp, LpBasis(y_basic.basic, np.array(state))) == (want, None), name
+
+
+def test_dual_bound_refuses_a_basis_it_cannot_price():
     # x + y <= 1 and 2x + 2y <= 3 over [0, 2]^2: columns x, y, s0, s1.
     lp = program(
         [-1.0, -2.0], box([0.0, 2.0], [0.0, 2.0]), [[1.0, 1.0], [2.0, 2.0]], ["<=", "<="], [1.0, 3.0]
@@ -518,18 +593,6 @@ def test_a_start_that_does_not_fit_falls_back_to_the_cold_solve():
         assert price_basis(lp, basis) == (None, None), name  # the analyzer then solves cold
     crossed = program([1.0, 1.0], box([0.0, 1.0], [2.0, 1.0]), [[1.0, 1.0]], ["<="], [5.0])
     assert price_basis(crossed, LpBasis(np.array([2]), np.array([L, L, B]))) == (None, None)
-    # the bound reads the basic columns alone; states that do not fit them
-    # name no point, and so give the bound of the same columns and no outcome
-    y_basic = LpBasis(np.array([1, 3]), np.array([L, B, L, B]))
-    want, out = price_basis(lp, y_basic)
-    assert abs(want - cold.value) <= 1e-12 and out is not None
-    for name, state in {
-        "slack at an infinite bound": [L, B, U, B],
-        "unknown state": [L, B, 7, B],
-        "basic mark on a nonbasic column": [B, B, L, B],
-        "basic column not marked basic": [L, L, L, B],
-    }.items():
-        assert price_basis(lp, LpBasis(y_basic.basic, np.array(state))) == (want, None), name
     # a basis that is not primal feasible still bounds: x basic on row 0
     # and y at its upper bound 2 put x at -1; its duals give -3, below the
     # optimum -2, and it answers nothing
