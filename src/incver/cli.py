@@ -30,7 +30,8 @@ from .model import (
     QuantizeInt8,
     QuantizeInt16,
     UniformRandom,
-    is_number,
+    built,
+    expect,
     load_network,
     perturb,
     read_json,
@@ -225,42 +226,23 @@ def cmd_verify_incremental(args) -> int:
     return _VERDICT_EXITS[second.verdict]
 
 
-def _plan_number(obj: dict, key: str, default, where: str, integral: bool = False):
-    """``obj[key]``, or ``default`` if absent: a JSON number (an integer if
-    ``integral``), else ParseError naming the field."""
-    value = obj.get(key, default)
-    if not is_number(value, integral):
-        kind = "an integer" if integral else "a number"
-        raise ParseError(f"{where}.{key}: expected {kind}, got {value!r}")
-    return value
-
-
 def _perturbation_from_json(obj, where: str) -> tuple[str, PerturbSpec]:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected an object")
-    kind = obj.get("kind")
+    kind = expect(obj, "an object", where).get("kind")
     if kind == "quantize_int8":
         return "quantize_int8", QuantizeInt8()
     if kind == "quantize_int16":
         return "quantize_int16", QuantizeInt16()
     if kind == "uniform_random":
-        fraction = float(_plan_number(obj, "fraction", 0.0, where))
-        seed = _plan_number(obj, "seed", 0, where, integral=True)
-        try:
-            spec = UniformRandom(fraction, seed)
-        except ValueError as exc:
-            raise ParseError(f"{where}: {exc}") from exc
+        fraction = float(expect(obj.get("fraction", 0.0), "a number", f"{where}.fraction"))
+        seed = expect(obj.get("seed", 0), "an integer", f"{where}.seed")
+        spec = built(where, lambda: UniformRandom(fraction, seed))
         return f"uniform_random:{spec.fraction}:{spec.seed}", spec
     if kind == "last_layer":
-        matrix = obj.get("matrix")
-        if not isinstance(matrix, list) or not all(
-            isinstance(row, list) and all(is_number(v) for v in row) for row in matrix
-        ):
-            raise ParseError(f"{where}.matrix: expected a list of rows of numbers, got {matrix!r}")
-        try:
-            return "last_layer", LastLayer(np.asarray(matrix, dtype=float))
-        except ValueError as exc:  # ragged rows, or a matrix LastLayer rejects
-            raise ParseError(f"{where}: {exc}") from exc
+        matrix = expect(obj.get("matrix"), "a non-empty list", f"{where}.matrix")
+        for r, row in enumerate(matrix):
+            expect(row, "a list of numbers", f"{where}.matrix[{r}]")
+        # numpy refuses ragged rows, LastLayer a matrix that is not 2-d
+        return "last_layer", built(where, lambda: LastLayer(np.asarray(matrix, dtype=float)))
     raise ParseError(f"{where}: unknown perturbation kind {kind!r}")
 
 
@@ -271,21 +253,17 @@ def _mode_from_json(obj, where: str, timeout: float) -> VerifierConfig:
     not a JSON number where one is expected (an integer for ``seed``), or
     that the configuration rejects, raises ParseError naming the entry.
     """
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected an object")
+    obj = expect(obj, "an object", where)
     h = _DEFAULT.heuristic
     settings = {
         "mode": obj.get("mode"),
         "heuristic": obj.get("heuristic", h.base.value),
-        "alpha": float(_plan_number(obj, "alpha", h.alpha, where)),
-        "theta": float(_plan_number(obj, "theta", h.theta, where)),
-        "seed": _plan_number(obj, "seed", h.seed, where, integral=True),
+        "alpha": float(expect(obj.get("alpha", h.alpha), "a number", f"{where}.alpha")),
+        "theta": float(expect(obj.get("theta", h.theta), "a number", f"{where}.theta")),
+        "seed": expect(obj.get("seed", h.seed), "an integer", f"{where}.seed"),
         "branching": obj.get("branching", _DEFAULT.branching),
     }
-    try:
-        return _config(settings, timeout)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    return built(where, lambda: _config(settings, timeout))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -298,21 +276,21 @@ class ExperimentPlan:
 
 
 def load_plan(path) -> ExperimentPlan:
-    """Read and check a plan: a bad entry raises ParseError before anything runs."""
-    obj = read_json(path)
-    if not isinstance(obj, dict):
-        raise ParseError(f"{path}: expected a JSON object")
+    """Read and check the plan in the file at ``path``: a bad entry raises ParseError before anything runs.
+
+    The plan is ``{"networks": [path, ...], "perturbations": [...],
+    "properties": [path, ...], "modes": [...], "output_dir": path,
+    "timeout": positive number (optional)}``; each perturbation is read by
+    ``_perturbation_from_json`` and each mode by ``_mode_from_json``.  Field
+    paths in messages start at ``path``, as ``<path>.modes[0].alpha``.
+    """
+    obj = expect(read_json(path), "an object", str(path))
     for key in ("networks", "perturbations", "properties", "modes"):
-        if not isinstance(obj.get(key), list) or not obj[key]:
-            raise ParseError(f"{path}.{key}: expected a nonempty list, got {obj.get(key)!r}")
+        expect(obj.get(key), "a non-empty list", f"{path}.{key}")
     for key in ("networks", "properties"):  # open() takes an int as a descriptor: 0 reads stdin
-        if not all(isinstance(entry, str) and entry for entry in obj[key]):
-            raise ParseError(f"{path}.{key}: expected a list of paths, got {obj[key]!r}")
-    if not isinstance(obj.get("output_dir"), str) or not obj["output_dir"]:
-        raise ParseError(f"{path}.output_dir: expected a nonempty path, got {obj.get('output_dir')!r}")
-    timeout = obj.get("timeout", _DEFAULT.timeout)
-    if not is_number(timeout) or not timeout > 0:  # NaN too: no run would ever time out
-        raise ParseError(f"{path}.timeout: expected a positive number, got {timeout!r}")
+        for i, entry in enumerate(obj[key]):
+            expect(entry, "a path", f"{path}.{key}[{i}]")
+    timeout = float(expect(obj.get("timeout", _DEFAULT.timeout), "a positive number", f"{path}.timeout"))
     return ExperimentPlan(
         networks=tuple(obj["networks"]),
         perturbations=tuple(
@@ -320,11 +298,8 @@ def load_plan(path) -> ExperimentPlan:
             for i, p in enumerate(obj["perturbations"])
         ),
         properties=tuple(obj["properties"]),
-        modes=tuple(
-            _mode_from_json(m, f"{path}.modes[{i}]", float(timeout))
-            for i, m in enumerate(obj["modes"])
-        ),
-        output_dir=obj["output_dir"],
+        modes=tuple(_mode_from_json(m, f"{path}.modes[{i}]", timeout) for i, m in enumerate(obj["modes"])),
+        output_dir=expect(obj.get("output_dir"), "a path", f"{path}.output_dir"),
     )
 
 
@@ -349,12 +324,12 @@ def _task_row(task: tuple) -> dict:
 def _failed(task: tuple, exc: BaseException) -> dict:
     """The outcome of a task that raised: a row whose error names the exception."""
     row = {**_task_row(task), "error": f"{type(exc).__name__}: {exc}"}
-    return {"row": row, "first_seconds": None, "second_seconds": None}
+    return {"row": row, "second_seconds": None}
 
 
 def _run_instance(task: tuple) -> dict:
     """One experiment cell, a (network path, (label, spec), property path,
-    config) tuple; returns a results.csv row plus timing fields."""
+    config) tuple; returns a results.csv row plus the second run's seconds."""
     network, (_, spec), prop_path, cfg = task
     row = _task_row(task)
     try:
@@ -379,11 +354,7 @@ def _run_instance(task: tuple) -> dict:
             "second_cost_units": second.metrics.boundings + second.metrics.branchings,
         }
     )
-    return {
-        "row": row,
-        "first_seconds": first.metrics.wall_time,
-        "second_seconds": second.metrics.wall_time,
-    }
+    return {"row": row, "second_seconds": second.metrics.wall_time}
 
 
 def _work(conn) -> None:

@@ -8,6 +8,7 @@ read-only) so networks can be shared freely across threads.
 from __future__ import annotations
 
 import json
+import reprlib
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,6 +52,40 @@ def is_number(value, integral: bool = False) -> bool:
     if isinstance(value, int) and not isinstance(value, bool):
         return abs(value) <= sys.float_info.max
     return isinstance(value, float)
+
+
+# The readers' vocabulary: every field of a file incver reads is checked by
+# ``expect`` against one of these kinds, and every object built from the
+# checked fields by ``built``.
+_KINDS = {
+    "an object": lambda v: isinstance(v, dict),
+    "a non-empty list": lambda v: isinstance(v, list) and len(v) > 0,
+    "a string": lambda v: isinstance(v, str),
+    "a path": lambda v: isinstance(v, str) and v != "",
+    "a number": is_number,
+    "a positive number": lambda v: is_number(v) and v > 0,  # NaN is not
+    "an integer": lambda v: is_number(v, integral=True),
+    "a list of numbers": lambda v: isinstance(v, list) and all(is_number(t) for t in v),
+}
+
+
+def expect(value, kind: str, where: str):
+    """``value``, a parsed JSON value, if it is of ``kind`` (a key of ``_KINDS``).
+
+    Otherwise ParseError ``<where>: expected <kind>, got <value>``, the value
+    abbreviated.  A missing field reads as None, which no kind accepts.
+    """
+    if not _KINDS[kind](value):
+        raise ParseError(f"{where}: expected {kind}, got {reprlib.repr(value)}")
+    return value
+
+
+def built(where: str, make):
+    """``make()``, a constructor over checked fields; its ValueError becomes a ParseError naming ``where``."""
+    try:
+        return make()
+    except ValueError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -390,37 +425,17 @@ def _layer_to_json(layer: Layer) -> dict:
 
 
 def _layer_from_json(obj: object, where: str) -> Layer:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected an object, got {type(obj).__name__}")
-    kind = obj.get("type")
+    kind = expect(obj, "an object", where).get("type")
     if kind == "relu":
         return Relu()
     if kind != "affine":
         raise ParseError(f"{where}.type: expected 'affine' or 'relu', got {kind!r}")
-    weights = obj.get("weights")
-    bias = obj.get("bias")
-    if not isinstance(weights, list) or not weights:
-        raise ParseError(f"{where}.weights: expected a non-empty list of rows")
-    row_len = None
+    weights = expect(obj.get("weights"), "a non-empty list", f"{where}.weights")
     for r, row in enumerate(weights):
-        if not isinstance(row, list) or not all(is_number(v) for v in row):
-            raise ParseError(f"{where}.weights[{r}]: expected a list of numbers")
-        if row_len is None:
-            row_len = len(row)
-        elif len(row) != row_len:
-            raise ParseError(
-                f"{where}.weights[{r}]: row length {len(row)} != {row_len}"
-            )
-    if not isinstance(bias, list) or not all(is_number(v) for v in bias):
-        raise ParseError(f"{where}.bias: expected a list of numbers")
-    if len(bias) != len(weights):
-        raise ParseError(
-            f"{where}.bias: length {len(bias)} != weights rows {len(weights)}"
-        )
-    try:
-        return Affine(np.array(weights, dtype=float), np.array(bias, dtype=float))
-    except ValueError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+        if len(expect(row, "a list of numbers", f"{where}.weights[{r}]")) != len(weights[0]):
+            raise ParseError(f"{where}.weights[{r}]: row length {len(row)} != {len(weights[0])}")
+    bias = expect(obj.get("bias"), "a list of numbers", f"{where}.bias")
+    return built(where, lambda: Affine(np.array(weights, dtype=float), np.array(bias, dtype=float)))
 
 
 def network_to_json(net: Network) -> dict:
@@ -428,22 +443,18 @@ def network_to_json(net: Network) -> dict:
 
 
 def network_from_json(obj: object, where: str = "network") -> Network:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected an object, got {type(obj).__name__}")
-    name = obj.get("name", "")
-    if not isinstance(name, str):
-        raise ParseError(f"{where}.name: expected a string")
-    layers_json = obj.get("layers")
-    if not isinstance(layers_json, list) or not layers_json:
-        raise ParseError(f"{where}.layers: expected a non-empty list")
-    layers = [
-        _layer_from_json(item, f"{where}.layers[{i}]")
-        for i, item in enumerate(layers_json)
-    ]
-    try:
-        return Network(tuple(layers), name=name)
-    except ValueError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    """The network a parsed JSON document describes, its fields named from ``where``.
+
+    The document is ``{"name": str (optional), "layers": [...]}``, each layer
+    ``{"type": "relu"}`` or ``{"type": "affine", "weights": rows, "bias":
+    numbers}``.  A field of the wrong kind, ragged weights, or layers that
+    ``Affine`` or ``Network`` refuse raise ParseError naming the field.
+    """
+    obj = expect(obj, "an object", where)
+    name = expect(obj.get("name", ""), "a string", f"{where}.name")
+    items = expect(obj.get("layers"), "a non-empty list", f"{where}.layers")
+    layers = tuple(_layer_from_json(item, f"{where}.layers[{i}]") for i, item in enumerate(items))
+    return built(where, lambda: Network(layers, name=name))
 
 
 def save_network(net: Network, path) -> None:

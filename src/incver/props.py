@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from incver.model import Network, ParseError, _as_readonly, evaluate, is_number, read_json, write_json
+from incver.model import Network, _as_readonly, built, evaluate, expect, read_json, write_json
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,34 +110,21 @@ def property_to_json(p: Property) -> dict:
 
 
 def property_from_json(obj: object, where: str = "property") -> Property:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected an object, got {type(obj).__name__}")
-    name = obj.get("name", "")
-    if not isinstance(name, str):
-        raise ParseError(f"{where}.name: expected a string")
-    box = obj.get("input")
-    if not isinstance(box, dict):
-        raise ParseError(f"{where}.input: expected an object")
-    out = obj.get("output")
-    if not isinstance(out, dict):
-        raise ParseError(f"{where}.output: expected an object")
+    """The property a parsed JSON document describes, its fields named from ``where``.
 
-    def _vector(parent, key, owner):
-        v = parent.get(key)
-        if not isinstance(v, list) or not all(is_number(t) for t in v):
-            raise ParseError(f"{owner}.{key}: expected a list of numbers")
-        return np.array(v, dtype=float)
-
-    lower = _vector(box, "lower", f"{where}.input")
-    upper = _vector(box, "upper", f"{where}.input")
-    c = _vector(out, "c", f"{where}.output")
-    d = out.get("d", 0.0)
-    if not is_number(d):
-        raise ParseError(f"{where}.output.d: expected a number")
-    try:
-        return Property(InputBox(lower, upper), OutputConstraint(c, float(d)), name=name)
-    except ValueError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    The document is ``{"name": str (optional), "input": {"lower": numbers,
+    "upper": numbers}, "output": {"c": numbers, "d": number (default 0)}}``.
+    A field of the wrong kind, or a box or constraint that ``InputBox`` or
+    ``OutputConstraint`` refuse, raises ParseError naming the field.
+    """
+    obj = expect(obj, "an object", where)
+    name = expect(obj.get("name", ""), "a string", f"{where}.name")
+    box = expect(obj.get("input"), "an object", f"{where}.input")
+    out = expect(obj.get("output"), "an object", f"{where}.output")
+    lower, upper = (expect(box.get(k), "a list of numbers", f"{where}.input.{k}") for k in ("lower", "upper"))
+    c = expect(out.get("c"), "a list of numbers", f"{where}.output.c")
+    d = float(expect(out.get("d", 0.0), "a number", f"{where}.output.d"))
+    return built(where, lambda: Property(InputBox(lower, upper), OutputConstraint(c, d), name=name))
 
 
 def save_property(p: Property, path) -> None:

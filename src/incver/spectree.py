@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from incver.model import ParseError, ReluId, is_number, read_json, write_json
+from incver.model import ParseError, ReluId, built, expect, read_json, write_json
 from incver.props import InputBox
 
 __all__ = [
@@ -336,28 +336,16 @@ def _decision_to_json(d: Optional[Decision]):
 
 def _decision_from_json(obj, where: str, nid: int) -> Decision:
     """Node ``nid``'s decision, read from ``obj`` found at ``where``."""
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected an object")
-    kind = obj.get("kind")
-    try:
-        if kind == "relu":
-            layer, neuron, sign = obj["layer"], obj["neuron"], obj["sign"]
-            if not is_number(layer, integral=True) or not is_number(neuron, integral=True):
-                raise ParseError(f"{where}: layer and neuron must be integers")
-            return ReluDecision(ReluId(layer, neuron), sign)
-        if kind == "input":
-            dim, half, cut = obj["dim"], obj["half"], obj["cut"]
-            if not is_number(dim, integral=True) or not is_number(cut):
-                raise ParseError(f"{where}: dim must be int and cut a number")
-            if not math.isfinite(cut):  # a cut is the midpoint of a finite box
-                raise ParseError(f"{where}.cut: node {nid} cuts at {cut}, not a finite number")
-            return InputDecision(dim, half, float(cut))
-    except ParseError:
-        raise
-    except KeyError as exc:
-        raise ParseError(f"{where}: missing field {exc}") from exc
-    except ValueError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    kind = expect(obj, "an object", where).get("kind")
+    if kind == "relu":
+        rid = ReluId(*(expect(obj.get(k), "an integer", f"{where}.{k}") for k in ("layer", "neuron")))
+        return built(where, lambda: ReluDecision(rid, obj.get("sign")))
+    if kind == "input":
+        dim = expect(obj.get("dim"), "an integer", f"{where}.dim")
+        cut = expect(obj.get("cut"), "a number", f"{where}.cut")
+        if not math.isfinite(cut):  # a cut is the midpoint of a finite box
+            raise ParseError(f"{where}.cut: node {nid} cuts at {cut}, not a finite number")
+        return built(where, lambda: InputDecision(dim, obj.get("half"), float(cut)))
     raise ParseError(f"{where}.kind: expected 'relu' or 'input', got {kind!r}")
 
 
@@ -379,31 +367,36 @@ def tree_to_json(tree: SpecTree) -> dict:
 
 
 def tree_from_json(obj, where: str = "tree") -> SpecTree:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected an object")
+    """The specification tree a parsed JSON document describes, its fields named from ``where``.
+
+    The document is ``{"branching": "relu" | "input", "nodes": [...]}``, each
+    node ``{"id", "parent", "decision", "split": {"left", "right"} | null,
+    "lb", "status"}`` as :func:`tree_to_json` writes it.  Each node's fields
+    are read first; exactly one node, the root, has no parent and no
+    decision, and every decision splits on the tree's branching.  Then one
+    walk from the root checks the structure: each split node's two children
+    exist, name it as their parent and carry complementary decisions; no
+    node is reached twice; no ReLU is split twice on one path; and every
+    node is reached.  Anything else raises ParseError naming the field or
+    node.
+    """
+    obj = expect(obj, "an object", where)
     branching = obj.get("branching")
     if branching not in ("relu", "input"):
         raise ParseError(f"{where}.branching: expected 'relu' or 'input', got {branching!r}")
-    items = obj.get("nodes")
-    if not isinstance(items, list) or not items:
-        raise ParseError(f"{where}.nodes: expected a non-empty list")
-
     tree = SpecTree(branching=branching)
-    tree.nodes = {}
     roots = []
-    for k, item in enumerate(items):
+    for k, item in enumerate(expect(obj.get("nodes"), "a non-empty list", f"{where}.nodes")):
         w = f"{where}.nodes[{k}]"
-        if not isinstance(item, dict):
-            raise ParseError(f"{w}: expected an object")
-        nid = item.get("id")
-        if not is_number(nid, integral=True):
-            raise ParseError(f"{w}.id: expected an integer")
+        item = expect(item, "an object", w)
+        nid = expect(item.get("id"), "an integer", f"{w}.id")
         if nid in tree.nodes:
             raise ParseError(f"{w}.id: duplicate id {nid}")
-        parent = item.get("parent")
-        if parent is not None and not is_number(parent, integral=True):
-            raise ParseError(f"{w}.parent: expected an integer or null")
-        dec = item.get("decision")
+        parent, dec, sp, lb = (item.get(key) for key in ("parent", "decision", "split", "lb"))
+        if parent is None:
+            roots.append(nid)
+        else:
+            expect(parent, "an integer", f"{w}.parent")
         decision = None if dec is None else _decision_from_json(dec, f"{w}.decision", nid)
         if (parent is None) != (decision is None):
             raise ParseError(f"{w}: parent and decision must both be present or both null")
@@ -412,94 +405,47 @@ def tree_from_json(obj, where: str = "tree") -> SpecTree:
                 f"{w}.decision: node {nid} splits on {dec['kind']!r} "
                 f"but the tree branches on {branching!r}"
             )
-        if parent is None:
-            roots.append(nid)
-        sp = item.get("split")
         left = right = None
         if sp is not None:
-            if not isinstance(sp, dict) or not all(is_number(sp.get(k), integral=True) for k in ("left", "right")):
-                raise ParseError(f"{w}.split: expected an object with integer 'left' and 'right'")
-            left, right = sp["left"], sp["right"]
-        lb = item.get("lb")
-        if lb is not None and not is_number(lb):
-            raise ParseError(f"{w}.lb: expected a number or null")
-        if lb is not None and math.isnan(lb):  # Infinity stays: an infeasible leaf's bound
+            expect(sp, "an object", f"{w}.split")
+            left, right = (expect(sp.get(s), "an integer", f"{w}.split.{s}") for s in ("left", "right"))
+        # Infinity stays: an infeasible leaf's bound
+        if lb is not None and math.isnan(expect(lb, "a number", f"{w}.lb")):
             raise ParseError(f"{w}.lb: node {nid} has a NaN bound")
-        status_s = item.get("status", "Unanalyzed")
-        try:
-            status = NodeStatus(status_s)
-        except ValueError:
-            raise ParseError(f"{w}.status: unknown status {status_s!r}") from None
-        tree.nodes[nid] = SpecNode(
-            node_id=nid,
-            parent=parent,
-            decision=decision,
-            left=left,
-            right=right,
-            lb=None if lb is None else float(lb),
-            status=status,
-        )
+        status = built(f"{w}.status", lambda: NodeStatus(item.get("status", "Unanalyzed")))
+        lb = None if lb is None else float(lb)
+        tree.nodes[nid] = SpecNode(nid, parent, decision, left, right, lb, status)
 
     if len(roots) != 1:
         raise ParseError(f"{where}: expected exactly one root, found {len(roots)}")
-    tree.root = roots[0]
-    tree.next_id = max(tree.nodes) + 1
-
-    # structural validation: parent/child agreement, full binary, acyclic
-    child_count: dict = {nid: 0 for nid in tree.nodes}
-    for n in tree.nodes.values():
-        if n.parent is not None:
-            if n.parent not in tree.nodes:
-                raise ParseError(f"{where}: node {n.node_id} has unknown parent {n.parent}")
-            child_count[n.parent] += 1
-            p = tree.nodes[n.parent]
-            if n.node_id not in (p.left, p.right):
-                raise ParseError(
-                    f"{where}: node {n.node_id} claims parent {n.parent}, "
-                    "which does not list it as a child"
-                )
-    for n in tree.nodes.values():
-        expected = 0 if n.is_leaf else 2
-        if child_count[n.node_id] != expected:
-            raise ParseError(
-                f"{where}: node {n.node_id} has {child_count[n.node_id]} children, "
-                f"expected {expected} (full-binary violation)"
-            )
-        if not n.is_leaf:
-            for cid in (n.left, n.right):
-                if cid not in tree.nodes:
-                    raise ParseError(f"{where}: node {n.node_id} lists unknown child {cid}")
-                if tree.nodes[cid].parent != n.node_id:
-                    raise ParseError(
-                        f"{where}: child {cid} of node {n.node_id} has parent "
-                        f"{tree.nodes[cid].parent}"
-                    )
-            ld, rd = tree.nodes[n.left].decision, tree.nodes[n.right].decision
-            if type(ld) is not type(rd) or ld.complement() != rd:
-                raise ParseError(
-                    f"{where}: node {n.node_id} has non-complementary child decisions"
-                )
-
-    # reachability doubles as the acyclicity check
-    seen = set()
-    stack = [tree.root]
+    tree.root, tree.next_id = roots[0], max(tree.nodes) + 1
+    reached = {tree.root}
+    stack = [(tree.root, frozenset())]  # a node to visit and the ReLUs split on its path
     while stack:
-        nid = stack.pop()
-        if nid in seen:
-            raise ParseError(f"{where}: cycle detected at node {nid}")
-        seen.add(nid)
-        n = tree.nodes[nid]
-        if not n.is_leaf:
-            stack.extend((n.left, n.right))
-    if seen != set(tree.nodes):
-        stray = sorted(set(tree.nodes) - seen)
+        nid, on_path = stack.pop()
+        node = tree.nodes[nid]
+        if node.is_leaf:
+            continue
+        for cid in (node.left, node.right):
+            child = tree.nodes.get(cid)
+            if child is None:
+                raise ParseError(f"{where}: node {nid} lists unknown child {cid}")
+            if child.parent != nid:
+                raise ParseError(f"{where}: child {cid} of node {nid} has parent {child.parent}")
+            if cid in reached:
+                raise ParseError(f"{where}: node {cid} is reached twice from the root")
+            reached.add(cid)
+        ld = tree.nodes[node.left].decision
+        if ld.complement() != tree.nodes[node.right].decision:
+            raise ParseError(f"{where}: node {nid} has non-complementary child decisions")
+        if branching == "relu":
+            if ld.rid in on_path:
+                raise ParseError(f"{where}: {ld.rid} repeats on the path to node {node.left}")
+            on_path = on_path | {ld.rid}
+        stack += [(node.left, on_path), (node.right, on_path)]
+    if len(reached) != len(tree.nodes):
+        stray = sorted(set(tree.nodes) - reached)
         raise ParseError(f"{where}: nodes {stray} are not reachable from the root")
-
-    if branching == "relu":
-        for nid in leaves(tree):
-            rids = [d.rid for d in path_decisions(tree, nid)]
-            if len(rids) != len(set(rids)):
-                raise ParseError(f"{where}: a ReLU repeats on the path to leaf {nid}")
     return tree
 
 

@@ -384,6 +384,7 @@ def test_experiment_rejects_empty_plan_sections(tmp_path, capsys):
         ({"perturbations": [{"kind": "uniform_random", "fraction": 0.1, "seed": 1.9}]}, "perturbations[0]"),
         ({"perturbations": [{"kind": "last_layer", "matrix": [[True]]}]}, "perturbations[0]"),
         ({"perturbations": [{"kind": "last_layer", "matrix": [[1.0], [1.0, 2.0]]}]}, "perturbations[0]"),
+        ({"perturbations": [{"kind": "last_layer", "matrix": []}]}, "perturbations[0].matrix"),
         ({"networks": [0]}, "networks"),
         ({"networks": str(FIXTURES / "demo_network.json")}, "networks"),
         ({"properties": [str(FIXTURES / "demo_property.json"), None]}, "properties"),
@@ -394,7 +395,7 @@ def test_experiment_rejects_empty_plan_sections(tmp_path, capsys):
         "heuristic", "alpha", "branching", "seed", "timeout", "timeout-bool", "fraction",
         "rng-seed", "no-matrix", "perturbation-not-object", "mode-not-object", "mode",
         "alpha-bool", "theta-bool", "seed-fraction", "fraction-bool", "rng-seed-fraction",
-        "matrix-bool", "matrix-ragged", "network-not-path", "networks-not-list",
+        "matrix-bool", "matrix-ragged", "matrix-empty", "network-not-path", "networks-not-list",
         "property-not-path", "output-dir-not-path", "modes-not-list",
     ],
 )

@@ -445,6 +445,71 @@ def test_load_rejects_booleans_as_numbers(node, key, value, field):
         tree_from_json(doc)
 
 
+def _node(nid, parent, decision, split=None):
+    return {"id": nid, "parent": parent, "decision": decision, "split": split, "lb": None}
+
+
+def _relu(neuron, sign):
+    return {"kind": "relu", "layer": 0, "neuron": neuron, "sign": sign}
+
+
+def _same_child_twice(doc):
+    doc["nodes"][0]["split"] = {"left": 1, "right": 1}
+
+
+def _child_naming_another_parent(doc):
+    doc["nodes"][0]["split"] = {"left": 1, "right": 3}
+    doc["nodes"].append(_node(3, 1, _relu(0, "-")))
+
+
+def _parent_is_a_leaf(doc):
+    doc["nodes"].append(_node(3, 1, _relu(1, "+")))
+
+
+def _detached_cycle(doc):
+    doc["nodes"] += [
+        _node(3, 4, _relu(1, "+"), {"left": 4, "right": 5}),
+        _node(4, 3, _relu(2, "+"), {"left": 3, "right": 6}),
+        _node(5, 3, _relu(2, "-")),
+        _node(6, 4, _relu(1, "-")),
+    ]
+
+
+def _relu_repeated_above_two_leaves(doc):
+    doc["nodes"][1]["split"] = {"left": 3, "right": 4}
+    doc["nodes"] += [
+        _node(3, 1, _relu(0, "+"), {"left": 5, "right": 6}),
+        _node(4, 1, _relu(0, "-")),
+        _node(5, 3, _relu(1, "+")),
+        _node(6, 3, _relu(1, "-")),
+    ]
+
+
+def _relu_without_neuron(doc):
+    del doc["nodes"][1]["decision"]["neuron"]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_same_child_twice, r"tree: node 1 is reached twice from the root"),
+        (_child_naming_another_parent, r"tree: child 3 of node 0 has parent 1"),
+        (_parent_is_a_leaf, r"tree: nodes \[3\] are not reachable from the root"),
+        (_detached_cycle, r"tree: nodes \[3, 4, 5, 6\] are not reachable from the root"),
+        (_relu_repeated_above_two_leaves, r"ReluId\(layer=0, neuron=0\) repeats on the path to node 3$"),
+        (_relu_without_neuron, r"tree\.nodes\[1\]\.decision\.neuron: expected an integer, got None"),
+    ],
+    ids=["same-child", "other-parent", "leaf-parent", "detached-cycle", "repeat-above-leaves", "no-neuron"],
+)
+def test_load_names_the_node_or_field_it_refuses(edit, message):
+    # One walk from the root checks the structure; each refusal names the
+    # node it stopped at, or the field that has the wrong kind.
+    doc = _two_leaf_doc()
+    edit(doc)
+    with pytest.raises(ParseError, match=message):
+        tree_from_json(doc)
+
+
 def test_load_rejects_a_nan_bound():
     doc = _two_leaf_doc()
     doc["nodes"][2]["lb"] = float("nan")

@@ -23,9 +23,48 @@ def load_tool(name, monkeypatch):
     return module
 
 
-@pytest.mark.parametrize("name", ["work_signature"])
+@pytest.mark.parametrize("name", ["work_signature", "code_lines"])
 def test_tool_imports(name, monkeypatch):
     assert callable(load_tool(name, monkeypatch).main)
+
+
+SOURCE = '''"""A module docstring
+over two lines."""
+
+# a comment
+import os  # and a trailing one
+
+
+def f(x):
+    """A function docstring."""
+    y = (x +
+         1)
+    s = """a string
+over two lines"""
+    return y
+
+
+class C:
+    """A class docstring."""
+
+    z = 1
+    "a string statement after the docstring"
+'''
+
+
+def test_code_lines_counts_a_module_exactly(tmp_path, monkeypatch, capsys):
+    # Code lines: import, def, the two lines of y, the two of s, return,
+    # class, z and the string statement.  Statements: the same but y and s
+    # one each; the three docstrings count as neither.
+    tool = load_tool("code_lines", monkeypatch)
+    assert tool.count(SOURCE) == (10, 8)
+    package = tmp_path / "src" / "incver"
+    package.mkdir(parents=True)
+    (package / "m.py").write_text(SOURCE, encoding="utf-8")
+    assert tool.main([str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split() == ["m", "10", "8"]
+    assert json.loads(lines[-1]) == [{"root": str(tmp_path), "code_lines": 10, "statements": 8}]
 
 
 def test_signature_compares_only_the_expected_fields(monkeypatch):
