@@ -32,8 +32,10 @@ Two layers of machinery live here:
     decides it for the whole batch, so numpy's per-call cost is paid once
     per batch instead of once per region.  The same step records whether
     any of a region's units is ambiguous, so that ``analyze`` need not scan
-    the phases again.  Each region's values are the bits its own pass
-    computes.  ``compute_bounds`` is the batch of one.
+    the phases again.  A region may name an earlier region of the batch
+    as its parent, so a whole tree goes in one batch, level by level
+    inside each layer's step.  Each region's values are the bits its own
+    pass computes.  ``compute_bounds`` is the batch of one.
 
 ``analyze``
     Settles a region from its bounds, computed with the property's objective
@@ -264,16 +266,37 @@ def _interval(net, relax, upto, lower, upper, objective=None):
     return lb[:, :n], -lb[:, n : 2 * n], lb[:, -1], [a[:, -1] for a in coefs], sides
 
 
+def _take_parents(l, u, levels) -> None:
+    """Intersect the rows of each level of a layer's (k, w) bounds with their parents' rows, in place.
+
+    ``levels`` holds, for each level under the first and in order, its rows
+    and its parents' rows, so a parent's rows are final when its children
+    read them.  Its upper bound is read reordered, ``max(u, l)``, as its
+    own pass leaves it.  max and min are exact, so signs applied before
+    this give the bits of signs applied after it.
+    """
+    for rows, parents in levels:
+        pl = l[parents]
+        l[rows] = np.maximum(l[rows], pl)
+        u[rows] = np.minimum(u[rows], np.maximum(u[parents], pl))
+
+
 def bound_regions(net: Network, regions, objective=None) -> list:
     """Sound per-neuron bounds for each region, in one batched propagation pass.
 
     ``regions`` is a sequence of ``(box, splits, parent)`` triples, one per
-    region, with the meanings :func:`compute_bounds` gives them; the
+    region, with the meanings :func:`compute_bounds` gives them, except
+    that a region's ``parent`` may also be the index of an earlier region
+    of the same batch (any other index raises ValueError); the
     ``objective``, if any, is shared by all.  Returns one
     :class:`PreactBounds` per region, in order, each the bits that
     :func:`compute_bounds` returns for that region alone, ``walks``
-    included.  A region whose parent is already ``infeasible`` gets that
-    parent; every other region gets one pass.
+    included, given its parent's bounds from this call; only
+    ``objective_lb`` is at least an external parent's alone, never that of
+    a parent in the batch.  A region whose parent, or any ancestor in the
+    batch, is ``infeasible`` gets that ancestor's bounds object; every
+    other region gets one pass.  So a whole tree is bounded in one call,
+    each node naming its parent's index, in the bits of one call per node.
 
     The passes run together, one step per ReLU layer for the whole batch.
     A region walks the layer with :func:`_interval`, whose products run
@@ -287,8 +310,12 @@ def bound_regions(net: Network, regions, objective=None) -> list:
     above and a line through the origin below.  The output block's bounds
     are intersected and checked for crossing the same way.  With an
     ``objective``, its row ``(c @ W, c @ b)`` rides in the output block's
-    walk, which sets ``kappa`` and ``objective_lb`` (at least the parent's).
-    The decide step also sets each region's ``ambiguous`` flag.
+    walk, which sets ``kappa`` and ``objective_lb``.  The decide step also
+    sets each region's ``ambiguous`` flag.  Within each step the regions go
+    level by level: level 0 holds those whose parent is outside the batch
+    or None, and a region one level below its parent in the batch is
+    intersected with that parent's final bounds of the layer, signed and
+    reordered, before its own crossing check (see :func:`_take_parents`).
 
     When a region's parent ran on the same network and box, the layers up
     to the first one whose splits differ from its splits take the parent's
@@ -299,9 +326,10 @@ def bound_regions(net: Network, regions, objective=None) -> list:
     bounds crossed by less than CROSS_TOL and were reordered, they give the
     walk's bounds after this pass's reordering; only a "+" split of such a
     unit, which the parent decided inactive, is checked for crossing
-    against the reordered bound instead of the walk's.)  Regions are taken
-    in the order of the number of layers they take, so the regions that
-    walk a layer are a prefix of the batch.
+    against the reordered bound instead of the walk's.)  A parent in the
+    batch hands its layers on the same way.  Regions are taken in the order
+    of the number of layers they take, so the regions that walk a layer
+    are a prefix of the batch, and each level's rows are picked by index.
     """
     if objective is not None:
         objective = np.asarray(objective, dtype=float)
@@ -313,12 +341,23 @@ def bound_regions(net: Network, regions, objective=None) -> list:
     n_relu = len(blocks) - 1
     widths = [b.size for _, b in blocks[:-1]]
     out = [None] * len(regions)
+    depth = [0] * len(regions)  # a region's level: 0, or one below its parent in the batch
+    inside = {}  # a region whose parent is in the batch: its parent's index
     plan = []
     for k, (box, splits, prior) in enumerate(regions):
         if box.dim != net.input_dim:
             raise ValueError(f"box has dim {box.dim}, network expects {net.input_dim}")
         items = frozenset(splits.items())
-        carry = None if prior is None else prior.carry
+        if prior is None or isinstance(prior, PreactBounds):
+            carry = None if prior is None else prior.carry
+        elif not isinstance(prior, int) or not 0 <= prior < k:
+            raise ValueError(f"region {k} names {prior!r} as its parent, not an earlier region")
+        elif out[prior] is not None:  # an empty parent, handed on before any pass
+            prior = out[prior]
+        else:
+            parent_box, parent_splits, _ = regions[prior]
+            carry = _Carry(net, parent_box, frozenset(parent_splits.items()))
+            inside[k], depth[k], prior = prior, depth[prior] + 1, None
         if prior is not None and prior.infeasible:  # every region under an empty one is empty
             _validate_splits(items, widths)
             out[k] = prior
@@ -336,7 +375,16 @@ def bound_regions(net: Network, regions, objective=None) -> list:
         plan.sort(key=lambda p: p[:2])
     takes, order, boxes, items, priors = zip(*plan)
     n = len(plan)
-    if None in priors:  # a region without a parent is intersected with the whole space
+    below = []  # per level under the first: its rows and their parents' rows
+    if inside:
+        row = dict(zip(order, range(n)))
+        below = [([], []) for _ in range(max(depth))]
+        for k, parent in inside.items():
+            rows, parents = below[depth[k] - 1]
+            rows.append(row[k])
+            parents.append(row[parent])
+        below = [(np.array(rows), np.array(parents)) for rows, parents in below]
+    if None in priors:  # no parent, or one in the batch: the region starts from the whole space
         whole = PreactBounds(
             [np.full(w, -np.inf) for w in widths], [np.full(w, np.inf) for w in widths], None,
             np.full(net.output_dim, -np.inf), np.full(net.output_dim, np.inf),
@@ -375,6 +423,7 @@ def bound_regions(net: Network, regions, objective=None) -> list:
             plus, minus = signs > 0, signs < 0
             l = np.where(plus, np.maximum(l, 0.0), l)
             u = np.where(minus, np.minimum(u, 0.0), u)
+        _take_parents(l, u, below)
         infeasible |= (l > u + CROSS_TOL).any(axis=1)
         u = np.maximum(u, l)  # keep arrays ordered even for flagged regions
 
@@ -397,6 +446,7 @@ def bound_regions(net: Network, regions, objective=None) -> list:
     out_l, out_u, lb, coefs, sides = _interval(net, relax, n_relu, lower, upper, objective)
     out_l = np.maximum(out_l, np.array([p.out_lb for p in priors]))
     out_u = np.minimum(out_u, np.array([p.out_ub for p in priors]))
+    _take_parents(out_l, out_u, below)
     infeasible |= (out_l > out_u + CROSS_TOL).any(axis=1)
     out_u = np.maximum(out_u, out_l)
     if objective is not None:
@@ -412,10 +462,13 @@ def bound_regions(net: Network, regions, objective=None) -> list:
             bounds.kappa = [a[r] for a in kappa]
             bounds.upper_side = [a[r] for a in sides]
             obj = lb[r]
-            if prior.objective_lb is not None:
+            if prior.objective_lb is not None:  # a parent in the batch counts as none here
                 obj = max(obj, prior.objective_lb)
             bounds.objective_lb = float(obj)
         out[order[r]] = bounds
+    for k, parent in inside.items():  # under an empty region in the batch, every region is that one
+        if out[parent].infeasible:
+            out[k] = out[parent]
     return out
 
 

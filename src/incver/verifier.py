@@ -134,8 +134,7 @@ class RunMetrics:
     can count more passes than boundings).  walks counts those passes'
     back-substitution walks: one per ReLU layer whose walk a pass did not
     take from its parent's bounds, and one for the output.  batches counts
-    the batched propagation calls that made them: one per bounding phase
-    and one per level of an initial tree with an internal node.
+    the batched propagation calls that made them: one per bounding phase.
 
     propagate_s, build_s and solve_s are the seconds spent in those batched
     passes, in building the bounding LPs and in solving them; a certified
@@ -250,16 +249,19 @@ def verify(
     subproblem (box, splits, parent's bounds), built from its parent's with
     ``spectree.narrow``.  Every node is bounded in one pass from its parent's
     bounds, whichever the branching, an initial tree's internal nodes too
-    (once each, no LP, walked level by level, one batched pass per level);
-    the branching only decides how an inconclusive node is split.
+    (once each, no LP); the branching only decides how an inconclusive node
+    is split.  The tree walk builds every node's subproblem and checks its
+    cuts without bounding anything; the first phase's one batch then holds
+    the internal nodes, breadth first, and the leaves after them, each
+    naming its parent by its place in the batch.
 
     The run's deadline, ``cfg.timeout`` seconds after it starts, is checked
-    before each level, phase and bounding, and goes through ``analyze`` to
-    the simplex, which checks it before each pivot.  Either check raises
-    ``LpTimeout``, and the run's one deadline exit, an ``except LpTimeout``
-    around the initial tree's walk and the phase loop, ends it as Timeout
-    ("wall-clock timeout") with the metrics of the work done until then (a
-    bounding whose LP was cut off mid-solve is not counted).
+    before each phase (so once before an initial tree's batch) and each
+    bounding, and goes through ``analyze`` to the simplex, which checks it
+    before each pivot.  Either check raises ``LpTimeout``, and the run's
+    one deadline exit, an ``except LpTimeout`` around the phase loop, ends
+    it as Timeout ("wall-clock timeout") with the metrics of the work done
+    until then (a bounding whose LP was cut off mid-solve is not counted).
 
     ``bases`` is a map the caller owns from a node's subproblem,
     ``(frozenset(splits.items()), box.lower.tobytes(), box.upper.tobytes())``,
@@ -306,48 +308,48 @@ def verify(
         if time.perf_counter() > deadline:
             raise LpTimeout("wall-clock timeout")
 
-    def propagate(entries, objective=None) -> list:
+    def propagate(entries) -> list:
         """Bound the entries' regions in one batched pass, counting its passes and walks."""
         t = time.perf_counter()
-        out = bound_regions(net, [entry[1:] for entry in entries], objective)
+        out = bound_regions(net, [entry[1:] for entry in entries], prop.output.c)
         m.propagate_s += time.perf_counter() - t
         m.batches += 1
         for (*_, parent), bounds in zip(entries, out):
+            if isinstance(parent, int):  # a parent earlier in the batch
+                parent = out[parent]
             if bounds is not parent:  # an empty parent's bounds are handed on without a pass
                 m.passes += 1
                 m.walks += bounds.walks
         return out
 
-    try:
-        # The first frontier: the initial tree's leaves, (nid, box, splits,
-        # parent bounds).  The tree is walked level by level, each level's
-        # internal nodes bounded in one batch; a cut outside its parent's box
-        # ends its branch of the walk, and the lowest such node is reported
-        # once the walk is done.
-        active, level, misfits = [], [(tree.root, prop.input, {}, None)], {}
-        while level:
-            inner = []
-            for entry in level:
-                (active if tree.node(entry[0]).is_leaf else inner).append(entry)
-            if not inner:
-                break
-            check_deadline()
-            level = []
-            for (nid, box, splits, _), bounds in zip(inner, propagate(inner)):
-                node = tree.node(nid)
-                for cid in (node.left, node.right):
-                    d = tree.node(cid).decision
-                    if isinstance(d, InputDecision) and not box.lower[d.dim] <= d.cut <= box.upper[d.dim]:
-                        misfits[cid] = (
-                            f"initial tree node {cid}: cut {d.cut} on input {d.dim} lies outside "
-                            f"its parent's [{box.lower[d.dim]}, {box.upper[d.dim]}]"
-                        )
-                    else:
-                        level.append((cid, *narrow(box, splits, d), bounds))
-        if misfits:
-            raise ValueError(misfits[min(misfits)])
-        active.sort(key=lambda entry: entry[0])
+    # The first batch: the initial tree's internal nodes, breadth first,
+    # then its leaves, the first frontier, in ascending id, each as (nid,
+    # box, splits, parent), the parent named by its place in the batch.  A
+    # cut outside its parent's box ends its branch of the walk, and the
+    # lowest such node is reported once the walk is done, before any pass.
+    inner, active, misfits = [], [], {}
+    walk = [(tree.root, prop.input, {}, None)]
+    for entry in walk:  # breadth first: the walk grows behind this loop
+        nid, box, splits, _ = entry
+        node = tree.node(nid)
+        if node.is_leaf:
+            active.append(entry)
+            continue
+        inner.append(entry)
+        for cid in (node.left, node.right):
+            d = tree.node(cid).decision
+            if isinstance(d, InputDecision) and not box.lower[d.dim] <= d.cut <= box.upper[d.dim]:
+                misfits[cid] = (
+                    f"initial tree node {cid}: cut {d.cut} on input {d.dim} lies outside "
+                    f"its parent's [{box.lower[d.dim]}, {box.upper[d.dim]}]"
+                )
+            else:
+                walk.append((cid, *narrow(box, splits, d), len(inner) - 1))
+    if misfits:
+        raise ValueError(misfits[min(misfits)])
+    active.sort(key=lambda entry: entry[0])
 
+    try:
         phase = 0
         while active:
             # Bounding phase: propagate the whole frontier in one batch, then
@@ -355,7 +357,9 @@ def verify(
             check_deadline()
             phase += 1
             outcomes = []
-            for (nid, box, splits, _), bounds in zip(active, propagate(active, prop.output.c)):
+            bounded = propagate(inner + active)[len(inner) :]
+            inner = []  # the initial tree's internal nodes ride in the first batch only
+            for (nid, box, splits, _), bounds in zip(active, bounded):
                 check_deadline()
                 key, carried = None, None
                 if bases is not None:

@@ -1147,3 +1147,72 @@ def test_program_layout_feeds_the_crash_basis():
     assert checked >= 40 and ambiguous_seen >= 60
     # phase 1 runs on some of them, so the artificials' eviction is exercised
     assert optimal >= 40 and phase1 >= 5
+
+
+def chained(net, regions, objective):
+    """Each region's compute_bounds from its parent's result, a parent in
+    the batch handing on no objective bound."""
+    done = []
+    for box, splits, parent in regions:
+        if isinstance(parent, int):
+            parent = done[parent]
+            if not parent.infeasible:
+                parent = replace(parent, objective_lb=None)
+        done.append(compute_bounds(net, box, splits, objective=objective, parent=parent))
+    return done
+
+
+def test_a_tree_in_one_batch_gets_each_nodes_own_pass_bit_for_bit():
+    # A region may name an earlier region of its batch as its parent, so a
+    # whole tree is bounded in one call.  Each node must get the bits of
+    # chained compute_bounds calls: ReLU trees whose splits sit at different
+    # layers (children take different prefixes), input trees, a batch that
+    # mixes external and in-batch parents, and an infeasible internal node,
+    # whose whole subtree gets its bounds object.
+    rng = np.random.default_rng(101)
+    empties = 0
+    for trial in range(30):
+        depth = 1 + trial % 3
+        dims = [int(rng.integers(1, 4)), *rng.integers(2, 6, size=depth).tolist(), 2]
+        net = make_net(dims, rng)
+        box = unit_box(net.input_dim)
+        rids = relu_ids(net)
+        objective = rng.normal(size=2)
+        outside = compute_bounds(net, box, {}, objective=objective)
+        for kind in ("relu", "input", "mixed"):
+            regions = [(box, {}, None if kind != "mixed" else outside)]
+            for k in range(12):  # each region's parent is an earlier one
+                p = int(rng.integers(len(regions)))
+                pbox, psplits, _ = regions[p]
+                if kind == "input":
+                    dim = int(rng.integers(net.input_dim))
+                    lower, upper = pbox.lower.copy(), pbox.upper.copy()
+                    mid = (lower[dim] + upper[dim]) / 2
+                    (upper if rng.random() < 0.5 else lower)[dim] = mid
+                    regions.append((InputBox(lower, upper), psplits, p))
+                else:
+                    free = [rid for rid in rids if rid not in psplits]
+                    if not free:
+                        continue
+                    rid = free[int(rng.integers(len(free)))]
+                    parent = p if kind == "relu" or rng.random() < 0.5 else outside
+                    regions.append((pbox, {**psplits, rid: "+" if rng.random() < 0.5 else "-"}, parent))
+            batch = bound_regions(net, regions, objective)
+            want = chained(net, regions, objective)
+            for (_, _, parent), got, ref in zip(regions, batch, want):
+                if isinstance(parent, int) and want[parent].infeasible:
+                    assert got is batch[parent]
+                    empties += 1
+                    continue
+                assert_identical(got, ref)
+                assert got.walks == ref.walks
+    assert empties >= 5
+
+
+def test_a_parent_index_must_name_an_earlier_region():
+    # a region's own index, a later one, a negative one and a non-integer are refused
+    net = make_net([2, 3, 2])
+    box = unit_box(2)
+    for parent in (1, 2, -1, 0.0):
+        with pytest.raises(ValueError, match="not an earlier region"):
+            bound_regions(net, [(box, {}, None), (box, {}, parent), (box, {}, None)])

@@ -23,7 +23,7 @@ def load_tool(name, monkeypatch):
     return module
 
 
-@pytest.mark.parametrize("name", ["work_signature", "code_lines"])
+@pytest.mark.parametrize("name", ["work_signature", "code_lines", "pairs"])
 def test_tool_imports(name, monkeypatch):
     assert callable(load_tool(name, monkeypatch).main)
 
@@ -168,3 +168,46 @@ def test_work_matches_the_newest_benchmark_point():
             capture_output=True, text=True,
         )
         assert run.returncode == 0, (newest.name, workload, run.stderr)
+
+
+def canned_run(reuse, sp_ivan, failed=0):
+    """A perfbench --trace 0 output: two lines of context, then the result line."""
+    result = {
+        "correct": failed == 0, "attempted": 100, "failed": failed,
+        "metrics": {
+            "reverify_s.reuse": {"value": reuse, "unit": "s"},
+            "sp_ivan": {"value": sp_ivan, "unit": "ratio"},
+            "trace.wall_s": {"value": 1.0, "unit": "s"},  # not an end-to-end metric
+        },
+    }
+    return "\n".join([json.dumps({"environment": {}}), json.dumps({"detail": {}}), json.dumps(result)])
+
+
+def test_pairs_reads_canned_runs_into_medians_wins_and_an_aa_reading(monkeypatch):
+    tool = load_tool("pairs", monkeypatch)
+    assert tool.orders(4) == [True, False, True, False]  # ABBA: the base first in even pairs
+    read = lambda pairs: [tool.last_json(canned_run(*pair)) for pair in pairs]  # noqa: E731
+    base = read([(0.030, 2.0), (0.028, 2.2), (0.032, 1.9), (0.029, 2.1), (0.031, 2.0)])
+    change = read([(0.026, 2.1), (0.027, 2.1), (0.025, 2.0), (0.030, 2.1), (0.024, 1.9, 1)])
+    aa_base = read([(0.030, 2.0), (0.029, 2.0)])
+    aa_copy = read([(0.031, 2.0), (0.028, 2.1)])
+    summary = tool.summarize(base, change, aa_base, aa_copy, tool.directions())
+    assert (summary["pairs"], summary["aa"]) == (5, 2)
+    assert summary["correct"] is False and summary["failed"] == {"base": 0, "change": 1}
+    assert list(summary["metrics"]) == ["reverify_s.reuse", "sp_ivan"]
+    reuse = summary["metrics"]["reverify_s.reuse"]
+    # base sorted 0.028 0.029 0.030 0.031 0.032: median 0.030, inclusive quartiles 0.029 and 0.031
+    assert reuse["base"] == pytest.approx({"median": 0.030, "q1": 0.029, "q3": 0.031})
+    assert reuse["change"] == pytest.approx({"median": 0.026, "q1": 0.025, "q3": 0.027})
+    assert reuse["delta"] == pytest.approx(0.026 / 0.030 - 1)
+    assert reuse["wins"] == 4  # lower is better; pair 4 reads 0.029 -> 0.030
+    assert reuse["gain_iqr"] == pytest.approx(0.004 / 0.002)
+    assert reuse["aa_delta"] == pytest.approx(0.0295 / 0.0295 - 1)
+    assert reuse["aa_wins"] == 1
+    sp = summary["metrics"]["sp_ivan"]  # higher is better
+    assert sp["wins"] == 2 and sp["delta"] == pytest.approx(2.1 / 2.0 - 1)
+    assert sp["gain_iqr"] == pytest.approx(0.1 / 0.1)
+    assert sp["aa_wins"] == 1 and sp["aa_delta"] == pytest.approx(2.05 / 2.0 - 1)
+    lines = tool.table(summary).splitlines()
+    assert lines[1].startswith("reverify_s.reuse") and "-13.3%" in lines[1] and "4/5" in lines[1]
+    assert lines[-1] == "correct: False; failed operations: base 0, change 1"

@@ -279,11 +279,11 @@ def test_of_two_violating_corners_in_a_phase_the_lowest_numbered_node_wins():
 
 
 def test_a_run_reports_its_batches_and_where_its_time_went():
-    # One batched propagation call per bounding phase and per level of an
-    # initial tree with an internal node: the demo's first run has 4 phases
-    # (frontiers of 1, 2, 4 and 2 nodes), reuse walks 3 internal levels of
-    # its 9-node tree and settles its 5 leaves in 1 phase, ivan 2 levels and
-    # 1 phase.  The stage timers are parts of the run's wall time.
+    # One batched propagation call per bounding phase: the demo's first run
+    # has 4 phases (frontiers of 1, 2, 4 and 2 nodes); reuse bounds its
+    # 9-node tree, 4 internal nodes and 5 leaves, in its 1 phase's batch,
+    # and ivan its 5-node pruned tree in 1.  The stage timers are parts of
+    # the run's wall time.
     fixtures = Path(__file__).resolve().parent.parent / "fixtures"
     net = load_network(fixtures / "demo_network.json")
     updated = load_network(fixtures / "demo_updated.json")
@@ -293,7 +293,7 @@ def test_a_run_reports_its_batches_and_where_its_time_went():
     first = verify(net, prop, cfg)
     reuse = verify(updated, prop, cfg, initial_tree=first.tree)
     ivan = verify(updated, prop, cfg, initial_tree=prune(first.tree, heur.theta))
-    assert [r.metrics.batches for r in (first, reuse, ivan)] == [4, 4, 3]
+    assert [r.metrics.batches for r in (first, reuse, ivan)] == [4, 1, 1]
     for res in (first, reuse, ivan):
         m = res.metrics
         assert m.propagate_s > 0.0 and m.build_s > 0.0 and m.solve_s > 0.0
@@ -320,21 +320,35 @@ def test_an_lp_past_the_deadline_ends_the_run_as_a_timeout(monkeypatch):
     assert verify(net, prop, cfg).verdict is RunVerdict.VERIFIED
 
 
-def record_frontier_regions(monkeypatch) -> list:
+def record_frontier_regions(monkeypatch) -> tuple:
     """Record each frontier batch's ``(region, bounds)`` pairs, in the order
-    verify analyzes them; the caller pops one per bounding."""
-    pending = []
+    verify analyzes them, and the regions of an initial tree's internal
+    nodes that lead its first batch; the caller pops one pair per bounding."""
+    pending, internal = [], []
     bound_regions = verifier.bound_regions
 
     def recording(net, regions, objective=None):
         out = bound_regions(net, regions, objective)
-        if objective is not None:  # a frontier, not a level of an initial tree
-            assert not pending
-            pending.extend(zip(regions, out))
+        assert not pending
+        # an internal node is the parent, by its place in the batch, of the regions below it
+        inner = len({parent for *_, parent in regions if isinstance(parent, int)})
+        internal.extend(regions[:inner])
+        pending.extend(zip(regions[inner:], out[inner:]))
         return out
 
     monkeypatch.setattr(verifier, "bound_regions", recording)
-    return pending
+    return pending, internal
+
+
+def breadth_first_internal(tree) -> list:
+    """The tree's internal nodes, breadth first from its root."""
+    order, walk = [], [tree.root]
+    for nid in walk:
+        node = tree.node(nid)
+        if not node.is_leaf:
+            order.append(nid)
+            walk += [node.left, node.right]
+    return order
 
 
 def test_each_bounding_gets_the_subproblem_of_its_root_path(monkeypatch):
@@ -346,7 +360,7 @@ def test_each_bounding_gets_the_subproblem_of_its_root_path(monkeypatch):
     # a carried basis map, nor of an incremental first run, gets a start.
     seen = []
     analyze = verifier.analyze
-    pending = record_frontier_regions(monkeypatch)
+    pending, internal = record_frontier_regions(monkeypatch)
 
     def recording_analyze(net, prop, bounds, start=None, deadline=None):
         (box, splits, parent), given = pending.pop(0)
@@ -356,7 +370,17 @@ def test_each_bounding_gets_the_subproblem_of_its_root_path(monkeypatch):
 
     monkeypatch.setattr(verifier, "analyze", recording_analyze)
 
-    def check(res, prop):
+    def check(res, prop, initial=None):
+        # an initial tree's internal nodes lead the first batch, breadth
+        # first, each naming its parent by its place there
+        inner = [] if initial is None else breadth_first_internal(initial)
+        assert len(internal) == len(inner)
+        for (box, splits, parent), nid in zip(internal, inner):
+            want_box, want_splits = spec_of(res.tree, nid, prop.input)
+            assert box == want_box and splits == want_splits
+            node = res.tree.node(nid)
+            assert parent == (None if nid == res.tree.root else inner.index(node.parent))
+        internal.clear()
         nodes = res.tree.nodes
         bounded = [n for n in sorted(nodes) if nodes[n].status is not NodeStatus.UNANALYZED]
         assert len(seen) == len(bounded) == res.metrics.boundings
@@ -376,16 +400,18 @@ def test_each_bounding_gets_the_subproblem_of_its_root_path(monkeypatch):
     first = verify(net, prop, cfg)
     assert first.metrics.branchings == 4
     check(first, prop)
-    check(verify(updated, prop, cfg, initial_tree=first.tree), prop)
+    check(verify(updated, prop, cfg, initial_tree=first.tree), prop, first.tree)
     pruned = prune(first.tree, heur.theta)
     assert 1 < pruned.num_nodes() < first.tree.num_nodes()
-    check(verify(updated, prop, cfg, initial_tree=pruned, hobs=observed_scores(first.tree)), prop)
+    check(verify(updated, prop, cfg, initial_tree=pruned, hobs=observed_scores(first.tree)), prop, pruned)
 
     # reuse's first run bounds its nodes as a fresh run does; its second run
     # starts some LPs from the first run's bases
     first, second = verify_incremental(net, updated, prop, dataclasses.replace(cfg, mode=Mode.REUSE))
     carried = [start for *_, start in seen[first.metrics.boundings :]]
     del seen[first.metrics.boundings :]
+    assert len(internal) == first.tree.num_internal()  # the second run's, from the first's tree
+    internal.clear()
     check(first, prop)
     assert any(start is not None for start in carried)
 
@@ -395,7 +421,7 @@ def test_each_bounding_gets_the_subproblem_of_its_root_path(monkeypatch):
     res = verify(net, prop, cfg)
     assert res.metrics.branchings > 0
     check(res, prop)
-    check(verify(net, prop, cfg, initial_tree=res.tree), prop)
+    check(verify(net, prop, cfg, initial_tree=res.tree), prop, res.tree)
 
 
 def node_lbs(res):
@@ -486,7 +512,7 @@ def test_a_basis_is_stored_only_after_its_lp(monkeypatch):
     expected = {}
     bases = {}
     analyze = verifier.analyze
-    pending = record_frontier_regions(monkeypatch)
+    pending, _ = record_frontier_regions(monkeypatch)
 
     def checking_analyze(net, prop, bounds, start=None, deadline=None):
         assert bases.keys() == expected.keys()
@@ -851,8 +877,9 @@ def input_split_tree():
 
 
 def test_a_deadline_passed_before_the_initial_tree_walk_ends_the_run_unbounded():
-    # The deadline has passed when the first level of the initial tree is
-    # to be walked: the run ends there, having propagated nothing.
+    # The deadline has passed before the first batch (the initial tree's
+    # internal nodes and its leaves): the run ends there, having
+    # propagated nothing.
     net, prop, _ = random_instances(seed=16, count=1)[0]
     cfg = VerifierConfig(branching="input", timeout=1e-9)
     res = verify(net, prop, cfg, initial_tree=input_split_tree())
@@ -863,17 +890,17 @@ def test_a_deadline_passed_before_the_initial_tree_walk_ends_the_run_unbounded()
 
 
 def test_a_deadline_passed_in_a_frontier_batch_keeps_the_batchs_work(monkeypatch):
-    # The deadline passes while the first frontier is propagated: the run
-    # ends before its first bounding, and its metrics count the passes and
-    # walks of the initial tree's level and of that frontier.
+    # The deadline passes while the first batch, the initial tree's root
+    # and its two leaves, is propagated: the run ends before its first
+    # bounding, and its metrics count the passes and walks of the internal
+    # node and of the frontier alike.
     bound_regions = verifier.bound_regions
     batches = []
 
     def slow(net, regions, objective=None):
         out = bound_regions(net, regions, objective)
         batches.append(out)
-        if objective is not None:  # a frontier, not a level of an initial tree
-            time.sleep(0.3)
+        time.sleep(0.3)
         return out
 
     monkeypatch.setattr(verifier, "bound_regions", slow)
@@ -882,9 +909,26 @@ def test_a_deadline_passed_in_a_frontier_batch_keeps_the_batchs_work(monkeypatch
     res = verify(net, prop, cfg, initial_tree=input_split_tree())
     assert (res.verdict, res.note) == (RunVerdict.TIMEOUT, "wall-clock timeout")
     m = res.metrics
-    assert [len(out) for out in batches] == [1, 2]
-    assert (m.boundings, m.batches, m.passes) == (0, 2, 3)
-    assert m.walks == sum(b.walks for out in batches for b in out)
+    assert [len(out) for out in batches] == [3]
+    assert (m.boundings, m.batches, m.passes) == (0, 1, 3)
+    assert m.walks == sum(b.walks for out in batches for b in out) == 3 * len(net.blocks)
+
+
+def test_an_initial_tree_that_does_not_fit_is_refused_before_any_pass(monkeypatch):
+    # A cut outside its parent's box is found by the tree walk, which
+    # bounds nothing: the run raises the lowest such node's ValueError
+    # without a batched propagation call.
+    def refused(net, regions, objective=None):
+        raise AssertionError("bound_regions called for a tree that does not fit")
+
+    monkeypatch.setattr(verifier, "bound_regions", refused)
+    net, prop, _ = random_instances(seed=16, count=1)[0]
+    tree = input_split_tree()
+    cut = InputDecision(0, "low", 0.9)
+    split(tree, 1, (cut, cut.complement()))  # node 1 is [0, 0.5] on input 0
+    message = r"^initial tree node 3: cut 0.9 on input 0 lies outside its parent's \[0.0, 0.5\]$"
+    with pytest.raises(ValueError, match=message):
+        verify(net, prop, VerifierConfig(branching="input", timeout=30.0), initial_tree=tree)
 
 
 PHASE_LINE = re.compile(
