@@ -50,9 +50,14 @@ Two layers of machinery live here:
     and output variables, bounded by those bounds as they are; minimizes the
     property margin c^T y + d over the triangle relaxation of each ambiguous
     ReLU; and classifies the region as Verified, Unknown, or Counterexample.
-    Every row that program can have is built once per network, as a
-    read-only template; a region keeps the rows its phases need and writes
-    only its own entries into them.
+    The program carries only its ambiguous units' relaxation: a stable
+    unit's post-activation is substituted out (Tjeng et al., ICLR 2019), an
+    active unit's pre and post being one column and an inactive unit's post
+    being 0, with no row of either, so it has the full layout's optimum and
+    feasible inputs with fewer rows and columns.  Every row and column that
+    program can have is built once per network, as a read-only template; a
+    region keeps the rows and columns its phases need and writes only its
+    own entries into them.
     A region with no ambiguous ReLU always gets its LP, which is exact there
     while propagation is not.  An infeasible region (crossed bounds or an
     infeasible LP) verifies vacuously.  The verdict hands its bounds on: the
@@ -93,7 +98,7 @@ __all__ = [
 
 # a ReLU whose bound magnitude is below this is treated as stable on that side
 STABLE_TOL = 1e-9
-# a ReLU's phase, which is also the number of LP rows it gets
+# a ReLU's phase; only an AMBIGUOUS unit gets LP rows and a post column of its own
 INACTIVE, ACTIVE, AMBIGUOUS = 0, 1, 2
 # bounds that cross by more than this mark the region infeasible
 CROSS_TOL = 1e-9
@@ -133,7 +138,8 @@ class AnalyzerVerdict:
     bound plus d, at most the LP optimum plus d.  ``build_s`` and
     ``solve_s`` are the seconds spent building the LP and solving it,
     reading a carried basis included, or checking the certificate; 0.0
-    when no program was built.
+    when no program was built.  ``shape`` is the built program's (rows,
+    columns), slacks not counted; (0, 0) when no program was built.
     """
 
     status: Verdict
@@ -145,6 +151,7 @@ class AnalyzerVerdict:
     build_s: float = 0.0
     solve_s: float = 0.0
     certified: bool = False
+    shape: tuple = (0, 0)
 
 
 @dataclass
@@ -509,49 +516,71 @@ def compute_bounds(
 
 
 class _Template(NamedTuple):
-    """Every row a network's bounding LP can have, and each ReLU unit's place among them."""
+    """Every row and column a network's bounding LP can have, and each ReLU unit's place among them."""
 
     A: np.ndarray
     eq: np.ndarray
     rhs: np.ndarray
-    pre: np.ndarray
-    post: np.ndarray
+    outer: np.ndarray
+    unit_cols: np.ndarray
     unit_rows: np.ndarray
 
 
+# the columns a unit keeps, by its phase, in _Template.unit_cols's order (pre, merged, post)
+_UNIT_COLS = np.array([[True, False, False], [False, True, False], [True, False, True]])
+_UNIT_COLS.setflags(write=False)
+
+
 def _template(net) -> _Template:
-    """The rows of every bounding LP of ``net``: computed once per network, read-only.
+    """The rows and columns of every bounding LP of ``net``: computed once per network, read-only.
 
     Rows go layer by layer: the affine rows ``W @ src - pre = -b``, then two
-    rows per ReLU unit, its active form ``post - pre = 0`` and its chord
-    row's ``post`` entry (a ``<=`` row with right-hand side 0); the output's
-    affine rows come last.  Columns are input, (pre, post) per ReLU layer
-    and output.  ``pre`` and ``post`` hold each ReLU unit's columns and
-    ``unit_rows`` its two rows, as a (units, 2) array.
+    ``<=`` rows per ReLU unit, ``pre - post <= 0`` and its chord row's
+    ``post`` entry (right-hand side 0); the output's affine rows come last.
+    Columns are input, three per ReLU unit and output: a layer's units have,
+    in unit order, each its ``pre`` column and its merged column, then all
+    their ``post`` columns.  A unit's merged column is its pre column plus
+    its post column, outside the unit's own two rows: -1 in its affine row
+    and its weights in the next layer's, so an active unit, whose post
+    equals its pre, is one column that the next layer's rows read.
+    ``outer`` masks the input and output columns, which every program
+    keeps; ``unit_cols`` holds each ReLU unit's (pre, merged, post) columns
+    as a (units, 3) array, and ``unit_rows`` its two rows as a (units, 2)
+    array.
     """
     t = net.__dict__.get("_lp_template")
     if t is not None:
         return t
     widths = [b.size for _, b in net.blocks]
     units = sum(widths[:-1])
-    m, n = sum(widths) + 2 * units, net.input_dim + 2 * units + widths[-1]
+    m, n = sum(widths) + 2 * units, net.input_dim + 3 * units + widths[-1]
     A, eq, rhs = np.zeros((m, n)), np.ones(m, dtype=bool), np.zeros(m)
-    pre, first = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-    row, src, w_src = 0, 0, net.input_dim
-    for W, b in net.blocks:
-        w, own = b.size, src + w_src
-        A[row : row + w, src:own] = W
-        A[np.arange(row, row + w), np.arange(own, own + w)] = -1.0
+    outer = np.zeros(n, dtype=bool)
+    outer[: net.input_dim] = outer[n - widths[-1] :] = True
+    cols, first = [np.zeros((0, 3), dtype=int)], [np.zeros(0, dtype=int)]
+    row, col, srcs = 0, net.input_dim, [np.arange(net.input_dim)]
+    for W, b in net.blocks[:-1]:
+        w = b.size
+        for src in srcs:  # the layer reads each unit below through its merged and its post column
+            A[row : row + w, src] = W
         rhs[row : row + w] = -b
-        pre.append(np.arange(own, own + w))
-        first.append(row + w + 2 * np.arange(w))
-        row, src, w_src = row + 3 * w, own + w, w
-    pre, first = np.concatenate(pre[:-1]), np.concatenate(first[:-1])  # the output block has no unit
-    post = pre + np.repeat(widths[:-1], widths[:-1]).astype(int)
-    A[first, post] = A[first + 1, post] = 1.0
-    A[first, pre] = -1.0
-    eq[first + 1] = False
-    t = _Template(A, eq, rhs, pre, post, np.column_stack([first, first + 1]))
+        unit = col + np.column_stack([2 * np.arange(w), 2 * np.arange(w) + 1, 2 * w + np.arange(w)])
+        pre, merged, post = unit.T
+        A[np.arange(row, row + w), pre] = A[np.arange(row, row + w), merged] = -1.0
+        rows = row + w + 2 * np.arange(w)
+        A[rows, pre] = 1.0  # pre - post <= 0
+        A[rows, post] = -1.0
+        A[rows + 1, post] = 1.0  # the chord's post entry
+        eq[rows] = eq[rows + 1] = False
+        cols.append(unit)
+        first.append(rows)
+        row, col, srcs = row + 3 * w, col + 3 * w, [merged, post]
+    for src in srcs:
+        A[row:, src] = net.blocks[-1][0]
+    rhs[row:] = -net.blocks[-1][1]
+    A[np.arange(row, m), np.arange(col, n)] = -1.0
+    first = np.concatenate(first)
+    t = _Template(A, eq, rhs, outer, np.concatenate(cols), np.column_stack([first, first + 1]))
     for a in t:
         a.setflags(write=False)  # shared by every program of the network
     net.__dict__["_lp_template"] = t
@@ -559,60 +588,78 @@ def _template(net) -> _Template:
 
 
 def _build_program(net, prop, bounds):
-    """The bounding LP as arrays over input, (pre, post) per ReLU layer and output columns.
+    """The bounding LP as arrays over the region's input, ReLU and output columns.
 
-    The rows are the network's :func:`_template` rows that the units'
-    phases keep, in its order: the affine rows, then per unit none if
-    inactive (its post column is [0, 0]), ``post - pre = 0`` if active, or
-    ``pre - post <= 0`` and its chord ``post - slope * pre <= -slope * l``
-    if ambiguous; the output's affine rows come last.  The node writes only
-    its own entries into the kept rows: the ambiguous units' signs, slopes
-    and chord right-hand sides, and their rows' ``<=``.  Other post columns
-    are max(pre, 0).  Every ``=`` row ends with -1 or 1 on its own column,
-    and both rows of an ambiguous unit end on its post column,
-    ``pre - post <= 0`` with -1 and the chord with 1.  That is the layout
-    the solver's crash basis starts from: it evaluates the network forward
-    from the program's start corner.  The ``at_upper`` mask sets that
-    corner where the bounds' objective walk went (``upper_side``): each
-    input whose coefficient there is negative starts at its upper bound,
-    and so does each ambiguous unit's post whose coefficient is negative,
-    the units whose walk read the chord.  The crash covers such a post's
-    chord row with post = slope * (pre - l), and every other ambiguous
-    post's ``pre - post <= 0`` row with post = pre wherever pre is
-    positive.  Bounds without an ``upper_side`` start every column at its
-    lower bound.
+    Only the ambiguous units carry the triangle relaxation, so only they
+    get rows and a post column of their own.  The columns are the input's,
+    then per ReLU layer one column per unit, in unit order, followed by the
+    layer's ambiguous units' post columns, then the output's.  A unit's
+    first column is its pre-activation, bounded by [l, u], except that an
+    active unit's is its merged column (see :func:`_template`), which is
+    both its pre and its post and bounded by [max(l, 0), u]; an inactive
+    unit's post is 0 and has no column, and an ambiguous unit's post column
+    is bounded by [0, u].  The rows are the network's :func:`_template`
+    rows that the phases keep, in its order: the affine rows, with ``=``,
+    then per ambiguous unit ``pre - post <= 0`` and its chord ``post -
+    slope * pre <= -slope * l``; the output's affine rows come last.  So the
+    program has an optimum and feasible inputs equal to those of the full
+    layout with a pre and a post column for every unit, and ``post - pre =
+    0`` for each active one.  The node writes only its own entries into the
+    kept rows: the chords' slopes and right-hand sides.  Those and every
+    variable bound are checked finite here; the template's rows are finite
+    by construction, so the program skips :class:`~incver.lp.LinearProgram`'s
+    full validation.  A NaN or infinite one raises ValueError.
+
+    Every ``=`` row ends with -1 on its own column, and both rows of an
+    ambiguous unit end on its post column, ``pre - post <= 0`` with -1 and
+    the chord with 1.  That is the layout the solver's crash basis starts
+    from: it evaluates the network forward from the program's start corner.
+    The ``at_upper`` mask sets that corner where the bounds' objective walk
+    went (``upper_side``): each input whose coefficient there is negative
+    starts at its upper bound, and so does each ambiguous unit's post whose
+    coefficient is negative, the units whose walk read the chord.  The crash
+    covers such a post's chord row with post = slope * (pre - l), and every
+    other ambiguous post's ``pre - post <= 0`` row with post = pre wherever
+    pre is positive.  Bounds without an ``upper_side`` start every column at
+    its lower bound.  The input columns come first, so an optimal point's
+    first ``input_dim`` entries are its input.
     """
     t = _template(net)
     phase = np.concatenate([np.zeros(0, dtype=int), *bounds.phase])
+    on_rows = phase == AMBIGUOUS
     keep = np.ones(t.rhs.size, dtype=bool)
-    # each unit keeps its active form unless inactive, and its chord row if ambiguous
-    keep[t.unit_rows] = phase[:, None] > (INACTIVE, ACTIVE)
+    keep[t.unit_rows] = on_rows[:, None]
+    cols = t.outer.copy()
+    cols[t.unit_cols] = _UNIT_COLS[phase]
     A, eq, rhs = t.A[keep], t.eq[keep], t.rhs[keep]
-    cols = [(prop.input.lower, prop.input.upper)]
-    for l, u, on in zip(bounds.pre_lb, bounds.pre_ub, bounds.phase):
-        cols += [(l, u), (np.where(on, np.maximum(l, 0.0), 0.0), np.where(on, np.maximum(u, 0.0), 0.0))]
-    cols.append((bounds.out_lb, bounds.out_ub))
-    lo, hi = (np.concatenate(side) for side in zip(*cols))
 
-    amb = np.flatnonzero(phase == AMBIGUOUS)
-    chord = np.cumsum(keep)[t.unit_rows[amb, 1]] - 1  # the chord rows' places among the kept rows
-    pre, post = t.pre[amb], t.post[amb]
-    l, u = lo[pre], hi[pre]
+    # the node's entries go in by template column, before the columns are picked
+    amb = np.flatnonzero(on_rows)
+    pre, post = t.unit_cols[amb, 0], t.unit_cols[amb, 2]
+    l = np.concatenate([np.zeros(0), *bounds.pre_lb])
+    u = np.concatenate([np.zeros(0), *bounds.pre_ub])
+    vb = np.empty((cols.size, 2))
+    vb[: net.input_dim, 0], vb[: net.input_dim, 1] = prop.input.lower, prop.input.upper
+    vb[-net.output_dim :, 0], vb[-net.output_dim :, 1] = bounds.out_lb, bounds.out_ub
+    vb[t.unit_cols[:, 0], 0] = l
+    vb[t.unit_cols[:, 1:], 0] = np.maximum(l, 0.0)[:, None]
+    vb[t.unit_cols, 1] = u[:, None]
+    chord = np.flatnonzero(~eq)[1::2]  # each ambiguous unit's second row
+    l, u = l[amb], u[amb]
     slope = u / (u - l)
-    eq[chord - 1] = False
-    A[chord - 1, post] = -1.0  # pre - post <= 0
-    A[chord - 1, pre] = 1.0
     A[chord, pre] = -slope
     rhs[chord] = -slope * l
-
-    at_upper = np.zeros(lo.size, dtype=bool)
+    at_upper = np.zeros(cols.size, dtype=bool)
     if bounds.upper_side is not None:
         corner, *posts = bounds.upper_side
         at_upper[: net.input_dim] = corner
         at_upper[post] = np.concatenate([np.zeros(0, dtype=bool), *posts])[amb]
-    objective = np.zeros(lo.size)
+    A, vb, at_upper = A[:, cols], vb[cols], at_upper[cols]
+    if not np.isfinite(np.concatenate([vb.ravel(), slope, rhs[chord]])).all():
+        raise ValueError("a variable bound, chord slope or chord right-hand side is NaN or infinite")
+    objective = np.zeros(vb.shape[0])
     objective[-net.output_dim :] = prop.output.c
-    return LinearProgram(objective, np.column_stack([lo, hi]), A, eq, rhs, at_upper)
+    return LinearProgram._assembled(objective, vb, A, eq, rhs, at_upper)
 
 
 def _margin(net, prop, x) -> float:
@@ -695,7 +742,7 @@ def analyze(
     if proof is not None and proof + prop.output.d >= 0.0:
         return AnalyzerVerdict(
             Verdict.VERIFIED, float(proof + prop.output.d), bounds=bounds, certified=True,
-            build_s=t1 - t0, solve_s=time.perf_counter() - t1,
+            build_s=t1 - t0, solve_s=time.perf_counter() - t1, shape=program.A.shape,
         )
     try:
         if out is None:
@@ -704,7 +751,9 @@ def analyze(
         raise
     except Exception as exc:
         raise AnalyzerError(f"bounding LP failed: {exc}") from exc
-    solved = dict(bounds=bounds, lp=out, build_s=t1 - t0, solve_s=time.perf_counter() - t1)
+    solved = dict(
+        bounds=bounds, lp=out, build_s=t1 - t0, solve_s=time.perf_counter() - t1, shape=program.A.shape
+    )
     if out.status is LpStatus.INFEASIBLE:
         return AnalyzerVerdict(Verdict.VERIFIED, math.inf, infeasible=True, **solved)
     bounds.objective_lb = max(bounds.objective_lb, float(out.value))

@@ -16,7 +16,10 @@ reads the arrays as they are; ``constraints`` is a derived
 ``(row, "=" or "<=", rhs)`` view for readers that want rows one at a time.
 The constructor rejects NaN and infinite entries, bounds included, and a
 mask that is not boolean, so the solver never sees a program it would
-misread.
+misread.  ``LinearProgram._assembled`` takes arrays as they are, for a
+builder that guarantees the same itself: the analyzer's, whose rows come
+from a template that is finite by construction and which checks every
+entry a node writes.
 
 The solver handles finite variable bounds ``lo <= x <= hi`` and those two
 row forms.  Every structural column sits at a finite bound while nonbasic,
@@ -49,17 +52,19 @@ flips.  It runs the classic two phases from a crash start basis:
 2. Phase 2 minimizes the real objective with artificial columns barred from
    entering, on the tableau that phase 1's row operations left.
 
-The analyzer orders its variables input, pre, post, output and writes each
-``=`` row with its own variable last, and each ambiguous ReLU's rows with
-its post column last.  On its programs the crash basis therefore evaluates
-the network forward from an input corner, and its mask sets that corner
-and each ambiguous unit's side of the triangle relaxation where the
-region's propagation bound put them.  A unit whose post starts at its lower
-bound, 0, is covered by its ``pre - post <= 0`` row wherever pre is
-positive, so post is ``max(pre, 0)``; one whose post starts at its upper
-bound is covered by its chord row, so post lies on the chord.  Phase 1 only
-repairs the rows that this point really violates, such as a split's sign or
-a value that leaves its bounds.
+The analyzer orders its variables input, then per ReLU layer one column
+per unit (an active unit's stands for its pre- and post-activation at
+once) and one post column per ambiguous unit, then output.  It writes each
+``=`` row with its own variable last, and each ambiguous ReLU's two rows
+with its post column last; a stable unit has no row of its own.  On its
+programs the crash basis therefore evaluates the network forward from an
+input corner, and its mask sets that corner and each ambiguous unit's side
+of the triangle relaxation where the region's propagation bound put them.
+A unit whose post starts at its lower bound, 0, is covered by its ``pre -
+post <= 0`` row wherever pre is positive, so post is ``max(pre, 0)``; one
+whose post starts at its upper bound is covered by its chord row, so post
+lies on the chord.  Phase 1 only repairs the rows that this point really
+violates, such as a split's sign or a value that leaves its bounds.
 
 The tableau ``T = Binv A`` is kept dense and updated by row operations at
 each pivot.  A cold solve factorizes B at most twice.  The crash basis is
@@ -203,12 +208,21 @@ class LinearProgram:
         for name, arr in (("objective", c), ("var_bounds", vb), ("A", A), ("rhs", rhs)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} has a NaN or infinite entry")
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "var_bounds", vb)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "eq", eq)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "at_upper", up)
+        vars(self).update(objective=c, var_bounds=vb, A=A, eq=eq, rhs=rhs, at_upper=up)  # frozen fields
+
+    @classmethod
+    def _assembled(cls, objective, var_bounds, A, eq, rhs, at_upper) -> LinearProgram:
+        """A program from arrays already in the constructor's form, taken as they are.
+
+        For a builder that guarantees what the constructor would check: float
+        arrays of the right shapes, boolean masks and no NaN or infinite
+        entry.  The analyzer's builder gathers its rows from a per-network
+        template that is finite by construction, and checks the entries each
+        node writes.
+        """
+        lp = object.__new__(cls)
+        vars(lp).update(objective=objective, var_bounds=var_bounds, A=A, eq=eq, rhs=rhs, at_upper=at_upper)
+        return lp
 
     @property
     def num_vars(self) -> int:

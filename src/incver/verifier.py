@@ -35,7 +35,7 @@ import numpy as np
 from incver.analyzer import Verdict, analyze, bound_regions, compute_bounds
 from incver.heuristics import HeuristicConfig, choose_input_split, choose_split
 from incver.lp import LpTimeout
-from incver.model import Affine, Network, relu_ids, same_architecture
+from incver.model import Affine, Network, same_architecture
 from incver.props import Property
 from incver.spectree import (
     InputDecision,
@@ -140,7 +140,9 @@ class RunMetrics:
     passes, in building the bounding LPs and in solving them; a certified
     bounding's program counts as built, and its duality check as solving.
     The rest of wall_time is the search itself (split choice, tree
-    bookkeeping).
+    bookkeeping).  lp_rows and lp_cols sum the rows and the columns (slacks
+    not counted) of every program a bounding built, certified ones
+    included, so their means per program are the bounding LPs' size.
     """
 
     boundings: int = 0
@@ -163,6 +165,8 @@ class RunMetrics:
     propagate_s: float = 0.0
     build_s: float = 0.0
     solve_s: float = 0.0
+    lp_rows: int = 0
+    lp_cols: int = 0
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
@@ -203,11 +207,12 @@ class DeltaBound:
 
 def _check_fits(tree: SpecTree, net: Network) -> None:
     """Reject a tree whose decisions name ReLUs or input axes the network lacks."""
-    units = set(relu_ids(net))
+    widths = [b.size for _, b in net.blocks[:-1]]
     for nid in sorted(tree.nodes):
         d = tree.nodes[nid].decision
         if isinstance(d, ReluDecision):
-            fits = d.rid in units
+            layer, neuron = d.rid
+            fits = 0 <= layer < len(widths) and 0 <= neuron < widths[layer]
         else:
             fits = d is None or (0 <= d.dim < net.input_dim and math.isfinite(d.cut))
         if not fits:
@@ -372,6 +377,8 @@ def verify(
                 m.certified += res.certified
                 m.build_s += res.build_s
                 m.solve_s += res.solve_s
+                m.lp_rows += res.shape[0]
+                m.lp_cols += res.shape[1]
                 if res.lp is None:
                     m.corners += res.status is Verdict.COUNTEREXAMPLE
                 else:

@@ -1,9 +1,9 @@
 """Independent oracles for bound and verdict checking.
 
 Everything here except the helpers ``path_bounds``, ``analyze_region`` and
-``relaxed_minimum`` and the references ``separate_walk_bounds`` and
-``reference_program`` works directly
-on the layer arithmetic (in rationals for ``exact_margin``, or on exact
+``relaxed_minimum`` and the references ``separate_walk_bounds``,
+``reference_program`` and ``full_program`` works directly on the layer
+arithmetic (in rationals for ``exact_margin``, or on exact
 per-sign-pattern affine algebra plus vertex enumeration) and never calls the
 package's analyzer or simplex, so tests can use these as ground truth.
 ``path_bounds`` bounds a region the way the verifier reaches it, down its
@@ -14,6 +14,9 @@ side and once more for the objective, and reads the objective's upper sides
 from the walk's pre-activation coefficients instead of from the walk.
 ``reference_program`` builds a node's bounding LP afresh, entry by entry,
 with no per-network template; the analyzer's builder must give its bits.
+``full_program`` is the same LP before the stable units are substituted
+out, with a pre and a post column for every unit; its optimum must be the
+analyzer's program's.
 """
 
 import itertools
@@ -169,10 +172,81 @@ def reference_program(net: Network, prop, bounds) -> LinearProgram:
     """The bounding LP written node by node, with no template.
 
     Its columns, rows, right-hand sides, start mask and objective are the
-    ones the analyzer's builder must give: the affine rows ``W @ src - pre =
-    -b`` of each layer, then per unit by its phase nothing, ``post - pre =
-    0`` or ``pre - post <= 0`` and the chord ``post - slope * pre <= -slope *
-    l``; the output's affine rows last.
+    ones the analyzer's builder must give.  Columns: the input's; per ReLU
+    layer one column per unit, then one post column per ambiguous unit; the
+    output's.  A unit's column is its pre-activation, on [l, u], except an
+    active unit's, which is its pre and post at once, on [max(l, 0), u]; an
+    ambiguous unit's post column is on [max(l, 0), max(u, 0)].  Rows: per
+    layer the affine rows ``W @ src - own = -b``, where src holds an active
+    unit's column and an ambiguous unit's post, and an inactive unit reads
+    as 0; then per ambiguous unit ``pre - post <= 0`` and the chord ``post -
+    slope * pre <= -slope * l``; the output's affine rows last.
+    """
+    blocks = net.blocks
+    lo, hi = [prop.input.lower], [prop.input.upper]
+    own, posts = [], []  # per ReLU layer: each unit's column; each ambiguous unit's post column
+    n = net.input_dim
+    for l, u, phase in zip(bounds.pre_lb, bounds.pre_ub, bounds.phase):
+        amb = phase == AMBIGUOUS
+        lo += [np.where(phase == ACTIVE, np.maximum(l, 0.0), l), np.maximum(l[amb], 0.0)]
+        hi += [u, np.maximum(u[amb], 0.0)]
+        own.append(n + np.arange(l.size))
+        n += l.size
+        post = np.full(l.size, -1)
+        post[amb] = n + np.arange(int(amb.sum()))
+        posts.append(post)
+        n += int(amb.sum())
+    own.append(n + np.arange(net.output_dim))
+    lo, hi = np.concatenate([*lo, bounds.out_lb]), np.concatenate([*hi, bounds.out_ub])
+
+    rows, eq, rhs = [], [], []
+    reads = (np.arange(net.input_dim), np.arange(net.input_dim))  # W's columns and the columns they read
+    for i, (W, b) in enumerate(blocks):
+        block = np.zeros((b.size, lo.size))
+        block[:, reads[1]] = W[:, reads[0]]
+        block[np.arange(b.size), own[i]] = -1.0
+        rows.append(block)
+        eq += [True] * b.size
+        rhs.append(-b)
+        if i == len(blocks) - 1:
+            break
+        phase, post = bounds.phase[i], posts[i]
+        for j in np.flatnonzero(phase == AMBIGUOUS):
+            l, u = lo[own[i][j]], hi[own[i][j]]
+            slope = u / (u - l)
+            pair = np.zeros((2, lo.size))
+            pair[0, own[i][j]], pair[0, post[j]] = 1.0, -1.0  # pre - post <= 0
+            pair[1, post[j]], pair[1, own[i][j]] = 1.0, -slope
+            rows.append(pair)
+            eq += [False, False]
+            rhs.append(np.array([0.0, -slope * l]))
+        active = np.flatnonzero(phase == ACTIVE)
+        amb = np.flatnonzero(phase == AMBIGUOUS)
+        units = np.concatenate([active, amb])
+        reads = (units, np.concatenate([own[i][active], post[amb]]))
+    A, rhs = np.concatenate(rows), np.concatenate(rhs)
+
+    at_upper = np.zeros(lo.size, dtype=bool)
+    if bounds.upper_side is not None:
+        corner, *sides = bounds.upper_side
+        at_upper[: net.input_dim] = corner
+        for side, post in zip(sides, posts):
+            at_upper[post[post >= 0]] = side[post >= 0]
+    objective = np.zeros(lo.size)
+    objective[-net.output_dim :] = prop.output.c
+    return LinearProgram(objective, np.column_stack([lo, hi]), A, np.array(eq), rhs, at_upper)
+
+
+def full_program(net: Network, prop, bounds) -> LinearProgram:
+    """The bounding LP over the full layout: a pre and a post column for every unit.
+
+    Columns are input, (pre, post) per ReLU layer and output; a post column
+    is [0, 0] if its unit is inactive and max(pre, 0) otherwise.  Rows are
+    the affine rows ``W @ src - pre = -b`` of each layer, then per unit by
+    its phase nothing, ``post - pre = 0`` or ``pre - post <= 0`` and the
+    chord ``post - slope * pre <= -slope * l``; the output's affine rows
+    last.  The analyzer's program substitutes the stable units out of it and
+    must keep its optimum.
     """
     blocks = net.blocks
     widths = tuple(W.shape[0] for W, _ in blocks)

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -127,14 +128,15 @@ def test_signature_pins_blas_or_refuses():
 
 
 def test_stage_table_lists_every_mode_and_run(monkeypatch):
-    # One row per mode and run, time columns that add up to the total, and
-    # the same work columns as the runs' metrics report.
+    # One row per mode and run, time columns that add up to the total, the
+    # same work columns as the runs' metrics report, and the mean size of
+    # the programs built: every deep-16x3 run builds some.
     tool = load_tool("work_signature", monkeypatch)
     lines = tool.stage_table("deep-16x3", 1, 1).splitlines()
     assert lines[0] == "stages of deep-16x3 seed 1: ms, best of 1 passes"
     assert lines[1].split() == [
         "mode", "run", "total", "propagate", "build", "solve", "other", "lps", "warm", "certified", "pivots",
-        "phase1", "factorizations", "corners", "passes", "batches",
+        "phase1", "factorizations", "corners", "passes", "batches", "rows", "cols",
     ]
     rows = [line.split() for line in lines[2:]]
     assert [row[:2] for row in rows] == [
@@ -143,7 +145,9 @@ def test_stage_table_lists_every_mode_and_run(monkeypatch):
     for row in rows:
         total, *stages = map(float, row[2:7])
         assert abs(sum(stages) - total) < 0.5  # each column is rounded to 0.1 ms
-        lps, warm, certified, pivots, phase1, factorizations, corners, passes, batches = map(int, row[7:])
+        lps, warm, certified, pivots, phase1, factorizations, corners, passes, batches = map(int, row[7:16])
+        rows_mean, cols_mean = map(float, row[16:])
+        assert 0 < rows_mean and 0 < cols_mean
         assert warm <= lps and phase1 <= pivots
         assert certified == 0 or row[:2] in (["reuse", "second"], ["ivan", "second"])
         assert lps <= factorizations <= 4 * lps  # one to four per LP
@@ -211,3 +215,42 @@ def test_pairs_reads_canned_runs_into_medians_wins_and_an_aa_reading(monkeypatch
     lines = tool.table(summary).splitlines()
     assert lines[1].startswith("reverify_s.reuse") and "-13.3%" in lines[1] and "4/5" in lines[1]
     assert lines[-1] == "correct: False; failed operations: base 0, change 1"
+
+
+STOPPED_PAIRS = """
+import importlib.util, sys, tempfile, time
+spec = importlib.util.spec_from_file_location("pairs", sys.argv[1])
+tool = importlib.util.module_from_spec(spec)
+sys.modules["pairs"] = tool
+spec.loader.exec_module(tool)
+tempfile.tempdir = sys.argv[2]
+tool.git = lambda *args: "0123abcd\\n"
+tool.copy = lambda rev, dest: dest.mkdir()
+
+def paired(first, second, pairs, args):
+    print(first.parent, flush=True)
+    time.sleep(60)
+
+tool.paired = paired
+tool.main(["--base", "HEAD", "--workload", "deep-16x3", "--seed", "1", "--pairs", "1", "--seconds", "1"])
+"""
+
+
+def test_pairs_stopped_by_sigterm_removes_its_copies(tmp_path):
+    # The copies live in one temporary directory.  A SIGTERM while the
+    # pairs run ends the script with status 143 through its exit path, so
+    # that directory goes.  The copies and the runs are stubbed: no git
+    # archive and no benchmark.
+    proc = subprocess.Popen(
+        [sys.executable, "-c", STOPPED_PAIRS, str(TOOLS / "pairs.py"), str(tmp_path)],
+        stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        copies = Path(proc.stdout.readline().strip())
+        assert copies.parent == tmp_path and (copies / "A").is_dir() and (copies / "B").is_dir()
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 128 + signal.SIGTERM
+    finally:
+        proc.kill()
+        proc.stdout.close()
+    assert not copies.exists() and list(tmp_path.iterdir()) == []

@@ -931,6 +931,29 @@ def test_an_initial_tree_that_does_not_fit_is_refused_before_any_pass(monkeypatc
         verify(net, prop, VerifierConfig(branching="input", timeout=30.0), initial_tree=tree)
 
 
+def test_an_initial_tree_splitting_a_relu_the_network_lacks_is_refused(monkeypatch):
+    # A ReLU decision fits when its layer is one of the network's ReLU
+    # layers and its neuron lies within that layer's width.  A layer or
+    # neuron past the end, or a negative one, is refused by node, before
+    # any pass; so is a lower node under a decision that fits.
+    def refused(net, regions, objective=None):
+        raise AssertionError("bound_regions called for a tree that does not fit")
+
+    monkeypatch.setattr(verifier, "bound_regions", refused)
+    net = Network((Affine(np.ones((3, 1)), np.zeros(3)), Relu(), Affine(np.ones((2, 3)), np.zeros(2)),
+                   Relu(), Affine(np.ones((1, 2)), np.zeros(1))))
+    prop = unit_prop(1, [1.0], 1.0)
+    for rid in (ReluId(2, 0), ReluId(0, 3), ReluId(1, 2), ReluId(-1, 0), ReluId(0, -1)):
+        tree = singleton()
+        fits = ReluDecision(ReluId(1, 1), "+")
+        left, _ = split(tree, 0, (fits, fits.complement()))
+        d = ReluDecision(rid, "-")
+        split(tree, left, (d, d.complement()))
+        message = rf"^initial tree node 3: {re.escape(str(d))} does not fit the network$"
+        with pytest.raises(ValueError, match=message):
+            verify(net, prop, CFG, initial_tree=tree)
+
+
 PHASE_LINE = re.compile(
     r"phase \d+: (\d+) nodes, (\d+) LPs \((\d+) warm\), (\d+) certified, (\d+) corners, \d+ settled, (\d+) splits"
 )

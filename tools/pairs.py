@@ -22,6 +22,9 @@ the metric), the improvement in units of the base's interquartile range
 and the A/A control's median change and wins.  The last line of standard
 output is one JSON object with the same figures, the runs' failed
 operations and whether every run was correct.
+
+A SIGTERM ends the script as an exit would, with status 143: the copies
+are removed and a running benchmark process is killed.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -163,6 +167,11 @@ def paired(first: Path, second: Path, pairs: int, args) -> tuple:
     return a, b
 
 
+def _exit(signum, frame) -> None:
+    """End the script as an exit would, so that its temporary directory is removed."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", required=True, metavar="REV", help="the revision to compare against")
@@ -176,6 +185,7 @@ def main(argv=None) -> int:
         p.error("--pairs must be at least 1 and --aa at least 0")
     base_rev = git("rev-parse", "--verify", args.base + "^{commit}").strip()
     head_rev = git("stash", "create").strip() or git("rev-parse", "HEAD").strip()
+    signal.signal(signal.SIGTERM, _exit)
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         base, change, second = Path(tmp) / "A", Path(tmp) / "B", Path(tmp) / "C"
         copy(base_rev, base)

@@ -63,9 +63,10 @@ propagation, LP building, LP solving and the rest of the runs' wall time,
 next to their LPs, those of them a carried basis answered (warm),
 certified boundings, pivots, phase-1 pivots, factorizations, corner
 refutations, propagation passes and the batched propagation calls that
-ran them, so that propagation's time per batch can be read off.  A
-certified bounding's program build counts as LP building, and its duality
-check as LP solving.
+ran them, so that propagation's time per batch can be read off, and the
+mean rows and columns (slacks not counted) of the programs the runs built.
+A certified bounding's program build counts as LP building, and its
+duality check as LP solving; its program counts in the means.
 The table is not part of the JSON that ``--expect`` compares.
 
     python3 tools/work_signature.py --workload deep-16x3 --seed 1 --stages 5
@@ -121,7 +122,10 @@ COUNTERS = (
 )
 # the stage timers and work counters of each run's metrics, as the stage table's columns
 STAGES = ("propagate_s", "build_s", "solve_s")
-WORK = ("lps", "warm", "certified", "pivots", "phase1_pivots", "factorizations", "corners", "passes", "batches")
+WORK = (
+    "lps", "warm", "certified", "pivots", "phase1_pivots", "factorizations", "corners", "passes", "batches",
+    "lp_rows", "lp_cols",
+)
 
 
 def _lb_hex(lb) -> str:
@@ -261,14 +265,16 @@ def stage_table(workload: str, seed: int, repeats: int) -> str:
         f"stages of {workload} seed {seed}: ms, best of {repeats} passes",
         f"{'mode':9s} {'run':6s} {'total':>8s} {'propagate':>9s} {'build':>7s} {'solve':>8s} "
         f"{'other':>7s} {'lps':>5s} {'warm':>5s} {'certified':>9s} {'pivots':>7s} {'phase1':>6s} "
-        f"{'factorizations':>14s} {'corners':>7s} {'passes':>6s} {'batches':>7s}",
+        f"{'factorizations':>14s} {'corners':>7s} {'passes':>6s} {'batches':>7s} {'rows':>6s} {'cols':>6s}",
     ]
     for (mode, run), row in best.items():
+        built = row["lps"] + row["certified"]  # the boundings that built a program
+        size = [f"{row[key] / built:6.1f}" if built else f"{'-':>6s}" for key in ("lp_rows", "lp_cols")]
         lines.append(
             f"{mode:9s} {run:6s} {row['wall'] * 1e3:8.1f} {row['propagate_s'] * 1e3:9.1f} "
             f"{row['build_s'] * 1e3:7.1f} {row['solve_s'] * 1e3:8.1f} {row['other'] * 1e3:7.1f} "
             f"{row['lps']:5d} {row['warm']:5d} {row['certified']:9d} {row['pivots']:7d} {row['phase1_pivots']:6d} "
-            f"{row['factorizations']:14d} {row['corners']:7d} {row['passes']:6d} {row['batches']:7d}"
+            f"{row['factorizations']:14d} {row['corners']:7d} {row['passes']:6d} {row['batches']:7d} {' '.join(size)}"
         )
     return "\n".join(lines)
 
