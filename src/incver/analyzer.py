@@ -30,12 +30,17 @@ Two layers of machinery live here:
     arrays of a layer gain a leading region axis, each layer is walked once
     for every region that walks it, and one step intersects, signs and
     decides it for the whole batch, so numpy's per-call cost is paid once
-    per batch instead of once per region.  The same step records whether
-    any of a region's units is ambiguous, so that ``analyze`` need not scan
-    the phases again.  A region may name an earlier region of the batch
-    as its parent, so a whole tree goes in one batch, level by level
-    inside each layer's step.  Each region's values are the bits its own
-    pass computes.  ``compute_bounds`` is the batch of one.
+    per batch instead of once per region.  A region's per-unit bounds are
+    one array each, over every ReLU unit in the network's layer-major
+    order, which the LP builder and the split chooser read as they are;
+    the batch holds them as (regions, units) arrays, whose columns each
+    layer's step fills, and a region's are their rows.  The pass
+    also records whether any of a region's units is ambiguous, so that
+    ``analyze`` need not scan the phases again.  A region may name an
+    earlier region of the batch as its parent, so a whole tree goes in one
+    batch, level by level inside each layer's step.  Each region's values
+    are the bits its own pass computes.  ``compute_bounds`` is the batch of
+    one.
 
 ``analyze``
     Settles a region from its bounds, computed with the property's objective
@@ -74,6 +79,7 @@ Two layers of machinery live here:
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -156,43 +162,48 @@ class AnalyzerVerdict:
 
 @dataclass
 class PreactBounds:
-    """Per-neuron interval bounds, one entry per ReLU layer, plus output.
+    """Per-neuron interval bounds of a region: one entry per ReLU unit, plus output.
 
-    ``phase`` holds, per ReLU layer, each unit's INACTIVE, ACTIVE or
-    AMBIGUOUS; its post-activation is 0 if inactive and max(pre, 0) if not.
-    ``kappa`` (present when an objective was supplied) holds, per ReLU layer,
-    the absolute coefficient each pre-activation carries in the objective's
-    back-substituted lower bound; the branching heuristics consume it.
-    ``objective_lb`` (present with ``kappa``) is a lower bound on the
-    objective over the region: that back-substituted bound, at least the
-    parent's, and raised to the LP optimum once :func:`analyze` solves one.
-    ``upper_side`` (present with ``kappa``) records where that bound's walk
-    went: its first entry masks the inputs whose coefficient is negative, so
-    the bound reads the box's upper corner there, and one entry per ReLU
-    layer masks the post-activations whose coefficient is negative before
-    relaxation, so the walk read the upper side, the chord of an ambiguous
-    unit.  :func:`analyze`'s LP starts from that corner and those sides, and
-    on a new box :func:`analyze` evaluates the network at that corner.
-    ``walks`` counts the back-substitution walks of the pass that computed
-    these bounds.  ``carry`` names the network, box and splits that pass ran
-    on, so that a child on the same network and box takes these bounds of
-    its unchanged layers in place of walks (see :func:`compute_bounds`);
-    None makes every child walk every layer.  ``ambiguous`` is True when
-    some unit's phase is AMBIGUOUS, as the pass decided it.  The per-layer
-    arrays are read-only, because children read them.
+    Each per-unit array holds one entry per ReLU unit of the network, in its
+    layer-major order, the order of :func:`~incver.model.relu_ids` and of
+    the LP template's ``unit_cols``: entry ``j`` of each names the same unit.
+    ``pre_lb`` and ``pre_ub`` bound each unit's pre-activation, and
+    ``phase`` holds its INACTIVE, ACTIVE or AMBIGUOUS; its post-activation
+    is 0 if inactive and max(pre, 0) if not.  ``kappa`` (present when an
+    objective was supplied) holds the absolute coefficient each
+    pre-activation carries in the objective's back-substituted lower bound;
+    the branching heuristics consume it.  ``objective_lb`` (present with
+    ``kappa``) is a lower bound on the objective over the region: that
+    back-substituted bound, at least the parent's, and raised to the LP
+    optimum once :func:`analyze` solves one.  ``upper_side`` (present with
+    ``kappa``) records where that bound's walk went, as one mask over the
+    inputs and then the units: an input's entry is True where its
+    coefficient is negative, so the bound reads the box's upper corner
+    there, and a unit's where its post-activation's coefficient is negative
+    before relaxation, so the walk read the upper side, the chord of an
+    ambiguous unit.  :func:`analyze`'s LP starts from that corner and those
+    sides, and on a new box :func:`analyze` evaluates the network at that
+    corner.  ``walks`` counts the back-substitution walks of the pass that
+    computed these bounds.  ``carry`` names the network, box and splits
+    that pass ran on, so that a child on the same network and box takes
+    these bounds of its unchanged layers in place of walks (see
+    :func:`compute_bounds`); None makes every child walk every layer.
+    ``ambiguous`` is True when some unit's phase is AMBIGUOUS, as the pass
+    decided it.  The per-unit arrays are rows of the batch's arrays that
+    :func:`bound_regions` filled, and read-only, because children read them.
     """
 
-    pre_lb: list
-    pre_ub: list
-    phase: list
+    pre_lb: np.ndarray
+    pre_ub: np.ndarray
+    phase: np.ndarray
     out_lb: np.ndarray
     out_ub: np.ndarray
-    kappa: Optional[list] = None
+    kappa: Optional[np.ndarray] = None
     infeasible: bool = False
     objective_lb: Optional[float] = None
     walks: int = 0
     carry: Optional[_Carry] = field(default=None, repr=False)
-    upper_side: Optional[list] = None
+    upper_side: Optional[np.ndarray] = None
     ambiguous: bool = False
 
 
@@ -256,10 +267,11 @@ def _interval(net, relax, upto, lower, upper, objective=None):
 
     With an ``objective`` (the output block only) its row rides under those
     rows in the same walk.  Returns the (k, n) lower and upper bounds, and
-    the objective's (k,) bounds, its per-ReLU-layer (k, w) pre-activation
-    coefficients and its upper sides: per block, a (k, w) mask, True where
-    its coefficient on the block's input is negative (see
-    :func:`_lower_bound`).  All three are None without an objective.
+    the objective's (k,) bounds, its (k, units) absolute pre-activation
+    coefficients (``kappa``) and its upper sides: a (k, input_dim + units)
+    mask, True where its coefficient on an input or a unit's
+    post-activation is negative (see :func:`_lower_bound`).  All three are
+    None without an objective.
     """
     start = net.signed_blocks[upto] if objective is None else net.signed_output(objective)
     n = net.blocks[upto][1].size
@@ -268,9 +280,10 @@ def _interval(net, relax, upto, lower, upper, objective=None):
     if objective is None:
         return lb[:, :n], -lb[:, n:], None, None, None
     k = lb.shape[0]
+    kappa = np.abs(np.concatenate([np.empty((k, 0)), *(a[:, -1] for a in coefs)], axis=1))
     # the rows the walk starts from are the batch's, shared: their mask is repeated per region
     sides = [a[:, -1] < 0.0 if a.ndim == 3 else (a[-1:] < 0.0).repeat(k, axis=0) for a in negs]
-    return lb[:, :n], -lb[:, n : 2 * n], lb[:, -1], [a[:, -1] for a in coefs], sides
+    return lb[:, :n], -lb[:, n : 2 * n], lb[:, -1], kappa, np.concatenate(sides, axis=1)
 
 
 def _take_parents(l, u, levels) -> None:
@@ -306,23 +319,28 @@ def bound_regions(net: Network, regions, objective=None) -> list:
     each node naming its parent's index, in the bits of one call per node.
 
     The passes run together, one step per ReLU layer for the whole batch.
-    A region walks the layer with :func:`_interval`, whose products run
-    region by region inside one call for every region that walks it, or
-    takes its parent's bounds of the layer in place of the walk (below).
-    The interval is intersected with the parent's bounds (a region without
-    a parent, with the whole space) and each unit's phase decided: a split
-    unit takes its sign's phase; otherwise it is inactive if
-    u <= STABLE_TOL, else active if l >= -STABLE_TOL, else ambiguous.  Its
-    relaxation follows the phase: 0, the identity, or the triangle's chord
-    above and a line through the origin below.  The output block's bounds
-    are intersected and checked for crossing the same way.  With an
-    ``objective``, its row ``(c @ W, c @ b)`` rides in the output block's
-    walk, which sets ``kappa`` and ``objective_lb``.  The decide step also
-    sets each region's ``ambiguous`` flag.  Within each step the regions go
-    level by level: level 0 holds those whose parent is outside the batch
-    or None, and a region one level below its parent in the batch is
-    intersected with that parent's final bounds of the layer, signed and
-    reordered, before its own crossing check (see :func:`_take_parents`).
+    Every region's per-unit arrays are the rows of (regions, units) arrays,
+    which start as its parent's bounds (a region without a parent, or with
+    one in the batch, starts from the whole space); each step decides the
+    layer's columns of them and writes them back.  A region walks the layer
+    with :func:`_interval`, whose products run region by region inside one
+    call for every region that walks it, or takes its parent's bounds of
+    the layer in place of the walk (below).  The interval is intersected
+    with the parent's bounds (a region without a parent, with the whole
+    space) and each unit's phase decided: a split unit takes its sign's
+    phase; otherwise it is inactive if u <= STABLE_TOL, else active if
+    l >= -STABLE_TOL, else ambiguous.  Its relaxation follows the phase: 0,
+    the identity, or the triangle's chord above and a line through the
+    origin below.  The output block's bounds are intersected and checked
+    for crossing the same way.  With an ``objective``, its row ``(c @ W, c
+    @ b)`` rides in the output block's walk, which sets ``kappa``,
+    ``upper_side`` and ``objective_lb``.  Once every layer is decided, one
+    scan of the phases sets each region's ``ambiguous`` flag.  Within each
+    step the regions go level by level: level 0 holds those whose parent
+    is outside the batch or None, and a region one level below its parent
+    in the batch is intersected with that parent's final bounds of the
+    layer, signed and reordered, before its own crossing check (see
+    :func:`_take_parents`).
 
     When a region's parent ran on the same network and box, the layers up
     to the first one whose splits differ from its splits take the parent's
@@ -347,6 +365,7 @@ def bound_regions(net: Network, regions, objective=None) -> list:
     blocks = net.blocks
     n_relu = len(blocks) - 1
     widths = [b.size for _, b in blocks[:-1]]
+    starts = list(itertools.accumulate(widths, initial=0))  # each layer's first unit, then the count
     out = [None] * len(regions)
     depth = [0] * len(regions)  # a region's level: 0, or one below its parent in the batch
     inside = {}  # a region whose parent is in the batch: its parent's index
@@ -391,12 +410,16 @@ def bound_regions(net: Network, regions, objective=None) -> list:
             rows.append(row[k])
             parents.append(row[parent])
         below = [(np.array(rows), np.array(parents)) for rows, parents in below]
-    if None in priors:  # no parent, or one in the batch: the region starts from the whole space
-        whole = PreactBounds(
-            [np.full(w, -np.inf) for w in widths], [np.full(w, np.inf) for w in widths], None,
-            np.full(net.output_dim, -np.inf), np.full(net.output_dim, np.inf),
-        )
-        priors = [whole if p is None else p for p in priors]
+    # each region's per-unit arrays are rows of these, filled one layer's columns at a time
+    lows, highs = np.empty((n, starts[-1])), np.empty((n, starts[-1]))
+    out_l, out_u = np.empty((n, net.output_dim)), np.empty((n, net.output_dim))
+    for r, prior in enumerate(priors):
+        if prior is None:  # no parent, or one in the batch: the whole space
+            lows[r] = out_l[r] = -np.inf
+            highs[r] = out_u[r] = np.inf
+        else:
+            lows[r], highs[r], out_l[r], out_u[r] = prior.pre_lb, prior.pre_ub, prior.out_lb, prior.out_ub
+    phases = np.empty(lows.shape, dtype=int)
     # one box, as under ReLU branching, is read by every region (an affine
     # net's first walk is its objective's, which needs a row per region)
     if n_relu and all(box is boxes[0] for box in boxes):
@@ -404,72 +427,65 @@ def bound_regions(net: Network, regions, objective=None) -> list:
     else:
         lower = np.array([box.lower for box in boxes])[:, :, None]
         upper = np.array([box.upper for box in boxes])[:, :, None]
-    signs_at = {}  # per layer: (region, unit, sign)
+    plus, minus = np.zeros(lows.shape, dtype=bool), np.zeros(lows.shape, dtype=bool)
+    signed = set()  # the layers with a split unit
     for r, split_items in enumerate(items):
         for rid, sign in split_items:
-            signs_at.setdefault(rid.layer, []).append((r, rid.neuron, 1.0 if sign == "+" else -1.0))
+            (plus if sign == "+" else minus)[r, starts[rid.layer] + rid.neuron] = True
+            signed.add(rid.layer)
 
     infeasible = np.zeros(n, dtype=bool)
-    ambiguous = np.zeros(n, dtype=bool)
-    lows, highs, phases = [], [], []
     relax = []  # per layer, every region's relaxation in the shapes _lower_bound takes
     for i in range(n_relu):
-        walking = bisect.bisect_right(takes, i)
-        l = np.array([p.pre_lb[i] for p in priors])  # the later regions take these for the walk
-        u = np.array([p.pre_ub[i] for p in priors])
+        cols = slice(starts[i], starts[i + 1])
+        # the step runs on contiguous copies of the layer's columns, on which
+        # numpy's loops are fastest, and writes them back once decided
+        l, u = lows[:, cols].copy(), highs[:, cols].copy()
+        walking = bisect.bisect_right(takes, i)  # the later regions take their parents' bounds
         if walking:  # at layer 0, a walk of one shared box is one row that every region reads
             above = relax if walking == n else [tuple(a[:walking] for a in r) for r in relax]
             walk_l, walk_u, _, _, _ = _interval(net, above, i, lower[:walking], upper[:walking])
             np.maximum(walk_l, l[:walking], out=l[:walking])
             np.minimum(walk_u, u[:walking], out=u[:walking])
-        signed = signs_at.get(i)
-        if signed:
-            signs = np.zeros(l.shape)
-            for r, j, sign in signed:
-                signs[r, j] = sign
-            plus, minus = signs > 0, signs < 0
-            l = np.where(plus, np.maximum(l, 0.0), l)
-            u = np.where(minus, np.minimum(u, 0.0), u)
+        if i in signed:
+            np.maximum(l, 0.0, out=l, where=plus[:, cols])
+            np.minimum(u, 0.0, out=u, where=minus[:, cols])
         _take_parents(l, u, below)
         infeasible |= (l > u + CROSS_TOL).any(axis=1)
-        u = np.maximum(u, l)  # keep arrays ordered even for flagged regions
+        np.maximum(u, l, out=u)  # keep arrays ordered even for flagged regions
 
         phase = (u > STABLE_TOL) * (1 + (l < -STABLE_TOL))
-        if signed:  # a "-" unit is inactive even where l is up to CROSS_TOL above 0
-            phase = np.where(plus, ACTIVE, np.where(minus, INACTIVE, phase))
+        if i in signed:  # a "-" unit is inactive even where l is up to CROSS_TOL above 0
+            np.copyto(phase, ACTIVE, where=plus[:, cols])
+            np.copyto(phase, INACTIVE, where=minus[:, cols])
         active, amb = phase == ACTIVE, phase == AMBIGUOUS
-        ambiguous |= amb.any(axis=1)
         width = u - l
         lam_low = (active | amb & (u >= -l)).astype(float)
         lam_up = np.divide(u, width, out=active.astype(float), where=amb)
         mu_up = np.divide(-u * l, width, out=np.zeros(l.shape), where=amb)
-        for a in (l, u, phase):
-            a.setflags(write=False)
-        lows.append(l)
-        highs.append(u)
-        phases.append(phase)
+        lows[:, cols], highs[:, cols], phases[:, cols] = l, u, phase
         relax.append((lam_low[:, None, :], lam_up[:, None, :], mu_up[:, :, None]))
 
-    out_l, out_u, lb, coefs, sides = _interval(net, relax, n_relu, lower, upper, objective)
-    out_l = np.maximum(out_l, np.array([p.out_lb for p in priors]))
-    out_u = np.minimum(out_u, np.array([p.out_ub for p in priors]))
+    walk_l, walk_u, lb, kappa, sides = _interval(net, relax, n_relu, lower, upper, objective)
+    np.maximum(walk_l, out_l, out=out_l)
+    np.minimum(walk_u, out_u, out=out_u)
     _take_parents(out_l, out_u, below)
     infeasible |= (out_l > out_u + CROSS_TOL).any(axis=1)
-    out_u = np.maximum(out_u, out_l)
-    if objective is not None:
-        kappa = [np.abs(a) for a in coefs]
+    np.maximum(out_u, out_l, out=out_u)
+    ambiguous = (phases == AMBIGUOUS).any(axis=1)
+    for a in (lows, highs, phases, kappa, sides):
+        if a is not None:
+            a.setflags(write=False)
     flags = zip(infeasible.tolist(), ambiguous.tolist())
     for r, (prior, (empty, amb)) in enumerate(zip(priors, flags)):
         bounds = PreactBounds(
-            [a[r] for a in lows], [a[r] for a in highs], [a[r] for a in phases],
-            out_l[r], out_u[r], None, empty, None,
+            lows[r], highs[r], phases[r], out_l[r], out_u[r], None, empty, None,
             n_relu + 1 - takes[r], _Carry(net, boxes[r], items[r]), None, amb,
         )
         if objective is not None:
-            bounds.kappa = [a[r] for a in kappa]
-            bounds.upper_side = [a[r] for a in sides]
+            bounds.kappa, bounds.upper_side = kappa[r], sides[r]
             obj = lb[r]
-            if prior.objective_lb is not None:  # a parent in the batch counts as none here
+            if prior is not None and prior.objective_lb is not None:  # a parent in the batch is None
                 obj = max(obj, prior.objective_lb)
             bounds.objective_lb = float(obj)
         out[order[r]] = bounds
@@ -590,18 +606,20 @@ def _template(net) -> _Template:
 def _build_program(net, prop, bounds):
     """The bounding LP as arrays over the region's input, ReLU and output columns.
 
-    Only the ambiguous units carry the triangle relaxation, so only they
-    get rows and a post column of their own.  The columns are the input's,
-    then per ReLU layer one column per unit, in unit order, followed by the
-    layer's ambiguous units' post columns, then the output's.  A unit's
-    first column is its pre-activation, bounded by [l, u], except that an
-    active unit's is its merged column (see :func:`_template`), which is
-    both its pre and its post and bounded by [max(l, 0), u]; an inactive
-    unit's post is 0 and has no column, and an ambiguous unit's post column
-    is bounded by [0, u].  The rows are the network's :func:`_template`
-    rows that the phases keep, in its order: the affine rows, with ``=``,
-    then per ambiguous unit ``pre - post <= 0`` and its chord ``post -
-    slope * pre <= -slope * l``; the output's affine rows come last.  So the
+    The bounds' per-unit arrays are in the template's unit order, so they
+    index ``unit_cols`` and ``unit_rows`` as they are.  Only the ambiguous
+    units carry the triangle relaxation, so only they get rows and a post
+    column of their own.  The columns are the input's, then per ReLU layer
+    one column per unit, in unit order, followed by the layer's ambiguous
+    units' post columns, then the output's.  A unit's first column is its
+    pre-activation, bounded by [l, u], except that an active unit's is its
+    merged column (see :func:`_template`), which is both its pre and its
+    post and bounded by [max(l, 0), u]; an inactive unit's post is 0 and has
+    no column, and an ambiguous unit's post column is bounded by [0, u].
+    The rows are the network's :func:`_template` rows that the phases keep,
+    in its order: the affine rows, with ``=``, then per ambiguous unit
+    ``pre - post <= 0`` and its chord ``post - slope * pre <= -slope * l``;
+    the output's affine rows come last.  So the
     program has an optimum and feasible inputs equal to those of the full
     layout with a pre and a post column for every unit, and ``post - pre =
     0`` for each active one.  The node writes only its own entries into the
@@ -625,19 +643,17 @@ def _build_program(net, prop, bounds):
     first ``input_dim`` entries are its input.
     """
     t = _template(net)
-    phase = np.concatenate([np.zeros(0, dtype=int), *bounds.phase])
-    on_rows = phase == AMBIGUOUS
+    on_rows = bounds.phase == AMBIGUOUS
     keep = np.ones(t.rhs.size, dtype=bool)
     keep[t.unit_rows] = on_rows[:, None]
     cols = t.outer.copy()
-    cols[t.unit_cols] = _UNIT_COLS[phase]
+    cols[t.unit_cols] = _UNIT_COLS[bounds.phase]
     A, eq, rhs = t.A[keep], t.eq[keep], t.rhs[keep]
 
     # the node's entries go in by template column, before the columns are picked
     amb = np.flatnonzero(on_rows)
     pre, post = t.unit_cols[amb, 0], t.unit_cols[amb, 2]
-    l = np.concatenate([np.zeros(0), *bounds.pre_lb])
-    u = np.concatenate([np.zeros(0), *bounds.pre_ub])
+    l, u = bounds.pre_lb, bounds.pre_ub
     vb = np.empty((cols.size, 2))
     vb[: net.input_dim, 0], vb[: net.input_dim, 1] = prop.input.lower, prop.input.upper
     vb[-net.output_dim :, 0], vb[-net.output_dim :, 1] = bounds.out_lb, bounds.out_ub
@@ -650,10 +666,9 @@ def _build_program(net, prop, bounds):
     A[chord, pre] = -slope
     rhs[chord] = -slope * l
     at_upper = np.zeros(cols.size, dtype=bool)
-    if bounds.upper_side is not None:
-        corner, *posts = bounds.upper_side
-        at_upper[: net.input_dim] = corner
-        at_upper[post] = np.concatenate([np.zeros(0, dtype=bool), *posts])[amb]
+    if bounds.upper_side is not None:  # the inputs' sides, then the units'
+        at_upper[: net.input_dim] = bounds.upper_side[: net.input_dim]
+        at_upper[post] = bounds.upper_side[net.input_dim + amb]
     A, vb, at_upper = A[:, cols], vb[cols], at_upper[cols]
     if not np.isfinite(np.concatenate([vb.ravel(), slope, rhs[chord]])).all():
         raise ValueError("a variable bound, chord slope or chord right-hand side is NaN or infinite")
@@ -710,9 +725,9 @@ def analyze(
     the bounds' ``objective_lb`` plus d is already nonnegative (Verified),
     or it is negative, the bounds walked every layer (a new box: the root,
     or an input split's child, not a ReLU split's) and the network violates
-    the property at the walk's corner ``where(upper_side[0], upper,
-    lower)``: Counterexample at that corner, with ``objective_lb`` plus d as
-    its ``lb_value``.  A region with no ambiguous ReLU always gets its LP,
+    the property at the walk's corner ``where(upper_side[:input_dim],
+    upper, lower)``: Counterexample at that corner, with ``objective_lb``
+    plus d as its ``lb_value``.  A region with no ambiguous ReLU always gets its LP,
     which is exact there.  Otherwise the LP's minimizer is the candidate.
     After an LP, ``objective_lb`` is raised to its optimum so the region's
     children start from it.
@@ -732,7 +747,7 @@ def analyze(
         if bounds.ambiguous:
             return AnalyzerVerdict(Verdict.VERIFIED, float(lb), bounds=bounds)
     elif bounds.walks == len(net.blocks) and bounds.ambiguous:  # a new box: every layer walked
-        corner = np.where(bounds.upper_side[0], prop.input.upper, prop.input.lower)
+        corner = np.where(bounds.upper_side[: net.input_dim], prop.input.upper, prop.input.lower)
         if _margin(net, prop, corner) < 0.0 and not holds_concretely(prop, net, corner):
             return AnalyzerVerdict(Verdict.COUNTEREXAMPLE, float(lb), corner, bounds=bounds)
     t0 = time.perf_counter()

@@ -4,10 +4,11 @@ A base heuristic estimates, from the current node's bounds, how much
 certified lower bound a split would recover.  The mixed score folds in
 per-unit effectiveness statistics recorded on an earlier proof tree (see
 ``spectree.observed_scores``) so that splits that paid off before are
-preferred when re-verifying a perturbed network.  Scores are computed a
-ReLU layer at a time, as arrays, and only their argmax is kept; the
-random base's draws and the observation lookups are still made unit by
-unit, since each is keyed by its ReluId.
+preferred when re-verifying a perturbed network.  Scores are computed for
+every ambiguous unit at once, as one array over the node's per-unit bounds
+in the network's unit order, and only its argmax is kept; the random
+base's draws and the observation lookups are still made unit by unit,
+since each is keyed by its ReluId.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import Mapping, Optional, Tuple
 import numpy as np
 
 from incver.analyzer import AMBIGUOUS, PreactBounds
-from incver.model import ReluId
 from incver.props import InputBox
 from incver.spectree import InputDecision, ReluDecision
 
@@ -61,62 +61,60 @@ class HeuristicConfig:
 def split_scores(
     cfg: HeuristicConfig,
     bounds: Optional[PreactBounds],
-    layer: int,
     units,
+    rids,
     observed: Optional[Mapping] = None,
 ) -> np.ndarray:
-    """The scores of the given units of one ReLU layer.
+    """The scores of the given units.
 
-    COEFWIDTH scores kappa * min(-lb, ub): the unit's back-substituted
-    coefficient in the objective bound times the smaller side of its
-    ambiguity interval, an estimate of the relaxation slack a split on it
-    removes.  RANDOM draws a per-unit uniform score from (cfg.seed, layer,
-    neuron), stable across calls and candidate sets; it reads no bounds.
-    With ``observed`` the base score is mixed as :class:`HeuristicConfig`
-    describes; without it the base score is returned.
+    ``units`` are the units' places in ``bounds``' per-unit arrays, and
+    ``rids`` their ReluIds, in the same order.  COEFWIDTH scores kappa *
+    min(-lb, ub): the unit's back-substituted coefficient in the objective
+    bound times the smaller side of its ambiguity interval, an estimate of
+    the relaxation slack a split on it removes.  RANDOM draws a per-unit
+    uniform score from (cfg.seed, layer, neuron), stable across calls and
+    candidate sets; it reads no bounds.  With ``observed`` the base score
+    is mixed as :class:`HeuristicConfig` describes; without it the base
+    score is returned.
     """
-    units = np.asarray(units, dtype=int)
     if cfg.base is BaseHeuristic.RANDOM:
-        base = np.array([np.random.default_rng((cfg.seed, layer, int(j))).random() for j in units])
+        base = np.array([np.random.default_rng((cfg.seed, *rid)).random() for rid in rids])
     elif bounds.kappa is None:
         raise ValueError("bounds were computed without an objective")
     else:
-        width = np.minimum(-bounds.pre_lb[layer][units], bounds.pre_ub[layer][units])
-        base = bounds.kappa[layer][units] * width
+        base = bounds.kappa[units] * np.minimum(-bounds.pre_lb[units], bounds.pre_ub[units])
     if observed is None:
         return base
-    seen = np.array([observed.get(ReluId(layer, int(j)), cfg.theta) for j in units], dtype=float)
+    seen = np.array([observed.get(rid, cfg.theta) for rid in rids], dtype=float)
     return cfg.alpha * base + (1.0 - cfg.alpha) * (seen - cfg.theta)
 
 
 def choose_split(
     cfg: HeuristicConfig,
     bounds: PreactBounds,
+    rids,
     observed: Optional[Mapping] = None,
 ) -> Optional[Tuple[ReluDecision, ReluDecision]]:
     """The decision pair for the best-scored candidate, or None if exhausted.
 
-    Candidates are the units whose phase in ``bounds``, the node's own, is
-    AMBIGUOUS: a unit split on the node's path has its sign's phase.  Ties
-    go to the lowest ReluId.  None means every ReLU is stable, split ones
-    included; the caller decides what exhaustion means for its search.
+    ``rids`` names the units of ``bounds``' per-unit arrays in order: the
+    network's :func:`~incver.model.relu_ids`.  Candidates are the units
+    whose phase in ``bounds``, the node's own, is AMBIGUOUS: a unit split
+    on the node's path has its sign's phase.  Ties go to the lowest ReluId,
+    the first maximum in the network's unit order.  None means every ReLU
+    is stable, split ones included; the caller decides what exhaustion
+    means for its search.
     """
-    best_score, best = -math.inf, None  # every score is finite, so any beats -inf
-    for layer, phase in enumerate(bounds.phase):
-        units = np.flatnonzero(phase == AMBIGUOUS)
-        if not units.size:
-            continue
-        scores = split_scores(cfg, bounds, layer, units, observed)
-        finite = np.isfinite(scores)
-        if not finite.all():
-            k = int(np.argmin(finite))
-            raise ValueError(f"non-finite score {scores[k]} for {ReluId(layer, int(units[k]))}")
-        k = int(np.argmax(scores))  # the first maximum: the lowest neuron
-        if scores[k] > best_score:  # strictly: a tie keeps the lower layer
-            best_score, best = scores[k], ReluId(layer, int(units[k]))
-    if best is None:
+    units = np.flatnonzero(bounds.phase == AMBIGUOUS)
+    if not units.size:
         return None
-    d = ReluDecision(best, "+")
+    candidates = [rids[j] for j in units]
+    scores = split_scores(cfg, bounds, units, candidates, observed)
+    finite = np.isfinite(scores)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(f"non-finite score {scores[k]} for {candidates[k]}")
+    d = ReluDecision(candidates[int(np.argmax(scores))], "+")
     return d, d.complement()
 
 

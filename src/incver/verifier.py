@@ -35,7 +35,7 @@ import numpy as np
 from incver.analyzer import Verdict, analyze, bound_regions, compute_bounds
 from incver.heuristics import HeuristicConfig, choose_input_split, choose_split
 from incver.lp import LpTimeout
-from incver.model import Affine, Network, same_architecture
+from incver.model import Affine, Network, relu_ids, same_architecture
 from incver.props import Property
 from incver.spectree import (
     InputDecision,
@@ -258,7 +258,13 @@ def verify(
     is split.  The tree walk builds every node's subproblem and checks its
     cuts without bounding anything; the first phase's one batch then holds
     the internal nodes, breadth first, and the leaves after them, each
-    naming its parent by its place in the batch.
+    naming its parent by its place in the batch.  Under ReLU branching a
+    node is split on the unit ``choose_split`` ranks first among its
+    ambiguous units, named by ``model.relu_ids`` (computed once per run).
+    An inconclusive node with no ambiguous unit left (its LP is exact, yet
+    its minimizer is no counterexample: the margin's minimum is zero up to
+    rounding) ends the run as Timeout, with a note naming the node, as
+    input branching ends at ``cfg.min_width``.
 
     The run's deadline, ``cfg.timeout`` seconds after it starts, is checked
     before each phase (so once before an initial tree's batch) and each
@@ -299,6 +305,7 @@ def verify(
         _check_fits(initial_tree, net)
         tree = reset_copy(initial_tree)
     m = RunMetrics(nodes_initial=tree.num_nodes())
+    rids = relu_ids(net)  # the units of every node's per-unit bounds, in order
 
     def finish(verdict: RunVerdict, **extra) -> RunResult:
         m.wall_time = time.perf_counter() - start
@@ -409,12 +416,9 @@ def verify(
                 if tree.num_nodes() + 2 > cfg.max_nodes:
                     return finish(RunVerdict.TIMEOUT, note=f"node budget of {cfg.max_nodes} exhausted")
                 if tree.branching == "relu":
-                    pick = choose_split(cfg.heuristic, res.bounds, observed=hobs)
-                    if pick is None:
-                        raise RuntimeError(
-                            f"node {nid} is inconclusive but every ReLU is stable or "
-                            "already split; an exactly-encoded subproblem must resolve"
-                        )
+                    pick = choose_split(cfg.heuristic, res.bounds, rids, observed=hobs)
+                    if pick is None:  # the LP is exact here, yet its optimum refuted nothing
+                        return finish(RunVerdict.TIMEOUT, note=f"no ReLU left to split at node {nid}")
                 else:
                     if float(box.widths().max()) <= cfg.min_width:
                         return finish(

@@ -16,7 +16,8 @@ from the walk's pre-activation coefficients instead of from the walk.
 with no per-network template; the analyzer's builder must give its bits.
 ``full_program`` is the same LP before the stable units are substituted
 out, with a pre and a post column for every unit; its optimum must be the
-analyzer's program's.
+analyzer's program's.  ``by_layer`` splits a region's per-unit array into
+the network's ReLU layers, and ``flat`` joins per-layer arrays into one.
 """
 
 import itertools
@@ -39,6 +40,17 @@ from incver.analyzer import (
 from incver.lp import LinearProgram, solve
 from incver.model import Affine, Network, ReluId
 from lp_oracles import vertex_minimum
+
+
+def by_layer(net: Network, units):
+    """A per-unit array, in the network's layer-major unit order, split into its ReLU layers."""
+    starts = np.cumsum([0, *(b.size for _, b in net.blocks[:-1])])
+    return [units[s:e] for s, e in zip(starts, starts[1:])]
+
+
+def flat(layers, dtype=float):
+    """Per-layer arrays joined into one per-unit array, in layer order (empty for no layer)."""
+    return np.concatenate([np.zeros(0, dtype=dtype), *layers])
 
 
 def forward_with_preacts(net: Network, x):
@@ -91,13 +103,16 @@ def separate_walk_bounds(net: Network, box, splits, objective=None, parent=None)
     split unit takes its sign's phase and clamps its bound; an unsplit one is
     inactive if u <= STABLE_TOL, else active if l >= -STABLE_TOL, else
     ambiguous, relaxed by the triangle's chord above and, below, by the
-    identity if u >= -l and by 0 otherwise.
+    identity if u >= -l and by 0 otherwise.  The oracle works layer by
+    layer and joins its per-layer arrays into per-unit ones at the end.
     """
     if parent is not None and parent.infeasible:
         return parent
     blocks = net.blocks
     relax, pre_lb, pre_ub, phases = [], [], [], []
     infeasible = False
+    if parent is not None:
+        parent_lb, parent_ub = by_layer(net, parent.pre_lb), by_layer(net, parent.pre_ub)
 
     def walk(A, c, upto):
         """The analyzer's walk of the rows ``A z + c`` for this one region."""
@@ -115,7 +130,7 @@ def separate_walk_bounds(net: Network, box, splits, objective=None, parent=None)
     for i in range(len(blocks) - 1):
         l, u = interval(i)
         if parent is not None:
-            l, u = np.maximum(l, parent.pre_lb[i]), np.minimum(u, parent.pre_ub[i])
+            l, u = np.maximum(l, parent_lb[i]), np.minimum(u, parent_ub[i])
         n = l.size
         phase = np.zeros(n, dtype=int)
         lam_low, lam_up, mu_up = np.zeros(n), np.zeros(n), np.zeros(n)
@@ -149,19 +164,19 @@ def separate_walk_bounds(net: Network, box, splits, objective=None, parent=None)
         if np.any(out_l > out_u + CROSS_TOL):
             infeasible = True
         out_u = np.maximum(out_u, out_l)
-    bounds = PreactBounds(pre_lb, pre_ub, phases, out_l, out_u, None, infeasible)
+    bounds = PreactBounds(flat(pre_lb), flat(pre_ub), flat(phases, int), out_l, out_u, None, infeasible)
     bounds.ambiguous = any(bool(np.any(p == AMBIGUOUS)) for p in phases)
     if objective is not None:
         W, b = blocks[-1]
         c = np.asarray(objective, dtype=float)
         lb, coefs = walk(c @ W, c @ b, len(blocks) - 1)
         lb = lb[0]
-        bounds.kappa = [np.abs(a[0]) for a in coefs]
+        bounds.kappa = flat([np.abs(a[0]) for a in coefs])
         # the objective's coefficients on each block's input, from those on
         # its output: the pre-activation coefficients, and the objective on
         # the output block; negative ones read the upper side
         outputs = [*(a[0] for a in coefs), c]
-        bounds.upper_side = [row @ W < 0.0 for row, (W, _) in zip(outputs, blocks)]
+        bounds.upper_side = flat([row @ W < 0.0 for row, (W, _) in zip(outputs, blocks)], bool)
         if parent is not None and parent.objective_lb is not None:
             lb = max(lb, parent.objective_lb)
         bounds.objective_lb = float(lb)
@@ -186,7 +201,8 @@ def reference_program(net: Network, prop, bounds) -> LinearProgram:
     lo, hi = [prop.input.lower], [prop.input.upper]
     own, posts = [], []  # per ReLU layer: each unit's column; each ambiguous unit's post column
     n = net.input_dim
-    for l, u, phase in zip(bounds.pre_lb, bounds.pre_ub, bounds.phase):
+    phases = by_layer(net, bounds.phase)
+    for l, u, phase in zip(by_layer(net, bounds.pre_lb), by_layer(net, bounds.pre_ub), phases):
         amb = phase == AMBIGUOUS
         lo += [np.where(phase == ACTIVE, np.maximum(l, 0.0), l), np.maximum(l[amb], 0.0)]
         hi += [u, np.maximum(u[amb], 0.0)]
@@ -210,7 +226,7 @@ def reference_program(net: Network, prop, bounds) -> LinearProgram:
         rhs.append(-b)
         if i == len(blocks) - 1:
             break
-        phase, post = bounds.phase[i], posts[i]
+        phase, post = phases[i], posts[i]
         for j in np.flatnonzero(phase == AMBIGUOUS):
             l, u = lo[own[i][j]], hi[own[i][j]]
             slope = u / (u - l)
@@ -228,9 +244,8 @@ def reference_program(net: Network, prop, bounds) -> LinearProgram:
 
     at_upper = np.zeros(lo.size, dtype=bool)
     if bounds.upper_side is not None:
-        corner, *sides = bounds.upper_side
-        at_upper[: net.input_dim] = corner
-        for side, post in zip(sides, posts):
+        at_upper[: net.input_dim] = bounds.upper_side[: net.input_dim]
+        for side, post in zip(by_layer(net, bounds.upper_side[net.input_dim :]), posts):
             at_upper[post[post >= 0]] = side[post >= 0]
     objective = np.zeros(lo.size)
     objective[-net.output_dim :] = prop.output.c
@@ -263,13 +278,13 @@ def full_program(net: Network, prop, bounds) -> LinearProgram:
     units_above = np.repeat(layer_start, widths)
 
     cols = [(prop.input.lower, prop.input.upper)]
-    for l, u, on in zip(bounds.pre_lb, bounds.pre_ub, bounds.phase):
+    for l, u, on in zip(*(by_layer(net, a) for a in (bounds.pre_lb, bounds.pre_ub, bounds.phase))):
         cols += [(l, u), (np.where(on, np.maximum(l, 0.0), 0.0), np.where(on, np.maximum(u, 0.0), 0.0))]
     cols.append((bounds.out_lb, bounds.out_ub))
     lo, hi = (np.concatenate(side) for side in zip(*cols))
 
     l, u = lo[pre], hi[pre]
-    k = np.concatenate([np.zeros(0, dtype=int), *bounds.phase])  # rows per unit: its phase
+    k = bounds.phase  # rows per unit: its phase
     above = np.zeros(k.size + 1, dtype=int)  # ReLU rows above each unit, then in all
     np.cumsum(k, out=above[1:])
     first = row_base + above[:-1]  # each unit's first row
@@ -299,9 +314,8 @@ def full_program(net: Network, prop, bounds) -> LinearProgram:
 
     at_upper = np.zeros(lo.size, dtype=bool)
     if bounds.upper_side is not None:
-        corner, *posts = bounds.upper_side
-        at_upper[: net.input_dim] = corner
-        at_upper[post[amb]] = np.concatenate([np.zeros(0, dtype=bool), *posts])[amb]
+        at_upper[: net.input_dim] = bounds.upper_side[: net.input_dim]
+        at_upper[post[amb]] = bounds.upper_side[net.input_dim + amb]
     objective = np.zeros(lo.size)
     objective[-net.output_dim :] = prop.output.c
     return LinearProgram(objective, np.column_stack([lo, hi]), A, eq, rhs, at_upper)

@@ -177,7 +177,8 @@ def test_criterion_1_running_example():
     net, updated, prop, heur = demo_fixture()
     # The fixture's recorded seed realizes the scripted ranking r1 > r3 > r4 > r2.
     r = [ReluId(0, 0), ReluId(1, 0), ReluId(1, 1), ReluId(0, 1)]
-    scores = [split_scores(heur, None, rid.layer, [rid.neuron])[0] for rid in r]
+    rids = relu_ids(net)
+    scores = [split_scores(heur, None, [rids.index(rid)], [rid])[0] for rid in r]
     assert scores == sorted(scores, reverse=True), scores
     assert network_to_json(updated)["layers"] == network_to_json(quantize(net, 8))["layers"]
 
@@ -264,7 +265,7 @@ def test_demo_fixture_proof_trees():
 
     def ranking(observed):
         score = {
-            rid: split_scores(heur, None, rid.layer, [rid.neuron], observed)[0]
+            rid: split_scores(heur, None, [relu_ids(net).index(rid)], [rid], observed)[0]
             for rid in (R1, R2, R3, R4)
         }
         return sorted(score, key=score.get, reverse=True)

@@ -29,7 +29,9 @@ from bound_oracles import (
     all_sign_patterns,
     analyze_region,
     brute_force_minimum,
+    by_layer,
     exact_margin,
+    flat,
     forward_with_preacts,
     full_program,
     grid_points,
@@ -83,8 +85,8 @@ def test_degenerate_box_gives_point_values():
     box = InputBox(x0, x0)
     b = compute_bounds(net, box, {})
     pre, out = forward_with_preacts(net, x0)
-    assert np.allclose(b.pre_lb[0], pre[0], atol=1e-9)
-    assert np.allclose(b.pre_ub[0], pre[0], atol=1e-9)
+    assert np.allclose(b.pre_lb, flat(pre), atol=1e-9)
+    assert np.allclose(b.pre_ub, flat(pre), atol=1e-9)
     assert np.allclose(b.out_lb, out, atol=1e-9)
     assert np.allclose(b.out_ub, out, atol=1e-9)
 
@@ -98,9 +100,8 @@ def test_bounds_contain_grid_enumeration():
         pts = grid_points(box, total=10_000)
         for x in pts:
             pre, out = forward_with_preacts(net, x)
-            for k in range(len(pre)):
-                assert np.all(pre[k] >= b.pre_lb[k] - 1e-9)
-                assert np.all(pre[k] <= b.pre_ub[k] + 1e-9)
+            assert np.all(flat(pre) >= b.pre_lb - 1e-9)
+            assert np.all(flat(pre) <= b.pre_ub + 1e-9)
             assert np.all(out >= b.out_lb - 1e-9)
             assert np.all(out <= b.out_ub + 1e-9)
 
@@ -110,15 +111,15 @@ def test_split_clamps_pre_bounds():
     net = make_net([2, 4, 1], rng)
     box = unit_box(2)
     plain = compute_bounds(net, box, {})
-    rid = ReluId(0, 0)
-    if plain.phase[rid.layer][rid.neuron] != AMBIGUOUS:
+    rid = ReluId(0, 0)  # the first unit
+    if plain.phase[0] != AMBIGUOUS:
         pytest.skip("seed produced a stable unit")
     pos = compute_bounds(net, box, {rid: "+"})
     neg = compute_bounds(net, box, {rid: "-"})
-    assert pos.pre_lb[0][0] >= 0.0
-    assert neg.pre_ub[0][0] <= 0.0
-    assert pos.phase[0][0] == ACTIVE
-    assert neg.phase[0][0] == INACTIVE
+    assert pos.pre_lb[0] >= 0.0
+    assert neg.pre_ub[0] <= 0.0
+    assert pos.phase[0] == ACTIVE
+    assert neg.phase[0] == INACTIVE
 
 
 def test_minus_split_at_the_tolerance_corner_is_inactive():
@@ -136,7 +137,7 @@ def test_minus_split_at_the_tolerance_corner_is_inactive():
     prop = margin_prop([1.0], 0.0, unit_box(1))
     bounds = compute_bounds(net, prop.input, {ReluId(0, 0): "-"}, objective=prop.output.c)
     assert not bounds.infeasible
-    assert bounds.phase[0][0] == INACTIVE
+    assert bounds.phase.tolist() == [INACTIVE]
     assert (bounds.out_lb[0], bounds.out_ub[0]) == (0.0, 0.0)
     lp = _build_program(net, prop, bounds)
     assert lp.eq.tolist() == [True, True]  # the two affine rows only
@@ -147,25 +148,23 @@ def test_minus_split_at_the_tolerance_corner_is_inactive():
 
 def assert_same_bounds(got, want):
     for name in ("pre_lb", "pre_ub", "phase", "kappa"):
-        g, w = getattr(got, name), getattr(want, name)
-        assert len(g) == len(w)
-        assert all(np.array_equal(a, b) for a, b in zip(g, w))
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert np.array_equal(got.out_lb, want.out_lb)
     assert np.array_equal(got.out_ub, want.out_ub)
     assert got.infeasible == want.infeasible
 
 
-def assert_phase_follows_splits_and_bounds(bounds, splits):
+def assert_phase_follows_splits_and_bounds(net, bounds, splits):
     # a split unit takes its sign's phase; an unsplit one is inactive if
     # u <= STABLE_TOL, else active if l >= -STABLE_TOL, else ambiguous
-    for k in range(len(bounds.pre_lb)):
-        for j, (l, u) in enumerate(zip(bounds.pre_lb[k], bounds.pre_ub[k])):
-            sign = splits.get(ReluId(k, j))
-            if sign is not None:
-                want = ACTIVE if sign == "+" else INACTIVE
-            else:
-                want = INACTIVE if u <= STABLE_TOL else ACTIVE if l >= -STABLE_TOL else AMBIGUOUS
-            assert bounds.phase[k][j] == want
+    assert bounds.phase.shape == (len(relu_ids(net)),)
+    for rid, l, u, phase in zip(relu_ids(net), bounds.pre_lb, bounds.pre_ub, bounds.phase):
+        sign = splits.get(rid)
+        if sign is not None:
+            want = ACTIVE if sign == "+" else INACTIVE
+        else:
+            want = INACTIVE if u <= STABLE_TOL else ACTIVE if l >= -STABLE_TOL else AMBIGUOUS
+        assert phase == want
 
 
 def test_bounds_nest_along_split_paths():
@@ -181,14 +180,13 @@ def test_bounds_nest_along_split_paths():
         prop = margin_prop(c, 0.0, box)
         parent_splits = {}
         parent = path_bounds(net, box, parent_splits)
-        assert_phase_follows_splits_and_bounds(parent, parent_splits)
+        assert_phase_follows_splits_and_bounds(net, parent, parent_splits)
         # walk three levels, always splitting the first ambiguous unit
         for _ in range(3):
             amb = [
-                ReluId(i, j)
-                for i in range(len(parent.pre_lb))
-                for j in range(len(parent.pre_lb[i]))
-                if parent.phase[i][j] == AMBIGUOUS and ReluId(i, j) not in parent_splits
+                rid
+                for rid, phase in zip(relu_ids(net), parent.phase)
+                if phase == AMBIGUOUS and rid not in parent_splits
             ]
             if not amb:
                 break
@@ -197,10 +195,9 @@ def test_bounds_nest_along_split_paths():
             child_splits = dict(parent_splits)
             child_splits[rid] = sign
             child = path_bounds(net, box, child_splits)
-            assert_phase_follows_splits_and_bounds(child, child_splits)
-            for k in range(len(child.pre_lb)):
-                assert np.all(child.pre_lb[k] >= parent.pre_lb[k] - 1e-12)
-                assert np.all(child.pre_ub[k] <= parent.pre_ub[k] + 1e-12)
+            assert_phase_follows_splits_and_bounds(net, child, child_splits)
+            assert np.all(child.pre_lb >= parent.pre_lb - 1e-12)
+            assert np.all(child.pre_ub <= parent.pre_ub + 1e-12)
             assert np.all(child.out_lb >= parent.out_lb - 1e-12)
             assert np.all(child.out_ub <= parent.out_ub + 1e-12)
             with_c = compute_bounds(net, box, child_splits, objective=c, parent=parent)
@@ -243,17 +240,16 @@ def test_stacked_walks_match_the_separate_walks():
                 assert got is parent and want is parent
                 continue
             assert got.infeasible == want.infeasible
-            assert all(np.array_equal(g, w) for g, w in zip(got.phase, want.phase, strict=True))
-            pairs = [*zip(got.pre_lb, want.pre_lb), *zip(got.pre_ub, want.pre_ub)]
+            assert np.array_equal(got.phase, want.phase)
+            pairs = [(got.pre_lb, want.pre_lb), (got.pre_ub, want.pre_ub)]
             pairs += [(got.out_lb, want.out_lb), (got.out_ub, want.out_ub)]
             if objective is None:
                 assert got.kappa is None and got.objective_lb is None and got.upper_side is None
             else:
-                pairs += list(zip(got.kappa, want.kappa, strict=True))
-                pairs.append((got.objective_lb, want.objective_lb))
-                sides = zip(got.upper_side, want.upper_side, strict=True)
-                assert all(np.array_equal(g, w) for g, w in sides)
+                pairs += [(got.kappa, want.kappa), (got.objective_lb, want.objective_lb)]
+                assert np.array_equal(got.upper_side, want.upper_side)
             for g, w in pairs:
+                assert np.shape(g) == np.shape(w)
                 assert np.allclose(g, w, rtol=0.0, atol=1e-12)
             compared += 1
     assert compared >= 300
@@ -266,14 +262,13 @@ def same_bits(a, b):
 def assert_identical(got, want):
     # the same bits in every field a pass computes
     for name in ("pre_lb", "pre_ub", "phase"):
-        g, w = getattr(got, name), getattr(want, name)
-        assert len(g) == len(w) and all(same_bits(a, b) for a, b in zip(g, w)), name
+        assert same_bits(getattr(got, name), getattr(want, name)), name
     assert same_bits(got.out_lb, want.out_lb) and same_bits(got.out_ub, want.out_ub)
     for name in ("kappa", "upper_side"):
         g, w = getattr(got, name), getattr(want, name)
         assert (g is None) == (w is None), name
         if g is not None:
-            assert len(g) == len(w) and all(same_bits(a, b) for a, b in zip(g, w)), name
+            assert same_bits(g, w), name
     lbs = (got.objective_lb, want.objective_lb)
     assert lbs == (None, None) or float(lbs[0]).hex() == float(lbs[1]).hex()
     assert got.infeasible == want.infeasible
@@ -294,6 +289,7 @@ def test_child_takes_the_parents_layers_bit_for_bit():
         box = unit_box(net.input_dim)
         c = rng.normal(size=2)
         layers = sorted({0, depth // 2, depth - 1})
+        rids = relu_ids(net)
         for objective in (None, c):
             splits = {}
             parent = compute_bounds(net, box, splits, objective=objective)
@@ -304,7 +300,7 @@ def test_child_takes_the_parents_layers_bit_for_bit():
                 free = [rid for rid in free if rid not in splits]
                 if not free:
                     continue
-                amb = [rid for rid in free if parent.phase[rid.layer][rid.neuron] == AMBIGUOUS]
+                amb = [rid for rid in free if parent.phase[rids.index(rid)] == AMBIGUOUS]
                 rid = amb[0] if amb else free[int(rng.integers(len(free)))]
                 splits = {**splits, rid: "+" if rng.random() < 0.5 else "-"}
                 child = compute_bounds(net, box, splits, objective=objective, parent=parent)
@@ -325,7 +321,7 @@ def test_child_takes_the_parents_layers_bit_for_bit():
 def test_no_reuse_across_networks_or_boxes():
     # A parent computed on another network (even its quantized copy) or
     # for another box hands nothing on: the child walks every layer and
-    # gets the full pass's bits.  The per-layer arrays children share are
+    # gets the full pass's bits.  The per-unit arrays children share are
     # read-only.
     rng = np.random.default_rng(93)
     for trial in range(20):
@@ -350,7 +346,7 @@ def test_no_reuse_across_networks_or_boxes():
                 assert child.walks == full.walks == 3
 
     bounds = compute_bounds(net, box, {ReluId(0, 0): "+"}, objective=c)
-    for a in [*bounds.pre_lb, *bounds.pre_ub, *bounds.phase]:
+    for a in (bounds.pre_lb, bounds.pre_ub, bounds.phase, bounds.kappa, bounds.upper_side):
         with pytest.raises(ValueError):
             a[0] = 1.0
 
@@ -470,9 +466,69 @@ def test_the_ambiguity_flag_follows_the_phases():
             batch = bound_regions(net, frontier, objective)
             assert batch[1].walks < len(net.blocks) and batch[-1] is empty
             for bounds in batch:
-                assert bounds.ambiguous == any(np.any(p == AMBIGUOUS) for p in bounds.phase)
+                assert bounds.ambiguous == bool(np.any(bounds.phase == AMBIGUOUS))
                 flags.append(bounds.ambiguous)
     assert flags.count(True) >= 100 and flags.count(False) >= 20
+
+
+def test_a_units_place_names_it_in_the_bounds_the_ids_and_the_template():
+    # Entry j of a region's per-unit arrays, relu_ids(net)[j] and the LP
+    # template's unit_cols[j] and unit_rows[j] name one unit, layer by layer
+    # and neuron by neuron: on nets of uneven widths and on one with no ReLU
+    # layer, for every region of a batch (the root, a unit split either
+    # way, an input half), against the reference's per-layer arrays joined
+    # in layer order, and at a point, where each unit's bounds are its
+    # pre-activation there.
+    rng = np.random.default_rng(617)
+    nets = [make_net([2, 2], rng)]
+    for _ in range(16):
+        hidden = rng.integers(1, 7, size=int(rng.integers(1, 4))).tolist()
+        nets.append(make_net([int(rng.integers(1, 4)), *hidden, 2], rng))
+    regions_seen = 0
+    for net in nets:
+        widths = [b.size for _, b in net.blocks[:-1]]
+        rids = relu_ids(net)
+        assert rids == [ReluId(layer, j) for layer, w in enumerate(widths) for j in range(w)]
+        t = _template(net)
+        assert t.unit_cols.shape == (len(rids), 3) and t.unit_rows.shape == (len(rids), 2)
+        for (layer, neuron), (pre, _, post), (first, second) in zip(rids, t.unit_cols, t.unit_rows):
+            own = np.flatnonzero(t.A[:, pre] == -1.0)  # the affine row that defines the unit's pre
+            assert own.size == 1 and t.eq[own[0]]
+            assert t.rhs[own[0]] == -net.blocks[layer][1][neuron]
+            assert (t.A[first, pre], t.A[first, post], t.A[second, post]) == (1.0, -1.0, 1.0)
+
+        box = unit_box(net.input_dim)
+        c = rng.normal(size=2)
+        root = compute_bounds(net, box, {}, objective=c)
+        lower, upper = box.lower.copy(), box.upper.copy()
+        upper[0] = 0.5
+        regions = [(box, {}, None), (InputBox(lower, upper), {}, root)]
+        j = int(rng.integers(len(rids))) if rids else None
+        if rids:
+            regions += [(box, {rids[j]: sign}, root) for sign in "+-"]
+        for (region_box, splits, parent), got in zip(regions, bound_regions(net, regions, c)):
+            want = separate_walk_bounds(net, region_box, splits, objective=c, parent=parent)
+            if want.infeasible:
+                continue
+            for name in ("pre_lb", "pre_ub", "phase", "kappa"):
+                assert getattr(got, name).shape == (len(rids),), name
+            assert got.upper_side.shape == (net.input_dim + len(rids),)
+            assert np.array_equal(got.phase, want.phase)
+            assert np.array_equal(got.upper_side, want.upper_side)
+            for name in ("pre_lb", "pre_ub", "kappa"):
+                assert np.allclose(getattr(got, name), getattr(want, name), rtol=0.0, atol=1e-12), name
+            for sign in splits.values():  # the split unit is the one at place j
+                assert got.phase[j] == (ACTIVE if sign == "+" else INACTIVE)
+                assert got.pre_lb[j] >= 0.0 if sign == "+" else got.pre_ub[j] <= 0.0
+            regions_seen += 1
+
+        x = rng.random(net.input_dim)
+        at = compute_bounds(net, InputBox(x, x), {})
+        pre, _ = forward_with_preacts(net, x)
+        for k, (layer, neuron) in enumerate(rids):
+            assert at.pre_lb[k] == pytest.approx(pre[layer][neuron], abs=1e-9)
+            assert at.pre_ub[k] == pytest.approx(pre[layer][neuron], abs=1e-9)
+    assert regions_seen >= 50
 
 
 def test_crossing_split_flags_infeasible():
@@ -502,7 +558,7 @@ def test_kappa_hand_computed():
     box = InputBox(np.array([-1.0]), np.array([2.0]))
     b = compute_bounds(net, box, {}, objective=np.array([1.0]))
     assert b.kappa is not None
-    assert b.kappa[0][0] == pytest.approx(3.0)
+    assert b.kappa.tolist() == [pytest.approx(3.0)]
 
 
 def test_bad_split_ids_rejected():
@@ -545,11 +601,7 @@ def test_soundness_under_splits():
         net = make_net([2, 3, 1], rng)
         prop = margin_prop([1.0], 0.0, unit_box(2))
         base = compute_bounds(net, prop.input, {})
-        amb = [
-            ReluId(0, j)
-            for j in range(len(base.pre_lb[0]))
-            if base.phase[0][j] == AMBIGUOUS
-        ]
+        amb = [rid for rid, phase in zip(relu_ids(net), base.phase) if phase == AMBIGUOUS]
         if not amb:
             continue
         rid = amb[0]
@@ -577,17 +629,12 @@ def test_monotone_under_splitting():
             b = parent.bounds
             want = path_bounds(net, prop.input, splits)
             for name in ("pre_lb", "pre_ub", "phase"):
-                got_layers, want_layers = getattr(b, name), getattr(want, name)
-                assert [a.tobytes() for a in got_layers] == [a.tobytes() for a in want_layers]
+                assert same_bits(getattr(b, name), getattr(want, name)), name
             assert b.out_lb.tobytes() == want.out_lb.tobytes()
             assert b.out_ub.tobytes() == want.out_ub.tobytes()
             assert b.infeasible == want.infeasible
-            amb = [
-                ReluId(i, j)
-                for i in range(len(b.pre_lb))
-                for j in range(len(b.pre_lb[i]))
-                if b.phase[i][j] == AMBIGUOUS and ReluId(i, j) not in splits
-            ]
+            phases = zip(relu_ids(net), b.phase)
+            amb = [rid for rid, phase in phases if phase == AMBIGUOUS and rid not in splits]
             if not amb:
                 break
             rid = amb[int(rng.integers(len(amb)))]
@@ -629,12 +676,8 @@ def test_unknown_verdict_carries_the_objective_bounds():
             want = compute_bounds(net, prop.input, splits, objective=prop.output.c)
             assert_same_bounds(got, want)
             checked += 1
-            amb = [
-                ReluId(i, j)
-                for i in range(len(got.pre_lb))
-                for j in range(len(got.pre_lb[i]))
-                if got.phase[i][j] == AMBIGUOUS and ReluId(i, j) not in splits
-            ]
+            phases = zip(relu_ids(net), got.phase)
+            amb = [rid for rid, phase in phases if phase == AMBIGUOUS and rid not in splits]
             if not amb:
                 break
             splits[amb[int(pick.integers(len(amb)))]] = "+" if pick.random() < 0.5 else "-"
@@ -674,7 +717,7 @@ def corner_net():
 
 
 def walk_corner(prop, bounds):
-    return np.where(bounds.upper_side[0], prop.input.upper, prop.input.lower)
+    return np.where(bounds.upper_side[: prop.input.dim], prop.input.upper, prop.input.lower)
 
 
 def test_a_violating_walk_corner_refutes_a_new_box_without_its_lp():
@@ -806,7 +849,7 @@ def test_propagation_verdicts_are_sound():
         splits, v = {}, analyze_region(net, prop, {})
         check(net, prop, splits, v)
         for _ in range(5):
-            amb = [rid for rid in relu_ids(net) if v.bounds.phase[rid.layer][rid.neuron] == AMBIGUOUS]
+            amb = [rid for rid, phase in zip(relu_ids(net), v.bounds.phase) if phase == AMBIGUOUS]
             if v.status is not Verdict.UNKNOWN or not amb:
                 break
             rid = amb[int(rng.integers(len(amb)))]
@@ -931,7 +974,8 @@ def row_by_row_program(net, prop, splits, bounds):
             if last:
                 dst.append(column(bounds.out_lb[r], bounds.out_ub[r]))
                 continue
-            sign, l, u = splits.get(ReluId(i, r)), bounds.pre_lb[i][r], bounds.pre_ub[i][r]
+            j = sum(widths[:i]) + r  # the unit's place in the layer-major order
+            sign, l, u = splits.get(ReluId(i, r)), bounds.pre_lb[j], bounds.pre_ub[j]
             if sign == "-" or (sign is None and u <= STABLE_TOL):
                 kind = "inactive"
             elif sign == "+" or l >= -STABLE_TOL:
@@ -1054,8 +1098,9 @@ def test_the_template_is_built_once_per_network_and_read_only():
     lp.rhs[...] = 7.0
     assert all(same_bits(a, b) for a, b in zip(_template(net), before))
     child = compute_bounds(net, prop.input, {ReluId(0, 0): "+"}, objective=prop.output.c, parent=bounds)
-    assert [sorted(set(p.tolist())) for p in bounds.phase] == [[INACTIVE, AMBIGUOUS], [AMBIGUOUS]]
-    assert ACTIVE in child.phase[0]
+    layers = by_layer(net, bounds.phase)
+    assert [sorted(set(p.tolist())) for p in layers] == [[INACTIVE, AMBIGUOUS], [AMBIGUOUS]]
+    assert ACTIVE in by_layer(net, child.phase)[0]
     for region in (bounds, child):
         assert_same_program(_build_program(net, prop, region), reference_program(net, prop, region))
 
@@ -1072,11 +1117,11 @@ def test_program_starts_where_the_objective_walk_points():
         parent = path_bounds(net, prop.input, dict(items[:-1])) if items else None
         want = separate_walk_bounds(net, prop.input, splits, objective=prop.output.c, parent=parent)
         lp = _build_program(net, prop, bounds)
-        corner, *posts = want.upper_side
+        corner, posts = want.upper_side[: net.input_dim], by_layer(net, want.upper_side[net.input_dim :])
         expected = np.zeros(lp.num_vars, dtype=bool)
         expected[: net.input_dim] = corner
         offset = net.input_dim
-        for phase, side in zip(bounds.phase, posts):
+        for phase, side in zip(by_layer(net, bounds.phase), posts, strict=True):
             amb = phase == AMBIGUOUS
             offset += phase.size  # the layer's unit columns, then its ambiguous units' posts
             expected[offset : offset + amb.sum()] = side[amb]
@@ -1145,10 +1190,8 @@ def test_the_program_keeps_the_full_layouts_optimum(monkeypatch):
                 if got.status is LpStatus.OPTIMAL:
                     assert abs(got.value - want.value) <= max(tol, 1e-9)
             seen[kind] += 1
-            seen["near zero"] += sum(
-                int(((p == ACTIVE) & (l < 0.0) & (l >= -STABLE_TOL)).sum())
-                for p, l in zip(bounds.phase, bounds.pre_lb)
-            )
+            phase, l = bounds.phase, bounds.pre_lb
+            seen["near zero"] += int(((phase == ACTIVE) & (l < 0.0) & (l >= -STABLE_TOL)).sum())
     assert min(seen.values()) >= 20, seen
 
 
@@ -1159,19 +1202,18 @@ def test_a_region_with_a_non_finite_bound_is_refused():
     net = make_net([2, 4, 3, 1], np.random.default_rng(615))
     prop = margin_prop([1.0], 0.0, unit_box(2))
     bounds = compute_bounds(net, prop.input, {ReluId(0, 0): "+"}, objective=prop.output.c)
-    assert {INACTIVE, ACTIVE, AMBIGUOUS} <= set(np.concatenate(bounds.phase).tolist())
+    assert {INACTIVE, ACTIVE, AMBIGUOUS} <= set(bounds.phase.tolist())
     _build_program(net, prop, bounds)
     refused = 0
-    for layer, phases in enumerate(bounds.phase):
-        for j, phase in enumerate(phases.tolist()):
-            for name, value in (("pre_lb", np.nan), ("pre_ub", np.nan), ("pre_ub", np.inf), ("pre_lb", -np.inf)):
-                if phase == ACTIVE and value == -np.inf:
-                    continue  # an active unit's column starts at max(l, 0): l itself is no entry
-                arrays = [a.copy() for a in getattr(bounds, name)]
-                arrays[layer][j] = value
-                with pytest.raises(ValueError, match="NaN or infinite"), np.errstate(invalid="ignore"):
-                    _build_program(net, prop, replace(bounds, **{name: arrays}))
-                refused += 1
+    for j, phase in enumerate(bounds.phase.tolist()):
+        for name, value in (("pre_lb", np.nan), ("pre_ub", np.nan), ("pre_ub", np.inf), ("pre_lb", -np.inf)):
+            if phase == ACTIVE and value == -np.inf:
+                continue  # an active unit's column starts at max(l, 0): l itself is no entry
+            array = getattr(bounds, name).copy()
+            array[j] = value
+            with pytest.raises(ValueError, match="NaN or infinite"), np.errstate(invalid="ignore"):
+                _build_program(net, prop, replace(bounds, **{name: array}))
+            refused += 1
     for name in ("out_lb", "out_ub"):
         for value in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="NaN or infinite"):
@@ -1197,7 +1239,7 @@ def test_program_layout_feeds_the_crash_basis():
         hidden = dims[1:-1]
         rids = relu_ids(net)
         ambiguous = {
-            rid for rid in rids if rid not in splits and bounds.phase[rid.layer][rid.neuron] == AMBIGUOUS
+            rid for rid, phase in zip(rids, bounds.phase) if rid not in splits and phase == AMBIGUOUS
         }
 
         # columns: input; per ReLU layer its units', then its ambiguous units' posts; output

@@ -133,6 +133,22 @@ def test_verify_timeout_exit(capsys):
     assert doc["verdict"] == "Timeout"
 
 
+def test_verify_with_nothing_left_to_split_exits_as_a_timeout(tmp_path, capsys):
+    # A zero-margin net whose only unit is stable: the root is Unknown with
+    # no ReLU to split, which ends the run as Timeout, not as an error.
+    net = Network((
+        Affine(np.array([[-0.797]]), np.array([1.435])),
+        Relu(),
+        Affine(np.array([[-1.075]]), np.array([1.631])),
+    ))
+    prop = Property(InputBox(np.array([-1.0]), np.array([1.0])), OutputConstraint(np.array([1.0]), 0.7684))
+    net_path, prop_path = write_pair(tmp_path, net, prop)
+    assert main(["verify", "--network", net_path, "--property", prop_path]) == EXIT_TIMEOUT
+    doc = last_json(capsys)
+    assert doc["verdict"] == "Timeout"
+    assert doc["note"] == "no ReLU left to split at node 0"
+
+
 def test_verify_tree_roundtrip(tmp_path, capsys):
     tree_path = str(tmp_path / "tree.json")
     assert main(demo_args("--tree-out", tree_path)) == EXIT_VERIFIED

@@ -161,7 +161,7 @@ def test_demo_root_lp_runs_no_phase1():
     net = load_network(FIXTURES / "demo_network.json")
     prop = load_property(FIXTURES / "demo_property.json")
     bounds = compute_bounds(net, prop.input, {}, objective=prop.output.c)
-    assert [p.tolist() for p in bounds.phase] == [[2, 2], [2, 2]]  # all four ambiguous
+    assert bounds.phase.tolist() == [2, 2, 2, 2]  # all four ambiguous
     out = solve(_build_program(net, prop, bounds))
     assert (out.status, out.phase1) == (LpStatus.OPTIMAL, 0)
     assert round(out.value + prop.output.d, 9) == -7.0  # the root lb the demo pins

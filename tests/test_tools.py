@@ -95,6 +95,45 @@ def test_expect_reads_a_saved_output_or_a_trajectory_point(tmp_path, monkeypatch
         tool.saved_signature(point, "deep-16x3", 3)
 
 
+def test_expect_of_a_whole_point_checks_every_pair(tmp_path, monkeypatch, capsys):
+    # Given a trajectory point and no --workload or --seed, --expect checks
+    # every workload and seed the point holds, one line per pair, and exits
+    # 1 if any count or verdict digest differs, else 2 if any bit digest
+    # differs, else 0.  The signatures are canned: no benchmark runs.
+    tool = load_tool("work_signature", monkeypatch)
+    sig = {"boundings": 9, "verdict_sha256": "v", "sha256": "s", "lp_sha256": "l"}
+    work = {"quant-8x6": {"1": sig, "2": sig}, "deep-16x3": {"1": sig}}
+    point = tmp_path / "BENCH_1.json"
+    point.write_text(json.dumps({"work": work}), encoding="utf-8")
+    cases = [
+        ({}, 0, ["same", "same", "same"]),
+        ({("deep-16x3", 1): {"sha256": "t"}}, 2, ["bits differ sha256", "same", "same"]),
+        (
+            {("deep-16x3", 1): {"lp_sha256": "m"}, ("quant-8x6", 2): {"boundings": 8}},
+            1,
+            ["bits differ lp_sha256", "same", "search differs boundings"],
+        ),
+        ({("quant-8x6", 1): {"verdict_sha256": "w"}}, 1, ["same", "search differs verdict_sha256", "same"]),
+    ]
+    for changed, code, said in cases:
+        asked = []
+
+        def signature(workload, seed):
+            asked.append((workload, seed))
+            return {**sig, **changed.get((workload, seed), {})}
+
+        monkeypatch.setattr(tool, "signature", signature)
+        assert tool.main(["--expect", str(point)]) == code
+        assert asked == [("deep-16x3", 1), ("quant-8x6", 1), ("quant-8x6", 2)]
+        lines = [line.split(": ", 1) for line in capsys.readouterr().out.splitlines()]
+        assert [pair.split() for pair, _ in lines] == [[w, "seed", str(s)] for w, s in asked]
+        assert [line for _, line in lines] == said
+    saved = tmp_path / "before.txt"
+    saved.write_text(json.dumps(sig) + "\n", encoding="utf-8")
+    with pytest.raises(SystemExit):  # a saved output holds one pair, which must be named
+        tool.main(["--expect", str(saved)])
+
+
 def test_signature_pins_blas_or_refuses():
     # Imported before numpy, the tool pins BLAS to one thread; imported
     # after numpy loaded without the pin, it refuses to compute a signature,

@@ -1050,6 +1050,33 @@ def test_input_branching_min_width_diagnosis():
     assert "width" in res.note
 
 
+def zero_margin_instance():
+    """A 1-1-1 net whose only unit is active on the whole box and whose
+    margin's minimum is zero up to rounding: the root's LP is exact, yet its
+    optimum reads a little below 0 at an input that is no counterexample."""
+    net = Network((
+        Affine(np.array([[-0.797]]), np.array([1.435])),
+        Relu(),
+        Affine(np.array([[-1.075]]), np.array([1.631])),
+    ))
+    prop = Property(InputBox(np.array([-1.0]), np.array([1.0])), OutputConstraint(np.array([1.0]), 0.7684))
+    return net, prop
+
+
+def test_an_unknown_node_with_no_relu_left_to_split_ends_the_run_as_a_timeout():
+    # ReLU branching has nothing to split at an Unknown node whose units are
+    # all stable; the run ends as Timeout with a note naming the node, as
+    # input branching ends at its minimum width.
+    net, prop = zero_margin_instance()
+    res = verify(net, prop, CFG)
+    assert res.verdict is RunVerdict.TIMEOUT
+    assert res.note == "no ReLU left to split at node 0"
+    assert (res.metrics.boundings, res.metrics.branchings, res.metrics.lps) == (1, 0, 1)
+    assert res.tree.node(0).status is NodeStatus.UNKNOWN
+    inputs = verify(net, prop, VerifierConfig(timeout=120.0, branching="input"))
+    assert inputs.verdict is RunVerdict.TIMEOUT and "width" in inputs.note
+
+
 def test_branching_kind_mismatch_rejected():
     prop = unit_prop(2, [1.0], 0.0)
     t = singleton("input")

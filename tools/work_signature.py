@@ -55,6 +55,13 @@ change in the order of floating-point operations.
     python3 tools/work_signature.py --workload quant-8x6 --seed 1 --expect before.txt
     python3 tools/work_signature.py --workload quant-8x6 --seed 1 --expect BENCH_29.json
 
+Given a trajectory point and neither ``--workload`` nor ``--seed``,
+``--expect`` checks every workload and seed the point holds, one line per
+pair, and exits as above over all of them: 1 when any pair's search
+changed, else 2 when any pair's bit-level digests differ, else 0.
+
+    python3 tools/work_signature.py --expect BENCH_35.json
+
 With ``--stages N`` the script then runs the pass N more times, with the
 plain solver (no LP digest), and prints to standard error, after the
 JSON line, where each mode's first and second runs spent their time: the
@@ -293,6 +300,27 @@ def differences(got: dict, want: dict) -> dict:
     return {key: (w[key], g.get(key)) for key in sorted(w) if g.get(key) != w[key]}
 
 
+def exit_code(diff: dict) -> int:
+    """The exit code of a comparison: 0 the same, 2 only bit-level digests differ, 1 the search changed."""
+    if not diff:
+        return 0
+    return 2 if all(key.rsplit(".", 1)[-1] in BIT_DIGESTS for key in diff) else 1
+
+
+def check_point(work: dict) -> int:
+    """Compare every workload and seed of a trajectory point's ``work`` with
+    this checkout's signature, printing one line per pair; the exit code
+    over all pairs: 1 if any search changed, else 2 if any bits differ, else 0."""
+    codes = []
+    for workload in sorted(work):
+        for seed in sorted(work[workload], key=int):
+            diff = differences(signature(workload, int(seed)), work[workload][seed])
+            codes.append(exit_code(diff))
+            said = {0: "same", 1: "search differs", 2: "bits differ"}[codes[-1]]
+            print(f"{workload:11s} seed {seed}: {said}" + "".join(f" {key}" for key in diff))
+    return 1 if 1 in codes else max(codes, default=0)
+
+
 def saved_signature(path: Path, workload: str, seed: int) -> dict:
     """The signature ``--expect`` compares with: a trajectory point's work for
     the workload and seed, or a saved output's last line.  KeyError when a
@@ -377,8 +405,13 @@ def main(argv=None) -> int:
             p.error("--bench takes no --workload, --seed, --expect or --stages")
         bench(Path(args.bench))
         return 0
+    if args.expect and args.workload is None and args.seed is None and not args.stages:
+        doc = json.loads(Path(args.expect).read_text(encoding="utf-8"))
+        if not isinstance(doc, dict) or "work" not in doc:
+            p.error(f"{args.expect} is no trajectory point; name a --workload and --seed")
+        return check_point(doc["work"])
     if args.workload is None or args.seed is None:
-        p.error("--workload and --seed are required without --bench")
+        p.error("--workload and --seed are required, except with --bench or a trajectory point's --expect")
     want = None
     if args.expect:
         try:
@@ -410,9 +443,7 @@ def main(argv=None) -> int:
     diff = differences(sig, want)
     for key, (expected, got) in diff.items():
         print(f"differs: {key}: expected {expected!r}, got {got!r}", file=sys.stderr)
-    if not diff:
-        return 0
-    return 2 if all(key.rsplit(".", 1)[-1] in BIT_DIGESTS for key in diff) else 1
+    return exit_code(diff)
 
 
 if __name__ == "__main__":
